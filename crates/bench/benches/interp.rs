@@ -1,24 +1,24 @@
-//! Criterion benchmark of work-body evaluation: AST walking vs bytecode
-//! vs warp-batched bytecode.
+//! Criterion benchmark of work-body evaluation: scalar bytecode vs
+//! warp-batched bytecode.
 //!
 //! Every simulated thread of every launch ultimately evaluates an actor's
 //! work body, so the evaluator is the inner loop of the whole
 //! reproduction. Two levels are measured on a Horner-style polynomial
 //! map body (a 16-iteration loop per element):
 //!
-//! * `ast_walk` / `bytecode` / `warp` — the raw evaluators head-to-head
-//!   over many firings: a fresh `HashMap` of locals plus recursive AST
-//!   walk per firing, against one pooled register [`Frame`] reset per
-//!   firing and a flat opcode loop, against one [`WarpFrame`] evaluating
-//!   32 lanes per opcode dispatch.
-//! * `pipeline_*` — the same body through the full compiled pipeline
-//!   (`ExecMode::Full`, every element executed), flipping only
-//!   [`RunOptions::with_backend`] so the three runs share planning,
-//!   memory movement, and accounting.
+//! * `bytecode` / `warp` — the two evaluators head-to-head over many
+//!   firings: one register [`Frame`] reset per firing and a flat opcode
+//!   loop (what host-sequential code runs), against one [`WarpFrame`]
+//!   evaluating 32 lanes per opcode dispatch (what kernels run).
+//! * `pipeline_warp` — the same body through the full compiled pipeline
+//!   (`ExecMode::Full`, every element executed): planning, memory
+//!   movement and accounting around the warp evaluator.
 //!
-//! Before/after numbers are recorded in `results/interp_speedup.txt` and
-//! `results/warp_speedup.txt`; a machine-readable copy of the latest run
-//! is written to `results/BENCH_interp.json` by the trailing JSON pass.
+//! A machine-readable copy of the latest run is written to
+//! `results/BENCH_interp.json` by the trailing JSON pass;
+//! `results/interp_speedup.txt` and `results/warp_speedup.txt` hold the
+//! prose history, including the AST-walker and scalar-pipeline rows
+//! measured before those paths were removed.
 //!
 //! [`WarpFrame`]: adaptic::warp::WarpFrame
 
@@ -26,10 +26,9 @@ use std::collections::HashMap;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 
-use adaptic::bytecode::{self, compile_body, Frame};
-use adaptic::exec_ir::{exec_body, VecIo};
+use adaptic::bytecode::{self, compile_body, Frame, VecIo};
 use adaptic::warp::{self, full_mask, VecWarpIo, WarpFrame};
-use adaptic::{compile, EvalBackend, InputAxis, RunOptions};
+use adaptic::{compile, InputAxis, RunOptions};
 use adaptic_bench::{bench_json, measure};
 use gpu_sim::{DeviceSpec, ExecMode};
 use streamir::parse::parse_program;
@@ -93,22 +92,6 @@ fn bench_evaluators(c: &mut Criterion) {
     let binds = streamir::graph::bindings(&[("N", FIRINGS as i64)]);
     let input = horner_input(FIRINGS);
 
-    let mut io = VecIo {
-        input: input.clone(),
-        ..VecIo::default()
-    };
-    c.bench_function("interp/ast_walk_4k_firings", |b| {
-        b.iter(|| {
-            io.cursor = 0;
-            io.output.clear();
-            for _ in 0..FIRINGS {
-                let mut locals = HashMap::new();
-                exec_body(&body, &mut locals, &binds, &mut io).unwrap();
-            }
-            io.output.len()
-        })
-    });
-
     let prog = compile_body(&body, &binds, &[]).unwrap();
     let proto = prog.bind(&binds).unwrap();
     let mut frame = Frame::default();
@@ -157,45 +140,16 @@ fn bench_pipeline(c: &mut Criterion) {
                 .unwrap()
         })
     });
-    let scalar = warp.with_backend(EvalBackend::Scalar);
-    c.bench_function("interp/pipeline_bytecode_16k", |b| {
-        b.iter(|| {
-            compiled
-                .run_opts(n as i64, &input, &[], scalar, None)
-                .unwrap()
-        })
-    });
-    let oracle = warp.with_backend(EvalBackend::Ast);
-    c.bench_function("interp/pipeline_ast_16k", |b| {
-        b.iter(|| {
-            compiled
-                .run_opts(n as i64, &input, &[], oracle, None)
-                .unwrap()
-        })
-    });
 }
 
 /// Re-measure the same workloads with plain wall-clock timing and write
-/// `results/BENCH_interp.json` (name, min/mean/max ns, speedup vs the
-/// matching baseline, git rev) for machines to read.
+/// `results/BENCH_interp.json` (name, min/mean/max ns, warp's speedup
+/// over scalar bytecode, git rev) for machines to read.
 fn emit_json(_c: &mut Criterion) {
     let program = parse_program(HORNER_SRC).unwrap();
     let body = program.actor("H").unwrap().work.body.clone();
     let binds = streamir::graph::bindings(&[("N", FIRINGS as i64)]);
     let input = horner_input(FIRINGS);
-
-    let mut io = VecIo {
-        input: input.clone(),
-        ..VecIo::default()
-    };
-    let ast = measure("interp/ast_walk_4k_firings", 10, || {
-        io.cursor = 0;
-        io.output.clear();
-        for _ in 0..FIRINGS {
-            let mut locals = HashMap::new();
-            exec_body(&body, &mut locals, &binds, &mut io).unwrap();
-        }
-    });
 
     let prog = compile_body(&body, &binds, &[]).unwrap();
     let proto = prog.bind(&binds).unwrap();
@@ -207,8 +161,7 @@ fn emit_json(_c: &mut Criterion) {
     };
     let scalar = measure("interp/bytecode_4k_firings", 10, || {
         run_scalar(&prog, &proto, &mut frame, &mut sio)
-    })
-    .vs(&ast);
+    });
 
     let mut wf = WarpFrame::default();
     wf.fit(&prog, LANES);
@@ -229,26 +182,14 @@ fn emit_json(_c: &mut Criterion) {
     let compiled = compile(&program, &device, &axis).unwrap();
     let n = 1usize << 14;
     let pinput = horner_input(n);
-    let run = |opts: RunOptions<'static>| {
-        compiled
-            .run_opts(n as i64, &pinput, &[], opts, None)
-            .unwrap()
-    };
     let full = RunOptions::serial(ExecMode::Full);
-    let p_ast = measure("interp/pipeline_ast_16k", 5, || {
-        run(full.with_backend(EvalBackend::Ast));
-    });
-    let p_scalar = measure("interp/pipeline_bytecode_16k", 5, || {
-        run(full.with_backend(EvalBackend::Scalar));
-    })
-    .vs(&p_ast);
     let p_warp = measure("interp/pipeline_warp_16k", 5, || {
-        run(full);
-    })
-    .vs(&p_scalar);
+        compiled
+            .run_opts(n as i64, &pinput, &[], full, None)
+            .unwrap();
+    });
 
-    let path = bench_json("interp", &[ast, scalar, warp_raw, p_ast, p_scalar, p_warp])
-        .expect("write BENCH_interp.json");
+    let path = bench_json("interp", &[scalar, warp_raw, p_warp]).expect("write BENCH_interp.json");
     println!("wrote {}", path.display());
 }
 

@@ -65,7 +65,7 @@ fn main() {
             let out_buf = mem.alloc(n);
             let k = MapKernel::new(
                 "m",
-                body.clone(),
+                &body,
                 bindings(&[]),
                 None,
                 units,
@@ -114,7 +114,7 @@ fn main() {
             let out_buf = mem.alloc(side * side);
             let k = adaptic::templates::StencilKernel::new(
                 "s",
-                pat.body.clone(),
+                &pat.body,
                 &pat.loop_var,
                 bindings(&[("rows", side as i64), ("cols", side as i64)]),
                 side,
@@ -229,7 +229,7 @@ fn main() {
             let out_buf = mem.alloc(n);
             let k = MapKernel::new(
                 "m",
-                program.actors[0].work.body.clone(),
+                &program.actors[0].work.body,
                 bindings(&[]),
                 None,
                 n,

@@ -51,7 +51,7 @@ use crate::plan::{OptTag, SegChoice, SegPrograms, Variant};
 /// Bump on any change to the on-disk layout *or* to the semantics of what
 /// is persisted (opcode set, variant-table meaning, histogram fields).
 /// Version-mismatched files are rejected as misses and overwritten.
-pub const FORMAT_VERSION: u32 = 1;
+pub const FORMAT_VERSION: u32 = 2;
 
 /// Magic bytes opening every artifact file.
 const MAGIC: [u8; 4] = *b"ADPT";
@@ -598,7 +598,7 @@ fn enc_seg_programs(e: &mut Enc, sp: &SegPrograms) {
         }
         SegPrograms::Opaque(p) => {
             e.u8(5);
-            enc_opt_program(e, p);
+            enc_arc_program(e, p);
         }
     }
 }
@@ -628,7 +628,7 @@ fn dec_seg_programs(d: &mut Dec<'_>) -> Result<SegPrograms> {
             }
             SegPrograms::MapSiblings(v)
         }
-        5 => SegPrograms::Opaque(dec_opt_program(d)?),
+        5 => SegPrograms::Opaque(dec_arc_program(d)?),
         t => return Err(ArtifactError::Malformed(format!("segment tag {t}"))),
     })
 }

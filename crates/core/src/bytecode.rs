@@ -1,47 +1,35 @@
 //! Register-slot bytecode for actor work bodies.
 //!
-//! The kernel templates execute a work body once **per thread per
-//! firing**; walking the AST each time (recursive [`eval_expr`] calls,
-//! `HashMap<String, Value>` locals, `Result` plumbing per node) is the
-//! dominant cost of figure-scale sweeps now that accounting streams. This
-//! module pays the analysis once per *program* instead: [`compile_body`]
-//! lowers a validated body to a flat postorder [`Op`] sequence over a
-//! value stack, with
+//! Every work body is lowered once per *program*: [`compile_body`] turns a
+//! validated body into a flat postorder [`Op`] sequence over a value
+//! stack, with
 //!
 //! - locals resolved to dense `u16` slots (parameters become slots bound
 //!   from [`Bindings`] once per launch, template-supplied scalars like the
 //!   loop variable become *preset* slots the kernel writes directly),
-//! - state arrays resolved to dense ids in first-use order (templates
-//!   override the id-based [`IrIo`] hooks with direct indexing),
+//! - state arrays resolved to dense ids in first-use order,
 //! - all-literal subtrees constant-folded (folding never crosses an I/O
 //!   opcode, so the observable `pop`/`peek`/state sequence — and thus
 //!   every `KernelStats` counter — is unchanged),
 //! - `for` loops driven by a *hidden* counter slot so body assignments to
-//!   the loop variable cannot perturb iteration, exactly like the AST
-//!   walker's Rust-side `for i in lo..hi` loop.
+//!   the loop variable cannot perturb iteration, exactly like the
+//!   reference interpreter's Rust-side `for i in lo..hi` loop.
 //!
-//! Evaluation ([`eval`]) is infallible on the hot path: lowering rejects
-//! everything the AST evaluator would reject statically (unknown
+//! Two evaluators run a [`Program`]. Kernels run it warp-wide through
+//! [`crate::warp::eval`]. The scalar [`eval`] here runs the firings that
+//! have no lanes to batch — opaque (stateful) actors executed sequentially
+//! on the host and the once-per-output reduction `post` expression — with
+//! stream and state access redirected through the [`IrIo`] trait; it is
+//! also the in-crate differential reference for the warp evaluator.
+//!
+//! Evaluation is infallible on the hot path: lowering rejects everything
+//! the reference interpreter ([`streamir::interp::Interpreter`], the
+//! oracle every test compares against) would reject statically (unknown
 //! variables), and data-dependent faults (integer division by zero,
-//! boolean-to-number coercion) panic just as the templates'
-//! `.expect("validated body executes")` already did. Integer `+`/`-`/`*`
-//! and unary negation wrap on overflow, matching
-//! [`streamir::interp::eval_binop`].
-//!
-//! Frames (slot vector + operand stack) are pooled per engine via
-//! [`FramePool`], mirroring `gpu_sim::accounting::ScratchPool`: one frame
-//! per block, reset per firing by a `memcpy` from the launch's bound slot
-//! prototype — no per-firing heap allocation.
-//!
-//! The AST walker in [`crate::exec_ir`] remains the differential oracle;
-//! proptests assert bit-identical outputs and stats (see
-//! `tests/bytecode_differential.rs`).
-//!
-//! [`eval_expr`]: crate::exec_ir::eval_expr
+//! boolean-to-number coercion) panic. Integer `+`/`-`/`*` and unary
+//! negation wrap on overflow, matching [`streamir::interp::eval_binop`].
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, MutexGuard, PoisonError};
 
 use streamir::error::{Error, Result};
 use streamir::interp::{eval_binop, eval_intrinsic};
@@ -49,7 +37,57 @@ use streamir::ir::{BinOp, Expr, Intrinsic, Stmt, UnOp};
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
-use crate::exec_ir::IrIo;
+/// Stream/state I/O hooks for one scalar execution of a work body.
+pub trait IrIo {
+    /// Destructive read of the next input item of this firing's window.
+    fn pop(&mut self) -> f32;
+    /// Non-destructive read at `offset` from the window start.
+    fn peek(&mut self, offset: i64) -> f32;
+    /// Append one output item.
+    fn push(&mut self, v: f32);
+    /// Load from a bound state array.
+    fn state_load(&mut self, array: &str, idx: i64) -> f32;
+    /// Store to a bound state array.
+    fn state_store(&mut self, array: &str, idx: i64, v: f32);
+}
+
+/// An [`IrIo`] over plain host vectors — the host-side (opaque-actor)
+/// execution path, and unit tests.
+#[derive(Debug, Default)]
+pub struct VecIo {
+    /// Input window.
+    pub input: Vec<f32>,
+    /// Read cursor for pops.
+    pub cursor: usize,
+    /// Collected pushes.
+    pub output: Vec<f32>,
+    /// Named state arrays.
+    pub state: HashMap<String, Vec<f32>>,
+}
+
+impl IrIo for VecIo {
+    fn pop(&mut self) -> f32 {
+        let v = self.input[self.cursor];
+        self.cursor += 1;
+        v
+    }
+
+    fn peek(&mut self, offset: i64) -> f32 {
+        self.input[offset as usize]
+    }
+
+    fn push(&mut self, v: f32) {
+        self.output.push(v);
+    }
+
+    fn state_load(&mut self, array: &str, idx: i64) -> f32 {
+        self.state[array][idx as usize]
+    }
+
+    fn state_store(&mut self, array: &str, idx: i64, v: f32) {
+        self.state.get_mut(array).expect("bound array")[idx as usize] = v;
+    }
+}
 
 /// One bytecode instruction. Expressions are postorder over an operand
 /// stack; control flow uses absolute instruction indices.
@@ -69,9 +107,9 @@ pub enum Op {
     Pop,
     /// Pop offset (as i64), `io.peek(offset)` → push.
     Peek,
-    /// Pop index (as i64), `io.state_load_id(id, ..)` → push.
+    /// Pop index (as i64), `io.state_load(name(id), ..)` → push.
     StateLoad(u16),
-    /// Pop value (as f32) then index (as i64), `io.state_store_id(..)`.
+    /// Pop value (as f32) then index (as i64), `io.state_store(name(id), ..)`.
     StateStore(u16),
     /// Pop value (as f32), `io.push(value)`.
     PushOut,
@@ -254,7 +292,7 @@ impl Program {
 /// become [`SlotKind::Param`] slots, bound per launch); `presets` names
 /// the scalars the owning kernel seeds directly (loop variables,
 /// accumulators). Any other name that is read before the body could have
-/// assigned it is rejected, mirroring the AST walker's
+/// assigned it is rejected, mirroring the reference interpreter's
 /// "unknown variable" runtime error.
 ///
 /// # Errors
@@ -352,8 +390,8 @@ impl<'a> Compiler<'a> {
     }
 
     /// Slot a name *writes* to: allocated on first assignment. Assigning
-    /// a parameter name shadows it, same as the AST walker's
-    /// locals-then-binds lookup order.
+    /// a parameter name shadows it (locals are looked up before
+    /// bindings).
     fn write_slot(&mut self, name: &str) -> u16 {
         match self.slots.get(name) {
             Some(&id) => id,
@@ -400,10 +438,10 @@ impl<'a> Compiler<'a> {
 
     /// Fold an all-literal subtree to its value. Folding is attempted
     /// only on expressions with no I/O and no variable reads, using the
-    /// same `eval_binop`/`eval_intrinsic` the AST walker uses, so folded
+    /// same `eval_binop`/`eval_intrinsic` the reference interpreter uses, so folded
     /// results are bit-identical. A subtree whose folding *errors* (e.g.
     /// a literal division by zero) is emitted as ops instead, deferring
-    /// the fault to runtime exactly like the AST walker.
+    /// the fault to runtime exactly like the interpreter.
     fn try_fold(&self, e: &Expr) -> Option<Value> {
         match e {
             Expr::Float(x) => Some(Value::F32(*x)),
@@ -462,7 +500,7 @@ impl<'a> Compiler<'a> {
             }
             Expr::Binary { op, lhs, rhs } => {
                 // Both sides always evaluate (`&&`/`||` do not
-                // short-circuit), matching the AST walker.
+                // short-circuit), matching the interpreter.
                 self.lower_expr(lhs)?;
                 self.lower_expr(rhs)?;
                 self.emit(Op::Bin(*op));
@@ -497,7 +535,7 @@ impl<'a> Compiler<'a> {
             match stmt {
                 Stmt::Assign { name, expr } => {
                     // Expression first: `x = x + 1` with unknown `x` must
-                    // fail, as it would at AST runtime.
+                    // fail, as it would in the interpreter.
                     self.lower_expr(expr)?;
                     let slot = self.write_slot(name);
                     self.emit(Op::Store(slot));
@@ -541,7 +579,7 @@ impl<'a> Compiler<'a> {
                     // The loop runs on a hidden counter; the user-visible
                     // variable is a copy refreshed each iteration, so body
                     // assignments to it cannot change the trip count —
-                    // exactly the AST walker's `for i in lo..hi` loop.
+                    // exactly the interpreter's `for i in lo..hi` loop.
                     self.lower_expr(start)?;
                     self.lower_expr(end)?;
                     let counter = self.hidden_slot("for");
@@ -574,9 +612,8 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// A reusable evaluation frame: slot vector + operand stack. Obtained
-/// from a [`FramePool`]; reset per firing by copying the launch's bound
-/// slot prototype.
+/// A reusable evaluation frame: slot vector + operand stack, reset per
+/// firing by copying the launch's bound slot prototype.
 #[derive(Debug, Default)]
 pub struct Frame {
     slots: Vec<Value>,
@@ -616,69 +653,6 @@ impl Frame {
     }
 }
 
-/// A shared pool of [`Frame`]s, mirroring
-/// `gpu_sim::accounting::ScratchPool`: workers `take` a frame per block
-/// and `give` it back, so steady-state execution allocates nothing. The
-/// `created`/`reused` counters back the no-allocation acceptance test.
-#[derive(Debug, Default)]
-pub struct FramePool {
-    inner: Mutex<Vec<Frame>>,
-    created: AtomicUsize,
-    reused: AtomicUsize,
-}
-
-impl FramePool {
-    /// An empty pool.
-    pub fn new() -> FramePool {
-        FramePool::default()
-    }
-
-    /// Lock the pool, recovering from poison: pooled frames are fully
-    /// reset (`Frame::reset`) before every use, so a worker that
-    /// panicked mid-`Vec::push` cannot leave state the next taker could
-    /// observe — same reasoning as `Kmu::lock_state`. Without recovery,
-    /// one panicking worker (e.g. under fault injection) would wedge
-    /// frame recycling for every later launch on the engine.
-    fn lock_inner(&self) -> MutexGuard<'_, Vec<Frame>> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Take a frame (recycled when available).
-    pub fn take(&self) -> Frame {
-        let recycled = self.lock_inner().pop();
-        match recycled {
-            Some(f) => {
-                self.reused.fetch_add(1, Ordering::Relaxed);
-                f
-            }
-            None => {
-                self.created.fetch_add(1, Ordering::Relaxed);
-                Frame::default()
-            }
-        }
-    }
-
-    /// Return a frame for reuse.
-    pub fn give(&self, frame: Frame) {
-        self.lock_inner().push(frame);
-    }
-
-    /// Frames allocated fresh over the pool's lifetime.
-    pub fn created(&self) -> usize {
-        self.created.load(Ordering::Relaxed)
-    }
-
-    /// Takes satisfied by recycling.
-    pub fn reused(&self) -> usize {
-        self.reused.load(Ordering::Relaxed)
-    }
-
-    /// Frames currently idle in the pool.
-    pub fn idle(&self) -> usize {
-        self.lock_inner().len()
-    }
-}
-
 #[inline]
 pub(crate) fn as_f32(v: Value) -> f32 {
     v.as_f32().expect("validated body: numeric value")
@@ -690,8 +664,8 @@ pub(crate) fn as_i64(v: Value) -> i64 {
 }
 
 /// Infallible binop mirroring [`streamir::interp::eval_binop`] (including
-/// wrapping integer arithmetic); data-dependent faults panic like the
-/// templates' `.expect` on the AST path. Shared with [`crate::warp`] so
+/// wrapping integer arithmetic); data-dependent faults panic. Shared with
+/// [`crate::warp`] so
 /// the scalar and warp-batched evaluators are per-lane bit-identical by
 /// construction.
 #[inline]
@@ -760,7 +734,7 @@ pub(crate) fn call(intr: Intrinsic, args: &[Value]) -> Value {
         Intrinsic::Max => Value::F32(f(0).max(f(1))),
         Intrinsic::Min => Value::F32(f(0).min(f(1))),
         Intrinsic::Pow => Value::F32(f(0).powf(f(1))),
-        // `select` preserves the chosen argument's variant, like the AST.
+        // `select` preserves the chosen argument's variant, like the interpreter.
         Intrinsic::Select => {
             if args[0].as_bool() {
                 args[1]
@@ -793,13 +767,13 @@ pub fn eval(prog: &Program, frame: &mut Frame, io: &mut dyn IrIo) {
             }
             Op::StateLoad(id) => {
                 let idx = as_i64(stack.pop().expect("operand"));
-                let v = io.state_load_id(id, &prog.state_names[id as usize], idx);
+                let v = io.state_load(&prog.state_names[id as usize], idx);
                 stack.push(Value::F32(v));
             }
             Op::StateStore(id) => {
                 let v = as_f32(stack.pop().expect("operand"));
                 let idx = as_i64(stack.pop().expect("operand"));
-                io.state_store_id(id, &prog.state_names[id as usize], idx, v);
+                io.state_store(&prog.state_names[id as usize], idx, v);
             }
             Op::PushOut => {
                 let v = as_f32(stack.pop().expect("operand"));
@@ -879,38 +853,42 @@ pub fn eval_value(prog: &Program, frame: &mut Frame, io: &mut dyn IrIo) -> Value
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec_ir::{exec_body, VecIo};
     use streamir::graph::bindings;
+    use streamir::interp::Interpreter;
     use streamir::parse::parse_program;
 
     fn body_of(src: &str) -> Vec<Stmt> {
         parse_program(src).unwrap().actors[0].work.body.clone()
     }
 
-    fn run_both(body: &[Stmt], binds: &Bindings, input: Vec<f32>) -> (VecIo, VecIo) {
-        let mut ast_io = VecIo {
-            input: input.clone(),
-            ..Default::default()
-        };
-        let mut locals = HashMap::new();
-        exec_body(body, &mut locals, binds, &mut ast_io).unwrap();
+    /// One firing of the one-actor program `src` under the reference
+    /// interpreter and under the compiled bytecode; returns the
+    /// interpreter's output and the bytecode run's I/O.
+    fn run_both(src: &str, params: &[(&str, i64)], input: Vec<f32>) -> (Vec<f32>, VecIo) {
+        let program = parse_program(src).unwrap();
+        let mut it = Interpreter::new(&program);
+        for (name, v) in params {
+            it.bind_param(name, *v);
+        }
+        let want = it.run(&input).unwrap();
 
-        let prog = compile_body(body, binds, &[]).unwrap();
-        let proto = prog.bind(binds).unwrap();
+        let binds = bindings(params);
+        let prog = compile_body(&program.actors[0].work.body, &binds, &[]).unwrap();
+        let proto = prog.bind(&binds).unwrap();
         let mut frame = Frame::default();
         frame.fit(&prog);
         frame.reset(&proto);
-        let mut bc_io = VecIo {
+        let mut io = VecIo {
             input,
             ..Default::default()
         };
-        eval(&prog, &mut frame, &mut bc_io);
-        (ast_io, bc_io)
+        eval(&prog, &mut frame, &mut io);
+        (want, io)
     }
 
     #[test]
-    fn sum_body_matches_ast() {
-        let body = body_of(
+    fn sum_body_matches_interpreter() {
+        let (want, got) = run_both(
             r#"pipeline P(N) {
                 actor Sum(pop N, push 1) {
                     acc = 0.0;
@@ -918,35 +896,34 @@ mod tests {
                     push(acc);
                 }
             }"#,
+            &[("N", 4)],
+            vec![1.0, 2.5, -3.0, 8.0],
         );
-        let (a, b) = run_both(&body, &bindings(&[("N", 4)]), vec![1.0, 2.5, -3.0, 8.0]);
-        assert_eq!(a.output, b.output);
-        assert_eq!(a.cursor, b.cursor);
+        assert_eq!(want, got.output);
+        assert_eq!(got.cursor, 4);
     }
 
     #[test]
-    fn branches_and_intrinsics_match_ast() {
-        let body = body_of(
-            r#"pipeline P() {
-                actor A(pop 2, push 1) {
-                    x = pop();
-                    y = pop();
-                    if (x < y) { z = max(x, y * 2.0); } else { z = min(x, -y); }
-                    push(sqrt(abs(z)));
-                }
-            }"#,
-        );
+    fn branches_and_intrinsics_match_interpreter() {
+        let src = r#"pipeline P() {
+            actor A(pop 2, push 1) {
+                x = pop();
+                y = pop();
+                if (x < y) { z = max(x, y * 2.0); } else { z = min(x, -y); }
+                push(sqrt(abs(z)));
+            }
+        }"#;
         for input in [vec![1.0, 5.0], vec![5.0, 1.0]] {
-            let (a, b) = run_both(&body, &bindings(&[]), input);
-            assert_eq!(a.output, b.output);
+            let (want, got) = run_both(src, &[], input);
+            assert_eq!(want, got.output);
         }
     }
 
     #[test]
     fn loop_var_assignment_does_not_change_trip_count() {
-        // The AST walker drives `for` with its own Rust counter; writing
+        // The interpreter drives `for` with its own Rust counter; writing
         // the loop variable inside the body must not affect iteration.
-        let body = body_of(
+        let (want, got) = run_both(
             r#"pipeline P() {
                 actor A(pop 1, push 1) {
                     s = 0.0;
@@ -954,23 +931,21 @@ mod tests {
                     push(s);
                 }
             }"#,
+            &[],
+            vec![0.0],
         );
-        let (a, b) = run_both(&body, &bindings(&[]), vec![0.0]);
-        assert_eq!(a.output, vec![4.0]);
-        assert_eq!(a.output, b.output);
+        assert_eq!(want, vec![4.0]);
+        assert_eq!(want, got.output);
     }
 
     #[test]
     fn constants_fold_without_touching_io() {
-        let body = body_of(
-            r#"pipeline P() {
-                actor A(pop 1, push 1) {
-                    push(pop() * (2.0 + 3.0 * 4.0));
-                }
-            }"#,
-        );
-        let binds = bindings(&[]);
-        let prog = compile_body(&body, &binds, &[]).unwrap();
+        let src = r#"pipeline P() {
+            actor A(pop 1, push 1) {
+                push(pop() * (2.0 + 3.0 * 4.0));
+            }
+        }"#;
+        let prog = compile_body(&body_of(src), &bindings(&[]), &[]).unwrap();
         // `2.0 + 3.0 * 4.0` folds to a single constant.
         let consts = prog
             .ops()
@@ -982,8 +957,24 @@ mod tests {
             .ops()
             .iter()
             .any(|o| matches!(o, Op::ConstF(x) if *x == 14.0)));
-        let (a, b) = run_both(&body, &binds, vec![2.0]);
-        assert_eq!(a.output, b.output);
+        let (want, got) = run_both(src, &[], vec![2.0]);
+        assert_eq!(want, got.output);
+    }
+
+    #[test]
+    fn peeks_read_the_window_without_consuming() {
+        let (want, got) = run_both(
+            r#"pipeline P() {
+                actor A(pop 2, push 1, peek 2) {
+                    push(peek(1) * 10.0 + peek(0));
+                }
+            }"#,
+            &[],
+            vec![5.0, 7.0],
+        );
+        assert_eq!(want, vec![75.0]);
+        assert_eq!(want, got.output);
+        assert_eq!(got.cursor, 0);
     }
 
     #[test]
@@ -1073,53 +1064,20 @@ mod tests {
 
     #[test]
     fn integer_arithmetic_wraps() {
-        let body = vec![
-            Stmt::Assign {
-                name: "x".into(),
-                expr: Expr::bin(BinOp::Add, Expr::Int(i64::MAX), Expr::Int(1)),
-            },
-            Stmt::Push(Expr::Call {
-                intrinsic: Intrinsic::Select,
-                args: vec![
-                    Expr::bin(BinOp::Eq, Expr::var("x"), Expr::Int(i64::MIN)),
-                    Expr::Float(1.0),
-                    Expr::Float(0.0),
-                ],
-            }),
-        ];
-        let binds = bindings(&[]);
-        let (a, b) = run_both(&body, &binds, vec![]);
-        assert_eq!(a.output, vec![1.0]);
-        assert_eq!(a.output, b.output);
-    }
-
-    #[test]
-    fn frame_pool_recycles() {
-        let pool = FramePool::new();
-        let f1 = pool.take();
-        pool.give(f1);
-        let _f2 = pool.take();
-        assert_eq!(pool.created(), 1);
-        assert_eq!(pool.reused(), 1);
-    }
-
-    #[test]
-    fn frame_pool_survives_poisoned_lock() {
-        // A worker panicking while holding the pool lock (fault
-        // injection, a faulting body) must not wedge recycling for the
-        // rest of the engine: every entry point recovers from poison.
-        let pool = std::sync::Arc::new(FramePool::new());
-        pool.give(Frame::default());
-        let p2 = std::sync::Arc::clone(&pool);
-        let _ = std::thread::spawn(move || {
-            let _guard = p2.inner.lock().unwrap();
-            panic!("poison the pool");
-        })
-        .join();
-        assert_eq!(pool.idle(), 1);
-        let f = pool.take();
-        pool.give(f);
-        assert_eq!(pool.reused(), 1);
+        let (want, got) = run_both(
+            r#"pipeline P() {
+                actor W(pop 1, push 1) {
+                    k = 9223372036854775807;
+                    k = k + 1;
+                    x = pop();
+                    push(select(k < 0, x, 0.0 - x));
+                }
+            }"#,
+            &[],
+            vec![3.0],
+        );
+        assert_eq!(want, vec![3.0]);
+        assert_eq!(want, got.output);
     }
 
     #[test]

@@ -350,10 +350,9 @@ pub fn emit_variant(compiled: &CompiledProgram, variant: &Variant) -> String {
                         );
                     }
                     ReduceChoice::ThreadPerArray { .. } => {
-                        let body = crate::runtime::pattern_to_serial_body(&r.pattern);
                         emit_map_kernel(
                             &format!("{kname}_thread_per_array"),
-                            &body,
+                            &r.serial_body,
                             Layout::Transposed,
                             Layout::RowMajor,
                             1,

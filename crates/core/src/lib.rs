@@ -51,7 +51,6 @@ pub mod artifact;
 pub mod bytecode;
 pub mod codegen;
 pub mod cost;
-pub mod exec_ir;
 pub mod fleet;
 pub mod kmu;
 pub mod layout;
@@ -75,9 +74,7 @@ pub use plan::{
 pub use resched::{
     DynamicPipeline, DynamicRegion, PipelineReport, RateEvent, RateGovernor, ReschedPolicy,
 };
-pub use runtime::{
-    EvalBackend, ExecutionReport, KernelReport, RetryPolicy, RunOptions, StateBinding,
-};
+pub use runtime::{ExecutionReport, KernelReport, RetryPolicy, RunOptions, StateBinding};
 pub use telemetry::{TelemetryCounters, TelemetrySnapshot};
 // Execution-engine knobs surface through the runtime API, so re-export
 // them: callers pick serial/parallel, share a launch-stats cache, and

@@ -319,7 +319,7 @@ mod tests {
 
     use crate::analysis::recurrence::parallelize;
     use crate::analysis::reduction::detect_reduction;
-    use crate::exec_ir::{exec_body, VecIo};
+    use crate::bytecode::{self, compile_body, Frame, VecIo};
 
     fn loop_of(src: &str, binds: &Bindings) -> ParallelLoop {
         let p = parse_program(src).unwrap();
@@ -328,15 +328,20 @@ mod tests {
 
     fn run_loop(pl: &ParallelLoop, binds: &Bindings, input: &[f32]) -> Vec<f32> {
         let n = eval_bound(&pl.bound, binds).unwrap() as usize;
+        let prog = compile_body(&pl.body, binds, &[&pl.loop_var]).unwrap();
+        let proto = prog.bind(binds).unwrap();
+        let mut frame = Frame::default();
         let mut out = Vec::new();
         for i in 0..n {
             let mut io = VecIo {
                 input: input[i * pl.pops_per_iter..(i + 1) * pl.pops_per_iter].to_vec(),
                 ..Default::default()
             };
-            let mut locals = std::collections::HashMap::new();
-            locals.insert(pl.loop_var.clone(), streamir::value::Value::I64(i as i64));
-            exec_body(&pl.body, &mut locals, binds, &mut io).unwrap();
+            frame.reset(&proto);
+            if let Some(slot) = prog.slot_of(&pl.loop_var) {
+                frame.set(slot, streamir::value::Value::I64(i as i64));
+            }
+            bytecode::eval(&prog, &mut frame, &mut io);
             out.extend(io.output);
         }
         out

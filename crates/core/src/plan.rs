@@ -26,7 +26,7 @@ use crate::analysis::recurrence::ParallelLoop;
 use crate::analysis::reduction::ReductionPattern;
 use crate::analysis::stencil::StencilPattern;
 use crate::analysis::{classify, ActorClass};
-use crate::bytecode::{self, FramePool};
+use crate::bytecode;
 use crate::cost::map_profile;
 use crate::layout::Layout;
 use crate::opt::integration::{can_fuse_horizontal, fuse_into_reduction, fuse_parallel_loops};
@@ -207,6 +207,9 @@ pub(crate) struct UnitSeg {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ReduceSeg {
     pub pattern: ReductionPattern,
+    /// The serial (thread-per-array) form of `pattern`, built once here for
+    /// lowering, per-launch instruction counts and the CUDA printer.
+    pub serial_body: Vec<Stmt>,
     pub actor: String,
     pub fused_producer: bool,
 }
@@ -274,9 +277,8 @@ pub(crate) enum SegPrograms {
     /// `(elem, post)` per sibling reduction.
     HFused(Vec<(Arc<bytecode::Program>, Option<Arc<bytecode::Program>>)>),
     MapSiblings(Vec<Arc<bytecode::Program>>),
-    /// Opaque host body; `None` when the body does not lower (the host
-    /// fallback then walks the AST).
-    Opaque(Option<Arc<bytecode::Program>>),
+    /// Opaque host body, run as scalar bytecode.
+    Opaque(Arc<bytecode::Program>),
 }
 
 /// Lower every segment body to bytecode once. Parameter *names* are what
@@ -306,8 +308,7 @@ fn compile_programs(
                 }
                 SegKind::Reduce(r) => {
                     let (elem, post) = reduce_programs(&r.pattern)?;
-                    let serial_body = crate::runtime::pattern_to_serial_body(&r.pattern);
-                    let serial = Arc::new(bytecode::compile_body(&serial_body, binds, &[])?);
+                    let serial = Arc::new(bytecode::compile_body(&r.serial_body, binds, &[])?);
                     SegPrograms::Reduce { elem, post, serial }
                 }
                 SegKind::Stencil(s) => SegPrograms::Stencil(Arc::new(bytecode::compile_body(
@@ -337,11 +338,11 @@ fn compile_programs(
                             _ => None,
                         })
                         .collect();
-                    SegPrograms::Opaque(
-                        bytecode::compile_body(&actor.work.body, binds, &presets)
-                            .ok()
-                            .map(Arc::new),
-                    )
+                    SegPrograms::Opaque(Arc::new(bytecode::compile_body(
+                        &actor.work.body,
+                        binds,
+                        &presets,
+                    )?))
                 }
             })
         })
@@ -401,11 +402,8 @@ pub struct CompiledProgram {
     /// Per-segment bytecode, lowered once at compile time (parallel to
     /// `segments`).
     pub(crate) programs: Vec<SegPrograms>,
-    /// Frame pool shared by every launch of this program: kernel workers
-    /// recycle slot/stack frames across firings, blocks and runs.
-    pub(crate) frames: Arc<FramePool>,
-    /// Warp-frame pool: the SoA lane-row analogue of `frames`, recycled
-    /// by the warp-batched evaluator across blocks and runs.
+    /// Warp-frame pool shared by every launch of this program: kernel
+    /// workers recycle SoA lane-row frames across blocks and runs.
     pub(crate) warp_frames: Arc<crate::warp::WarpFramePool>,
     pub(crate) edge_layouts: Vec<Layout>,
     /// Variant table ordered by `lo`.
@@ -812,6 +810,7 @@ fn build_structure(
                 let class = classify(def, binds);
                 let kind = match class {
                     ActorClass::Reduction(pattern) => SegKind::Reduce(ReduceSeg {
+                        serial_body: crate::runtime::pattern_to_serial_body(&pattern),
                         pattern,
                         actor: def.name.clone(),
                         fused_producer: false,
@@ -1065,6 +1064,7 @@ fn build_structure(
                             };
                             fuse_into_reduction(&pa, &r.pattern, binds).map(|p| Segment {
                                 kind: SegKind::Reduce(ReduceSeg {
+                                    serial_body: crate::runtime::pattern_to_serial_body(&p),
                                     pattern: p,
                                     actor: r.actor.clone(),
                                     fused_producer: true,
@@ -1639,7 +1639,6 @@ fn assemble(
         options,
         segments,
         programs: plan.programs,
-        frames: Arc::new(FramePool::new()),
         warp_frames: Arc::new(crate::warp::WarpFramePool::new()),
         edge_layouts: plan.edge_layouts,
         variants: plan.variants,

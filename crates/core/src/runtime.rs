@@ -9,7 +9,6 @@
 //! the initial host-to-device transfer, so it does not appear in kernel
 //! time.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gpu_sim::{
@@ -26,8 +25,7 @@ use streamir::value::Value;
 
 use crate::analysis::opcount::eval_bound;
 use crate::analysis::reduction::ReductionPattern;
-use crate::bytecode;
-use crate::exec_ir::{exec_body, VecIo};
+use crate::bytecode::{self, VecIo};
 use crate::layout::{restructure, unrestructure, Layout};
 use crate::opt::segmentation::ReduceChoice;
 use crate::plan::{CompiledProgram, SegChoice, SegKind, SegPrograms, UnitsPerFiring};
@@ -109,23 +107,6 @@ impl RetryPolicy {
     }
 }
 
-/// Which evaluator executes compiled work bodies inside the kernel
-/// templates. The default is the warp-batched SIMT interpreter
-/// ([`crate::warp`]); the two slower evaluators are retained as
-/// differential oracles, the PR 2–3 pattern: proptests assert all three
-/// produce bit-identical outputs and kernel statistics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum EvalBackend {
-    /// Warp-batched bytecode dispatch with lane masks (the fast path).
-    #[default]
-    Warp,
-    /// The scalar bytecode interpreter: one dispatch loop per thread per
-    /// firing (the PR 3 engine, now the first-line oracle).
-    Scalar,
-    /// The AST walker (the original evaluator, the deepest oracle).
-    Ast,
-}
-
 /// How the runtime executes a program's kernels: the grid-sampling mode
 /// and the engine driving the block loop, plus the resilience knobs (fault
 /// injector, retry policy).
@@ -139,9 +120,6 @@ pub struct RunOptions<'f> {
     pub mode: ExecMode,
     /// Serial or deterministic-parallel block execution.
     pub policy: ExecPolicy,
-    /// Which evaluator runs work bodies (warp-batched, scalar bytecode,
-    /// or the AST walker; the latter two are differential oracles).
-    pub backend: EvalBackend,
     /// Run this variant of the table instead of the one selected for the
     /// input. The kernel-management unit uses it to launch the variant its
     /// *recalibrated* boundaries picked; tests use it to measure a variant
@@ -160,7 +138,6 @@ impl<'f> RunOptions<'f> {
         RunOptions {
             mode,
             policy: ExecPolicy::Serial,
-            backend: EvalBackend::Warp,
             force_variant: None,
             faults: None,
             retry: RetryPolicy::default(),
@@ -172,28 +149,10 @@ impl<'f> RunOptions<'f> {
         RunOptions {
             mode,
             policy: ExecPolicy::auto(),
-            backend: EvalBackend::Warp,
             force_variant: None,
             faults: None,
             retry: RetryPolicy::default(),
         }
-    }
-
-    /// Select the work-body evaluator.
-    pub fn with_backend(mut self, backend: EvalBackend) -> RunOptions<'f> {
-        self.backend = backend;
-        self
-    }
-
-    /// Switch work-body evaluation to the AST reference interpreter
-    /// (sugar for [`RunOptions::with_backend`], kept for the PR 3 tests).
-    pub fn with_ast_oracle(mut self, on: bool) -> RunOptions<'f> {
-        self.backend = if on {
-            EvalBackend::Ast
-        } else {
-            EvalBackend::Warp
-        };
-        self
     }
 
     /// Force a specific variant of the table, bypassing input-based
@@ -460,7 +419,7 @@ impl CompiledProgram {
                     };
                     let mut k = MapKernel::precompiled(
                         &seg.label,
-                        u.body.clone(),
+                        &u.body,
                         binds.clone(),
                         u.loop_var.clone(),
                         units,
@@ -472,11 +431,9 @@ impl CompiledProgram {
                     )
                     .with_layouts(cur_layout, self.edge_layouts[i + 1])
                     .with_coarsen(*coarsen)
-                    .with_frames(self.frames.clone())
                     .with_warp_frames(self.warp_frames.clone());
                     k.units_per_firing = upf;
                     k.window_pop = window;
-                    k.backend = opts.backend;
                     for actor_name in &u.state_actors {
                         if let Some(actor) = self.program.actor(actor_name) {
                             for (n, b) in resolve_state(actor)? {
@@ -501,9 +458,7 @@ impl CompiledProgram {
                     };
                     let mut spec = ReduceSpec::from_pattern(&r.pattern, binds.clone());
                     spec.exec.precompiled = Some((elem.clone(), post.clone()));
-                    spec.exec.frames = self.frames.clone();
                     spec.exec.warp_frames = self.warp_frames.clone();
-                    spec.exec.backend = opts.backend;
                     if let Some(actor) = self.program.actor(&r.actor) {
                         spec.state.extend(resolve_state(actor)?);
                     }
@@ -521,10 +476,9 @@ impl CompiledProgram {
                                 in_items,
                             )?;
                             let out_buf = mem.alloc(out_buf_len);
-                            let body = pattern_to_serial_body(&r.pattern);
                             let mut k = MapKernel::precompiled(
                                 &format!("{}_tpa", seg.label),
-                                body,
+                                &r.serial_body,
                                 binds.clone(),
                                 None,
                                 n_arrays,
@@ -536,9 +490,7 @@ impl CompiledProgram {
                             )
                             .with_layouts(cur_layout, Layout::RowMajor)
                             .with_block_dim(*block_dim)
-                            .with_frames(self.frames.clone())
                             .with_warp_frames(self.warp_frames.clone());
-                            k.backend = opts.backend;
                             for (n, b) in &spec.state {
                                 k = k.with_state(n, *b);
                             }
@@ -647,7 +599,7 @@ impl CompiledProgram {
                     };
                     let mut k = StencilKernel::precompiled(
                         &seg.label,
-                        s.pattern.body.clone(),
+                        &s.pattern.body,
                         &s.pattern.loop_var,
                         binds.clone(),
                         rows as usize,
@@ -660,9 +612,7 @@ impl CompiledProgram {
                         out_buf,
                         prog.clone(),
                     )
-                    .with_frames(self.frames.clone())
                     .with_warp_frames(self.warp_frames.clone());
-                    k.backend = opts.backend;
                     if let Some(actor) = self.program.actor(&s.actor) {
                         for (n, b) in resolve_state(actor)? {
                             k = k.with_state(&n, b);
@@ -700,10 +650,7 @@ impl CompiledProgram {
                     {
                         let mut spec = ReduceSpec::from_pattern(pat, binds.clone());
                         spec.exec.precompiled = Some((elem.clone(), post.clone()));
-                        spec.exec.frames = self.frames.clone();
                         spec.exec.warp_frames = self.warp_frames.clone();
-                        spec.exec.warp_frames = self.warp_frames.clone();
-                        spec.exec.backend = opts.backend;
                         if let Some(actor) = self.program.actor(actor_name) {
                             spec.state.extend(resolve_state(actor)?);
                         }
@@ -771,7 +718,7 @@ impl CompiledProgram {
                     for ((body, pushes, actor_name), prog) in m.branches.iter().zip(branch_progs) {
                         let mut k = MapKernel::precompiled(
                             &format!("{}_{actor_name}", seg.label),
-                            body.clone(),
+                            body,
                             binds.clone(),
                             None,
                             units,
@@ -782,9 +729,7 @@ impl CompiledProgram {
                             prog.clone(),
                         )
                         .with_layouts(cur_layout, Layout::RowMajor)
-                        .with_frames(self.frames.clone())
                         .with_warp_frames(self.warp_frames.clone());
-                        k.backend = opts.backend;
                         k.out_group = Some((m.total_push, offset));
                         if let Some(actor) = self.program.actor(actor_name) {
                             for (n, b) in resolve_state(actor)? {
@@ -807,13 +752,6 @@ impl CompiledProgram {
                     };
                     let SegPrograms::Opaque(prog) = &self.programs[i] else {
                         return Err(Error::Runtime("segment/program mismatch".into()));
-                    };
-                    // Host execution has no warp machinery; anything but
-                    // the AST oracle runs the scalar bytecode.
-                    let prog = if opts.backend == EvalBackend::Ast {
-                        None
-                    } else {
-                        prog.as_deref()
                     };
                     let (out, us) = run_opaque(actor, reps as usize, &data, &binds, state, prog)?;
                     host_time_us += us;
@@ -1013,8 +951,8 @@ fn run_kernel(
     Ok(())
 }
 
-/// Rebuild a serial reduction body from its pattern (used by the
-/// thread-per-array lowering and the CUDA printer).
+/// Build the serial form of a reduction pattern (kept on the plan's
+/// reduce segment for the thread-per-array lowering and the CUDA printer).
 pub(crate) fn pattern_to_serial_body(p: &ReductionPattern) -> Vec<Stmt> {
     let combine = match p.op {
         crate::analysis::CombineOp::Add => Expr::add(Expr::var(&p.acc), p.elem.clone()),
@@ -1046,19 +984,17 @@ pub(crate) fn pattern_to_serial_body(p: &ReductionPattern) -> Vec<Stmt> {
     ]
 }
 
-/// Interpret an opaque actor on the host for `firings` firings.
-///
-/// When the plan managed to lower the body to bytecode, `prog` is the
-/// compiled program and the hot loop runs on a single reused [`Frame`];
-/// scalar state lives in its slot and is copied back into the prototype
-/// after each firing so it persists. Otherwise fall back to AST walking.
+/// Execute an opaque actor on the host for `firings` sequential firings —
+/// scalar bytecode on a single reused [`bytecode::Frame`], there being no
+/// lanes to batch. Scalar state lives in its preset slot and is copied
+/// back into the prototype after each firing so it persists.
 fn run_opaque(
     actor: &ActorDef,
     firings: usize,
     input: &[f32],
     binds: &Bindings,
     state: &[StateBinding],
-    prog: Option<&bytecode::Program>,
+    prog: &bytecode::Program,
 ) -> Result<(Vec<f32>, f64)> {
     let pop = actor.work.pop.eval(binds)?.max(0) as usize;
     let needed = firings * pop;
@@ -1084,57 +1020,29 @@ fn run_opaque(
     let counts = crate::analysis::opcount::body_counts(&actor.work.body, binds);
     let mut output = Vec::new();
 
-    if let Some(prog) = prog {
-        // Bytecode path: one frame reused across firings; scalar state is
-        // seeded into its preset slot and written back into the prototype
-        // after each firing.
-        let mut proto = prog.bind(binds)?;
-        let mut scalar_slots = Vec::new();
-        for sv in &actor.state {
-            if let StateVar::Scalar { name, init } = sv {
-                let slot = prog.slot_of(name).ok_or_else(|| {
-                    Error::Runtime(format!("scalar state {name} missing from program"))
-                })?;
-                proto[slot as usize] = Value::F32(*init);
-                scalar_slots.push(slot);
-            }
+    let mut proto = prog.bind(binds)?;
+    let mut scalar_slots = Vec::new();
+    for sv in &actor.state {
+        if let StateVar::Scalar { name, init } = sv {
+            let slot = prog.slot_of(name).ok_or_else(|| {
+                Error::Runtime(format!("scalar state {name} missing from program"))
+            })?;
+            proto[slot as usize] = Value::F32(*init);
+            scalar_slots.push(slot);
         }
-        let mut frame = bytecode::Frame::default();
-        frame.fit(prog);
-        for f in 0..firings {
-            io.input = input[f * pop..(f + 1) * pop].to_vec();
-            io.cursor = 0;
-            io.output.clear();
-            frame.reset(&proto);
-            bytecode::eval(prog, &mut frame, &mut io);
-            for &slot in &scalar_slots {
-                proto[slot as usize] = frame.get(slot);
-            }
-            output.extend(io.output.iter().copied());
+    }
+    let mut frame = bytecode::Frame::default();
+    frame.fit(prog);
+    for f in 0..firings {
+        io.input = input[f * pop..(f + 1) * pop].to_vec();
+        io.cursor = 0;
+        io.output.clear();
+        frame.reset(&proto);
+        bytecode::eval(prog, &mut frame, &mut io);
+        for &slot in &scalar_slots {
+            proto[slot as usize] = frame.get(slot);
         }
-    } else {
-        let mut scalars: HashMap<String, Value> = actor
-            .state
-            .iter()
-            .filter_map(|sv| match sv {
-                StateVar::Scalar { name, init } => Some((name.clone(), Value::F32(*init))),
-                _ => None,
-            })
-            .collect();
-        for f in 0..firings {
-            io.input = input[f * pop..(f + 1) * pop].to_vec();
-            io.cursor = 0;
-            io.output.clear();
-            let mut locals: HashMap<String, Value> = scalars.clone();
-            exec_body(&actor.work.body, &mut locals, binds, &mut io)?;
-            // Persist scalar state.
-            for (name, v) in &locals {
-                if scalars.contains_key(name) {
-                    scalars.insert(name.clone(), *v);
-                }
-            }
-            output.extend(io.output.iter().copied());
-        }
+        output.extend(io.output.iter().copied());
     }
     let host_us = crate::cost::host_cost_us(firings, counts.compute);
     Ok((output, host_us))
@@ -1426,6 +1334,24 @@ mod tests {
     }
 
     #[test]
+    fn opaque_body_that_does_not_lower_is_a_compile_error() {
+        // `ghost` is never assigned: the host body has no bytecode form,
+        // and there is no slower evaluator to fall back to.
+        let src = r#"pipeline P(N) {
+            actor Scan(pop N, push N) {
+                acc = 0.0;
+                for i in 0..N { acc = acc * 0.5 + pop() + ghost; push(acc); }
+            }
+        }"#;
+        let p = parse_program(src).unwrap();
+        let axis = InputAxis::total_size("N", 16, 4096);
+        match compile(&p, &device(), &axis) {
+            Err(Error::Runtime(msg)) => assert!(msg.contains("unknown variable `ghost`"), "{msg}"),
+            other => panic!("expected a typed compile error, got {other:?}"),
+        }
+    }
+
+    #[test]
     fn parallel_engine_matches_serial_run() {
         let src = r#"pipeline P(N) {
             actor Sum(pop N, push 1) {
@@ -1525,24 +1451,6 @@ mod tests {
         // Steady state: later runs allocate no new frames, only reuse.
         assert_eq!(compiled.warp_frames.created(), warp_created);
         assert!(compiled.warp_frames.reused() > 0);
-
-        // The scalar backend drives the scalar frame pool the same way.
-        let opts = RunOptions::serial(ExecMode::Full).with_backend(EvalBackend::Scalar);
-        let scalar_first = compiled
-            .run_opts(n as i64, &input, &[], opts, None)
-            .unwrap();
-        assert_eq!(scalar_first.output, first.output);
-        let created_once = compiled.frames.created();
-        assert!(created_once > 0, "scalar run must populate the pool");
-        assert!(compiled.frames.idle() > 0, "frames return to the pool");
-        for _ in 0..3 {
-            let again = compiled
-                .run_opts(n as i64, &input, &[], opts, None)
-                .unwrap();
-            assert_eq!(again.output, first.output);
-        }
-        assert_eq!(compiled.frames.created(), created_once);
-        assert!(compiled.frames.reused() > 0);
     }
 
     #[test]
@@ -1571,40 +1479,6 @@ mod tests {
                 matches!(err, Error::InputOutOfRange { x: ex, lo: 64, .. } if ex == x),
                 "x={x}: {err:?}"
             );
-        }
-    }
-
-    #[test]
-    fn ast_oracle_matches_bytecode_run() {
-        let src = r#"pipeline P(N) {
-            actor Scale(pop 1, push 1) { push(pop() * 2.0 + 0.5); }
-            actor Sum(pop N, push 1) {
-                acc = 0.0;
-                for i in 0..N { acc = acc + pop(); }
-                push(acc);
-            }
-        }"#;
-        let p = parse_program(src).unwrap();
-        let axis = InputAxis::total_size("N", 64, 1 << 16);
-        let compiled = compile(&p, &device(), &axis).unwrap();
-        let n = 4096usize;
-        let input: Vec<f32> = (0..n).map(|i| ((i * 13) % 29) as f32).collect();
-        let fast = compiled
-            .run_opts(n as i64, &input, &[], RunOptions::default(), None)
-            .unwrap();
-        let oracle = compiled
-            .run_opts(
-                n as i64,
-                &input,
-                &[],
-                RunOptions::default().with_ast_oracle(true),
-                None,
-            )
-            .unwrap();
-        assert_eq!(fast.output, oracle.output);
-        assert_eq!(fast.kernels.len(), oracle.kernels.len());
-        for (f, o) in fast.kernels.iter().zip(&oracle.kernels) {
-            assert_eq!(f.stats, o.stats, "kernel {}", f.name);
         }
     }
 }

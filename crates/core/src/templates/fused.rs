@@ -8,24 +8,19 @@
 //! global memory *once* and fed to every reduction's element expression;
 //! the block then tree-reduces one shared-memory segment per sibling.
 
-use std::collections::HashMap;
-
 use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig};
 use streamir::value::Value;
 
-use crate::bytecode;
-use crate::exec_ir::{eval_expr, IrIo};
+use super::{state_ref, SITE_STATE};
+use crate::bytecode::{self, Frame};
 use crate::layout::Layout;
-use crate::runtime::EvalBackend;
-use crate::templates::reduction::{CompiledReduce, ReduceSpec};
+use crate::templates::reduction::ReduceSpec;
 use crate::warp::{self, for_lanes, WarpIo, MAX_LANES};
-use std::sync::Arc;
 
 const SITE_ELEM: u32 = 0;
 const SITE_SHARED_ST: u32 = 1;
 const SITE_SHARED_LD: u32 = 2;
 const SITE_OUT: u32 = 3;
-const SITE_STATE: u32 = 8;
 
 /// One kernel computing several reductions over the same input.
 #[derive(Debug, Clone)]
@@ -50,68 +45,10 @@ impl FusedReduce {
     }
 }
 
-/// Serves pops from a pre-loaded element window (so siblings share loads).
-struct WindowIo<'c, 'd, 's> {
-    ctx: &'c mut BlockCtx<'d>,
-    spec: &'s ReduceSpec,
-    tid: u32,
-    window: &'s [f32],
-    cursor: usize,
-    /// Element-program state id → `spec.state` index.
-    state_slots: &'s [Option<u32>],
-}
-
-impl IrIo for WindowIo<'_, '_, '_> {
-    fn pop(&mut self) -> f32 {
-        let v = self.window[self.cursor];
-        self.cursor += 1;
-        v
-    }
-
-    fn peek(&mut self, _offset: i64) -> f32 {
-        panic!("peek rejected by reduction detection")
-    }
-
-    fn push(&mut self, _: f32) {
-        panic!("push inside reduction element")
-    }
-
-    fn state_load(&mut self, array: &str, idx: i64) -> f32 {
-        let (slot, buf) = self
-            .spec
-            .state
-            .iter()
-            .enumerate()
-            .find(|(_, (n, _))| n == array)
-            .map(|(i, (_, b))| (i as u32, *b))
-            .unwrap_or_else(|| panic!("unbound state array `{array}`"));
-        self.ctx
-            .ld_global(SITE_STATE + slot, self.tid, buf, idx as usize)
-    }
-
-    fn state_store(&mut self, _: &str, _: i64, _: f32) {
-        panic!("state store inside reduction element")
-    }
-
-    fn state_load_id(&mut self, id: u16, array: &str, idx: i64) -> f32 {
-        if let Some(Some(slot)) = self.state_slots.get(id as usize) {
-            if let Some((n, b)) = self.spec.state.get(*slot as usize) {
-                if n == array {
-                    let (slot, buf) = (*slot, *b);
-                    return self
-                        .ctx
-                        .ld_global(SITE_STATE + slot, self.tid, buf, idx as usize);
-                }
-            }
-        }
-        self.state_load(array, idx)
-    }
-}
-
 /// Warp-granular window reader: pops come from the pre-loaded per-lane
 /// element windows (`windows[j][lane]` is lane `lane`'s `j`-th popped
-/// word), state loads go straight to global as whole rows (the fused
-/// template has no scalar-promotion cache, matching [`WindowIo`]).
+/// word, so siblings share loads), state loads go straight to global as
+/// whole rows (the fused template has no scalar-promotion cache).
 struct WindowWarpIo<'c, 'd, 's> {
     ctx: &'c mut BlockCtx<'d>,
     spec: &'s ReduceSpec,
@@ -140,14 +77,7 @@ impl WarpIo for WindowWarpIo<'_, '_, '_> {
     }
 
     fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
-        let (slot, buf) = if let Some(Some(slot)) = self.state_slots.get(id as usize) {
-            match self.spec.state.get(*slot as usize) {
-                Some((n, b)) if n == array => (*slot, *b),
-                _ => resolve_state(self.spec, array),
-            }
-        } else {
-            resolve_state(self.spec, array)
-        };
+        let (slot, buf) = state_ref(&self.spec.state, self.state_slots, id, array);
         for_lanes(mask, row.len(), |l| {
             self.addrs[l] = Some(bytecode::as_i64(row[l]) as u64);
         });
@@ -160,15 +90,6 @@ impl WarpIo for WindowWarpIo<'_, '_, '_> {
     fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[Value], _: &[Value]) {
         panic!("state store inside reduction element")
     }
-}
-
-fn resolve_state(spec: &ReduceSpec, array: &str) -> (u32, BufId) {
-    spec.state
-        .iter()
-        .enumerate()
-        .find(|(_, (n, _))| n == array)
-        .map(|(i, (_, b))| (i as u32, *b))
-        .unwrap_or_else(|| panic!("unbound state array `{array}`"))
 }
 
 impl Kernel for FusedReduce {
@@ -189,137 +110,22 @@ impl Kernel for FusedReduce {
         let k = self.specs.len();
         let bdim = self.block_dim as usize;
         let comps: Vec<_> = self.specs.iter().map(|s| s.compiled().clone()).collect();
-        let warp_mode = !self.specs.is_empty()
-            && self
-                .specs
-                .iter()
-                .all(|s| s.exec.backend == EvalBackend::Warp);
 
-        if warp_mode {
-            self.run_phase1_warp(array, ctx, &comps);
-        } else {
-            self.run_phase1_scalar(array, ctx, &comps);
-        }
-        ctx.sync();
-
-        // Phase 2: one tree reduction per sibling segment.
-        for (s, spec) in self.specs.iter().enumerate() {
-            tree_reduce_segment(ctx, spec, s * bdim, bdim);
-        }
-        ctx.sync();
-
-        // Phase 3: lane 0 applies init/post and writes each output.
-        for (s, spec) in self.specs.iter().enumerate() {
-            let combined = ctx.ld_shared(SITE_SHARED_LD, 0, s * bdim);
-            let v = spec.op.apply(combined, spec.init);
-            let v = spec.apply_post(v);
-            ctx.st_global(SITE_OUT, 0, self.out_buf, array * k + s, v);
-        }
-    }
-}
-
-impl FusedReduce {
-    /// Phase 1 under the scalar bytecode / AST backends: per-thread
-    /// grid-stride, each window loaded word-at-a-time and fed to every
-    /// sibling in turn.
-    fn run_phase1_scalar(
-        &self,
-        array: usize,
-        ctx: &mut BlockCtx<'_>,
-        comps: &[Arc<CompiledReduce>],
-    ) {
+        // Phase 1: whole warps march the grid-stride loop in lockstep.
+        // Each popped word becomes one batched load row shared by every
+        // sibling, each sibling's (branch-free) element program runs once
+        // per warp via `warp::eval_row`, and the final accumulators land
+        // in shared memory as one row per sibling.
         let ppe = self.pops_per_elem();
         let total_elems = self.n_arrays * self.n_elements;
-        let bdim = self.block_dim as usize;
-        let mut frames: Vec<_> = self
-            .specs
-            .iter()
-            .zip(comps)
-            .map(|(s, c)| {
-                let mut f = s.exec.frames.take();
-                f.fit(&c.elem);
-                f
-            })
-            .collect();
-
-        let mut accs = vec![0.0f32; self.specs.len()];
-        let mut window = vec![0.0f32; ppe];
-        for tid in ctx.threads() {
-            for (s, spec) in self.specs.iter().enumerate() {
-                accs[s] = spec.op.identity();
-            }
-            let mut e = tid as usize;
-            while e < self.n_elements {
-                let global_elem = array * self.n_elements + e;
-                for (j, w) in window.iter_mut().enumerate() {
-                    let addr = self.in_layout.addr(global_elem, j, ppe, total_elems);
-                    *w = ctx.ld_global(SITE_ELEM, tid, self.in_buf, addr);
-                }
-                for (s, spec) in self.specs.iter().enumerate() {
-                    let comp = &comps[s];
-                    let mut io = WindowIo {
-                        ctx,
-                        spec,
-                        tid,
-                        window: &window,
-                        cursor: 0,
-                        state_slots: &comp.state_slots,
-                    };
-                    let v = if spec.exec.backend == EvalBackend::Ast {
-                        let mut locals: HashMap<String, Value> =
-                            HashMap::from([(spec.loop_var.clone(), Value::I64(e as i64))]);
-                        eval_expr(&spec.elem, &mut locals, &spec.binds, &mut io)
-                            .expect("validated element")
-                            .as_f32()
-                            .expect("numeric element")
-                    } else {
-                        let frame = &mut frames[s];
-                        frame.reset(&comp.elem_proto);
-                        if let Some(slot) = comp.loop_slot {
-                            frame.set(slot, Value::I64(e as i64));
-                        }
-                        bytecode::eval_value(&comp.elem, frame, &mut io)
-                            .as_f32()
-                            .expect("numeric element")
-                    };
-                    accs[s] = spec.op.apply(accs[s], v);
-                    ctx.compute(tid, spec.compute_per_elem() as u32);
-                    ctx.count_flops(1);
-                }
-                e += bdim;
-            }
-            for (s, acc) in accs.iter().enumerate() {
-                ctx.st_shared(SITE_SHARED_ST, tid, s * bdim + tid as usize, *acc);
-            }
-        }
-        for (spec, frame) in self.specs.iter().zip(frames) {
-            spec.exec.frames.give(frame);
-        }
-    }
-
-    /// Phase 1 under the warp backend: whole warps march the grid-stride
-    /// loop in lockstep. Each popped word becomes one batched load row
-    /// shared by every sibling, each sibling's (branch-free) element
-    /// program runs once per warp via [`warp::eval_row`], and the final
-    /// accumulators land in shared memory as one row per sibling.
-    ///
-    /// Per lane the `(site, occurrence) -> address` stream is identical
-    /// to the scalar loop's, and the accounting engine groups accesses by
-    /// occurrence rather than arrival order, so counters stay
-    /// bit-identical to the scalar backend.
-    fn run_phase1_warp(&self, array: usize, ctx: &mut BlockCtx<'_>, comps: &[Arc<CompiledReduce>]) {
-        let ppe = self.pops_per_elem();
-        let total_elems = self.n_arrays * self.n_elements;
-        let bdim = self.block_dim as usize;
         let ws = ctx.warp_size() as usize;
-        let width = ws.min(bdim);
         let mut wfs: Vec<_> = self
             .specs
             .iter()
-            .zip(comps)
+            .zip(&comps)
             .map(|(s, c)| {
                 let mut wf = s.exec.warp_frames.take();
-                wf.fit(&c.elem, width);
+                wf.fit(&c.elem, ws.min(bdim));
                 wf
             })
             .collect();
@@ -327,7 +133,7 @@ impl FusedReduce {
         let mut vals = vec![0.0f32; ws];
         let mut windows: Vec<Vec<f32>> = vec![vec![0.0; ws]; ppe];
         let mut row = [0.0f32; MAX_LANES];
-        let mut accs = vec![[0.0f32; MAX_LANES]; self.specs.len()];
+        let mut accs = vec![[0.0f32; MAX_LANES]; k];
         let mut elems = [0usize; MAX_LANES];
 
         let mut lane0 = 0usize;
@@ -390,10 +196,10 @@ impl FusedReduce {
                 });
                 mask = next;
             }
-            for (s, _) in self.specs.iter().enumerate() {
+            for (s, acc) in accs.iter().enumerate() {
                 for l in 0..live {
                     addrs[l] = Some((s * bdim + lane0 + l) as u64);
-                    vals[l] = accs[s][l];
+                    vals[l] = acc[l];
                 }
                 ctx.st_shared_row(SITE_SHARED_ST, warp, &addrs, &vals);
                 addrs.fill(None);
@@ -402,6 +208,22 @@ impl FusedReduce {
         }
         for (spec, wf) in self.specs.iter().zip(wfs) {
             spec.exec.warp_frames.give(wf);
+        }
+        ctx.sync();
+
+        // Phase 2: one tree reduction per sibling segment.
+        for (s, spec) in self.specs.iter().enumerate() {
+            tree_reduce_segment(ctx, spec, s * bdim, bdim);
+        }
+        ctx.sync();
+
+        // Phase 3: lane 0 applies init/post and writes each output.
+        let mut post_frame = Frame::default();
+        for (s, spec) in self.specs.iter().enumerate() {
+            let combined = ctx.ld_shared(SITE_SHARED_LD, 0, s * bdim);
+            let v = spec.op.apply(combined, spec.init);
+            let v = spec.apply_post(v, &mut post_frame);
+            ctx.st_global(SITE_OUT, 0, self.out_buf, array * k + s, v);
         }
     }
 }

@@ -19,11 +19,10 @@ use streamir::ir::Stmt;
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
+use super::{state_ref, state_slots, StateCache, SITE_STATE};
 use crate::analysis::opcount::body_counts;
-use crate::bytecode::{self, FramePool};
-use crate::exec_ir::IrIo;
+use crate::bytecode;
 use crate::layout::Layout;
-use crate::runtime::EvalBackend;
 use crate::warp::{self, for_lanes, full_mask, WarpFramePool, WarpIo, MAX_LANES};
 
 /// Access-site ids used by this template.
@@ -33,15 +32,12 @@ const SITE_PUSH: u32 = 2;
 const SITE_STAGE_LD: u32 = 3;
 const SITE_STAGE_ST: u32 = 4;
 const SITE_STAGE_RD: u32 = 5;
-const SITE_STATE: u32 = 8;
 
 /// A compiled element-wise kernel.
 #[derive(Debug, Clone)]
 pub struct MapKernel {
     /// Kernel name for reports.
     pub name: String,
-    /// Per-unit work body.
-    pub body: Vec<Stmt>,
     /// Parameter bindings the body is evaluated under.
     pub binds: Bindings,
     /// When lowering a parallelized loop, the loop variable bound to the
@@ -87,8 +83,8 @@ pub struct MapKernel {
     pub compute_per_unit: u32,
     /// Precomputed per-unit floating-point operations.
     pub flops_per_unit: u64,
-    /// Compiled bytecode for `body` (plan-shared via
-    /// [`MapKernel::with_program`]).
+    /// Compiled bytecode of the per-unit work body (plan-shared via
+    /// [`MapKernel::precompiled`]).
     pub program: Arc<bytecode::Program>,
     /// `program` bound against `binds`: the slot prototype copied into the
     /// frame at every firing.
@@ -98,22 +94,17 @@ pub struct MapKernel {
     /// Program state id → index into `state` (rebuilt by
     /// [`MapKernel::with_state`]).
     pub(crate) state_slots: Vec<Option<u32>>,
-    /// Frame pool shared with the engine (injected by the runtime).
-    pub(crate) frames: Arc<FramePool>,
     /// Warp-frame pool shared with the engine (injected by the runtime).
     pub(crate) warp_frames: Arc<WarpFramePool>,
-    /// Which evaluator runs the work body: the warp-batched dispatcher
-    /// (default), or one of the differential oracles used by the
-    /// stats-identity tests.
-    pub backend: EvalBackend,
 }
 
 impl MapKernel {
-    /// Build a map kernel, precomputing its per-unit instruction mix.
+    /// Build a map kernel from its per-unit work `body`, lowering it to
+    /// bytecode.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: &str,
-        body: Vec<Stmt>,
+        body: &[Stmt],
         binds: Bindings,
         loop_var: Option<String>,
         units: usize,
@@ -122,7 +113,11 @@ impl MapKernel {
         in_buf: BufId,
         out_buf: BufId,
     ) -> MapKernel {
-        Self::build(
+        let presets: Vec<&str> = loop_var.iter().map(String::as_str).collect();
+        let program = Arc::new(
+            bytecode::compile_body(body, &binds, &presets).expect("work body lowers to bytecode"),
+        );
+        Self::precompiled(
             name,
             body,
             binds,
@@ -132,16 +127,17 @@ impl MapKernel {
             pushes_per_unit,
             in_buf,
             out_buf,
-            None,
+            program,
         )
     }
 
     /// Like [`MapKernel::new`] but adopting a plan-precompiled program, so
-    /// launches only re-bind parameter slots instead of re-lowering.
+    /// launches only re-bind parameter slots instead of re-lowering;
+    /// `body` is read for the per-unit instruction mix only.
     #[allow(clippy::too_many_arguments)]
     pub fn precompiled(
         name: &str,
-        body: Vec<Stmt>,
+        body: &[Stmt],
         binds: Bindings,
         loop_var: Option<String>,
         units: usize,
@@ -151,44 +147,9 @@ impl MapKernel {
         out_buf: BufId,
         program: Arc<bytecode::Program>,
     ) -> MapKernel {
-        Self::build(
-            name,
-            body,
-            binds,
-            loop_var,
-            units,
-            pops_per_unit,
-            pushes_per_unit,
-            in_buf,
-            out_buf,
-            Some(program),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        name: &str,
-        body: Vec<Stmt>,
-        binds: Bindings,
-        loop_var: Option<String>,
-        units: usize,
-        pops_per_unit: usize,
-        pushes_per_unit: usize,
-        in_buf: BufId,
-        out_buf: BufId,
-        program: Option<Arc<bytecode::Program>>,
-    ) -> MapKernel {
-        let counts = body_counts(&body, &binds);
-        let program = program.unwrap_or_else(|| {
-            let presets: Vec<&str> = loop_var.iter().map(String::as_str).collect();
-            Arc::new(
-                bytecode::compile_body(&body, &binds, &presets)
-                    .expect("work body lowers to bytecode"),
-            )
-        });
+        let counts = body_counts(body, &binds);
         let mut k = MapKernel {
             name: name.to_string(),
-            body,
             binds,
             loop_var,
             units,
@@ -211,9 +172,7 @@ impl MapKernel {
             proto: Vec::new(),
             loop_slot: None,
             state_slots: Vec::new(),
-            frames: Arc::new(FramePool::new()),
             warp_frames: Arc::new(WarpFramePool::new()),
-            backend: EvalBackend::default(),
         };
         k.rebind_program();
         k
@@ -227,15 +186,8 @@ impl MapKernel {
         self
     }
 
-    /// Share the engine's frame pool (injected by the runtime so frames
-    /// recycle across launches).
-    pub fn with_frames(mut self, frames: Arc<FramePool>) -> MapKernel {
-        self.frames = frames;
-        self
-    }
-
-    /// Share the engine's warp-frame pool (the [`crate::warp`] analogue
-    /// of [`MapKernel::with_frames`]).
+    /// Share the engine's warp-frame pool (injected by the runtime so
+    /// frames recycle across launches).
     pub fn with_warp_frames(mut self, frames: Arc<WarpFramePool>) -> MapKernel {
         self.warp_frames = frames;
         self
@@ -254,17 +206,7 @@ impl MapKernel {
     }
 
     fn rebind_state_slots(&mut self) {
-        self.state_slots = self
-            .program
-            .state_names()
-            .iter()
-            .map(|n| {
-                self.state
-                    .iter()
-                    .position(|(s, _)| s == n)
-                    .map(|i| i as u32)
-            })
-            .collect();
+        self.state_slots = state_slots(&self.program, &self.state);
     }
 
     /// Set input/output layouts (builder style).
@@ -299,167 +241,9 @@ impl MapKernel {
         self
     }
 
-    /// Resolve a program state id to this kernel's `(slot, buffer)` pair.
-    /// The precomputed dense mapping is guarded by a name check so
-    /// hand-built kernels that mutate `state` directly still resolve
-    /// correctly (via the find fallback).
-    fn state_ref(&self, id: u16, array: &str) -> (u32, BufId) {
-        if let Some(Some(slot)) = self.state_slots.get(id as usize) {
-            if let Some((n, b)) = self.state.get(*slot as usize) {
-                if n == array {
-                    return (*slot, *b);
-                }
-            }
-        }
-        self.state
-            .iter()
-            .enumerate()
-            .find(|(_, (n, _))| n == array)
-            .map(|(i, (_, b))| (i as u32, *b))
-            .unwrap_or_else(|| panic!("unbound state array `{array}`"))
-    }
-
     /// Units handled per block.
     pub fn units_per_block(&self) -> usize {
         self.block_dim as usize * self.coarsen
-    }
-}
-
-struct MapIo<'c, 'd, 'k> {
-    ctx: &'c mut BlockCtx<'d>,
-    kernel: &'k MapKernel,
-    tid: u32,
-    unit: usize,
-    /// First unit handled by this block (staging offsets are block-local).
-    block_base: usize,
-    pops: usize,
-    pushes: usize,
-    /// Block-level cache of state loads (scalar promotion): uniform
-    /// state reads — scale factors, rotation coefficients — hit global
-    /// memory once per block instead of once per unit, like the constant
-    /// cache of a real GPU. Capped so array-indexed state stays honest.
-    state_cache: &'c mut Vec<((u32, i64), f32)>,
-}
-
-/// Maximum distinct `(slot, idx)` keys promoted per block.
-///
-/// When a block probes more keys than this, which ones get promoted
-/// depends on probe order: the warp backend fills the cache op-major
-/// (lockstep warps touch memory one instruction at a time — the order
-/// real hardware would populate its constant cache in), while the scalar
-/// backends fill it tid-major (each thread runs to completion). Load
-/// counters can therefore differ between backends on overflowing blocks;
-/// outputs never do, and stats stay bit-identical whenever the block's
-/// state working set fits the cache.
-const STATE_CACHE_CAP: usize = 64;
-
-impl IrIo for MapIo<'_, '_, '_> {
-    fn pop(&mut self) -> f32 {
-        if self.kernel.stage_window {
-            let local = (self.unit - self.block_base) * self.kernel.pops_per_unit + self.pops;
-            self.pops += 1;
-            return self.ctx.ld_shared(SITE_STAGE_RD, self.tid, local);
-        }
-        let addr = self.kernel.in_layout.addr(
-            self.unit,
-            self.pops,
-            self.kernel.pops_per_unit,
-            self.kernel.units,
-        );
-        self.pops += 1;
-        self.ctx
-            .ld_global(SITE_POP, self.tid, self.kernel.in_buf, addr)
-    }
-
-    fn peek(&mut self, offset: i64) -> f32 {
-        if self.kernel.stage_window && self.kernel.window_pop.is_none() {
-            let local = (self.unit - self.block_base) * self.kernel.pops_per_unit + offset as usize;
-            return self.ctx.ld_shared(SITE_STAGE_RD, self.tid, local);
-        }
-        let addr = match self.kernel.window_pop {
-            // Peek-window mode: iterations of one firing share the
-            // firing's row-major window.
-            Some(w) => {
-                let firing = self.unit / self.kernel.units_per_firing.max(1);
-                firing * w + offset as usize
-            }
-            None => self.kernel.in_layout.addr(
-                self.unit,
-                offset as usize,
-                self.kernel.pops_per_unit,
-                self.kernel.units,
-            ),
-        };
-        self.ctx
-            .ld_global(SITE_PEEK, self.tid, self.kernel.in_buf, addr)
-    }
-
-    fn push(&mut self, v: f32) {
-        let addr = match self.kernel.out_group {
-            Some((total, offset)) => self.unit * total + offset + self.pushes,
-            None => self.kernel.out_layout.addr(
-                self.unit,
-                self.pushes,
-                self.kernel.pushes_per_unit,
-                self.kernel.units,
-            ),
-        };
-        self.pushes += 1;
-        self.ctx
-            .st_global(SITE_PUSH, self.tid, self.kernel.out_buf, addr, v);
-    }
-
-    fn state_load(&mut self, array: &str, idx: i64) -> f32 {
-        let (slot, buf) = self
-            .kernel
-            .state
-            .iter()
-            .enumerate()
-            .find(|(_, (n, _))| n == array)
-            .map(|(i, (_, b))| (i as u32, *b))
-            .unwrap_or_else(|| panic!("unbound state array `{array}`"));
-        self.cached_state_load(slot, buf, idx)
-    }
-
-    fn state_store(&mut self, array: &str, idx: i64, v: f32) {
-        let (slot, buf) = self
-            .kernel
-            .state
-            .iter()
-            .enumerate()
-            .find(|(_, (n, _))| n == array)
-            .map(|(i, (_, b))| (i as u32, *b))
-            .unwrap_or_else(|| panic!("unbound state array `{array}`"));
-        self.ctx
-            .st_global(SITE_STATE + slot, self.tid, buf, idx as usize, v);
-    }
-
-    fn state_load_id(&mut self, id: u16, array: &str, idx: i64) -> f32 {
-        let (slot, buf) = self.kernel.state_ref(id, array);
-        self.cached_state_load(slot, buf, idx)
-    }
-
-    fn state_store_id(&mut self, id: u16, array: &str, idx: i64, v: f32) {
-        let (slot, buf) = self.kernel.state_ref(id, array);
-        self.ctx
-            .st_global(SITE_STATE + slot, self.tid, buf, idx as usize, v);
-    }
-}
-
-impl MapIo<'_, '_, '_> {
-    /// Shared scalar-promotion cache used by both the name- and id-based
-    /// state hooks, so the two execution paths produce identical stats.
-    fn cached_state_load(&mut self, slot: u32, buf: BufId, idx: i64) -> f32 {
-        if let Some((_, v)) = self.state_cache.iter().find(|(k, _)| *k == (slot, idx)) {
-            return *v;
-        }
-        let v = self
-            .ctx
-            .ld_global(SITE_STATE + slot, self.tid, buf, idx as usize);
-        if self.state_cache.len() < STATE_CACHE_CAP {
-            self.state_cache.push(((slot, idx), v));
-        }
-        v
     }
 }
 
@@ -480,7 +264,7 @@ struct MapWarpIo<'c, 'd, 'k> {
     unit0: usize,
     /// First unit handled by this block (staging offsets are block-local).
     block_base: usize,
-    /// Per-lane pop counts so far (= the scalar `MapIo::pops` cursor).
+    /// Per-lane pop counts so far.
     pops: [usize; MAX_LANES],
     /// Per-lane push counts so far.
     pushes: [usize; MAX_LANES],
@@ -489,16 +273,11 @@ struct MapWarpIo<'c, 'd, 'k> {
     /// Reused value row for loads/stores.
     vals: &'c mut [f32],
     /// The block's scalar-promotion cache, shared with every warp of the
-    /// block (same structure the scalar path uses).
-    state_cache: &'c mut Vec<((u32, i64), f32)>,
+    /// block.
+    state_cache: &'c mut StateCache,
 }
 
 impl MapWarpIo<'_, '_, '_> {
-    #[inline]
-    fn lanes(&self) -> usize {
-        self.addrs.len()
-    }
-
     /// Issue the row in `self.addrs` as a load of `kind` and scatter the
     /// results into `out` as `F32` values.
     fn load_row(&mut self, site: u32, buf: Option<BufId>, mask: u64, out: &mut [Value]) {
@@ -585,32 +364,15 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
     }
 
     fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
-        // State loads go through the block's scalar-promotion cache, so
-        // rows mix hits (no access) and misses (one access) — served per
-        // lane in ascending lane order, exactly like the scalar path.
-        let (slot, buf) = self.kernel.state_ref(id, array);
-        let lanes = self.lanes().min(row.len());
-        for_lanes(mask, lanes, |l| {
-            let idx = bytecode::as_i64(row[l]);
-            let v = if let Some((_, v)) =
-                self.state_cache.iter().find(|(key, _)| *key == (slot, idx))
-            {
-                *v
-            } else {
-                let v =
-                    self.ctx
-                        .ld_global(SITE_STATE + slot, self.tid0 + l as u32, buf, idx as usize);
-                if self.state_cache.len() < STATE_CACHE_CAP {
-                    self.state_cache.push(((slot, idx), v));
-                }
-                v
-            };
-            row[l] = Value::F32(v);
-        });
+        let k = self.kernel;
+        let target = state_ref(&k.state, &k.state_slots, id, array);
+        self.state_cache
+            .load_row(self.ctx, self.tid0, target, mask, row);
     }
 
     fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[Value], vals: &[Value]) {
-        let (slot, buf) = self.kernel.state_ref(id, array);
+        let k = self.kernel;
+        let (slot, buf) = state_ref(&k.state, &k.state_slots, id, array);
         for_lanes(mask, idx.len(), |l| {
             self.addrs[l] = Some(bytecode::as_i64(idx[l]) as u64);
             self.vals[l] = bytecode::as_f32(vals[l]);
@@ -665,76 +427,20 @@ impl Kernel for MapKernel {
             }
             ctx.sync();
         }
-        let mut state_cache: Vec<((u32, i64), f32)> = Vec::new();
-        if self.backend == EvalBackend::Warp {
-            self.run_block_warp(base, ctx, &mut state_cache);
-            return;
-        }
-        let mut frame = self.frames.take();
-        frame.fit(&self.program);
-        let mut locals = std::collections::HashMap::new();
-        for c in 0..self.coarsen {
-            // Thread-strided within the block's contiguous range so each
-            // sweep touches consecutive units.
-            for tid in ctx.threads() {
-                let unit = base + c * self.block_dim as usize + tid as usize;
-                if unit >= self.units {
-                    continue;
-                }
-                let within = (unit % self.units_per_firing.max(1)) as i64;
-                let mut io = MapIo {
-                    ctx,
-                    kernel: self,
-                    tid,
-                    unit,
-                    block_base: base,
-                    pops: 0,
-                    pushes: 0,
-                    state_cache: &mut state_cache,
-                };
-                if self.backend == EvalBackend::Ast {
-                    locals.clear();
-                    if let Some(lv) = &self.loop_var {
-                        locals.insert(lv.clone(), Value::I64(within));
-                    }
-                    crate::exec_ir::exec_body(&self.body, &mut locals, &self.binds, &mut io)
-                        .expect("validated body executes");
-                } else {
-                    frame.reset(&self.proto);
-                    if let Some(slot) = self.loop_slot {
-                        frame.set(slot, Value::I64(within));
-                    }
-                    bytecode::eval(&self.program, &mut frame, &mut io);
-                }
-                ctx.compute(tid, self.compute_per_unit);
-                ctx.count_flops(self.flops_per_unit);
-            }
-        }
-        self.frames.give(frame);
-    }
-}
-
-impl MapKernel {
-    /// Warp-batched block execution: one [`crate::warp::eval`] per warp
-    /// of units, each opcode dispatched once and applied across the
-    /// warp's lanes, with whole address rows handed to the accounting
-    /// engine. Unit assignment, addressing, state caching and
-    /// compute/flop charging are identical to the scalar loop.
-    fn run_block_warp(
-        &self,
-        base: usize,
-        ctx: &mut BlockCtx<'_>,
-        state_cache: &mut Vec<((u32, i64), f32)>,
-    ) {
+        // One `warp::eval` per warp of units: each opcode is dispatched
+        // once and applied across the warp's lanes, with whole address
+        // rows handed to the accounting engine.
         let ws = ctx.warp_size() as usize;
         let bdim = self.block_dim as usize;
-        let width = ws.min(bdim);
         let upf = self.units_per_firing.max(1);
+        let mut state_cache = StateCache::default();
         let mut wf = self.warp_frames.take();
-        wf.fit(&self.program, width);
+        wf.fit(&self.program, ws.min(bdim));
         let mut addrs = vec![None; ws];
         let mut vals = vec![0.0f32; ws];
         for c in 0..self.coarsen {
+            // Thread-strided within the block's contiguous range so each
+            // sweep touches consecutive units.
             let sweep0 = base + c * bdim;
             let mut lane0 = 0usize;
             while lane0 < bdim {
@@ -762,7 +468,7 @@ impl MapKernel {
                     pushes: [0; MAX_LANES],
                     addrs: &mut addrs,
                     vals: &mut vals,
-                    state_cache: &mut *state_cache,
+                    state_cache: &mut state_cache,
                 };
                 warp::eval(&self.program, &mut wf, full_mask(live), &mut io);
                 for l in 0..live {
@@ -800,7 +506,7 @@ mod tests {
         let out_buf = mem.alloc(input.len());
         let k = MapKernel::new(
             "m",
-            program.actors[0].work.body.clone(),
+            &program.actors[0].work.body,
             bindings(&[]),
             None,
             input.len(),
@@ -834,7 +540,7 @@ mod tests {
         let out_buf = mem.alloc(input.len() / 2);
         let base = MapKernel::new(
             "m",
-            program.actors[0].work.body.clone(),
+            &program.actors[0].work.body,
             bindings(&[]),
             None,
             input.len() / 4,
@@ -884,7 +590,7 @@ mod tests {
         let out_buf = mem.alloc(input.len());
         let k = MapKernel::new(
             "m",
-            program.actors[0].work.body.clone(),
+            &program.actors[0].work.body,
             bindings(&[]),
             None,
             input.len(),
@@ -927,7 +633,7 @@ mod tests {
         let out_buf = mem.alloc(n);
         let k = MapKernel::new(
             "pl",
-            body.clone(),
+            body,
             bindings(&[("N", n as i64)]),
             Some(var.clone()),
             n,
@@ -962,7 +668,7 @@ mod tests {
         let out1 = direct_mem.alloc(input.len() / 2);
         let direct = MapKernel::new(
             "direct",
-            program.actors[0].work.body.clone(),
+            &program.actors[0].work.body,
             bindings(&[]),
             None,
             input.len() / 4,
@@ -979,7 +685,7 @@ mod tests {
         let out2 = staged_mem.alloc(input.len() / 2);
         let staged = MapKernel::new(
             "staged",
-            program.actors[0].work.body.clone(),
+            &program.actors[0].work.body,
             bindings(&[]),
             None,
             input.len() / 4,
@@ -1022,7 +728,7 @@ mod tests {
         let scale = mem.alloc_from(&[10.0]);
         let k = MapKernel::new(
             "s",
-            program.actors[0].work.body.clone(),
+            &program.actors[0].work.body,
             bindings(&[("N", 3)]),
             None,
             3,

@@ -18,7 +18,6 @@
 //!   kernel* reduces the per-block partials. Best when arrays are long and
 //!   few — e.g. a dot product of two million-element vectors.
 
-use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig};
@@ -26,19 +25,17 @@ use streamir::ir::Expr;
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
+use super::{state_ref, state_slots, StateCache};
 use crate::analysis::opcount::body_counts;
 use crate::analysis::reduction::{CombineOp, ReductionPattern};
-use crate::bytecode::{self, Frame, FramePool};
-use crate::exec_ir::{eval_expr, IrIo};
+use crate::bytecode::{self, Frame, IrIo};
 use crate::layout::Layout;
-use crate::runtime::EvalBackend;
 use crate::warp::{self, for_lanes, WarpFramePool, WarpIo, MAX_LANES};
 
 const SITE_ELEM: u32 = 0;
 const SITE_SHARED_ST: u32 = 1;
 const SITE_SHARED_LD: u32 = 2;
 const SITE_OUT: u32 = 3;
-const SITE_STATE: u32 = 8;
 
 /// The reduction semantics shared by all variants.
 #[derive(Debug, Clone)]
@@ -61,29 +58,23 @@ pub struct ReduceSpec {
     pub binds: Bindings,
     /// Bound state arrays.
     pub state: Vec<(String, BufId)>,
-    /// Bytecode execution machinery (programs, frame pool, oracle
-    /// switch); `Default` compiles lazily on first use.
+    /// Bytecode execution machinery (programs, frame pool); `Default`
+    /// compiles lazily on first use.
     pub exec: ReduceExec,
 }
 
 /// Bytecode machinery attached to a [`ReduceSpec`]: the (lazily) compiled
-/// element/post programs, the engine's frame pool, and the
-/// differential-oracle switch. `Default` leaves the cell empty so
-/// hand-built specs compile on first use; the runtime injects
-/// plan-precompiled programs and the shared pool.
+/// element/post programs and the engine's frame pool. `Default` leaves
+/// the cell empty so hand-built specs compile on first use; the runtime
+/// injects plan-precompiled programs and the shared pool.
 #[derive(Debug, Clone, Default)]
 pub struct ReduceExec {
     /// Plan-precompiled `(elem, post)` programs; when present, the lazy
     /// cell binds these instead of re-lowering per launch.
     pub precompiled: Option<(Arc<bytecode::Program>, Option<Arc<bytecode::Program>>)>,
     cell: OnceLock<Arc<CompiledReduce>>,
-    /// Frame pool shared with the engine (injected by the runtime).
-    pub frames: Arc<FramePool>,
-    /// Warp-frame pool shared with the engine.
+    /// Warp-frame pool shared with the engine (injected by the runtime).
     pub warp_frames: Arc<WarpFramePool>,
-    /// Which evaluator runs element expressions: warp-batched by default,
-    /// with the scalar bytecode and AST walker as differential oracles.
-    pub backend: EvalBackend,
 }
 
 /// A [`ReduceSpec`]'s programs bound against its bindings.
@@ -163,16 +154,7 @@ impl ReduceSpec {
             };
             let elem_proto = elem.bind(&self.binds).expect("bindings cover element");
             let loop_slot = elem.slot_of(&self.loop_var);
-            let state_slots = elem
-                .state_names()
-                .iter()
-                .map(|n| {
-                    self.state
-                        .iter()
-                        .position(|(s, _)| s == n)
-                        .map(|i| i as u32)
-                })
-                .collect();
+            let state_slots = state_slots(&elem, &self.state);
             let post = post.map(|p| {
                 let proto = p.bind(&self.binds).expect("bindings cover post");
                 let acc_slot = p.slot_of(&self.acc_name);
@@ -188,33 +170,21 @@ impl ReduceSpec {
         })
     }
 
-    /// Apply the final transform to a combined value.
-    pub(crate) fn apply_post(&self, acc: f32) -> f32 {
-        let Some(post) = &self.post else {
+    /// Apply the final transform to a combined value, evaluating on the
+    /// calling block's scratch `frame` (once per output: a scalar firing
+    /// with no lanes to batch).
+    pub(crate) fn apply_post(&self, acc: f32, frame: &mut Frame) -> f32 {
+        let Some((prog, proto, acc_slot)) = &self.compiled().post else {
             return acc;
         };
-        if self.exec.backend == EvalBackend::Ast {
-            let mut locals: HashMap<String, Value> =
-                HashMap::from([(self.acc_name.clone(), Value::F32(acc))]);
-            let mut no_io = NoIo;
-            return eval_expr(post, &mut locals, &self.binds, &mut no_io)
-                .expect("post expression is pure")
-                .as_f32()
-                .expect("post is numeric");
-        }
-        let comp = self.compiled();
-        let (prog, proto, acc_slot) = comp.post.as_ref().expect("post compiled");
-        let mut frame = self.exec.frames.take();
         frame.fit(prog);
         frame.reset(proto);
         if let Some(s) = acc_slot {
             frame.set(*s, Value::F32(acc));
         }
-        let v = bytecode::eval_value(prog, &mut frame, &mut NoIo)
+        bytecode::eval_value(prog, frame, &mut NoIo)
             .as_f32()
-            .expect("post is numeric");
-        self.exec.frames.give(frame);
-        v
+            .expect("post is numeric")
     }
 }
 
@@ -239,99 +209,11 @@ impl IrIo for NoIo {
     }
 }
 
-/// Element reader: maps the j-th pop of element `g` (global element index)
-/// to device addresses under the chosen layout.
-struct ElemIo<'c, 'd, 's> {
-    ctx: &'c mut BlockCtx<'d>,
-    spec: &'s ReduceSpec,
-    tid: u32,
-    in_buf: BufId,
-    in_layout: Layout,
-    global_elem: usize,
-    total_elems: usize,
-    pops: usize,
-    /// Block-level scalar-promotion cache for unit-invariant state loads
-    /// (see `templates::map`). Capped so per-element indexed state stays
-    /// honestly counted.
-    state_cache: &'c mut Vec<((u32, i64), f32)>,
-    /// Element-program state id → `spec.state` index (empty on the AST
-    /// oracle path, which only uses the name-based hooks).
-    state_slots: &'s [Option<u32>],
-}
-
-const STATE_CACHE_CAP: usize = 64;
-
-impl IrIo for ElemIo<'_, '_, '_> {
-    fn pop(&mut self) -> f32 {
-        let addr = self.in_layout.addr(
-            self.global_elem,
-            self.pops,
-            self.spec.pops_per_elem,
-            self.total_elems,
-        );
-        self.pops += 1;
-        self.ctx.ld_global(SITE_ELEM, self.tid, self.in_buf, addr)
-    }
-
-    fn peek(&mut self, _offset: i64) -> f32 {
-        panic!("peek rejected by reduction detection")
-    }
-
-    fn push(&mut self, _v: f32) {
-        panic!("push inside reduction element")
-    }
-
-    fn state_load(&mut self, array: &str, idx: i64) -> f32 {
-        let (slot, buf) = self
-            .spec
-            .state
-            .iter()
-            .enumerate()
-            .find(|(_, (n, _))| n == array)
-            .map(|(i, (_, b))| (i as u32, *b))
-            .unwrap_or_else(|| panic!("unbound state array `{array}`"));
-        self.cached_state_load(slot, buf, idx)
-    }
-
-    fn state_store(&mut self, _: &str, _: i64, _: f32) {
-        panic!("state store inside reduction element")
-    }
-
-    fn state_load_id(&mut self, id: u16, array: &str, idx: i64) -> f32 {
-        if let Some(Some(slot)) = self.state_slots.get(id as usize) {
-            if let Some((n, b)) = self.spec.state.get(*slot as usize) {
-                if n == array {
-                    let buf = *b;
-                    return self.cached_state_load(*slot, buf, idx);
-                }
-            }
-        }
-        self.state_load(array, idx)
-    }
-}
-
-impl ElemIo<'_, '_, '_> {
-    /// Shared scalar-promotion cache used by both the name- and id-based
-    /// state hooks, so the two execution paths produce identical stats.
-    fn cached_state_load(&mut self, slot: u32, buf: BufId, idx: i64) -> f32 {
-        if let Some((_, v)) = self.state_cache.iter().find(|(k, _)| *k == (slot, idx)) {
-            return *v;
-        }
-        let v = self
-            .ctx
-            .ld_global(SITE_STATE + slot, self.tid, buf, idx as usize);
-        if self.state_cache.len() < STATE_CACHE_CAP {
-            self.state_cache.push(((slot, idx), v));
-        }
-        v
-    }
-}
-
-/// Warp-granular element reader: the [`WarpIo`] counterpart of [`ElemIo`].
-/// Element expressions are branch-free (`select` is eager), so a warp of
-/// elements evaluates with a constant mask; each lane reads its own
-/// `(array, element)` pair and whole address rows flow to the accounting
-/// engine in one call.
+/// Warp-granular element reader: maps the j-th pop of each lane's element
+/// to device addresses under the chosen layout. Element expressions are
+/// branch-free (`select` is eager), so a warp of elements evaluates with
+/// a constant mask; each lane reads its own `(array, element)` pair and
+/// whole address rows flow to the accounting engine in one call.
 struct ElemWarpIo<'c, 'd, 's> {
     ctx: &'c mut BlockCtx<'d>,
     spec: &'s ReduceSpec,
@@ -344,29 +226,12 @@ struct ElemWarpIo<'c, 'd, 's> {
     total_elems: usize,
     /// Per-lane pop cursor within the current element.
     pops: [usize; MAX_LANES],
-    state_cache: &'c mut Vec<((u32, i64), f32)>,
+    /// The block's scalar-promotion cache for unit-invariant state loads.
+    state_cache: &'c mut StateCache,
+    /// Element-program state id → `spec.state` index.
     state_slots: &'s [Option<u32>],
     addrs: &'c mut [Option<u64>],
     vals: &'c mut [f32],
-}
-
-impl ElemWarpIo<'_, '_, '_> {
-    fn state_ref(&self, id: u16, array: &str) -> (u32, BufId) {
-        if let Some(Some(slot)) = self.state_slots.get(id as usize) {
-            if let Some((n, b)) = self.spec.state.get(*slot as usize) {
-                if n == array {
-                    return (*slot, *b);
-                }
-            }
-        }
-        self.spec
-            .state
-            .iter()
-            .enumerate()
-            .find(|(_, (n, _))| n == array)
-            .map(|(i, (_, b))| (i as u32, *b))
-            .unwrap_or_else(|| panic!("unbound state array `{array}`"))
-    }
 }
 
 impl WarpIo for ElemWarpIo<'_, '_, '_> {
@@ -394,26 +259,9 @@ impl WarpIo for ElemWarpIo<'_, '_, '_> {
     }
 
     fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
-        // Served per lane through the block's scalar-promotion cache in
-        // ascending lane order, mirroring the scalar path exactly.
-        let (slot, buf) = self.state_ref(id, array);
-        for_lanes(mask, row.len(), |l| {
-            let idx = bytecode::as_i64(row[l]);
-            let v = if let Some((_, v)) =
-                self.state_cache.iter().find(|(key, _)| *key == (slot, idx))
-            {
-                *v
-            } else {
-                let v =
-                    self.ctx
-                        .ld_global(SITE_STATE + slot, self.tid0 + l as u32, buf, idx as usize);
-                if self.state_cache.len() < STATE_CACHE_CAP {
-                    self.state_cache.push(((slot, idx), v));
-                }
-                v
-            };
-            row[l] = Value::F32(v);
-        });
+        let target = state_ref(&self.spec.state, self.state_slots, id, array);
+        self.state_cache
+            .load_row(self.ctx, self.tid0, target, mask, row);
     }
 
     fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[Value], _: &[Value]) {
@@ -433,7 +281,7 @@ fn warp_accumulate(
     comp: &CompiledReduce,
     wf: &mut warp::WarpFrame,
     scratch: &mut WarpScratch,
-    state_cache: &mut Vec<((u32, i64), f32)>,
+    state_cache: &mut StateCache,
     warp_idx: u32,
     tid0: u32,
     live: usize,
@@ -510,8 +358,7 @@ impl WarpScratch {
     }
 
     /// Store each live lane's accumulator to its thread's shared slot as
-    /// one row (the warp form of the scalar loop's per-thread
-    /// `st_shared`).
+    /// one row.
     fn store_accs(
         &mut self,
         ctx: &mut BlockCtx<'_>,
@@ -527,50 +374,6 @@ impl WarpScratch {
         ctx.st_shared_row(SITE_SHARED_ST, warp_idx, &self.addrs, &self.vals);
         self.addrs.fill(None);
     }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_element(
-    ctx: &mut BlockCtx<'_>,
-    spec: &ReduceSpec,
-    comp: &CompiledReduce,
-    frame: &mut Frame,
-    tid: u32,
-    in_buf: BufId,
-    in_layout: Layout,
-    elem_in_array: usize,
-    array: usize,
-    n_elements: usize,
-    total_elems: usize,
-    state_cache: &mut Vec<((u32, i64), f32)>,
-) -> f32 {
-    let mut io = ElemIo {
-        ctx,
-        spec,
-        tid,
-        in_buf,
-        in_layout,
-        global_elem: array * n_elements + elem_in_array,
-        total_elems,
-        pops: 0,
-        state_cache,
-        state_slots: &comp.state_slots,
-    };
-    if spec.exec.backend == EvalBackend::Ast {
-        let mut locals: HashMap<String, Value> =
-            HashMap::from([(spec.loop_var.clone(), Value::I64(elem_in_array as i64))]);
-        return eval_expr(&spec.elem, &mut locals, &spec.binds, &mut io)
-            .expect("validated element expression")
-            .as_f32()
-            .expect("element is numeric");
-    }
-    frame.reset(&comp.elem_proto);
-    if let Some(s) = comp.loop_slot {
-        frame.set(s, Value::I64(elem_in_array as i64));
-    }
-    bytecode::eval_value(&comp.elem, frame, &mut io)
-        .as_f32()
-        .expect("element is numeric")
 }
 
 /// Block-level tree reduction over shared memory (Figure 8's loops L1/L2).
@@ -653,94 +456,58 @@ impl Kernel for SingleKernelReduce {
         let tpa = self.threads_per_array();
         let total_elems = self.n_arrays * self.n_elements;
         let comp = self.spec.compiled().clone();
-        let mut state_cache: Vec<((u32, i64), f32)> = Vec::new();
+        let mut state_cache = StateCache::default();
         // Phase 1: grid-stride accumulation into registers, then shared.
-        if self.spec.exec.backend == EvalBackend::Warp {
-            let ws = ctx.warp_size() as usize;
-            let bdim = self.block_dim as usize;
-            let mut wf = self.spec.exec.warp_frames.take();
-            wf.fit(&comp.elem, ws.min(bdim));
-            let mut scratch = WarpScratch::new(ws);
-            let mut lane0 = 0usize;
-            while lane0 < bdim {
-                let live = (bdim - lane0).min(ws);
-                let mut acc = [self.spec.op.identity(); MAX_LANES];
-                let mut arrays = [0usize; MAX_LANES];
-                let mut elems = [0usize; MAX_LANES];
-                let mut mask = 0u64;
-                for l in 0..live {
-                    let tid = lane0 + l;
-                    let local_array = tid / tpa;
-                    arrays[l] = block as usize * self.arrays_per_block + local_array;
-                    elems[l] = tid % tpa;
-                    if local_array < self.arrays_per_block
-                        && arrays[l] < self.n_arrays
-                        && elems[l] < self.n_elements
-                    {
-                        mask |= 1 << l;
-                    }
+        let ws = ctx.warp_size() as usize;
+        let bdim = self.block_dim as usize;
+        let mut wf = self.spec.exec.warp_frames.take();
+        wf.fit(&comp.elem, ws.min(bdim));
+        let mut scratch = WarpScratch::new(ws);
+        let mut lane0 = 0usize;
+        while lane0 < bdim {
+            let live = (bdim - lane0).min(ws);
+            let mut acc = [self.spec.op.identity(); MAX_LANES];
+            let mut arrays = [0usize; MAX_LANES];
+            let mut elems = [0usize; MAX_LANES];
+            let mut mask = 0u64;
+            for l in 0..live {
+                let tid = lane0 + l;
+                let local_array = tid / tpa;
+                arrays[l] = block as usize * self.arrays_per_block + local_array;
+                elems[l] = tid % tpa;
+                if local_array < self.arrays_per_block
+                    && arrays[l] < self.n_arrays
+                    && elems[l] < self.n_elements
+                {
+                    mask |= 1 << l;
                 }
-                let warp_idx = (lane0 / ws) as u32;
-                warp_accumulate(
-                    ctx,
-                    &self.spec,
-                    &comp,
-                    &mut wf,
-                    &mut scratch,
-                    &mut state_cache,
-                    warp_idx,
-                    lane0 as u32,
-                    live,
-                    self.in_buf,
-                    self.in_layout,
-                    self.n_elements,
-                    total_elems,
-                    &arrays,
-                    &mut elems,
-                    tpa,
-                    self.n_elements,
-                    mask,
-                    &mut acc,
-                );
-                scratch.store_accs(ctx, warp_idx, lane0, live, &acc);
-                lane0 += ws;
             }
-            self.spec.exec.warp_frames.give(wf);
-        } else {
-            let mut frame = self.spec.exec.frames.take();
-            frame.fit(&comp.elem);
-            for tid in ctx.threads() {
-                let local_array = tid as usize / tpa;
-                let lane = tid as usize % tpa;
-                let array = block as usize * self.arrays_per_block + local_array;
-                let mut acc = self.spec.op.identity();
-                if local_array < self.arrays_per_block && array < self.n_arrays {
-                    let mut e = lane;
-                    while e < self.n_elements {
-                        let v = eval_element(
-                            ctx,
-                            &self.spec,
-                            &comp,
-                            &mut frame,
-                            tid,
-                            self.in_buf,
-                            self.in_layout,
-                            e,
-                            array,
-                            self.n_elements,
-                            total_elems,
-                            &mut state_cache,
-                        );
-                        acc = self.spec.op.apply(acc, v);
-                        ctx.compute(tid, self.spec.compute_per_elem() as u32);
-                        ctx.count_flops(1 + self.spec.pops_per_elem as u64);
-                        e += tpa;
-                    }
-                }
-                ctx.st_shared(SITE_SHARED_ST, tid, tid as usize, acc);
-            }
-            self.spec.exec.frames.give(frame);
+            let warp_idx = (lane0 / ws) as u32;
+            warp_accumulate(
+                ctx,
+                &self.spec,
+                &comp,
+                &mut wf,
+                &mut scratch,
+                &mut state_cache,
+                warp_idx,
+                lane0 as u32,
+                live,
+                self.in_buf,
+                self.in_layout,
+                self.n_elements,
+                total_elems,
+                &arrays,
+                &mut elems,
+                tpa,
+                self.n_elements,
+                mask,
+                &mut acc,
+            );
+            scratch.store_accs(ctx, warp_idx, lane0, live, &acc);
+            lane0 += ws;
         }
+        self.spec.exec.warp_frames.give(wf);
         ctx.sync();
         // Phase 2: tree reduction per array group.
         for local_array in 0..self.arrays_per_block {
@@ -748,6 +515,7 @@ impl Kernel for SingleKernelReduce {
         }
         ctx.sync();
         // First lane of each group writes the result.
+        let mut post_frame = Frame::default();
         for local_array in 0..self.arrays_per_block {
             let array = block as usize * self.arrays_per_block + local_array;
             if array >= self.n_arrays {
@@ -757,7 +525,7 @@ impl Kernel for SingleKernelReduce {
             let combined = ctx.ld_shared(SITE_SHARED_LD, tid, local_array * tpa);
             let v = self.spec.op.apply(combined, self.spec.init);
             let v = if self.apply_post {
-                self.spec.apply_post(v)
+                self.spec.apply_post(v, &mut post_frame)
             } else {
                 v
             };
@@ -814,84 +582,53 @@ impl Kernel for InitialReduce {
         let hi = ((chunk + 1) * chunk_size).min(self.n_elements);
         let total_elems = self.n_arrays * self.n_elements;
         let comp = self.spec.compiled().clone();
-        let mut state_cache: Vec<((u32, i64), f32)> = Vec::new();
+        let mut state_cache = StateCache::default();
 
-        if self.spec.exec.backend == EvalBackend::Warp {
-            let ws = ctx.warp_size() as usize;
-            let bdim = self.block_dim as usize;
-            let mut wf = self.spec.exec.warp_frames.take();
-            wf.fit(&comp.elem, ws.min(bdim));
-            let mut scratch = WarpScratch::new(ws);
-            let mut arrays = [0usize; MAX_LANES];
-            arrays.fill(array);
-            let mut lane0 = 0usize;
-            while lane0 < bdim {
-                let live = (bdim - lane0).min(ws);
-                let mut acc = [self.spec.op.identity(); MAX_LANES];
-                let mut elems = [0usize; MAX_LANES];
-                let mut mask = 0u64;
-                for (l, elem) in elems.iter_mut().enumerate().take(live) {
-                    *elem = lo + lane0 + l;
-                    if *elem < hi {
-                        mask |= 1 << l;
-                    }
+        let ws = ctx.warp_size() as usize;
+        let bdim = self.block_dim as usize;
+        let mut wf = self.spec.exec.warp_frames.take();
+        wf.fit(&comp.elem, ws.min(bdim));
+        let mut scratch = WarpScratch::new(ws);
+        let mut arrays = [0usize; MAX_LANES];
+        arrays.fill(array);
+        let mut lane0 = 0usize;
+        while lane0 < bdim {
+            let live = (bdim - lane0).min(ws);
+            let mut acc = [self.spec.op.identity(); MAX_LANES];
+            let mut elems = [0usize; MAX_LANES];
+            let mut mask = 0u64;
+            for (l, elem) in elems.iter_mut().enumerate().take(live) {
+                *elem = lo + lane0 + l;
+                if *elem < hi {
+                    mask |= 1 << l;
                 }
-                let warp_idx = (lane0 / ws) as u32;
-                warp_accumulate(
-                    ctx,
-                    &self.spec,
-                    &comp,
-                    &mut wf,
-                    &mut scratch,
-                    &mut state_cache,
-                    warp_idx,
-                    lane0 as u32,
-                    live,
-                    self.in_buf,
-                    self.in_layout,
-                    self.n_elements,
-                    total_elems,
-                    &arrays,
-                    &mut elems,
-                    bdim,
-                    hi,
-                    mask,
-                    &mut acc,
-                );
-                scratch.store_accs(ctx, warp_idx, lane0, live, &acc);
-                lane0 += ws;
             }
-            self.spec.exec.warp_frames.give(wf);
-        } else {
-            let mut frame = self.spec.exec.frames.take();
-            frame.fit(&comp.elem);
-            for tid in ctx.threads() {
-                let mut acc = self.spec.op.identity();
-                let mut e = lo + tid as usize;
-                while e < hi {
-                    let v = eval_element(
-                        ctx,
-                        &self.spec,
-                        &comp,
-                        &mut frame,
-                        tid,
-                        self.in_buf,
-                        self.in_layout,
-                        e,
-                        array,
-                        self.n_elements,
-                        total_elems,
-                        &mut state_cache,
-                    );
-                    acc = self.spec.op.apply(acc, v);
-                    ctx.compute(tid, self.spec.compute_per_elem() as u32);
-                    ctx.count_flops(1 + self.spec.pops_per_elem as u64);
-                    e += self.block_dim as usize;
-                }
-                ctx.st_shared(SITE_SHARED_ST, tid, tid as usize, acc);
-            }
-            self.spec.exec.frames.give(frame);
+            let warp_idx = (lane0 / ws) as u32;
+            warp_accumulate(
+                ctx,
+                &self.spec,
+                &comp,
+                &mut wf,
+                &mut scratch,
+                &mut state_cache,
+                warp_idx,
+                lane0 as u32,
+                live,
+                self.in_buf,
+                self.in_layout,
+                self.n_elements,
+                total_elems,
+                &arrays,
+                &mut elems,
+                bdim,
+                hi,
+                mask,
+                &mut acc,
+            );
+            scratch.store_accs(ctx, warp_idx, lane0, live, &acc);
+            lane0 += ws;
         }
+        self.spec.exec.warp_frames.give(wf);
         ctx.sync();
         shared_tree_reduce(ctx, self.spec.op, 0, self.block_dim as usize);
         ctx.sync();
@@ -920,9 +657,7 @@ pub fn merge_kernel(
     raw.init = spec.init;
     raw.post = spec.post.clone();
     raw.acc_name = spec.acc_name.clone();
-    raw.exec.frames = spec.exec.frames.clone();
     raw.exec.warp_frames = spec.exec.warp_frames.clone();
-    raw.exec.backend = spec.exec.backend;
     SingleKernelReduce {
         spec: raw,
         name: "reduce_merge".into(),

@@ -11,7 +11,6 @@
 //! edge conditions and the combining function keep their exact semantics:
 //! `peek(idx + Δ)` is redirected to the shared tile.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
 use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig};
@@ -19,24 +18,20 @@ use streamir::ir::Stmt;
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
+use super::{state_ref, state_slots, SITE_STATE};
 use crate::analysis::opcount::body_counts;
-use crate::bytecode::{self, FramePool};
-use crate::exec_ir::{exec_body, IrIo};
-use crate::runtime::EvalBackend;
+use crate::bytecode;
 use crate::warp::{self, for_lanes, WarpFramePool, WarpIo, MAX_LANES};
 
 const SITE_LOAD: u32 = 0;
 const SITE_TILE_ST: u32 = 1;
 const SITE_TILE_LD: u32 = 2;
 const SITE_PUSH: u32 = 3;
-const SITE_STATE: u32 = 8;
 
 /// A compiled super-tile stencil kernel.
 #[derive(Debug, Clone)]
 pub struct StencilKernel {
     pub name: String,
-    /// Per-element loop body (from the detected pattern).
-    pub body: Vec<Stmt>,
     /// Loop variable bound to the global element index.
     pub loop_var: String,
     pub binds: Bindings,
@@ -56,28 +51,25 @@ pub struct StencilKernel {
     /// Precomputed per-element instruction estimate.
     pub compute_per_elem: u32,
     pub flops_per_elem: u64,
-    /// The element body lowered to bytecode (see [`crate::bytecode`]).
+    /// The per-element loop body (from the detected pattern) lowered to
+    /// bytecode (see [`crate::bytecode`]).
     pub program: Arc<bytecode::Program>,
     /// Slot prototype with parameters bound.
     pub(crate) proto: Vec<Value>,
     pub(crate) loop_slot: Option<u16>,
     /// Program state id → index into `state`.
     pub(crate) state_slots: Vec<Option<u32>>,
-    /// Frame pool shared with the engine.
-    pub(crate) frames: Arc<FramePool>,
     /// Warp-frame pool shared with the engine.
     pub(crate) warp_frames: Arc<WarpFramePool>,
-    /// Which evaluator runs the element body (warp-batched by default;
-    /// scalar bytecode and the AST walker are differential oracles).
-    pub backend: EvalBackend,
 }
 
 impl StencilKernel {
-    /// Construct, precomputing instruction estimates.
+    /// Construct from the per-element loop `body`, lowering it to
+    /// bytecode.
     #[allow(clippy::too_many_arguments)]
     pub fn new(
         name: &str,
-        body: Vec<Stmt>,
+        body: &[Stmt],
         loop_var: &str,
         binds: Bindings,
         rows: usize,
@@ -89,18 +81,23 @@ impl StencilKernel {
         in_buf: BufId,
         out_buf: BufId,
     ) -> StencilKernel {
-        Self::build(
+        let program = Arc::new(
+            bytecode::compile_body(body, &binds, &[loop_var])
+                .expect("stencil body lowers to bytecode"),
+        );
+        Self::precompiled(
             name, body, loop_var, binds, rows, cols, tile_w, tile_h, halo_r, halo_c, in_buf,
-            out_buf, None,
+            out_buf, program,
         )
     }
 
     /// Like [`StencilKernel::new`] but adopting a plan-precompiled
-    /// program, so launches only re-bind parameter slots.
+    /// program, so launches only re-bind parameter slots; `body` is read
+    /// for the per-element instruction estimates only.
     #[allow(clippy::too_many_arguments)]
     pub fn precompiled(
         name: &str,
-        body: Vec<Stmt>,
+        body: &[Stmt],
         loop_var: &str,
         binds: Bindings,
         rows: usize,
@@ -113,49 +110,9 @@ impl StencilKernel {
         out_buf: BufId,
         program: Arc<bytecode::Program>,
     ) -> StencilKernel {
-        Self::build(
-            name,
-            body,
-            loop_var,
-            binds,
-            rows,
-            cols,
-            tile_w,
-            tile_h,
-            halo_r,
-            halo_c,
-            in_buf,
-            out_buf,
-            Some(program),
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn build(
-        name: &str,
-        body: Vec<Stmt>,
-        loop_var: &str,
-        binds: Bindings,
-        rows: usize,
-        cols: usize,
-        tile_w: usize,
-        tile_h: usize,
-        halo_r: usize,
-        halo_c: usize,
-        in_buf: BufId,
-        out_buf: BufId,
-        program: Option<Arc<bytecode::Program>>,
-    ) -> StencilKernel {
-        let counts = body_counts(&body, &binds);
-        let program = program.unwrap_or_else(|| {
-            Arc::new(
-                bytecode::compile_body(&body, &binds, &[loop_var])
-                    .expect("stencil body lowers to bytecode"),
-            )
-        });
+        let counts = body_counts(body, &binds);
         let mut k = StencilKernel {
             name: name.to_string(),
-            body,
             loop_var: loop_var.to_string(),
             binds,
             rows,
@@ -174,9 +131,7 @@ impl StencilKernel {
             proto: Vec::new(),
             loop_slot: None,
             state_slots: Vec::new(),
-            frames: Arc::new(FramePool::new()),
             warp_frames: Arc::new(WarpFramePool::new()),
-            backend: EvalBackend::default(),
         };
         k.rebind_program();
         k
@@ -187,12 +142,6 @@ impl StencilKernel {
     pub fn with_program(mut self, program: Arc<bytecode::Program>) -> StencilKernel {
         self.program = program;
         self.rebind_program();
-        self
-    }
-
-    /// Share the engine's frame pool.
-    pub fn with_frames(mut self, frames: Arc<FramePool>) -> StencilKernel {
-        self.frames = frames;
         self
     }
 
@@ -212,35 +161,7 @@ impl StencilKernel {
     }
 
     fn rebind_state_slots(&mut self) {
-        self.state_slots = self
-            .program
-            .state_names()
-            .iter()
-            .map(|n| {
-                self.state
-                    .iter()
-                    .position(|(s, _)| s == n)
-                    .map(|i| i as u32)
-            })
-            .collect();
-    }
-
-    /// Resolve a program state id to `(slot, buf)`, guarding against the
-    /// kernel's state list having been edited after compilation.
-    fn state_ref(&self, id: u16, array: &str) -> (u32, BufId) {
-        if let Some(Some(slot)) = self.state_slots.get(id as usize) {
-            if let Some((n, b)) = self.state.get(*slot as usize) {
-                if n == array {
-                    return (*slot, *b);
-                }
-            }
-        }
-        self.state
-            .iter()
-            .enumerate()
-            .find(|(_, (n, _))| n == array)
-            .map(|(i, (_, b))| (i as u32, *b))
-            .unwrap_or_else(|| panic!("unbound state array `{array}`"))
+        self.state_slots = state_slots(&self.program, &self.state);
     }
 
     /// Extended (shared) tile width including halos.
@@ -266,77 +187,6 @@ impl StencilKernel {
         self.state.push((name.to_string(), buf));
         self.rebind_state_slots();
         self
-    }
-}
-
-struct StencilIo<'c, 'd, 'k> {
-    ctx: &'c mut BlockCtx<'d>,
-    kernel: &'k StencilKernel,
-    tid: u32,
-    /// Global element this thread is computing.
-    global: usize,
-    /// Tile origin.
-    tile_r0: usize,
-    tile_c0: usize,
-    pushed: bool,
-}
-
-impl IrIo for StencilIo<'_, '_, '_> {
-    fn pop(&mut self) -> f32 {
-        panic!("pop inside stencil element (rejected at detection)")
-    }
-
-    fn peek(&mut self, offset: i64) -> f32 {
-        let k = self.kernel;
-        assert!(
-            offset >= 0 && (offset as usize) < k.rows * k.cols,
-            "stencil peek at {offset} outside the input (guard missing?)"
-        );
-        let g = offset as usize;
-        let (r, c) = (g / k.cols, g % k.cols);
-        let er = r as i64 - self.tile_r0 as i64 + k.halo_r as i64;
-        let ec = c as i64 - self.tile_c0 as i64 + k.halo_c as i64;
-        assert!(
-            er >= 0 && (er as usize) < k.ext_h() && ec >= 0 && (ec as usize) < k.ext_w(),
-            "stencil peek at ({r},{c}) escapes the halo of tile ({},{})",
-            self.tile_r0,
-            self.tile_c0
-        );
-        self.ctx.ld_shared(
-            SITE_TILE_LD,
-            self.tid,
-            er as usize * k.ext_w() + ec as usize,
-        )
-    }
-
-    fn push(&mut self, v: f32) {
-        assert!(!self.pushed, "stencil element pushed twice");
-        self.pushed = true;
-        self.ctx
-            .st_global(SITE_PUSH, self.tid, self.kernel.out_buf, self.global, v);
-    }
-
-    fn state_load(&mut self, array: &str, idx: i64) -> f32 {
-        let (slot, buf) = self
-            .kernel
-            .state
-            .iter()
-            .enumerate()
-            .find(|(_, (n, _))| n == array)
-            .map(|(i, (_, b))| (i as u32, *b))
-            .unwrap_or_else(|| panic!("unbound state array `{array}`"));
-        self.ctx
-            .ld_global(SITE_STATE + slot, self.tid, buf, idx as usize)
-    }
-
-    fn state_store(&mut self, _: &str, _: i64, _: f32) {
-        panic!("state store inside stencil element")
-    }
-
-    fn state_load_id(&mut self, id: u16, array: &str, idx: i64) -> f32 {
-        let (slot, buf) = self.kernel.state_ref(id, array);
-        self.ctx
-            .ld_global(SITE_STATE + slot, self.tid, buf, idx as usize)
     }
 }
 
@@ -404,7 +254,8 @@ impl WarpIo for StencilWarpIo<'_, '_, '_> {
     }
 
     fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
-        let (slot, buf) = self.kernel.state_ref(id, array);
+        let k = self.kernel;
+        let (slot, buf) = state_ref(&k.state, &k.state_slots, id, array);
         for_lanes(mask, row.len(), |l| {
             self.addrs[l] = Some(bytecode::as_i64(row[l]) as u64);
         });
@@ -471,72 +322,14 @@ impl Kernel for StencilKernel {
         }
         ctx.sync();
 
-        // Phase 2: each thread computes tile elements, strided for
-        // coalesced output stores.
-        if self.backend == EvalBackend::Warp {
-            self.run_phase2_warp(tile_r0, tile_c0, ctx);
-            return;
-        }
-        let elems = self.tile_w * self.tile_h;
-        let mut frame = self.frames.take();
-        frame.fit(&self.program);
-        let mut locals: HashMap<String, Value> = HashMap::new();
-        let mut e = 0usize;
-        while e < elems {
-            for tid in ctx.threads() {
-                let el = e + tid as usize;
-                if el >= elems {
-                    continue;
-                }
-                let (dr, dc) = (el / self.tile_w, el % self.tile_w);
-                let (r, c) = (tile_r0 + dr, tile_c0 + dc);
-                if r >= self.rows || c >= self.cols {
-                    continue;
-                }
-                let global = r * self.cols + c;
-                let mut io = StencilIo {
-                    ctx,
-                    kernel: self,
-                    tid,
-                    global,
-                    tile_r0,
-                    tile_c0,
-                    pushed: false,
-                };
-                if self.backend == EvalBackend::Ast {
-                    locals.clear();
-                    locals.insert(self.loop_var.clone(), Value::I64(global as i64));
-                    exec_body(&self.body, &mut locals, &self.binds, &mut io)
-                        .expect("validated stencil body");
-                } else {
-                    frame.reset(&self.proto);
-                    if let Some(slot) = self.loop_slot {
-                        frame.set(slot, Value::I64(global as i64));
-                    }
-                    bytecode::eval(&self.program, &mut frame, &mut io);
-                }
-                ctx.compute(tid, self.compute_per_elem);
-                ctx.count_flops(self.flops_per_elem);
-            }
-            e += bdim;
-        }
-        self.frames.give(frame);
-    }
-}
-
-impl StencilKernel {
-    /// Warp-batched phase 2: warps of lane-consecutive tile elements run
-    /// through [`crate::warp::eval`], peeking the shared tile and pushing
-    /// output as whole lane-rows. Edge tiles produce holes in the lane
-    /// mask (elements past the grid edge), matching the scalar loop's
-    /// `continue`s.
-    fn run_phase2_warp(&self, tile_r0: usize, tile_c0: usize, ctx: &mut BlockCtx<'_>) {
+        // Phase 2: warps of lane-consecutive tile elements (strided for
+        // coalesced output stores) run through `warp::eval`, peeking the
+        // shared tile and pushing output as whole lane-rows. Elements
+        // past the grid edge leave holes in an edge tile's lane mask.
         let elems = self.tile_w * self.tile_h;
         let ws = ctx.warp_size() as usize;
-        let bdim = self.block_dim as usize;
-        let width = ws.min(bdim);
         let mut wf = self.warp_frames.take();
-        wf.fit(&self.program, width);
+        wf.fit(&self.program, ws.min(bdim));
         let mut addrs = vec![None; ws];
         let mut vals = vec![0.0f32; ws];
         let mut e = 0usize;
@@ -635,7 +428,7 @@ mod tests {
         let binds = streamir::graph::bindings(&[("rows", rows as i64), ("cols", cols as i64)]);
         StencilKernel::new(
             "five_point",
-            pat.body.clone(),
+            &pat.body,
             &pat.loop_var,
             binds,
             rows,
@@ -736,7 +529,7 @@ mod tests {
         let out_buf = mem.alloc(n);
         let k = StencilKernel::new(
             "blur",
-            pat.body.clone(),
+            &pat.body,
             &pat.loop_var,
             streamir::graph::bindings(&[("n", n as i64)]),
             1,

@@ -38,9 +38,9 @@
 //! Each lane executes its own control path in program order, so the
 //! per-thread access sequences observed by `gpu_sim::accounting` are
 //! unchanged; only cross-lane interleaving differs, which the streaming
-//! engine's counters are invariant to. The scalar interpreter and the
-//! AST walker remain behind [`crate::runtime::EvalBackend`] as
-//! differential oracles.
+//! engine's counters are invariant to. The scalar evaluator is the
+//! in-crate differential reference (see the tests below); the oracle for
+//! both is [`streamir::interp::Interpreter`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -83,7 +83,7 @@ pub fn for_lanes(mask: u64, lanes: usize, mut f: impl FnMut(usize)) {
 }
 
 /// Warp-wide I/O hooks: the row-granular counterpart of
-/// [`crate::exec_ir::IrIo`]. Each method serves one opcode for every set
+/// [`crate::bytecode::IrIo`]. Each method serves one opcode for every set
 /// lane of `mask` at once, letting implementations batch whole lane-rows
 /// into `gpu_sim` (one accounting call per warp instruction instead of
 /// one per lane). Lane indices are warp-relative; implementations map
@@ -203,11 +203,12 @@ impl WarpFrame {
     }
 }
 
-/// A shared pool of [`WarpFrame`]s mirroring [`crate::bytecode::FramePool`]
-/// (one frame per block, zero steady-state allocation). Locks recover
-/// from poisoning: frame contents are reset before every use, so a
-/// panicking worker cannot leave a frame in a state the next taker could
-/// observe.
+/// A shared pool of [`WarpFrame`]s, mirroring
+/// `gpu_sim::accounting::ScratchPool`: workers `take` a frame per block
+/// and `give` it back, so steady-state execution allocates nothing. Locks
+/// recover from poisoning: frame contents are reset before every use, so
+/// a panicking worker cannot leave a frame in a state the next taker
+/// could observe.
 #[derive(Debug, Default)]
 pub struct WarpFramePool {
     inner: Mutex<Vec<WarpFrame>>,
@@ -594,7 +595,7 @@ pub fn eval_row(
 }
 
 /// Host-side warp I/O over plain vectors: the row-granular counterpart of
-/// [`crate::exec_ir::VecIo`], used by differential tests and benches.
+/// [`crate::bytecode::VecIo`], used by differential tests and benches.
 /// Each lane owns an independent cursor into the shared `input` and a
 /// preassigned output range, so lane results land exactly where a scalar
 /// per-lane run would put them. State arrays are shared; within a row,
@@ -654,8 +655,7 @@ impl WarpIo for VecWarpIo {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{compile_body, compile_expr, eval as scalar_eval, Frame};
-    use crate::exec_ir::VecIo;
+    use crate::bytecode::{compile_body, compile_expr, eval as scalar_eval, Frame, VecIo};
     use streamir::graph::bindings;
     use streamir::ir::Stmt;
     use streamir::parse::parse_program;

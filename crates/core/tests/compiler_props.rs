@@ -156,7 +156,7 @@ proptest! {
             let in_buf = mem.alloc_from(&staged);
             let out_buf = mem.alloc(data.len());
             let k = MapKernel::new(
-                "m", body.clone(), bindings(&[]), None, firings, rate, rate, in_buf, out_buf,
+                "m", &body, bindings(&[]), None, firings, rate, rate, in_buf, out_buf,
             )
             .with_layouts(layout, layout);
             let stats = launch(&device, &mut mem, &k, ExecMode::Full);

@@ -61,7 +61,7 @@ fn map_profile_tracks_measurement() {
         let out_buf = mem.alloc(units);
         let k = MapKernel::new(
             "m",
-            program.actors[0].work.body.clone(),
+            &program.actors[0].work.body,
             bindings(&[]),
             None,
             units,

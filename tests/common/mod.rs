@@ -14,6 +14,7 @@ use adaptic_repro::adaptic::{
 use adaptic_repro::apps::programs;
 use adaptic_repro::gpu_sim::DeviceSpec;
 use adaptic_repro::streamir::graph::Program;
+use adaptic_repro::streamir::interp::Interpreter;
 use adaptic_repro::streamir::parse::parse_program;
 
 /// The checked-in seed corpus (one u64 per line, `#` comments).
@@ -179,6 +180,44 @@ pub fn cases() -> Vec<Case> {
             state: no_state,
         },
     ]
+}
+
+impl Case {
+    /// The oracle: this case's program at axis value `x` under the
+    /// independent reference interpreter.
+    pub fn interpret(&self, x: i64, input: &[f32]) -> Vec<f32> {
+        let mut it = Interpreter::new(&self.program);
+        for (name, v) in (self.axis)().bind(x) {
+            it.bind_param(&name, v);
+        }
+        for sb in (self.state)() {
+            it.bind_state(&sb.actor, &sb.array, sb.data);
+        }
+        it.run(input)
+            .unwrap_or_else(|e| panic!("{}: interpreter rejects x={x}: {e}", self.family))
+    }
+
+    /// Whether compiled output equals the interpreter's bit for bit. The
+    /// reduction templates combine in tree order where the interpreter
+    /// folds in stream order, so their outputs agree only within float
+    /// reassociation error.
+    pub fn bit_exact(&self) -> bool {
+        !matches!(self.family, "reduce" | "hfused")
+    }
+}
+
+/// Assert `got` matches the interpreter's `want`: bit for bit when
+/// `exact`, else within `1e-3 * max(|want|, 1)` per item.
+pub fn assert_matches_oracle(got: &[f32], want: &[f32], exact: bool, ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: output cursor diverged");
+    for (i, (g, w)) in got.iter().zip(want).enumerate() {
+        let ok = if exact {
+            g.to_bits() == w.to_bits()
+        } else {
+            (g - w).abs() <= 1e-3 * w.abs().max(1.0)
+        };
+        assert!(ok, "{ctx}: output[{i}] {g} vs interpreter {w}");
+    }
 }
 
 pub fn devices() -> Vec<DeviceSpec> {

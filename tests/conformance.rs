@@ -1,12 +1,15 @@
 //! Cross-engine conformance suite: every template family, on both device
 //! presets, must produce **bit-identical** outputs, stream cursors and
-//! kernel statistics under all six execution engines — {warp-batched,
-//! scalar bytecode, AST-oracle} × {serial, parallel}.
+//! kernel statistics under both execution engines — the warp-batched
+//! evaluator driven serially and by 4 parallel workers — and every output
+//! must match the oracle, the independent `streamir::Interpreter`.
 //!
-//! The engines are different evaluators of the same plan, so any
-//! divergence is a bug by definition; comparing at the bit level (not
-//! within-epsilon) is what lets the deterministic-parallel claim and the
-//! bytecode compiler be trusted at all.
+//! The engines run the same plan, so any divergence between them is a bug
+//! by definition; comparing at the bit level (not within-epsilon) is what
+//! lets the deterministic-parallel claim be trusted at all. Against the
+//! interpreter the comparison is bit-level too wherever the template
+//! preserves evaluation order (maps, stencils), and within float
+//! reassociation error for the tree-order reductions.
 //!
 //! Inputs come from the replayable seed corpus in
 //! `tests/corpus/conformance_seeds.txt` via the shared harness in
@@ -16,33 +19,23 @@
 
 mod common;
 
-use adaptic_repro::adaptic::{EvalBackend, ExecMode, ExecPolicy, RunOptions};
+use adaptic_repro::adaptic::{ExecMode, ExecPolicy, RunOptions};
 use adaptic_repro::gpu_sim::DeviceSpec;
-use common::{cases, compiled_for, corpus_seeds, data, devices};
+use common::{assert_matches_oracle, cases, compiled_for, corpus_seeds, data, devices};
 
-/// The six engines under test. Serial warp-batched (the default) is the
-/// baseline the other five are compared against.
-fn engines() -> Vec<(String, RunOptions<'static>)> {
-    let mut v = Vec::new();
-    for (backend, tag) in [
-        (EvalBackend::Warp, "warp"),
-        (EvalBackend::Scalar, "bytecode"),
-        (EvalBackend::Ast, "ast"),
-    ] {
-        v.push((
-            format!("serial-{tag}"),
-            RunOptions::serial(ExecMode::Full).with_backend(backend),
-        ));
-        v.push((
-            format!("parallel-{tag}"),
+/// The two engines under test. Serial (the default) is the baseline the
+/// parallel engine is compared against.
+fn engines() -> Vec<(&'static str, RunOptions<'static>)> {
+    vec![
+        ("serial-warp", RunOptions::serial(ExecMode::Full)),
+        (
+            "parallel-warp",
             RunOptions {
                 policy: ExecPolicy::Parallel(4),
                 ..RunOptions::serial(ExecMode::Full)
-            }
-            .with_backend(backend),
-        ));
-    }
-    v
+            },
+        ),
+    ]
 }
 
 #[test]
@@ -65,6 +58,12 @@ fn engines_are_bit_identical_across_families_devices_and_seeds() {
                     let base = compiled
                         .run_opts(x, &input, &state, *base_opts, None)
                         .unwrap_or_else(|e| panic!("{ctx}: baseline run failed: {e}"));
+                    assert_matches_oracle(
+                        &base.output,
+                        &case.interpret(x, &input),
+                        case.bit_exact(),
+                        &ctx,
+                    );
 
                     for (engine, opts) in &engines[1..] {
                         let got = compiled
@@ -109,6 +108,10 @@ fn engines_are_bit_identical_across_families_devices_and_seeds() {
                                 g.name
                             );
                         }
+                        assert_eq!(
+                            got.telemetry, base.telemetry,
+                            "{ctx} engine={engine}: telemetry diverged"
+                        );
                     }
                 }
             }
@@ -119,9 +122,9 @@ fn engines_are_bit_identical_across_families_devices_and_seeds() {
 /// Dynamic-rate conformance: the same regime-flip trace through a
 /// [`DynamicRegion`] per engine. Re-scheduling must be invisible to the
 /// engine choice — every firing (in-window, clamped, and the ones that
-/// trigger a re-plan) stays bit-identical across all six engines, and the
-/// governor trajectory (re-plan points, committed windows) is identical
-/// because it observes rates, not execution.
+/// trigger a re-plan) stays bit-identical across both engines and matches
+/// the interpreter, and the governor trajectory (re-plan points, committed
+/// windows) is identical because it observes rates, not execution.
 #[test]
 fn dynamic_rate_regions_are_bit_identical_across_engines() {
     use adaptic_repro::adaptic::{CompileOptions, DynamicRegion, ReschedPolicy};
@@ -130,7 +133,7 @@ fn dynamic_rate_regions_are_bit_identical_across_engines() {
     use adaptic_repro::streamir::RateInterval;
 
     // Recalibration feeds on wall-clock measurements; frozen boundaries
-    // keep variant selection identical across the six engine passes.
+    // keep variant selection identical across the engine passes.
     let frozen = Hysteresis {
         min_rel_shift: f64::INFINITY,
         min_abs_shift: i64::MAX,
@@ -161,11 +164,20 @@ fn dynamic_rate_regions_are_bit_identical_across_engines() {
     let input = data(8192, 11);
 
     struct EnginePass {
-        engine: String,
+        engine: &'static str,
         outs: Vec<Vec<f32>>,
         resched: Vec<u64>,
         variants: Vec<usize>,
+        stats: Vec<Vec<adaptic_repro::gpu_sim::KernelStats>>,
+        telemetry: Option<adaptic_repro::adaptic::TelemetrySnapshot>,
     }
+
+    // The oracle: a reduction, so within reassociation tolerance.
+    let oracle = |x: i64| {
+        let mut it = adaptic_repro::streamir::Interpreter::new(&program);
+        it.bind_param("N", x);
+        it.run(&input[..x as usize]).unwrap()
+    };
 
     for device in devices() {
         let engines = engines();
@@ -184,6 +196,8 @@ fn dynamic_rate_regions_are_bit_identical_across_engines() {
             let mut outs = Vec::new();
             let mut resched = Vec::new();
             let mut variants = Vec::new();
+            let mut stats = Vec::new();
+            let mut telemetry = None;
             for (t, &x) in trace.iter().enumerate() {
                 let rep = region
                     .run(x, &input[..x as usize], &[], *opts)
@@ -193,8 +207,16 @@ fn dynamic_rate_regions_are_bit_identical_across_engines() {
                             device.name
                         )
                     });
+                assert_matches_oracle(
+                    &rep.output,
+                    &oracle(x),
+                    false,
+                    &format!("device={} engine={engine} firing {t} (x={x})", device.name),
+                );
                 outs.push(rep.output);
                 variants.push(rep.variant_index);
+                stats.push(rep.kernels.into_iter().map(|k| k.stats).collect());
+                telemetry = rep.telemetry;
             }
             resched.push(region.reschedules());
             assert!(
@@ -204,10 +226,12 @@ fn dynamic_rate_regions_are_bit_identical_across_engines() {
                 region.reschedules()
             );
             outputs.push(EnginePass {
-                engine: engine.clone(),
+                engine,
                 outs,
                 resched,
                 variants,
+                stats,
+                telemetry,
             });
         }
 
@@ -218,6 +242,8 @@ fn dynamic_rate_regions_are_bit_identical_across_engines() {
             outs,
             resched,
             variants,
+            stats,
+            telemetry,
         } in &outputs[1..]
         {
             assert_eq!(
@@ -228,6 +254,16 @@ fn dynamic_rate_regions_are_bit_identical_across_engines() {
             assert_eq!(
                 variants, &base.variants,
                 "device={}: variant selection diverged between {base_name} and {engine}",
+                device.name
+            );
+            assert_eq!(
+                stats, &base.stats,
+                "device={}: kernel statistics diverged between {base_name} and {engine}",
+                device.name
+            );
+            assert_eq!(
+                telemetry, &base.telemetry,
+                "device={}: telemetry diverged between {base_name} and {engine}",
                 device.name
             );
             for (t, (got, base)) in outs.iter().zip(&base.outs).enumerate() {

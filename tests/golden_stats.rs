@@ -1,6 +1,7 @@
 //! Golden-stats snapshot tests: the five examples' `ExecutionReport` /
 //! `KernelStats` (or run summaries, for the iterative solvers that return
-//! their own summaries) serialized into `tests/golden/*.txt` and compared
+//! their own summaries) and one report set per template family and device
+//! preset, serialized into `tests/golden/*.txt` and compared
 //! **byte-for-byte**.
 //!
 //! The whole stack — compiler, simulator, analytical model — is
@@ -15,6 +16,8 @@
 //! ```
 //!
 //! Never regenerate to silence a diff you cannot explain.
+
+mod common;
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
@@ -274,4 +277,32 @@ fn bicgstab_solver_summary_is_stable() {
     writeln!(snap, "system {n}x{n} iters={iters}").unwrap();
     writeln!(snap, "time_us={time_us:?} x {}", digest(&x)).unwrap();
     check_golden("bicgstab_solver", &snap);
+}
+
+/// One snapshot per template family and device preset, at the conformance
+/// sizes. The `family_*.txt` files were generated at the last commit where
+/// the warp, scalar-bytecode and AST evaluators were still proven
+/// bit-identical on these exact cases (output bits and every `KernelStats`
+/// counter), so they carry that three-way identity forward for the one
+/// evaluator that remains.
+#[test]
+fn template_family_reports_are_stable() {
+    let seed = common::corpus_seeds()[0];
+    for case in common::cases() {
+        for device in common::devices() {
+            let compiled = common::compiled_for(&case, &device);
+            let mut snap = String::new();
+            writeln!(snap, "variants={}", compiled.variant_count()).unwrap();
+            for &x in case.sizes {
+                let input = common::data((case.items)(x), seed);
+                let rep = compiled
+                    .run_with(x, &input, &(case.state)(), ExecMode::Full)
+                    .unwrap();
+                let tag = format!("{} {} x={x} seed={seed}", case.family, device.name);
+                snap.push_str(&render_report(&tag, &rep));
+            }
+            let dev = device.name.to_lowercase().replace(' ', "_");
+            check_golden(&format!("family_{}_{dev}", case.family), &snap);
+        }
+    }
 }

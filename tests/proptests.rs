@@ -2,24 +2,25 @@
 //! interpreter on randomly generated programs and inputs, and structural
 //! invariants of compilation hold.
 
+mod common;
+
 use proptest::prelude::*;
 
 use std::collections::HashMap;
 
-use adaptic_repro::adaptic::bytecode::{self, compile_body, Frame};
-use adaptic_repro::adaptic::exec_ir::{exec_body, VecIo};
+use adaptic_repro::adaptic::bytecode::{self, compile_body, Frame, VecIo};
 use adaptic_repro::adaptic::warp::{self, full_mask, VecWarpIo, WarpFrame};
-use adaptic_repro::adaptic::{
-    compile, restructure, unrestructure, EvalBackend, InputAxis, RunOptions,
-};
+use adaptic_repro::adaptic::{compile, restructure, unrestructure, InputAxis, RunOptions};
 use adaptic_repro::gpu_sim::{DeviceSpec, ExecMode, ExecPolicy};
+use adaptic_repro::streamir::graph::Program;
 use adaptic_repro::streamir::interp::Interpreter;
 use adaptic_repro::streamir::parse::parse_program;
+use common::assert_matches_oracle;
 
 /// One random building block for a work body. Every block is valid by
 /// construction: it only reads variables that are definitely assigned
 /// (`x`, `k`, the 4-element state array `s`), keeps peeks in bounds, and
-/// keeps every integer divisor provably nonzero — so the AST reference
+/// keeps every integer divisor provably nonzero — so the reference
 /// interpreter never errors and the bytecode evaluator never diverges on
 /// an invalid program.
 fn body_block(sel: u8) -> &'static str {
@@ -50,6 +51,19 @@ fn divergent_block(sel: u8) -> &'static str {
         4 => "for i in 0..3 { if (x > 1.0) { x = x * 0.5; } else { x = x + 0.375; } }",
         _ => "x = x + 0.0625;",
     }
+}
+
+/// The oracle for the template-family properties: `program` under the
+/// reference interpreter at axis value `x` (the side of a square grid for
+/// stencils, `N` otherwise).
+fn interpret(program: &Program, is_stencil: bool, x: i64, input: &[f32]) -> Vec<f32> {
+    let mut it = Interpreter::new(program);
+    if is_stencil {
+        it.bind_param("rows", x).bind_param("cols", x);
+    } else {
+        it.bind_param("N", x);
+    }
+    it.run(input).unwrap()
 }
 
 /// A random straight-line map body over one popped value.
@@ -209,8 +223,10 @@ proptest! {
 
     /// Random work bodies (loops, branches, peeks, state loads/stores,
     /// wrapping integer arithmetic mixed with floats) evaluate
-    /// bit-identically under the compiled bytecode and the AST reference
-    /// interpreter: same outputs, same cursor, same final state.
+    /// bit-identically under the compiled scalar bytecode and the oracle,
+    /// the `streamir` AST interpreter, over consecutive firings: same
+    /// outputs, and — the body pushes `s[0..4]` last — same state after
+    /// every firing.
     #[test]
     fn random_body_bytecode_matches_ast_oracle(
         blocks in proptest::collection::vec(0u8..8, 0..8),
@@ -221,61 +237,59 @@ proptest! {
         let body_src = blocks.iter().map(|b| body_block(*b)).collect::<Vec<_>>().join("\n");
         let src = format!(
             "pipeline P(N) {{
-                actor T(pop 16, push 2, peek 16) {{
+                actor T(pop 16, push 6, peek 16) {{
                     state s[4];
                     x = pop();
                     k = {k0};
                     {body_src}
                     push(x);
                     push((k % 1000) * 1.0);
+                    for j in 0..4 {{ push(s[j]); }}
                 }}
             }}"
         );
         let program = parse_program(&src).unwrap();
         let actor = program.actor("T").unwrap();
         let binds = adaptic_repro::streamir::graph::bindings(&[]);
+        let firings = data.len() / 16;
 
-        let mut ast_io = VecIo {
-            input: data.clone(),
-            ..VecIo::default()
-        };
-        ast_io.state.insert("s".to_string(), sdata.clone());
-        let mut locals = HashMap::new();
-        exec_body(&actor.work.body, &mut locals, &binds, &mut ast_io).unwrap();
+        let mut it = Interpreter::new(&program);
+        it.bind_state("T", "s", sdata.clone());
+        let want = it.run(&data).unwrap();
 
         let prog = compile_body(&actor.work.body, &binds, &[]).unwrap();
         let proto = prog.bind(&binds).unwrap();
         let mut frame = Frame::default();
         frame.fit(&prog);
-        frame.reset(&proto);
-        let mut bc_io = VecIo {
-            input: data.clone(),
-            ..VecIo::default()
-        };
-        bc_io.state.insert("s".to_string(), sdata.clone());
-        bytecode::eval(&prog, &mut frame, &mut bc_io);
-
-        prop_assert_eq!(ast_io.output.len(), bc_io.output.len());
-        for (i, (a, b)) in ast_io.output.iter().zip(&bc_io.output).enumerate() {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "output {} differs: {} vs {}", i, a, b);
+        let mut io = VecIo::default();
+        io.state.insert("s".to_string(), sdata.clone());
+        for f in 0..firings {
+            io.input = data[f * 16..(f + 1) * 16].to_vec();
+            io.cursor = 0;
+            frame.reset(&proto);
+            bytecode::eval(&prog, &mut frame, &mut io);
+            prop_assert!(io.cursor <= 16, "firing {} popped {} of 16", f, io.cursor);
         }
-        prop_assert_eq!(ast_io.cursor, bc_io.cursor);
-        for (a, b) in ast_io.state["s"].iter().zip(&bc_io.state["s"]) {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "state differs: {} vs {}", a, b);
+
+        prop_assert_eq!(want.len(), firings * 6);
+        prop_assert_eq!(want.len(), io.output.len());
+        for (i, (a, b)) in want.iter().zip(&io.output).enumerate() {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "output {} differs: {} vs {}", i, a, b);
         }
     }
 
     /// Every template family (map, reduction, stencil, fused split-join)
-    /// produces bit-identical outputs AND kernel statistics whether work
-    /// bodies run on the bytecode evaluator or the AST oracle, on both
-    /// simulated devices.
+    /// matches the interpreter on random bodies, on both simulated
+    /// devices: bit for bit where the template preserves evaluation order,
+    /// within reassociation tolerance for the tree-order reductions.
     #[test]
-    fn template_families_ast_oracle_stats_identical(
+    fn template_families_match_interpreter(
         family in 0u8..4,
         ops in proptest::collection::vec(0u8..5, 1..4),
         log_n in 8u32..11,
         dev_sel in 0u8..2,
     ) {
+        let reassociates = matches!(family, 1 | 3);
         let (src, is_stencil) = match family {
             0 => (format!(
                 "pipeline P(N) {{
@@ -347,28 +361,20 @@ proptest! {
         let compiled = compile(&program, &device, &axis).unwrap();
         let input: Vec<f32> = (0..n_items).map(|i| ((i * 13) % 97) as f32 - 48.0).collect();
 
-        let fast = compiled
-            .run_opts(x, &input, &[], RunOptions::default(), None)
-            .unwrap();
-        let oracle = compiled
-            .run_opts(x, &input, &[], RunOptions::default().with_ast_oracle(true), None)
-            .unwrap();
-
-        prop_assert_eq!(fast.output.len(), oracle.output.len());
-        for (a, b) in fast.output.iter().zip(&oracle.output) {
-            prop_assert_eq!(a.to_bits(), b.to_bits(), "output differs: {} vs {}", a, b);
-        }
-        prop_assert_eq!(fast.kernels.len(), oracle.kernels.len());
-        for (f, o) in fast.kernels.iter().zip(&oracle.kernels) {
-            prop_assert_eq!(&f.stats, &o.stats, "kernel {} stats diverge", f.name);
-        }
+        let rep = compiled.run(x, &input).unwrap();
+        assert_matches_oracle(
+            &rep.output,
+            &interpret(&program, is_stencil, x, &input),
+            !reassociates,
+            &format!("family {family} on {}", device.name),
+        );
     }
 
     /// Branch-heavy bodies with uneven, data-dependent loop trip counts
     /// evaluate bit-identically on the warp-batched evaluator (lanes
     /// diverging and reconverging under predicate masks, including a
-    /// ragged final warp), the scalar bytecode evaluator, and the AST
-    /// walker.
+    /// ragged final warp), the scalar bytecode evaluator, and the
+    /// `streamir` AST interpreter.
     #[test]
     fn warp_eval_matches_scalar_and_ast_on_divergent_bodies(
         blocks in proptest::collection::vec(0u8..6, 1..6),
@@ -390,12 +396,8 @@ proptest! {
         let binds = adaptic_repro::streamir::graph::bindings(&[]);
         let firings = data.len();
 
-        // AST walker, one firing at a time.
-        let mut ast_io = VecIo { input: data.clone(), ..VecIo::default() };
-        for _ in 0..firings {
-            let mut locals = HashMap::new();
-            exec_body(&actor.work.body, &mut locals, &binds, &mut ast_io).unwrap();
-        }
+        // The AST interpreter: one firing per input item.
+        let ast_out = Interpreter::new(&program).run(&data).unwrap();
 
         // Scalar bytecode, one firing at a time.
         let prog = compile_body(&actor.work.body, &binds, &[]).unwrap();
@@ -431,30 +433,29 @@ proptest! {
             base += live;
         }
 
-        prop_assert_eq!(ast_io.output.len(), firings);
+        prop_assert_eq!(ast_out.len(), firings);
         prop_assert_eq!(bc_io.output.len(), firings);
-        for i in 0..firings {
+        for (i, ast) in ast_out.iter().enumerate() {
             prop_assert_eq!(
-                ast_io.output[i].to_bits(),
+                ast.to_bits(),
                 bc_io.output[i].to_bits(),
-                "firing {}: ast {} vs scalar {}", i, ast_io.output[i], bc_io.output[i]
+                "firing {}: ast {} vs scalar {}", i, ast, bc_io.output[i]
             );
             prop_assert_eq!(
-                ast_io.output[i].to_bits(),
+                ast.to_bits(),
                 wio.output[i].to_bits(),
-                "firing {}: ast {} vs warp {}", i, ast_io.output[i], wio.output[i]
+                "firing {}: ast {} vs warp {}", i, ast, wio.output[i]
             );
         }
     }
 
     /// Five template families (divergent map, map chain, reduction,
     /// stencil, fused split-join) produce bit-identical outputs, kernel
-    /// statistics, and report telemetry under every evaluator backend
-    /// (warp-batched, scalar bytecode, AST walker) on both execution
-    /// engines and both simulated devices. Input sizes are odd so final
-    /// warps are ragged.
+    /// statistics, and report telemetry on both execution engines, on both
+    /// simulated devices, and match the interpreter. Input sizes are odd
+    /// so final warps are ragged.
     #[test]
-    fn template_families_backend_stats_identical(
+    fn template_families_engine_stats_identical(
         family in 0u8..5,
         log_n in 8u32..11,
         dev_sel in 0u8..2,
@@ -533,40 +534,32 @@ proptest! {
         let compiled = compile(&program, &device, &axis).unwrap();
         let input: Vec<f32> = (0..n_items).map(|i| ((i * 13) % 97) as f32 - 48.0).collect();
 
-        let mut reports = Vec::new();
-        for backend in [EvalBackend::Warp, EvalBackend::Scalar, EvalBackend::Ast] {
-            for policy in [ExecPolicy::Serial, ExecPolicy::Parallel(2)] {
-                let opts = RunOptions {
-                    policy,
-                    ..RunOptions::serial(ExecMode::Full)
-                }
-                .with_backend(backend);
-                reports.push((backend, policy, compiled.run_opts(x, &input, &[], opts, None).unwrap()));
-            }
+        let run = |policy| {
+            let opts = RunOptions {
+                policy,
+                ..RunOptions::serial(ExecMode::Full)
+            };
+            compiled.run_opts(x, &input, &[], opts, None).unwrap()
+        };
+        let serial = run(ExecPolicy::Serial);
+        assert_matches_oracle(
+            &serial.output,
+            &interpret(&program, is_stencil, x, &input),
+            !matches!(family, 2 | 4),
+            &format!("family {family} on {}", device.name),
+        );
+        let parallel = run(ExecPolicy::Parallel(2));
+        prop_assert_eq!(serial.output.len(), parallel.output.len());
+        for (a, b) in serial.output.iter().zip(&parallel.output) {
+            prop_assert_eq!(a.to_bits(), b.to_bits(), "output differs: {} vs {}", a, b);
         }
-        let (_, _, first) = &reports[0];
-        for (backend, policy, r) in &reports[1..] {
-            prop_assert_eq!(
-                first.output.len(), r.output.len(),
-                "{:?}/{:?} output length", backend, policy
-            );
-            for (a, b) in first.output.iter().zip(&r.output) {
-                prop_assert_eq!(
-                    a.to_bits(), b.to_bits(),
-                    "{:?}/{:?} output differs: {} vs {}", backend, policy, a, b
-                );
-            }
-            prop_assert_eq!(first.kernels.len(), r.kernels.len());
-            for (f, o) in first.kernels.iter().zip(&r.kernels) {
-                prop_assert_eq!(
-                    &f.stats, &o.stats,
-                    "{:?}/{:?} kernel {} stats diverge", backend, policy, f.name
-                );
-            }
-            prop_assert_eq!(first.time_us, r.time_us, "{:?}/{:?} time", backend, policy);
-            prop_assert_eq!(first.host_time_us, r.host_time_us);
-            prop_assert_eq!(first.variant_index, r.variant_index);
-            prop_assert_eq!(&first.telemetry, &r.telemetry);
+        prop_assert_eq!(serial.kernels.len(), parallel.kernels.len());
+        for (f, o) in serial.kernels.iter().zip(&parallel.kernels) {
+            prop_assert_eq!(&f.stats, &o.stats, "kernel {} stats diverge", f.name);
         }
+        prop_assert_eq!(serial.time_us, parallel.time_us);
+        prop_assert_eq!(serial.host_time_us, parallel.host_time_us);
+        prop_assert_eq!(serial.variant_index, parallel.variant_index);
+        prop_assert_eq!(&serial.telemetry, &parallel.telemetry);
     }
 }
