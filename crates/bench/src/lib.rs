@@ -144,16 +144,24 @@ pub fn measure(name: &str, samples: usize, mut f: impl FnMut()) -> BenchRecord {
     }
 }
 
-/// Current git revision, or `"unknown"` outside a repository.
+/// Current git revision, or `"unknown"` outside a repository. A tree with
+/// uncommitted changes to tracked files reads `<rev>-dirty`, so a record
+/// measured on code that `<rev>` does not contain says so.
 pub fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .unwrap_or_else(|| "unknown".to_string())
+    let git = |args: &[&str]| {
+        std::process::Command::new("git")
+            .args(args)
+            .output()
+            .ok()
+            .filter(|o| o.status.success())
+            .and_then(|o| String::from_utf8(o.stdout).ok())
+    };
+    let Some(rev) = git(&["rev-parse", "HEAD"]) else {
+        return "unknown".to_string();
+    };
+    let dirty = git(&["status", "--porcelain", "--untracked-files=no"])
+        .is_some_and(|s| !s.trim().is_empty());
+    format!("{}{}", rev.trim(), if dirty { "-dirty" } else { "" })
 }
 
 /// Render bench records as the machine-readable JSON document written by

@@ -42,7 +42,7 @@ use std::sync::Arc;
 
 use streamir::ir::{BinOp, Intrinsic};
 
-use crate::bytecode::{self, Op, SlotKind};
+use crate::bytecode::{self, Op, SlotKind, Ty};
 use crate::kmu::VariantHistogram;
 use crate::layout::Layout;
 use crate::opt::segmentation::ReduceChoice;
@@ -51,7 +51,7 @@ use crate::plan::{OptTag, SegChoice, SegPrograms, Variant};
 /// Bump on any change to the on-disk layout *or* to the semantics of what
 /// is persisted (opcode set, variant-table meaning, histogram fields).
 /// Version-mismatched files are rejected as misses and overwritten.
-pub const FORMAT_VERSION: u32 = 2;
+pub const FORMAT_VERSION: u32 = 3;
 
 /// Magic bytes opening every artifact file.
 const MAGIC: [u8; 4] = *b"ADPT";
@@ -451,7 +451,21 @@ fn enc_op(e: &mut Enc, op: Op) {
             e.u16(counter);
             e.u32(head);
         }
+        Op::Cast(to, depth) => {
+            e.u8(19);
+            e.u8(to as u8);
+            e.u8(depth);
+        }
     }
+}
+
+fn ty_of(tag: u8) -> Result<Ty> {
+    Ok(match tag {
+        0 => Ty::F32,
+        1 => Ty::I64,
+        2 => Ty::Bool,
+        t => return Err(ArtifactError::Malformed(format!("type tag {t}"))),
+    })
 }
 
 fn dec_op(d: &mut Dec<'_>) -> Result<Op> {
@@ -486,6 +500,7 @@ fn dec_op(d: &mut Dec<'_>) -> Result<Op> {
             counter: d.u16()?,
             head: d.u32()?,
         },
+        19 => Op::Cast(ty_of(d.u8()?)?, d.u8()?),
         t => return Err(ArtifactError::Malformed(format!("opcode tag {t}"))),
     })
 }
@@ -497,10 +512,11 @@ fn enc_program(e: &mut Enc, p: &bytecode::Program) {
     }
     e.count(p.kinds().len());
     for (kind, name) in p.kinds().iter().zip(p.names()) {
+        // Presets carry their type: 2 + the `Ty` tag.
         e.u8(match kind {
             SlotKind::Local => 0,
             SlotKind::Param => 1,
-            SlotKind::Preset => 2,
+            SlotKind::Preset(ty) => 2 + *ty as u8,
         });
         e.str(name);
     }
@@ -524,7 +540,7 @@ fn dec_program(d: &mut Dec<'_>) -> Result<bytecode::Program> {
         kinds.push(match d.u8()? {
             0 => SlotKind::Local,
             1 => SlotKind::Param,
-            2 => SlotKind::Preset,
+            t @ 2..=4 => SlotKind::Preset(ty_of(t - 2)?),
             t => return Err(ArtifactError::Malformed(format!("slot kind {t}"))),
         });
         names.push(d.str()?);

@@ -13,7 +13,12 @@
 //!   every `KernelStats` counter — is unchanged),
 //! - `for` loops driven by a *hidden* counter slot so body assignments to
 //!   the loop variable cannot perturb iteration, exactly like the
-//!   reference interpreter's Rust-side `for i in lo..hi` loop.
+//!   reference interpreter's Rust-side `for i in lo..hi` loop,
+//! - every value statically typed ([`Ty`]) by one forward pass over the
+//!   opcode stream (see [`Program`]'s typing rule): each coercion the
+//!   interpreter performs per value becomes an explicit [`Op::Cast`], and
+//!   every opcode gets the operand type it runs at, so the warp evaluator
+//!   works on untagged `f32`/`i64`/mask rows.
 //!
 //! Two evaluators run a [`Program`]. Kernels run it warp-wide through
 //! [`crate::warp::eval`]. The scalar [`eval`] here runs the firings that
@@ -25,8 +30,8 @@
 //! Evaluation is infallible on the hot path: lowering rejects everything
 //! the reference interpreter ([`streamir::interp::Interpreter`], the
 //! oracle every test compares against) would reject statically (unknown
-//! variables), and data-dependent faults (integer division by zero,
-//! boolean-to-number coercion) panic. Integer `+`/`-`/`*` and unary
+//! variables, a boolean used as a number), and data-dependent faults
+//! (integer division by zero) panic. Integer `+`/`-`/`*` and unary
 //! negation wrap on overflow, matching [`streamir::interp::eval_binop`].
 
 use std::collections::HashMap;
@@ -89,6 +94,17 @@ impl IrIo for VecIo {
     }
 }
 
+/// Static type of a value, fixed at plan time.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Ty {
+    /// Single-precision float — stream items.
+    F32 = 0,
+    /// 64-bit integer — parameters, loop indices, integer scalars.
+    I64 = 1,
+    /// Boolean — comparison results.
+    Bool = 2,
+}
+
 /// One bytecode instruction. Expressions are postorder over an operand
 /// stack; control flow uses absolute instruction indices.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -105,15 +121,15 @@ pub enum Op {
     Store(u16),
     /// `io.pop()` → push.
     Pop,
-    /// Pop offset (as i64), `io.peek(offset)` → push.
+    /// Pop offset (`i64`), `io.peek(offset)` → push.
     Peek,
-    /// Pop index (as i64), `io.state_load(name(id), ..)` → push.
+    /// Pop index (`i64`), `io.state_load(name(id), ..)` → push.
     StateLoad(u16),
-    /// Pop value (as f32) then index (as i64), `io.state_store(name(id), ..)`.
+    /// Pop value (`f32`) then index (`i64`), `io.state_store(name(id), ..)`.
     StateStore(u16),
-    /// Pop value (as f32), `io.push(value)`.
+    /// Pop value (`f32`), `io.push(value)`.
     PushOut,
-    /// Pop rhs then lhs, push `lhs op rhs`.
+    /// Pop rhs then lhs (same type), push `lhs op rhs`.
     Bin(BinOp),
     /// Arithmetic negation of the top of stack (integers wrap).
     Neg,
@@ -121,11 +137,16 @@ pub enum Op {
     Not,
     /// Pop `arity` arguments, push the intrinsic's result.
     Call(Intrinsic),
+    /// Convert the value `depth` below the top of stack to the given
+    /// type, in place: `i as f32`, truncating `x as i64`, or non-zero →
+    /// `true`. Inserted by the typing pass wherever the interpreter
+    /// coerces.
+    Cast(Ty, u8),
     /// Unconditional branch.
     Jump(u32),
-    /// Pop a condition (as bool); branch when false.
+    /// Pop a condition (`bool`); branch when false.
     JumpIfFalse(u32),
-    /// Pop loop end then start (both as i64) into two hidden slots.
+    /// Pop loop end then start (both `i64`) into two hidden slots.
     ForInit { counter: u16, end: u16 },
     /// If `counter < end`, copy the counter into the user-visible loop
     /// variable slot and fall through; else branch to `exit`.
@@ -147,17 +168,39 @@ pub enum SlotKind {
     /// Program parameter, bound to `I64` from [`Bindings`] at
     /// [`Program::bind`] time (once per launch).
     Param,
-    /// Kernel-supplied scalar (template loop variable, reduction
-    /// accumulator, opaque-actor scalar state); the kernel writes the slot
-    /// directly after each frame reset.
-    Preset,
+    /// Kernel-supplied scalar of the given type (template loop variable,
+    /// reduction accumulator, opaque-actor scalar state); the kernel
+    /// writes the slot directly after each frame reset.
+    Preset(Ty),
 }
 
+/// "This slot never holds that type" in [`Program::rows`].
+pub(crate) const NO_ROW: u16 = u16::MAX;
+
 /// A compiled work body (or expression): flat opcodes plus the slot and
-/// state-id tables produced by lowering.
+/// state-id tables produced by lowering, and the static types inferred
+/// over them.
+///
+/// # Typing rule
+///
+/// Parameters are `i64`, presets have the type their kernel declares, a
+/// local has the type of the value last stored to it. Arithmetic and
+/// comparisons on two `i64` stay integral, any other pair of numbers is
+/// promoted to `f32`; `&&`/`||`/`!`/conditions take any value (numbers
+/// are true when non-zero); stream items, intrinsic arguments and state
+/// values are `f32`, offsets, indices and loop bounds `i64`. A slot
+/// stored with more than one type holds one value per type and each
+/// `Load` reads the one inferred at its pc. There is no dynamic
+/// fallback: a `Load` whose slot's type depends on the path taken, a
+/// `select` whose arms differ in type, and a boolean used as a number
+/// are compile errors.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     ops: Vec<Op>,
+    /// Per-op operand type, parallel to `ops`: the row a `Load`/`Store`
+    /// moves, the operand type of `Bin`/`Neg`/`select`, the source type
+    /// of a `Cast` (unused for the rest).
+    tys: Vec<Ty>,
     /// Per-slot init kind; parallel to `names`.
     kinds: Vec<SlotKind>,
     /// Slot names (hidden loop slots get `#for{n}`/`#end{n}` names).
@@ -166,6 +209,11 @@ pub struct Program {
     state_names: Vec<String>,
     /// Worst-case operand-stack depth, for up-front reservation.
     max_stack: usize,
+    /// Slot → dense row index per [`Ty`] (`NO_ROW` when the slot never
+    /// holds that type).
+    rows: Vec<[u16; 3]>,
+    /// Rows per [`Ty`].
+    n_rows: [u16; 3],
 }
 
 impl Program {
@@ -199,11 +247,28 @@ impl Program {
         &self.names
     }
 
+    /// The operand type op `pc` runs at.
+    #[inline]
+    pub(crate) fn ty_at(&self, pc: usize) -> Ty {
+        self.tys[pc]
+    }
+
+    /// Slot → typed-row table, for [`crate::warp::WarpFrame::fit`].
+    pub(crate) fn rows(&self) -> &[[u16; 3]] {
+        &self.rows
+    }
+
+    /// Typed rows a warp frame needs, indexed by [`Ty`].
+    pub(crate) fn n_rows(&self) -> [u16; 3] {
+        self.n_rows
+    }
+
     /// Reassemble a program from its raw parts (the artifact decoder).
     /// Validates the structural invariants lowering guarantees — slot and
     /// state indices in range, jump targets within `0..=ops.len()`, and
-    /// parallel slot tables — so a decoded artifact can never index out of
-    /// bounds at eval time.
+    /// parallel slot tables — then re-infers the types, so a decoded
+    /// artifact can neither index out of bounds nor apply an opcode to a
+    /// value of the wrong type at eval time.
     pub(crate) fn from_raw(
         ops: Vec<Op>,
         kinds: Vec<SlotKind>,
@@ -217,6 +282,9 @@ impl Program {
                 kinds.len(),
                 names.len()
             ));
+        }
+        if kinds.len() >= NO_ROW as usize {
+            return Err(format!("{} slots exceed the slot space", kinds.len()));
         }
         let n_slots = kinds.len();
         let n_state = state_names.len();
@@ -242,13 +310,14 @@ impl Program {
                 return Err(format!("op {op:?} at pc {pc} indexes out of range"));
             }
         }
-        Ok(Program {
-            ops,
-            kinds,
-            names,
-            state_names,
-            max_stack,
-        })
+        let typed = Typer::run(&ops, &kinds, false)?;
+        if typed.max_stack != max_stack {
+            return Err(format!(
+                "declared stack depth {max_stack}, ops need {}",
+                typed.max_stack
+            ));
+        }
+        Ok(typed.into_program(kinds, names, state_names))
     }
 
     /// Slot index of a named local/param/preset, if the body mentions it.
@@ -280,9 +349,463 @@ impl Program {
                     .get(name)
                     .map(|v| Value::I64(*v))
                     .ok_or_else(|| Error::UnboundParam(name.clone())),
-                SlotKind::Local | SlotKind::Preset => Ok(Value::F32(0.0)),
+                SlotKind::Preset(Ty::I64) => Ok(Value::I64(0)),
+                SlotKind::Preset(Ty::Bool) => Ok(Value::Bool(false)),
+                SlotKind::Local | SlotKind::Preset(Ty::F32) => Ok(Value::F32(0.0)),
             })
             .collect()
+    }
+}
+
+/// The type a slot holds at one program point.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum SlotTy {
+    /// Not stored on any path here; reads see the zeros a frame reset
+    /// leaves.
+    Unset,
+    /// Last stored with this type on every path here that stored it.
+    Is(Ty),
+    /// Last stored with different types on different paths.
+    Mixed,
+}
+
+/// What the typing pass tracks per slot.
+#[derive(Debug, Clone, Copy)]
+struct SlotState {
+    ty: SlotTy,
+    /// Nesting depth of the outermost open loop whose head reaches this
+    /// point without a store to the slot ([`NO_LOOP`] when none does): a
+    /// read here sees whatever that loop's back edge carries in.
+    since: u8,
+}
+
+const NO_LOOP: u8 = u8::MAX;
+
+fn join_slots(into: &mut [SlotState], from: &[SlotState]) {
+    for (a, b) in into.iter_mut().zip(from) {
+        a.ty = match (a.ty, b.ty) {
+            (x, y) if x == y => x,
+            (SlotTy::Unset, t) | (t, SlotTy::Unset) => t,
+            _ => SlotTy::Mixed,
+        };
+        a.since = a.since.min(b.since);
+    }
+}
+
+/// A `for` loop the typing pass is inside of.
+struct OpenLoop {
+    /// Input pcs of the loop's `ForTest` and of its exit.
+    head: u32,
+    exit: u32,
+    /// Slot states assumed at the head.
+    at_head: Vec<SlotState>,
+    /// Slots the body read as the head left them.
+    reads: Vec<bool>,
+    /// `out.len()` when the head was reached, to rewind for a second walk.
+    out_len: usize,
+    retried: bool,
+}
+
+/// The typing pass: one forward walk over an opcode stream that tracks
+/// the type of every stack entry and slot, annotates each op with the
+/// type it runs at, assigns typed rows to slots and — when `insert` is
+/// set (lowering) — materializes each implicit coercion as an
+/// [`Op::Cast`]. With `insert` unset (decoding) a missing cast is an
+/// error, which makes the same walk the verifier for untrusted streams.
+///
+/// Control flow is the structured subset lowering emits: forward
+/// `Jump`/`JumpIfFalse`/`ForTest` exits whose states are joined at their
+/// target, and `ForStep` back edges. A loop body is walked under the
+/// types at loop entry; only when the back edge carries a different type
+/// into a slot the body read as the head left it (`acc = 0` before a loop
+/// doing `acc = acc + pop()`) is the body walked again under the join,
+/// where that read is an error. So the pass is linear in the op count
+/// for every program it accepts.
+struct Typer {
+    insert: bool,
+    out: Vec<Op>,
+    tys: Vec<Ty>,
+    stack: Vec<Ty>,
+    max_stack: usize,
+    slots: Vec<SlotState>,
+    /// False after an unconditional jump, until a jump target revives it.
+    live: bool,
+    /// Slot states waiting at forward jump targets.
+    incoming: Vec<(u32, Vec<SlotState>)>,
+    loops: Vec<OpenLoop>,
+    rows: Vec<[u16; 3]>,
+    n_rows: [u16; 3],
+}
+
+type Typed<T> = std::result::Result<T, String>;
+
+impl Typer {
+    fn run(ops: &[Op], kinds: &[SlotKind], insert: bool) -> Typed<Typer> {
+        let unset = SlotState {
+            ty: SlotTy::Unset,
+            since: NO_LOOP,
+        };
+        let mut t = Typer {
+            insert,
+            out: Vec::with_capacity(ops.len()),
+            tys: Vec::with_capacity(ops.len()),
+            stack: Vec::new(),
+            max_stack: 0,
+            slots: vec![unset; kinds.len()],
+            live: true,
+            incoming: Vec::new(),
+            loops: Vec::new(),
+            rows: vec![[NO_ROW; 3]; kinds.len()],
+            n_rows: [0; 3],
+        };
+        for (s, kind) in kinds.iter().enumerate() {
+            match kind {
+                SlotKind::Local => {}
+                SlotKind::Param => t.store(s as u16, Ty::I64),
+                SlotKind::Preset(ty) => t.store(s as u16, *ty),
+            }
+        }
+        // Input pc → output pc, to retarget jumps past inserted casts.
+        let mut new_pc = vec![0u32; ops.len() + 1];
+        let mut pc = 0usize;
+        while pc < ops.len() {
+            t.arrive(pc as u32)?;
+            if !t.live {
+                return Err(format!("op at pc {pc} is unreachable"));
+            }
+            new_pc[pc] = t.out.len() as u32;
+            match t.step(pc as u32, ops[pc]) {
+                Ok(next) => pc = next as usize,
+                Err(e) => return Err(format!("{e} (op {:?} at pc {pc})", ops[pc])),
+            }
+        }
+        t.arrive(ops.len() as u32)?;
+        if !t.loops.is_empty() || !t.incoming.is_empty() {
+            return Err("unterminated loop or branch".into());
+        }
+        // A body leaves nothing behind; an expression leaves its `f32`.
+        match t.stack.len() {
+            0 => {}
+            1 => t.need(0, Ty::F32)?,
+            n => return Err(format!("{n} values left on the stack")),
+        }
+        new_pc[ops.len()] = t.out.len() as u32;
+        for op in &mut t.out {
+            match op {
+                Op::Jump(x)
+                | Op::JumpIfFalse(x)
+                | Op::ForTest { exit: x, .. }
+                | Op::ForStep { head: x, .. } => *x = new_pc[*x as usize],
+                _ => {}
+            }
+        }
+        Ok(t)
+    }
+
+    fn into_program(
+        self,
+        kinds: Vec<SlotKind>,
+        names: Vec<String>,
+        state_names: Vec<String>,
+    ) -> Program {
+        Program {
+            ops: self.out,
+            tys: self.tys,
+            kinds,
+            names,
+            state_names,
+            max_stack: self.max_stack,
+            rows: self.rows,
+            n_rows: self.n_rows,
+        }
+    }
+
+    /// Merge the states parked at jump target `pc` into the current one.
+    fn arrive(&mut self, pc: u32) -> Typed<()> {
+        if let Some(i) = self.incoming.iter().position(|(t, _)| *t == pc) {
+            let (_, state) = self.incoming.swap_remove(i);
+            if self.live {
+                self.at_depth_0()?;
+                join_slots(&mut self.slots, &state);
+            } else {
+                self.slots = state;
+                self.live = true;
+            }
+        }
+        Ok(())
+    }
+
+    /// Park the current slot state at forward target `t`.
+    fn branch_to(&mut self, pc: u32, t: u32) -> Typed<()> {
+        if t <= pc {
+            return Err(format!("backward branch to {t}"));
+        }
+        self.at_depth_0()?;
+        match self.incoming.iter_mut().find(|(x, _)| *x == t) {
+            Some((_, state)) => join_slots(state, &self.slots),
+            None => self.incoming.push((t, self.slots.clone())),
+        }
+        Ok(())
+    }
+
+    /// Branches happen between statements: the warp evaluator shares one
+    /// operand stack among divergent fragments on that guarantee.
+    fn at_depth_0(&self) -> Typed<()> {
+        if self.stack.is_empty() {
+            Ok(())
+        } else {
+            Err("branch inside an expression".into())
+        }
+    }
+
+    fn emit(&mut self, op: Op, ty: Ty) {
+        self.out.push(op);
+        self.tys.push(ty);
+    }
+
+    fn push(&mut self, ty: Ty) {
+        self.stack.push(ty);
+        self.max_stack = self.max_stack.max(self.stack.len());
+    }
+
+    fn pop(&mut self) -> Typed<Ty> {
+        self.stack.pop().ok_or_else(|| "stack underflow".into())
+    }
+
+    /// Type of the stack entry `depth` below the top.
+    fn peek(&self, depth: usize) -> Typed<Ty> {
+        self.stack
+            .len()
+            .checked_sub(depth + 1)
+            .map(|i| self.stack[i])
+            .ok_or_else(|| "stack underflow".into())
+    }
+
+    /// Require the entry `depth` below the top to be `want`, casting it
+    /// when lowering.
+    fn need(&mut self, depth: usize, want: Ty) -> Typed<()> {
+        let have = self.peek(depth)?;
+        if have == want {
+            return Ok(());
+        }
+        if !self.insert {
+            return Err(format!("operand is {have:?}, expected {want:?}"));
+        }
+        self.cast(depth, want)
+    }
+
+    fn cast(&mut self, depth: usize, to: Ty) -> Typed<()> {
+        let from = self.peek(depth)?;
+        if from == Ty::Bool || from == to {
+            return Err(format!("cannot convert {from:?} to {to:?}"));
+        }
+        self.emit(Op::Cast(to, depth as u8), from);
+        let i = self.stack.len() - 1 - depth;
+        self.stack[i] = to;
+        Ok(())
+    }
+
+    /// Give `slot` a row of type `ty` if it has none yet.
+    fn row(&mut self, slot: u16, ty: Ty) {
+        let row = &mut self.rows[slot as usize][ty as usize];
+        if *row == NO_ROW {
+            *row = self.n_rows[ty as usize];
+            self.n_rows[ty as usize] += 1;
+        }
+    }
+
+    /// `slot` now holds a `ty`.
+    fn store(&mut self, slot: u16, ty: Ty) {
+        self.slots[slot as usize] = SlotState {
+            ty: SlotTy::Is(ty),
+            since: NO_LOOP,
+        };
+        self.row(slot, ty);
+    }
+
+    /// The type a read of `slot` sees here.
+    fn load(&mut self, slot: u16) -> Typed<Ty> {
+        let SlotState { ty, since } = self.slots[slot as usize];
+        for l in self.loops.iter_mut().skip(since as usize) {
+            l.reads[slot as usize] = true;
+        }
+        match ty {
+            SlotTy::Is(ty) => Ok(ty),
+            SlotTy::Unset => {
+                self.row(slot, Ty::F32);
+                Ok(Ty::F32)
+            }
+            SlotTy::Mixed => Err(format!("the type of slot {slot} depends on the path taken")),
+        }
+    }
+
+    fn load_i64(&mut self, slot: u16) -> Typed<()> {
+        match self.load(slot)? {
+            Ty::I64 => Ok(()),
+            _ => Err(format!("loop slot {slot} does not hold an i64")),
+        }
+    }
+
+    /// Type one op, emit it (after any casts it needs) and return the
+    /// next input pc.
+    fn step(&mut self, pc: u32, op: Op) -> Typed<u32> {
+        let mut ann = Ty::F32;
+        match op {
+            Op::ConstF(_) | Op::Pop => self.push(Ty::F32),
+            Op::ConstI(_) => self.push(Ty::I64),
+            Op::ConstB(_) => self.push(Ty::Bool),
+            Op::Load(s) => {
+                ann = self.load(s)?;
+                self.push(ann);
+            }
+            Op::Store(s) => {
+                ann = self.pop()?;
+                self.store(s, ann);
+            }
+            Op::Peek | Op::StateLoad(_) => {
+                self.need(0, Ty::I64)?;
+                self.pop()?;
+                self.push(Ty::F32);
+            }
+            Op::StateStore(_) => {
+                self.need(0, Ty::F32)?;
+                self.need(1, Ty::I64)?;
+                self.pop()?;
+                self.pop()?;
+            }
+            Op::PushOut => {
+                self.need(0, Ty::F32)?;
+                self.pop()?;
+            }
+            Op::Bin(b) => {
+                ann = if matches!(b, BinOp::And | BinOp::Or) {
+                    Ty::Bool
+                } else if (self.peek(0)?, self.peek(1)?) == (Ty::I64, Ty::I64) {
+                    Ty::I64
+                } else {
+                    Ty::F32
+                };
+                self.need(0, ann)?;
+                self.need(1, ann)?;
+                self.pop()?;
+                self.pop()?;
+                let arith = matches!(
+                    b,
+                    BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div | BinOp::Rem
+                );
+                self.push(if arith { ann } else { Ty::Bool });
+            }
+            Op::Neg => {
+                ann = self.peek(0)?;
+                if ann == Ty::Bool {
+                    return Err("cannot negate a Bool".into());
+                }
+            }
+            Op::Not => self.need(0, Ty::Bool)?,
+            Op::Call(Intrinsic::Select) => {
+                self.need(2, Ty::Bool)?;
+                ann = self.pop()?;
+                if self.pop()? != ann {
+                    return Err("the arms of `select` differ in type".into());
+                }
+                self.pop()?;
+                self.push(ann);
+            }
+            Op::Call(intr) => {
+                for depth in 0..intr.arity() {
+                    self.need(depth, Ty::F32)?;
+                }
+                for _ in 0..intr.arity() {
+                    self.pop()?;
+                }
+                self.push(Ty::F32);
+            }
+            Op::Cast(to, depth) => {
+                // Only a decoded stream carries casts; `cast` emits it.
+                self.cast(depth as usize, to)?;
+                return Ok(pc + 1);
+            }
+            Op::Jump(t) => {
+                self.branch_to(pc, t)?;
+                self.live = false;
+            }
+            Op::JumpIfFalse(t) => {
+                self.need(0, Ty::Bool)?;
+                self.pop()?;
+                self.branch_to(pc, t)?;
+            }
+            Op::ForInit { counter, end } => {
+                self.need(0, Ty::I64)?;
+                self.need(1, Ty::I64)?;
+                self.pop()?;
+                self.pop()?;
+                self.store(counter, Ty::I64);
+                self.store(end, Ty::I64);
+            }
+            Op::ForTest {
+                counter,
+                end,
+                var,
+                exit,
+            } => {
+                if self.loops.last().map(|l| l.head) != Some(pc) {
+                    let depth = self.loops.len();
+                    if depth >= NO_LOOP as usize {
+                        return Err("loops nest too deeply".into());
+                    }
+                    for s in &mut self.slots {
+                        s.since = s.since.min(depth as u8);
+                    }
+                    self.loops.push(OpenLoop {
+                        head: pc,
+                        exit,
+                        at_head: self.slots.clone(),
+                        reads: vec![false; self.slots.len()],
+                        out_len: self.out.len(),
+                        retried: false,
+                    });
+                }
+                self.load_i64(counter)?;
+                self.load_i64(end)?;
+                self.branch_to(pc, exit)?;
+                self.store(var, Ty::I64);
+            }
+            Op::ForStep { counter, head } => {
+                self.at_depth_0()?;
+                self.load_i64(counter)?;
+                let Some(l) = self.loops.last_mut().filter(|l| l.head == head) else {
+                    return Err("back edge does not close the innermost loop".into());
+                };
+                let mut joined = l.at_head.clone();
+                join_slots(&mut joined, &self.slots);
+                let stale = (joined.iter().zip(&l.at_head).zip(&l.reads))
+                    .any(|((j, h), read)| *read && j.ty != h.ty);
+                if stale {
+                    if l.retried {
+                        return Err("loop types do not converge".into());
+                    }
+                    // Walk the body again under the join; the states it
+                    // parked at the exit are recomputed.
+                    l.retried = true;
+                    l.at_head.clone_from(&joined);
+                    self.out.truncate(l.out_len);
+                    self.tys.truncate(l.out_len);
+                    self.incoming.retain(|(t, _)| *t <= head);
+                    self.slots = joined;
+                    return Ok(head);
+                }
+                // The exit sees the head's state, this back edge included.
+                let exit = l.exit;
+                self.loops.pop();
+                match self.incoming.iter_mut().find(|(t, _)| *t == exit) {
+                    Some((_, state)) => join_slots(state, &self.slots),
+                    None => return Err("loop exit is not a branch target".into()),
+                }
+                self.live = false;
+            }
+        }
+        self.emit(op, ann);
+        Ok(pc + 1)
     }
 }
 
@@ -290,31 +813,32 @@ impl Program {
 ///
 /// `params` supplies the names readable as runtime bindings (their values
 /// become [`SlotKind::Param`] slots, bound per launch); `presets` names
-/// the scalars the owning kernel seeds directly (loop variables,
+/// and types the scalars the owning kernel seeds directly (loop variables,
 /// accumulators). Any other name that is read before the body could have
 /// assigned it is rejected, mirroring the reference interpreter's
 /// "unknown variable" runtime error.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Runtime`] for unknown variables and for bodies
-/// exceeding the `u16` slot space.
-pub fn compile_body(body: &[Stmt], params: &Bindings, presets: &[&str]) -> Result<Program> {
+/// Returns [`Error::Runtime`] for unknown variables, for bodies exceeding
+/// the `u16` slot space, and for bodies the typing rule rejects (see
+/// [`Program`]).
+pub fn compile_body(body: &[Stmt], params: &Bindings, presets: &[(&str, Ty)]) -> Result<Program> {
     let mut c = Compiler::new(params, presets);
     c.lower_body(body)?;
-    Ok(c.finish())
+    c.finish()
 }
 
 /// Compile a single expression; evaluation via [`eval_value`] yields its
-/// value.
+/// value, converted to `f32`.
 ///
 /// # Errors
 ///
 /// See [`compile_body`].
-pub fn compile_expr(expr: &Expr, params: &Bindings, presets: &[&str]) -> Result<Program> {
+pub fn compile_expr(expr: &Expr, params: &Bindings, presets: &[(&str, Ty)]) -> Result<Program> {
     let mut c = Compiler::new(params, presets);
     c.lower_expr(expr)?;
-    Ok(c.finish())
+    c.finish()
 }
 
 struct Compiler<'a> {
@@ -324,13 +848,11 @@ struct Compiler<'a> {
     state_names: Vec<String>,
     slots: HashMap<String, u16>,
     params: &'a Bindings,
-    depth: usize,
-    max_stack: usize,
     hidden: usize,
 }
 
 impl<'a> Compiler<'a> {
-    fn new(params: &'a Bindings, presets: &[&str]) -> Compiler<'a> {
+    fn new(params: &'a Bindings, presets: &[(&str, Ty)]) -> Compiler<'a> {
         let mut c = Compiler {
             ops: Vec::new(),
             kinds: Vec::new(),
@@ -338,29 +860,26 @@ impl<'a> Compiler<'a> {
             state_names: Vec::new(),
             slots: HashMap::new(),
             params,
-            depth: 0,
-            max_stack: 0,
             hidden: 0,
         };
         // Presets get the first slots so kernels can seed them cheaply.
-        for p in presets {
-            c.alloc_slot(p, SlotKind::Preset);
+        for (name, ty) in presets {
+            c.alloc_slot(name, SlotKind::Preset(*ty));
         }
         c
     }
 
-    fn finish(self) -> Program {
-        Program {
-            ops: self.ops,
-            kinds: self.kinds,
-            names: self.names,
-            state_names: self.state_names,
-            max_stack: self.max_stack,
+    /// Type the lowered ops (inserting the casts) and assemble the program.
+    fn finish(self) -> Result<Program> {
+        if self.kinds.len() >= NO_ROW as usize {
+            return Err(Error::Runtime("work body exceeds the slot space".into()));
         }
+        let typed = Typer::run(&self.ops, &self.kinds, true)
+            .map_err(|e| Error::Runtime(format!("work body does not type: {e}")))?;
+        Ok(typed.into_program(self.kinds, self.names, self.state_names))
     }
 
     fn alloc_slot(&mut self, name: &str, kind: SlotKind) -> u16 {
-        debug_assert!(self.kinds.len() < u16::MAX as usize, "slot space");
         let id = self.kinds.len() as u16;
         self.kinds.push(kind);
         self.names.push(name.to_string());
@@ -400,20 +919,7 @@ impl<'a> Compiler<'a> {
         }
     }
 
-    /// Emit an opcode, tracking worst-case operand-stack depth.
     fn emit(&mut self, op: Op) -> usize {
-        let (pops, pushes): (usize, usize) = match op {
-            Op::ConstF(_) | Op::ConstI(_) | Op::ConstB(_) | Op::Load(_) | Op::Pop => (0, 1),
-            Op::Store(_) | Op::PushOut | Op::JumpIfFalse(_) => (1, 0),
-            Op::Peek | Op::StateLoad(_) | Op::Neg | Op::Not => (1, 1),
-            Op::Bin(_) => (2, 1),
-            Op::StateStore(_) | Op::ForInit { .. } => (2, 0),
-            Op::Call(i) => (i.arity(), 1),
-            Op::Jump(_) | Op::ForTest { .. } | Op::ForStep { .. } => (0, 0),
-        };
-        debug_assert!(self.depth >= pops, "stack underflow in lowering");
-        self.depth = self.depth - pops + pushes;
-        self.max_stack = self.max_stack.max(self.depth);
         self.ops.push(op);
         self.ops.len() - 1
     }
@@ -654,22 +1160,19 @@ impl Frame {
 }
 
 #[inline]
-pub(crate) fn as_f32(v: Value) -> f32 {
+fn as_f32(v: Value) -> f32 {
     v.as_f32().expect("validated body: numeric value")
 }
 
 #[inline]
-pub(crate) fn as_i64(v: Value) -> i64 {
+fn as_i64(v: Value) -> i64 {
     v.as_i64().expect("validated body: integral value")
 }
 
 /// Infallible binop mirroring [`streamir::interp::eval_binop`] (including
-/// wrapping integer arithmetic); data-dependent faults panic. Shared with
-/// [`crate::warp`] so
-/// the scalar and warp-batched evaluators are per-lane bit-identical by
-/// construction.
+/// wrapping integer arithmetic); data-dependent faults panic.
 #[inline]
-pub(crate) fn bin(op: BinOp, a: Value, b: Value) -> Value {
+fn bin(op: BinOp, a: Value, b: Value) -> Value {
     use BinOp::*;
     if let (Value::I64(x), Value::I64(y)) = (a, b) {
         return match op {
@@ -721,7 +1224,7 @@ pub(crate) fn bin(op: BinOp, a: Value, b: Value) -> Value {
 }
 
 #[inline]
-pub(crate) fn call(intr: Intrinsic, args: &[Value]) -> Value {
+fn call(intr: Intrinsic, args: &[Value]) -> Value {
     let f = |i: usize| as_f32(args[i]);
     match intr {
         Intrinsic::Sqrt => Value::F32(f(0).sqrt()),
@@ -747,7 +1250,9 @@ pub(crate) fn call(intr: Intrinsic, args: &[Value]) -> Value {
 
 /// Execute a compiled body against a prepared frame. The frame must have
 /// been [`Frame::reset`] with the program's bound prototype (and any
-/// preset slots seeded). Infallible: see the module docs.
+/// preset slots seeded). Infallible: see the module docs. Values stay
+/// tagged here (one firing has no rows to untag), so the inferred types
+/// are not consulted; the casts in the stream are applied.
 pub fn eval(prog: &Program, frame: &mut Frame, io: &mut dyn IrIo) {
     let ops = &prog.ops;
     let slots = &mut frame.slots;
@@ -802,6 +1307,14 @@ pub fn eval(prog: &Program, frame: &mut Frame, io: &mut dyn IrIo) {
                     args[i] = stack.pop().expect("operand");
                 }
                 stack.push(call(intr, &args[..n]));
+            }
+            Op::Cast(to, depth) => {
+                let i = stack.len() - 1 - depth as usize;
+                stack[i] = match to {
+                    Ty::F32 => Value::F32(as_f32(stack[i])),
+                    Ty::I64 => Value::I64(as_i64(stack[i])),
+                    Ty::Bool => Value::Bool(stack[i].as_bool()),
+                };
             }
             Op::Jump(t) => {
                 pc = t as usize;
@@ -1042,7 +1555,7 @@ mod tests {
             }"#,
         );
         let binds = bindings(&[]);
-        let prog = compile_body(&body, &binds, &["i"]).unwrap();
+        let prog = compile_body(&body, &binds, &[("i", Ty::I64)]).unwrap();
         let slot = prog.slot_of("i").unwrap();
         let proto = prog.bind(&binds).unwrap();
         let mut frame = Frame::default();
@@ -1080,11 +1593,111 @@ mod tests {
         assert_eq!(want, got.output);
     }
 
+    fn actor(stmts: &str) -> String {
+        format!("pipeline P(N) {{ actor A(pop 1, push 1) {{ {stmts} }} }}")
+    }
+
+    /// The typing error `stmts` is rejected with.
+    fn type_error(stmts: &str) -> String {
+        match compile_body(&body_of(&actor(stmts)), &bindings(&[("N", 5)]), &[]) {
+            Err(Error::Runtime(msg)) => msg,
+            other => panic!("expected a typing error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn int_float_pairs_promote_through_an_explicit_cast() {
+        let src = actor("k = N / 2; push(pop() * k);");
+        let prog = compile_body(&body_of(&src), &bindings(&[("N", 5)]), &[]).unwrap();
+        let ty_of = |want: Op| {
+            let pc = prog.ops().iter().position(|o| *o == want).unwrap();
+            prog.ty_at(pc)
+        };
+        // `N / 2` stays integral; `pop() * k` runs as f32 on a cast `k`.
+        assert_eq!(ty_of(Op::Bin(BinOp::Div)), Ty::I64);
+        assert_eq!(ty_of(Op::Cast(Ty::F32, 0)), Ty::I64);
+        assert_eq!(ty_of(Op::Bin(BinOp::Mul)), Ty::F32);
+        let (want, got) = run_both(&src, &[("N", 5)], vec![1.5]);
+        assert_eq!(want, vec![3.0]);
+        assert_eq!(want, got.output);
+    }
+
+    #[test]
+    fn select_arms_must_agree_in_type() {
+        let (want, got) = run_both(
+            &actor("x = pop(); push(select(x < 0.0, 1.0, x));"),
+            &[("N", 5)],
+            vec![-4.0],
+        );
+        assert_eq!(want, got.output);
+        assert!(type_error("x = pop(); push(select(x < 0.0, 1, x));").contains("select"));
+    }
+
+    #[test]
+    fn a_slot_stored_with_two_types_gets_a_row_per_type() {
+        let src = actor("t = N; a = t + 1; t = pop(); push(t + a);");
+        let prog = compile_body(&body_of(&src), &bindings(&[("N", 5)]), &[]).unwrap();
+        let [f, i, b] = prog.rows()[prog.slot_of("t").unwrap() as usize];
+        assert!(f != NO_ROW && i != NO_ROW && b == NO_ROW);
+        // Each load reads the row of the type stored last before it.
+        let loads: Vec<Ty> = (0..prog.ops().len())
+            .filter(|&pc| prog.ops()[pc] == Op::Load(prog.slot_of("t").unwrap()))
+            .map(|pc| prog.ty_at(pc))
+            .collect();
+        assert_eq!(loads, [Ty::I64, Ty::F32]);
+        let (want, got) = run_both(&src, &[("N", 5)], vec![0.5]);
+        assert_eq!(want, vec![6.5]);
+        assert_eq!(want, got.output);
+    }
+
+    #[test]
+    fn path_dependent_slot_types_are_compile_errors() {
+        let branch = "x = pop(); if (x < 0.0) { t = 1; } else { t = 2.5; }";
+        assert!(type_error(&format!("{branch} push(t);")).contains("depends on the path"));
+        // Unread after the join, the same stores are fine.
+        compile_body(
+            &body_of(&actor(&format!("{branch} push(x);"))),
+            &bindings(&[]),
+            &[],
+        )
+        .unwrap();
+        // A back edge is a path too: `acc` is i64 on entry, f32 after.
+        let looped = "acc = 0; for i in 0..4 { acc = acc + pop(); } push(acc);";
+        assert!(type_error(looped).contains("depends on the path"));
+        // A boolean never becomes a number.
+        assert!(type_error("x = pop(); push(x < 1.0);").contains("Bool"));
+    }
+
+    #[test]
+    fn from_raw_reinfers_types_and_rejects_ill_typed_streams() {
+        let src = actor("push(pop() + N);");
+        let prog = compile_body(&body_of(&src), &bindings(&[("N", 5)]), &[]).unwrap();
+        let raw = |ops: Vec<Op>| {
+            Program::from_raw(
+                ops,
+                prog.kinds().to_vec(),
+                prog.names().to_vec(),
+                prog.state_names().to_vec(),
+                prog.max_stack(),
+            )
+        };
+        assert_eq!(raw(prog.ops().to_vec()).as_ref(), Ok(&prog));
+        // Drop the cast: `+` would apply to an f32 and an i64 row.
+        let mut ops = prog.ops().to_vec();
+        let cast = ops.iter().position(|o| matches!(o, Op::Cast(..))).unwrap();
+        ops.remove(cast);
+        assert!(raw(ops).unwrap_err().contains("expected F32"));
+        // Retype the cast: a number row cannot come from a mask.
+        let mut ops = prog.ops().to_vec();
+        ops[cast] = Op::Cast(Ty::Bool, 0);
+        assert!(raw(ops).is_err());
+    }
+
     #[test]
     fn expression_programs_yield_values() {
         let e = Expr::bin(BinOp::Mul, Expr::var("acc"), Expr::Float(0.5));
         let binds = bindings(&[]);
-        let prog = compile_expr(&e, &binds, &["acc"]).unwrap();
+        let prog = compile_expr(&e, &binds, &[("acc", Ty::F32)]).unwrap();
         let slot = prog.slot_of("acc").unwrap();
         let proto = prog.bind(&binds).unwrap();
         let mut frame = Frame::default();

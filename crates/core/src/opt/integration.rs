@@ -319,7 +319,7 @@ mod tests {
 
     use crate::analysis::recurrence::parallelize;
     use crate::analysis::reduction::detect_reduction;
-    use crate::bytecode::{self, compile_body, Frame, VecIo};
+    use crate::bytecode::{self, compile_body, Frame, Ty, VecIo};
 
     fn loop_of(src: &str, binds: &Bindings) -> ParallelLoop {
         let p = parse_program(src).unwrap();
@@ -328,7 +328,7 @@ mod tests {
 
     fn run_loop(pl: &ParallelLoop, binds: &Bindings, input: &[f32]) -> Vec<f32> {
         let n = eval_bound(&pl.bound, binds).unwrap() as usize;
-        let prog = compile_body(&pl.body, binds, &[&pl.loop_var]).unwrap();
+        let prog = compile_body(&pl.body, binds, &[(&pl.loop_var, Ty::I64)]).unwrap();
         let proto = prog.bind(binds).unwrap();
         let mut frame = Frame::default();
         let mut out = Vec::new();

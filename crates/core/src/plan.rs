@@ -26,7 +26,7 @@ use crate::analysis::recurrence::ParallelLoop;
 use crate::analysis::reduction::ReductionPattern;
 use crate::analysis::stencil::StencilPattern;
 use crate::analysis::{classify, ActorClass};
-use crate::bytecode;
+use crate::bytecode::{self, Ty};
 use crate::cost::map_profile;
 use crate::layout::Layout;
 use crate::opt::integration::{can_fuse_horizontal, fuse_into_reduction, fuse_parallel_loops};
@@ -290,11 +290,19 @@ fn compile_programs(
     binds: &Bindings,
 ) -> Result<Vec<SegPrograms>> {
     let reduce_programs = |p: &ReductionPattern| -> Result<_> {
-        let elem = Arc::new(bytecode::compile_expr(&p.elem, binds, &[&p.loop_var])?);
+        let elem = Arc::new(bytecode::compile_expr(
+            &p.elem,
+            binds,
+            &[(&p.loop_var, Ty::I64)],
+        )?);
         let post = if p.post_is_identity() {
             None
         } else {
-            Some(Arc::new(bytecode::compile_expr(&p.post, binds, &[&p.acc])?))
+            Some(Arc::new(bytecode::compile_expr(
+                &p.post,
+                binds,
+                &[(&p.acc, Ty::F32)],
+            )?))
         };
         Ok((elem, post))
     };
@@ -303,7 +311,8 @@ fn compile_programs(
         .map(|seg| {
             Ok(match &seg.kind {
                 SegKind::Unit(u) => {
-                    let presets: Vec<&str> = u.loop_var.iter().map(String::as_str).collect();
+                    let presets: Vec<_> =
+                        u.loop_var.iter().map(|v| (v.as_str(), Ty::I64)).collect();
                     SegPrograms::Unit(Arc::new(bytecode::compile_body(&u.body, binds, &presets)?))
                 }
                 SegKind::Reduce(r) => {
@@ -314,7 +323,7 @@ fn compile_programs(
                 SegKind::Stencil(s) => SegPrograms::Stencil(Arc::new(bytecode::compile_body(
                     &s.pattern.body,
                     binds,
-                    &[&s.pattern.loop_var],
+                    &[(&s.pattern.loop_var, Ty::I64)],
                 )?)),
                 SegKind::HFused(h) => SegPrograms::HFused(
                     h.patterns
@@ -330,11 +339,14 @@ fn compile_programs(
                 ),
                 SegKind::Opaque(idx) => {
                     let actor = &program.actors[*idx];
-                    let presets: Vec<&str> = actor
+                    // Scalar state is `f32`, as in the interpreter.
+                    let presets: Vec<_> = actor
                         .state
                         .iter()
                         .filter_map(|sv| match sv {
-                            streamir::actor::StateVar::Scalar { name, .. } => Some(name.as_str()),
+                            streamir::actor::StateVar::Scalar { name, .. } => {
+                                Some((name.as_str(), Ty::F32))
+                            }
                             _ => None,
                         })
                         .collect();

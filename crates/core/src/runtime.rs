@@ -986,8 +986,10 @@ pub(crate) fn pattern_to_serial_body(p: &ReductionPattern) -> Vec<Stmt> {
 
 /// Execute an opaque actor on the host for `firings` sequential firings —
 /// scalar bytecode on a single reused [`bytecode::Frame`], there being no
-/// lanes to batch. Scalar state lives in its preset slot and is copied
-/// back into the prototype after each firing so it persists.
+/// lanes to batch. Scalar state lives in its `f32` preset slot and is
+/// copied back into the prototype (as `f32`, the type the program was
+/// lowered for and the interpreter stores) after each firing so it
+/// persists.
 fn run_opaque(
     actor: &ActorDef,
     firings: usize,
@@ -1040,7 +1042,7 @@ fn run_opaque(
         frame.reset(&proto);
         bytecode::eval(prog, &mut frame, &mut io);
         for &slot in &scalar_slots {
-            proto[slot as usize] = frame.get(slot);
+            proto[slot as usize] = Value::F32(frame.get(slot).as_f32()?);
         }
         output.extend(io.output.iter().copied());
     }

@@ -9,18 +9,14 @@
 //! the block then tree-reduces one shared-memory segment per sibling.
 
 use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig};
-use streamir::value::Value;
 
 use super::{state_ref, SITE_STATE};
-use crate::bytecode::{self, Frame};
+use crate::bytecode::Frame;
 use crate::layout::Layout;
-use crate::templates::reduction::ReduceSpec;
+use crate::templates::reduction::{
+    store_accs, tree_level, ReduceSpec, SITE_ELEM, SITE_OUT, SITE_SHARED_LD,
+};
 use crate::warp::{self, for_lanes, WarpIo, MAX_LANES};
-
-const SITE_ELEM: u32 = 0;
-const SITE_SHARED_ST: u32 = 1;
-const SITE_SHARED_LD: u32 = 2;
-const SITE_OUT: u32 = 3;
 
 /// One kernel computing several reductions over the same input.
 #[derive(Debug, Clone)]
@@ -46,48 +42,45 @@ impl FusedReduce {
 }
 
 /// Warp-granular window reader: pops come from the pre-loaded per-lane
-/// element windows (`windows[j][lane]` is lane `lane`'s `j`-th popped
-/// word, so siblings share loads), state loads go straight to global as
-/// whole rows (the fused template has no scalar-promotion cache).
+/// element windows (`windows[j * ws + lane]` is lane `lane`'s `j`-th
+/// popped word, so siblings share loads), state loads go straight to
+/// global as whole rows (the fused template has no scalar-promotion
+/// cache).
 struct WindowWarpIo<'c, 'd, 's> {
     ctx: &'c mut BlockCtx<'d>,
     spec: &'s ReduceSpec,
     warp: u32,
-    windows: &'s [Vec<f32>],
+    windows: &'s [f32],
+    ws: usize,
     cursor: [usize; MAX_LANES],
     state_slots: &'s [Option<u32>],
-    addrs: &'c mut [Option<u64>],
-    vals: &'c mut [f32],
 }
 
 impl WarpIo for WindowWarpIo<'_, '_, '_> {
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]) {
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
         for_lanes(mask, out.len(), |l| {
-            out[l] = Value::F32(self.windows[self.cursor[l]][l]);
+            out[l] = self.windows[self.cursor[l] * self.ws + l];
             self.cursor[l] += 1;
         });
     }
 
-    fn peek_row(&mut self, _: u64, _: &mut [Value]) {
+    fn peek_row(&mut self, _: u64, _: &[i64], _: &mut [f32]) {
         panic!("peek rejected by reduction detection")
     }
 
-    fn push_row(&mut self, _: u64, _: &[Value]) {
+    fn push_row(&mut self, _: u64, _: &[f32]) {
         panic!("push inside reduction element")
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let (slot, buf) = state_ref(&self.spec.state, self.state_slots, id, array);
-        for_lanes(mask, row.len(), |l| {
-            self.addrs[l] = Some(bytecode::as_i64(row[l]) as u64);
-        });
+        let mut addrs = [0u64; MAX_LANES];
+        for_lanes(mask, out.len(), |l| addrs[l] = idx[l] as u64);
         self.ctx
-            .ld_global_row(SITE_STATE + slot, self.warp, buf, self.addrs, self.vals);
-        for_lanes(mask, row.len(), |l| row[l] = Value::F32(self.vals[l]));
-        self.addrs.fill(None);
+            .ld_global_row(SITE_STATE + slot, self.warp, buf, mask, &addrs, out);
     }
 
-    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[Value], _: &[Value]) {
+    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[i64], _: &[f32]) {
         panic!("state store inside reduction element")
     }
 }
@@ -129,10 +122,14 @@ impl Kernel for FusedReduce {
                 wf
             })
             .collect();
-        let mut addrs = vec![None; ws];
-        let mut vals = vec![0.0f32; ws];
-        let mut windows: Vec<Vec<f32>> = vec![vec![0.0; ws]; ppe];
-        let mut row = [0.0f32; MAX_LANES];
+        let mut addrs = [0u64; MAX_LANES];
+        // The shared pop windows live in the first sibling's pooled frame.
+        let mut windows = wfs
+            .first_mut()
+            .map(|wf| std::mem::take(&mut wf.aux))
+            .unwrap_or_default();
+        windows.clear();
+        windows.resize(ppe * ws, 0.0);
         let mut accs = vec![[0.0f32; MAX_LANES]; k];
         let mut elems = [0usize; MAX_LANES];
 
@@ -151,39 +148,34 @@ impl Kernel for FusedReduce {
                 }
             }
             while mask != 0 {
-                for (j, w) in windows.iter_mut().enumerate() {
+                for (j, w) in windows.chunks_exact_mut(ws).enumerate() {
                     for_lanes(mask, live, |l| {
                         let global_elem = array * self.n_elements + elems[l];
-                        addrs[l] =
-                            Some(self.in_layout.addr(global_elem, j, ppe, total_elems) as u64);
+                        addrs[l] = self.in_layout.addr(global_elem, j, ppe, total_elems) as u64;
                     });
-                    ctx.ld_global_row(SITE_ELEM, warp, self.in_buf, &addrs, &mut vals);
-                    for_lanes(mask, live, |l| w[l] = vals[l]);
-                    addrs.fill(None);
+                    ctx.ld_global_row(SITE_ELEM, warp, self.in_buf, mask, &addrs, w);
                 }
                 for (s, spec) in self.specs.iter().enumerate() {
                     let comp = &comps[s];
                     let wf = &mut wfs[s];
                     wf.reset(&comp.elem_proto);
                     if let Some(slot) = comp.loop_slot {
-                        for_lanes(mask, live, |l| {
-                            wf.set_lane(slot, l, Value::I64(elems[l] as i64));
-                        });
+                        let var = wf.i64_row_mut(slot);
+                        for_lanes(mask, live, |l| var[l] = elems[l] as i64);
                     }
                     let mut io = WindowWarpIo {
                         ctx,
                         spec,
                         warp,
                         windows: &windows,
+                        ws,
                         cursor: [0; MAX_LANES],
                         state_slots: &comp.state_slots,
-                        addrs: &mut addrs,
-                        vals: &mut vals,
                     };
-                    warp::eval_row(&comp.elem, wf, mask, &mut io, &mut row);
+                    let row = warp::eval_row(&comp.elem, wf, mask, &mut io);
                     for_lanes(mask, live, |l| {
                         accs[s][l] = spec.op.apply(accs[s][l], row[l]);
-                        ctx.compute((lane0 + l) as u32, spec.compute_per_elem() as u32);
+                        ctx.compute((lane0 + l) as u32, comp.compute_per_elem);
                         ctx.count_flops(1);
                     });
                 }
@@ -197,14 +189,12 @@ impl Kernel for FusedReduce {
                 mask = next;
             }
             for (s, acc) in accs.iter().enumerate() {
-                for l in 0..live {
-                    addrs[l] = Some((s * bdim + lane0 + l) as u64);
-                    vals[l] = acc[l];
-                }
-                ctx.st_shared_row(SITE_SHARED_ST, warp, &addrs, &vals);
-                addrs.fill(None);
+                store_accs(ctx, warp, s * bdim + lane0, live, acc);
             }
             lane0 += ws;
+        }
+        if let Some(wf) = wfs.first_mut() {
+            wf.aux = windows;
         }
         for (spec, wf) in self.specs.iter().zip(wfs) {
             spec.exec.warp_frames.give(wf);
@@ -233,13 +223,7 @@ fn tree_reduce_segment(ctx: &mut BlockCtx<'_>, spec: &ReduceSpec, base: usize, s
     let warp = ctx.warp_size() as usize;
     let mut active = size / 2;
     while active >= 1 {
-        for lane in 0..active {
-            let tid = lane as u32;
-            let a = ctx.ld_shared(SITE_SHARED_LD, tid, base + lane);
-            let b = ctx.ld_shared(SITE_SHARED_LD, tid, base + lane + active);
-            ctx.st_shared(SITE_SHARED_ST, tid, base + lane, spec.op.apply(a, b));
-            ctx.compute(tid, 1);
-        }
+        tree_level(ctx, spec.op, 0, base, active);
         if active >= warp {
             ctx.sync();
         }

@@ -19,9 +19,9 @@ use streamir::ir::Stmt;
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
-use super::{state_ref, state_slots, StateCache, SITE_STATE};
+use super::{for_warp_rows, state_ref, state_slots, StateCache, SITE_STATE};
 use crate::analysis::opcount::body_counts;
-use crate::bytecode;
+use crate::bytecode::{self, Ty};
 use crate::layout::Layout;
 use crate::warp::{self, for_lanes, full_mask, WarpFramePool, WarpIo, MAX_LANES};
 
@@ -113,7 +113,7 @@ impl MapKernel {
         in_buf: BufId,
         out_buf: BufId,
     ) -> MapKernel {
-        let presets: Vec<&str> = loop_var.iter().map(String::as_str).collect();
+        let presets: Vec<_> = loop_var.iter().map(|v| (v.as_str(), Ty::I64)).collect();
         let program = Arc::new(
             bytecode::compile_body(body, &binds, &presets).expect("work body lowers to bytecode"),
         );
@@ -176,14 +176,6 @@ impl MapKernel {
         };
         k.rebind_program();
         k
-    }
-
-    /// Adopt a plan-precompiled program (so launches skip re-lowering) and
-    /// rebind its slots against this kernel's bindings.
-    pub fn with_program(mut self, program: Arc<bytecode::Program>) -> MapKernel {
-        self.program = program;
-        self.rebind_program();
-        self
     }
 
     /// Share the engine's warp-frame pool (injected by the runtime so
@@ -249,10 +241,10 @@ impl MapKernel {
 
 /// Warp-granular I/O for the map template: each [`WarpIo`] call serves
 /// one opcode for a whole warp of units, handing `gpu_sim` complete
-/// `addrs[lane]` rows (one accounting call per warp memory instruction)
-/// instead of reassembling warps lane-by-lane. Lane `l` executes unit
-/// `unit0 + l` as thread `tid0 + l`; pop/push cursors are per lane, since
-/// divergent lanes consume and produce independently.
+/// `(mask, addrs[lane])` rows (one accounting call per warp memory
+/// instruction) instead of reassembling warps lane-by-lane. Lane `l`
+/// executes unit `unit0 + l` as thread `tid0 + l`; pop/push cursors are
+/// per lane, since divergent lanes consume and produce independently.
 struct MapWarpIo<'c, 'd, 'k> {
     ctx: &'c mut BlockCtx<'d>,
     kernel: &'k MapKernel,
@@ -268,41 +260,37 @@ struct MapWarpIo<'c, 'd, 'k> {
     pops: [usize; MAX_LANES],
     /// Per-lane push counts so far.
     pushes: [usize; MAX_LANES],
-    /// Reused address row, `warp_size` wide; `None` = predicated off.
-    addrs: &'c mut [Option<u64>],
-    /// Reused value row for loads/stores.
-    vals: &'c mut [f32],
+    /// Address row of the instruction being issued.
+    addrs: [u64; MAX_LANES],
     /// The block's scalar-promotion cache, shared with every warp of the
     /// block.
     state_cache: &'c mut StateCache,
 }
 
 impl MapWarpIo<'_, '_, '_> {
-    /// Issue the row in `self.addrs` as a load of `kind` and scatter the
-    /// results into `out` as `F32` values.
-    fn load_row(&mut self, site: u32, buf: Option<BufId>, mask: u64, out: &mut [Value]) {
+    /// Issue the row in `self.addrs` as a load from `buf` (shared memory
+    /// when `None`) into `out`.
+    fn load_row(&mut self, site: u32, buf: Option<BufId>, mask: u64, out: &mut [f32]) {
         match buf {
             Some(b) => self
                 .ctx
-                .ld_global_row(site, self.warp, b, self.addrs, self.vals),
+                .ld_global_row(site, self.warp, b, mask, &self.addrs, out),
             None => self
                 .ctx
-                .ld_shared_row(site, self.warp, self.addrs, self.vals),
+                .ld_shared_row(site, self.warp, mask, &self.addrs, out),
         }
-        for_lanes(mask, out.len(), |l| out[l] = Value::F32(self.vals[l]));
-        self.addrs.fill(None);
     }
 }
 
 impl WarpIo for MapWarpIo<'_, '_, '_> {
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]) {
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
         let k = self.kernel;
         if k.stage_window {
             for_lanes(mask, out.len(), |l| {
                 let unit = self.unit0 + l;
                 let local = (unit - self.block_base) * k.pops_per_unit + self.pops[l];
                 self.pops[l] += 1;
-                self.addrs[l] = Some(local as u64);
+                self.addrs[l] = local as u64;
             });
             self.load_row(SITE_STAGE_RD, None, mask, out);
             return;
@@ -312,26 +300,25 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
                 .in_layout
                 .addr(self.unit0 + l, self.pops[l], k.pops_per_unit, k.units);
             self.pops[l] += 1;
-            self.addrs[l] = Some(addr as u64);
+            self.addrs[l] = addr as u64;
         });
         self.load_row(SITE_POP, Some(k.in_buf), mask, out);
     }
 
-    fn peek_row(&mut self, mask: u64, row: &mut [Value]) {
+    fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]) {
         let k = self.kernel;
         if k.stage_window && k.window_pop.is_none() {
-            for_lanes(mask, row.len(), |l| {
+            for_lanes(mask, out.len(), |l| {
                 let unit = self.unit0 + l;
-                let off = bytecode::as_i64(row[l]) as usize;
-                let local = (unit - self.block_base) * k.pops_per_unit + off;
-                self.addrs[l] = Some(local as u64);
+                let local = (unit - self.block_base) * k.pops_per_unit + offsets[l] as usize;
+                self.addrs[l] = local as u64;
             });
-            self.load_row(SITE_STAGE_RD, None, mask, row);
+            self.load_row(SITE_STAGE_RD, None, mask, out);
             return;
         }
-        for_lanes(mask, row.len(), |l| {
+        for_lanes(mask, out.len(), |l| {
             let unit = self.unit0 + l;
-            let off = bytecode::as_i64(row[l]) as usize;
+            let off = offsets[l] as usize;
             let addr = match k.window_pop {
                 Some(w) => {
                     let firing = unit / k.units_per_firing.max(1);
@@ -339,12 +326,12 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
                 }
                 None => k.in_layout.addr(unit, off, k.pops_per_unit, k.units),
             };
-            self.addrs[l] = Some(addr as u64);
+            self.addrs[l] = addr as u64;
         });
-        self.load_row(SITE_PEEK, Some(k.in_buf), mask, row);
+        self.load_row(SITE_PEEK, Some(k.in_buf), mask, out);
     }
 
-    fn push_row(&mut self, mask: u64, vals: &[Value]) {
+    fn push_row(&mut self, mask: u64, vals: &[f32]) {
         let k = self.kernel;
         for_lanes(mask, vals.len(), |l| {
             let unit = self.unit0 + l;
@@ -355,31 +342,25 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
                     .addr(unit, self.pushes[l], k.pushes_per_unit, k.units),
             };
             self.pushes[l] += 1;
-            self.addrs[l] = Some(addr as u64);
-            self.vals[l] = bytecode::as_f32(vals[l]);
+            self.addrs[l] = addr as u64;
         });
         self.ctx
-            .st_global_row(SITE_PUSH, self.warp, k.out_buf, self.addrs, self.vals);
-        self.addrs.fill(None);
+            .st_global_row(SITE_PUSH, self.warp, k.out_buf, mask, &self.addrs, vals);
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let k = self.kernel;
         let target = state_ref(&k.state, &k.state_slots, id, array);
         self.state_cache
-            .load_row(self.ctx, self.tid0, target, mask, row);
+            .load_row(self.ctx, self.tid0, target, mask, idx, out);
     }
 
-    fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[Value], vals: &[Value]) {
+    fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], vals: &[f32]) {
         let k = self.kernel;
         let (slot, buf) = state_ref(&k.state, &k.state_slots, id, array);
-        for_lanes(mask, idx.len(), |l| {
-            self.addrs[l] = Some(bytecode::as_i64(idx[l]) as u64);
-            self.vals[l] = bytecode::as_f32(vals[l]);
-        });
+        for_lanes(mask, idx.len(), |l| self.addrs[l] = idx[l] as u64);
         self.ctx
-            .st_global_row(SITE_STATE + slot, self.warp, buf, self.addrs, self.vals);
-        self.addrs.fill(None);
+            .st_global_row(SITE_STATE + slot, self.warp, buf, mask, &self.addrs, vals);
     }
 }
 
@@ -412,17 +393,21 @@ impl Kernel for MapKernel {
                 .min(self.units.saturating_sub(base) * self.pops_per_unit);
             let global_base = base * self.pops_per_unit;
             let bdim = self.block_dim as usize;
+            let ws = ctx.warp_size() as usize;
+            let (mut global, mut local) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
+            let mut vals = [0.0f32; MAX_LANES];
             let mut off = 0usize;
             while off < span {
-                for tid in ctx.threads() {
-                    let i = off + tid as usize;
-                    if i >= span {
-                        continue;
-                    }
-                    let v = ctx.ld_global(SITE_STAGE_LD, tid, self.in_buf, global_base + i);
-                    ctx.st_shared(SITE_STAGE_ST, tid, i, v);
-                    ctx.compute(tid, 2); // the extra address arithmetic
-                }
+                for_warp_rows(ws, 0, bdim.min(span - off), |warp, mask| {
+                    for_lanes(mask, ws, |l| {
+                        let tid = warp as usize * ws + l;
+                        local[l] = (off + tid) as u64;
+                        global[l] = (global_base + off + tid) as u64;
+                        ctx.compute(tid as u32, 2); // the extra address arithmetic
+                    });
+                    ctx.ld_global_row(SITE_STAGE_LD, warp, self.in_buf, mask, &global, &mut vals);
+                    ctx.st_shared_row(SITE_STAGE_ST, warp, mask, &local, &vals);
+                });
                 off += bdim;
             }
             ctx.sync();
@@ -436,8 +421,6 @@ impl Kernel for MapKernel {
         let mut state_cache = StateCache::default();
         let mut wf = self.warp_frames.take();
         wf.fit(&self.program, ws.min(bdim));
-        let mut addrs = vec![None; ws];
-        let mut vals = vec![0.0f32; ws];
         for c in 0..self.coarsen {
             // Thread-strided within the block's contiguous range so each
             // sweep touches consecutive units.
@@ -453,8 +436,8 @@ impl Kernel for MapKernel {
                 let live = (self.units - unit0).min((bdim - lane0).min(ws));
                 wf.reset(&self.proto);
                 if let Some(slot) = self.loop_slot {
-                    for l in 0..live {
-                        wf.set_lane(slot, l, Value::I64(((unit0 + l) % upf) as i64));
+                    for (l, var) in wf.i64_row_mut(slot)[..live].iter_mut().enumerate() {
+                        *var = ((unit0 + l) % upf) as i64;
                     }
                 }
                 let mut io = MapWarpIo {
@@ -466,8 +449,7 @@ impl Kernel for MapKernel {
                     block_base: base,
                     pops: [0; MAX_LANES],
                     pushes: [0; MAX_LANES],
-                    addrs: &mut addrs,
-                    vals: &mut vals,
+                    addrs: [0; MAX_LANES],
                     state_cache: &mut state_cache,
                 };
                 warp::eval(&self.program, &mut wf, full_mask(live), &mut io);

@@ -16,10 +16,9 @@ pub mod reduction;
 pub mod stencil;
 
 use gpu_sim::{BlockCtx, BufId};
-use streamir::value::Value;
 
-use crate::bytecode::{self, Program};
-use crate::warp::for_lanes;
+use crate::bytecode::Program;
+use crate::warp::{for_lanes, full_mask};
 
 pub use fused::FusedReduce;
 pub use map::MapKernel;
@@ -92,26 +91,39 @@ impl StateCache {
         }
     }
 
-    /// One state-load opcode for a warp: `row[lane]` holds the index on
-    /// entry and the loaded value on exit. Rows mix hits (no access) and
-    /// misses (one access by thread `tid0 + lane`), served per lane in
-    /// ascending lane order.
+    /// One state-load opcode for a warp: `out[lane]` receives the value
+    /// at `idx[lane]`. Rows mix hits (no access) and misses (one access by
+    /// thread `tid0 + lane`), served per lane in ascending lane order.
     fn load_row(
         &mut self,
         ctx: &mut BlockCtx<'_>,
         tid0: u32,
         (slot, buf): (u32, BufId),
         mask: u64,
-        row: &mut [Value],
+        idx: &[i64],
+        out: &mut [f32],
     ) {
-        for_lanes(mask, row.len(), |l| {
-            let idx = bytecode::as_i64(row[l]);
-            let v = self.probe(slot, idx).unwrap_or_else(|| {
+        for_lanes(mask, out.len(), |l| {
+            let idx = idx[l];
+            out[l] = self.probe(slot, idx).unwrap_or_else(|| {
                 let v = ctx.ld_global(SITE_STATE + slot, tid0 + l as u32, buf, idx as usize);
                 self.insert(slot, idx, v);
                 v
             });
-            row[l] = Value::F32(v);
         });
+    }
+}
+
+/// Split the thread range `t0..t0 + n` of a block into per-warp pieces and
+/// call `f(warp, mask)` for each, `mask` holding the piece's lanes (lane
+/// `l` is thread `warp * ws + l`). The cooperative sweeps of the templates
+/// issue their loads and stores through this as whole warp rows.
+fn for_warp_rows(ws: usize, t0: usize, n: usize, mut f: impl FnMut(u32, u64)) {
+    let mut t = t0;
+    while t < t0 + n {
+        let lane0 = t % ws;
+        let count = (ws - lane0).min(t0 + n - t);
+        f((t / ws) as u32, full_mask(count) << lane0);
+        t += count;
     }
 }

@@ -25,17 +25,18 @@ use streamir::ir::Expr;
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
-use super::{state_ref, state_slots, StateCache};
+use super::{for_warp_rows, state_ref, state_slots, StateCache};
 use crate::analysis::opcount::body_counts;
 use crate::analysis::reduction::{CombineOp, ReductionPattern};
-use crate::bytecode::{self, Frame, IrIo};
+use crate::bytecode::{self, Frame, IrIo, Ty};
 use crate::layout::Layout;
-use crate::warp::{self, for_lanes, WarpFramePool, WarpIo, MAX_LANES};
+use crate::warp::{self, for_lanes, full_mask, WarpFramePool, WarpIo, MAX_LANES};
 
-const SITE_ELEM: u32 = 0;
+// Shared with the fused template, which reuses the row helpers below.
+pub(super) const SITE_ELEM: u32 = 0;
 const SITE_SHARED_ST: u32 = 1;
-const SITE_SHARED_LD: u32 = 2;
-const SITE_OUT: u32 = 3;
+pub(super) const SITE_SHARED_LD: u32 = 2;
+pub(super) const SITE_OUT: u32 = 3;
 
 /// The reduction semantics shared by all variants.
 #[derive(Debug, Clone)]
@@ -85,6 +86,8 @@ pub struct CompiledReduce {
     pub(crate) loop_slot: Option<u16>,
     /// Element-program state id → index into `ReduceSpec::state`.
     pub(crate) state_slots: Vec<Option<u32>>,
+    /// [`ReduceSpec::compute_per_elem`], charged per element evaluated.
+    pub(crate) compute_per_elem: u32,
     post: Option<(Arc<bytecode::Program>, Vec<Value>, Option<u16>)>,
 }
 
@@ -140,12 +143,16 @@ impl ReduceSpec {
                 Some((e, p)) => (e.clone(), p.clone()),
                 None => {
                     let e = Arc::new(
-                        bytecode::compile_expr(&self.elem, &self.binds, &[&self.loop_var])
-                            .expect("element expression lowers to bytecode"),
+                        bytecode::compile_expr(
+                            &self.elem,
+                            &self.binds,
+                            &[(&self.loop_var, Ty::I64)],
+                        )
+                        .expect("element expression lowers to bytecode"),
                     );
                     let p = self.post.as_ref().map(|post| {
                         Arc::new(
-                            bytecode::compile_expr(post, &self.binds, &[&self.acc_name])
+                            bytecode::compile_expr(post, &self.binds, &[(&self.acc_name, Ty::F32)])
                                 .expect("post expression lowers to bytecode"),
                         )
                     });
@@ -165,6 +172,7 @@ impl ReduceSpec {
                 elem_proto,
                 loop_slot,
                 state_slots,
+                compute_per_elem: self.compute_per_elem() as u32,
                 post,
             })
         })
@@ -230,41 +238,38 @@ struct ElemWarpIo<'c, 'd, 's> {
     state_cache: &'c mut StateCache,
     /// Element-program state id → `spec.state` index.
     state_slots: &'s [Option<u32>],
-    addrs: &'c mut [Option<u64>],
-    vals: &'c mut [f32],
 }
 
 impl WarpIo for ElemWarpIo<'_, '_, '_> {
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]) {
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
         let ppe = self.spec.pops_per_elem;
+        let mut addrs = [0u64; MAX_LANES];
         for_lanes(mask, out.len(), |l| {
             let addr = self
                 .in_layout
                 .addr(self.globals[l], self.pops[l], ppe, self.total_elems);
             self.pops[l] += 1;
-            self.addrs[l] = Some(addr as u64);
+            addrs[l] = addr as u64;
         });
         self.ctx
-            .ld_global_row(SITE_ELEM, self.warp, self.in_buf, self.addrs, self.vals);
-        for_lanes(mask, out.len(), |l| out[l] = Value::F32(self.vals[l]));
-        self.addrs.fill(None);
+            .ld_global_row(SITE_ELEM, self.warp, self.in_buf, mask, &addrs, out);
     }
 
-    fn peek_row(&mut self, _: u64, _: &mut [Value]) {
+    fn peek_row(&mut self, _: u64, _: &[i64], _: &mut [f32]) {
         panic!("peek rejected by reduction detection")
     }
 
-    fn push_row(&mut self, _: u64, _: &[Value]) {
+    fn push_row(&mut self, _: u64, _: &[f32]) {
         panic!("push inside reduction element")
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let target = state_ref(&self.spec.state, self.state_slots, id, array);
         self.state_cache
-            .load_row(self.ctx, self.tid0, target, mask, row);
+            .load_row(self.ctx, self.tid0, target, mask, idx, out);
     }
 
-    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[Value], _: &[Value]) {
+    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[i64], _: &[f32]) {
         panic!("state store inside reduction element")
     }
 }
@@ -280,7 +285,6 @@ fn warp_accumulate(
     spec: &ReduceSpec,
     comp: &CompiledReduce,
     wf: &mut warp::WarpFrame,
-    scratch: &mut WarpScratch,
     state_cache: &mut StateCache,
     warp_idx: u32,
     tid0: u32,
@@ -296,14 +300,13 @@ fn warp_accumulate(
     mut mask: u64,
     acc: &mut [f32; MAX_LANES],
 ) {
-    let cpe = spec.compute_per_elem() as u32;
+    let cpe = comp.compute_per_elem;
     let fpe = 1 + spec.pops_per_elem as u64;
     while mask != 0 {
         wf.reset(&comp.elem_proto);
         if let Some(slot) = comp.loop_slot {
-            for_lanes(mask, live, |l| {
-                wf.set_lane(slot, l, Value::I64(elems[l] as i64));
-            });
+            let var = wf.i64_row_mut(slot);
+            for_lanes(mask, live, |l| var[l] = elems[l] as i64);
         }
         let mut globals = [0usize; MAX_LANES];
         for_lanes(mask, live, |l| {
@@ -321,13 +324,11 @@ fn warp_accumulate(
             pops: [0; MAX_LANES],
             state_cache: &mut *state_cache,
             state_slots: &comp.state_slots,
-            addrs: &mut scratch.addrs,
-            vals: &mut scratch.vals,
         };
-        warp::eval_row(&comp.elem, wf, mask, &mut io, &mut scratch.row);
+        let row = warp::eval_row(&comp.elem, wf, mask, &mut io);
         let mut still = 0u64;
         for_lanes(mask, live, |l| {
-            acc[l] = spec.op.apply(acc[l], scratch.row[l]);
+            acc[l] = spec.op.apply(acc[l], row[l]);
             let tid = tid0 + l as u32;
             ctx.compute(tid, cpe);
             ctx.count_flops(fpe);
@@ -340,40 +341,48 @@ fn warp_accumulate(
     }
 }
 
-/// Reused per-block warp row buffers (`warp_size`-wide address/value rows
-/// plus the `eval_row` result row).
-struct WarpScratch {
-    addrs: Vec<Option<u64>>,
-    vals: Vec<f32>,
-    row: [f32; MAX_LANES],
+/// Store each live lane's accumulator to consecutive shared words from
+/// `base` (the warp's first thread's slot) as one row.
+pub(super) fn store_accs(
+    ctx: &mut BlockCtx<'_>,
+    warp_idx: u32,
+    base: usize,
+    live: usize,
+    acc: &[f32; MAX_LANES],
+) {
+    let mut addrs = [0u64; MAX_LANES];
+    for (l, addr) in addrs.iter_mut().enumerate().take(live) {
+        *addr = (base + l) as u64;
+    }
+    ctx.st_shared_row(SITE_SHARED_ST, warp_idx, full_mask(live), &addrs, acc);
 }
 
-impl WarpScratch {
-    fn new(ws: usize) -> WarpScratch {
-        WarpScratch {
-            addrs: vec![None; ws],
-            vals: vec![0.0; ws],
-            row: [0.0; MAX_LANES],
-        }
-    }
-
-    /// Store each live lane's accumulator to its thread's shared slot as
-    /// one row.
-    fn store_accs(
-        &mut self,
-        ctx: &mut BlockCtx<'_>,
-        warp_idx: u32,
-        tid0: usize,
-        live: usize,
-        acc: &[f32; MAX_LANES],
-    ) {
-        for (l, slot) in self.addrs.iter_mut().enumerate().take(live) {
-            *slot = Some((tid0 + l) as u64);
-            self.vals[l] = acc[l];
-        }
-        ctx.st_shared_row(SITE_SHARED_ST, warp_idx, &self.addrs, &self.vals);
-        self.addrs.fill(None);
-    }
+/// One level of a shared-memory tree reduction, issued as warp rows:
+/// thread `t0 + lane` combines `shared[base + lane]` with
+/// `shared[base + lane + active]` for `lane < active`. No lane reads a
+/// word another lane of the level writes, so the row order is free.
+pub(super) fn tree_level(
+    ctx: &mut BlockCtx<'_>,
+    op: CombineOp,
+    t0: usize,
+    base: usize,
+    active: usize,
+) {
+    let ws = ctx.warp_size() as usize;
+    let (mut near, mut far) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
+    let (mut a, mut b) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
+    for_warp_rows(ws, t0, active, |warp, mask| {
+        for_lanes(mask, ws, |l| {
+            let tid = warp as usize * ws + l;
+            near[l] = (base + tid - t0) as u64;
+            far[l] = near[l] + active as u64;
+            ctx.compute(tid as u32, 1);
+        });
+        ctx.ld_shared_row(SITE_SHARED_LD, warp, mask, &near, &mut a);
+        ctx.ld_shared_row(SITE_SHARED_LD, warp, mask, &far, &mut b);
+        for_lanes(mask, ws, |l| a[l] = op.apply(a[l], b[l]));
+        ctx.st_shared_row(SITE_SHARED_ST, warp, mask, &near, &a);
+    });
 }
 
 /// Block-level tree reduction over shared memory (Figure 8's loops L1/L2).
@@ -387,28 +396,17 @@ fn shared_tree_reduce(ctx: &mut BlockCtx<'_>, op: CombineOp, group_base: usize, 
         "reduction groups are power-of-two sized (got {group_size})"
     );
     let warp = ctx.warp_size() as usize;
-    let combine = |ctx: &mut BlockCtx<'_>, lane: usize, active: usize| {
-        let tid = (group_base + lane) as u32;
-        let a = ctx.ld_shared(SITE_SHARED_LD, tid, group_base + lane);
-        let b = ctx.ld_shared(SITE_SHARED_LD, tid, group_base + lane + active);
-        ctx.st_shared(SITE_SHARED_ST, tid, group_base + lane, op.apply(a, b));
-        ctx.compute(tid, 1);
-    };
     // L1: halve with barriers while more than one warp participates.
     let mut active = group_size / 2;
     while active >= warp {
-        for lane in 0..active {
-            combine(ctx, lane, active);
-        }
+        tree_level(ctx, op, group_base, group_base, active);
         ctx.sync();
         active /= 2;
     }
     // L2: finish within one warp; no barriers needed (Figure 8 keeps warp
     // lanes active rather than diverging further).
     while active >= 1 {
-        for lane in 0..active {
-            combine(ctx, lane, active);
-        }
+        tree_level(ctx, op, group_base, group_base, active);
         active /= 2;
     }
 }
@@ -462,7 +460,6 @@ impl Kernel for SingleKernelReduce {
         let bdim = self.block_dim as usize;
         let mut wf = self.spec.exec.warp_frames.take();
         wf.fit(&comp.elem, ws.min(bdim));
-        let mut scratch = WarpScratch::new(ws);
         let mut lane0 = 0usize;
         while lane0 < bdim {
             let live = (bdim - lane0).min(ws);
@@ -488,7 +485,6 @@ impl Kernel for SingleKernelReduce {
                 &self.spec,
                 &comp,
                 &mut wf,
-                &mut scratch,
                 &mut state_cache,
                 warp_idx,
                 lane0 as u32,
@@ -504,7 +500,7 @@ impl Kernel for SingleKernelReduce {
                 mask,
                 &mut acc,
             );
-            scratch.store_accs(ctx, warp_idx, lane0, live, &acc);
+            store_accs(ctx, warp_idx, lane0, live, &acc);
             lane0 += ws;
         }
         self.spec.exec.warp_frames.give(wf);
@@ -588,7 +584,6 @@ impl Kernel for InitialReduce {
         let bdim = self.block_dim as usize;
         let mut wf = self.spec.exec.warp_frames.take();
         wf.fit(&comp.elem, ws.min(bdim));
-        let mut scratch = WarpScratch::new(ws);
         let mut arrays = [0usize; MAX_LANES];
         arrays.fill(array);
         let mut lane0 = 0usize;
@@ -609,7 +604,6 @@ impl Kernel for InitialReduce {
                 &self.spec,
                 &comp,
                 &mut wf,
-                &mut scratch,
                 &mut state_cache,
                 warp_idx,
                 lane0 as u32,
@@ -625,7 +619,7 @@ impl Kernel for InitialReduce {
                 mask,
                 &mut acc,
             );
-            scratch.store_accs(ctx, warp_idx, lane0, live, &acc);
+            store_accs(ctx, warp_idx, lane0, live, &acc);
             lane0 += ws;
         }
         self.spec.exec.warp_frames.give(wf);

@@ -18,9 +18,9 @@ use streamir::ir::Stmt;
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
-use super::{state_ref, state_slots, SITE_STATE};
+use super::{for_warp_rows, state_ref, state_slots, SITE_STATE};
 use crate::analysis::opcount::body_counts;
-use crate::bytecode;
+use crate::bytecode::{self, Ty};
 use crate::warp::{self, for_lanes, WarpFramePool, WarpIo, MAX_LANES};
 
 const SITE_LOAD: u32 = 0;
@@ -82,7 +82,7 @@ impl StencilKernel {
         out_buf: BufId,
     ) -> StencilKernel {
         let program = Arc::new(
-            bytecode::compile_body(body, &binds, &[loop_var])
+            bytecode::compile_body(body, &binds, &[(loop_var, Ty::I64)])
                 .expect("stencil body lowers to bytecode"),
         );
         Self::precompiled(
@@ -137,14 +137,6 @@ impl StencilKernel {
         k
     }
 
-    /// Adopt a plan-precompiled program (re-binding against this kernel's
-    /// bindings, which vary per launch).
-    pub fn with_program(mut self, program: Arc<bytecode::Program>) -> StencilKernel {
-        self.program = program;
-        self.rebind_program();
-        self
-    }
-
     /// Share the engine's warp-frame pool.
     pub fn with_warp_frames(mut self, frames: Arc<WarpFramePool>) -> StencilKernel {
         self.warp_frames = frames;
@@ -193,7 +185,7 @@ impl StencilKernel {
 /// Warp-granular I/O for the stencil template: tile peeks and output
 /// pushes travel as whole lane-rows. Lane `l` computes global element
 /// `globals[l]` as thread `tid0 + l`; edge tiles leave holes in the
-/// lane mask, which simply become `None` addresses in the rows.
+/// lane mask, which the rows carry through to the accounting engine.
 struct StencilWarpIo<'c, 'd, 'k> {
     ctx: &'c mut BlockCtx<'d>,
     kernel: &'k StencilKernel,
@@ -202,22 +194,20 @@ struct StencilWarpIo<'c, 'd, 'k> {
     tile_r0: usize,
     tile_c0: usize,
     /// Per-lane global element index (valid for masked lanes only).
-    globals: [usize; MAX_LANES],
-    pushed: [bool; MAX_LANES],
-    /// Reused address row, `warp_size` wide.
-    addrs: &'c mut [Option<u64>],
-    vals: &'c mut [f32],
+    globals: [u64; MAX_LANES],
+    pushed: u64,
 }
 
 impl WarpIo for StencilWarpIo<'_, '_, '_> {
-    fn pop_row(&mut self, _mask: u64, _out: &mut [Value]) {
+    fn pop_row(&mut self, _mask: u64, _out: &mut [f32]) {
         panic!("pop inside stencil element (rejected at detection)")
     }
 
-    fn peek_row(&mut self, mask: u64, row: &mut [Value]) {
+    fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]) {
         let k = self.kernel;
-        for_lanes(mask, row.len(), |l| {
-            let offset = bytecode::as_i64(row[l]);
+        let mut addrs = [0u64; MAX_LANES];
+        for_lanes(mask, out.len(), |l| {
+            let offset = offsets[l];
             assert!(
                 offset >= 0 && (offset as usize) < k.rows * k.cols,
                 "stencil peek at {offset} outside the input (guard missing?)"
@@ -232,40 +222,35 @@ impl WarpIo for StencilWarpIo<'_, '_, '_> {
                 self.tile_r0,
                 self.tile_c0
             );
-            self.addrs[l] = Some((er as usize * k.ext_w() + ec as usize) as u64);
+            addrs[l] = (er as usize * k.ext_w() + ec as usize) as u64;
         });
         self.ctx
-            .ld_shared_row(SITE_TILE_LD, self.warp, self.addrs, self.vals);
-        for_lanes(mask, row.len(), |l| row[l] = Value::F32(self.vals[l]));
-        self.addrs.fill(None);
+            .ld_shared_row(SITE_TILE_LD, self.warp, mask, &addrs, out);
     }
 
-    fn push_row(&mut self, mask: u64, vals: &[Value]) {
-        let k = self.kernel;
-        for_lanes(mask, vals.len(), |l| {
-            assert!(!self.pushed[l], "stencil element pushed twice");
-            self.pushed[l] = true;
-            self.addrs[l] = Some(self.globals[l] as u64);
-            self.vals[l] = bytecode::as_f32(vals[l]);
-        });
-        self.ctx
-            .st_global_row(SITE_PUSH, self.warp, k.out_buf, self.addrs, self.vals);
-        self.addrs.fill(None);
+    fn push_row(&mut self, mask: u64, vals: &[f32]) {
+        assert!(self.pushed & mask == 0, "stencil element pushed twice");
+        self.pushed |= mask;
+        self.ctx.st_global_row(
+            SITE_PUSH,
+            self.warp,
+            self.kernel.out_buf,
+            mask,
+            &self.globals,
+            vals,
+        );
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]) {
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let k = self.kernel;
         let (slot, buf) = state_ref(&k.state, &k.state_slots, id, array);
-        for_lanes(mask, row.len(), |l| {
-            self.addrs[l] = Some(bytecode::as_i64(row[l]) as u64);
-        });
+        let mut addrs = [0u64; MAX_LANES];
+        for_lanes(mask, out.len(), |l| addrs[l] = idx[l] as u64);
         self.ctx
-            .ld_global_row(SITE_STATE + slot, self.warp, buf, self.addrs, self.vals);
-        for_lanes(mask, row.len(), |l| row[l] = Value::F32(self.vals[l]));
-        self.addrs.fill(None);
+            .ld_global_row(SITE_STATE + slot, self.warp, buf, mask, &addrs, out);
     }
 
-    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[Value], _: &[Value]) {
+    fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[i64], _: &[f32]) {
         panic!("state store inside stencil element")
     }
 }
@@ -291,32 +276,33 @@ impl Kernel for StencilKernel {
         let (ext_w, ext_h) = (self.ext_w(), self.ext_h());
 
         // Phase 1: cooperative load of tile + halo, row by row so each
-        // warp sweep touches consecutive global addresses.
+        // warp sweep touches consecutive global addresses. Every warp
+        // issues one global-load row (its in-grid lanes) and one
+        // shared-store row per sweep; cells outside the grid stage 0.
         let bdim = self.block_dim as usize;
+        let ws = ctx.warp_size() as usize;
+        let (mut global, mut tile) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
+        let mut vals = [0.0f32; MAX_LANES];
         for er in 0..ext_h {
             let r = tile_r0 as i64 - self.halo_r as i64 + er as i64;
+            let row_in_grid = r >= 0 && (r as usize) < self.rows;
             let mut base = 0usize;
             while base < ext_w {
-                for tid in ctx.threads() {
-                    let ec = base + tid as usize;
-                    if ec >= ext_w {
-                        continue;
-                    }
-                    let c = tile_c0 as i64 - self.halo_c as i64 + ec as i64;
-                    let v =
-                        if r >= 0 && (r as usize) < self.rows && c >= 0 && (c as usize) < self.cols
-                        {
-                            ctx.ld_global(
-                                SITE_LOAD,
-                                tid,
-                                self.in_buf,
-                                r as usize * self.cols + c as usize,
-                            )
-                        } else {
-                            0.0
-                        };
-                    ctx.st_shared(SITE_TILE_ST, tid, er * ext_w + ec, v);
-                }
+                for_warp_rows(ws, 0, bdim.min(ext_w - base), |warp, mask| {
+                    let mut in_grid = 0u64;
+                    for_lanes(mask, ws, |l| {
+                        let ec = base + warp as usize * ws + l;
+                        let c = tile_c0 as i64 - self.halo_c as i64 + ec as i64;
+                        tile[l] = (er * ext_w + ec) as u64;
+                        vals[l] = 0.0;
+                        if row_in_grid && c >= 0 && (c as usize) < self.cols {
+                            in_grid |= 1 << l;
+                            global[l] = (r as usize * self.cols + c as usize) as u64;
+                        }
+                    });
+                    ctx.ld_global_row(SITE_LOAD, warp, self.in_buf, in_grid, &global, &mut vals);
+                    ctx.st_shared_row(SITE_TILE_ST, warp, mask, &tile, &vals);
+                });
                 base += bdim;
             }
         }
@@ -327,18 +313,15 @@ impl Kernel for StencilKernel {
         // shared tile and pushing output as whole lane-rows. Elements
         // past the grid edge leave holes in an edge tile's lane mask.
         let elems = self.tile_w * self.tile_h;
-        let ws = ctx.warp_size() as usize;
         let mut wf = self.warp_frames.take();
         wf.fit(&self.program, ws.min(bdim));
-        let mut addrs = vec![None; ws];
-        let mut vals = vec![0.0f32; ws];
         let mut e = 0usize;
         while e < elems {
             let mut lane0 = 0usize;
             while lane0 < bdim && e + lane0 < elems {
                 let live = (elems - e - lane0).min((bdim - lane0).min(ws));
                 let mut mask = 0u64;
-                let mut globals = [0usize; MAX_LANES];
+                let mut globals = [0u64; MAX_LANES];
                 for (l, global) in globals.iter_mut().enumerate().take(live) {
                     let el = e + lane0 + l;
                     let (dr, dc) = (el / self.tile_w, el % self.tile_w);
@@ -347,14 +330,13 @@ impl Kernel for StencilKernel {
                         continue;
                     }
                     mask |= 1 << l;
-                    *global = r * self.cols + c;
+                    *global = (r * self.cols + c) as u64;
                 }
                 if mask != 0 {
                     wf.reset(&self.proto);
                     if let Some(slot) = self.loop_slot {
-                        for_lanes(mask, live, |l| {
-                            wf.set_lane(slot, l, Value::I64(globals[l] as i64));
-                        });
+                        let var = wf.i64_row_mut(slot);
+                        for_lanes(mask, live, |l| var[l] = globals[l] as i64);
                     }
                     let mut io = StencilWarpIo {
                         ctx,
@@ -363,9 +345,7 @@ impl Kernel for StencilKernel {
                         tile_r0,
                         tile_c0,
                         globals,
-                        pushed: [false; MAX_LANES],
-                        addrs: &mut addrs,
-                        vals: &mut vals,
+                        pushed: 0,
                     };
                     warp::eval(&self.program, &mut wf, mask, &mut io);
                     for_lanes(mask, live, |l| {

@@ -1,17 +1,20 @@
 //! Warp-batched SIMT execution of compiled bytecode.
 //!
 //! The scalar evaluator in [`crate::bytecode`] dispatches every opcode
-//! once *per thread per firing*; after PR 3 that dispatch loop became the
-//! dominant cost of figure-scale sweeps. Real GPU hardware does not pay
-//! it: a warp fetches one instruction and applies it to 32 lanes in
-//! lockstep. This module reproduces that shape in software:
+//! once *per thread per firing*. Real GPU hardware does not pay that: a
+//! warp fetches one instruction and applies it to 32 lanes in lockstep.
+//! This module reproduces that shape in software:
 //!
-//! * **SoA warp frames.** A [`WarpFrame`] holds one *row* per register
-//!   slot and per operand-stack depth — `lanes` consecutive [`Value`]s,
-//!   lane-indexed — so each opcode executes once and loops over a
-//!   resident-lane bitmask. The operand stack is a preallocated slab
-//!   (`max_stack × lanes`); pushes and pops are pointer bumps, never
-//!   `Vec` traffic.
+//! * **Typed, untagged SoA rows.** The typing pass of
+//!   [`crate::bytecode`] fixes the type of every slot and stack entry at
+//!   plan time, so a [`WarpFrame`] holds plain `f32` rows, plain `i64`
+//!   rows and — for booleans — one `u64` lane mask per row. Each opcode
+//!   executes once as a tight loop over its rows that the compiler can
+//!   vectorize; a comparison produces a mask, `&&`/`||`/`!` are single
+//!   word operations, and a branch condition splits the active mask with
+//!   `mask & !cond`. The operand stack is a preallocated slab per type
+//!   (`max_stack` rows each, one shared depth); pushes and pops are
+//!   pointer bumps.
 //!
 //! * **Predicate masks + a reconvergence worklist.** Divergence
 //!   (per-lane branches, uneven loop trip counts) is handled by
@@ -20,50 +23,40 @@
 //!   fragment with the smallest program counter and merges fragments
 //!   that meet at the same pc, which for the structured control flow the
 //!   compiler emits (forward `if`/`else` joins, backward loop edges) is
-//!   exactly immediate-post-dominator reconvergence. The compiler emits
-//!   every branch opcode at operand-stack depth 0 (statements have net
-//!   zero stack effect and `JumpIfFalse` pops its own condition), so one
-//!   shared SoA stack serves all fragments; the scheduler asserts the
-//!   stack is empty at every suspend and merge point.
+//!   exactly immediate-post-dominator reconvergence. Every branch opcode
+//!   sits at operand-stack depth 0 (the typing pass checks it), so one
+//!   shared stack serves all fragments.
 //!
-//! * **Masked lane loops.** An opcode only ever evaluates *active*
-//!   lanes: inactive lanes may hold garbage whose evaluation could fault
-//!   (integer division by zero, boolean coercion of a float), exactly as
-//!   inactive hardware lanes are predicated off. A full-mask fast path
-//!   iterates `0..lanes` without bit scanning.
+//! * **What stays masked.** Pure opcodes compute every lane of a row,
+//!   active or not: an inactive lane holds garbage whose result is never
+//!   observed, and a straight loop beats bit-scanning. Three things are
+//!   observable and therefore run on active lanes only: slot stores
+//!   (inactive lanes keep their values across divergent branches), `i64`
+//!   `/` and `%` (a zero divisor on a predicated-off lane must not
+//!   fault) and I/O (each lane's pop/push sequence is its own).
 //!
-//! Per-lane semantics are *identical* to the scalar evaluator — wrapping
-//! `i64` arithmetic, non-short-circuit `&&`/`||`, variant-preserving
-//! `select` — because both paths share the same `bin`/`call` kernels.
-//! Each lane executes its own control path in program order, so the
-//! per-thread access sequences observed by `gpu_sim::accounting` are
-//! unchanged; only cross-lane interleaving differs, which the streaming
-//! engine's counters are invariant to. The scalar evaluator is the
-//! in-crate differential reference (see the tests below); the oracle for
-//! both is [`streamir::interp::Interpreter`].
+//! Per-lane semantics equal the scalar evaluator's — wrapping `i64`
+//! arithmetic, truncating `f32 → i64`, non-short-circuit `&&`/`||`,
+//! numbers true when non-zero. Each lane executes its own control path
+//! in program order, so the per-thread access sequences observed by
+//! `gpu_sim::accounting` are unchanged; only cross-lane interleaving
+//! differs, which the streaming engine's counters are invariant to. The
+//! scalar evaluator is the in-crate differential reference (see the
+//! tests below); the oracle for both is
+//! [`streamir::interp::Interpreter`].
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, MutexGuard, PoisonError};
 
-use streamir::ir::BinOp;
+use streamir::ir::{BinOp, Intrinsic};
 use streamir::value::Value;
 
-use crate::bytecode::{as_f32, as_i64, bin, call, Op, Program};
+use crate::bytecode::{Op, Program, Ty, NO_ROW};
 
-/// Maximum lanes per warp frame (mask width).
-pub const MAX_LANES: usize = 64;
-
-/// All-resident mask for a `lanes`-wide warp.
-#[inline]
-pub fn full_mask(lanes: usize) -> u64 {
-    debug_assert!(0 < lanes && lanes <= MAX_LANES);
-    if lanes >= 64 {
-        u64::MAX
-    } else {
-        (1u64 << lanes) - 1
-    }
-}
+/// Maximum lanes per warp frame (mask width) and the all-resident mask
+/// of a `lanes`-wide warp: the row shape `gpu_sim` accounts.
+pub use gpu_sim::mem::{full_mask, MAX_LANES};
 
 /// Iterate the set lanes of `mask`, fast-pathing the full mask.
 #[inline]
@@ -73,12 +66,7 @@ pub fn for_lanes(mask: u64, lanes: usize, mut f: impl FnMut(usize)) {
             f(l);
         }
     } else {
-        let mut m = mask;
-        while m != 0 {
-            let l = m.trailing_zeros() as usize;
-            m &= m - 1;
-            f(l);
-        }
+        gpu_sim::mem::for_each_lane(mask, f);
     }
 }
 
@@ -86,38 +74,48 @@ pub fn for_lanes(mask: u64, lanes: usize, mut f: impl FnMut(usize)) {
 /// [`crate::bytecode::IrIo`]. Each method serves one opcode for every set
 /// lane of `mask` at once, letting implementations batch whole lane-rows
 /// into `gpu_sim` (one accounting call per warp instruction instead of
-/// one per lane). Lane indices are warp-relative; implementations map
-/// them to threads/units themselves.
+/// one per lane). Rows are as wide as the frame; lane indices are
+/// warp-relative and implementations map them to threads/units
+/// themselves. Only the set lanes of an input row are meaningful and only
+/// the set lanes of `out` need writing.
 pub trait WarpIo {
-    /// One `pop()` per set lane; write `Value::F32` results into
-    /// `out[lane]`.
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]);
-    /// In place: `row[lane]` holds the peek offset (integral) on entry
-    /// and must hold the peeked `Value::F32` on exit.
-    fn peek_row(&mut self, mask: u64, row: &mut [Value]);
-    /// One `push(v)` per set lane, `vals[lane]` being the value.
-    fn push_row(&mut self, mask: u64, vals: &[Value]);
-    /// In place: `row[lane]` holds the state index on entry, the loaded
-    /// `Value::F32` on exit.
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, row: &mut [Value]);
-    /// One state store per set lane (`idx[lane]`, `vals[lane]`).
-    fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[Value], vals: &[Value]);
+    /// One `pop()` per set lane into `out[lane]`.
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]);
+    /// One `peek(offsets[lane])` per set lane into `out[lane]`.
+    fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]);
+    /// One `push(vals[lane])` per set lane.
+    fn push_row(&mut self, mask: u64, vals: &[f32]);
+    /// One state load per set lane: `array[idx[lane]]` into `out[lane]`.
+    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]);
+    /// One state store per set lane: `array[idx[lane]] = vals[lane]`.
+    fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], vals: &[f32]);
 }
 
-/// A reusable warp-wide evaluation frame: SoA slot rows plus an SoA
-/// operand-stack slab, both `lanes` values wide. Obtained from a
-/// [`WarpFramePool`]; reset per warp of firings by broadcasting the
-/// launch's bound slot prototype across every lane.
+/// A reusable warp-wide evaluation frame: typed SoA slot rows plus a
+/// typed SoA operand-stack slab, `lanes` values (or one mask bit per
+/// lane) wide. Obtained from a [`WarpFramePool`]; reset per warp of
+/// firings by broadcasting the launch's bound slot prototype across every
+/// lane.
 #[derive(Debug, Default)]
 pub struct WarpFrame {
     lanes: usize,
-    n_slots: usize,
-    /// Slot-major rows: `slots[slot * lanes + lane]`.
-    slots: Vec<Value>,
-    /// Depth-major rows: `stack[depth * lanes + lane]`.
-    stack: Vec<Value>,
+    /// Slot → row index per [`Ty`], copied from the program by `fit`.
+    rows: Vec<[u16; 3]>,
+    /// Slot rows, row-major per type: `f_slots[row * lanes + lane]`.
+    f_slots: Vec<f32>,
+    i_slots: Vec<i64>,
+    /// One lane mask per boolean slot row.
+    b_slots: Vec<u64>,
+    /// Operand stack, depth-major per type; entry `d` lives in the slab
+    /// of its (statically known) type.
+    f_stack: Vec<f32>,
+    i_stack: Vec<i64>,
+    b_stack: Vec<u64>,
     /// Operand-stack depth in rows.
     sp: usize,
+    /// Kernel-owned staging space that rides along with the pooled frame
+    /// (the fused-reduction template keeps its shared pop windows here).
+    pub aux: Vec<f32>,
 }
 
 impl WarpFrame {
@@ -126,20 +124,40 @@ impl WarpFrame {
     pub fn fit(&mut self, prog: &Program, lanes: usize) {
         assert!(0 < lanes && lanes <= MAX_LANES, "warp width {lanes}");
         self.lanes = lanes;
-        self.n_slots = prog.n_slots();
-        self.slots.clear();
-        self.slots.resize(prog.n_slots() * lanes, Value::F32(0.0));
-        self.stack.clear();
-        self.stack.resize(prog.max_stack() * lanes, Value::F32(0.0));
+        self.rows.clear();
+        self.rows.extend_from_slice(prog.rows());
+        let [nf, ni, nb] = prog.n_rows().map(usize::from);
+        self.f_slots.resize(nf * lanes, 0.0);
+        self.i_slots.resize(ni * lanes, 0);
+        self.b_slots.resize(nb, 0);
+        let depth = prog.max_stack();
+        self.f_stack.resize(depth * lanes, 0.0);
+        self.i_stack.resize(depth * lanes, 0);
+        self.b_stack.resize(depth, 0);
         self.sp = 0;
     }
 
-    /// Prepare for one warp of firings: every lane's slots become a copy
-    /// of `proto`, the operand stack empties.
+    /// Prepare for one warp of firings: every lane of a slot's row of the
+    /// prototype value's type becomes that value, its other rows zero,
+    /// and the operand stack empties.
     pub fn reset(&mut self, proto: &[Value]) {
-        debug_assert_eq!(proto.len(), self.n_slots, "fit() before reset()");
-        for (s, v) in proto.iter().enumerate() {
-            self.slots[s * self.lanes..(s + 1) * self.lanes].fill(*v);
+        debug_assert_eq!(proto.len(), self.rows.len(), "fit() before reset()");
+        let lanes = self.lanes;
+        for (v, &[rf, ri, rb]) in proto.iter().zip(&self.rows) {
+            let (f, i, b) = match *v {
+                Value::F32(x) => (x, 0, false),
+                Value::I64(i) => (0.0, i, false),
+                Value::Bool(b) => (0.0, 0, b),
+            };
+            if rf != NO_ROW {
+                self.f_slots[rf as usize * lanes..][..lanes].fill(f);
+            }
+            if ri != NO_ROW {
+                self.i_slots[ri as usize * lanes..][..lanes].fill(i);
+            }
+            if rb != NO_ROW {
+                self.b_slots[rb as usize] = if b { u64::MAX } else { 0 };
+            }
         }
         self.sp = 0;
     }
@@ -150,56 +168,44 @@ impl WarpFrame {
         self.lanes
     }
 
-    /// Write one lane of a preset slot (loop variable, accumulator).
+    /// Start of `slot`'s row of type `ty` in that type's slot slab.
     #[inline]
-    pub fn set_lane(&mut self, slot: u16, lane: usize, v: Value) {
-        self.slots[slot as usize * self.lanes + lane] = v;
+    fn slot_base(&self, slot: u16, ty: Ty) -> usize {
+        let row = self.rows[slot as usize][ty as usize];
+        assert!(row != NO_ROW, "slot {slot} holds no {ty:?}");
+        row as usize * self.lanes
     }
 
-    /// Read one lane of a slot back.
+    /// The `i64` row of a slot, for seeding an integer preset (loop
+    /// variable) per lane after a reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program never holds an `i64` in `slot`.
     #[inline]
-    pub fn get_lane(&self, slot: u16, lane: usize) -> Value {
-        self.slots[slot as usize * self.lanes + lane]
+    pub fn i64_row_mut(&mut self, slot: u16) -> &mut [i64] {
+        let base = self.slot_base(slot, Ty::I64);
+        &mut self.i_slots[base..base + self.lanes]
     }
 
-    /// Push a fresh stack row and return it for writing.
+    /// The `f32` row of a slot, for seeding a float preset (accumulator)
+    /// per lane after a reset.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the program never holds an `f32` in `slot`.
     #[inline]
-    fn push_row(&mut self) -> &mut [Value] {
-        let base = self.sp * self.lanes;
-        self.sp += 1;
-        &mut self.stack[base..base + self.lanes]
+    pub fn f32_row_mut(&mut self, slot: u16) -> &mut [f32] {
+        let base = self.slot_base(slot, Ty::F32);
+        &mut self.f_slots[base..base + self.lanes]
     }
 
-    /// Pop the top row and return it (still valid until the next push).
-    #[inline]
-    fn pop_row(&mut self) -> &[Value] {
-        self.sp -= 1;
-        let base = self.sp * self.lanes;
-        &self.stack[base..base + self.lanes]
-    }
-
-    /// The top row, mutable in place.
-    #[inline]
-    fn top_row_mut(&mut self) -> &mut [Value] {
-        let base = (self.sp - 1) * self.lanes;
-        &mut self.stack[base..base + self.lanes]
-    }
-
-    /// The two top rows `(below, top)`, for binary operators.
-    #[inline]
-    fn top2_mut(&mut self) -> (&mut [Value], &mut [Value]) {
-        let mid = (self.sp - 1) * self.lanes;
-        let lo = mid - self.lanes;
-        let (a, b) = self.stack.split_at_mut(mid);
-        (&mut a[lo..], &mut b[..self.lanes])
-    }
-
-    /// Take the single result row of an expression program: asserts the
-    /// stack holds exactly one row and empties it.
-    pub fn take_value_row(&mut self) -> &[Value] {
+    /// Take the single `f32` result row of an expression program: asserts
+    /// the stack holds exactly one row and empties it.
+    pub fn take_value_row(&mut self) -> &[f32] {
         assert_eq!(self.sp, 1, "expression leaves one value row");
         self.sp = 0;
-        &self.stack[..self.lanes]
+        &self.f_stack[..self.lanes]
     }
 }
 
@@ -262,67 +268,76 @@ impl WarpFramePool {
     }
 }
 
-/// One `Op::Bin` over a whole row: `a[l] = a[l] op b[l]` for active
-/// lanes.
-///
-/// The generic path calls [`bin`] per lane, which re-dispatches the
-/// operator *and* both operand variants on every lane — exactly the
-/// per-firing cost warp batching exists to amortize. Full-mask rows
-/// whose operands are uniformly `f32` (by far the common case in
-/// numeric bodies) instead match the operator once per row and run a
-/// tight untag/compute/retag loop. The arithmetic inside is the same
-/// `f32` expression `bin` evaluates, so results stay per-lane
-/// bit-identical to the scalar evaluator.
+/// Row `d` of a depth- or row-major slab.
+macro_rules! row {
+    ($slab:expr, $d:expr, $lanes:expr) => {
+        $slab[$d * $lanes..($d + 1) * $lanes]
+    };
+}
+
+/// The two top stack rows `(below, top)` of one slab, for binary
+/// operators: the result overwrites `below`.
 #[inline]
-fn bin_row(op: BinOp, mask: u64, lanes: usize, a: &mut [Value], b: &[Value]) {
-    let (a, b) = (&mut a[..lanes], &b[..lanes]);
-    let uniform_f32 = mask == full_mask(lanes)
-        && a.iter().all(|v| matches!(v, Value::F32(_)))
-        && b.iter().all(|v| matches!(v, Value::F32(_)));
-    if uniform_f32 {
-        #[inline(always)]
-        fn f(v: Value) -> f32 {
-            match v {
-                Value::F32(x) => x,
-                _ => unreachable!("row checked uniform f32"),
-            }
-        }
-        macro_rules! arith {
-            ($w:expr) => {
-                for l in 0..lanes {
-                    a[l] = Value::F32($w(f(a[l]), f(b[l])));
-                }
-            };
-        }
-        macro_rules! cmp {
-            ($w:expr) => {
-                for l in 0..lanes {
-                    a[l] = Value::Bool($w(f(a[l]), f(b[l])));
-                }
-            };
-        }
-        match op {
-            BinOp::Add => arith!(|x, y| x + y),
-            BinOp::Sub => arith!(|x, y| x - y),
-            BinOp::Mul => arith!(|x, y| x * y),
-            BinOp::Div => arith!(|x, y| x / y),
-            BinOp::Rem => arith!(|x: f32, y: f32| x % y),
-            BinOp::Lt => cmp!(|x, y| x < y),
-            BinOp::Le => cmp!(|x, y| x <= y),
-            BinOp::Gt => cmp!(|x, y| x > y),
-            BinOp::Ge => cmp!(|x, y| x >= y),
-            BinOp::Eq => cmp!(|x, y| x == y),
-            BinOp::Ne => cmp!(|x, y| x != y),
-            // Boolean coercion of floats is `bin`'s business.
-            BinOp::And | BinOp::Or => {
-                for l in 0..lanes {
-                    a[l] = bin(op, a[l], b[l]);
-                }
-            }
-        }
-        return;
+fn top2<T>(slab: &mut [T], sp: usize, lanes: usize) -> (&mut [T], &[T]) {
+    let (below, top) = slab[(sp - 2) * lanes..sp * lanes].split_at_mut(lanes);
+    (below, top)
+}
+
+/// Lane mask of `f(a[l], b[l])`.
+#[inline]
+fn mask_of<T: Copy>(a: &[T], b: &[T], f: impl Fn(T, T) -> bool) -> u64 {
+    let mut m = 0u64;
+    for (l, (x, y)) in a.iter().zip(b).enumerate() {
+        m |= (f(*x, *y) as u64) << l;
     }
-    for_lanes(mask, lanes, |l| a[l] = bin(op, a[l], b[l]));
+    m
+}
+
+/// Lane mask of the comparison `a[l] op b[l]`.
+#[inline]
+fn compare_rows<T: Copy + PartialOrd>(op: BinOp, a: &[T], b: &[T]) -> u64 {
+    match op {
+        BinOp::Lt => mask_of(a, b, |x, y| x < y),
+        BinOp::Le => mask_of(a, b, |x, y| x <= y),
+        BinOp::Gt => mask_of(a, b, |x, y| x > y),
+        BinOp::Ge => mask_of(a, b, |x, y| x >= y),
+        BinOp::Eq => mask_of(a, b, |x, y| x == y),
+        BinOp::Ne => mask_of(a, b, |x, y| x != y),
+        _ => unreachable!("typed as arithmetic or Bool"),
+    }
+}
+
+/// `a[l] = f(a[l], b[l])` on every lane.
+#[inline]
+fn zip_rows<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T) {
+    for (x, y) in a.iter_mut().zip(b) {
+        *x = f(*x, *y);
+    }
+}
+
+/// Result `r` of a commutative `f32` operator applied to `(x, _)`, with
+/// the NaN rule pinned: a NaN `x` answers itself (quieted). When both
+/// operands are NaN the hardware returns the first one's payload, and the
+/// compiler is free to swap the operands of `+` and `*` in a vectorised
+/// loop, which would let the second one's sign through; the scalar
+/// evaluators' `x op y` keeps the first.
+#[inline]
+fn first_nan(x: f32, r: f32) -> f32 {
+    if x.is_nan() {
+        f32::from_bits(x.to_bits() | 0x0040_0000)
+    } else {
+        r
+    }
+}
+
+/// `dst[l] = src[l]` on the lanes of `mask`.
+#[inline]
+fn store_masked<T: Copy>(mask: u64, dst: &mut [T], src: &[T]) {
+    if mask == full_mask(dst.len()) {
+        dst.copy_from_slice(src);
+    } else {
+        for_lanes(mask, dst.len(), |l| dst[l] = src[l]);
+    }
 }
 
 /// A suspended divergent fragment: lanes in `mask` are waiting to resume
@@ -364,15 +379,15 @@ fn min_pc(pending: &[Frag]) -> u32 {
     pending.iter().map(|f| f.pc).min().unwrap_or(u32::MAX)
 }
 
-/// Execute a compiled body warp-wide: one dispatch per opcode, a masked
-/// lane loop per dispatch. `init_mask` selects the resident lanes (a
+/// Execute a compiled body warp-wide: one dispatch per opcode, one typed
+/// row loop per dispatch. `init_mask` selects the resident lanes (a
 /// ragged final warp simply passes fewer bits). The frame must have been
 /// [`WarpFrame::fit`] for `prog` and [`WarpFrame::reset`] with the bound
 /// prototype, preset rows seeded per lane.
 ///
-/// Infallible like the scalar evaluator; data-dependent faults panic on
-/// the faulting lane just as they would scalar (inactive lanes are never
-/// evaluated, so predicated-off garbage cannot fault).
+/// Infallible like the scalar evaluator; an integer division by zero
+/// panics on the faulting lane just as it would scalar (inactive lanes
+/// are never divided, so predicated-off garbage cannot fault).
 pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn WarpIo) {
     let ops = prog.ops();
     let n_ops = ops.len() as u32;
@@ -382,6 +397,9 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
     if init_mask == 0 {
         return;
     }
+    let full = full_mask(lanes);
+    let slot_row = |rows: &[[u16; 3]], s: u16, ty: Ty| rows[s as usize][ty as usize] as usize;
+    let mut sp = wf.sp;
     let mut pc: u32 = 0;
     let mut mask = init_mask;
     // Suspended fragments, at most one per structured-control-flow
@@ -395,7 +413,7 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
         // minimum pc (else divergent partners could starve), and all
         // fragments meeting at one pc merge before executing it.
         while pc >= next_wait {
-            debug_assert_eq!(wf.sp, 0, "operand stack empty at fragment switch");
+            debug_assert_eq!(sp, 0, "operand stack empty at fragment switch");
             if pc == next_wait {
                 let mut i = 0;
                 while i < pending.len() {
@@ -420,117 +438,224 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
             if pending.is_empty() {
                 break;
             }
-            debug_assert_eq!(wf.sp, 0, "operand stack empty at fragment retire");
+            debug_assert_eq!(sp, 0, "operand stack empty at fragment retire");
             let f = take_min(&mut pending);
             pc = f.pc;
             mask = f.mask;
             next_wait = min_pc(&pending);
             continue;
         }
+        let ty = prog.ty_at(pc as usize);
         match ops[pc as usize] {
-            // Constants broadcast to the whole row: writing inactive
-            // lanes is harmless (their values are never read) and a
-            // `fill` beats a masked loop.
-            Op::ConstF(x) => wf.push_row().fill(Value::F32(x)),
-            Op::ConstI(i) => wf.push_row().fill(Value::I64(i)),
-            Op::ConstB(b) => wf.push_row().fill(Value::Bool(b)),
+            Op::ConstF(x) => {
+                row!(wf.f_stack, sp, lanes).fill(x);
+                sp += 1;
+            }
+            Op::ConstI(i) => {
+                row!(wf.i_stack, sp, lanes).fill(i);
+                sp += 1;
+            }
+            Op::ConstB(b) => {
+                wf.b_stack[sp] = if b { u64::MAX } else { 0 };
+                sp += 1;
+            }
             Op::Load(s) => {
-                let base = s as usize * lanes;
-                let sp = wf.sp;
-                wf.sp += 1;
-                let (slots, stack) = (&wf.slots, &mut wf.stack);
-                stack[sp * lanes..(sp + 1) * lanes].copy_from_slice(&slots[base..base + lanes]);
+                let r = slot_row(&wf.rows, s, ty);
+                match ty {
+                    Ty::F32 => {
+                        row!(wf.f_stack, sp, lanes).copy_from_slice(&row!(wf.f_slots, r, lanes))
+                    }
+                    Ty::I64 => {
+                        row!(wf.i_stack, sp, lanes).copy_from_slice(&row!(wf.i_slots, r, lanes))
+                    }
+                    Ty::Bool => wf.b_stack[sp] = wf.b_slots[r],
+                }
+                sp += 1;
             }
             Op::Store(s) => {
                 // Masked: inactive lanes keep their slot values across
-                // divergent branches (full mask is a straight row copy).
-                wf.sp -= 1;
-                let sp = wf.sp;
-                let base = s as usize * lanes;
-                let (slots, stack) = (&mut wf.slots, &wf.stack);
-                if mask == full_mask(lanes) {
-                    slots[base..base + lanes].copy_from_slice(&stack[sp * lanes..(sp + 1) * lanes]);
-                } else {
-                    for_lanes(mask, lanes, |l| slots[base + l] = stack[sp * lanes + l]);
+                // divergent branches.
+                sp -= 1;
+                let r = slot_row(&wf.rows, s, ty);
+                match ty {
+                    Ty::F32 => store_masked(
+                        mask,
+                        &mut row!(wf.f_slots, r, lanes),
+                        &row!(wf.f_stack, sp, lanes),
+                    ),
+                    Ty::I64 => store_masked(
+                        mask,
+                        &mut row!(wf.i_slots, r, lanes),
+                        &row!(wf.i_stack, sp, lanes),
+                    ),
+                    Ty::Bool => {
+                        wf.b_slots[r] = (wf.b_slots[r] & !mask) | (wf.b_stack[sp] & mask);
+                    }
                 }
             }
-            Op::Pop => io.pop_row(mask, wf.push_row()),
-            Op::Peek => io.peek_row(mask, wf.top_row_mut()),
-            Op::StateLoad(id) => {
-                io.state_load_row(id, &prog.state_names()[id as usize], mask, wf.top_row_mut());
+            Op::Pop => {
+                io.pop_row(mask, &mut row!(wf.f_stack, sp, lanes));
+                sp += 1;
             }
+            Op::Peek => io.peek_row(
+                mask,
+                &row!(wf.i_stack, sp - 1, lanes),
+                &mut row!(wf.f_stack, sp - 1, lanes),
+            ),
+            Op::StateLoad(id) => io.state_load_row(
+                id,
+                &prog.state_names()[id as usize],
+                mask,
+                &row!(wf.i_stack, sp - 1, lanes),
+                &mut row!(wf.f_stack, sp - 1, lanes),
+            ),
             Op::StateStore(id) => {
-                wf.sp -= 2;
-                let base = wf.sp * lanes;
-                let (idx, vals) = wf.stack[base..base + 2 * lanes].split_at(lanes);
-                io.state_store_row(id, &prog.state_names()[id as usize], mask, idx, vals);
+                sp -= 2;
+                io.state_store_row(
+                    id,
+                    &prog.state_names()[id as usize],
+                    mask,
+                    &row!(wf.i_stack, sp, lanes),
+                    &row!(wf.f_stack, sp + 1, lanes),
+                );
             }
-            Op::PushOut => io.push_row(mask, wf.pop_row()),
+            Op::PushOut => {
+                sp -= 1;
+                io.push_row(mask, &row!(wf.f_stack, sp, lanes));
+            }
             Op::Bin(op) => {
-                let (a, b) = wf.top2_mut();
-                bin_row(op, mask, lanes, a, b);
-                wf.sp -= 1;
+                match ty {
+                    Ty::F32 => {
+                        let (a, b) = top2(&mut wf.f_stack, sp, lanes);
+                        let cmp = &mut wf.b_stack[sp - 2];
+                        match op {
+                            BinOp::Add => zip_rows(a, b, |x, y| first_nan(x, x + y)),
+                            BinOp::Sub => zip_rows(a, b, |x, y| x - y),
+                            BinOp::Mul => zip_rows(a, b, |x, y| first_nan(x, x * y)),
+                            BinOp::Div => zip_rows(a, b, |x, y| x / y),
+                            BinOp::Rem => zip_rows(a, b, |x, y| x % y),
+                            _ => *cmp = compare_rows(op, a, b),
+                        }
+                    }
+                    Ty::I64 => {
+                        let (a, b) = top2(&mut wf.i_stack, sp, lanes);
+                        let cmp = &mut wf.b_stack[sp - 2];
+                        match op {
+                            BinOp::Add => zip_rows(a, b, i64::wrapping_add),
+                            BinOp::Sub => zip_rows(a, b, i64::wrapping_sub),
+                            BinOp::Mul => zip_rows(a, b, i64::wrapping_mul),
+                            // Masked: a zero divisor faults, and an
+                            // inactive lane may hold one.
+                            BinOp::Div => for_lanes(mask, lanes, |l| {
+                                assert!(b[l] != 0, "validated body: integer division by zero");
+                                a[l] = a[l].wrapping_div(b[l]);
+                            }),
+                            BinOp::Rem => for_lanes(mask, lanes, |l| {
+                                assert!(b[l] != 0, "validated body: integer remainder by zero");
+                                a[l] = a[l].wrapping_rem(b[l]);
+                            }),
+                            _ => *cmp = compare_rows(op, a, b),
+                        }
+                    }
+                    Ty::Bool => match op {
+                        BinOp::And => wf.b_stack[sp - 2] &= wf.b_stack[sp - 1],
+                        BinOp::Or => wf.b_stack[sp - 2] |= wf.b_stack[sp - 1],
+                        _ => unreachable!("typed as a number"),
+                    },
+                }
+                sp -= 1;
             }
-            Op::Neg => {
-                let row = wf.top_row_mut();
-                for_lanes(mask, lanes, |l| {
-                    row[l] = match row[l] {
-                        Value::I64(i) => Value::I64(i.wrapping_neg()),
-                        other => Value::F32(-as_f32(other)),
-                    };
-                });
+            Op::Neg => match ty {
+                Ty::F32 => row!(wf.f_stack, sp - 1, lanes)
+                    .iter_mut()
+                    .for_each(|x| *x = -*x),
+                Ty::I64 => row!(wf.i_stack, sp - 1, lanes)
+                    .iter_mut()
+                    .for_each(|x| *x = x.wrapping_neg()),
+                Ty::Bool => unreachable!("typed as a number"),
+            },
+            Op::Not => wf.b_stack[sp - 1] = !wf.b_stack[sp - 1],
+            Op::Cast(to, depth) => {
+                let d = sp - 1 - depth as usize;
+                let f = &mut row!(wf.f_stack, d, lanes);
+                let i = &mut row!(wf.i_stack, d, lanes);
+                match (ty, to) {
+                    (Ty::I64, Ty::F32) => f.iter_mut().zip(&*i).for_each(|(x, n)| *x = *n as f32),
+                    (Ty::F32, Ty::I64) => i.iter_mut().zip(&*f).for_each(|(n, x)| *n = *x as i64),
+                    (Ty::F32, Ty::Bool) => wf.b_stack[d] = mask_of(f, f, |x, _| x != 0.0),
+                    (Ty::I64, Ty::Bool) => wf.b_stack[d] = mask_of(i, i, |n, _| n != 0),
+                    _ => unreachable!("typing pass emits number casts only"),
+                }
             }
-            Op::Not => {
-                let row = wf.top_row_mut();
-                for_lanes(mask, lanes, |l| row[l] = Value::Bool(!row[l].as_bool()));
+            Op::Call(Intrinsic::Select) => {
+                sp -= 2;
+                let cond = wf.b_stack[sp - 1];
+                match ty {
+                    Ty::F32 => select_rows(cond, &mut wf.f_stack[(sp - 1) * lanes..], lanes),
+                    Ty::I64 => select_rows(cond, &mut wf.i_stack[(sp - 1) * lanes..], lanes),
+                    Ty::Bool => {
+                        wf.b_stack[sp - 1] = (cond & wf.b_stack[sp]) | (!cond & wf.b_stack[sp + 1])
+                    }
+                }
             }
             Op::Call(intr) => {
-                let n = intr.arity();
-                wf.sp -= n - 1;
-                let base = (wf.sp - 1) * lanes;
-                let rows = &mut wf.stack[base..base + n * lanes];
-                for_lanes(mask, lanes, |l| {
-                    let mut args = [Value::F32(0.0); 3];
-                    for (i, a) in args.iter_mut().enumerate().take(n) {
-                        *a = rows[i * lanes + l];
+                if intr.arity() == 2 {
+                    let (a, b) = top2(&mut wf.f_stack, sp, lanes);
+                    match intr {
+                        Intrinsic::Max => zip_rows(a, b, f32::max),
+                        Intrinsic::Min => zip_rows(a, b, f32::min),
+                        // A libm call per lane: worth skipping inactive ones.
+                        _ => for_lanes(mask, lanes, |l| a[l] = a[l].powf(b[l])),
                     }
-                    rows[l] = call(intr, &args[..n]);
-                });
+                    sp -= 1;
+                } else {
+                    let a = &mut row!(wf.f_stack, sp - 1, lanes);
+                    let libm = |a: &mut [f32], f: fn(f32) -> f32| {
+                        for_lanes(mask, lanes, |l| a[l] = f(a[l]));
+                    };
+                    match intr {
+                        Intrinsic::Sqrt => a.iter_mut().for_each(|x| *x = x.sqrt()),
+                        Intrinsic::Abs => a.iter_mut().for_each(|x| *x = x.abs()),
+                        Intrinsic::Floor => a.iter_mut().for_each(|x| *x = x.floor()),
+                        Intrinsic::Exp => libm(a, f32::exp),
+                        Intrinsic::Log => libm(a, f32::ln),
+                        Intrinsic::Sin => libm(a, f32::sin),
+                        _ => libm(a, f32::cos),
+                    }
+                }
             }
             Op::Jump(t) => {
                 pc = t;
                 continue;
             }
             Op::JumpIfFalse(t) => {
-                let row = wf.pop_row();
-                let mut false_mask = 0u64;
-                for_lanes(mask, lanes, |l| {
-                    if !row[l].as_bool() {
-                        false_mask |= 1 << l;
-                    }
-                });
+                sp -= 1;
+                let false_mask = mask & !wf.b_stack[sp];
                 if false_mask == mask {
                     pc = t;
                     continue;
                 }
                 if false_mask != 0 {
-                    debug_assert_eq!(wf.sp, 0, "branch at operand depth 0");
+                    debug_assert_eq!(sp, 0, "branch at operand depth 0");
                     park(&mut pending, t, false_mask);
                     next_wait = next_wait.min(t);
                     mask &= !false_mask;
                 }
             }
             Op::ForInit { counter, end } => {
-                wf.sp -= 2;
-                let base = wf.sp * lanes;
-                let (cb, eb) = (counter as usize * lanes, end as usize * lanes);
-                let (slots, stack) = (&mut wf.slots, &wf.stack);
-                for_lanes(mask, lanes, |l| {
-                    let hi = stack[base + lanes + l];
-                    let lo = stack[base + l];
-                    slots[cb + l] = Value::I64(as_i64(lo));
-                    slots[eb + l] = Value::I64(as_i64(hi));
-                });
+                sp -= 2;
+                let c = slot_row(&wf.rows, counter, Ty::I64);
+                let e = slot_row(&wf.rows, end, Ty::I64);
+                store_masked(
+                    mask,
+                    &mut row!(wf.i_slots, c, lanes),
+                    &row!(wf.i_stack, sp, lanes),
+                );
+                store_masked(
+                    mask,
+                    &mut row!(wf.i_slots, e, lanes),
+                    &row!(wf.i_stack, sp + 1, lanes),
+                );
             }
             Op::ForTest {
                 counter,
@@ -538,60 +663,67 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
                 var,
                 exit,
             } => {
-                let (cb, eb, vb) = (
-                    counter as usize * lanes,
-                    end as usize * lanes,
-                    var as usize * lanes,
-                );
-                let slots = &mut wf.slots;
-                let mut exit_mask = 0u64;
-                for_lanes(mask, lanes, |l| {
-                    let c = as_i64(slots[cb + l]);
-                    if c < as_i64(slots[eb + l]) {
-                        slots[vb + l] = Value::I64(c);
-                    } else {
-                        exit_mask |= 1 << l;
-                    }
-                });
+                let cb = slot_row(&wf.rows, counter, Ty::I64) * lanes;
+                let eb = slot_row(&wf.rows, end, Ty::I64) * lanes;
+                let vb = slot_row(&wf.rows, var, Ty::I64) * lanes;
+                let slots = &mut wf.i_slots;
+                let go =
+                    mask & mask_of(&slots[cb..cb + lanes], &slots[eb..eb + lanes], |c, e| c < e);
+                if go == full {
+                    slots.copy_within(cb..cb + lanes, vb);
+                } else {
+                    for_lanes(go, lanes, |l| slots[vb + l] = slots[cb + l]);
+                }
+                let exit_mask = mask & !go;
                 if exit_mask == mask {
                     pc = exit;
                     continue;
                 }
                 if exit_mask != 0 {
-                    debug_assert_eq!(wf.sp, 0, "branch at operand depth 0");
+                    debug_assert_eq!(sp, 0, "branch at operand depth 0");
                     park(&mut pending, exit, exit_mask);
                     next_wait = next_wait.min(exit);
-                    mask &= !exit_mask;
+                    mask = go;
                 }
             }
             Op::ForStep { counter, head } => {
-                let cb = counter as usize * lanes;
-                let slots = &mut wf.slots;
-                for_lanes(mask, lanes, |l| {
-                    let c = as_i64(slots[cb + l]);
-                    slots[cb + l] = Value::I64(c.wrapping_add(1));
-                });
+                let c = slot_row(&wf.rows, counter, Ty::I64);
+                let c = &mut row!(wf.i_slots, c, lanes);
+                if mask == full {
+                    c.iter_mut().for_each(|c| *c = c.wrapping_add(1));
+                } else {
+                    for_lanes(mask, lanes, |l| c[l] = c[l].wrapping_add(1));
+                }
                 pc = head;
                 continue;
             }
         }
         pc += 1;
     }
+    wf.sp = sp;
 }
 
-/// Execute a compiled *expression* warp-wide and write each active
-/// lane's `f32` result into `out[lane]`.
-pub fn eval_row(
+/// `select` over the three rows starting at `rows`: row 0 becomes
+/// `cond ? row 1 : row 2` per lane.
+#[inline]
+fn select_rows<T: Copy>(cond: u64, rows: &mut [T], lanes: usize) {
+    let (out, arms) = rows[..3 * lanes].split_at_mut(lanes);
+    let (a, b) = arms.split_at(lanes);
+    for (l, x) in out.iter_mut().enumerate() {
+        *x = if cond >> l & 1 != 0 { a[l] } else { b[l] };
+    }
+}
+
+/// Execute a compiled *expression* warp-wide; the returned row holds each
+/// active lane's `f32` result.
+pub fn eval_row<'f>(
     prog: &Program,
-    wf: &mut WarpFrame,
+    wf: &'f mut WarpFrame,
     mask: u64,
     io: &mut dyn WarpIo,
-    out: &mut [f32],
-) {
+) -> &'f [f32] {
     eval(prog, wf, mask, io);
-    let lanes = wf.lanes;
-    let row = wf.take_value_row();
-    for_lanes(mask, lanes, |l| out[l] = as_f32(row[l]));
+    wf.take_value_row()
 }
 
 /// Host-side warp I/O over plain vectors: the row-granular counterpart of
@@ -615,40 +747,34 @@ pub struct VecWarpIo {
 }
 
 impl WarpIo for VecWarpIo {
-    fn pop_row(&mut self, mask: u64, out: &mut [Value]) {
+    fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
         for_lanes(mask, out.len(), |l| {
-            let v = self.input[self.cursor[l]];
+            out[l] = self.input[self.cursor[l]];
             self.cursor[l] += 1;
-            out[l] = Value::F32(v);
         });
     }
 
-    fn peek_row(&mut self, mask: u64, row: &mut [Value]) {
-        for_lanes(mask, row.len(), |l| {
-            let off = as_i64(row[l]);
-            row[l] = Value::F32(self.input[(self.cursor[l] as i64 + off) as usize]);
+    fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]) {
+        for_lanes(mask, out.len(), |l| {
+            out[l] = self.input[(self.cursor[l] as i64 + offsets[l]) as usize];
         });
     }
 
-    fn push_row(&mut self, mask: u64, vals: &[Value]) {
+    fn push_row(&mut self, mask: u64, vals: &[f32]) {
         for_lanes(mask, vals.len(), |l| {
-            self.output[self.out_pos[l]] = as_f32(vals[l]);
+            self.output[self.out_pos[l]] = vals[l];
             self.out_pos[l] += 1;
         });
     }
 
-    fn state_load_row(&mut self, _id: u16, array: &str, mask: u64, row: &mut [Value]) {
+    fn state_load_row(&mut self, _id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let arr = &self.state[array];
-        for_lanes(mask, row.len(), |l| {
-            row[l] = Value::F32(arr[as_i64(row[l]) as usize]);
-        });
+        for_lanes(mask, out.len(), |l| out[l] = arr[idx[l] as usize]);
     }
 
-    fn state_store_row(&mut self, _id: u16, array: &str, mask: u64, idx: &[Value], vals: &[Value]) {
+    fn state_store_row(&mut self, _id: u16, array: &str, mask: u64, idx: &[i64], vals: &[f32]) {
         let arr = self.state.get_mut(array).expect("bound state array");
-        for_lanes(mask, idx.len(), |l| {
-            arr[as_i64(idx[l]) as usize] = as_f32(vals[l]);
-        });
+        for_lanes(mask, idx.len(), |l| arr[idx[l] as usize] = vals[l]);
     }
 }
 
@@ -668,7 +794,7 @@ mod tests {
     /// assert bit-identical outputs and cursors.
     fn run_both(body: &[Stmt], lane_inputs: &[Vec<f32>], pushes_per_lane: usize) {
         let binds = bindings(&[]);
-        let prog = compile_body(body, &binds, &["lane"]).unwrap();
+        let prog = compile_body(body, &binds, &[("lane", Ty::I64)]).unwrap();
         let proto = prog.bind(&binds).unwrap();
         let lane_slot = prog.slot_of("lane");
         let lanes = lane_inputs.len();
@@ -681,7 +807,7 @@ mod tests {
             frame.fit(&prog);
             frame.reset(&proto);
             if let Some(s) = lane_slot {
-                frame.set(s, Value::I64(l as i64));
+                frame.set(s, (l as i64).into());
             }
             let mut io = VecIo {
                 input: input.clone(),
@@ -705,8 +831,8 @@ mod tests {
         wf.fit(&prog, lanes);
         wf.reset(&proto);
         if let Some(s) = lane_slot {
-            for l in 0..lanes {
-                wf.set_lane(s, l, Value::I64(l as i64));
+            for (l, lane) in wf.i64_row_mut(s).iter_mut().enumerate() {
+                *lane = l as i64;
             }
         }
         eval(&prog, &mut wf, full_mask(lanes), &mut wio);
@@ -817,6 +943,90 @@ mod tests {
     }
 
     #[test]
+    fn inactive_lanes_never_fault_integer_division() {
+        // Every third lane holds a zero divisor and is predicated off
+        // around the `/` and `%`; its rows still carry the 0.
+        let body = body_of(
+            r#"pipeline P() {
+                actor D(pop 1, push 1) {
+                    x = pop();
+                    d = lane % 3;
+                    q = 0;
+                    if (d != 0) { q = 100 / d + 100 % d; }
+                    push(x + q);
+                }
+            }"#,
+        );
+        let inputs: Vec<Vec<f32>> = (0..32).map(|l| vec![l as f32]).collect();
+        run_both(&body, &inputs, 1);
+
+        // A lane outside the initial mask (lane 0, whose `lane` is 0)
+        // never divides either.
+        let body = body_of(
+            r#"pipeline P() {
+                actor D(pop 1, push 1) { push(pop() + (7 / lane + 7 % lane)); }
+            }"#,
+        );
+        let binds = bindings(&[]);
+        let prog = compile_body(&body, &binds, &[("lane", Ty::I64)]).unwrap();
+        let lanes = 8;
+        let mut wio = VecWarpIo {
+            input: vec![0.5; lanes],
+            cursor: (0..lanes).collect(),
+            output: vec![-1.0; lanes],
+            out_pos: (0..lanes).collect(),
+            ..Default::default()
+        };
+        let mut wf = WarpFrame::default();
+        wf.fit(&prog, lanes);
+        wf.reset(&prog.bind(&binds).unwrap());
+        for (l, lane) in wf
+            .i64_row_mut(prog.slot_of("lane").unwrap())
+            .iter_mut()
+            .enumerate()
+        {
+            *lane = l as i64;
+        }
+        eval(&prog, &mut wf, full_mask(lanes) & !1, &mut wio);
+        assert_eq!(wio.output[0], -1.0);
+        for l in 1..lanes {
+            assert_eq!(wio.output[l], 0.5 + (7 / l + 7 % l) as f32, "lane {l}");
+        }
+    }
+
+    #[test]
+    fn nan_operands_keep_their_order() {
+        // An operator on two NaNs answers the first operand's payload, as
+        // the scalar evaluator does; an optimised build must not swap the
+        // operands of the commutative ones.
+        let body = body_of(
+            r#"pipeline P() {
+                actor N(pop 2, push 8) {
+                    x = pop();
+                    y = pop();
+                    push(x * y);
+                    push(y * x);
+                    push(x + y);
+                    push(y + x);
+                    push(x - y);
+                    push(x / y);
+                    push(max(x, y));
+                    push(min(y, x));
+                }
+            }"#,
+        );
+        let nans = [0x7fc0_0000u32, 0xffc0_0000, 0x7fc0_1234, 0xffc0_4321].map(f32::from_bits);
+        let inputs: Vec<Vec<f32>> = (0..32)
+            .map(|l| match l % 3 {
+                0 => vec![nans[l % 4], nans[(l / 4) % 4]],
+                1 => vec![nans[l % 4], l as f32],
+                _ => vec![l as f32, nans[l % 4]],
+            })
+            .collect();
+        run_both(&body, &inputs, 8);
+    }
+
+    #[test]
     fn wrapping_integer_semantics_preserved() {
         let body = body_of(
             r#"pipeline P() {
@@ -845,7 +1055,7 @@ mod tests {
             }"#,
         );
         let binds = bindings(&[]);
-        let prog = compile_body(&body, &binds, &["lane"]).unwrap();
+        let prog = compile_body(&body, &binds, &[("lane", Ty::I64)]).unwrap();
         let proto = prog.bind(&binds).unwrap();
         let lane_slot = prog.slot_of("lane").unwrap();
         let lanes = 16;
@@ -860,8 +1070,8 @@ mod tests {
         let mut wf = WarpFrame::default();
         wf.fit(&prog, lanes);
         wf.reset(&proto);
-        for l in 0..lanes {
-            wf.set_lane(lane_slot, l, Value::I64(l as i64));
+        for (l, lane) in wf.i64_row_mut(lane_slot).iter_mut().enumerate() {
+            *lane = l as i64;
         }
         eval(&prog, &mut wf, full_mask(lanes), &mut wio);
         for l in 0..lanes {
@@ -875,19 +1085,18 @@ mod tests {
         use streamir::ir::{BinOp, Expr};
         let e = Expr::bin(BinOp::Mul, Expr::var("acc"), Expr::Float(0.5));
         let binds = bindings(&[]);
-        let prog = compile_expr(&e, &binds, &["acc"]).unwrap();
+        let prog = compile_expr(&e, &binds, &[("acc", Ty::F32)]).unwrap();
         let slot = prog.slot_of("acc").unwrap();
         let proto = prog.bind(&binds).unwrap();
         let lanes = 8;
         let mut wf = WarpFrame::default();
         wf.fit(&prog, lanes);
         wf.reset(&proto);
-        for l in 0..lanes {
-            wf.set_lane(slot, l, Value::F32(l as f32 * 2.0));
+        for (l, acc) in wf.f32_row_mut(slot).iter_mut().enumerate() {
+            *acc = l as f32 * 2.0;
         }
         let mut io = VecWarpIo::default();
-        let mut out = vec![0.0f32; lanes];
-        eval_row(&prog, &mut wf, full_mask(lanes), &mut io, &mut out);
+        let out = eval_row(&prog, &mut wf, full_mask(lanes), &mut io);
         for (l, v) in out.iter().enumerate() {
             assert_eq!(*v, l as f32);
         }

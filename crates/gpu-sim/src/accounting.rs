@@ -43,7 +43,9 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::kernel::BlockCounters;
-use crate::mem::{bank_conflict_degree, coalesce_transactions};
+use crate::mem::{
+    bank_conflict_degree, coalesce_transactions, for_each_lane, full_mask, MAX_LANES,
+};
 use crate::spec::DeviceSpec;
 
 /// Classification of one recorded access; each `(site, kind)` pair owns
@@ -68,9 +70,14 @@ impl AccessKind {
     }
 }
 
-/// One warp's lane-address row for a single occurrence (`None` = lane
-/// inactive at that occurrence).
-type LaneRow = Box<[Option<u64>]>;
+/// One warp's lane-address row for a single occurrence: `addrs[lane]` is
+/// meaningful for the lanes set in `mask`, the rest were inactive at that
+/// occurrence.
+#[derive(Debug)]
+struct LaneRow {
+    mask: u64,
+    addrs: Box<[u64]>,
+}
 
 /// Pending accounting state of one warp at one `(site, kind)`.
 #[derive(Debug, Default)]
@@ -153,6 +160,10 @@ impl BlockScratch {
         }
         self.touched.clear();
         self.partial = BlockCounters::default();
+        assert!(
+            device.warp_size as usize <= MAX_LANES,
+            "warp rows are one u64 lane mask wide"
+        );
         self.warp_size = device.warp_size;
         self.block_dim = block_dim;
         self.transaction_words = device.transaction_words;
@@ -204,91 +215,69 @@ impl BlockScratch {
         // A lane's occurrences are contiguous from 0 and `base_k` only
         // advances past completed minima, so `k >= base_k` always holds.
         let row_idx = (k - warp.base_k) as usize;
-        while warp.rows.len() <= row_idx {
-            let mut row = self
-                .row_pool
-                .pop()
-                .unwrap_or_else(|| vec![None; ws].into_boxed_slice());
-            if row.len() == ws {
-                row.fill(None);
-            } else {
-                row = vec![None; ws].into_boxed_slice();
-            }
-            warp.rows.push_back(row);
-        }
-        warp.rows[row_idx][lane] = Some(addr);
+        let row = pending_row(&mut warp.rows, &mut self.row_pool, row_idx, ws);
+        row.addrs[lane] = addr;
+        row.mask |= 1 << lane;
         if k == warp.min_occ {
             warp.lanes_at_min -= 1;
             if warp.lanes_at_min == 0 {
-                // Every resident lane advanced past the old minimum: rows
-                // below the new minimum can never be written again.
                 let lo = warp_idx * ws;
                 let hi = (lo + ws).min(self.block_dim as usize);
-                let mut new_min = u32::MAX;
-                let mut at_min = 0u32;
-                for &o in &occ[lo..hi] {
-                    if o < new_min {
-                        new_min = o;
-                        at_min = 1;
-                    } else if o == new_min {
-                        at_min += 1;
-                    }
-                }
-                while warp.base_k < new_min {
-                    let row = warp.rows.pop_front().expect("completed row pending");
-                    collapse(
-                        &mut self.partial,
-                        kind,
-                        &row,
-                        self.transaction_words,
-                        self.shared_banks,
-                    );
-                    self.row_pool.push(row);
-                    warp.base_k += 1;
-                }
-                warp.min_occ = new_min;
-                warp.lanes_at_min = at_min;
+                advance_min(
+                    warp,
+                    &occ[lo..hi],
+                    kind,
+                    &mut self.partial,
+                    &mut self.row_pool,
+                    self.transaction_words,
+                    self.shared_banks,
+                );
             }
         }
     }
 
-    /// Record one whole warp row — the `addrs[lane]` access of every
-    /// `Some` lane of warp `warp_idx` — in a single call.
+    /// Record one whole warp row — the `addrs[lane]` access of every lane
+    /// set in `mask`, for warp `warp_idx` — in a single call.
     ///
-    /// Semantically identical to calling [`BlockScratch::record`] per
-    /// `Some` lane in ascending lane order (the warp evaluator feeds one
-    /// such row per warp memory instruction). The payoff is the uniform
-    /// fast path: when every resident lane of the warp is active and sits
-    /// at the same occurrence with nothing pending, the row is complete
-    /// the moment it arrives, so it collapses straight into the running
+    /// Semantically identical to calling [`BlockScratch::record`] per set
+    /// lane in ascending lane order (the warp evaluator feeds one such row
+    /// per warp memory instruction). The payoff is the uniform fast path:
+    /// when every resident lane of the warp is active and sits at the
+    /// same occurrence with nothing pending, the row is complete the
+    /// moment it arrives, so it collapses straight into the running
     /// counters — one pass instead of 32 occurrence updates, row-queue
-    /// probes and minimum rescans. Divergent or ragged rows fall back to
-    /// the exact per-lane bookkeeping.
+    /// probes and minimum rescans. A ragged or holed row whose lanes all
+    /// sit at one occurrence lands in its pending row in one step;
+    /// divergent rows fall back to the exact per-lane bookkeeping.
     pub(crate) fn record_row(
         &mut self,
         site: u32,
         kind: AccessKind,
         warp_idx: u32,
-        addrs: &[Option<u64>],
+        mask: u64,
+        addrs: &[u64],
     ) {
+        if mask == 0 {
+            return;
+        }
         let ws = self.warp_size as usize;
         let lo = warp_idx as usize * ws;
         let hi = (lo + ws).min(self.block_dim as usize);
         let resident = hi - lo;
         debug_assert!(resident > 0, "warp index within block");
-        debug_assert!(addrs.len() >= resident);
+        debug_assert_eq!(mask >> (resident - 1) >> 1, 0, "mask within resident lanes");
         let idx = self.ensure_live(site, kind);
         let state = &mut self.tables[idx];
         let warp = &mut state.warps[warp_idx as usize];
+        let occ = &mut state.occ[lo..hi];
         if warp.rows.is_empty()
             && warp.lanes_at_min == resident as u32
-            && addrs[..resident].iter().all(|a| a.is_some())
-            && addrs[resident..].iter().all(|a| a.is_none())
+            && mask == full_mask(resident)
         {
             // Uniform fast path: all resident lanes active at the same
             // occurrence — the row can never be written again, so skip
             // the queue and collapse it now.
-            for o in &mut state.occ[lo..hi] {
+            for o in occ {
                 *o += 1;
             }
             warp.min_occ += 1;
@@ -296,15 +285,41 @@ impl BlockScratch {
             collapse(
                 &mut self.partial,
                 kind,
+                mask,
                 addrs,
                 self.transaction_words,
                 self.shared_banks,
             );
             return;
         }
-        for (lane, addr) in addrs.iter().enumerate().take(resident) {
-            if let Some(a) = addr {
-                self.record(site, kind, (lo + lane) as u32, *a);
+        let k = occ[mask.trailing_zeros() as usize];
+        let mut uniform = true;
+        for_each_lane(mask, |l| uniform &= occ[l] == k);
+        if !uniform {
+            for_each_lane(mask, |l| self.record(site, kind, (lo + l) as u32, addrs[l]));
+            return;
+        }
+        // All active lanes write occurrence `k`: one row, one update of
+        // the warp's minimum.
+        let row_idx = (k - warp.base_k) as usize;
+        let row = pending_row(&mut warp.rows, &mut self.row_pool, row_idx, ws);
+        for_each_lane(mask, |l| {
+            occ[l] = k + 1;
+            row.addrs[l] = addrs[l];
+        });
+        row.mask |= mask;
+        if k == warp.min_occ {
+            warp.lanes_at_min -= mask.count_ones();
+            if warp.lanes_at_min == 0 {
+                advance_min(
+                    warp,
+                    occ,
+                    kind,
+                    &mut self.partial,
+                    &mut self.row_pool,
+                    self.transaction_words,
+                    self.shared_banks,
+                );
             }
         }
     }
@@ -323,7 +338,8 @@ impl BlockScratch {
                     collapse(
                         &mut c,
                         kind,
-                        &row,
+                        row.mask,
+                        &row.addrs,
                         self.transaction_words,
                         self.shared_banks,
                     );
@@ -344,26 +360,88 @@ impl BlockScratch {
     }
 }
 
+/// The pending row `row_idx` of a warp's queue, extending the queue with
+/// cleared (recycled) rows as needed.
+fn pending_row<'r>(
+    rows: &'r mut VecDeque<LaneRow>,
+    pool: &mut Vec<LaneRow>,
+    row_idx: usize,
+    ws: usize,
+) -> &'r mut LaneRow {
+    while rows.len() <= row_idx {
+        let mut row = match pool.pop() {
+            Some(row) if row.addrs.len() == ws => row,
+            _ => LaneRow {
+                mask: 0,
+                addrs: vec![0; ws].into_boxed_slice(),
+            },
+        };
+        row.mask = 0;
+        rows.push_back(row);
+    }
+    &mut rows[row_idx]
+}
+
+/// Every resident lane of `warp` advanced past its old minimum occurrence:
+/// recompute the minimum from the lanes' next-occurrence indices `occ` and
+/// collapse the rows below it, which can never be written again.
+fn advance_min(
+    warp: &mut WarpState,
+    occ: &[u32],
+    kind: AccessKind,
+    partial: &mut BlockCounters,
+    pool: &mut Vec<LaneRow>,
+    transaction_words: u32,
+    banks: u32,
+) {
+    let mut new_min = u32::MAX;
+    let mut at_min = 0u32;
+    for &o in occ {
+        if o < new_min {
+            new_min = o;
+            at_min = 1;
+        } else if o == new_min {
+            at_min += 1;
+        }
+    }
+    while warp.base_k < new_min {
+        let row = warp.rows.pop_front().expect("completed row pending");
+        collapse(
+            partial,
+            kind,
+            row.mask,
+            &row.addrs,
+            transaction_words,
+            banks,
+        );
+        pool.push(row);
+        warp.base_k += 1;
+    }
+    warp.min_occ = new_min;
+    warp.lanes_at_min = at_min;
+}
+
 /// Fold one completed warp row into the counters.
 fn collapse(
     c: &mut BlockCounters,
     kind: AccessKind,
-    lanes: &[Option<u64>],
+    mask: u64,
+    addrs: &[u64],
     transaction_words: u32,
     banks: u32,
 ) {
     match kind {
         AccessKind::GlobalLoad => {
             c.warp_load_insts += 1;
-            c.load_transactions += coalesce_transactions(lanes, transaction_words) as u64;
+            c.load_transactions += coalesce_transactions(mask, addrs, transaction_words) as u64;
         }
         AccessKind::GlobalStore => {
             c.warp_store_insts += 1;
-            c.store_transactions += coalesce_transactions(lanes, transaction_words) as u64;
+            c.store_transactions += coalesce_transactions(mask, addrs, transaction_words) as u64;
         }
         AccessKind::Shared => {
             c.shared_insts += 1;
-            c.shared_cycles += bank_conflict_degree(lanes, banks) as u64;
+            c.shared_cycles += bank_conflict_degree(mask, addrs, banks) as u64;
         }
     }
 }
@@ -402,16 +480,16 @@ impl ScratchPool {
     }
 }
 
-/// The pre-streaming recorder, preserved verbatim as a differential
-/// oracle: two `HashMap`s keyed by occurrence tuples, fresh lane vectors
-/// per warp group, and a deterministic end-of-block key sort. The
+/// The pre-streaming recorder, preserved as a differential oracle: two
+/// `HashMap`s keyed by occurrence tuples, fresh lane vectors per warp
+/// group, and a deterministic end-of-block key sort. The
 /// property test below proves the streaming engine produces bit-for-bit
 /// identical counters on random access streams.
 #[cfg(test)]
 pub(crate) mod oracle {
     use std::collections::HashMap;
 
-    use super::AccessKind;
+    use super::{AccessKind, LaneRow};
     use crate::kernel::BlockCounters;
     use crate::mem::{bank_conflict_degree, coalesce_transactions};
 
@@ -419,8 +497,8 @@ pub(crate) mod oracle {
     pub(crate) struct OracleRecorder {
         /// Per-(site, kind, tid) occurrence counters.
         occ: HashMap<(u32, AccessKind, u32), u32>,
-        /// Per-(site, kind, occurrence, warp) lane address vectors.
-        groups: HashMap<(u32, AccessKind, u32, u32), Vec<Option<u64>>>,
+        /// Per-(site, kind, occurrence, warp) lane rows.
+        groups: HashMap<(u32, AccessKind, u32, u32), LaneRow>,
     }
 
     impl OracleRecorder {
@@ -437,11 +515,15 @@ pub(crate) mod oracle {
             *occ += 1;
             let warp = tid / warp_size;
             let lane = (tid % warp_size) as usize;
-            let group = self
+            let row = self
                 .groups
                 .entry((site, kind, k, warp))
-                .or_insert_with(|| vec![None; warp_size as usize]);
-            group[lane] = Some(addr);
+                .or_insert_with(|| LaneRow {
+                    mask: 0,
+                    addrs: vec![0; warp_size as usize].into_boxed_slice(),
+                });
+            row.mask |= 1 << lane;
+            row.addrs[lane] = addr;
         }
 
         pub(crate) fn finalize(self, transaction_words: u32, banks: u32) -> BlockCounters {
@@ -450,21 +532,21 @@ pub(crate) mod oracle {
             keys.sort_unstable();
             for key in keys {
                 let (_, kind, _, _) = key;
-                let lanes = &self.groups[&key];
+                let LaneRow { mask, addrs } = &self.groups[&key];
                 match kind {
                     AccessKind::GlobalLoad => {
                         c.warp_load_insts += 1;
                         c.load_transactions +=
-                            coalesce_transactions(lanes, transaction_words) as u64;
+                            coalesce_transactions(*mask, addrs, transaction_words) as u64;
                     }
                     AccessKind::GlobalStore => {
                         c.warp_store_insts += 1;
                         c.store_transactions +=
-                            coalesce_transactions(lanes, transaction_words) as u64;
+                            coalesce_transactions(*mask, addrs, transaction_words) as u64;
                     }
                     AccessKind::Shared => {
                         c.shared_insts += 1;
-                        c.shared_cycles += bank_conflict_degree(lanes, banks) as u64;
+                        c.shared_cycles += bank_conflict_degree(*mask, addrs, banks) as u64;
                     }
                 }
             }
@@ -617,9 +699,11 @@ mod tests {
 
     proptest! {
         /// Warp-row recording (the warp evaluator's batched entry point)
-        /// is bit-identical to per-lane recording in lane order — full
-        /// rows hitting the fast collapse path, divergent and ragged
-        /// rows the fallback, interleaved with plain per-lane traffic.
+        /// is bit-identical to per-lane recording in lane order, and both
+        /// to the HashMap oracle — full rows hitting the fast collapse
+        /// path, ragged and holed rows at one occurrence the one-step
+        /// path, divergent rows the fallback, interleaved with plain
+        /// per-lane traffic.
         #[test]
         fn record_row_matches_per_lane_record(
             block_dim in 1u32..100,
@@ -634,6 +718,7 @@ mod tests {
             let n_warps = block_dim.div_ceil(ws);
             let mut by_row = BlockScratch::new();
             let mut by_lane = BlockScratch::new();
+            let mut oracle = OracleRecorder::default();
             by_row.begin_block(&d, 0, block_dim);
             by_lane.begin_block(&d, 0, block_dim);
             for (i, &(s, k, mask, base)) in rows.iter().enumerate() {
@@ -641,27 +726,34 @@ mod tests {
                 let kind = AccessKind::from_index(k as usize % KINDS);
                 let warp_idx = (i as u32) % n_warps;
                 let lo = warp_idx * ws;
-                let hi = (lo + ws).min(block_dim);
-                // Bias toward full rows so the fast path is exercised.
-                let mask = if i % 2 == 0 { u64::MAX } else { mask };
-                let mut row = vec![None; ws as usize];
-                for lane in 0..(hi - lo) {
-                    if mask & (1u64 << lane) != 0 {
-                        row[lane as usize] =
-                            Some(base.wrapping_add(lane as u64) % 10_000);
-                    }
-                }
-                by_row.record_row(site, kind, warp_idx, &row);
-                for (lane, addr) in row.iter().enumerate() {
-                    if let Some(a) = addr {
-                        by_lane.record(site, kind, lo + lane as u32, *a);
+                let resident = (lo + ws).min(block_dim) - lo;
+                // Bias toward full rows so the fast path is exercised, and
+                // toward one fixed holed mask so holed rows stay at one
+                // occurrence across calls.
+                let mask = match i % 4 {
+                    0 | 2 => u64::MAX,
+                    1 => 0x5555_5555_5555_5555,
+                    _ => mask,
+                } & full_mask(resident as usize);
+                // Inactive lanes carry junk the engine must never read.
+                let row: Vec<u64> = (0..ws as u64)
+                    .map(|lane| match mask >> lane & 1 {
+                        1 => base.wrapping_add(lane) % 10_000,
+                        _ => u64::MAX - lane,
+                    })
+                    .collect();
+                by_row.record_row(site, kind, warp_idx, mask, &row);
+                for lane in 0..resident {
+                    if mask >> lane & 1 == 1 {
+                        let addr = row[lane as usize];
+                        by_lane.record(site, kind, lo + lane, addr);
+                        oracle.record(ws, site, kind, lo + lane, addr);
                     }
                 }
             }
-            prop_assert_eq!(
-                by_row.finish_block(0, 0),
-                by_lane.finish_block(0, 0)
-            );
+            let by_row = by_row.finish_block(0, 0);
+            prop_assert_eq!(by_row, by_lane.finish_block(0, 0));
+            prop_assert_eq!(by_row, oracle.finalize(d.transaction_words, d.shared_banks));
         }
 
         /// The tentpole equivalence: on random access streams (sparse

@@ -25,7 +25,7 @@
 //!   instead of deadlocking. Failed launches are never memoized.
 
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasher, RandomState};
+use std::hash::{BuildHasher, BuildHasherDefault, DefaultHasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
@@ -99,9 +99,10 @@ impl Drop for InflightGuard<'_> {
 #[derive(Debug)]
 pub struct ShardedLaunchCache {
     shards: Box<[ShardSlot]>,
-    /// Shard-picking hasher; `RandomState` per cache keeps stripe choice
-    /// O(1) and private to this cache.
-    hasher: RandomState,
+    /// Shard-picking hasher: SipHash under a fixed key, so a key sequence
+    /// lands on the same stripes — and evicts the same entries — in every
+    /// cache and every process.
+    hasher: BuildHasherDefault<DefaultHasher>,
     capacity_per_shard: usize,
     /// Monotonic recency clock; ticks on every lookup.
     tick: AtomicU64,
@@ -123,7 +124,7 @@ impl ShardedLaunchCache {
         let n = shards.max(1).next_power_of_two();
         ShardedLaunchCache {
             shards: (0..n).map(|_| ShardSlot::default()).collect(),
-            hasher: RandomState::new(),
+            hasher: BuildHasherDefault::default(),
             capacity_per_shard: capacity_per_shard.max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -374,6 +375,23 @@ mod tests {
         assert!(hit, "recently-used entry survives");
         let (_, hit) = run_once(&cache, 128, (2, 0));
         assert!(!hit, "LRU entry was evicted");
+    }
+
+    #[test]
+    fn identical_key_sequences_evict_identically() {
+        // Stripe choice decides which keys compete for a shard's two
+        // entries: under a per-instance hash key the two caches would
+        // disagree on hits and evictions.
+        let run = || {
+            let cache = ShardedLaunchCache::new(4, 2);
+            let hits: Vec<bool> = (0..96u64)
+                .map(|i| run_once(&cache, 128, (i * 7 % 23, i % 2)).1)
+                .collect();
+            (hits, cache.evictions())
+        };
+        let (a, b) = (run(), run());
+        assert!(a.1 > 0, "the sequence overflows some shard");
+        assert_eq!(a, b);
     }
 
     #[test]

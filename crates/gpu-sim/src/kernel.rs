@@ -14,7 +14,7 @@
 //! mirroring SIMT lockstep execution.
 
 use crate::accounting::{AccessKind, BlockScratch};
-use crate::mem::{BufId, GlobalMem, SharedMem};
+use crate::mem::{for_each_lane, BufId, GlobalMem, SharedMem};
 use crate::spec::DeviceSpec;
 
 /// Launch geometry for a kernel.
@@ -271,54 +271,50 @@ impl<'a> BlockCtx<'a> {
     }
 
     /// Record a whole warp-row access in one call: `addrs[lane]` is the
-    /// address of each active lane (`None` = predicated off), for warp
-    /// `warp` of this block. Equivalent to per-lane [`record_access`]
-    /// calls in ascending lane order; uniform full-warp rows take the
-    /// accounting engine's single-pass collapse path.
+    /// address of each lane set in `mask` (the rest are predicated off),
+    /// for warp `warp` of this block. Equivalent to per-lane
+    /// [`record_access`] calls in ascending lane order; uniform full-warp
+    /// rows take the accounting engine's single-pass collapse path.
     ///
     /// [`record_access`]: Self::record_access
     #[inline]
-    fn record_row(&mut self, site: Site, kind: AccessKind, warp: u32, addrs: &[Option<u64>]) {
+    fn record_row(&mut self, site: Site, kind: AccessKind, warp: u32, mask: u64, addrs: &[u64]) {
         if !self.record {
             return;
         }
-        self.scratch.record_row(site, kind, warp, addrs);
+        self.scratch.record_row(site, kind, warp, mask, addrs);
     }
 
     /// Warp-batched global load: one accounting row for warp `warp`, one
-    /// value loaded per active lane (`addrs[lane]`) into `out[lane]`.
+    /// value loaded per lane set in `mask` (from `addrs[lane]`) into
+    /// `out[lane]`.
     pub fn ld_global_row(
         &mut self,
         site: Site,
         warp: u32,
         buf: BufId,
-        addrs: &[Option<u64>],
+        mask: u64,
+        addrs: &[u64],
         out: &mut [f32],
     ) {
-        self.record_row(site, AccessKind::GlobalLoad, warp, addrs);
-        for (lane, addr) in addrs.iter().enumerate() {
-            if let Some(a) = addr {
-                out[lane] = self.mem.load(buf, *a as usize);
-            }
-        }
+        self.record_row(site, AccessKind::GlobalLoad, warp, mask, addrs);
+        for_each_lane(mask, |l| out[l] = self.mem.load(buf, addrs[l] as usize));
     }
 
     /// Warp-batched global store: one accounting row, `vals[lane]` stored
-    /// at `addrs[lane]` for each active lane, in ascending lane order.
+    /// at `addrs[lane]` for each lane set in `mask`, in ascending lane
+    /// order.
     pub fn st_global_row(
         &mut self,
         site: Site,
         warp: u32,
         buf: BufId,
-        addrs: &[Option<u64>],
+        mask: u64,
+        addrs: &[u64],
         vals: &[f32],
     ) {
-        self.record_row(site, AccessKind::GlobalStore, warp, addrs);
-        for (lane, addr) in addrs.iter().enumerate() {
-            if let Some(a) = addr {
-                self.mem.store(buf, *a as usize, vals[lane]);
-            }
-        }
+        self.record_row(site, AccessKind::GlobalStore, warp, mask, addrs);
+        for_each_lane(mask, |l| self.mem.store(buf, addrs[l] as usize, vals[l]));
     }
 
     /// Warp-batched shared-memory load.
@@ -327,13 +323,16 @@ impl<'a> BlockCtx<'a> {
     ///
     /// Panics if any active address exceeds the declared shared
     /// allocation, like [`Self::ld_shared`].
-    pub fn ld_shared_row(&mut self, site: Site, warp: u32, addrs: &[Option<u64>], out: &mut [f32]) {
-        self.record_row(site, AccessKind::Shared, warp, addrs);
-        for (lane, addr) in addrs.iter().enumerate() {
-            if let Some(a) = addr {
-                out[lane] = self.scratch.shared[*a as usize];
-            }
-        }
+    pub fn ld_shared_row(
+        &mut self,
+        site: Site,
+        warp: u32,
+        mask: u64,
+        addrs: &[u64],
+        out: &mut [f32],
+    ) {
+        self.record_row(site, AccessKind::Shared, warp, mask, addrs);
+        for_each_lane(mask, |l| out[l] = self.scratch.shared[addrs[l] as usize]);
     }
 
     /// Warp-batched shared-memory store.
@@ -342,13 +341,9 @@ impl<'a> BlockCtx<'a> {
     ///
     /// Panics if any active address exceeds the declared shared
     /// allocation.
-    pub fn st_shared_row(&mut self, site: Site, warp: u32, addrs: &[Option<u64>], vals: &[f32]) {
-        self.record_row(site, AccessKind::Shared, warp, addrs);
-        for (lane, addr) in addrs.iter().enumerate() {
-            if let Some(a) = addr {
-                self.scratch.shared[*a as usize] = vals[lane];
-            }
-        }
+    pub fn st_shared_row(&mut self, site: Site, warp: u32, mask: u64, addrs: &[u64], vals: &[f32]) {
+        self.record_row(site, AccessKind::Shared, warp, mask, addrs);
+        for_each_lane(mask, |l| self.scratch.shared[addrs[l] as usize] = vals[l]);
     }
 
     /// Barrier between phases (`__syncthreads()`).

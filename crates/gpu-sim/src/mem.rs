@@ -146,108 +146,99 @@ impl SharedMem<'_> {
     }
 }
 
-/// Count the global-memory transactions needed to service one warp-wide
-/// memory instruction.
-///
-/// Addresses are word indices; the controller fetches aligned segments of
-/// `transaction_words` words. The result is the number of *distinct*
-/// segments touched — 1 for perfectly coalesced access, up to the warp
-/// size for fully scattered access. Inactive lanes pass `None`.
-pub fn coalesce_transactions(addrs: &[Option<u64>], transaction_words: u32) -> u32 {
-    debug_assert!(transaction_words.is_power_of_two());
-    let shift = transaction_words.trailing_zeros();
-    // Warp-sized rows (every in-repo caller) fit a stack buffer; this
-    // function runs once per simulated warp instruction, so it must not
-    // touch the heap.
-    if addrs.len() <= STACK_LANES {
-        let mut buf = [0u64; STACK_LANES];
-        let mut n = 0;
-        for a in addrs.iter().flatten() {
-            buf[n] = a >> shift;
-            n += 1;
-        }
-        let segments = &mut buf[..n];
-        segments.sort_unstable();
-        let mut distinct = 0u32;
-        let mut prev = None;
-        for &s in segments.iter() {
-            if Some(s) != prev {
-                distinct += 1;
-                prev = Some(s);
-            }
-        }
-        distinct
-    } else {
-        let mut segments: Vec<u64> = addrs.iter().flatten().map(|a| a >> shift).collect();
-        segments.sort_unstable();
-        segments.dedup();
-        segments.len() as u32
+/// Widest warp row the accounting paths handle: a row's active lanes are
+/// one `u64` bitmask.
+pub const MAX_LANES: usize = 64;
+
+/// Mask with the first `lanes` lanes set.
+#[inline]
+pub fn full_mask(lanes: usize) -> u64 {
+    debug_assert!(0 < lanes && lanes <= MAX_LANES);
+    u64::MAX >> (MAX_LANES - lanes)
+}
+
+/// Call `f` with each set lane of `mask`, in ascending order.
+#[inline]
+pub fn for_each_lane(mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(mask.trailing_zeros() as usize);
+        mask &= mask - 1;
     }
 }
 
-/// Stack-buffer capacity for the hot accounting paths (≥ any real warp).
-const STACK_LANES: usize = 64;
+/// Count the global-memory transactions needed to service one warp-wide
+/// memory instruction.
+///
+/// Lane `l` is active when bit `l` of `mask` is set and then accesses word
+/// index `addrs[l]`; the controller fetches aligned segments of
+/// `transaction_words` words. The result is the number of *distinct*
+/// segments touched — 1 for perfectly coalesced access, up to the warp
+/// size for fully scattered access.
+pub fn coalesce_transactions(mask: u64, addrs: &[u64], transaction_words: u32) -> u32 {
+    debug_assert!(transaction_words.is_power_of_two());
+    let shift = transaction_words.trailing_zeros();
+    // This runs once per simulated warp instruction, so it works on the
+    // stack.
+    let mut buf = [0u64; MAX_LANES];
+    let mut n = 0;
+    for_each_lane(mask, |l| {
+        buf[n] = addrs[l] >> shift;
+        n += 1;
+    });
+    let segments = &mut buf[..n];
+    segments.sort_unstable();
+    let mut distinct = 0u32;
+    let mut prev = None;
+    for &s in segments.iter() {
+        if Some(s) != prev {
+            distinct += 1;
+            prev = Some(s);
+        }
+    }
+    distinct
+}
 
-/// Count the serialization degree of one warp-wide shared-memory access.
+/// Count the serialization degree of one warp-wide shared-memory access
+/// (lanes and addresses as in [`coalesce_transactions`]).
 ///
 /// Returns the number of cycles the access takes relative to a
 /// conflict-free access: 1 when every lane hits a different bank (or all
 /// lanes broadcast-read the same word), otherwise the maximum number of
 /// *distinct words* mapped to a single bank.
-pub fn bank_conflict_degree(addrs: &[Option<u64>], banks: u32) -> u32 {
-    if addrs.len() <= STACK_LANES {
-        // Sort (bank, word) pairs on the stack; the degree is the longest
-        // run of distinct words within one bank.
-        let mut buf = [(0u64, 0u64); STACK_LANES];
-        let mut n = 0;
-        for a in addrs.iter().flatten() {
-            buf[n] = (a % banks as u64, *a);
-            n += 1;
-        }
-        let pairs = &mut buf[..n];
-        pairs.sort_unstable();
-        let mut degree = 1u32;
-        let mut run = 0u32;
-        let mut prev = None;
-        for &(bank, word) in pairs.iter() {
-            match prev {
-                Some((b, w)) if b == bank && w == word => {} // same word again
-                Some((b, _)) if b == bank => {
-                    run += 1;
-                    degree = degree.max(run);
-                }
-                _ => {
-                    run = 1;
-                    degree = degree.max(run);
-                }
+pub fn bank_conflict_degree(mask: u64, addrs: &[u64], banks: u32) -> u32 {
+    // Sort (bank, word) pairs on the stack; the degree is the longest
+    // run of distinct words within one bank.
+    let mut buf = [(0u64, 0u64); MAX_LANES];
+    let mut n = 0;
+    for_each_lane(mask, |l| {
+        buf[n] = (addrs[l] % banks as u64, addrs[l]);
+        n += 1;
+    });
+    let pairs = &mut buf[..n];
+    pairs.sort_unstable();
+    let mut degree = 1u32;
+    let mut run = 0u32;
+    let mut prev = None;
+    for &(bank, word) in pairs.iter() {
+        match prev {
+            Some((b, w)) if b == bank && w == word => {} // same word again
+            Some((b, _)) if b == bank => {
+                run += 1;
+                degree = degree.max(run);
             }
-            prev = Some((bank, word));
-        }
-        degree
-    } else {
-        let mut per_bank: Vec<Vec<u64>> = vec![Vec::new(); banks as usize];
-        for a in addrs.iter().flatten() {
-            let bank = (a % banks as u64) as usize;
-            if !per_bank[bank].contains(a) {
-                per_bank[bank].push(*a);
+            _ => {
+                run = 1;
+                degree = degree.max(run);
             }
         }
-        per_bank
-            .iter()
-            .map(|v| v.len() as u32)
-            .max()
-            .unwrap_or(0)
-            .max(1)
+        prev = Some((bank, word));
     }
+    degree
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn addrs(xs: &[u64]) -> Vec<Option<u64>> {
-        xs.iter().copied().map(Some).collect()
-    }
 
     #[test]
     fn buffers_round_trip() {
@@ -267,67 +258,66 @@ mod tests {
     #[test]
     fn consecutive_addresses_coalesce_to_one() {
         let a: Vec<u64> = (0..32).collect();
-        assert_eq!(coalesce_transactions(&addrs(&a), 32), 1);
+        assert_eq!(coalesce_transactions(full_mask(32), &a, 32), 1);
     }
 
     #[test]
     fn aligned_offset_matters() {
         // 32 consecutive words starting at 16 straddle two segments.
         let a: Vec<u64> = (16..48).collect();
-        assert_eq!(coalesce_transactions(&addrs(&a), 32), 2);
+        assert_eq!(coalesce_transactions(full_mask(32), &a, 32), 2);
     }
 
     #[test]
     fn strided_access_needs_many_transactions() {
         // Stride 32: every lane in its own segment.
         let a: Vec<u64> = (0..32).map(|i| i * 32).collect();
-        assert_eq!(coalesce_transactions(&addrs(&a), 32), 32);
+        assert_eq!(coalesce_transactions(full_mask(32), &a, 32), 32);
         // Stride 2: half-density, still touches 2 segments.
         let a: Vec<u64> = (0..32).map(|i| i * 2).collect();
-        assert_eq!(coalesce_transactions(&addrs(&a), 32), 2);
+        assert_eq!(coalesce_transactions(full_mask(32), &a, 32), 2);
     }
 
     #[test]
     fn broadcast_is_single_transaction() {
-        let a = vec![Some(7u64); 32];
-        assert_eq!(coalesce_transactions(&a, 32), 1);
+        assert_eq!(coalesce_transactions(full_mask(32), &[7; 32], 32), 1);
     }
 
     #[test]
     fn inactive_lanes_ignored() {
-        let mut a = addrs(&[0, 1, 2, 3]);
-        a.extend(std::iter::repeat_n(None, 28));
-        assert_eq!(coalesce_transactions(&a, 32), 1);
-        assert_eq!(coalesce_transactions(&[None; 32], 32), 0);
+        // Inactive lanes hold stale addresses that must not count.
+        let a: Vec<u64> = (0..32).map(|i| i * 1000).collect();
+        assert_eq!(coalesce_transactions(0b1, &a, 32), 1);
+        assert_eq!(coalesce_transactions(0b1001, &a, 32), 2);
+        assert_eq!(coalesce_transactions(0, &a, 32), 0);
     }
 
     #[test]
     fn conflict_free_shared_access() {
         let a: Vec<u64> = (0..32).collect();
-        assert_eq!(bank_conflict_degree(&addrs(&a), 32), 1);
+        assert_eq!(bank_conflict_degree(full_mask(32), &a, 32), 1);
     }
 
     #[test]
     fn broadcast_shared_access_is_free() {
-        let a = vec![Some(5u64); 32];
-        assert_eq!(bank_conflict_degree(&a, 32), 1);
+        assert_eq!(bank_conflict_degree(full_mask(32), &[5; 32], 32), 1);
     }
 
     #[test]
     fn stride_two_creates_two_way_conflicts_on_16_banks() {
         let a: Vec<u64> = (0..16).map(|i| i * 2).collect();
-        assert_eq!(bank_conflict_degree(&addrs(&a), 16), 2);
+        assert_eq!(bank_conflict_degree(full_mask(16), &a, 16), 2);
     }
 
     #[test]
     fn worst_case_conflict_is_warp_wide() {
         // All lanes hit distinct words in the same bank.
         let a: Vec<u64> = (0..32).map(|i| i * 32).collect();
-        assert_eq!(bank_conflict_degree(&addrs(&a), 32), 32);
+        assert_eq!(bank_conflict_degree(full_mask(32), &a, 32), 32);
     }
 
     #[test]
     fn empty_access_degree_is_one() {
-        assert_eq!(bank_conflict_degree(&[], 32), 1);
+        assert_eq!(bank_conflict_degree(0, &[], 32), 1);
     }
 }

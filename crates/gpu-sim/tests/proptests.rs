@@ -2,6 +2,7 @@
 
 use proptest::prelude::*;
 
+use gpu_sim::mem::full_mask;
 use gpu_sim::{
     bank_conflict_degree, coalesce_transactions, launch, launch_with_policy, BlockCtx, DeviceSpec,
     ExecMode, ExecPolicy, GlobalMem, Kernel, LaunchConfig,
@@ -15,8 +16,8 @@ proptest! {
         stride in 1u64..64,
         base in 0u64..1000,
     ) {
-        let addrs: Vec<Option<u64>> = (0..32).map(|i| Some(base + i * stride)).collect();
-        let got = coalesce_transactions(&addrs, 32);
+        let addrs: Vec<u64> = (0..32).map(|i| base + i * stride).collect();
+        let got = coalesce_transactions(full_mask(32), &addrs, 32);
         // Closed form: distinct values of (base + i*stride) >> 5.
         let mut segs: Vec<u64> = (0..32).map(|i| (base + i * stride) >> 5).collect();
         segs.sort_unstable();
@@ -29,10 +30,8 @@ proptest! {
     fn transactions_monotone_in_active_lanes(
         addrs in proptest::collection::vec(0u64..10_000, 1..32),
     ) {
-        let mut with_none: Vec<Option<u64>> = addrs.iter().copied().map(Some).collect();
-        let full = coalesce_transactions(&with_none, 32);
-        with_none.pop();
-        let fewer = coalesce_transactions(&with_none, 32);
+        let full = coalesce_transactions(full_mask(addrs.len()), &addrs, 32);
+        let fewer = coalesce_transactions(full_mask(addrs.len()) >> 1, &addrs, 32);
         prop_assert!(fewer <= full);
     }
 
@@ -43,16 +42,16 @@ proptest! {
         addrs in proptest::collection::vec(0u64..512, 1..32),
         banks in prop::sample::select(vec![16u32, 32]),
     ) {
-        let lanes: Vec<Option<u64>> = addrs.iter().copied().map(Some).collect();
-        let degree = bank_conflict_degree(&lanes, banks);
+        let mask = full_mask(addrs.len());
+        let degree = bank_conflict_degree(mask, &addrs, banks);
         let mut distinct = addrs.clone();
         distinct.sort_unstable();
         distinct.dedup();
         prop_assert!(degree >= 1);
         prop_assert!(degree as usize <= distinct.len().max(1));
 
-        let broadcast: Vec<Option<u64>> = vec![Some(addrs[0]); addrs.len()];
-        prop_assert_eq!(bank_conflict_degree(&broadcast, banks), 1);
+        let broadcast = vec![addrs[0]; addrs.len()];
+        prop_assert_eq!(bank_conflict_degree(mask, &broadcast, banks), 1);
     }
 }
 
