@@ -538,11 +538,23 @@ mod tests {
         ];
         let rf = fused
             .step_p
-            .run_with(n as i64, &zip3(&r, &p, &v), &state, ExecMode::Full)
+            .run_opts(
+                n as i64,
+                &zip3(&r, &p, &v),
+                &state,
+                RunOptions::serial(ExecMode::Full),
+                None,
+            )
             .unwrap();
         let ru = unfused
             .step_p
-            .run_with(n as i64, &zip3(&r, &p, &v), &state, ExecMode::Full)
+            .run_opts(
+                n as i64,
+                &zip3(&r, &p, &v),
+                &state,
+                RunOptions::serial(ExecMode::Full),
+                None,
+            )
             .unwrap();
         assert!(rf.kernels.len() < ru.kernels.len());
         assert_eq!(rf.output, ru.output);

@@ -311,14 +311,15 @@ mod tests {
         let xi = data[idx * d..(idx + 1) * d].to_vec();
         let rep = svm
             .kernel_row
-            .run_with(
+            .run_opts(
                 n as i64,
                 &data,
                 &[
                     StateBinding::new("Row", "xi", xi),
                     StateBinding::new("Row", "gamma", vec![gamma]),
                 ],
-                ExecMode::Full,
+                RunOptions::serial(ExecMode::Full),
+                None,
             )
             .unwrap();
         for s in 0..n {

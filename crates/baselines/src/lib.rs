@@ -19,7 +19,7 @@
 //!   histogram64;
 //! * [`gpusvm`] — the GPUSVM trainer with its application-specific
 //!   kernel-row cache (§5.2.3);
-//! * [`reference`] — CPU reference implementations used as the golden
+//! * [`mod@reference`] — CPU reference implementations used as the golden
 //!   model in tests.
 
 pub mod blas1;

@@ -1,7 +1,7 @@
 //! Shared helpers for baseline kernels.
 
 use gpu_sim::{
-    launch_with_policy, DeviceSpec, ExecMode, ExecPolicy, GlobalMem, Kernel, KernelStats,
+    try_launch_pooled, DeviceSpec, ExecMode, ExecPolicy, GlobalMem, Kernel, KernelStats,
     LaunchControl, ScratchPool, StatsCache,
 };
 use perfmodel::estimate_stats;
@@ -61,24 +61,14 @@ pub(crate) fn launch_timed_opts(
     cache: Option<(&dyn StatsCache, (u64, u64))>,
     run: &mut TimedRun,
 ) {
+    let (pool, ctl) = (ScratchPool::new(), LaunchControl::default());
     let stats = match cache {
-        Some((cache, dims)) => {
-            cache
-                .launch_cached(
-                    device,
-                    mem,
-                    kernel,
-                    mode,
-                    policy,
-                    dims,
-                    &ScratchPool::new(),
-                    LaunchControl::default(),
-                )
-                .expect("baseline sweeps launch without fault injection")
-                .0
-        }
-        None => launch_with_policy(device, mem, kernel, mode, policy),
-    };
+        Some((cache, dims)) => cache
+            .launch_cached(device, mem, kernel, mode, policy, dims, &pool, ctl)
+            .map(|(stats, _hit)| stats),
+        None => try_launch_pooled(device, mem, kernel, mode, policy, &pool, ctl),
+    }
+    .unwrap_or_else(|e| panic!("launch failed: {e}"));
     run.time_us += estimate_stats(device, &stats).time_us;
     run.kernels.push(stats);
 }

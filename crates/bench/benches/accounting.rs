@@ -20,10 +20,7 @@
 use adaptic_bench::{bench_json, measure};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use gpu_sim::{
-    launch_with_policy, BlockCtx, BufId, DeviceSpec, ExecMode, ExecPolicy, GlobalMem, Kernel,
-    LaunchConfig,
-};
+use gpu_sim::{launch, BlockCtx, BufId, DeviceSpec, ExecMode, GlobalMem, Kernel, LaunchConfig};
 
 const GRID: u32 = 512;
 const BLOCK_DIM: u32 = 256;
@@ -134,7 +131,7 @@ fn bench_accounting(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("accounting");
     let run = |kernel: &(dyn Kernel + Sync), mem: &mut GlobalMem| {
-        launch_with_policy(&device, mem, kernel, ExecMode::Full, ExecPolicy::Serial)
+        launch(&device, mem, kernel, ExecMode::Full)
     };
 
     {
@@ -193,7 +190,7 @@ fn emit_json(_c: &mut Criterion) {
     let a = mem.alloc_from(&vec![1.0; n]);
     let b = mem.alloc(n);
     let run = |kernel: &(dyn Kernel + Sync), mem: &mut GlobalMem| {
-        launch_with_policy(&device, mem, kernel, ExecMode::Full, ExecPolicy::Serial);
+        launch(&device, mem, kernel, ExecMode::Full);
     };
 
     let coalesced = Coalesced { a, b, n };

@@ -5,7 +5,8 @@
 //!
 //! Policy: these harnesses run the way the figure sweeps do in anger —
 //! the deterministic parallel engine ([`RunOptions::parallel`]) plus a
-//! [`LaunchCache`] created outside the measurement loop, so steady-state
+//! one-stripe, unbounded [`ShardedLaunchCache`] created outside the
+//! measurement loop, so steady-state
 //! iterations exercise the memoized path. Engine choice and caching
 //! never change results, only wall-clock; benches that measure the
 //! cold simulation path should opt out explicitly.
@@ -16,14 +17,14 @@ use adaptic::{compile, CompileOptions, InputAxis, RunOptions, StateBinding};
 use adaptic_apps::bicgstab::{self, AdapticBicgstab};
 use adaptic_apps::programs::{self, zip2};
 use adaptic_bench::data;
-use gpu_sim::{DeviceSpec, ExecMode, ExecPolicy, LaunchCache};
+use gpu_sim::{DeviceSpec, ExecMode, ExecPolicy, ShardedLaunchCache};
 
 fn bench_fig1_tmv_baseline(c: &mut Criterion) {
     let device = DeviceSpec::tesla_c2050();
     let (rows, cols) = (256usize, 256usize);
     let a = data(rows * cols, 1);
     let x = data(cols, 2);
-    let cache = LaunchCache::new();
+    let cache = ShardedLaunchCache::new(1, usize::MAX);
     c.bench_function("fig1_tmv_baseline_256x256", |b| {
         b.iter(|| {
             adaptic_baselines::tmv::tmv_with(
@@ -47,7 +48,7 @@ fn bench_fig9_sdot_point(c: &mut Criterion) {
     let compiled = compile(&bench.program, &device, &axis).unwrap();
     let n = 1 << 14;
     let input = zip2(&data(n, 3), &data(n, 4));
-    let cache = LaunchCache::new();
+    let cache = ShardedLaunchCache::new(1, usize::MAX);
     c.bench_function("fig9_sdot_adaptic_16k", |b| {
         b.iter(|| {
             compiled
@@ -75,7 +76,7 @@ fn bench_fig10_tmv_adaptic_point(c: &mut Criterion) {
     let cols = total as usize / rows;
     let a = data(total as usize, 5);
     let x = data(cols, 6);
-    let cache = LaunchCache::new();
+    let cache = ShardedLaunchCache::new(1, usize::MAX);
     c.bench_function("fig10_tmv_adaptic_256rows", |b| {
         b.iter(|| {
             compiled

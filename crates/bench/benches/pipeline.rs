@@ -4,7 +4,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use adaptic::{compile, CompileOptions, InputAxis};
+use adaptic::{compile, CompileOptions, InputAxis, RunOptions};
 use adaptic_bench::data;
 use gpu_sim::{DeviceSpec, ExecMode};
 use streamir::interp::Interpreter;
@@ -64,7 +64,13 @@ fn bench_run(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::from_parameter(n), &input, |b, input| {
             b.iter(|| {
                 compiled
-                    .run_with(input.len() as i64, input, &[], ExecMode::SampledExec(64))
+                    .run_opts(
+                        input.len() as i64,
+                        input,
+                        &[],
+                        RunOptions::serial(ExecMode::SampledExec(64)),
+                        None,
+                    )
                     .unwrap()
             })
         });

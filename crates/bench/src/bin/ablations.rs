@@ -15,7 +15,7 @@ use perfmodel::estimate_stats;
 use streamir::graph::bindings;
 use streamir::parse::parse_program;
 
-fn time_of(device: &DeviceSpec, mem: &mut GlobalMem, k: &dyn gpu_sim::Kernel) -> f64 {
+fn time_of(device: &DeviceSpec, mem: &mut GlobalMem, k: &(dyn Kernel + Sync)) -> f64 {
     let stats = launch(device, mem, k, ExecMode::SampledExec(256));
     estimate_stats(device, &stats).time_us
 }

@@ -24,7 +24,9 @@ use std::fmt::Write as _;
 use std::path::Path;
 use std::process::ExitCode;
 
-use adaptic::{ExecMode, Fleet, InputAxis, PlacementPolicy, PruneOutcome, RunOptions};
+use adaptic::{
+    ExecMode, Fleet, FleetNode, InputAxis, Placement, PlacementPolicy, PruneOutcome, RunOptions,
+};
 use adaptic_apps::programs;
 use adaptic_bench::{bench_json, data, BenchRecord};
 use gpu_sim::DeviceSpec;
@@ -64,19 +66,49 @@ fn build_fleet(axis: &InputAxis) -> Fleet {
         .expect("fleet compiles on every preset")
 }
 
-/// Run the request mix through `fleet` under `policy` as a burst: every
+/// How a run admits one request: charge a node's ledger, say which.
+type Admit = fn(&Fleet, i64) -> Placement;
+
+fn round_robin(fleet: &Fleet, x: i64) -> Placement {
+    fleet.admit(x, PlacementPolicy::RoundRobin).expect("admit")
+}
+
+fn cost_predicted(fleet: &Fleet, x: i64) -> Placement {
+    fleet
+        .admit(x, PlacementPolicy::CostPredicted)
+        .expect("admit")
+}
+
+/// Bench-side baseline: pin the launch to the node whose *offline*
+/// analytical model is cheapest for `x`, ignoring measured corrections
+/// and backlog — what an ahead-of-time placement would do. The ledger is
+/// still charged the node's corrected cost, like every library policy.
+fn static_affinity(fleet: &Fleet, x: i64) -> Placement {
+    let offline = |node: &FleetNode| {
+        let program = node.manager().program();
+        let priced = program.try_variant_for(x).ok();
+        priced
+            .and_then(|(v, _)| program.predicted_time_us(x, v))
+            .unwrap_or(f64::INFINITY)
+    };
+    let (node, chosen) = (fleet.nodes().iter().enumerate())
+        .min_by(|a, b| offline(a.1).total_cmp(&offline(b.1)))
+        .expect("non-empty fleet");
+    let predicted_us = chosen.manager().corrected_cost(x).expect("price");
+    chosen.queue().enqueue(predicted_us);
+    Placement { node, predicted_us }
+}
+
+/// Run the request mix through `fleet` under `admit` as a burst: every
 /// request is admitted (charging backlogs) before any settles, so
 /// placement decisions see the queue state a loaded fleet would have.
 /// Returns (makespan µs, launches/ms of simulated fleet time).
-fn drive(fleet: &Fleet, sizes: &[i64], input: &[f32], policy: PlacementPolicy) -> (f64, f64) {
+fn drive(fleet: &Fleet, sizes: &[i64], input: &[f32], admit: Admit) -> (f64, f64) {
     let opts = RunOptions {
         mode: ExecMode::SampledExec(64),
         ..RunOptions::default()
     };
-    let placements: Vec<_> = sizes
-        .iter()
-        .map(|&x| fleet.admit(x, policy).expect("admit"))
-        .collect();
+    let placements: Vec<_> = sizes.iter().map(|&x| admit(fleet, x)).collect();
     for (&x, p) in sizes.iter().zip(placements) {
         fleet
             .settle(p, x, &input[..x as usize], &[], opts)
@@ -100,16 +132,16 @@ fn main() -> ExitCode {
         DeviceSpec::presets().len()
     );
 
-    let policies = [
-        ("round_robin", PlacementPolicy::RoundRobin),
-        ("static_affinity", PlacementPolicy::StaticAffinity),
-        ("cost_predicted", PlacementPolicy::CostPredicted),
+    let policies: [(&str, Admit); 3] = [
+        ("round_robin", round_robin),
+        ("static_affinity", static_affinity),
+        ("cost_predicted", cost_predicted),
     ];
     let mut records: Vec<BenchRecord> = Vec::new();
     let mut makespans = std::collections::BTreeMap::new();
-    for (name, policy) in policies {
+    for (name, admit) in policies {
         let fleet = build_fleet(&axis);
-        let (makespan, throughput) = drive(&fleet, &sizes, &input, policy);
+        let (makespan, throughput) = drive(&fleet, &sizes, &input, admit);
         makespans.insert(name, makespan);
         let _ = writeln!(
             out,
@@ -152,12 +184,7 @@ fn main() -> ExitCode {
     let outcomes: Vec<PruneOutcome> = pruned_fleet
         .prune(64, TOLERANCE)
         .expect("pruning keeps a valid table per node");
-    let (pruned_makespan, pruned_throughput) = drive(
-        &pruned_fleet,
-        &sizes,
-        &input,
-        PlacementPolicy::CostPredicted,
-    );
+    let (pruned_makespan, pruned_throughput) = drive(&pruned_fleet, &sizes, &input, cost_predicted);
     let _ = writeln!(
         out,
         "\n--- variant-set pruning (tolerance {:.0}%) ---",

@@ -3,7 +3,7 @@
 //! reports Adaptic within ~5% on average; the point is that the adaptive
 //! machinery costs nothing when there is nothing to adapt to.
 
-use adaptic::{compile, InputAxis, StateBinding};
+use adaptic::{compile, InputAxis, RunOptions, StateBinding};
 use adaptic_apps::programs::{self, zip2};
 use adaptic_bench::{data, header, row, scale, size_label, sweep_mode};
 use gpu_sim::DeviceSpec;
@@ -55,7 +55,9 @@ fn main() {
             .collect();
         let base = adaptic_baselines::sdk::black_scholes(&device, &prices, 0.02, 0.3, mode);
         let state = [StateBinding::new("Price", "rv", vec![0.02, 0.3])];
-        let rep = compiled.run_with(n as i64, &prices, &state, mode).unwrap();
+        let rep = compiled
+            .run_opts(n as i64, &prices, &state, RunOptions::serial(mode), None)
+            .unwrap();
         emit(b.name, base.time_us, rep.time_us);
     }
     // VectorAdd.
@@ -65,7 +67,7 @@ fn main() {
         let (x, y) = (data(n, 1), data(n, 2));
         let base = adaptic_baselines::sdk::vector_add(&device, &x, &y, mode);
         let rep = compiled
-            .run_with(n as i64, &zip2(&x, &y), &[], mode)
+            .run_opts(n as i64, &zip2(&x, &y), &[], RunOptions::serial(mode), None)
             .unwrap();
         emit(b.name, base.time_us, rep.time_us);
     }
@@ -99,7 +101,9 @@ fn main() {
             let compiled = compile(&bench.program, &device, &axis).unwrap();
             let (base, _, _) = map_l1(&device, op, &x, Some(&y), mode);
             let input = if zip { zip2(&x, &y) } else { x.clone() };
-            let rep = compiled.run_with(n as i64, &input, &state, mode).unwrap();
+            let rep = compiled
+                .run_opts(n as i64, &input, &state, RunOptions::serial(mode), None)
+                .unwrap();
             emit(bench.name, base.time_us, rep.time_us);
         }
     }
@@ -110,7 +114,13 @@ fn main() {
         let tiles = data((n / 64) * 64, 5);
         let base = adaptic_baselines::sdk::dct8x8(&device, &tiles, mode);
         let rep = compiled
-            .run_with((tiles.len() / 64) as i64, &tiles, &[], mode)
+            .run_opts(
+                (tiles.len() / 64) as i64,
+                &tiles,
+                &[],
+                RunOptions::serial(mode),
+                None,
+            )
             .unwrap();
         emit(b.name, base.time_us, rep.time_us);
     }
@@ -120,7 +130,9 @@ fn main() {
         let compiled = compile(&b.program, &device, &axis).unwrap();
         let indices: Vec<f32> = (0..n).map(|i| i as f32 + 1.0).collect();
         let base = adaptic_baselines::sdk::quasirandom(&device, n, 0.618_034, mode);
-        let rep = compiled.run_with(n as i64, &indices, &[], mode).unwrap();
+        let rep = compiled
+            .run_opts(n as i64, &indices, &[], RunOptions::serial(mode), None)
+            .unwrap();
         emit(b.name, base.time_us, rep.time_us);
     }
 

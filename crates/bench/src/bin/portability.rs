@@ -3,7 +3,7 @@
 //! variant choices adapt to each target's architectural parameters while
 //! staying ahead of the input-unaware baseline everywhere.
 
-use adaptic::{compile, compile_with_options, CompileOptions, InputAxis};
+use adaptic::{compile, compile_with_options, CompileOptions, InputAxis, RunOptions};
 use adaptic_bench::{data, header, row, scale, size_label, sweep_mode};
 use gpu_sim::DeviceSpec;
 use streamir::parse::parse_program;
@@ -51,10 +51,22 @@ fn main() {
         for n in [1usize << 12, 1 << 17, (8 << 20) / scale()] {
             let input = data(n, 3);
             let ra = aware
-                .run_with(n as i64, &input, &[], sweep_mode())
+                .run_opts(
+                    n as i64,
+                    &input,
+                    &[],
+                    RunOptions::serial(sweep_mode()),
+                    None,
+                )
                 .expect("run aware");
             let ru = unaware
-                .run_with(n as i64, &input, &[], sweep_mode())
+                .run_opts(
+                    n as i64,
+                    &input,
+                    &[],
+                    RunOptions::serial(sweep_mode()),
+                    None,
+                )
                 .expect("run unaware");
             let (_, v) = aware.variant_for(n as i64);
             let choice = v

@@ -30,9 +30,9 @@ pub fn sweep_mode() -> ExecMode {
     ExecMode::SampledExec(256)
 }
 
-/// Execution engine used by the sweeps: deterministic parallel block
+/// Worker count used by the sweeps: deterministic parallel block
 /// execution sized to the host by default. Override with the
-/// `ADAPTIC_WORKERS` environment variable — `1` forces the serial engine,
+/// `ADAPTIC_WORKERS` environment variable — `1` forces one worker,
 /// `n > 1` pins the worker count. Results are identical under every
 /// policy; only wall-clock changes.
 pub fn sweep_policy() -> ExecPolicy {

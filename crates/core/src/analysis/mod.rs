@@ -6,7 +6,7 @@
 //! * [`stencil`] — neighboring-access pattern detection (§4.1.2);
 //! * [`recurrence`] — intra-actor parallelization with induction-variable
 //!   substitution (§4.2.2);
-//! * [`classify`] — the dispatcher combining all of the above.
+//! * [`mod@classify`] — the dispatcher combining all of the above.
 
 pub mod classify;
 pub mod opcount;

@@ -16,10 +16,11 @@
 //! ```
 //!
 //! — the same "model, corrected by measurement" signal the single-device
-//! KMU recalibrates boundaries with, reused as a placement oracle. Two
-//! baselines calibrate the benefit: round-robin (ignores everything) and
-//! static affinity (best *offline* model cost, ignoring both measured
-//! corrections and backlog).
+//! KMU recalibrates boundaries with, reused as a placement oracle.
+//! Round-robin (ignores everything) is the in-library baseline; the
+//! `fleet_demo` bench adds a static-affinity one (best *offline* model
+//! cost, ignoring both measured corrections and backlog) on top of the
+//! public [`Placement`] fields.
 //!
 //! What is and is not shared across the fleet: nothing learned crosses
 //! devices. Each node's boundaries, histograms and breakers are keyed to
@@ -35,7 +36,7 @@
 //! fleet-wide.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 
 use gpu_sim::{DeviceQueue, DeviceSpec};
 use perfmodel::{prune_variant_set, PruneSelection};
@@ -56,10 +57,6 @@ pub enum PlacementPolicy {
     /// Cycle through nodes in order, ignoring cost and backlog — the
     /// "fair share" baseline.
     RoundRobin,
-    /// Pin each launch to the node whose *offline* analytical model is
-    /// cheapest for that input, ignoring measured corrections and backlog
-    /// — what a static ahead-of-time placement would do.
-    StaticAffinity,
 }
 
 /// One device of the fleet: its kernel-management unit plus the
@@ -117,27 +114,6 @@ impl FleetNode {
     pub fn queue_handle(&self) -> Arc<DeviceQueue> {
         Arc::clone(&self.queue)
     }
-
-    /// Offline model cost for `x` on this node: the planner's uncorrected
-    /// prediction for the variant the *static* table picks. `None` when the
-    /// node cannot price `x`.
-    fn static_cost(&self, x: i64) -> Option<f64> {
-        let program = self.manager.program();
-        let (v, _) = program.try_variant_for(x).ok()?;
-        program.predicted_time_us(x, v)
-    }
-}
-
-/// One unit of work for [`Fleet::dispatch_concurrent`]: an axis value plus
-/// the borrowed input/state it runs over.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetJob<'a> {
-    /// Input-axis value (e.g. total input size) the launch is priced by.
-    pub x: i64,
-    /// Input stream, at least as long as the program's per-firing pop.
-    pub input: &'a [f32],
-    /// Stateful-actor bindings, usually empty.
-    pub state: &'a [StateBinding],
 }
 
 /// Where one launch was placed and at what predicted price.
@@ -251,15 +227,6 @@ impl Fleet {
                 let turn = self.rr_cursor.fetch_add(1, Ordering::Relaxed);
                 priced[turn % priced.len()]
             }
-            PlacementPolicy::StaticAffinity => priced
-                .iter()
-                .copied()
-                .min_by(|a, b| {
-                    let ka = self.nodes[a.0].static_cost(x).unwrap_or(f64::INFINITY);
-                    let kb = self.nodes[b.0].static_cost(x).unwrap_or(f64::INFINITY);
-                    ka.total_cmp(&kb)
-                })
-                .expect("priced is non-empty"),
         };
         Ok(Placement { node, predicted_us })
     }
@@ -310,87 +277,6 @@ impl Fleet {
                 Err(e)
             }
         }
-    }
-
-    /// [`Fleet::admit`] + [`Fleet::settle`] back to back — the one-at-a-time
-    /// path for callers with no burst to pack.
-    ///
-    /// # Errors
-    ///
-    /// Placement errors ([`Fleet::place`]) and whatever the chosen node's
-    /// [`KernelManager::run`] returns.
-    pub fn dispatch(
-        &self,
-        x: i64,
-        input: &[f32],
-        state: &[StateBinding],
-        opts: RunOptions<'_>,
-        policy: PlacementPolicy,
-    ) -> Result<(Placement, ExecutionReport)> {
-        let placement = self.admit(x, policy)?;
-        let report = self.settle(placement, x, input, state, opts)?;
-        Ok((placement, report))
-    }
-
-    /// Admit a whole burst, then settle it with **one worker thread per
-    /// node**, each draining its node's share in admission order. Admission
-    /// happens up front on the caller's thread so every placement sees the
-    /// backlog the earlier jobs charged (the same burst-spreading behaviour
-    /// as serial [`Fleet::admit`]); settlement is truly concurrent across
-    /// nodes, the way distinct devices really overlap.
-    ///
-    /// Returns one result per job, in job order: `Err` is either that job's
-    /// admission error (nothing was charged) or its node's
-    /// [`KernelManager::run`] failure (ticket settled regardless). A
-    /// poisoned result slot — a settle worker panicking mid-job — also
-    /// settles as the panic unwinds past [`Fleet::settle`]'s completion
-    /// handling only if the panic happened inside the manager; panics
-    /// propagate out of this call either way.
-    pub fn dispatch_concurrent(
-        &self,
-        jobs: &[FleetJob<'_>],
-        opts: RunOptions<'_>,
-        policy: PlacementPolicy,
-    ) -> Vec<Result<(Placement, ExecutionReport)>> {
-        let placements: Vec<Result<Placement>> =
-            jobs.iter().map(|j| self.admit(j.x, policy)).collect();
-        let mut per_node: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
-        for (i, p) in placements.iter().enumerate() {
-            if let Ok(p) = p {
-                per_node[p.node].push(i);
-            }
-        }
-        type Slot = Mutex<Option<Result<(Placement, ExecutionReport)>>>;
-        let slots: Vec<Slot> = jobs.iter().map(|_| Mutex::new(None)).collect();
-        std::thread::scope(|scope| {
-            for mine in &per_node {
-                if mine.is_empty() {
-                    continue;
-                }
-                let (placements, slots) = (&placements, &slots);
-                scope.spawn(move || {
-                    for &i in mine {
-                        let p = placements[i].as_ref().copied().expect("grouped as Ok");
-                        let job = &jobs[i];
-                        let out = self
-                            .settle(p, job.x, job.input, job.state, opts)
-                            .map(|report| (p, report));
-                        *slots[i].lock().expect("result slot poisoned") = Some(out);
-                    }
-                });
-            }
-        });
-        placements
-            .into_iter()
-            .zip(slots)
-            .map(|(admitted, slot)| match admitted {
-                Err(e) => Err(e),
-                Ok(_) => slot
-                    .into_inner()
-                    .expect("result slot poisoned")
-                    .expect("admitted job settled by its node worker"),
-            })
-            .collect()
     }
 
     /// Fleet makespan: the busiest node's accumulated measured device time
@@ -543,24 +429,25 @@ mod tests {
         f.nodes()[first.node].queue().enqueue(1e9);
         let diverted = f.place(1 << 18, PlacementPolicy::CostPredicted).unwrap();
         assert_ne!(diverted.node, first.node);
-        // Static affinity ignores backlog and keeps pinning.
-        let pinned = f.place(1 << 18, PlacementPolicy::StaticAffinity).unwrap();
-        assert_eq!(pinned.node, first.node);
     }
 
     #[test]
-    fn round_robin_cycles_and_dispatch_settles_queues() {
+    fn round_robin_cycles_and_settle_drains_queues() {
         let f = fleet();
         let input = vec![1.0f32; 1 << 10];
-        let mut seen = [0usize; 2];
-        for _ in 0..4 {
-            let (p, report) = f
-                .dispatch(1 << 10, &input, &[], opts(), PlacementPolicy::RoundRobin)
-                .unwrap();
-            assert!(report.time_us > 0.0);
-            seen[p.node] += 1;
+        // Burst: all four admitted before any settles.
+        let placements: Vec<Placement> = (0..4)
+            .map(|_| f.admit(1 << 10, PlacementPolicy::RoundRobin).unwrap())
+            .collect();
+        let nodes: Vec<usize> = placements.iter().map(|p| p.node).collect();
+        assert_eq!(nodes, [0, 1, 0, 1], "round robin must alternate");
+        for n in f.nodes() {
+            assert_eq!(n.queue().depth(), 2, "admitted, not yet settled");
         }
-        assert_eq!(seen, [2, 2], "round robin must alternate");
+        for p in placements {
+            let report = f.settle(p, 1 << 10, &input, &[], opts()).unwrap();
+            assert!(report.time_us > 0.0);
+        }
         for n in f.nodes() {
             assert_eq!(n.queue().depth(), 0, "every ticket settled");
             assert_eq!(n.queue().enqueued(), 2);
@@ -598,8 +485,8 @@ mod tests {
         let f = fleet();
         let input = vec![1.0f32; 1 << 10];
         for _ in 0..6 {
-            f.dispatch(1 << 10, &input, &[], opts(), PlacementPolicy::RoundRobin)
-                .unwrap();
+            let p = f.admit(1 << 10, PlacementPolicy::RoundRobin).unwrap();
+            f.settle(p, 1 << 10, &input, &[], opts()).unwrap();
         }
         let t = f.telemetry().unwrap();
         assert_eq!(t.launches, 6, "3 per node, summed once each");
@@ -626,51 +513,43 @@ mod tests {
         }
         // The fleet still schedules and runs after the swap.
         let input = vec![1.0f32; 1 << 10];
-        f.dispatch(1 << 10, &input, &[], opts(), PlacementPolicy::CostPredicted)
-            .unwrap();
+        let p = f.admit(1 << 10, PlacementPolicy::CostPredicted).unwrap();
+        f.settle(p, 1 << 10, &input, &[], opts()).unwrap();
     }
 
     #[test]
-    fn dispatch_concurrent_settles_every_job_across_nodes() {
+    fn burst_admission_settles_every_job_across_nodes() {
         let f = fleet();
         let input = vec![1.0f32; 1 << 14];
-        // Mixed sizes so both devices win some placements.
+        // Mixed sizes so both devices win some placements; the whole burst
+        // is admitted before any job settles.
         let xs: Vec<i64> = (0..12)
             .map(|i| if i % 2 == 0 { 1 << 7 } else { 1 << 14 })
             .collect();
-        let jobs: Vec<FleetJob<'_>> = xs
+        let placements: Vec<Placement> = xs
             .iter()
-            .map(|&x| FleetJob {
-                x,
-                input: &input[..x as usize],
-                state: &[],
-            })
+            .map(|&x| f.admit(x, PlacementPolicy::CostPredicted).unwrap())
             .collect();
-        let results = f.dispatch_concurrent(&jobs, opts(), PlacementPolicy::CostPredicted);
-        assert_eq!(results.len(), jobs.len());
         let mut used = std::collections::BTreeSet::new();
-        for (r, &x) in results.iter().zip(&xs) {
-            let (p, report) = r.as_ref().expect("job settles");
+        for (p, &x) in placements.into_iter().zip(&xs) {
             used.insert(p.node);
+            let report = f.settle(p, x, &input[..x as usize], &[], opts()).unwrap();
             let expected: f32 = x as f32;
             assert!((report.output[0] - expected).abs() <= expected * 1e-5);
         }
         assert!(used.len() > 1, "burst must use more than one node");
-        for n in f.nodes() {
-            assert_eq!(n.queue().depth(), 0, "every ticket settled");
-        }
-        // Admission errors come back in-slot, without poisoning the rest.
-        let bad = [FleetJob {
-            x: i64::MAX,
-            input: &input,
-            state: &[],
-        }];
-        let r = f.dispatch_concurrent(&bad, opts(), PlacementPolicy::CostPredicted);
-        assert!(r[0].is_err());
-        assert_eq!(
-            f.nodes()[0].queue().depth() + f.nodes()[1].queue().depth(),
-            0
-        );
+        let depth = |f: &Fleet| f.nodes().iter().map(|n| n.queue().depth()).sum::<usize>();
+        assert_eq!(depth(&f), 0, "every ticket settled");
+        // An admission error charges nothing.
+        assert!(f.admit(i64::MAX, PlacementPolicy::CostPredicted).is_err());
+        assert_eq!(depth(&f), 0);
+        // A failed launch (input shorter than the firing pops) still
+        // settles its ticket, with zero busy time.
+        let p = f.admit(1 << 14, PlacementPolicy::CostPredicted).unwrap();
+        let busy = f.total_busy_us();
+        assert!(f.settle(p, 1 << 14, &input[..8], &[], opts()).is_err());
+        assert_eq!(depth(&f), 0, "failed launch must not leak backlog");
+        assert_eq!(f.total_busy_us(), busy);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use gpu_sim::{ExecMode, ExecPolicy, ShardedLaunchCache, StatsCache};
+use gpu_sim::{ExecMode, ShardedLaunchCache, StatsCache};
 use perfmodel::{recalibrated_boundary, Hysteresis};
 use streamir::error::{Error, Result};
 
@@ -530,7 +530,7 @@ impl KernelManager {
     /// A variant that keeps failing is *quarantined* by a per-variant
     /// circuit breaker (see [`KernelManager::with_quarantine`]) and
     /// re-probed half-open after its window of logical ticks. When every
-    /// variant is unavailable, the run completes on the serial engine with
+    /// variant is unavailable, the run completes on one worker with
     /// a doubled retry budget — the degraded-but-correct last resort.
     ///
     /// The launch-stats cache is engaged only for
@@ -552,11 +552,7 @@ impl KernelManager {
         state: &[StateBinding],
         opts: RunOptions<'_>,
     ) -> Result<ExecutionReport> {
-        if let Some((lo, hi)) = self.rate_window {
-            if x < lo || x > hi {
-                self.counters.record_rate_exit();
-            }
-        }
+        self.tally_rate_exit(x);
         let primary = self.select(x)?;
         let cache: Option<&dyn StatsCache> = match opts.mode {
             ExecMode::SampledExec(_) => Some(&self.cache),
@@ -649,19 +645,12 @@ impl KernelManager {
         }
 
         // Degraded-but-correct last resort: every variant is quarantined
-        // or just failed, so run the primary on the serial engine with a
+        // or just failed, so run the primary on one worker with a
         // doubled retry budget. Faults are still injected here — an
         // injector hot enough to kill this too surfaces as
         // `Error::LaunchFailed` to the caller.
-        let mut degraded = RunOptions {
-            policy: ExecPolicy::Serial,
-            ..opts
-        };
-        degraded.retry.max_attempts = degraded.retry.max_attempts.max(1).saturating_mul(2);
-        match self
-            .program
-            .run_opts(x, input, state, degraded.with_variant(primary), cache)
-        {
+        let degraded = opts.degraded().with_variant(primary);
+        match self.program.run_opts(x, input, state, degraded, cache) {
             Ok(report) => {
                 self.counters.degraded_runs.fetch_add(1, Ordering::Relaxed);
                 self.counters.fallbacks.fetch_add(1, Ordering::Relaxed);
@@ -679,6 +668,16 @@ impl KernelManager {
                     self.counters.record_faults_injected(f.injected());
                 }
                 Err(e)
+            }
+        }
+    }
+
+    /// Count `x` as a `rate_exits` event when it falls outside the
+    /// declared rate window (no-op without one).
+    pub(crate) fn tally_rate_exit(&self, x: i64) {
+        if let Some((lo, hi)) = self.rate_window {
+            if x < lo || x > hi {
+                self.counters.record_rate_exit();
             }
         }
     }

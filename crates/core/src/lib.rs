@@ -64,7 +64,7 @@ pub mod warp;
 
 pub use analysis::{classify, ActorClass};
 pub use artifact::{ArtifactCounters, ArtifactError, ArtifactKey, ArtifactStore, LearnedState};
-pub use fleet::{Fleet, FleetJob, FleetNode, Placement, PlacementPolicy, PruneOutcome};
+pub use fleet::{Fleet, FleetNode, Placement, PlacementPolicy, PruneOutcome};
 pub use kmu::{KernelManager, VariantHistogram};
 pub use layout::{restructure, unrestructure, Layout};
 pub use plan::{
@@ -80,6 +80,6 @@ pub use telemetry::{TelemetryCounters, TelemetrySnapshot};
 // them: callers pick serial/parallel, share a launch-stats cache, and
 // script fault injection without depending on `gpu_sim` directly.
 pub use gpu_sim::{
-    ExecMode, ExecPolicy, Fault, FaultInjector, FaultKind, FaultPlan, LaunchCache, LaunchError,
+    ExecMode, ExecPolicy, Fault, FaultInjector, FaultKind, FaultPlan, LaunchError,
     ShardedLaunchCache, StatsCache,
 };

@@ -394,12 +394,11 @@ pub struct Variant {
 /// run it.
 ///
 /// Execution entry points live in [`crate::runtime`]:
-/// [`run`](CompiledProgram::run) and
-/// [`run_with`](CompiledProgram::run_with) use the serial engine, while
-/// [`run_opts`](CompiledProgram::run_opts) selects the execution engine
-/// via [`crate::RunOptions`] (deterministic parallel block execution) and
-/// can memoize launch statistics through a [`crate::LaunchCache`] for
-/// timing-only sweeps.
+/// [`run_opts`](CompiledProgram::run_opts) picks the worker count via
+/// [`crate::RunOptions`] (deterministic parallel block execution) and can
+/// memoize launch statistics through a [`crate::ShardedLaunchCache`] for
+/// timing-only sweeps; [`run`](CompiledProgram::run) is its exact,
+/// one-worker, uncached shorthand.
 #[derive(Debug, Clone)]
 pub struct CompiledProgram {
     /// [`content_hash`] of the (program, axis, options) this was compiled
@@ -1465,7 +1464,7 @@ pub fn compile_with_options(
     Ok(assemble(program, device, axis, options, segments, plan))
 }
 
-/// Load-or-compile through a persistent [`ArtifactStore`].
+/// Load-or-compile through a persistent [`ArtifactStore`](crate::artifact::ArtifactStore).
 ///
 /// The cheap structure pass (one probe-point flatten + classify) always
 /// runs — it rebuilds the segment list the persisted tables are validated

@@ -419,29 +419,20 @@ impl DynamicRegion {
         let mut report = if x >= lo && x <= hi {
             self.kmu.run(x, input, state, opts)?
         } else {
-            // Outside the plan's axis: the manager cannot admit it (and
-            // run() tallies the rate exit); serve it through clamped
+            // Outside the plan's axis: the manager cannot admit it, so
+            // tally the rate exit and serve the firing through clamped
             // selection on the same compiled program.
-            let _ = self.kmu.run(x, input, state, opts);
+            self.kmu.tally_rate_exit(x);
             self.clamped_runs += 1;
-            match self.kmu.program().run_opts(x, input, state, opts, None) {
-                Ok(r) => r,
+            let program = self.kmu.program();
+            match program.run_opts(x, input, state, opts, None) {
+                // Same degraded-but-correct last resort as the manager's
+                // ladder. Variant fallback is unavailable here — a forced
+                // variant rejects out-of-axis `x` by contract.
                 Err(Error::LaunchFailed { .. }) => {
-                    // Same degraded-but-correct last resort as the
-                    // manager's ladder: serial engine, doubled retry
-                    // budget. Variant fallback is unavailable here — a
-                    // forced variant rejects out-of-axis `x` by contract.
-                    let mut degraded = RunOptions {
-                        policy: gpu_sim::ExecPolicy::Serial,
-                        ..opts
-                    };
-                    degraded.retry.max_attempts =
-                        degraded.retry.max_attempts.max(1).saturating_mul(2);
-                    self.kmu
-                        .program()
-                        .run_opts(x, input, state, degraded, None)?
+                    program.run_opts(x, input, state, opts.degraded(), None)?
                 }
-                Err(e) => return Err(e),
+                other => other?,
             }
         };
         if let Some(t) = &mut report.telemetry {

@@ -58,8 +58,8 @@ pub struct KernelReport {
     pub name: Arc<str>,
     pub stats: KernelStats,
     pub estimate: TimingEstimate,
-    /// True when the stats were served from a [`crate::LaunchCache`] (or
-    /// any other [`StatsCache`]) instead of being re-simulated.
+    /// True when the stats were served from a [`StatsCache`]
+    /// ([`crate::ShardedLaunchCache`]) instead of being re-simulated.
     pub cached: bool,
 }
 
@@ -133,7 +133,7 @@ pub struct RunOptions<'f> {
 }
 
 impl<'f> RunOptions<'f> {
-    /// The given mode on the serial engine (the historical behaviour).
+    /// The given mode on one worker (the caller's thread).
     pub fn serial(mode: ExecMode) -> RunOptions<'static> {
         RunOptions {
             mode,
@@ -144,7 +144,7 @@ impl<'f> RunOptions<'f> {
         }
     }
 
-    /// The given mode on the parallel engine sized to the host.
+    /// The given mode on one worker per host core.
     pub fn parallel(mode: ExecMode) -> RunOptions<'static> {
         RunOptions {
             mode,
@@ -177,6 +177,14 @@ impl<'f> RunOptions<'f> {
     /// Replace the retry/backoff/deadline policy.
     pub fn with_retry(mut self, retry: RetryPolicy) -> RunOptions<'f> {
         self.retry = retry;
+        self
+    }
+
+    /// The degraded-but-correct last resort of these options: one worker
+    /// and a doubled retry budget.
+    pub(crate) fn degraded(mut self) -> RunOptions<'f> {
+        self.policy = ExecPolicy::Serial;
+        self.retry.max_attempts = self.retry.max_attempts.max(1).saturating_mul(2);
         self
     }
 }
@@ -237,37 +245,15 @@ impl ExecutionReport {
 
 impl CompiledProgram {
     /// Run the program on `input` at axis value `x`, with full (exact)
-    /// execution and no state arrays.
+    /// execution, no state arrays, one worker and no memoization:
+    /// [`run_opts`](CompiledProgram::run_opts) under
+    /// `RunOptions::serial(ExecMode::Full)`.
     ///
     /// # Errors
     ///
-    /// See [`CompiledProgram::run_with`].
+    /// See [`CompiledProgram::run_opts`].
     pub fn run(&self, x: i64, input: &[f32]) -> Result<ExecutionReport> {
-        self.run_with(x, input, &[], ExecMode::Full)
-    }
-
-    /// Run with state bindings and an execution mode.
-    ///
-    /// [`ExecMode::SampledExec`] executes a block subset — outputs are
-    /// partial but the statistics (and therefore timing) still describe
-    /// the whole launch; use it for timing-only sweeps.
-    ///
-    /// Uses the serial engine and no memoization; see
-    /// [`CompiledProgram::run_opts`] for the parallel engine and the
-    /// launch-stats cache.
-    ///
-    /// # Errors
-    ///
-    /// Returns scheduling errors, [`Error::InsufficientInput`], and
-    /// [`Error::Runtime`] for missing state bindings.
-    pub fn run_with(
-        &self,
-        x: i64,
-        input: &[f32],
-        state: &[StateBinding],
-        mode: ExecMode,
-    ) -> Result<ExecutionReport> {
-        self.run_opts(x, input, state, RunOptions::serial(mode), None)
+        self.run_opts(x, input, &[], RunOptions::serial(ExecMode::Full), None)
     }
 
     /// Run with explicit execution options and an optional launch-stats
@@ -282,9 +268,14 @@ impl CompiledProgram {
     /// (where [`ExecMode::SampledExec`] is already discarding outputs);
     /// hit/miss counts are reported in the [`ExecutionReport`].
     ///
+    /// [`ExecMode::SampledExec`] executes a block subset — outputs are
+    /// partial but the statistics (and therefore timing) still describe
+    /// the whole launch; use it for timing-only sweeps.
+    ///
     /// # Errors
     ///
-    /// Same as [`CompiledProgram::run_with`].
+    /// Returns scheduling errors, [`Error::InsufficientInput`], and
+    /// [`Error::Runtime`] for missing state bindings.
     pub fn run_opts(
         &self,
         x: i64,
@@ -1054,7 +1045,7 @@ fn run_opaque(
 mod tests {
     use super::*;
     use crate::plan::{compile, compile_with_options, CompileOptions, InputAxis};
-    use gpu_sim::{DeviceSpec, LaunchCache};
+    use gpu_sim::{DeviceSpec, ShardedLaunchCache};
     use streamir::interp::Interpreter;
     use streamir::parse::parse_program;
 
@@ -1101,11 +1092,12 @@ mod tests {
         let compiled = compile(&p, &device(), &axis).unwrap();
         let small = compiled.run(64, &vec![1.0; 64]).unwrap();
         let large = compiled
-            .run_with(
+            .run_opts(
                 1 << 20,
                 &vec![1.0; 1 << 20],
                 &[],
-                ExecMode::SampledStats(64),
+                RunOptions::serial(ExecMode::SampledStats(64)),
+                None,
             )
             .unwrap();
         assert_ne!(small.variant_index, large.variant_index);
@@ -1300,7 +1292,13 @@ mod tests {
             let x: Vec<f32> = (0..cols).map(|i| ((i + 1) % 5) as f32).collect();
             let state = [StateBinding::new("RowDot", "x", x.clone())];
             let report = compiled
-                .run_with(rows as i64, &a, &state, ExecMode::Full)
+                .run_opts(
+                    rows as i64,
+                    &a,
+                    &state,
+                    RunOptions::serial(ExecMode::Full),
+                    None,
+                )
                 .unwrap();
             assert_eq!(report.output.len(), rows);
             for r in 0..rows {
@@ -1368,7 +1366,9 @@ mod tests {
         let n = 65536usize;
         let input: Vec<f32> = (0..n).map(|i| (i % 11) as f32).collect();
         for mode in [ExecMode::Full, ExecMode::SampledExec(16)] {
-            let serial = compiled.run_with(n as i64, &input, &[], mode).unwrap();
+            let serial = compiled
+                .run_opts(n as i64, &input, &[], RunOptions::serial(mode), None)
+                .unwrap();
             let par = compiled
                 .run_opts(n as i64, &input, &[], RunOptions::parallel(mode), None)
                 .unwrap();
@@ -1396,7 +1396,8 @@ mod tests {
         let compiled = compile(&p, &device(), &axis).unwrap();
         let n = 4096usize;
         let input: Vec<f32> = (0..n).map(|i| (i % 5) as f32).collect();
-        let cache = LaunchCache::new();
+        // One stripe, no bound: the shape a single-threaded sweep uses.
+        let cache = ShardedLaunchCache::new(1, usize::MAX);
         let opts = RunOptions::parallel(ExecMode::SampledExec(8));
         let cold = compiled
             .run_opts(n as i64, &input, &[], opts, Some(&cache))
@@ -1425,7 +1426,7 @@ mod tests {
     }
 
     #[test]
-    fn frame_pool_reuses_frames_across_runs() {
+    fn warp_frame_pool_reuses_frames_across_runs() {
         let src = r#"pipeline P(N) {
             actor Scale(pop 1, push 1) { push(pop() * 2.0); }
             actor Sum(pop N, push 1) {

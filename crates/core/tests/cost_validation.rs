@@ -170,7 +170,7 @@ fn predicted_ordering_matches_measured_ordering_for_reduction_schemes() {
                 partials,
                 out,
             );
-            for k in [&k1 as &dyn gpu_sim::Kernel, &k2] {
+            for k in [&k1 as &(dyn gpu_sim::Kernel + Sync), &k2] {
                 let stats = launch(&device, &mut mem, k, ExecMode::SampledExec(64));
                 total += perfmodel::estimate_stats(&device, &stats).time_us;
             }

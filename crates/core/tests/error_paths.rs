@@ -1,7 +1,7 @@
 //! Error-path coverage: the compiler and runtime must fail loudly and
 //! precisely, never silently mis-execute.
 
-use adaptic::{compile, compile_single, InputAxis, StateBinding};
+use adaptic::{compile, compile_single, InputAxis, RunOptions, StateBinding};
 use gpu_sim::{DeviceSpec, ExecMode};
 use streamir::error::Error;
 use streamir::graph::bindings;
@@ -113,7 +113,13 @@ fn compile_single_runs_at_its_point() {
     let compiled = compile_single(&p, &device(), &bindings(&[("N", 256)])).unwrap();
     assert_eq!(compiled.variant_count(), 1);
     let rep = compiled
-        .run_with(1, &[1.0, -2.0, 3.0], &[], ExecMode::Full)
+        .run_opts(
+            1,
+            &[1.0, -2.0, 3.0],
+            &[],
+            RunOptions::serial(ExecMode::Full),
+            None,
+        )
         .unwrap();
     assert_eq!(rep.output, vec![-1.0, 2.0, -3.0]);
 }
@@ -125,11 +131,12 @@ fn state_binding_surplus_is_harmless() {
     let axis = InputAxis::total_size("N", 16, 4096);
     let compiled = compile(&p, &device(), &axis).unwrap();
     let rep = compiled
-        .run_with(
+        .run_opts(
             64,
             &vec![2.0; 64],
             &[StateBinding::new("Ghost", "x", vec![1.0])],
-            ExecMode::Full,
+            RunOptions::serial(ExecMode::Full),
+            None,
         )
         .unwrap();
     assert_eq!(rep.output, vec![2.0; 64]);

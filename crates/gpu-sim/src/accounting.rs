@@ -106,9 +106,9 @@ struct SiteState {
 /// Reusable per-worker arena for block execution: shared-memory buffer,
 /// compute counters, dense accounting tables and recycled row buffers.
 ///
-/// One scratch serves one block at a time; [`crate::exec::run_serial`]
-/// reuses a single scratch across the whole grid and each parallel worker
-/// owns one. Use a [`ScratchPool`] to recycle scratches across launches
+/// One scratch serves one block at a time; each engine worker owns one
+/// for its whole block range (a serial launch reuses a single scratch
+/// across the grid). Use a [`ScratchPool`] to recycle scratches across launches
 /// (figure sweeps run millions of blocks through a handful of scratches).
 #[derive(Debug, Default)]
 pub struct BlockScratch {

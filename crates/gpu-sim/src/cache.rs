@@ -1,13 +1,15 @@
-//! Lock-striped, LRU-bounded launch-statistics cache.
+//! Lock-striped, LRU-bounded launch-statistics cache — the only cache.
 //!
-//! [`crate::LaunchCache`] guards one `HashMap` with one mutex — fine for a
-//! figure sweep on one thread, a serialization point when many callers
-//! share a kernel-management unit. [`ShardedLaunchCache`] stripes the key
-//! space over independently locked shards (key hash picks the shard, so a
-//! lookup contends only with lookups that would collide anyway) and bounds
-//! every shard with least-recently-used eviction, so a long-running
-//! service cannot grow the cache without limit. Eviction, hit and miss
-//! counters feed the runtime's telemetry.
+//! Figure sweeps re-simulate the same baseline/variant configuration many
+//! times (same kernel, same geometry, same input dims, same mode); a hit
+//! returns the memoized [`KernelStats`] **without executing the kernel**.
+//! [`ShardedLaunchCache`] stripes the key space over independently locked
+//! shards (key hash picks the shard, so a lookup contends only with
+//! lookups that would collide anyway) and bounds every shard with
+//! least-recently-used eviction, so a long-running service cannot grow the
+//! cache without limit. A figure sweep on one thread uses a one-stripe
+//! instance; a shared kernel-management unit uses many. Eviction, hit and
+//! miss counters feed the runtime's telemetry.
 //!
 //! Robustness properties (see DESIGN.md "Fault model"):
 //!
@@ -30,8 +32,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 
 use crate::accounting::ScratchPool;
-use crate::exec::{launch_key, try_launch_pooled, ExecMode, ExecPolicy, KernelStats, StatsCache};
-use crate::exec::{LaunchCache, LaunchKey};
+use crate::exec::{
+    launch_key, try_launch_pooled, ExecMode, ExecPolicy, KernelStats, LaunchKey, StatsCache,
+};
 use crate::faults::{LaunchControl, LaunchError};
 use crate::kernel::Kernel;
 use crate::mem::GlobalMem;
@@ -87,14 +90,13 @@ impl Drop for InflightGuard<'_> {
     }
 }
 
-/// A concurrent [`StatsCache`]: lock-striped over `shards` mutexes, each
-/// shard LRU-bounded to `capacity_per_shard` entries.
+/// The [`StatsCache`]: lock-striped over `shards` mutexes, each shard
+/// LRU-bounded to `capacity_per_shard` entries.
 ///
-/// Semantics match [`LaunchCache`] exactly — hits return memoized stats
-/// without executing the kernel (device memory untouched), so the same
-/// restriction applies: use only where outputs are already discarded
-/// (timing-only sweeps, [`crate::ExecMode::SampledExec`]-style usage).
-/// Unlike [`LaunchCache`] it is safe *and fast* under many concurrent
+/// Hits return memoized stats without executing the kernel, so device
+/// memory is *not* written: use only where outputs are already discarded
+/// (timing-only sweeps, [`crate::ExecMode::SampledExec`]-style usage),
+/// never in correctness tests. It is safe *and fast* under many concurrent
 /// callers, and it never outgrows `shards * capacity_per_shard` entries.
 #[derive(Debug)]
 pub struct ShardedLaunchCache {
@@ -143,9 +145,10 @@ impl ShardedLaunchCache {
         self.shards.len()
     }
 
-    /// Upper bound on memoized entries (`shards * capacity_per_shard`).
+    /// Upper bound on memoized entries (`shards * capacity_per_shard`,
+    /// saturating: `usize::MAX` per shard means "no bound").
     pub fn capacity(&self) -> usize {
-        self.shards.len() * self.capacity_per_shard
+        self.shards.len().saturating_mul(self.capacity_per_shard)
     }
 
     /// Memoized launches currently held.
@@ -257,27 +260,6 @@ impl StatsCache for ShardedLaunchCache {
         );
         Ok((stats, false))
     }
-
-    fn hit_count(&self) -> u64 {
-        self.hits()
-    }
-
-    fn miss_count(&self) -> u64 {
-        self.misses()
-    }
-
-    fn eviction_count(&self) -> u64 {
-        self.evictions()
-    }
-}
-
-/// The unbounded single-mutex cache also reports through the same
-/// counters, so code generic over [`StatsCache`] can swap either in.
-impl LaunchCache {
-    /// View this cache as a [`StatsCache`] trait object.
-    pub fn as_stats_cache(&self) -> &dyn StatsCache {
-        self
-    }
 }
 
 #[cfg(test)]
@@ -314,27 +296,34 @@ mod tests {
         }
     }
 
+    /// One exact, one-worker launch of `k` through `cache`.
+    fn cached(
+        cache: &ShardedLaunchCache,
+        d: &DeviceSpec,
+        mem: &mut GlobalMem,
+        k: &(dyn Kernel + Sync),
+        dims: (u64, u64),
+        ctl: LaunchControl<'_>,
+    ) -> Result<(KernelStats, bool), LaunchError> {
+        let (mode, policy) = (ExecMode::Full, ExecPolicy::Serial);
+        cache.launch_cached(d, mem, k, mode, policy, dims, &ScratchPool::new(), ctl)
+    }
+
+    fn add_one(n: usize) -> (GlobalMem, AddOne) {
+        let mut mem = GlobalMem::new();
+        let x = mem.alloc_from(&vec![1.0; n]);
+        let y = mem.alloc(n);
+        (mem, AddOne { x, y, n })
+    }
+
     fn run_ctl(
         cache: &ShardedLaunchCache,
         n: usize,
         dims: (u64, u64),
         ctl: LaunchControl<'_>,
     ) -> Result<(KernelStats, bool), LaunchError> {
-        let d = DeviceSpec::tesla_c2050();
-        let mut mem = GlobalMem::new();
-        let x = mem.alloc_from(&vec![1.0; n]);
-        let y = mem.alloc(n);
-        let k = AddOne { x, y, n };
-        cache.launch_cached(
-            &d,
-            &mut mem,
-            &k,
-            ExecMode::Full,
-            ExecPolicy::Serial,
-            dims,
-            &ScratchPool::new(),
-            ctl,
-        )
+        let (mut mem, k) = add_one(n);
+        cached(cache, &DeviceSpec::tesla_c2050(), &mut mem, &k, dims, ctl)
     }
 
     fn run_once(cache: &ShardedLaunchCache, n: usize, dims: (u64, u64)) -> (KernelStats, bool) {
@@ -342,20 +331,89 @@ mod tests {
     }
 
     #[test]
-    fn hits_match_single_mutex_cache_semantics() {
-        let sharded = ShardedLaunchCache::new(4, 8);
-        let (first, hit) = run_once(&sharded, 1024, (1024, 0));
+    fn cache_hits_skip_execution_and_count() {
+        let d = DeviceSpec::tesla_c2050();
+        let cache = ShardedLaunchCache::new(4, 8);
+        let n = 1024usize;
+        let launch = |mem: &mut GlobalMem, k: &AddOne, dims| {
+            cached(&cache, &d, mem, k, dims, LaunchControl::default()).expect("fault-free launch")
+        };
+
+        let (mut mem, k) = add_one(n);
+        let (first, hit) = launch(&mut mem, &k, (n as u64, 0));
         assert!(!hit);
-        let (second, hit) = run_once(&sharded, 1024, (1024, 0));
+        assert_eq!(mem.read(k.y)[5], 2.0);
+
+        // Identical launch in fresh memory: served from cache, memory
+        // untouched.
+        let (mut mem2, k) = add_one(n);
+        let (second, hit) = launch(&mut mem2, &k, (n as u64, 0));
         assert!(hit);
         assert_eq!(first, second);
+        assert_eq!(mem2.read(k.y)[5], 0.0, "hit must not execute");
+
         // Different dims miss.
-        let (_, hit) = run_once(&sharded, 1024, (1024, 1));
+        let (_, hit) = launch(&mut mem2, &k, (n as u64, 1));
         assert!(!hit);
-        assert_eq!(sharded.hits(), 1);
-        assert_eq!(sharded.misses(), 2);
-        assert_eq!(sharded.evictions(), 0);
-        assert_eq!(sharded.len(), 2);
+        assert_eq!(cache.hits(), 1);
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.evictions(), 0);
+        assert_eq!(cache.len(), 2);
+        assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
+    }
+
+    /// Shared-memory kernel whose bank-conflict accounting depends on the
+    /// device (32 banks on Fermi, 16 on GT200).
+    struct SharedStride2;
+
+    impl Kernel for SharedStride2 {
+        fn name(&self) -> &str {
+            "shared_stride2"
+        }
+
+        fn config(&self) -> LaunchConfig {
+            LaunchConfig::new(1, 32, 64)
+        }
+
+        fn run_block(&self, _block: u32, ctx: &mut BlockCtx<'_>) {
+            for t in ctx.threads() {
+                ctx.st_shared(0, t, (t as usize * 2) % 64, t as f32);
+            }
+        }
+    }
+
+    #[test]
+    fn cache_keys_include_the_device() {
+        // Regression: stats recorded on one device must not serve a
+        // launch on another — 32-bank Fermi and 16-bank GT200 disagree on
+        // shared-memory serialization for the same kernel.
+        let fermi = DeviceSpec::tesla_c2050();
+        let gt200 = DeviceSpec::gtx285();
+        let cache = ShardedLaunchCache::new(1, 8);
+        let mut mem = GlobalMem::new();
+        let mut launch = |device: &DeviceSpec| {
+            cached(
+                &cache,
+                device,
+                &mut mem,
+                &SharedStride2,
+                (0, 0),
+                LaunchControl::default(),
+            )
+            .expect("fault-free launch")
+        };
+        let (on_fermi, hit) = launch(&fermi);
+        assert!(!hit);
+        let (on_gt200, hit) = launch(&gt200);
+        assert!(!hit, "different device must miss, not reuse stats");
+        assert_eq!(cache.misses(), 2);
+        assert_eq!(cache.len(), 2);
+        // Stride-2: 2-way conflicts on 32 banks, still 2-way on 16 banks
+        // but over different words — counters genuinely differ.
+        assert_ne!(on_fermi.totals.shared_cycles, on_gt200.totals.shared_cycles);
+        // Same device again: now it hits.
+        let (_, hit) = launch(&fermi);
+        assert!(hit);
     }
 
     #[test]
@@ -424,6 +482,11 @@ mod tests {
         assert_eq!(ShardedLaunchCache::new(0, 4).shard_count(), 1);
         assert_eq!(ShardedLaunchCache::new(16, 4).shard_count(), 16);
         assert_eq!(ShardedLaunchCache::new(5, 0).capacity(), 8);
+        // "No bound" must not overflow the product.
+        assert_eq!(
+            ShardedLaunchCache::new(2, usize::MAX).capacity(),
+            usize::MAX
+        );
     }
 
     #[test]
@@ -481,14 +544,12 @@ mod tests {
         for _ in 0..2 {
             let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 let mut mem = GlobalMem::new();
-                cache.launch_cached(
+                cached(
+                    &cache,
                     &d,
                     &mut mem,
                     &Invalid,
-                    ExecMode::Full,
-                    ExecPolicy::Serial,
                     (0, 0),
-                    &ScratchPool::new(),
                     LaunchControl::default(),
                 )
             }));

@@ -7,18 +7,19 @@
 //! keeps figure-scale sweeps (tens of millions of threads) tractable while
 //! preserving the aggregate access-pattern statistics.
 //!
-//! Two engines drive the block loop, selected by [`ExecPolicy`]:
+//! One engine drives the block loop: the executed blocks are split into
+//! contiguous ranges, one per worker, and every range runs the same
+//! `run_range` loop over the concurrent memory view, accumulating its own
+//! [`BlockCounters`]; the per-range counters are merged back **in
+//! block-index order**. [`ExecPolicy`] only picks the worker count:
+//! `Serial` is the one-range case on the caller's thread (no spawn; use it
+//! to pin down behaviour in correctness tests), `Parallel(n)` spawns `n`
+//! ranges on `std::thread::scope`. The resulting [`KernelStats`] are
+//! bit-for-bit identical for every worker count. This is sound because
+//! blocks of one launch never communicate (see the invariant on
+//! [`Kernel`]).
 //!
-//! * **Serial** — one host thread walks the grid in block order (the
-//!   original engine; use it to pin down behaviour in correctness tests).
-//! * **Parallel** — the executed blocks are split into contiguous ranges,
-//!   one per worker on `std::thread::scope`, each worker accumulating its
-//!   own [`BlockCounters`]; the per-worker counters are merged back **in
-//!   block-index order**, so the resulting [`KernelStats`] are bit-for-bit
-//!   identical to the serial engine's. This is sound because blocks of one
-//!   launch never communicate (see the invariant on [`Kernel`]).
-//!
-//! Either engine serves both scalar and warp-batched kernels: a kernel's
+//! The engine serves both scalar and warp-batched kernels: a kernel's
 //! `run_block` may record accesses one lane at a time
 //! ([`BlockCtx::ld_global`] etc.) or one warp-row per instruction
 //! ([`BlockCtx::ld_global_row`] etc., the warp evaluator's shape). The
@@ -29,18 +30,17 @@
 //! recording produce bit-identical [`KernelStats`].
 //!
 //! Repeated identical launches inside figure sweeps can additionally be
-//! memoized with [`LaunchCache`].
+//! memoized with [`crate::ShardedLaunchCache`].
 
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
-use crate::accounting::{BlockScratch, ScratchPool};
+use crate::accounting::ScratchPool;
 use crate::faults::{Fault, LaunchControl, LaunchError};
 use crate::kernel::{BlockCounters, BlockCtx, Kernel, LaunchConfig};
-use crate::mem::GlobalMem;
+use crate::mem::{GlobalMem, SharedMem};
 use crate::spec::DeviceSpec;
 
 /// How much of the grid to execute and to record.
@@ -67,9 +67,9 @@ impl ExecMode {
     }
 }
 
-/// Which engine drives the block loop of a launch.
+/// How many workers drive the block loop of a launch.
 ///
-/// Both engines produce **identical** functional output and identical
+/// Every policy produces **identical** functional output and identical
 /// [`KernelStats`]; `Parallel` only changes host wall-clock. Tests that
 /// want a pinned, single-threaded execution order should use `Serial`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -77,7 +77,7 @@ pub enum ExecPolicy {
     /// One host thread, blocks in index order.
     Serial,
     /// Up to this many workers over contiguous block ranges. `Parallel(0)`
-    /// and `Parallel(1)` degrade to the serial engine.
+    /// and `Parallel(1)` are `Serial`.
     Parallel(usize),
 }
 
@@ -215,7 +215,9 @@ fn sample_stride(grid: u32, sample: u32) -> u32 {
     grid.div_ceil(sample.min(grid)).max(1)
 }
 
-/// Execute `kernel` on `device`/`mem` under `mode` with the serial engine.
+/// Execute `kernel` on `device`/`mem` under `mode`: the panicking form of
+/// [`try_launch_pooled`] on one worker, with a fresh scratch pool and no
+/// injector or deadline.
 ///
 /// Returns whole-grid statistics; functional effects are visible in `mem`
 /// (for all blocks under [`ExecMode::Full`]/[`ExecMode::SampledStats`], or
@@ -226,75 +228,20 @@ fn sample_stride(grid: u32, sample: u32) -> u32 {
 /// Panics if the launch configuration is impossible for the device (block
 /// larger than `max_threads_per_block`, zero-sized grid/block, more
 /// shared memory than a block may allocate, or a zero-sized statistics
-/// sample) — mirroring a CUDA launch failure.
+/// sample) — mirroring a CUDA launch failure — and with
+/// `launch failed: …` when a block panics.
 pub fn launch(
     device: &DeviceSpec,
     mem: &mut GlobalMem,
-    kernel: &dyn Kernel,
-    mode: ExecMode,
-) -> KernelStats {
-    let (config, exec_stride, stat_stride) = validate(device, kernel, mode);
-    let mut scratch = BlockScratch::new();
-    let (merged, recorded, executed) = run_serial(
-        device,
-        mem,
-        kernel,
-        config,
-        (exec_stride, stat_stride),
-        &mut scratch,
-        None,
-    );
-    finish(kernel, config, merged, recorded, executed)
-}
-
-/// Execute `kernel` under `mode` with the engine chosen by `policy`.
-///
-/// Functional output and [`KernelStats`] are identical to [`launch`] for
-/// every policy; [`ExecPolicy::Parallel`] only reduces host wall-clock.
-/// Requires `Kernel + Sync` because block execution may be distributed
-/// over scoped worker threads.
-///
-/// # Panics
-///
-/// Same launch-validation panics as [`launch`].
-pub fn launch_with_policy(
-    device: &DeviceSpec,
-    mem: &mut GlobalMem,
     kernel: &(dyn Kernel + Sync),
     mode: ExecMode,
-    policy: ExecPolicy,
 ) -> KernelStats {
-    launch_pooled(device, mem, kernel, mode, policy, &ScratchPool::new())
-}
-
-/// [`launch_with_policy`] drawing its per-worker [`BlockScratch`] arenas
-/// from `pool`, so accounting buffers are recycled across the launches of
-/// a sweep instead of reallocated per launch.
-///
-/// # Panics
-///
-/// Same launch-validation panics as [`launch`].
-pub fn launch_pooled(
-    device: &DeviceSpec,
-    mem: &mut GlobalMem,
-    kernel: &(dyn Kernel + Sync),
-    mode: ExecMode,
-    policy: ExecPolicy,
-    pool: &ScratchPool,
-) -> KernelStats {
-    match try_launch_pooled(
-        device,
-        mem,
-        kernel,
-        mode,
-        policy,
-        pool,
-        LaunchControl::default(),
-    ) {
+    let pool = ScratchPool::new();
+    let ctl = LaunchControl::default();
+    match try_launch_pooled(device, mem, kernel, mode, ExecPolicy::Serial, &pool, ctl) {
         Ok(stats) => stats,
         // Without an injector the only reachable failure is a genuine
-        // worker panic; re-raise it so the infallible API keeps its
-        // historical panic-on-kernel-panic contract.
+        // block panic; re-raise it.
         Err(e) => panic!("launch failed: {e}"),
     }
 }
@@ -310,16 +257,17 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-/// Fallible [`launch_pooled`]: the engine the resilient runtime pipeline
-/// builds on.
-///
-/// Differences from the infallible launchers:
+/// The one launch entry point: execute `kernel` under `mode` on
+/// `policy`'s worker count, drawing each worker's accounting scratch from
+/// `pool` (so buffers are recycled across the launches of a sweep), and
+/// report failures as values.
 ///
 /// * **Panic isolation** — a panicking block worker (kernel assert, or an
-///   injected [`Fault::MidBlockPanic`]) is caught with `catch_unwind` and
-///   reported as [`LaunchError::WorkerPanic`] instead of unwinding through
-///   the caller. Device memory may hold a partial write set; kernels never
-///   read their output buffers, so a retry recomputes identical bytes.
+///   injected [`Fault::MidBlockPanic`]) is caught — `catch_unwind` on the
+///   caller's thread, `join` on spawned ones — and reported as
+///   [`LaunchError::WorkerPanic`] instead of unwinding through the caller.
+///   Device memory may hold a partial write set; kernels never read their
+///   output buffers, so a retry recomputes identical bytes.
 /// * **Fault injection** — `ctl.faults`, when present, is consulted once
 ///   at the start of the attempt and the returned [`Fault`] is acted out.
 /// * **Deadline budget** — with `ctl.deadline` set, an attempt whose host
@@ -333,7 +281,7 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 ///
 /// # Panics
 ///
-/// Launch *validation* still panics ([`launch`]'s contract): an impossible
+/// Launch *validation* panics (see [`launch`]): an impossible
 /// configuration is a programming error, not a runtime fault.
 pub fn try_launch_pooled(
     device: &DeviceSpec,
@@ -372,101 +320,56 @@ pub fn try_launch_pooled(
     }
 
     let start = Instant::now();
-    let workers = policy.workers().min(n_exec as usize).max(1);
-    let (merged, recorded, executed) = if workers == 1 {
-        // Serial engine, panic-isolated. The scratch is moved into the
-        // closure; on a panic it is simply dropped instead of returned to
-        // the pool (its per-block state is mid-flight and must not be
-        // recycled).
-        let result = panic::catch_unwind(AssertUnwindSafe(|| {
-            let mut scratch = pool.take();
-            let out = run_serial(
-                device,
-                mem,
-                kernel,
-                config,
-                (exec_stride, stat_stride),
-                &mut scratch,
-                panic_at,
-            );
-            pool.give(scratch);
-            out
-        }));
-        match result {
-            Ok(out) => out,
-            Err(payload) => {
-                return Err(LaunchError::WorkerPanic {
-                    message: panic_message(payload),
-                })
-            }
-        }
-    } else {
-        // Contiguous executed-block ranges, one per worker: worker w
-        // executes blocks with executed-index in
-        // [w*chunk, min((w+1)*chunk, n_exec)).
-        let chunk = n_exec.div_ceil(workers as u32);
-        let view = mem.shared_view();
-        let mut results: Vec<(BlockCounters, u32, u32)> = Vec::with_capacity(workers);
-        let mut panicked: Option<String> = None;
-        std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(workers);
-            for w in 0..workers as u32 {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n_exec);
-                let view = &view;
-                handles.push(scope.spawn(move || {
-                    // Each worker owns one scratch for its whole block range.
-                    let mut scratch = pool.take();
-                    let mut merged = BlockCounters::default();
-                    let mut recorded = 0u32;
-                    let mut executed = 0u32;
-                    for i in lo..hi {
-                        if panic_at == Some(i) {
-                            panic!("injected fault: mid-block panic at executed block {i}");
-                        }
-                        let block = i * exec_stride;
-                        let record = block.is_multiple_of(stat_stride);
-                        let mut ctx =
-                            BlockCtx::new_shared(device, view, block, config, record, &mut scratch);
-                        kernel.run_block(block, &mut ctx);
-                        let counters = ctx.finalize();
-                        if record {
-                            merged.merge(&counters);
-                            recorded += 1;
-                        }
-                        executed += 1;
-                    }
-                    pool.give(scratch);
-                    (merged, recorded, executed)
-                }));
-            }
-            // Joining in spawn order == block-index order (ranges are
-            // contiguous and ascending), so the merge below is
-            // deterministic. A panicking worker is isolated here: its
-            // payload is recorded and the launch rolls up as failed after
-            // every sibling has joined.
-            for h in handles {
-                match h.join() {
-                    Ok(r) => results.push(r),
-                    Err(payload) => panicked = Some(panic_message(payload)),
-                }
-            }
-        });
-        drop(view);
-        if let Some(message) = panicked {
-            return Err(LaunchError::WorkerPanic { message });
-        }
-
-        let mut merged = BlockCounters::default();
-        let mut recorded = 0u32;
-        let mut executed = 0u32;
-        for (c, r, e) in &results {
-            merged.merge(c);
-            recorded += r;
-            executed += e;
-        }
-        (merged, recorded, executed)
+    let workers = policy.workers().min(n_exec as usize).max(1) as u32;
+    // Contiguous executed-block ranges, one per worker: worker w executes
+    // blocks with executed-index in [w*chunk, min((w+1)*chunk, n_exec)).
+    let chunk = n_exec.div_ceil(workers);
+    let view = mem.shared_view();
+    let range = |w: u32| {
+        let blocks = w * chunk..((w + 1) * chunk).min(n_exec);
+        run_range(
+            device,
+            &view,
+            kernel,
+            config,
+            (exec_stride, stat_stride),
+            pool,
+            panic_at,
+            blocks,
+        )
     };
+    let results: Vec<std::thread::Result<_>> = if workers == 1 {
+        vec![panic::catch_unwind(AssertUnwindSafe(|| range(0)))]
+    } else {
+        let range = &range;
+        // Joining in spawn order == block-index order (ranges are
+        // contiguous and ascending), so the merge below is deterministic.
+        // A panicking worker is isolated here: the launch rolls up as
+        // failed after every sibling has joined.
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers)
+                .map(|w| scope.spawn(move || range(w)))
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        })
+    };
+    let mut merged = BlockCounters::default();
+    let mut recorded = 0u32;
+    let mut executed = 0u32;
+    let mut panicked: Option<String> = None;
+    for result in results {
+        match result {
+            Ok((c, r, e)) => {
+                merged.merge(&c);
+                recorded += r;
+                executed += e;
+            }
+            Err(payload) => panicked = Some(panic_message(payload)),
+        }
+    }
+    if let Some(message) = panicked {
+        return Err(LaunchError::WorkerPanic { message });
+    }
 
     if let Some(budget) = ctl.deadline {
         let elapsed = start.elapsed();
@@ -532,28 +435,35 @@ fn validate(
     (config, exec_stride, stat_stride)
 }
 
-/// Serial block loop over the whole grid, merging counters in block order.
-/// `scratch` is reset and reused for every block.
-fn run_serial(
+/// The block loop: execute the blocks whose executed-index lies in
+/// `blocks`, merging their counters in block order. The worker owns one
+/// scratch from `pool` for the whole range; on a panic it is dropped
+/// instead of returned (its per-block state is mid-flight and must not be
+/// recycled).
+#[allow(clippy::too_many_arguments)]
+fn run_range(
     device: &DeviceSpec,
-    mem: &mut GlobalMem,
-    kernel: &(impl Kernel + ?Sized),
+    view: &SharedMem<'_>,
+    kernel: &(dyn Kernel + Sync),
     config: LaunchConfig,
     (exec_stride, stat_stride): (u32, u32),
-    scratch: &mut BlockScratch,
+    pool: &ScratchPool,
     panic_at: Option<u32>,
+    blocks: std::ops::Range<u32>,
 ) -> (BlockCounters, u32, u32) {
-    let n_exec = config.grid_dim.div_ceil(exec_stride);
+    let mut scratch = pool.take();
     let mut merged = BlockCounters::default();
     let mut recorded = 0u32;
     let mut executed = 0u32;
-    for i in 0..n_exec {
+    for i in blocks {
         if panic_at == Some(i) {
             panic!("injected fault: mid-block panic at executed block {i}");
         }
         let block = i * exec_stride;
+        // The strides are equal under SampledExec and exec_stride is 1
+        // otherwise, so no recorded block is ever skipped.
         let record = block.is_multiple_of(stat_stride);
-        let mut ctx = BlockCtx::new(device, mem, block, config, record, scratch);
+        let mut ctx = BlockCtx::new(device, view, block, config, record, &mut scratch);
         kernel.run_block(block, &mut ctx);
         let counters = ctx.finalize();
         if record {
@@ -561,9 +471,8 @@ fn run_serial(
             recorded += 1;
         }
         executed += 1;
-        // When exec_stride > stat_stride is impossible (they are equal in
-        // SampledExec), so no recorded block is ever skipped.
     }
+    pool.give(scratch);
     (merged, recorded, executed)
 }
 
@@ -626,10 +535,8 @@ pub struct LaunchKey {
     pub mode: ExecMode,
 }
 
-/// A launch-statistics memoization layer the runtime can route launches
-/// through. Implemented by the single-map [`LaunchCache`] and the
-/// lock-striped [`crate::ShardedLaunchCache`]; the runtime only sees this
-/// trait, so callers pick the concurrency profile they need.
+/// The launch-statistics memoization layer the runtime routes launches
+/// through; implemented by [`crate::ShardedLaunchCache`].
 pub trait StatsCache: Sync {
     /// Launch through the cache: on a hit return the memoized stats (the
     /// kernel is *not* executed, `mem` is untouched); on a miss execute
@@ -650,181 +557,9 @@ pub trait StatsCache: Sync {
         pool: &ScratchPool,
         ctl: LaunchControl<'_>,
     ) -> Result<(KernelStats, bool), LaunchError>;
-
-    /// Lookups served from the cache so far.
-    fn hit_count(&self) -> u64;
-
-    /// Lookups that had to execute so far.
-    fn miss_count(&self) -> u64;
-
-    /// Memoized entries dropped to respect a capacity bound (0 for
-    /// unbounded caches).
-    fn eviction_count(&self) -> u64;
 }
 
-/// Memoization cache of [`KernelStats`] for repeated identical launches.
-///
-/// Figure sweeps re-simulate the same baseline/variant configuration many
-/// times (same kernel, same geometry, same input dims, same mode); a hit
-/// returns the cached stats **without executing the kernel**, so device
-/// memory is *not* written. Use it only for timing-only sweeps where
-/// outputs are discarded ([`ExecMode::SampledExec`]-style usage); never in
-/// correctness tests.
-#[derive(Debug, Default)]
-pub struct LaunchCache {
-    map: Mutex<HashMap<LaunchKey, KernelStats>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-}
-
-impl LaunchCache {
-    /// An empty cache.
-    pub fn new() -> LaunchCache {
-        LaunchCache::default()
-    }
-
-    /// Launch through the cache: on a hit return the memoized stats (the
-    /// kernel is *not* executed, `mem` is untouched); on a miss execute
-    /// with `policy` and memoize. The boolean is `true` on a hit.
-    pub fn launch(
-        &self,
-        device: &DeviceSpec,
-        mem: &mut GlobalMem,
-        kernel: &(dyn Kernel + Sync),
-        mode: ExecMode,
-        policy: ExecPolicy,
-        dims: (u64, u64),
-    ) -> (KernelStats, bool) {
-        self.launch_pooled(device, mem, kernel, mode, policy, dims, &ScratchPool::new())
-    }
-
-    /// [`LaunchCache::launch`] drawing accounting scratch from `pool` on
-    /// misses (see [`launch_pooled`]).
-    #[allow(clippy::too_many_arguments)]
-    pub fn launch_pooled(
-        &self,
-        device: &DeviceSpec,
-        mem: &mut GlobalMem,
-        kernel: &(dyn Kernel + Sync),
-        mode: ExecMode,
-        policy: ExecPolicy,
-        dims: (u64, u64),
-        pool: &ScratchPool,
-    ) -> (KernelStats, bool) {
-        match self.try_launch_pooled(
-            device,
-            mem,
-            kernel,
-            mode,
-            policy,
-            dims,
-            pool,
-            LaunchControl::default(),
-        ) {
-            Ok(out) => out,
-            Err(e) => panic!("launch failed: {e}"),
-        }
-    }
-
-    /// Fallible [`LaunchCache::launch_pooled`] honoring a
-    /// [`LaunchControl`]. Failed launches are not memoized. Lock poisoning
-    /// is recovered: the map only ever holds *completed* entries, so a
-    /// panic elsewhere never leaves it half-written.
-    #[allow(clippy::too_many_arguments)]
-    pub fn try_launch_pooled(
-        &self,
-        device: &DeviceSpec,
-        mem: &mut GlobalMem,
-        kernel: &(dyn Kernel + Sync),
-        mode: ExecMode,
-        policy: ExecPolicy,
-        dims: (u64, u64),
-        pool: &ScratchPool,
-        ctl: LaunchControl<'_>,
-    ) -> Result<(KernelStats, bool), LaunchError> {
-        let key = launch_key(device, kernel, mode, dims);
-        if let Some(stats) = self
-            .map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get(&key)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok((stats.clone(), true));
-        }
-        let stats = try_launch_pooled(device, mem, kernel, mode, policy, pool, ctl)?;
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        self.map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .insert(key, stats.clone());
-        Ok((stats, false))
-    }
-
-    /// Number of lookups served from the cache.
-    pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
-    }
-
-    /// Number of lookups that had to execute.
-    pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
-    }
-
-    /// Number of memoized launches.
-    pub fn len(&self) -> usize {
-        self.map
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .len()
-    }
-
-    /// True when nothing has been memoized yet.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Fraction of lookups served from the cache (0 when unused).
-    pub fn hit_rate(&self) -> f64 {
-        let (h, m) = (self.hits() as f64, self.misses() as f64);
-        if h + m > 0.0 {
-            h / (h + m)
-        } else {
-            0.0
-        }
-    }
-}
-
-impl StatsCache for LaunchCache {
-    fn launch_cached(
-        &self,
-        device: &DeviceSpec,
-        mem: &mut GlobalMem,
-        kernel: &(dyn Kernel + Sync),
-        mode: ExecMode,
-        policy: ExecPolicy,
-        dims: (u64, u64),
-        pool: &ScratchPool,
-        ctl: LaunchControl<'_>,
-    ) -> Result<(KernelStats, bool), LaunchError> {
-        self.try_launch_pooled(device, mem, kernel, mode, policy, dims, pool, ctl)
-    }
-
-    fn hit_count(&self) -> u64 {
-        self.hits()
-    }
-
-    fn miss_count(&self) -> u64 {
-        self.misses()
-    }
-
-    fn eviction_count(&self) -> u64 {
-        0
-    }
-}
-
-/// Build the [`LaunchKey`] of one launch (shared by every [`StatsCache`]
-/// implementation so all caches agree on what identifies a launch).
+/// Build the [`LaunchKey`] of one launch.
 pub(crate) fn launch_key(
     device: &DeviceSpec,
     kernel: &(dyn Kernel + Sync),
@@ -963,58 +698,42 @@ mod tests {
     #[test]
     fn parallel_policy_matches_serial_exactly() {
         let d = DeviceSpec::tesla_c2050();
+        let n = 128 * 37; // non-power-of-two block count
         for mode in [
             ExecMode::Full,
             ExecMode::SampledStats(8),
             ExecMode::SampledExec(8),
         ] {
-            let n = 128 * 37; // non-power-of-two block count
-            let data: Vec<f32> = (0..n).map(|i| (i % 17) as f32).collect();
-
-            let mut mem_s = GlobalMem::new();
-            let x = mem_s.alloc_from(&data);
-            let y = mem_s.alloc(n);
-            let k = Scale2 {
-                x,
-                y,
-                n,
-                block_dim: 128,
+            let run = |policy| {
+                let (_, mut mem, k) = scale2_setup(n);
+                let (pool, ctl) = (ScratchPool::new(), LaunchControl::default());
+                let stats = try_launch_pooled(&d, &mut mem, &k, mode, policy, &pool, ctl)
+                    .expect("fault-free launch succeeds");
+                (stats, mem.read(k.y).to_vec())
             };
-            let serial = launch(&d, &mut mem_s, &k, mode);
-
-            for workers in [2usize, 3, 8] {
-                let mut mem_p = GlobalMem::new();
-                let x = mem_p.alloc_from(&data);
-                let y = mem_p.alloc(n);
-                let k = Scale2 {
-                    x,
-                    y,
-                    n,
-                    block_dim: 128,
-                };
-                let parallel =
-                    launch_with_policy(&d, &mut mem_p, &k, mode, ExecPolicy::Parallel(workers));
+            let serial = run(ExecPolicy::Serial);
+            // 3 and 5 leave a ragged last range; 64 exceeds the executed
+            // block count under every mode and clamps to it.
+            for workers in [2usize, 3, 5, 8, 64] {
+                let parallel = run(ExecPolicy::Parallel(workers));
                 assert_eq!(serial, parallel, "mode {mode:?}, {workers} workers");
-                assert_eq!(mem_s.read(y), mem_p.read(y), "mode {mode:?}");
             }
         }
     }
 
     #[test]
     fn parallel_degrades_to_serial_for_tiny_grids() {
-        let d = DeviceSpec::tesla_c2050();
-        let mut mem = GlobalMem::new();
-        let x = mem.alloc_from(&[1.0, 2.0, 3.0]);
-        let y = mem.alloc(3);
-        let k = Scale2 {
-            x,
-            y,
-            n: 3,
-            block_dim: 128,
-        }; // 1 block
-        let s = launch_with_policy(&d, &mut mem, &k, ExecMode::Full, ExecPolicy::Parallel(16));
+        let (d, mut mem, k) = scale2_setup(3); // 1 block
+        let s = try_launch(
+            &d,
+            &mut mem,
+            &k,
+            ExecPolicy::Parallel(16),
+            LaunchControl::default(),
+        )
+        .expect("fault-free launch succeeds");
         assert_eq!(s.executed_blocks, 1);
-        assert_eq!(mem.read(y), &[2.0, 4.0, 6.0]);
+        assert_eq!(mem.read(k.y), &[0.0, 2.0, 4.0]);
     }
 
     #[test]
@@ -1023,71 +742,6 @@ mod tests {
         assert_eq!(ExecPolicy::Parallel(0).workers(), 1);
         assert_eq!(ExecPolicy::Parallel(6).workers(), 6);
         assert!(ExecPolicy::auto().workers() >= 1);
-    }
-
-    #[test]
-    fn cache_hits_skip_execution_and_count() {
-        let d = DeviceSpec::tesla_c2050();
-        let cache = LaunchCache::new();
-        let n = 1024usize;
-
-        let mut mem = GlobalMem::new();
-        let x = mem.alloc_from(&vec![1.0; n]);
-        let y = mem.alloc(n);
-        let k = Scale2 {
-            x,
-            y,
-            n,
-            block_dim: 128,
-        };
-        let (first, hit) = cache.launch(
-            &d,
-            &mut mem,
-            &k,
-            ExecMode::Full,
-            ExecPolicy::Serial,
-            (n as u64, 0),
-        );
-        assert!(!hit);
-        assert_eq!(mem.read(y)[5], 2.0);
-
-        // Identical launch in fresh memory: served from cache, memory
-        // untouched.
-        let mut mem2 = GlobalMem::new();
-        let x = mem2.alloc_from(&vec![1.0; n]);
-        let y = mem2.alloc(n);
-        let k = Scale2 {
-            x,
-            y,
-            n,
-            block_dim: 128,
-        };
-        let (second, hit) = cache.launch(
-            &d,
-            &mut mem2,
-            &k,
-            ExecMode::Full,
-            ExecPolicy::Serial,
-            (n as u64, 0),
-        );
-        assert!(hit);
-        assert_eq!(first, second);
-        assert_eq!(mem2.read(y)[5], 0.0, "hit must not execute");
-
-        // Different dims or mode miss.
-        let (_, hit) = cache.launch(
-            &d,
-            &mut mem2,
-            &k,
-            ExecMode::Full,
-            ExecPolicy::Serial,
-            (n as u64, 1),
-        );
-        assert!(!hit);
-        assert_eq!(cache.hits(), 1);
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 2);
-        assert!((cache.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
 
     #[test]
@@ -1149,98 +803,21 @@ mod tests {
         );
     }
 
-    /// Shared-memory kernel whose bank-conflict accounting depends on the
-    /// device (32 banks on Fermi, 16 on GT200).
-    struct SharedStride2;
-
-    impl Kernel for SharedStride2 {
-        fn name(&self) -> &str {
-            "shared_stride2"
-        }
-
-        fn config(&self) -> LaunchConfig {
-            LaunchConfig::new(1, 32, 64)
-        }
-
-        fn run_block(&self, _block: u32, ctx: &mut BlockCtx<'_>) {
-            for t in ctx.threads() {
-                ctx.st_shared(0, t, (t as usize * 2) % 64, t as f32);
-            }
-        }
-    }
-
-    #[test]
-    fn cache_keys_include_the_device() {
-        // Regression: stats recorded on one device must not serve a
-        // launch on another — 32-bank Fermi and 16-bank GT200 disagree on
-        // shared-memory serialization for the same kernel.
-        let fermi = DeviceSpec::tesla_c2050();
-        let gt200 = DeviceSpec::gtx285();
-        let cache = LaunchCache::new();
-        let mut mem = GlobalMem::new();
-        let (on_fermi, hit) = cache.launch(
-            &fermi,
-            &mut mem,
-            &SharedStride2,
-            ExecMode::Full,
-            ExecPolicy::Serial,
-            (0, 0),
-        );
-        assert!(!hit);
-        let (on_gt200, hit) = cache.launch(
-            &gt200,
-            &mut mem,
-            &SharedStride2,
-            ExecMode::Full,
-            ExecPolicy::Serial,
-            (0, 0),
-        );
-        assert!(!hit, "different device must miss, not reuse stats");
-        assert_eq!(cache.misses(), 2);
-        assert_eq!(cache.len(), 2);
-        // Stride-2: 2-way conflicts on 32 banks, still 2-way on 16 banks
-        // but over different words — counters genuinely differ.
-        assert_ne!(on_fermi.totals.shared_cycles, on_gt200.totals.shared_cycles);
-        // Same device again: now it hits.
-        let (_, hit) = cache.launch(
-            &fermi,
-            &mut mem,
-            &SharedStride2,
-            ExecMode::Full,
-            ExecPolicy::Serial,
-            (0, 0),
-        );
-        assert!(hit);
-    }
-
     #[test]
     fn pooled_launches_recycle_scratch() {
-        let d = DeviceSpec::tesla_c2050();
+        let (d, mut mem, k) = scale2_setup(1024);
         let pool = ScratchPool::new();
-        let mut mem = GlobalMem::new();
-        let x = mem.alloc_from(&vec![1.0; 1024]);
-        let y = mem.alloc(1024);
-        let k = Scale2 {
-            x,
-            y,
-            n: 1024,
-            block_dim: 128,
-        };
         let baseline = launch(&d, &mut mem, &k, ExecMode::Full);
+        let mut pooled = |policy| {
+            let ctl = LaunchControl::default();
+            try_launch_pooled(&d, &mut mem, &k, ExecMode::Full, policy, &pool, ctl)
+                .expect("fault-free launch succeeds")
+        };
         for _ in 0..3 {
-            let s = launch_pooled(&d, &mut mem, &k, ExecMode::Full, ExecPolicy::Serial, &pool);
-            assert_eq!(s, baseline);
+            assert_eq!(pooled(ExecPolicy::Serial), baseline);
         }
         assert_eq!(pool.idle(), 1, "serial launches share one scratch");
-        let s = launch_pooled(
-            &d,
-            &mut mem,
-            &k,
-            ExecMode::Full,
-            ExecPolicy::Parallel(4),
-            &pool,
-        );
-        assert_eq!(s, baseline);
+        assert_eq!(pooled(ExecPolicy::Parallel(4)), baseline);
         // Every worker returns its scratch; a fast worker's scratch may be
         // re-taken by a late-starting one, so the idle count lands anywhere
         // in [1, workers].
@@ -1386,6 +963,23 @@ mod tests {
                 .expect("retry succeeds");
             assert_eq!(stats, baseline, "{policy:?}");
             assert_eq!(mem.read(k.y), mem_clean.read(k_clean.y), "{policy:?}");
+        }
+    }
+
+    #[test]
+    fn out_of_bounds_access_is_a_worker_panic_on_every_worker_count() {
+        // Every launch goes through the raw-pointer view, so its bounds
+        // asserts are the only thing between a bad index and UB.
+        for policy in [ExecPolicy::Serial, ExecPolicy::Parallel(4)] {
+            let (d, mut mem, mut k) = scale2_setup(128 * 4);
+            k.n += 1; // last thread of the last block reads x[n]
+            let got = try_launch(&d, &mut mem, &k, policy, LaunchControl::default());
+            match got {
+                Err(LaunchError::WorkerPanic { message }) => {
+                    assert!(message.contains("out of bounds"), "{message}")
+                }
+                other => panic!("expected WorkerPanic under {policy:?}, got {other:?}"),
+            }
         }
     }
 

@@ -92,9 +92,9 @@ impl Fault {
     }
 }
 
-/// The hook the execution engines consult once per launch attempt.
+/// The hook the engine consults once per launch attempt.
 ///
-/// Implementations must be `Sync` (the parallel engine and concurrent
+/// Implementations must be `Sync` (parallel launches and concurrent
 /// kernel-management callers share one injector) and deterministic for a
 /// fixed construction + consultation order, so chaos runs replay.
 pub trait FaultInjector: fmt::Debug + Sync {

@@ -14,7 +14,7 @@
 //! mirroring SIMT lockstep execution.
 
 use crate::accounting::{AccessKind, BlockScratch};
-use crate::mem::{for_each_lane, BufId, GlobalMem, SharedMem};
+use crate::mem::{for_each_lane, BufId, SharedMem};
 use crate::spec::DeviceSpec;
 
 /// Launch geometry for a kernel.
@@ -115,35 +115,10 @@ impl BlockCounters {
 ///
 /// Borrowed mutably by [`Kernel::run_block`]; provides global/shared memory
 /// access with accounting, barrier counting, and compute instrumentation.
-/// How a block context reaches global memory: exclusively (serial engine)
-/// or through the concurrent view (parallel engine). Both paths perform
-/// identical accounting; only the aliasing discipline differs.
-enum MemRef<'a> {
-    Excl(&'a mut GlobalMem),
-    Shared(&'a SharedMem<'a>),
-}
-
-impl MemRef<'_> {
-    #[inline]
-    fn load(&self, buf: BufId, idx: usize) -> f32 {
-        match self {
-            MemRef::Excl(m) => m.load(buf, idx),
-            MemRef::Shared(m) => m.load(buf, idx),
-        }
-    }
-
-    #[inline]
-    fn store(&mut self, buf: BufId, idx: usize, v: f32) {
-        match self {
-            MemRef::Excl(m) => m.store(buf, idx, v),
-            MemRef::Shared(m) => m.store(buf, idx, v),
-        }
-    }
-}
-
+/// Global memory is reached through the engine's concurrent view.
 pub struct BlockCtx<'a> {
     device: &'a DeviceSpec,
-    mem: MemRef<'a>,
+    mem: &'a SharedMem<'a>,
     block: u32,
     config: LaunchConfig,
     record: bool,
@@ -157,30 +132,7 @@ pub struct BlockCtx<'a> {
 impl<'a> BlockCtx<'a> {
     pub(crate) fn new(
         device: &'a DeviceSpec,
-        mem: &'a mut GlobalMem,
-        block: u32,
-        config: LaunchConfig,
-        record: bool,
-        scratch: &'a mut BlockScratch,
-    ) -> Self {
-        Self::with_mem(device, MemRef::Excl(mem), block, config, record, scratch)
-    }
-
-    /// Context backed by the concurrent memory view (parallel engine).
-    pub(crate) fn new_shared(
-        device: &'a DeviceSpec,
         mem: &'a SharedMem<'a>,
-        block: u32,
-        config: LaunchConfig,
-        record: bool,
-        scratch: &'a mut BlockScratch,
-    ) -> Self {
-        Self::with_mem(device, MemRef::Shared(mem), block, config, record, scratch)
-    }
-
-    fn with_mem(
-        device: &'a DeviceSpec,
-        mem: MemRef<'a>,
         block: u32,
         config: LaunchConfig,
         record: bool,
@@ -378,6 +330,7 @@ impl<'a> BlockCtx<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::mem::GlobalMem;
 
     fn device() -> DeviceSpec {
         DeviceSpec::tesla_c2050()
@@ -390,7 +343,8 @@ mod tests {
         let buf = mem.alloc(64);
         let cfg = LaunchConfig::new(1, 64, 0);
         let mut scratch = BlockScratch::new();
-        let mut ctx = BlockCtx::new(&d, &mut mem, 0, cfg, true, &mut scratch);
+        let view = mem.shared_view();
+        let mut ctx = BlockCtx::new(&d, &view, 0, cfg, true, &mut scratch);
         for t in ctx.threads() {
             let _ = ctx.ld_global(0, t, buf, t as usize);
         }
@@ -406,7 +360,8 @@ mod tests {
         let buf = mem.alloc(32 * 32);
         let cfg = LaunchConfig::new(1, 32, 0);
         let mut scratch = BlockScratch::new();
-        let mut ctx = BlockCtx::new(&d, &mut mem, 0, cfg, true, &mut scratch);
+        let view = mem.shared_view();
+        let mut ctx = BlockCtx::new(&d, &view, 0, cfg, true, &mut scratch);
         for t in ctx.threads() {
             let _ = ctx.ld_global(0, t, buf, t as usize * 32);
         }
@@ -424,7 +379,8 @@ mod tests {
         let buf = mem.alloc(64);
         let cfg = LaunchConfig::new(1, 32, 0);
         let mut scratch = BlockScratch::new();
-        let mut ctx = BlockCtx::new(&d, &mut mem, 0, cfg, true, &mut scratch);
+        let view = mem.shared_view();
+        let mut ctx = BlockCtx::new(&d, &view, 0, cfg, true, &mut scratch);
         for t in ctx.threads() {
             let _ = ctx.ld_global(0, t, buf, t as usize);
             let _ = ctx.ld_global(0, t, buf, 32 + t as usize);
@@ -440,7 +396,8 @@ mod tests {
         let mut mem = GlobalMem::new();
         let cfg = LaunchConfig::new(1, 32, 64);
         let mut scratch = BlockScratch::new();
-        let mut ctx = BlockCtx::new(&d, &mut mem, 0, cfg, true, &mut scratch);
+        let view = mem.shared_view();
+        let mut ctx = BlockCtx::new(&d, &view, 0, cfg, true, &mut scratch);
         for t in ctx.threads() {
             ctx.st_shared(0, t, (t as usize * 2) % 64, t as f32);
         }
@@ -461,7 +418,8 @@ mod tests {
         let mut mem = GlobalMem::new();
         let cfg = LaunchConfig::new(1, 32, 0);
         let mut scratch = BlockScratch::new();
-        let mut ctx = BlockCtx::new(&d, &mut mem, 0, cfg, true, &mut scratch);
+        let view = mem.shared_view();
+        let mut ctx = BlockCtx::new(&d, &view, 0, cfg, true, &mut scratch);
         for t in ctx.threads() {
             // Divergent work: lane 5 does 10 instructions, others 1.
             ctx.compute(t, if t == 5 { 10 } else { 1 });
@@ -477,7 +435,8 @@ mod tests {
         let buf = mem.alloc(4);
         let cfg = LaunchConfig::new(1, 4, 0);
         let mut scratch = BlockScratch::new();
-        let mut ctx = BlockCtx::new(&d, &mut mem, 0, cfg, false, &mut scratch);
+        let view = mem.shared_view();
+        let mut ctx = BlockCtx::new(&d, &view, 0, cfg, false, &mut scratch);
         for t in ctx.threads() {
             ctx.st_global(0, t, buf, t as usize, t as f32 + 1.0);
             ctx.compute(t, 100);

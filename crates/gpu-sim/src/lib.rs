@@ -51,6 +51,15 @@
 //! assert_eq!(mem.read(x), &[2.0, 3.0, 4.0]);
 //! assert!(stats.totals.transactions() >= 2.0); // one load + one store
 //! ```
+//!
+//! # The launch path
+//!
+//! Two launch functions, one engine, one cache: [`try_launch_pooled`] is
+//! the fallible entry (worker count, scratch pool, fault injector and
+//! deadline are its arguments), [`launch`] is its panicking one-worker
+//! wrapper, and both run the same block loop over contiguous block
+//! ranges. [`ShardedLaunchCache`] memoizes launch statistics behind
+//! [`StatsCache::launch_cached`].
 
 pub mod accounting;
 pub mod cache;
@@ -64,8 +73,8 @@ pub mod spec;
 pub use accounting::{BlockScratch, ScratchPool};
 pub use cache::ShardedLaunchCache;
 pub use exec::{
-    launch, launch_pooled, launch_with_policy, try_launch_pooled, ExecMode, ExecPolicy,
-    KernelStats, LaunchCache, LaunchKey, ScaledCounters, StatsCache,
+    launch, try_launch_pooled, ExecMode, ExecPolicy, KernelStats, LaunchKey, ScaledCounters,
+    StatsCache,
 };
 pub use faults::{Fault, FaultInjector, FaultKind, FaultPlan, LaunchControl, LaunchError};
 pub use kernel::{BlockCounters, BlockCtx, Kernel, LaunchConfig, Site};

@@ -64,28 +64,16 @@ impl GlobalMem {
         self.buffers[buf.0].is_empty()
     }
 
-    /// Load one word (device-side access; accounting happens in the
-    /// execution engine, not here).
-    #[inline]
-    pub fn load(&self, buf: BufId, idx: usize) -> f32 {
-        self.buffers[buf.0][idx]
-    }
-
-    /// Store one word.
-    #[inline]
-    pub fn store(&mut self, buf: BufId, idx: usize, v: f32) {
-        self.buffers[buf.0][idx] = v;
-    }
-
     /// Number of allocated buffers.
     pub fn buffer_count(&self) -> usize {
         self.buffers.len()
     }
 
-    /// A view of this memory that many execution workers can access
-    /// concurrently. The `&mut self` borrow guarantees nothing else touches
-    /// the memory while views are alive; safety *between* workers rests on
-    /// the launch invariant documented on [`SharedMem`].
+    /// The view of this memory every launch executes through: one or many
+    /// block workers access it concurrently. The `&mut self` borrow
+    /// guarantees nothing else touches the memory while views are alive;
+    /// safety *between* workers rests on the launch invariant documented
+    /// on [`SharedMem`].
     pub(crate) fn shared_view(&mut self) -> SharedMem<'_> {
         SharedMem {
             buffers: self
@@ -98,7 +86,7 @@ impl GlobalMem {
     }
 }
 
-/// Concurrent view of [`GlobalMem`] for parallel block execution.
+/// Concurrent view of [`GlobalMem`] for block execution.
 ///
 /// # The launch invariant
 ///
@@ -109,7 +97,7 @@ impl GlobalMem {
 /// writes block-disjoint output ranges. Under that invariant, concurrent
 /// block execution through this view is race-free; a kernel that violated
 /// it would already be nondeterministic under CUDA's undefined block
-/// schedule, and the serial engine's fixed block order would merely hide
+/// schedule, and a one-worker launch's fixed block order would merely hide
 /// the bug. The view is deliberately `pub(crate)` so external code cannot
 /// construct aliasing accesses.
 pub(crate) struct SharedMem<'a> {
@@ -126,7 +114,7 @@ unsafe impl Send for SharedMem<'_> {}
 unsafe impl Sync for SharedMem<'_> {}
 
 impl SharedMem<'_> {
-    /// Load one word (bounds-checked like the exclusive path).
+    /// Load one word, bounds-checked.
     #[inline]
     pub(crate) fn load(&self, buf: BufId, idx: usize) -> f32 {
         let (ptr, len) = self.buffers[buf.0];
@@ -135,7 +123,7 @@ impl SharedMem<'_> {
         unsafe { *ptr.add(idx) }
     }
 
-    /// Store one word (bounds-checked like the exclusive path).
+    /// Store one word, bounds-checked.
     #[inline]
     pub(crate) fn store(&self, buf: BufId, idx: usize, v: f32) {
         let (ptr, len) = self.buffers[buf.0];
@@ -245,14 +233,16 @@ mod tests {
         let mut m = GlobalMem::new();
         let a = m.alloc(4);
         let b = m.alloc_from(&[1.0, 2.0]);
-        m.store(a, 2, 9.0);
+        m.write(a)[2] = 9.0;
         assert_eq!(m.read(a), &[0.0, 0.0, 9.0, 0.0]);
-        assert_eq!(m.load(b, 1), 2.0);
         assert_eq!(m.len(a), 4);
         assert!(!m.is_empty(a));
         assert_eq!(m.buffer_count(), 2);
-        m.write(b)[0] = 5.0;
-        assert_eq!(m.load(b, 0), 5.0);
+        // Device-side words go through the launch view.
+        let view = m.shared_view();
+        assert_eq!(view.load(b, 1), 2.0);
+        view.store(b, 0, 5.0);
+        assert_eq!(m.read(b), &[5.0, 2.0]);
     }
 
     #[test]

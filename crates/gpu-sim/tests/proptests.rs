@@ -4,8 +4,8 @@ use proptest::prelude::*;
 
 use gpu_sim::mem::full_mask;
 use gpu_sim::{
-    bank_conflict_degree, coalesce_transactions, launch, launch_with_policy, BlockCtx, DeviceSpec,
-    ExecMode, ExecPolicy, GlobalMem, Kernel, LaunchConfig,
+    bank_conflict_degree, coalesce_transactions, launch, try_launch_pooled, BlockCtx, DeviceSpec,
+    ExecMode, ExecPolicy, GlobalMem, Kernel, LaunchConfig, LaunchControl, ScratchPool,
 };
 
 proptest! {
@@ -144,9 +144,11 @@ impl Kernel for RandomKernel {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     /// The tentpole property: for random kernels, grids, execution modes,
-    /// and worker counts, the parallel engine is *bit-for-bit* identical
-    /// to the serial engine — same output buffer, same `KernelStats`
-    /// (counters, scaled totals, executed/recorded block counts).
+    /// and worker counts — more workers than executed blocks and ragged
+    /// last ranges included — `try_launch_pooled` under `Parallel(n)` is
+    /// *bit-for-bit* identical to `Serial`: same output buffer, same
+    /// `KernelStats` (counters, scaled totals, executed/recorded block
+    /// counts).
     #[test]
     fn parallel_engine_is_bit_identical_to_serial(
         grid in 1u32..48,
@@ -160,7 +162,7 @@ proptest! {
             ExecMode::SampledExec(3),
             ExecMode::SampledExec(7),
         ]),
-        workers in 1usize..9,
+        workers in 1usize..17,
         seed in 0u64..1_000_000,
     ) {
         let device = DeviceSpec::tesla_c2050();
@@ -182,19 +184,18 @@ proptest! {
             rounds,
             use_shared: shared_sel == 1,
         };
-        let serial = launch_with_policy(&device, &mut mem_s, &k_s, mode_sel, ExecPolicy::Serial);
+        let run = |mem: &mut GlobalMem, k: &RandomKernel, policy| {
+            let (pool, ctl) = (ScratchPool::new(), LaunchControl::default());
+            try_launch_pooled(&device, mem, k, mode_sel, policy, &pool, ctl)
+                .expect("fault-free launch succeeds")
+        };
+        let serial = run(&mut mem_s, &k_s, ExecPolicy::Serial);
 
         let mut mem_p = GlobalMem::new();
         let input_p = mem_p.alloc_from(&data);
         let out_p = mem_p.alloc(n);
         let k_p = RandomKernel { input: input_p, out: out_p, ..k_s };
-        let parallel = launch_with_policy(
-            &device,
-            &mut mem_p,
-            &k_p,
-            mode_sel,
-            ExecPolicy::Parallel(workers),
-        );
+        let parallel = run(&mut mem_p, &k_p, ExecPolicy::Parallel(workers));
 
         // Full stats equality: name, config, per-counter totals, scaled
         // counters, block counts — everything `KernelStats` carries.

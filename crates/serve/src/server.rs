@@ -45,12 +45,13 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Bound on the total queued requests across all tenants.
     pub global_queue_cap: usize,
-    /// Placement policy used for every dispatch.
-    pub placement: PlacementPolicy,
-    /// Block-execution policy inside each launch. Serial by default: the
-    /// serving plane's parallelism is across requests, not inside one.
-    pub exec: ExecPolicy,
 }
+
+/// Placement policy used for every dispatch.
+const PLACEMENT: PlacementPolicy = PlacementPolicy::CostPredicted;
+/// Block-execution policy inside each launch: the serving plane's
+/// parallelism is across requests, not inside one.
+const EXEC: ExecPolicy = ExecPolicy::Serial;
 
 impl Default for ServerConfig {
     fn default() -> ServerConfig {
@@ -58,8 +59,6 @@ impl Default for ServerConfig {
             devices: vec![DeviceSpec::igpu_small(), DeviceSpec::hpc_wide()],
             workers: 2,
             global_queue_cap: 128,
-            placement: PlacementPolicy::CostPredicted,
-            exec: ExecPolicy::Serial,
         }
     }
 }
@@ -490,12 +489,12 @@ impl Inner {
         }
         let opts = RunOptions {
             mode: req.mode,
-            policy: self.cfg.exec,
+            policy: EXEC,
             faults: req.faults.as_deref().map(|f| f as &dyn FaultInjector),
             retry,
             ..RunOptions::default()
         };
-        let placement = tenant.fleet.admit(req.x, self.cfg.placement)?;
+        let placement = tenant.fleet.admit(req.x, PLACEMENT)?;
         tenant
             .fleet
             .settle(placement, req.x, &req.input, &req.state, opts)

@@ -5,7 +5,7 @@
 //! cargo run --release --example tmv_sweep
 //! ```
 
-use adaptic_repro::adaptic::{compile, InputAxis, StateBinding};
+use adaptic_repro::adaptic::{compile, InputAxis, RunOptions, StateBinding};
 use adaptic_repro::apps::programs;
 use adaptic_repro::baselines;
 use adaptic_repro::gpu_sim::{DeviceSpec, ExecMode};
@@ -37,11 +37,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         let x: Vec<f32> = (0..cols).map(|i| ((i * 5) % 9) as f32 - 4.0).collect();
 
         let base = baselines::tmv::tmv(&device, &a, &x, rows, cols, ExecMode::SampledExec(256));
-        let rep = compiled.run_with(
+        let rep = compiled.run_opts(
             rows as i64,
             &a,
             &[StateBinding::new("RowDot", "x", x)],
-            ExecMode::SampledExec(256),
+            RunOptions::serial(ExecMode::SampledExec(256)),
+            None,
         )?;
         println!(
             "{:>12} {:>9.2} GF {:>9.2} GF {:>8.2}x",

@@ -3,7 +3,7 @@
 //! interpreter and the CPU references, on both device targets.
 
 use adaptic_repro::adaptic::{
-    compile, compile_with_options, CompileOptions, InputAxis, StateBinding,
+    compile, compile_with_options, CompileOptions, InputAxis, RunOptions, StateBinding,
 };
 use adaptic_repro::apps::programs::{self, zip2};
 use adaptic_repro::baselines::reference;
@@ -84,11 +84,12 @@ fn tmv_matches_reference_across_shapes_and_devices() {
             let a: Vec<f32> = (0..total as usize).map(|i| ((i * 7) % 5) as f32).collect();
             let x: Vec<f32> = (0..cols).map(|i| ((i * 3) % 4) as f32).collect();
             let rep = compiled
-                .run_with(
+                .run_opts(
                     rows as i64,
                     &a,
                     &[StateBinding::new("RowDot", "x", x.clone())],
-                    ExecMode::Full,
+                    RunOptions::serial(ExecMode::Full),
+                    None,
                 )
                 .unwrap();
             let expected = reference::tmv(&a, &x, rows, cols);
@@ -139,7 +140,13 @@ fn black_scholes_matches_reference_and_interpreter() {
         .collect();
     let state = [StateBinding::new("Price", "rv", vec![0.02, 0.3])];
     let rep = compiled
-        .run_with(n as i64, &prices, &state, ExecMode::Full)
+        .run_opts(
+            n as i64,
+            &prices,
+            &state,
+            RunOptions::serial(ExecMode::Full),
+            None,
+        )
         .unwrap();
 
     let mut it = Interpreter::new(&program);
@@ -216,7 +223,13 @@ fn gtx285_respects_its_smaller_limits() {
         };
         let input: Vec<f32> = (0..needed).map(|i| (i % 9) as f32).collect();
         let _ = compiled
-            .run_with(n as i64, &input, &[], ExecMode::SampledExec(32))
+            .run_opts(
+                n as i64,
+                &input,
+                &[],
+                RunOptions::serial(ExecMode::SampledExec(32)),
+                None,
+            )
             .unwrap();
     }
 }

@@ -23,7 +23,7 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use adaptic_repro::adaptic::{
-    compile, CompileOptions, ExecMode, ExecutionReport, InputAxis, StateBinding,
+    compile, CompileOptions, ExecMode, ExecutionReport, InputAxis, RunOptions, StateBinding,
 };
 use adaptic_repro::apps::bicgstab::{self, AdapticBicgstab};
 use adaptic_repro::apps::datasets::dataset;
@@ -221,11 +221,12 @@ fn tmv_sweep_reports_are_stable() {
         let a: Vec<f32> = (0..total).map(|i| ((i * 13) % 7) as f32 - 3.0).collect();
         let x: Vec<f32> = (0..cols).map(|i| ((i * 5) % 9) as f32 - 4.0).collect();
         let rep = compiled
-            .run_with(
+            .run_opts(
                 rows as i64,
                 &a,
                 &[StateBinding::new("RowDot", "x", x)],
-                ExecMode::SampledExec(256),
+                RunOptions::serial(ExecMode::SampledExec(256)),
+                None,
             )
             .unwrap();
         snap.push_str(&render_report(&format!("tmv {rows}x{cols}"), &rep));
@@ -296,7 +297,13 @@ fn template_family_reports_are_stable() {
             for &x in case.sizes {
                 let input = common::data((case.items)(x), seed);
                 let rep = compiled
-                    .run_with(x, &input, &(case.state)(), ExecMode::Full)
+                    .run_opts(
+                        x,
+                        &input,
+                        &(case.state)(),
+                        RunOptions::serial(ExecMode::Full),
+                        None,
+                    )
                     .unwrap();
                 let tag = format!("{} {} x={x} seed={seed}", case.family, device.name);
                 snap.push_str(&render_report(&tag, &rep));
