@@ -196,6 +196,7 @@ fn main() -> ExitCode {
             min_ns: o.serve_us * 1000.0,
             max_ns: o.total_us() * 1000.0,
             speedup: None,
+            rate: None,
         });
         outcomes.push((name, o));
     }

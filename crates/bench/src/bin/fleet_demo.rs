@@ -172,6 +172,7 @@ fn main() -> ExitCode {
             min_ns: makespan * 1000.0,
             max_ns: makespan * 1000.0,
             speedup: None,
+            rate: None,
         });
     }
     let baseline = records[0].clone();
@@ -232,6 +233,7 @@ fn main() -> ExitCode {
             min_ns: pruned_makespan * 1000.0,
             max_ns: pruned_makespan * 1000.0,
             speedup: None,
+            rate: None,
         }
         .vs(&baseline),
     );

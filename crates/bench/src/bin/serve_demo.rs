@@ -337,6 +337,7 @@ fn main() -> ExitCode {
                 min_ns: stat.lat_min_us as f64 * 1000.0,
                 max_ns: stat.lat_max_us as f64 * 1000.0,
                 speedup: Some(stat.goodput_rps()),
+                rate: None,
             });
             pair.push(stat);
         }

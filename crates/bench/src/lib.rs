@@ -110,9 +110,19 @@ pub struct BenchRecord {
     /// Mean-over-mean speedup relative to a baseline record (set via
     /// [`BenchRecord::vs`]); `None` marks a baseline itself.
     pub speedup: Option<f64>,
+    /// Work completed per second under its own JSON key, such as
+    /// `("rows_per_s", 1.2e7)` (set via [`BenchRecord::rate`]).
+    pub rate: Option<(&'static str, f64)>,
 }
 
 impl BenchRecord {
+    /// Tag this record with a throughput: each timed call completed
+    /// `per_call` units of work, reported per second of the mean call.
+    pub fn rate(mut self, key: &'static str, per_call: f64) -> BenchRecord {
+        self.rate = Some((key, per_call / (self.mean_ns * 1e-9)));
+        self
+    }
+
     /// Tag this record with its speedup over `baseline` (baseline mean /
     /// this mean, so > 1 means faster than the baseline).
     pub fn vs(mut self, baseline: &BenchRecord) -> BenchRecord {
@@ -141,6 +151,7 @@ pub fn measure(name: &str, samples: usize, mut f: impl FnMut()) -> BenchRecord {
         min_ns: min,
         max_ns: max,
         speedup: None,
+        rate: None,
     }
 }
 
@@ -184,6 +195,9 @@ pub fn render_bench_json(stem: &str, rev: &str, records: &[BenchRecord]) -> Stri
         ));
         if let Some(sp) = r.speedup {
             s.push_str(&format!(", \"speedup\": {sp:.3}"));
+        }
+        if let Some((key, per_s)) = r.rate {
+            s.push_str(&format!(", \"{key}\": {per_s:.0}"));
         }
         s.push('}');
         if i + 1 < records.len() {
@@ -272,6 +286,7 @@ mod tests {
             min_ns: 150.0,
             max_ns: 260.0,
             speedup: None,
+            rate: None,
         };
         let fast = BenchRecord {
             name: "fast".into(),
@@ -279,15 +294,17 @@ mod tests {
             min_ns: 40.0,
             max_ns: 61.0,
             speedup: None,
+            rate: None,
         }
-        .vs(&base);
+        .vs(&base)
+        .rate("rows_per_s", 100.0);
         assert_eq!(fast.speedup, Some(4.0));
 
         let doc = render_bench_json("demo", "deadbeef", &[base.clone(), fast.clone()]);
         assert!(doc.contains("\"bench\": \"demo\""));
         assert!(doc.contains("\"git_rev\": \"deadbeef\""));
         assert!(doc.contains("\"name\": \"base\", \"mean_ns\": 200.0"));
-        assert!(doc.contains("\"speedup\": 4.000"));
+        assert!(doc.contains("\"speedup\": 4.000, \"rows_per_s\": 2000000000}"));
 
         let dir = std::env::temp_dir().join(format!("bench_json_test_{}", std::process::id()));
         let path = bench_json_to(&dir, "demo", &[base, fast]).unwrap();

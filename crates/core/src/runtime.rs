@@ -9,6 +9,7 @@
 //! the initial host-to-device transfer, so it does not appear in kernel
 //! time.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
 use gpu_sim::{
@@ -347,7 +348,7 @@ impl CompiledProgram {
         let mut host_time_us = 0.0f64;
         // The current stream: either still on the host (before the first
         // GPU segment) or a device buffer.
-        let mut cur_host: Option<Vec<f32>> = Some(input.to_vec());
+        let mut cur_host: Option<Cow<'_, [f32]>> = Some(Cow::Borrowed(input));
         let mut cur_buf: Option<BufId> = None;
         let mut cur_layout = Layout::RowMajor;
 
@@ -736,17 +737,17 @@ impl CompiledProgram {
                 (SegKind::Opaque(actor_idx), SegChoice::Opaque) => {
                     // Host execution: download, interpret, keep on host.
                     let actor = &self.program.actors[*actor_idx];
-                    let data = match (&cur_host, cur_buf) {
-                        (Some(h), _) => h.clone(),
-                        (None, Some(buf)) => mem.read(buf).to_vec(),
+                    let data: &[f32] = match (&cur_host, cur_buf) {
+                        (Some(h), _) => h,
+                        (None, Some(buf)) => mem.read(buf),
                         _ => unreachable!("stream is somewhere"),
                     };
                     let SegPrograms::Opaque(prog) = &self.programs[i] else {
                         return Err(Error::Runtime("segment/program mismatch".into()));
                     };
-                    let (out, us) = run_opaque(actor, reps as usize, &data, &binds, state, prog)?;
+                    let (out, us) = run_opaque(actor, reps as usize, data, &binds, state, prog)?;
                     host_time_us += us;
-                    cur_host = Some(out);
+                    cur_host = Some(Cow::Owned(out));
                     cur_buf = None;
                     cur_layout = Layout::RowMajor;
                 }
@@ -760,8 +761,8 @@ impl CompiledProgram {
 
         // Read back the output.
         let mut output = match (cur_host, cur_buf) {
-            (Some(h), _) => h,
-            (None, Some(buf)) => mem.read(buf).to_vec(),
+            (Some(h), _) => h.into_owned(),
+            (None, Some(buf)) => mem.into_host(buf),
             _ => Vec::new(),
         };
         if cur_layout == Layout::Transposed {
@@ -794,7 +795,7 @@ impl CompiledProgram {
 /// restructuring host data is free (done at generation time, §4.1.1).
 fn ensure_device(
     mem: &mut GlobalMem,
-    cur_host: &mut Option<Vec<f32>>,
+    cur_host: &mut Option<Cow<'_, [f32]>>,
     cur_buf: &mut Option<BufId>,
     cur_layout: &mut Layout,
     want: Layout,
@@ -808,13 +809,19 @@ fn ensure_device(
                 got: host.len(),
             });
         }
-        let host = &host[..expect_items];
-        let data = if want == Layout::Transposed && window > 1 {
-            restructure(host, window)
-        } else {
-            host.to_vec()
+        // The one host-to-device copy: a restructured or borrowed stream
+        // is copied here, an owned one moves in.
+        let data = match host {
+            host if want == Layout::Transposed && window > 1 => {
+                restructure(&host[..expect_items], window)
+            }
+            Cow::Borrowed(h) => h[..expect_items].to_vec(),
+            Cow::Owned(mut h) => {
+                h.truncate(expect_items);
+                h
+            }
         };
-        let buf = mem.alloc_from(&data);
+        let buf = mem.alloc_from(data);
         *cur_buf = Some(buf);
         *cur_layout = if window > 1 { want } else { Layout::RowMajor };
         return Ok(buf);

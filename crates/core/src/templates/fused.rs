@@ -173,10 +173,10 @@ impl Kernel for FusedReduce {
                         state_slots: &comp.state_slots,
                     };
                     let row = warp::eval_row(&comp.elem, wf, mask, &mut io);
+                    ctx.count_flops(mask.count_ones() as u64);
                     for_lanes(mask, live, |l| {
                         accs[s][l] = spec.op.apply(accs[s][l], row[l]);
                         ctx.compute((lane0 + l) as u32, comp.compute_per_elem);
-                        ctx.count_flops(1);
                     });
                 }
                 let mut next = 0u64;

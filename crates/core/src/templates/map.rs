@@ -453,10 +453,10 @@ impl Kernel for MapKernel {
                     state_cache: &mut state_cache,
                 };
                 warp::eval(&self.program, &mut wf, full_mask(live), &mut io);
+                ctx.count_flops(live as u64 * self.flops_per_unit);
                 for l in 0..live {
                     let tid = (lane0 + l) as u32;
                     ctx.compute(tid, self.compute_per_unit);
-                    ctx.count_flops(self.flops_per_unit);
                 }
                 lane0 += ws;
             }
@@ -536,7 +536,7 @@ mod tests {
 
         // Transposed (restructured input, restructured output).
         let mut mem2 = GlobalMem::new();
-        let in2 = mem2.alloc_from(&restructure(&input, 4));
+        let in2 = mem2.alloc_from(restructure(&input, 4));
         let out2 = mem2.alloc(input.len() / 2);
         let opt = base
             .clone()

@@ -326,12 +326,12 @@ fn warp_accumulate(
             state_slots: &comp.state_slots,
         };
         let row = warp::eval_row(&comp.elem, wf, mask, &mut io);
+        ctx.count_flops(mask.count_ones() as u64 * fpe);
         let mut still = 0u64;
         for_lanes(mask, live, |l| {
             acc[l] = spec.op.apply(acc[l], row[l]);
             let tid = tid0 + l as u32;
             ctx.compute(tid, cpe);
-            ctx.count_flops(fpe);
             elems[l] += stride;
             if elems[l] < limit {
                 still |= 1 << l;
@@ -921,7 +921,7 @@ mod tests {
 
         // Restructured: x's then y's.
         let mut mem2 = GlobalMem::new();
-        let in2 = mem2.alloc_from(&crate::layout::restructure(&interleaved, 2));
+        let in2 = mem2.alloc_from(crate::layout::restructure(&interleaved, 2));
         let out2 = mem2.alloc(1);
         let k2 = SingleKernelReduce {
             spec,

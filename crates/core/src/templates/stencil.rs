@@ -348,10 +348,10 @@ impl Kernel for StencilKernel {
                         pushed: 0,
                     };
                     warp::eval(&self.program, &mut wf, mask, &mut io);
+                    ctx.count_flops(mask.count_ones() as u64 * self.flops_per_elem);
                     for_lanes(mask, live, |l| {
                         let tid = (lane0 + l) as u32;
                         ctx.compute(tid, self.compute_per_elem);
-                        ctx.count_flops(self.flops_per_elem);
                     });
                 }
                 lane0 += ws;

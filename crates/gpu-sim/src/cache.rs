@@ -311,7 +311,7 @@ mod tests {
 
     fn add_one(n: usize) -> (GlobalMem, AddOne) {
         let mut mem = GlobalMem::new();
-        let x = mem.alloc_from(&vec![1.0; n]);
+        let x = mem.alloc_from(vec![1.0; n]);
         let y = mem.alloc(n);
         (mem, AddOne { x, y, n })
     }

@@ -663,7 +663,7 @@ mod tests {
         let d = DeviceSpec::tesla_c2050();
         let mut mem = GlobalMem::new();
         let n = 128 * 64;
-        let x = mem.alloc_from(&vec![1.0; n]);
+        let x = mem.alloc_from(vec![1.0; n]);
         let y = mem.alloc(n);
         let k = Scale2 {
             x,

@@ -7,6 +7,7 @@
 //! in a single segment, up to 32 when they are scattered. Shared memory is
 //! modeled per block with bank-conflict accounting.
 
+use std::borrow::Cow;
 use std::fmt;
 
 /// Handle to a global-memory buffer.
@@ -38,15 +39,22 @@ impl GlobalMem {
     }
 
     /// Allocate a buffer initialized from host data (models the
-    /// host-to-device transfer).
-    pub fn alloc_from(&mut self, data: &[f32]) -> BufId {
-        self.buffers.push(data.to_vec());
+    /// host-to-device transfer). A `Vec` passed by value becomes the
+    /// buffer itself; borrowed data is copied once.
+    pub fn alloc_from<'a>(&mut self, data: impl Into<Cow<'a, [f32]>>) -> BufId {
+        self.buffers.push(data.into().into_owned());
         BufId(self.buffers.len() - 1)
     }
 
     /// Read back a whole buffer (models the device-to-host transfer).
     pub fn read(&self, buf: BufId) -> &[f32] {
         &self.buffers[buf.0]
+    }
+
+    /// End the memory's life and hand one buffer back to the host by
+    /// value: the final device-to-host transfer, without a copy.
+    pub fn into_host(mut self, buf: BufId) -> Vec<f32> {
+        self.buffers.swap_remove(buf.0)
     }
 
     /// Mutable view of a buffer (host-side initialization/restructuring).
@@ -154,6 +162,51 @@ pub fn for_each_lane(mut mask: u64, mut f: impl FnMut(usize)) {
     }
 }
 
+/// A warp row whose active lanes are one contiguous run and whose
+/// addresses step by one constant, non-negative stride without wrapping:
+/// the shape both counts below have a closed form for.
+struct AffineRow {
+    first: u64,
+    last: u64,
+    stride: u64,
+    lanes: u32,
+}
+
+/// Classify a row. The ends are tested first — `last >= first` and the
+/// checked product, on the real addresses rather than a computed
+/// `first + stride * (lanes - 1)`, so a descending row or a progression
+/// that wraps past `u64::MAX` is rejected, and so is almost every
+/// irregular row, in O(1) — then one branch-free pass checks every step.
+/// `None` also for an empty or holed mask.
+#[inline]
+fn affine_row(mask: u64, addrs: &[u64]) -> Option<AffineRow> {
+    if mask == 0 {
+        return None;
+    }
+    let lo = mask.trailing_zeros();
+    let run = mask >> lo;
+    if run & run.wrapping_add(1) != 0 {
+        return None;
+    }
+    let lanes = run.count_ones();
+    let active = &addrs[lo as usize..(lo + lanes) as usize];
+    let (first, last) = (active[0], active[active.len() - 1]);
+    let stride = active.get(1).map_or(0, |second| second.wrapping_sub(first));
+    if last < first || stride.checked_mul(lanes as u64 - 1) != Some(last - first) {
+        return None;
+    }
+    let mut deviation = 0u64;
+    for pair in active.windows(2) {
+        deviation |= pair[1].wrapping_sub(pair[0]) ^ stride;
+    }
+    (deviation == 0).then_some(AffineRow {
+        first,
+        last,
+        stride,
+        lanes,
+    })
+}
+
 /// Count the global-memory transactions needed to service one warp-wide
 /// memory instruction.
 ///
@@ -162,11 +215,28 @@ pub fn for_each_lane(mut mask: u64, mut f: impl FnMut(usize)) {
 /// `transaction_words` words. The result is the number of *distinct*
 /// segments touched — 1 for perfectly coalesced access, up to the warp
 /// size for fully scattered access.
+///
+/// This runs once per simulated warp instruction. An affine row — the
+/// active lanes one contiguous run, the addresses stepping by a constant
+/// non-negative stride without wrapping — is counted in closed form: a
+/// broadcast touches one segment, a step of at least a segment puts every
+/// lane in its own, and a smaller step never skips a segment, so the row
+/// touches every one from the first lane's to the last's. Any other row
+/// is sorted.
 pub fn coalesce_transactions(mask: u64, addrs: &[u64], transaction_words: u32) -> u32 {
     debug_assert!(transaction_words.is_power_of_two());
     let shift = transaction_words.trailing_zeros();
-    // This runs once per simulated warp instruction, so it works on the
-    // stack.
+    match affine_row(mask, addrs) {
+        Some(row) if row.stride == 0 => 1,
+        Some(row) if row.stride >= transaction_words as u64 => row.lanes,
+        Some(row) => ((row.last >> shift) - (row.first >> shift)) as u32 + 1,
+        None => sorted_transactions(mask, addrs, shift),
+    }
+}
+
+/// Distinct segments of an arbitrary row: sort the active lanes' segment
+/// indices on the stack and count the runs.
+fn sorted_transactions(mask: u64, addrs: &[u64], shift: u32) -> u32 {
     let mut buf = [0u64; MAX_LANES];
     let mut n = 0;
     for_each_lane(mask, |l| {
@@ -193,9 +263,33 @@ pub fn coalesce_transactions(mask: u64, addrs: &[u64], transaction_words: u32) -
 /// conflict-free access: 1 when every lane hits a different bank (or all
 /// lanes broadcast-read the same word), otherwise the maximum number of
 /// *distinct words* mapped to a single bank.
+///
+/// An affine row with a non-zero stride `s` holds distinct words, and
+/// lanes `i`, `j` share a bank iff `(j - i) * s ≡ 0 (mod banks)`, that is
+/// iff `j - i` is a multiple of `p = banks / gcd(s mod banks, banks)`: the
+/// lanes split into `p` residue classes and the fullest holds
+/// `⌈lanes / p⌉`. Any other row is sorted.
 pub fn bank_conflict_degree(mask: u64, addrs: &[u64], banks: u32) -> u32 {
-    // Sort (bank, word) pairs on the stack; the degree is the longest
-    // run of distinct words within one bank.
+    match affine_row(mask, addrs) {
+        Some(row) if row.stride == 0 => 1,
+        Some(row) => {
+            let period = banks / gcd((row.stride % banks as u64) as u32, banks);
+            row.lanes.div_ceil(period)
+        }
+        None => sorted_bank_degree(mask, addrs, banks),
+    }
+}
+
+fn gcd(mut a: u32, mut b: u32) -> u32 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
+/// Conflict degree of an arbitrary row: sort `(bank, word)` pairs on the
+/// stack; the degree is the longest run of distinct words within one bank.
+fn sorted_bank_degree(mask: u64, addrs: &[u64], banks: u32) -> u32 {
     let mut buf = [(0u64, 0u64); MAX_LANES];
     let mut n = 0;
     for_each_lane(mask, |l| {
@@ -226,6 +320,8 @@ pub fn bank_conflict_degree(mask: u64, addrs: &[u64], banks: u32) -> u32 {
 
 #[cfg(test)]
 mod tests {
+    use proptest::prelude::*;
+
     use super::*;
 
     #[test]
@@ -243,6 +339,12 @@ mod tests {
         assert_eq!(view.load(b, 1), 2.0);
         view.store(b, 0, 5.0);
         assert_eq!(m.read(b), &[5.0, 2.0]);
+        // An owned host vector becomes the buffer, and comes back, as is.
+        let host = vec![3.0; 1000];
+        let ptr = host.as_ptr();
+        let c = m.alloc_from(host);
+        let back = m.into_host(c);
+        assert_eq!(back.as_ptr(), ptr);
     }
 
     #[test]
@@ -309,5 +411,146 @@ mod tests {
     #[test]
     fn empty_access_degree_is_one() {
         assert_eq!(bank_conflict_degree(0, &[], 32), 1);
+    }
+
+    const BANKS: [u32; 5] = [16, 32, 33, 48, 64];
+    const TRANSACTION_WORDS: [u32; 2] = [16, 32];
+
+    /// Both counts of one row against the sorts the closed forms replace.
+    fn assert_matches_sort(mask: u64, addrs: &[u64], banks: u32, transaction_words: u32) {
+        assert_eq!(
+            coalesce_transactions(mask, addrs, transaction_words),
+            sorted_transactions(mask, addrs, transaction_words.trailing_zeros()),
+            "transactions of {mask:#x} {addrs:?} at {transaction_words} words"
+        );
+        assert_eq!(
+            bank_conflict_degree(mask, addrs, banks),
+            sorted_bank_degree(mask, addrs, banks),
+            "degree of {mask:#x} {addrs:?} on {banks} banks"
+        );
+    }
+
+    /// A 64-lane row with `first + i * stride` in lanes `lo..lo + n` and
+    /// junk, which no count may read, everywhere else.
+    fn affine(lo: usize, n: usize, first: u64, stride: u64) -> (u64, [u64; MAX_LANES]) {
+        let mut addrs: [u64; MAX_LANES] = std::array::from_fn(|l| u64::MAX - 97 * l as u64);
+        for i in 0..n {
+            addrs[lo + i] = first.wrapping_add(stride.wrapping_mul(i as u64));
+        }
+        (full_mask(n) << lo, addrs)
+    }
+
+    #[test]
+    fn closed_forms_match_the_sort_on_every_affine_row() {
+        for n in 1..=MAX_LANES {
+            for lo in 0..=MAX_LANES - n {
+                // The run's position only moves the slice: sweep it fully
+                // for short rows and at its ends for long ones.
+                if n > 4 && lo > 1 && lo < MAX_LANES - n {
+                    continue;
+                }
+                // Segments depend on the base's offset within one; banks
+                // do not (the degree of an affine row is base-free), so
+                // the bank sweep keeps a few bases and every stride.
+                for tw in TRANSACTION_WORDS {
+                    for stride in 0..=2 * tw as u64 + 1 {
+                        for base in 0..tw as u64 {
+                            let (mask, addrs) = affine(lo, n, 7 * tw as u64 + base, stride);
+                            assert!(affine_row(mask, &addrs).is_some());
+                            assert_eq!(
+                                coalesce_transactions(mask, &addrs, tw),
+                                sorted_transactions(mask, &addrs, tw.trailing_zeros()),
+                                "{n} lanes from {lo}, stride {stride}, base {base}, {tw} words"
+                            );
+                        }
+                    }
+                }
+                for banks in BANKS {
+                    for stride in 0..=2 * banks as u64 + 1 {
+                        for base in [0, 1, banks as u64 - 1, 1000] {
+                            let (mask, addrs) = affine(lo, n, base, stride);
+                            assert_eq!(
+                                bank_conflict_degree(mask, &addrs, banks),
+                                sorted_bank_degree(mask, &addrs, banks),
+                                "{n} lanes from {lo}, stride {stride}, base {base}, {banks} banks"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn descending_row_falls_back_to_the_sort() {
+        let (mask, mut addrs) = affine(3, 32, 1000, 2);
+        addrs[3..35].reverse();
+        assert!(affine_row(mask, &addrs).is_none());
+        assert_eq!(coalesce_transactions(mask, &addrs, 32), 3);
+        assert_eq!(bank_conflict_degree(mask, &addrs, 32), 2);
+        assert_matches_sort(mask, &addrs, 33, 16);
+    }
+
+    #[test]
+    fn progression_wrapping_past_u64_max_is_not_affine() {
+        // Constant wrapping step, but lanes 6.. land at 0, 1, ..: two far
+        // segments, which `first + stride * (lanes - 1)` would not see.
+        let (mask, addrs) = affine(0, 32, u64::MAX - 5, 1);
+        assert!(affine_row(mask, &addrs).is_none());
+        assert_eq!(coalesce_transactions(mask, &addrs, 32), 2);
+        assert_matches_sort(mask, &addrs, 32, 32);
+        // A step so large that the wrapped last lane is above the first.
+        let (mask, addrs) = affine(0, 3, 0, (1 << 63) + 1);
+        assert_eq!(addrs[..3], [0, (1 << 63) + 1, 2]);
+        assert!(affine_row(mask, &addrs).is_none());
+        assert_eq!(coalesce_transactions(mask, &addrs, 32), 2);
+        assert_matches_sort(mask, &addrs, 33, 32);
+    }
+
+    #[test]
+    fn single_lane_and_empty_rows() {
+        let (_, addrs) = affine(0, MAX_LANES, 12345, 77);
+        for lane in [0, 17, MAX_LANES - 1] {
+            assert_eq!(coalesce_transactions(1 << lane, &addrs, 32), 1);
+            assert_eq!(bank_conflict_degree(1 << lane, &addrs, 33), 1);
+        }
+        assert_eq!(coalesce_transactions(0, &addrs, 32), 0);
+        assert_eq!(bank_conflict_degree(0, &addrs, 32), 1);
+    }
+
+    proptest! {
+        /// Random rows — affine runs with a few lanes knocked out of the
+        /// mask or off the progression, and fully random addresses dense
+        /// enough to collide — agree with the sort on every device shape.
+        #[test]
+        fn any_row_matches_the_sort(
+            lo in 0usize..MAX_LANES,
+            len in 1usize..=MAX_LANES,
+            first in 0u64..5000,
+            stride in 0u64..140,
+            holes in any::<u64>(),
+            bumps in proptest::collection::vec((0usize..MAX_LANES, 0u64..200), 0..4),
+            scatter in proptest::collection::vec(0u64..300, MAX_LANES),
+            shape in 0u8..4,
+        ) {
+            let n = len.min(MAX_LANES - lo);
+            let (mut mask, mut addrs) = affine(lo, n, first, stride);
+            match shape {
+                0 => {}
+                1 => mask &= holes | 1 << lo,
+                2 => for &(lane, to) in &bumps {
+                    addrs[lane] = to;
+                },
+                _ => {
+                    mask = holes;
+                    addrs.copy_from_slice(&scatter);
+                }
+            }
+            for banks in BANKS {
+                for tw in TRANSACTION_WORDS {
+                    assert_matches_sort(mask, &addrs, banks, tw);
+                }
+            }
+        }
     }
 }
