@@ -7,9 +7,11 @@
 //!   (`ld_global_row` + `ld_shared_row`), one target per row shape, so
 //!   each row is collapsed into a transaction count and a bank-conflict
 //!   degree. `unit_stride`, `broadcast` and `strided_33` are arithmetic
-//!   progressions (the closed-form tier); `tile_wrapped` is a 16-wide
-//!   tile row pair — two affine pieces — and `irregular` a hashed gather
-//!   (both the sort tier). Reported as rows per second.
+//!   progressions and go out as `Row::Affine` descriptors, the way the
+//!   templates issue them (no address written, no scan); `tile_wrapped`
+//!   is a 16-wide tile row pair — two affine pieces — and `irregular` a
+//!   hashed gather, both lane-assembled `Row::Lanes` (classified, then
+//!   sorted). Reported as rows per second.
 //! * `full/*` — the per-lane API the hand-written baselines use:
 //!   `coalesced` (unit-stride global loads/stores), `scattered`
 //!   (large-stride loads that defeat coalescing) and `shared_heavy`
@@ -25,7 +27,9 @@ use adaptic_bench::{bench_json, measure};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
 use gpu_sim::mem::{full_mask, MAX_LANES};
-use gpu_sim::{launch, BlockCtx, BufId, DeviceSpec, ExecMode, GlobalMem, Kernel, LaunchConfig};
+use gpu_sim::{
+    launch, BlockCtx, BufId, DeviceSpec, ExecMode, GlobalMem, Kernel, LaunchConfig, Row,
+};
 
 const GRID: u32 = 512;
 const BLOCK_DIM: u32 = 256;
@@ -55,6 +59,16 @@ const SHAPES: [(&str, Shape); 5] = [
 ];
 
 impl Shape {
+    /// The constant lane-to-lane step of the progression shapes.
+    fn stride(self) -> Option<u64> {
+        match self {
+            Shape::UnitStride => Some(1),
+            Shape::Broadcast => Some(0),
+            Shape::Strided33 => Some(33),
+            Shape::TileWrapped | Shape::Irregular => None,
+        }
+    }
+
     fn addr(self, base: u64, lane: u64) -> u64 {
         match self {
             Shape::UnitStride => base + lane,
@@ -91,11 +105,25 @@ impl Kernel for Rows {
             for k in 0..ROWS_PER_WARP {
                 let row = (block * BLOCK_DIM / ws + warp) * ROWS_PER_WARP + k;
                 let base = (row * 7 % (ROW_WORDS / 2)) as u64;
-                for (lane, addr) in addrs.iter_mut().enumerate().take(ws as usize) {
-                    *addr = self.shape.addr(base, lane as u64);
-                }
-                ctx.ld_global_row(0, warp, self.a, mask, &addrs, &mut vals);
-                ctx.ld_shared_row(1, warp, mask, &addrs, &mut vals);
+                let row = match self.shape.stride() {
+                    Some(stride) => Row::Affine {
+                        lo: 0,
+                        lanes: ws,
+                        base,
+                        stride,
+                    },
+                    None => {
+                        for (lane, addr) in addrs.iter_mut().enumerate().take(ws as usize) {
+                            *addr = self.shape.addr(base, lane as u64);
+                        }
+                        Row::Lanes {
+                            mask,
+                            addrs: &addrs,
+                        }
+                    }
+                };
+                ctx.ld_global_row(0, warp, self.a, row, &mut vals);
+                ctx.ld_shared_row(1, warp, row, &mut vals);
             }
         }
         std::hint::black_box(vals);

@@ -31,6 +31,16 @@ impl Layout {
         }
     }
 
+    /// The `(per firing, per item)` address steps of the layout:
+    /// [`Layout::addr`] is `firing * per_firing + j * per_item`.
+    #[inline]
+    pub(crate) fn strides(self, rate: usize, firings: usize) -> (usize, usize) {
+        match self {
+            Layout::RowMajor => (rate, 1),
+            Layout::Transposed => (1, firings),
+        }
+    }
+
     /// Transactions per warp memory instruction when `warp_size`
     /// lane-consecutive threads each access item `j` of consecutive
     /// firings (the closed-form the compiler uses before running anything).

@@ -10,7 +10,7 @@
 
 use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig};
 
-use super::{state_ref, SITE_STATE};
+use super::{affine, compute_row, index_row, mask_run, state_ref, SITE_STATE};
 use crate::bytecode::Frame;
 use crate::layout::Layout;
 use crate::templates::reduction::{
@@ -75,9 +75,9 @@ impl WarpIo for WindowWarpIo<'_, '_, '_> {
     fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let (slot, buf) = state_ref(&self.spec.state, self.state_slots, id, array);
         let mut addrs = [0u64; MAX_LANES];
-        for_lanes(mask, out.len(), |l| addrs[l] = idx[l] as u64);
+        let row = index_row(mask, idx, &mut addrs);
         self.ctx
-            .ld_global_row(SITE_STATE + slot, self.warp, buf, mask, &addrs, out);
+            .ld_global_row(SITE_STATE + slot, self.warp, buf, row, out);
     }
 
     fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[i64], _: &[f32]) {
@@ -122,7 +122,7 @@ impl Kernel for FusedReduce {
                 wf
             })
             .collect();
-        let mut addrs = [0u64; MAX_LANES];
+        let per_elem = self.in_layout.strides(ppe, total_elems).0;
         // The shared pop windows live in the first sibling's pooled frame.
         let mut windows = wfs
             .first_mut()
@@ -148,12 +148,14 @@ impl Kernel for FusedReduce {
                 }
             }
             while mask != 0 {
+                // Lanes hold consecutive elements and run dry from the
+                // top lane down: each window word is one progression.
+                let (lo, lanes) = mask_run(mask).expect("live lanes are one run");
+                let first_elem = array * self.n_elements + elems[lo];
                 for (j, w) in windows.chunks_exact_mut(ws).enumerate() {
-                    for_lanes(mask, live, |l| {
-                        let global_elem = array * self.n_elements + elems[l];
-                        addrs[l] = self.in_layout.addr(global_elem, j, ppe, total_elems) as u64;
-                    });
-                    ctx.ld_global_row(SITE_ELEM, warp, self.in_buf, mask, &addrs, w);
+                    let first = self.in_layout.addr(first_elem, j, ppe, total_elems);
+                    let row = affine(lo, lanes, first, per_elem);
+                    ctx.ld_global_row(SITE_ELEM, warp, self.in_buf, row, w);
                 }
                 for (s, spec) in self.specs.iter().enumerate() {
                     let comp = &comps[s];
@@ -174,9 +176,9 @@ impl Kernel for FusedReduce {
                     };
                     let row = warp::eval_row(&comp.elem, wf, mask, &mut io);
                     ctx.count_flops(mask.count_ones() as u64);
+                    compute_row(ctx, warp, mask, comp.compute_per_elem);
                     for_lanes(mask, live, |l| {
                         accs[s][l] = spec.op.apply(accs[s][l], row[l]);
-                        ctx.compute((lane0 + l) as u32, comp.compute_per_elem);
                     });
                 }
                 let mut next = 0u64;

@@ -14,12 +14,15 @@
 
 use std::sync::Arc;
 
-use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig};
+use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig, Row};
 use streamir::ir::Stmt;
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
-use super::{for_warp_rows, state_ref, state_slots, StateCache, SITE_STATE};
+use super::{
+    affine, compute_row, cursor_row, for_warp_rows, index_row, lane_run, state_ref, state_slots,
+    StateCache, SITE_STATE,
+};
 use crate::analysis::opcount::body_counts;
 use crate::bytecode::{self, Ty};
 use crate::layout::Layout;
@@ -240,11 +243,17 @@ impl MapKernel {
 }
 
 /// Warp-granular I/O for the map template: each [`WarpIo`] call serves
-/// one opcode for a whole warp of units, handing `gpu_sim` complete
-/// `(mask, addrs[lane])` rows (one accounting call per warp memory
-/// instruction) instead of reassembling warps lane-by-lane. Lane `l`
-/// executes unit `unit0 + l` as thread `tid0 + l`; pop/push cursors are
-/// per lane, since divergent lanes consume and produce independently.
+/// one opcode for a whole warp of units, handing `gpu_sim` one complete
+/// row (one accounting call per warp memory instruction) instead of
+/// reassembling warps lane-by-lane. Lane `l` executes unit `unit0 + l` as
+/// thread `tid0 + l`; pop/push cursors are per lane, since divergent
+/// lanes consume and produce independently.
+///
+/// Units are lane-consecutive, so a contiguous run of lanes whose cursors
+/// agree (or whose peek offsets step by a constant) addresses a
+/// progression: its first address and stride come from the layout and the
+/// row goes out as a descriptor. Every other row is mapped lane by lane
+/// into `addrs`.
 struct MapWarpIo<'c, 'd, 'k> {
     ctx: &'c mut BlockCtx<'d>,
     kernel: &'k MapKernel,
@@ -260,92 +269,105 @@ struct MapWarpIo<'c, 'd, 'k> {
     pops: [usize; MAX_LANES],
     /// Per-lane push counts so far.
     pushes: [usize; MAX_LANES],
-    /// Address row of the instruction being issued.
+    /// Address row of a lane-mapped instruction being issued.
     addrs: [u64; MAX_LANES],
     /// The block's scalar-promotion cache, shared with every warp of the
     /// block.
     state_cache: &'c mut StateCache,
 }
 
-impl MapWarpIo<'_, '_, '_> {
-    /// Issue the row in `self.addrs` as a load from `buf` (shared memory
-    /// when `None`) into `out`.
-    fn load_row(&mut self, site: u32, buf: Option<BufId>, mask: u64, out: &mut [f32]) {
-        match buf {
-            Some(b) => self
-                .ctx
-                .ld_global_row(site, self.warp, b, mask, &self.addrs, out),
-            None => self
-                .ctx
-                .ld_shared_row(site, self.warp, mask, &self.addrs, out),
-        }
-    }
-}
-
 impl WarpIo for MapWarpIo<'_, '_, '_> {
     fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
         let k = self.kernel;
+        let (unit0, base, ppu) = (self.unit0, self.block_base, k.pops_per_unit);
         if k.stage_window {
-            for_lanes(mask, out.len(), |l| {
-                let unit = self.unit0 + l;
-                let local = (unit - self.block_base) * k.pops_per_unit + self.pops[l];
-                self.pops[l] += 1;
-                self.addrs[l] = local as u64;
-            });
-            self.load_row(SITE_STAGE_RD, None, mask, out);
+            let local = |l, j| (unit0 + l - base) * ppu + j;
+            let row = cursor_row(mask, &mut self.pops, Some(ppu), &mut self.addrs, local);
+            self.ctx.ld_shared_row(SITE_STAGE_RD, self.warp, row, out);
             return;
         }
-        for_lanes(mask, out.len(), |l| {
-            let addr = k
-                .in_layout
-                .addr(self.unit0 + l, self.pops[l], k.pops_per_unit, k.units);
-            self.pops[l] += 1;
-            self.addrs[l] = addr as u64;
-        });
-        self.load_row(SITE_POP, Some(k.in_buf), mask, out);
+        let stride = k.in_layout.strides(ppu, k.units).0;
+        let global = |l, j| k.in_layout.addr(unit0 + l, j, ppu, k.units);
+        let row = cursor_row(mask, &mut self.pops, Some(stride), &mut self.addrs, global);
+        self.ctx
+            .ld_global_row(SITE_POP, self.warp, k.in_buf, row, out);
     }
 
     fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]) {
         let k = self.kernel;
-        if k.stage_window && k.window_pop.is_none() {
-            for_lanes(mask, out.len(), |l| {
-                let unit = self.unit0 + l;
-                let local = (unit - self.block_base) * k.pops_per_unit + offsets[l] as usize;
-                self.addrs[l] = local as u64;
-            });
-            self.load_row(SITE_STAGE_RD, None, mask, out);
-            return;
-        }
-        for_lanes(mask, out.len(), |l| {
-            let unit = self.unit0 + l;
-            let off = offsets[l] as usize;
-            let addr = match k.window_pop {
-                Some(w) => {
-                    let firing = unit / k.units_per_firing.max(1);
-                    firing * w + off
-                }
-                None => k.in_layout.addr(unit, off, k.pops_per_unit, k.units),
+        let (unit0, base, ppu) = (self.unit0, self.block_base, k.pops_per_unit);
+        let upf = k.units_per_firing.max(1);
+        let staged = k.stage_window && k.window_pop.is_none();
+        let addr = |unit: usize, off: usize| {
+            if staged {
+                (unit - base) * ppu + off
+            } else if let Some(w) = k.window_pop {
+                unit / upf * w + off
+            } else {
+                k.in_layout.addr(unit, off, ppu, k.units)
+            }
+        };
+        // A run of non-negative, non-descending offsets (both ends
+        // checked) over lane-consecutive units peeks a progression: the
+        // address steps by `per_unit` from lane to lane and by `per_item`
+        // per unit of offset. A window peek is one only inside a firing.
+        let run = lane_run(mask, offsets).filter(|run| run.first >= 0 && run.step >= 0);
+        let progression = run.and_then(|run| {
+            let unit = unit0 + run.lo;
+            let (per_unit, per_item) = if staged {
+                (ppu, 1)
+            } else if k.window_pop.is_some() {
+                (
+                    (unit / upf == (unit + run.lanes - 1) / upf).then_some(0)?,
+                    1,
+                )
+            } else {
+                k.in_layout.strides(ppu, k.units)
             };
-            self.addrs[l] = addr as u64;
+            let stride = per_unit + run.step as usize * per_item;
+            Some(affine(
+                run.lo,
+                run.lanes,
+                addr(unit, run.first as usize),
+                stride,
+            ))
         });
-        self.load_row(SITE_PEEK, Some(k.in_buf), mask, out);
+        let row = progression.unwrap_or_else(|| {
+            for_lanes(mask, out.len(), |l| {
+                let offset = offsets[l];
+                assert!(
+                    offset >= 0,
+                    "map peek at {offset} outside the input (guard missing?)"
+                );
+                self.addrs[l] = addr(unit0 + l, offset as usize) as u64;
+            });
+            Row::Lanes {
+                mask,
+                addrs: &self.addrs,
+            }
+        });
+        if staged {
+            self.ctx.ld_shared_row(SITE_STAGE_RD, self.warp, row, out);
+        } else {
+            self.ctx
+                .ld_global_row(SITE_PEEK, self.warp, k.in_buf, row, out);
+        }
     }
 
     fn push_row(&mut self, mask: u64, vals: &[f32]) {
         let k = self.kernel;
-        for_lanes(mask, vals.len(), |l| {
-            let unit = self.unit0 + l;
-            let addr = match k.out_group {
-                Some((total, offset)) => unit * total + offset + self.pushes[l],
-                None => k
-                    .out_layout
-                    .addr(unit, self.pushes[l], k.pushes_per_unit, k.units),
-            };
-            self.pushes[l] += 1;
-            self.addrs[l] = addr as u64;
-        });
+        let unit0 = self.unit0;
+        let stride = match k.out_group {
+            Some((total, _)) => total,
+            None => k.out_layout.strides(k.pushes_per_unit, k.units).0,
+        };
+        let addr = |l, j| match k.out_group {
+            Some((total, offset)) => (unit0 + l) * total + offset + j,
+            None => k.out_layout.addr(unit0 + l, j, k.pushes_per_unit, k.units),
+        };
+        let row = cursor_row(mask, &mut self.pushes, Some(stride), &mut self.addrs, addr);
         self.ctx
-            .st_global_row(SITE_PUSH, self.warp, k.out_buf, mask, &self.addrs, vals);
+            .st_global_row(SITE_PUSH, self.warp, k.out_buf, row, vals);
     }
 
     fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
@@ -358,9 +380,9 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
     fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], vals: &[f32]) {
         let k = self.kernel;
         let (slot, buf) = state_ref(&k.state, &k.state_slots, id, array);
-        for_lanes(mask, idx.len(), |l| self.addrs[l] = idx[l] as u64);
+        let row = index_row(mask, idx, &mut self.addrs);
         self.ctx
-            .st_global_row(SITE_STATE + slot, self.warp, buf, mask, &self.addrs, vals);
+            .st_global_row(SITE_STATE + slot, self.warp, buf, row, vals);
     }
 }
 
@@ -394,19 +416,16 @@ impl Kernel for MapKernel {
             let global_base = base * self.pops_per_unit;
             let bdim = self.block_dim as usize;
             let ws = ctx.warp_size() as usize;
-            let (mut global, mut local) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
             let mut vals = [0.0f32; MAX_LANES];
             let mut off = 0usize;
             while off < span {
-                for_warp_rows(ws, 0, bdim.min(span - off), |warp, mask| {
-                    for_lanes(mask, ws, |l| {
-                        let tid = warp as usize * ws + l;
-                        local[l] = (off + tid) as u64;
-                        global[l] = (global_base + off + tid) as u64;
-                        ctx.compute(tid as u32, 2); // the extra address arithmetic
-                    });
-                    ctx.ld_global_row(SITE_STAGE_LD, warp, self.in_buf, mask, &global, &mut vals);
-                    ctx.st_shared_row(SITE_STAGE_ST, warp, mask, &local, &vals);
+                for_warp_rows(ws, 0, bdim.min(span - off), |warp, lo, lanes| {
+                    let local = off + warp as usize * ws + lo;
+                    let mask = full_mask(lanes) << lo;
+                    compute_row(ctx, warp, mask, 2); // the extra address arithmetic
+                    let global = affine(lo, lanes, global_base + local, 1);
+                    ctx.ld_global_row(SITE_STAGE_LD, warp, self.in_buf, global, &mut vals);
+                    ctx.st_shared_row(SITE_STAGE_ST, warp, affine(lo, lanes, local, 1), &vals);
                 });
                 off += bdim;
             }
@@ -440,10 +459,11 @@ impl Kernel for MapKernel {
                         *var = ((unit0 + l) % upf) as i64;
                     }
                 }
+                let warp = (lane0 / ws) as u32;
                 let mut io = MapWarpIo {
                     ctx,
                     kernel: self,
-                    warp: (lane0 / ws) as u32,
+                    warp,
                     tid0: lane0 as u32,
                     unit0,
                     block_base: base,
@@ -454,10 +474,7 @@ impl Kernel for MapKernel {
                 };
                 warp::eval(&self.program, &mut wf, full_mask(live), &mut io);
                 ctx.count_flops(live as u64 * self.flops_per_unit);
-                for l in 0..live {
-                    let tid = (lane0 + l) as u32;
-                    ctx.compute(tid, self.compute_per_unit);
-                }
+                compute_row(ctx, warp, full_mask(live), self.compute_per_unit);
                 lane0 += ws;
             }
         }
@@ -692,6 +709,103 @@ mod tests {
         // paper's stated shortcomings).
         assert!(staged_stats.config.shared_words > 0);
         assert!(staged_stats.totals.shared_insts > 0.0);
+    }
+
+    #[test]
+    fn peeks_address_the_same_words_as_a_run_and_lane_by_lane() {
+        // `peek(1)` is served to whole warps (one progression); the
+        // peeks under the data-dependent branch reach holed lane masks
+        // and are mapped lane by lane. Both must read the interpreter's
+        // words under every input layout.
+        let src = r#"pipeline P() {
+            actor M(pop 4, push 1) {
+                a = peek(1);
+                if (peek(0) > 0.0) { b = peek(3); } else { b = peek(2); }
+                x = pop(); y = pop(); z = pop(); w = pop();
+                push(a + 2.0 * b + 4.0 * x + y - z + w);
+            }
+        }"#;
+        let program = parse_program(src).unwrap();
+        let input: Vec<f32> = (0..1200).map(|i| ((i * 37) % 101) as f32 - 50.0).collect();
+        let expected = Interpreter::new(&program).run(&input).unwrap();
+        let device = DeviceSpec::tesla_c2050();
+        for (layout, stage) in [
+            (Layout::RowMajor, false),
+            (Layout::Transposed, false),
+            (Layout::RowMajor, true),
+        ] {
+            let mut mem = GlobalMem::new();
+            let in_buf = match layout {
+                Layout::RowMajor => mem.alloc_from(&input),
+                Layout::Transposed => mem.alloc_from(restructure(&input, 4)),
+            };
+            let out_buf = mem.alloc(input.len() / 4);
+            let k = MapKernel::new(
+                "peeks",
+                &program.actors[0].work.body,
+                bindings(&[]),
+                None,
+                input.len() / 4,
+                4,
+                1,
+                in_buf,
+                out_buf,
+            )
+            .with_layouts(layout, Layout::RowMajor)
+            .with_staging(stage)
+            .with_block_dim(128);
+            launch(&device, &mut mem, &k, ExecMode::Full);
+            assert_eq!(mem.read(out_buf), expected, "{layout:?}, staged {stage}");
+        }
+    }
+
+    /// `peek(i - 1)` over a parallelized loop: unit 0 peeks offset -1,
+    /// the first lane of an otherwise valid ascending run.
+    fn negative_peek_kernel(mem: &mut GlobalMem, stage: bool) -> MapKernel {
+        let src = r#"pipeline P(N) {
+            actor A(pop N, push N, peek N) {
+                for i in 0..N { push(peek(i - 1)); }
+            }
+        }"#;
+        let program = parse_program(src).unwrap();
+        let Stmt::For { var, body, .. } = &program.actors[0].work.body[0] else {
+            panic!("expected for");
+        };
+        let n = 64usize;
+        let in_buf = mem.alloc(n);
+        let out_buf = mem.alloc(n);
+        let mut k = MapKernel::new(
+            "neg",
+            body,
+            bindings(&[("N", n as i64)]),
+            Some(var.clone()),
+            n,
+            1,
+            1,
+            in_buf,
+            out_buf,
+        )
+        .with_staging(stage);
+        if !stage {
+            k.window_pop = Some(n);
+        }
+        k
+    }
+
+    #[test]
+    #[should_panic(expected = "map peek at -1 outside the input")]
+    fn negative_window_peek_is_reported_not_wrapped() {
+        let mut mem = GlobalMem::new();
+        let k = negative_peek_kernel(&mut mem, false);
+        launch(&DeviceSpec::tesla_c2050(), &mut mem, &k, ExecMode::Full);
+    }
+
+    #[test]
+    #[should_panic(expected = "map peek at -1 outside the input")]
+    fn negative_staged_peek_is_reported_not_wrapped() {
+        let mut mem = GlobalMem::new();
+        let k = negative_peek_kernel(&mut mem, true);
+        launch(&DeviceSpec::tesla_c2050(), &mut mem, &k, ExecMode::Full);
     }
 
     #[test]

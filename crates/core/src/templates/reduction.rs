@@ -25,12 +25,12 @@ use streamir::ir::Expr;
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
-use super::{for_warp_rows, state_ref, state_slots, StateCache};
+use super::{affine, compute_row, cursor_row, for_warp_rows, state_ref, state_slots, StateCache};
 use crate::analysis::opcount::body_counts;
 use crate::analysis::reduction::{CombineOp, ReductionPattern};
 use crate::bytecode::{self, Frame, IrIo, Ty};
 use crate::layout::Layout;
-use crate::warp::{self, for_lanes, full_mask, WarpFramePool, WarpIo, MAX_LANES};
+use crate::warp::{self, for_lanes, WarpFramePool, WarpIo, MAX_LANES};
 
 // Shared with the fused template, which reuses the row helpers below.
 pub(super) const SITE_ELEM: u32 = 0;
@@ -231,6 +231,9 @@ struct ElemWarpIo<'c, 'd, 's> {
     in_layout: Layout,
     /// Per-lane global element index.
     globals: [usize; MAX_LANES],
+    /// True when the masked lanes' elements are consecutive
+    /// (`globals[l + 1] == globals[l] + 1`).
+    consecutive: bool,
     total_elems: usize,
     /// Per-lane pop cursor within the current element.
     pops: [usize; MAX_LANES],
@@ -242,17 +245,15 @@ struct ElemWarpIo<'c, 'd, 's> {
 
 impl WarpIo for ElemWarpIo<'_, '_, '_> {
     fn pop_row(&mut self, mask: u64, out: &mut [f32]) {
-        let ppe = self.spec.pops_per_elem;
+        let (ppe, total, layout) = (self.spec.pops_per_elem, self.total_elems, self.in_layout);
+        let stride = self.consecutive.then(|| layout.strides(ppe, total).0);
+        let globals = &self.globals;
         let mut addrs = [0u64; MAX_LANES];
-        for_lanes(mask, out.len(), |l| {
-            let addr = self
-                .in_layout
-                .addr(self.globals[l], self.pops[l], ppe, self.total_elems);
-            self.pops[l] += 1;
-            addrs[l] = addr as u64;
+        let row = cursor_row(mask, &mut self.pops, stride, &mut addrs, |l, j| {
+            layout.addr(globals[l], j, ppe, total)
         });
         self.ctx
-            .ld_global_row(SITE_ELEM, self.warp, self.in_buf, mask, &addrs, out);
+            .ld_global_row(SITE_ELEM, self.warp, self.in_buf, row, out);
     }
 
     fn peek_row(&mut self, _: u64, _: &[i64], _: &mut [f32]) {
@@ -302,6 +303,15 @@ fn warp_accumulate(
 ) {
     let cpe = comp.compute_per_elem;
     let fpe = 1 + spec.pops_per_elem as u64;
+    // Every lane advances by the same `stride` per round, so lanes that
+    // start on consecutive elements of one array stay consecutive.
+    let mut consecutive = true;
+    let mut prev = None;
+    for_lanes(mask, live, |l| {
+        let at = (arrays[l], elems[l]);
+        consecutive &= prev.is_none_or(|(a, e)| (a, e + 1) == at);
+        prev = Some(at);
+    });
     while mask != 0 {
         wf.reset(&comp.elem_proto);
         if let Some(slot) = comp.loop_slot {
@@ -320,6 +330,7 @@ fn warp_accumulate(
             in_buf,
             in_layout,
             globals,
+            consecutive,
             total_elems,
             pops: [0; MAX_LANES],
             state_cache: &mut *state_cache,
@@ -328,10 +339,9 @@ fn warp_accumulate(
         let row = warp::eval_row(&comp.elem, wf, mask, &mut io);
         ctx.count_flops(mask.count_ones() as u64 * fpe);
         let mut still = 0u64;
+        compute_row(ctx, warp_idx, mask, cpe);
         for_lanes(mask, live, |l| {
             acc[l] = spec.op.apply(acc[l], row[l]);
-            let tid = tid0 + l as u32;
-            ctx.compute(tid, cpe);
             elems[l] += stride;
             if elems[l] < limit {
                 still |= 1 << l;
@@ -350,11 +360,7 @@ pub(super) fn store_accs(
     live: usize,
     acc: &[f32; MAX_LANES],
 ) {
-    let mut addrs = [0u64; MAX_LANES];
-    for (l, addr) in addrs.iter_mut().enumerate().take(live) {
-        *addr = (base + l) as u64;
-    }
-    ctx.st_shared_row(SITE_SHARED_ST, warp_idx, full_mask(live), &addrs, acc);
+    ctx.st_shared_row(SITE_SHARED_ST, warp_idx, affine(0, live, base, 1), acc);
 }
 
 /// One level of a shared-memory tree reduction, issued as warp rows:
@@ -369,19 +375,21 @@ pub(super) fn tree_level(
     active: usize,
 ) {
     let ws = ctx.warp_size() as usize;
-    let (mut near, mut far) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
     let (mut a, mut b) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
-    for_warp_rows(ws, t0, active, |warp, mask| {
-        for_lanes(mask, ws, |l| {
-            let tid = warp as usize * ws + l;
-            near[l] = (base + tid - t0) as u64;
-            far[l] = near[l] + active as u64;
-            ctx.compute(tid as u32, 1);
-        });
-        ctx.ld_shared_row(SITE_SHARED_LD, warp, mask, &near, &mut a);
-        ctx.ld_shared_row(SITE_SHARED_LD, warp, mask, &far, &mut b);
-        for_lanes(mask, ws, |l| a[l] = op.apply(a[l], b[l]));
-        ctx.st_shared_row(SITE_SHARED_ST, warp, mask, &near, &a);
+    for_warp_rows(ws, t0, active, |warp, lo, lanes| {
+        let near = base + warp as usize * ws + lo - t0;
+        compute_row(ctx, warp, crate::warp::full_mask(lanes) << lo, 1);
+        ctx.ld_shared_row(SITE_SHARED_LD, warp, affine(lo, lanes, near, 1), &mut a);
+        ctx.ld_shared_row(
+            SITE_SHARED_LD,
+            warp,
+            affine(lo, lanes, near + active, 1),
+            &mut b,
+        );
+        for l in lo..lo + lanes {
+            a[l] = op.apply(a[l], b[l]);
+        }
+        ctx.st_shared_row(SITE_SHARED_ST, warp, affine(lo, lanes, near, 1), &a);
     });
 }
 

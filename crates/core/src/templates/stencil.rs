@@ -13,15 +13,18 @@
 
 use std::sync::Arc;
 
-use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig};
+use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig, Row};
 use streamir::ir::Stmt;
 use streamir::rates::Bindings;
 use streamir::value::Value;
 
-use super::{for_warp_rows, state_ref, state_slots, SITE_STATE};
+use super::{
+    affine, compute_row, for_warp_rows, index_row, lane_run, mask_run, state_ref, state_slots,
+    SITE_STATE,
+};
 use crate::analysis::opcount::body_counts;
 use crate::bytecode::{self, Ty};
-use crate::warp::{self, for_lanes, WarpFramePool, WarpIo, MAX_LANES};
+use crate::warp::{self, for_lanes, full_mask, WarpFramePool, WarpIo, MAX_LANES};
 
 const SITE_LOAD: u32 = 0;
 const SITE_TILE_ST: u32 = 1;
@@ -195,7 +198,35 @@ struct StencilWarpIo<'c, 'd, 'k> {
     tile_c0: usize,
     /// Per-lane global element index (valid for masked lanes only).
     globals: [u64; MAX_LANES],
+    /// True when the warp's elements lie in one tile row, so that
+    /// `globals[l] == globals[0] + l` on every masked lane.
+    one_row: bool,
     pushed: u64,
+}
+
+impl StencilWarpIo<'_, '_, '_> {
+    /// The shared-tile `(row, column)` of a peek at global offset
+    /// `offset`, or the message of whichever of the two checks every peek
+    /// gets — inside the input, inside the halo — it fails.
+    fn locate(&self, offset: i64) -> Result<(usize, usize), String> {
+        let k = self.kernel;
+        if offset < 0 || offset as usize >= k.rows * k.cols {
+            return Err(format!(
+                "stencil peek at {offset} outside the input (guard missing?)"
+            ));
+        }
+        let g = offset as usize;
+        let (r, c) = (g / k.cols, g % k.cols);
+        let er = r as i64 - self.tile_r0 as i64 + k.halo_r as i64;
+        let ec = c as i64 - self.tile_c0 as i64 + k.halo_c as i64;
+        if er < 0 || er as usize >= k.ext_h() || ec < 0 || ec as usize >= k.ext_w() {
+            return Err(format!(
+                "stencil peek at ({r},{c}) escapes the halo of tile ({},{})",
+                self.tile_r0, self.tile_c0
+            ));
+        }
+        Ok((er as usize, ec as usize))
+    }
 }
 
 impl WarpIo for StencilWarpIo<'_, '_, '_> {
@@ -204,50 +235,59 @@ impl WarpIo for StencilWarpIo<'_, '_, '_> {
     }
 
     fn peek_row(&mut self, mask: u64, offsets: &[i64], out: &mut [f32]) {
-        let k = self.kernel;
+        let ext_w = self.kernel.ext_w();
+        // An ascending run of offsets whose two ends pass both checks and
+        // land in one tile row: the offsets between them stay in that
+        // grid row, between the ends' columns, so the ends' checks cover
+        // every lane and the tile words step by the offsets' step.
+        // Anything else — an end that fails included, so the panic names
+        // the failing lane's own offset — is mapped lane by lane.
+        if let Some(run) = lane_run(mask, offsets).filter(|run| run.step >= 0) {
+            if let (Ok((er, ec)), Ok((er_last, _))) =
+                (self.locate(run.first), self.locate(run.last))
+            {
+                if er == er_last {
+                    let row = affine(run.lo, run.lanes, er * ext_w + ec, run.step as usize);
+                    self.ctx.ld_shared_row(SITE_TILE_LD, self.warp, row, out);
+                    return;
+                }
+            }
+        }
         let mut addrs = [0u64; MAX_LANES];
         for_lanes(mask, out.len(), |l| {
-            let offset = offsets[l];
-            assert!(
-                offset >= 0 && (offset as usize) < k.rows * k.cols,
-                "stencil peek at {offset} outside the input (guard missing?)"
-            );
-            let g = offset as usize;
-            let (r, c) = (g / k.cols, g % k.cols);
-            let er = r as i64 - self.tile_r0 as i64 + k.halo_r as i64;
-            let ec = c as i64 - self.tile_c0 as i64 + k.halo_c as i64;
-            assert!(
-                er >= 0 && (er as usize) < k.ext_h() && ec >= 0 && (ec as usize) < k.ext_w(),
-                "stencil peek at ({r},{c}) escapes the halo of tile ({},{})",
-                self.tile_r0,
-                self.tile_c0
-            );
-            addrs[l] = (er as usize * k.ext_w() + ec as usize) as u64;
+            let (er, ec) = self
+                .locate(offsets[l])
+                .unwrap_or_else(|fault| panic!("{fault}"));
+            addrs[l] = (er * ext_w + ec) as u64;
         });
-        self.ctx
-            .ld_shared_row(SITE_TILE_LD, self.warp, mask, &addrs, out);
+        let row = Row::Lanes {
+            mask,
+            addrs: &addrs,
+        };
+        self.ctx.ld_shared_row(SITE_TILE_LD, self.warp, row, out);
     }
 
     fn push_row(&mut self, mask: u64, vals: &[f32]) {
         assert!(self.pushed & mask == 0, "stencil element pushed twice");
         self.pushed |= mask;
-        self.ctx.st_global_row(
-            SITE_PUSH,
-            self.warp,
-            self.kernel.out_buf,
-            mask,
-            &self.globals,
-            vals,
-        );
+        let row = match mask_run(mask) {
+            Some((lo, lanes)) if self.one_row => affine(lo, lanes, self.globals[lo] as usize, 1),
+            _ => Row::Lanes {
+                mask,
+                addrs: &self.globals,
+            },
+        };
+        self.ctx
+            .st_global_row(SITE_PUSH, self.warp, self.kernel.out_buf, row, vals);
     }
 
     fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
         let k = self.kernel;
         let (slot, buf) = state_ref(&k.state, &k.state_slots, id, array);
         let mut addrs = [0u64; MAX_LANES];
-        for_lanes(mask, out.len(), |l| addrs[l] = idx[l] as u64);
+        let row = index_row(mask, idx, &mut addrs);
         self.ctx
-            .ld_global_row(SITE_STATE + slot, self.warp, buf, mask, &addrs, out);
+            .ld_global_row(SITE_STATE + slot, self.warp, buf, row, out);
     }
 
     fn state_store_row(&mut self, _: u16, _: &str, _: u64, _: &[i64], _: &[f32]) {
@@ -278,30 +318,31 @@ impl Kernel for StencilKernel {
         // Phase 1: cooperative load of tile + halo, row by row so each
         // warp sweep touches consecutive global addresses. Every warp
         // issues one global-load row (its in-grid lanes) and one
-        // shared-store row per sweep; cells outside the grid stage 0.
+        // shared-store row per sweep, both unit-stride progressions;
+        // cells outside the grid stage 0.
         let bdim = self.block_dim as usize;
         let ws = ctx.warp_size() as usize;
-        let (mut global, mut tile) = ([0u64; MAX_LANES], [0u64; MAX_LANES]);
         let mut vals = [0.0f32; MAX_LANES];
         for er in 0..ext_h {
             let r = tile_r0 as i64 - self.halo_r as i64 + er as i64;
             let row_in_grid = r >= 0 && (r as usize) < self.rows;
             let mut base = 0usize;
             while base < ext_w {
-                for_warp_rows(ws, 0, bdim.min(ext_w - base), |warp, mask| {
-                    let mut in_grid = 0u64;
-                    for_lanes(mask, ws, |l| {
-                        let ec = base + warp as usize * ws + l;
-                        let c = tile_c0 as i64 - self.halo_c as i64 + ec as i64;
-                        tile[l] = (er * ext_w + ec) as u64;
-                        vals[l] = 0.0;
-                        if row_in_grid && c >= 0 && (c as usize) < self.cols {
-                            in_grid |= 1 << l;
-                            global[l] = (r as usize * self.cols + c as usize) as u64;
-                        }
-                    });
-                    ctx.ld_global_row(SITE_LOAD, warp, self.in_buf, in_grid, &global, &mut vals);
-                    ctx.st_shared_row(SITE_TILE_ST, warp, mask, &tile, &vals);
+                for_warp_rows(ws, 0, bdim.min(ext_w - base), |warp, lo, lanes| {
+                    let ec = base + warp as usize * ws + lo;
+                    // Grid column of lane `lo`; lanes `skip..end` of the
+                    // piece are inside the grid.
+                    let c = tile_c0 as i64 - self.halo_c as i64 + ec as i64;
+                    let skip = (-c).clamp(0, lanes as i64) as usize;
+                    let end = (self.cols as i64 - c).clamp(0, lanes as i64) as usize;
+                    vals[lo..lo + lanes].fill(0.0);
+                    if row_in_grid && skip < end {
+                        let global = r as usize * self.cols + (c + skip as i64) as usize;
+                        let row = affine(lo + skip, end - skip, global, 1);
+                        ctx.ld_global_row(SITE_LOAD, warp, self.in_buf, row, &mut vals);
+                    }
+                    let row = affine(lo, lanes, er * ext_w + ec, 1);
+                    ctx.st_shared_row(SITE_TILE_ST, warp, row, &vals);
                 });
                 base += bdim;
             }
@@ -320,17 +361,35 @@ impl Kernel for StencilKernel {
             let mut lane0 = 0usize;
             while lane0 < bdim && e + lane0 < elems {
                 let live = (elems - e - lane0).min((bdim - lane0).min(ws));
+                let el0 = e + lane0;
+                let (dr, dc) = (el0 / self.tile_w, el0 % self.tile_w);
                 let mut mask = 0u64;
                 let mut globals = [0u64; MAX_LANES];
-                for (l, global) in globals.iter_mut().enumerate().take(live) {
-                    let el = e + lane0 + l;
-                    let (dr, dc) = (el / self.tile_w, el % self.tile_w);
+                // A warp inside one tile row covers consecutive grid
+                // columns of one grid row: its in-grid lanes are a prefix
+                // and their elements consecutive. A warp that wraps tile
+                // rows maps each lane.
+                let one_row = dc + live <= self.tile_w;
+                if one_row {
                     let (r, c) = (tile_r0 + dr, tile_c0 + dc);
-                    if r >= self.rows || c >= self.cols {
-                        continue;
+                    if r < self.rows && c < self.cols {
+                        let valid = live.min(self.cols - c);
+                        mask = full_mask(valid);
+                        for (l, global) in globals[..valid].iter_mut().enumerate() {
+                            *global = (r * self.cols + c + l) as u64;
+                        }
                     }
-                    mask |= 1 << l;
-                    *global = (r * self.cols + c) as u64;
+                } else {
+                    for (l, global) in globals.iter_mut().enumerate().take(live) {
+                        let el = el0 + l;
+                        let (dr, dc) = (el / self.tile_w, el % self.tile_w);
+                        let (r, c) = (tile_r0 + dr, tile_c0 + dc);
+                        if r >= self.rows || c >= self.cols {
+                            continue;
+                        }
+                        mask |= 1 << l;
+                        *global = (r * self.cols + c) as u64;
+                    }
                 }
                 if mask != 0 {
                     wf.reset(&self.proto);
@@ -338,21 +397,20 @@ impl Kernel for StencilKernel {
                         let var = wf.i64_row_mut(slot);
                         for_lanes(mask, live, |l| var[l] = globals[l] as i64);
                     }
+                    let warp = (lane0 / ws) as u32;
                     let mut io = StencilWarpIo {
                         ctx,
                         kernel: self,
-                        warp: (lane0 / ws) as u32,
+                        warp,
                         tile_r0,
                         tile_c0,
                         globals,
+                        one_row,
                         pushed: 0,
                     };
                     warp::eval(&self.program, &mut wf, mask, &mut io);
                     ctx.count_flops(mask.count_ones() as u64 * self.flops_per_elem);
-                    for_lanes(mask, live, |l| {
-                        let tid = (lane0 + l) as u32;
-                        ctx.compute(tid, self.compute_per_elem);
-                    });
+                    compute_row(ctx, warp, mask, self.compute_per_elem);
                 }
                 lane0 += ws;
             }
@@ -422,6 +480,137 @@ mod tests {
         )
     }
 
+    /// The stencil template's access sequence issued thread by thread
+    /// through the per-lane calls — same sites, same order within each
+    /// thread — so its counters are what the row-issued kernel must
+    /// reproduce bit for bit. `peeks` lists the global offsets element
+    /// `idx` peeks, in body order.
+    struct PerLaneStencil<'k> {
+        k: &'k StencilKernel,
+        peeks: fn(usize, usize, usize) -> Vec<usize>,
+    }
+
+    impl Kernel for PerLaneStencil<'_> {
+        fn name(&self) -> &str {
+            &self.k.name
+        }
+
+        fn config(&self) -> LaunchConfig {
+            self.k.config()
+        }
+
+        fn run_block(&self, block: u32, ctx: &mut BlockCtx<'_>) {
+            let k = self.k;
+            let (tx, ty) = (block as usize % k.tiles_x(), block as usize / k.tiles_x());
+            let (tile_r0, tile_c0) = (ty * k.tile_h, tx * k.tile_w);
+            let bdim = k.block_dim as usize;
+            for er in 0..k.ext_h() {
+                let r = (tile_r0 + er) as i64 - k.halo_r as i64;
+                for ec in 0..k.ext_w() {
+                    let tid = (ec % bdim) as u32;
+                    let c = (tile_c0 + ec) as i64 - k.halo_c as i64;
+                    let inside = r >= 0 && (r as usize) < k.rows && c >= 0 && (c as usize) < k.cols;
+                    let v = match inside {
+                        true => {
+                            let g = r as usize * k.cols + c as usize;
+                            ctx.ld_global(SITE_LOAD, tid, k.in_buf, g)
+                        }
+                        false => 0.0,
+                    };
+                    ctx.st_shared(SITE_TILE_ST, tid, er * k.ext_w() + ec, v);
+                }
+            }
+            ctx.sync();
+            for el in 0..k.tile_w * k.tile_h {
+                let tid = (el % bdim) as u32;
+                let (r, c) = (tile_r0 + el / k.tile_w, tile_c0 + el % k.tile_w);
+                if r >= k.rows || c >= k.cols {
+                    continue;
+                }
+                let g = r * k.cols + c;
+                let mut sum = 0.0;
+                for p in (self.peeks)(g, k.rows, k.cols) {
+                    let er = p / k.cols + k.halo_r - tile_r0;
+                    let ec = p % k.cols + k.halo_c - tile_c0;
+                    sum += ctx.ld_shared(SITE_TILE_LD, tid, er * k.ext_w() + ec);
+                }
+                ctx.st_global(SITE_PUSH, tid, k.out_buf, g, sum);
+                ctx.compute(tid, k.compute_per_elem);
+                ctx.count_flops(k.flops_per_elem);
+            }
+        }
+    }
+
+    fn five_point_peeks(idx: usize, rows: usize, cols: usize) -> Vec<usize> {
+        let (r, c) = (idx / cols, idx % cols);
+        if r > 0 && r < rows - 1 && c > 0 && c < cols - 1 {
+            vec![idx - 1, idx + 1, idx - cols, idx + cols]
+        } else {
+            vec![idx]
+        }
+    }
+
+    fn blur_peeks(idx: usize, _rows: usize, n: usize) -> Vec<usize> {
+        if idx >= 1 && idx < n - 1 {
+            vec![idx - 1, idx, idx + 1]
+        } else {
+            vec![idx]
+        }
+    }
+
+    /// Launch `k` on both devices: the output must equal `expected` and
+    /// every counter the per-lane-issued reference's.
+    fn assert_matches_per_lane(
+        k: &StencilKernel,
+        input: &[f32],
+        expected: &[f32],
+        peeks: fn(usize, usize, usize) -> Vec<usize>,
+    ) {
+        for device in [DeviceSpec::tesla_c2050(), DeviceSpec::gtx285()] {
+            let run = |kernel: &(dyn Kernel + Sync)| {
+                let mut mem = GlobalMem::new();
+                assert_eq!(mem.alloc_from(input), k.in_buf);
+                assert_eq!(mem.alloc(expected.len()), k.out_buf);
+                let stats = launch(&device, &mut mem, kernel, ExecMode::Full);
+                (stats, mem.into_host(k.out_buf))
+            };
+            let (stats, out) = run(k);
+            assert_eq!(out, expected, "{} on {}", k.name, device.name);
+            let (reference, _) = run(&PerLaneStencil { k, peeks });
+            assert_eq!(stats, reference, "{} on {}", k.name, device.name);
+        }
+    }
+
+    #[test]
+    fn row_issued_stencils_match_interpreter_and_per_lane_counters() {
+        // The buffer ids every kernel below is built against.
+        let mut ids = GlobalMem::new();
+        let (in_buf, out_buf) = (ids.alloc(0), ids.alloc(0));
+        // (rows, cols, tile_w, tile_h): a grid narrower than a warp under
+        // a wider tile, 16-wide tiles whose warps wrap two tile rows, a
+        // right and bottom edge that cut the last tiles, and both at once.
+        for (rows, cols, tw, th) in [
+            (12, 20, 32, 4),
+            (32, 48, 16, 8),
+            (37, 53, 32, 8),
+            (9, 21, 16, 4),
+        ] {
+            let input: Vec<f32> = (0..rows * cols).map(|i| ((i * 7) % 23) as f32).collect();
+            let expected = run_reference(rows, cols, &input);
+            let k = kernel_for(rows, cols, tw, th, in_buf, out_buf);
+            assert_matches_per_lane(&k, &input, &expected, five_point_peeks);
+        }
+        // A 1-D stencil: one grid row, tiles of one row.
+        let p = parse_program(BLUR).unwrap();
+        let n = 1000usize;
+        let input: Vec<f32> = (0..n).map(|i| (i % 17) as f32).collect();
+        let mut it = Interpreter::new(&p);
+        it.bind_param("n", n as i64);
+        let expected = it.run(&input).unwrap();
+        let k = blur_kernel(&p, n, in_buf, out_buf);
+        assert_matches_per_lane(&k, &input, &expected, blur_peeks);
+    }
+
     #[test]
     fn five_point_matches_interpreter() {
         let (rows, cols) = (37, 53); // awkward, non-multiple-of-tile sizes
@@ -478,36 +667,30 @@ mod tests {
         );
     }
 
-    #[test]
-    fn one_dimensional_stencil() {
-        let src = r#"
-            pipeline P(n) {
-                actor Blur(pop n, push n, peek n) {
-                    for i in 0..n {
-                        if (i >= 1 && i < n - 1) {
-                            push((peek(i - 1) + peek(i) + peek(i + 1)) / 3.0);
-                        } else {
-                            push(peek(i));
-                        }
+    const BLUR: &str = r#"
+        pipeline P(n) {
+            actor Blur(pop n, push n, peek n) {
+                for i in 0..n {
+                    if (i >= 1 && i < n - 1) {
+                        push((peek(i - 1) + peek(i) + peek(i + 1)) / 3.0);
+                    } else {
+                        push(peek(i));
                     }
                 }
             }
-        "#;
-        let p = parse_program(src).unwrap();
-        let n = 1000usize;
-        let input: Vec<f32> = (0..n).map(|i| (i % 17) as f32).collect();
-        let mut it = Interpreter::new(&p);
-        it.bind_param("n", n as i64);
-        let expected = it.run(&input).unwrap();
+        }
+    "#;
 
+    fn blur_kernel(
+        p: &streamir::graph::Program,
+        n: usize,
+        in_buf: BufId,
+        out_buf: BufId,
+    ) -> StencilKernel {
         let pat = crate::analysis::detect_stencil(&p.actors[0]).unwrap();
         let (hr, hc) = pat.halo();
         assert_eq!((hr, hc), (0, 1));
-        let device = DeviceSpec::tesla_c2050();
-        let mut mem = GlobalMem::new();
-        let in_buf = mem.alloc_from(&input);
-        let out_buf = mem.alloc(n);
-        let k = StencilKernel::new(
+        StencilKernel::new(
             "blur",
             &pat.body,
             &pat.loop_var,
@@ -520,7 +703,23 @@ mod tests {
             hc as usize,
             in_buf,
             out_buf,
-        );
+        )
+    }
+
+    #[test]
+    fn one_dimensional_stencil() {
+        let p = parse_program(BLUR).unwrap();
+        let n = 1000usize;
+        let input: Vec<f32> = (0..n).map(|i| (i % 17) as f32).collect();
+        let mut it = Interpreter::new(&p);
+        it.bind_param("n", n as i64);
+        let expected = it.run(&input).unwrap();
+
+        let device = DeviceSpec::tesla_c2050();
+        let mut mem = GlobalMem::new();
+        let in_buf = mem.alloc_from(&input);
+        let out_buf = mem.alloc(n);
+        let k = blur_kernel(&p, n, in_buf, out_buf);
         launch(&device, &mut mem, &k, ExecMode::Full);
         assert_eq!(mem.read(out_buf), expected.as_slice());
     }

@@ -1,8 +1,13 @@
 //! Error-path coverage: the compiler and runtime must fail loudly and
 //! precisely, never silently mis-execute.
 
+use adaptic::analysis::detect_stencil;
+use adaptic::templates::StencilKernel;
 use adaptic::{compile, compile_single, InputAxis, RunOptions, StateBinding};
-use gpu_sim::{DeviceSpec, ExecMode};
+use gpu_sim::{
+    try_launch_pooled, BlockCtx, BufId, DeviceSpec, ExecMode, ExecPolicy, GlobalMem, Kernel,
+    LaunchConfig, LaunchControl, LaunchError, Row, ScratchPool,
+};
 use streamir::error::Error;
 use streamir::graph::bindings;
 use streamir::parse::parse_program;
@@ -152,4 +157,154 @@ fn axis_clamps_out_of_range_queries() {
     let (hi_idx, _) = compiled.variant_for(1_000_000);
     assert_eq!(lo_idx, 0);
     assert_eq!(hi_idx, compiled.variant_count() - 1);
+}
+
+/// Launch `kernel` and return the message of the block panic it must die
+/// of.
+fn worker_panic(mem: &mut GlobalMem, kernel: &(dyn Kernel + Sync)) -> String {
+    let (pool, ctl) = (ScratchPool::new(), LaunchControl::default());
+    let mode = ExecMode::Full;
+    match try_launch_pooled(&device(), mem, kernel, mode, ExecPolicy::Serial, &pool, ctl) {
+        Err(LaunchError::WorkerPanic { message }) => message,
+        other => panic!("expected a worker panic, got {other:?}"),
+    }
+}
+
+/// A stencil kernel over a `rows x cols` grid for the one-actor program
+/// `src`, its column halo shrunk by `halo_cut`.
+fn stencil_kernel(
+    src: &str,
+    binds: &[(&str, i64)],
+    (rows, cols): (usize, usize),
+    halo_cut: usize,
+    mem: &mut GlobalMem,
+) -> StencilKernel {
+    let p = parse_program(src).unwrap();
+    let pat = detect_stencil(&p.actors[0]).expect("stencil");
+    let (hr, hc) = pat.halo();
+    let in_buf = mem.alloc(rows * cols);
+    let out_buf = mem.alloc(rows * cols);
+    StencilKernel::new(
+        "stencil",
+        &pat.body,
+        &pat.loop_var,
+        bindings(binds),
+        rows,
+        cols,
+        32,
+        if rows == 1 { 1 } else { 4 },
+        hr as usize,
+        hc as usize - halo_cut,
+        in_buf,
+        out_buf,
+    )
+}
+
+// The three tests below pin the checks on the warp-row fast paths: a
+// contiguous run of peeks is mapped and checked at its two ends only, and
+// a unit-stride row moves as one slice, so each fault here sits in a
+// single end lane of an otherwise valid row.
+
+#[test]
+fn stencil_with_a_halo_one_too_small_still_escapes() {
+    // Every interior warp's `peek(idx - 1)` leaves the tile by one column
+    // in its first lane only, and `peek(idx + 1)` in its last.
+    let src = r#"pipeline P(rows, cols) {
+        actor S(pop rows*cols, push rows*cols, peek rows*cols) {
+            for idx in 0..rows*cols {
+                c = idx % cols;
+                if (c > 0 && c < cols - 1) {
+                    push(peek(idx - 1) + peek(idx + 1));
+                } else {
+                    push(peek(idx));
+                }
+            }
+        }
+    }"#;
+    let mut mem = GlobalMem::new();
+    let k = stencil_kernel(src, &[("rows", 8), ("cols", 96)], (8, 96), 1, &mut mem);
+    assert_eq!((k.halo_c, k.tile_w), (0, 32));
+    let message = worker_panic(&mut mem, &k);
+    assert!(message.contains("escapes the halo"), "{message}");
+}
+
+#[test]
+fn stencil_peek_past_the_input_is_still_caught() {
+    // Unguarded `peek(i + 1)`: only the grid's last element, the last
+    // lane of the last warp's run, peeks one word past the input.
+    let src = r#"pipeline P(n) {
+        actor S(pop n, push n, peek n) {
+            for i in 0..n { push(peek(i + 1)); }
+        }
+    }"#;
+    let mut mem = GlobalMem::new();
+    let k = stencil_kernel(src, &[("n", 64)], (1, 64), 0, &mut mem);
+    let message = worker_panic(&mut mem, &k);
+    assert!(
+        message.contains("peek at 64 outside the input"),
+        "{message}"
+    );
+}
+
+/// One warp loading `row` from `buf`.
+struct OneRow {
+    buf: BufId,
+    row: Row<'static>,
+}
+
+impl Kernel for OneRow {
+    fn name(&self) -> &str {
+        "one_row"
+    }
+
+    fn config(&self) -> LaunchConfig {
+        LaunchConfig::new(1, 32, 0)
+    }
+
+    fn run_block(&self, _block: u32, ctx: &mut BlockCtx<'_>) {
+        ctx.ld_global_row(0, 0, self.buf, self.row, &mut [0.0; 32]);
+    }
+}
+
+#[test]
+fn affine_global_row_past_the_buffer_is_out_of_bounds() {
+    let mut mem = GlobalMem::new();
+    let buf = mem.alloc(100);
+    let affine = |base, stride| Row::Affine {
+        lo: 0,
+        lanes: 32,
+        base,
+        stride,
+    };
+    // In bounds up to the last word: fine.
+    let (pool, ctl) = (ScratchPool::new(), LaunchControl::default());
+    let k = OneRow {
+        buf,
+        row: affine(68, 1),
+    };
+    try_launch_pooled(
+        &device(),
+        &mut mem,
+        &k,
+        ExecMode::Full,
+        ExecPolicy::Serial,
+        &pool,
+        ctl,
+    )
+    .expect("row ends at the buffer's last word");
+    // The slice move (unit stride) and the per-lane move (any other),
+    // each with only its last lane one word out.
+    for row in [affine(69, 1), affine(7, 3)] {
+        let message = worker_panic(&mut mem, &OneRow { buf, row });
+        assert!(message.contains("load out of bounds"), "{row:?}: {message}");
+    }
+    // A progression that wraps the address space never reaches memory.
+    let message = worker_panic(
+        &mut mem,
+        &OneRow {
+            buf,
+            row: affine(u64::MAX - 40, 2),
+        },
+    );
+    assert!(message.contains("wraps"), "{message}");
 }

@@ -8,7 +8,7 @@
 //! `(site, kind, occurrence, warp)` group — two hash lookups and an
 //! amortized allocation per access, plus an end-of-block key sort.
 //!
-//! This engine replaces all of that with three ideas:
+//! This engine replaces all of that with four ideas:
 //!
 //! * **Dense site tables.** Access sites are small static `u32`s (one per
 //!   load/store instruction in the kernel source), so per-`(site, kind)`
@@ -35,6 +35,18 @@
 //!   of blocks performs a bounded number of allocations instead of
 //!   several per block.
 //!
+//! * **One row descriptor.** A whole warp instruction arrives as a
+//!   [`Row`]: `Row::Affine { lo, lanes, base, stride }` when the issuer
+//!   knows the lanes step through a progression, `Row::Lanes { mask,
+//!   addrs }` otherwise. A full-warp affine row at a warp whose lanes sit
+//!   at one occurrence is counted from its four fields in O(1) — no
+//!   address is written, scanned or sorted; lane-assembled rows, and the
+//!   pending rows built from per-lane calls, pass through
+//!   [`Row::classify`] once when they collapse. What stays O(lanes): the
+//!   per-thread occurrence counters (one increment per resident lane,
+//!   because a later per-lane access must find its occurrence index), and
+//!   the materialisation of a row that cannot collapse on arrival.
+//!
 //! Counters are bit-for-bit identical to the original recorder; the old
 //! implementation is preserved under `#[cfg(test)]` as a differential
 //! oracle driven by a property test below.
@@ -43,9 +55,7 @@ use std::collections::VecDeque;
 use std::sync::Mutex;
 
 use crate::kernel::BlockCounters;
-use crate::mem::{
-    bank_conflict_degree, coalesce_transactions, for_each_lane, full_mask, MAX_LANES,
-};
+use crate::mem::{for_each_lane, full_mask, Row, MAX_LANES};
 use crate::spec::DeviceSpec;
 
 /// Classification of one recorded access; each `(site, kind)` pair owns
@@ -77,6 +87,15 @@ impl AccessKind {
 struct LaneRow {
     mask: u64,
     addrs: Box<[u64]>,
+}
+
+impl LaneRow {
+    fn as_row(&self) -> Row<'_> {
+        Row::Lanes {
+            mask: self.mask,
+            addrs: &self.addrs,
+        }
+    }
 }
 
 /// Pending accounting state of one warp at one `(site, kind)`.
@@ -236,27 +255,26 @@ impl BlockScratch {
         }
     }
 
-    /// Record one whole warp row — the `addrs[lane]` access of every lane
-    /// set in `mask`, for warp `warp_idx` — in a single call.
+    /// Record one whole warp row — one access per active lane of `row`,
+    /// for warp `warp_idx` — in a single call.
     ///
-    /// Semantically identical to calling [`BlockScratch::record`] per set
-    /// lane in ascending lane order (the warp evaluator feeds one such row
-    /// per warp memory instruction). The payoff is the uniform fast path:
-    /// when every resident lane of the warp is active and sits at the
-    /// same occurrence with nothing pending, the row is complete the
-    /// moment it arrives, so it collapses straight into the running
-    /// counters — one pass instead of 32 occurrence updates, row-queue
-    /// probes and minimum rescans. A ragged or holed row whose lanes all
-    /// sit at one occurrence lands in its pending row in one step;
-    /// divergent rows fall back to the exact per-lane bookkeeping.
-    pub(crate) fn record_row(
-        &mut self,
-        site: u32,
-        kind: AccessKind,
-        warp_idx: u32,
-        mask: u64,
-        addrs: &[u64],
-    ) {
+    /// Semantically identical to calling [`BlockScratch::record`] per
+    /// `(lane, address)` pair of [`Row::for_each`], whichever variant
+    /// describes the row: a [`Row::Affine`] is equivalent to the
+    /// [`Row::Lanes`] holding `base + i * stride` in lanes `lo..lo + lanes`.
+    ///
+    /// The uniform fast path: when every resident lane of the warp is
+    /// active and sits at the same occurrence with nothing pending, the
+    /// row is complete the moment it arrives, so it collapses straight
+    /// into the running counters. For an affine row that is the closed
+    /// forms of its four fields — no address is ever written or scanned;
+    /// a lane-assembled row is classified once, in `collapse`. Only a row that
+    /// misses the fast path is materialised: a ragged or holed row whose
+    /// lanes all sit at one occurrence lands in its pending [`LaneRow`] in
+    /// one step, and rows merged across divergent occurrences fall back to
+    /// the exact per-lane bookkeeping.
+    pub(crate) fn record_row(&mut self, site: u32, kind: AccessKind, warp_idx: u32, row: Row<'_>) {
+        let mask = row.mask();
         if mask == 0 {
             return;
         }
@@ -285,8 +303,7 @@ impl BlockScratch {
             collapse(
                 &mut self.partial,
                 kind,
-                mask,
-                addrs,
+                row,
                 self.transaction_words,
                 self.shared_banks,
             );
@@ -296,18 +313,18 @@ impl BlockScratch {
         let mut uniform = true;
         for_each_lane(mask, |l| uniform &= occ[l] == k);
         if !uniform {
-            for_each_lane(mask, |l| self.record(site, kind, (lo + l) as u32, addrs[l]));
+            row.for_each(|l, addr| self.record(site, kind, (lo + l) as u32, addr));
             return;
         }
         // All active lanes write occurrence `k`: one row, one update of
         // the warp's minimum.
         let row_idx = (k - warp.base_k) as usize;
-        let row = pending_row(&mut warp.rows, &mut self.row_pool, row_idx, ws);
-        for_each_lane(mask, |l| {
+        let pending = pending_row(&mut warp.rows, &mut self.row_pool, row_idx, ws);
+        row.for_each(|l, addr| {
             occ[l] = k + 1;
-            row.addrs[l] = addrs[l];
+            pending.addrs[l] = addr;
         });
-        row.mask |= mask;
+        pending.mask |= mask;
         if k == warp.min_occ {
             warp.lanes_at_min -= mask.count_ones();
             if warp.lanes_at_min == 0 {
@@ -338,8 +355,7 @@ impl BlockScratch {
                     collapse(
                         &mut c,
                         kind,
-                        row.mask,
-                        &row.addrs,
+                        row.as_row(),
                         self.transaction_words,
                         self.shared_banks,
                     );
@@ -406,14 +422,7 @@ fn advance_min(
     }
     while warp.base_k < new_min {
         let row = warp.rows.pop_front().expect("completed row pending");
-        collapse(
-            partial,
-            kind,
-            row.mask,
-            &row.addrs,
-            transaction_words,
-            banks,
-        );
+        collapse(partial, kind, row.as_row(), transaction_words, banks);
         pool.push(row);
         warp.base_k += 1;
     }
@@ -421,27 +430,32 @@ fn advance_min(
     warp.lanes_at_min = at_min;
 }
 
-/// Fold one completed warp row into the counters.
+/// Fold one completed warp row into the counters. A lane-assembled row is
+/// classified here, once, so a progression among them is counted in
+/// closed form too.
 fn collapse(
     c: &mut BlockCounters,
     kind: AccessKind,
-    mask: u64,
-    addrs: &[u64],
+    row: Row<'_>,
     transaction_words: u32,
     banks: u32,
 ) {
+    let row = match row {
+        Row::Lanes { mask, addrs } => Row::classify(mask, addrs),
+        affine => affine,
+    };
     match kind {
         AccessKind::GlobalLoad => {
             c.warp_load_insts += 1;
-            c.load_transactions += coalesce_transactions(mask, addrs, transaction_words) as u64;
+            c.load_transactions += row.transactions(transaction_words) as u64;
         }
         AccessKind::GlobalStore => {
             c.warp_store_insts += 1;
-            c.store_transactions += coalesce_transactions(mask, addrs, transaction_words) as u64;
+            c.store_transactions += row.transactions(transaction_words) as u64;
         }
         AccessKind::Shared => {
             c.shared_insts += 1;
-            c.shared_cycles += bank_conflict_degree(mask, addrs, banks) as u64;
+            c.shared_cycles += row.bank_degree(banks) as u64;
         }
     }
 }
@@ -742,7 +756,7 @@ mod tests {
                         _ => u64::MAX - lane,
                     })
                     .collect();
-                by_row.record_row(site, kind, warp_idx, mask, &row);
+                by_row.record_row(site, kind, warp_idx, Row::Lanes { mask, addrs: &row });
                 for lane in 0..resident {
                     if mask >> lane & 1 == 1 {
                         let addr = row[lane as usize];
@@ -754,6 +768,48 @@ mod tests {
             let by_row = by_row.finish_block(0, 0);
             prop_assert_eq!(by_row, by_lane.finish_block(0, 0));
             prop_assert_eq!(by_row, oracle.finalize(d.transaction_words, d.shared_banks));
+        }
+
+        /// A row issued as a descriptor is the instruction the HashMap
+        /// oracle sees lane by lane: full rows (the O(1) fast path),
+        /// prefixes and offset runs (materialised into pending rows, some
+        /// merged across occurrences), every stride class, both bank
+        /// counts.
+        #[test]
+        fn affine_rows_match_the_hashmap_oracle(
+            block_dim in 1u32..100,
+            rows in proptest::collection::vec(
+                (any::<u8>(), any::<u8>(), 0u8..3, any::<u32>(), 0u64..5000),
+                0..60,
+            ),
+            gt200 in any::<bool>(),
+        ) {
+            let d = if gt200 { DeviceSpec::gtx285() } else { device() };
+            let ws = d.warp_size;
+            let n_warps = block_dim.div_ceil(ws);
+            let mut by_row = BlockScratch::new();
+            let mut oracle = OracleRecorder::default();
+            by_row.begin_block(&d, 0, block_dim);
+            for (i, &(s, k, shape, cut, base)) in rows.iter().enumerate() {
+                let site = [0u32, 7, 63][s as usize % 3];
+                let kind = AccessKind::from_index(k as usize % KINDS);
+                let warp_idx = (i as u32) % n_warps;
+                let first = warp_idx * ws;
+                let resident = (first + ws).min(block_dim) - first;
+                let (lo, lanes) = match shape {
+                    0 => (0, resident),
+                    1 => (0, cut % (resident + 1)),
+                    _ => (cut % resident, (cut >> 8) % (resident - cut % resident + 1)),
+                };
+                let stride = [0, 1, 2, 33, 32, 77][(s >> 4) as usize % 6];
+                by_row.record_row(site, kind, warp_idx, Row::Affine { lo, lanes, base, stride });
+                for lane in lo..lo + lanes {
+                    let addr = base + (lane - lo) as u64 * stride;
+                    oracle.record(ws, site, kind, first + lane, addr);
+                }
+            }
+            let counters = by_row.finish_block(0, 0);
+            prop_assert_eq!(counters, oracle.finalize(d.transaction_words, d.shared_banks));
         }
 
         /// The tentpole equivalence: on random access streams (sparse

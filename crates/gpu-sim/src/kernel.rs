@@ -12,9 +12,16 @@
 //! *sites* (the `site` argument) identify static instructions: the k-th
 //! dynamic access of each lane at a given site forms one warp instruction,
 //! mirroring SIMT lockstep execution.
+//!
+//! Code that already executes warp-wide issues a whole instruction at once
+//! through the four `*_row` calls, describing its lanes' addresses with
+//! one [`Row`]: the progression descriptor `Row::Affine` when it knows the
+//! row is one (accounted in O(1), moved as a slice when the stride is 1),
+//! lane addresses otherwise. Either way the call is equivalent to the
+//! per-lane calls of the row's active lanes in ascending order.
 
 use crate::accounting::{AccessKind, BlockScratch};
-use crate::mem::{for_each_lane, BufId, SharedMem};
+use crate::mem::{BufId, Row, SharedMem};
 use crate::spec::DeviceSpec;
 
 /// Launch geometry for a kernel.
@@ -222,51 +229,56 @@ impl<'a> BlockCtx<'a> {
         self.scratch.shared[idx] = v;
     }
 
-    /// Record a whole warp-row access in one call: `addrs[lane]` is the
-    /// address of each lane set in `mask` (the rest are predicated off),
-    /// for warp `warp` of this block. Equivalent to per-lane
-    /// [`record_access`] calls in ascending lane order; uniform full-warp
-    /// rows take the accounting engine's single-pass collapse path.
+    /// Record a whole warp-row access of warp `warp` in one call.
+    /// Equivalent to per-lane [`record_access`] calls in the order of
+    /// [`Row::for_each`] — for a [`Row::Affine`], lanes `lo..lo + lanes`
+    /// at `base + i * stride`.
+    /// Uniform full-warp rows take the accounting engine's fast path,
+    /// where an affine row costs O(1).
     ///
     /// [`record_access`]: Self::record_access
     #[inline]
-    fn record_row(&mut self, site: Site, kind: AccessKind, warp: u32, mask: u64, addrs: &[u64]) {
+    fn record_row(&mut self, site: Site, kind: AccessKind, warp: u32, row: Row<'_>) {
         if !self.record {
             return;
         }
-        self.scratch.record_row(site, kind, warp, mask, addrs);
+        self.scratch.record_row(site, kind, warp, row);
     }
 
     /// Warp-batched global load: one accounting row for warp `warp`, one
-    /// value loaded per lane set in `mask` (from `addrs[lane]`) into
-    /// `out[lane]`.
+    /// value loaded per active lane of `row` into `out[lane]`. A
+    /// unit-stride [`Row::Affine`] is one bounds-checked slice copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any active address is out of the buffer's bounds.
     pub fn ld_global_row(
         &mut self,
         site: Site,
         warp: u32,
         buf: BufId,
-        mask: u64,
-        addrs: &[u64],
+        row: Row<'_>,
         out: &mut [f32],
     ) {
-        self.record_row(site, AccessKind::GlobalLoad, warp, mask, addrs);
-        for_each_lane(mask, |l| out[l] = self.mem.load(buf, addrs[l] as usize));
+        self.record_row(site, AccessKind::GlobalLoad, warp, row);
+        match row.unit_run() {
+            Some((base, lanes)) => self.mem.load_run(buf, base, &mut out[lanes]),
+            None => row.for_each(|l, addr| out[l] = self.mem.load(buf, addr as usize)),
+        }
     }
 
     /// Warp-batched global store: one accounting row, `vals[lane]` stored
-    /// at `addrs[lane]` for each lane set in `mask`, in ascending lane
-    /// order.
-    pub fn st_global_row(
-        &mut self,
-        site: Site,
-        warp: u32,
-        buf: BufId,
-        mask: u64,
-        addrs: &[u64],
-        vals: &[f32],
-    ) {
-        self.record_row(site, AccessKind::GlobalStore, warp, mask, addrs);
-        for_each_lane(mask, |l| self.mem.store(buf, addrs[l] as usize, vals[l]));
+    /// at each active lane's address, in ascending lane order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any active address is out of the buffer's bounds.
+    pub fn st_global_row(&mut self, site: Site, warp: u32, buf: BufId, row: Row<'_>, vals: &[f32]) {
+        self.record_row(site, AccessKind::GlobalStore, warp, row);
+        match row.unit_run() {
+            Some((base, lanes)) => self.mem.store_run(buf, base, &vals[lanes]),
+            None => row.for_each(|l, addr| self.mem.store(buf, addr as usize, vals[l])),
+        }
     }
 
     /// Warp-batched shared-memory load.
@@ -275,16 +287,16 @@ impl<'a> BlockCtx<'a> {
     ///
     /// Panics if any active address exceeds the declared shared
     /// allocation, like [`Self::ld_shared`].
-    pub fn ld_shared_row(
-        &mut self,
-        site: Site,
-        warp: u32,
-        mask: u64,
-        addrs: &[u64],
-        out: &mut [f32],
-    ) {
-        self.record_row(site, AccessKind::Shared, warp, mask, addrs);
-        for_each_lane(mask, |l| out[l] = self.scratch.shared[addrs[l] as usize]);
+    pub fn ld_shared_row(&mut self, site: Site, warp: u32, row: Row<'_>, out: &mut [f32]) {
+        self.record_row(site, AccessKind::Shared, warp, row);
+        let shared = &self.scratch.shared;
+        match row.unit_run() {
+            Some((base, lanes)) => {
+                let n = lanes.len();
+                out[lanes].copy_from_slice(&shared[base..][..n]);
+            }
+            None => row.for_each(|l, addr| out[l] = shared[addr as usize]),
+        }
     }
 
     /// Warp-batched shared-memory store.
@@ -293,9 +305,16 @@ impl<'a> BlockCtx<'a> {
     ///
     /// Panics if any active address exceeds the declared shared
     /// allocation.
-    pub fn st_shared_row(&mut self, site: Site, warp: u32, mask: u64, addrs: &[u64], vals: &[f32]) {
-        self.record_row(site, AccessKind::Shared, warp, mask, addrs);
-        for_each_lane(mask, |l| self.scratch.shared[addrs[l] as usize] = vals[l]);
+    pub fn st_shared_row(&mut self, site: Site, warp: u32, row: Row<'_>, vals: &[f32]) {
+        self.record_row(site, AccessKind::Shared, warp, row);
+        let shared = &mut self.scratch.shared;
+        match row.unit_run() {
+            Some((base, lanes)) => {
+                let n = lanes.len();
+                shared[base..][..n].copy_from_slice(&vals[lanes]);
+            }
+            None => row.for_each(|l, addr| shared[addr as usize] = vals[l]),
+        }
     }
 
     /// Barrier between phases (`__syncthreads()`).

@@ -78,6 +78,6 @@ pub use exec::{
 };
 pub use faults::{Fault, FaultInjector, FaultKind, FaultPlan, LaunchControl, LaunchError};
 pub use kernel::{BlockCounters, BlockCtx, Kernel, LaunchConfig, Site};
-pub use mem::{bank_conflict_degree, coalesce_transactions, BufId, GlobalMem};
+pub use mem::{bank_conflict_degree, coalesce_transactions, BufId, GlobalMem, Row};
 pub use queue::DeviceQueue;
 pub use spec::DeviceSpec;

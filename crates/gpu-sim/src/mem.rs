@@ -140,6 +140,37 @@ impl SharedMem<'_> {
         // per the launch invariant.
         unsafe { *ptr.add(idx) = v }
     }
+
+    /// Load the `out.len()` consecutive words from `idx`, bounds-checked
+    /// once for the whole run.
+    #[inline]
+    pub(crate) fn load_run(&self, buf: BufId, idx: usize, out: &mut [f32]) {
+        let (ptr, len) = self.buffers[buf.0];
+        let n = out.len();
+        assert!(
+            idx.checked_add(n).is_some_and(|end| end <= len),
+            "load out of bounds: {buf}[{idx}..+{n}], len {len}"
+        );
+        // SAFETY: `idx..idx + n` is in bounds; `out` is a distinct host
+        // slice; no concurrent writer per the launch invariant.
+        unsafe { std::ptr::copy_nonoverlapping(ptr.add(idx), out.as_mut_ptr(), n) }
+    }
+
+    /// Store `vals` to the consecutive words from `idx`, bounds-checked
+    /// once for the whole run.
+    #[inline]
+    pub(crate) fn store_run(&self, buf: BufId, idx: usize, vals: &[f32]) {
+        let (ptr, len) = self.buffers[buf.0];
+        let n = vals.len();
+        assert!(
+            idx.checked_add(n).is_some_and(|end| end <= len),
+            "store out of bounds: {buf}[{idx}..+{n}], len {len}"
+        );
+        // SAFETY: `idx..idx + n` is in bounds; `vals` is a distinct host
+        // slice; no concurrent reader/writer of these locations per the
+        // launch invariant.
+        unsafe { std::ptr::copy_nonoverlapping(vals.as_ptr(), ptr.add(idx), n) }
+    }
 }
 
 /// Widest warp row the accounting paths handle: a row's active lanes are
@@ -162,76 +193,209 @@ pub fn for_each_lane(mut mask: u64, mut f: impl FnMut(usize)) {
     }
 }
 
-/// A warp row whose active lanes are one contiguous run and whose
-/// addresses step by one constant, non-negative stride without wrapping:
-/// the shape both counts below have a closed form for.
-struct AffineRow {
-    first: u64,
-    last: u64,
-    stride: u64,
-    lanes: u32,
+/// The set lanes of `mask` as `(first lane, count)` when they form one
+/// contiguous run; `None` for an empty or holed mask.
+#[inline]
+pub fn mask_run(mask: u64) -> Option<(usize, usize)> {
+    let lo = mask.trailing_zeros();
+    let run = mask.checked_shr(lo)?;
+    (run & run.wrapping_add(1) == 0).then_some((lo as usize, run.count_ones() as usize))
 }
 
-/// Classify a row. The ends are tested first — `last >= first` and the
-/// checked product, on the real addresses rather than a computed
-/// `first + stride * (lanes - 1)`, so a descending row or a progression
-/// that wraps past `u64::MAX` is rejected, and so is almost every
-/// irregular row, in O(1) — then one branch-free pass checks every step.
-/// `None` also for an empty or holed mask.
-#[inline]
-fn affine_row(mask: u64, addrs: &[u64]) -> Option<AffineRow> {
-    if mask == 0 {
-        return None;
+/// The lane addresses of one warp memory instruction — the one row
+/// descriptor the accounting engine and the four `BlockCtx` row calls take.
+///
+/// Kernel code that *knows* its row is an arithmetic progression (a
+/// cooperative sweep, a layout-mapped pop) builds [`Row::Affine`] directly
+/// and never materialises an address; a row assembled lane by lane goes
+/// through [`Row::classify`], the only recogniser, which returns the same
+/// descriptor when the lanes happen to form one. Both counts of an affine
+/// row are closed forms of its four fields.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Row<'a> {
+    /// Lanes `lo..lo + lanes` are active and lane `lo + i` accesses word
+    /// `base + i * stride`. The stride is non-negative by type; the
+    /// progression must not wrap past `u64::MAX` (consuming a row that
+    /// does panics). `lanes == 0` is the empty row.
+    Affine {
+        lo: u32,
+        lanes: u32,
+        base: u64,
+        stride: u64,
+    },
+    /// Lane `l` is active when bit `l` of `mask` is set and then accesses
+    /// word `addrs[l]`; the other entries are never read.
+    Lanes { mask: u64, addrs: &'a [u64] },
+}
+
+impl<'a> Row<'a> {
+    /// Describe a lane-assembled row, recognising a progression: the
+    /// active lanes one contiguous run, the addresses stepping by one
+    /// constant, non-negative stride without wrapping. The ends are tested
+    /// first — `last >= first` and the checked product, on the real
+    /// addresses rather than a computed `first + stride * (lanes - 1)`, so
+    /// a descending row or a progression that wraps past `u64::MAX` is
+    /// rejected, and so is almost every irregular row, in O(1) — then one
+    /// branch-free pass checks every step. Anything else, an empty or
+    /// holed mask included, stays [`Row::Lanes`].
+    #[inline]
+    pub fn classify(mask: u64, addrs: &'a [u64]) -> Row<'a> {
+        let lanes_row = Row::Lanes { mask, addrs };
+        let Some((lo, lanes)) = mask_run(mask) else {
+            return lanes_row;
+        };
+        let active = &addrs[lo..lo + lanes];
+        let (first, last) = (active[0], active[lanes - 1]);
+        let stride = active.get(1).map_or(0, |second| second.wrapping_sub(first));
+        if last < first || stride.checked_mul(lanes as u64 - 1) != Some(last - first) {
+            return lanes_row;
+        }
+        let mut deviation = 0u64;
+        for pair in active.windows(2) {
+            deviation |= pair[1].wrapping_sub(pair[0]) ^ stride;
+        }
+        if deviation != 0 {
+            return lanes_row;
+        }
+        Row::Affine {
+            lo: lo as u32,
+            lanes: lanes as u32,
+            base: first,
+            stride,
+        }
     }
-    let lo = mask.trailing_zeros();
-    let run = mask >> lo;
-    if run & run.wrapping_add(1) != 0 {
-        return None;
+
+    /// The active lanes as a bitmask.
+    #[inline]
+    pub fn mask(&self) -> u64 {
+        match *self {
+            Row::Affine { lanes: 0, .. } => 0,
+            Row::Affine { lo, lanes, .. } => full_mask(lanes as usize) << lo,
+            Row::Lanes { mask, .. } => mask,
+        }
     }
-    let lanes = run.count_ones();
-    let active = &addrs[lo as usize..(lo + lanes) as usize];
-    let (first, last) = (active[0], active[active.len() - 1]);
-    let stride = active.get(1).map_or(0, |second| second.wrapping_sub(first));
-    if last < first || stride.checked_mul(lanes as u64 - 1) != Some(last - first) {
-        return None;
+
+    /// Call `f(lane, address)` for each active lane, in ascending order.
+    ///
+    /// # Panics
+    ///
+    /// Panics, before the first call, if an affine row wraps past
+    /// `u64::MAX`.
+    #[inline]
+    pub fn for_each(&self, mut f: impl FnMut(usize, u64)) {
+        match *self {
+            Row::Affine { lanes: 0, .. } => {}
+            Row::Affine {
+                lo,
+                lanes,
+                base,
+                stride,
+            } => {
+                Row::affine_last(base, stride, lanes);
+                for i in 0..lanes as u64 {
+                    f((lo as u64 + i) as usize, base + i * stride);
+                }
+            }
+            Row::Lanes { mask, addrs } => for_each_lane(mask, |l| f(l, addrs[l])),
+        }
     }
-    let mut deviation = 0u64;
-    for pair in active.windows(2) {
-        deviation |= pair[1].wrapping_sub(pair[0]) ^ stride;
+
+    /// `(first word, lane range)` of a non-empty unit-stride progression:
+    /// the rows whose data move is one slice copy.
+    #[inline]
+    pub(crate) fn unit_run(&self) -> Option<(usize, std::ops::Range<usize>)> {
+        match *self {
+            Row::Affine {
+                lo,
+                lanes,
+                base,
+                stride: 1,
+            } if lanes > 0 => Some((base as usize, lo as usize..(lo + lanes) as usize)),
+            _ => None,
+        }
     }
-    (deviation == 0).then_some(AffineRow {
-        first,
-        last,
-        stride,
-        lanes,
-    })
+
+    /// The last active lane's address of a non-empty progression.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the progression wraps past `u64::MAX`.
+    #[inline]
+    fn affine_last(base: u64, stride: u64, lanes: u32) -> u64 {
+        stride
+            .checked_mul(lanes as u64 - 1)
+            .and_then(|span| base.checked_add(span))
+            .expect("affine row wraps past u64::MAX")
+    }
+
+    /// Global-memory transactions needed to service the row: the number of
+    /// *distinct* aligned `transaction_words`-word segments it touches — 1
+    /// for perfectly coalesced access, up to the warp size for fully
+    /// scattered access, 0 for the empty row.
+    ///
+    /// An affine row is counted in closed form: a broadcast touches one
+    /// segment, a step of at least a segment puts every lane in its own,
+    /// and a smaller step never skips a segment, so the row touches every
+    /// one from the first lane's to the last's. Any other row is sorted.
+    pub fn transactions(&self, transaction_words: u32) -> u32 {
+        debug_assert!(transaction_words.is_power_of_two());
+        let shift = transaction_words.trailing_zeros();
+        match *self {
+            Row::Affine { lanes: 0, .. } => 0,
+            Row::Affine { stride: 0, .. } => 1,
+            Row::Affine { lanes, stride, .. } if stride >= transaction_words as u64 => lanes,
+            Row::Affine {
+                lanes,
+                base,
+                stride,
+                ..
+            } => {
+                let last = Row::affine_last(base, stride, lanes);
+                ((last >> shift) - (base >> shift)) as u32 + 1
+            }
+            Row::Lanes { mask, addrs } => sorted_transactions(mask, addrs, shift),
+        }
+    }
+
+    /// Serialization degree of the row as a shared-memory access: the
+    /// cycles it takes relative to a conflict-free access — 1 when every
+    /// lane hits a different bank (or all lanes broadcast-read one word),
+    /// otherwise the maximum number of *distinct words* mapped to a single
+    /// bank.
+    ///
+    /// An affine row with a non-zero stride `s` holds distinct words, and
+    /// lanes `i`, `j` share a bank iff `(j - i) * s ≡ 0 (mod banks)`, that
+    /// is iff `j - i` is a multiple of `p = banks / gcd(s mod banks,
+    /// banks)`: the lanes split into `p` residue classes and the fullest
+    /// holds `⌈lanes / p⌉`. Unit stride — every cooperative sweep and tile
+    /// peek — has `p = banks`: no gcd, and no division at all while the
+    /// row fits the banks. Any other row is sorted.
+    pub fn bank_degree(&self, banks: u32) -> u32 {
+        match *self {
+            Row::Affine { lanes: 0, .. } | Row::Affine { stride: 0, .. } => 1,
+            Row::Affine {
+                lanes, stride: 1, ..
+            } => {
+                if lanes <= banks {
+                    1
+                } else {
+                    lanes.div_ceil(banks)
+                }
+            }
+            Row::Affine { lanes, stride, .. } => {
+                let period = banks / gcd((stride % banks as u64) as u32, banks);
+                lanes.div_ceil(period)
+            }
+            Row::Lanes { mask, addrs } => sorted_bank_degree(mask, addrs, banks),
+        }
+    }
 }
 
 /// Count the global-memory transactions needed to service one warp-wide
-/// memory instruction.
-///
-/// Lane `l` is active when bit `l` of `mask` is set and then accesses word
-/// index `addrs[l]`; the controller fetches aligned segments of
-/// `transaction_words` words. The result is the number of *distinct*
-/// segments touched — 1 for perfectly coalesced access, up to the warp
-/// size for fully scattered access.
-///
-/// This runs once per simulated warp instruction. An affine row — the
-/// active lanes one contiguous run, the addresses stepping by a constant
-/// non-negative stride without wrapping — is counted in closed form: a
-/// broadcast touches one segment, a step of at least a segment puts every
-/// lane in its own, and a smaller step never skips a segment, so the row
-/// touches every one from the first lane's to the last's. Any other row
-/// is sorted.
+/// memory instruction given as lane addresses: [`Row::classify`], then
+/// [`Row::transactions`].
 pub fn coalesce_transactions(mask: u64, addrs: &[u64], transaction_words: u32) -> u32 {
-    debug_assert!(transaction_words.is_power_of_two());
-    let shift = transaction_words.trailing_zeros();
-    match affine_row(mask, addrs) {
-        Some(row) if row.stride == 0 => 1,
-        Some(row) if row.stride >= transaction_words as u64 => row.lanes,
-        Some(row) => ((row.last >> shift) - (row.first >> shift)) as u32 + 1,
-        None => sorted_transactions(mask, addrs, shift),
-    }
+    Row::classify(mask, addrs).transactions(transaction_words)
 }
 
 /// Distinct segments of an arbitrary row: sort the active lanes' segment
@@ -257,27 +421,9 @@ fn sorted_transactions(mask: u64, addrs: &[u64], shift: u32) -> u32 {
 }
 
 /// Count the serialization degree of one warp-wide shared-memory access
-/// (lanes and addresses as in [`coalesce_transactions`]).
-///
-/// Returns the number of cycles the access takes relative to a
-/// conflict-free access: 1 when every lane hits a different bank (or all
-/// lanes broadcast-read the same word), otherwise the maximum number of
-/// *distinct words* mapped to a single bank.
-///
-/// An affine row with a non-zero stride `s` holds distinct words, and
-/// lanes `i`, `j` share a bank iff `(j - i) * s ≡ 0 (mod banks)`, that is
-/// iff `j - i` is a multiple of `p = banks / gcd(s mod banks, banks)`: the
-/// lanes split into `p` residue classes and the fullest holds
-/// `⌈lanes / p⌉`. Any other row is sorted.
+/// given as lane addresses: [`Row::classify`], then [`Row::bank_degree`].
 pub fn bank_conflict_degree(mask: u64, addrs: &[u64], banks: u32) -> u32 {
-    match affine_row(mask, addrs) {
-        Some(row) if row.stride == 0 => 1,
-        Some(row) => {
-            let period = banks / gcd((row.stride % banks as u64) as u32, banks);
-            row.lanes.div_ceil(period)
-        }
-        None => sorted_bank_degree(mask, addrs, banks),
-    }
+    Row::classify(mask, addrs).bank_degree(banks)
 }
 
 fn gcd(mut a: u32, mut b: u32) -> u32 {
@@ -414,6 +560,11 @@ mod tests {
     }
 
     const BANKS: [u32; 5] = [16, 32, 33, 48, 64];
+
+    /// [`Row::classify`] as the yes/no the tests below ask of it.
+    fn affine_row(mask: u64, addrs: &[u64]) -> Option<Row<'_>> {
+        Some(Row::classify(mask, addrs)).filter(|row| matches!(row, Row::Affine { .. }))
+    }
     const TRANSACTION_WORDS: [u32; 2] = [16, 32];
 
     /// Both counts of one row against the sorts the closed forms replace.

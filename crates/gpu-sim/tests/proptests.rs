@@ -3,9 +3,12 @@
 use proptest::prelude::*;
 
 use gpu_sim::mem::full_mask;
+use std::sync::Mutex;
+
+use gpu_sim::mem::MAX_LANES;
 use gpu_sim::{
     bank_conflict_degree, coalesce_transactions, launch, try_launch_pooled, BlockCtx, DeviceSpec,
-    ExecMode, ExecPolicy, GlobalMem, Kernel, LaunchConfig, LaunchControl, ScratchPool,
+    ExecMode, ExecPolicy, GlobalMem, Kernel, LaunchConfig, LaunchControl, Row, ScratchPool,
 };
 
 proptest! {
@@ -228,5 +231,161 @@ proptest! {
             (full.totals.store_transactions - sampled.totals.store_transactions).abs() < 1e-6
         );
         prop_assert_eq!(sampled.executed_blocks, blocks);
+    }
+}
+
+/// Words of global and of shared memory a [`Script`] may address: the
+/// widest row (base below 512, stride 40, 32 lanes) ends below 1 752.
+const SCRIPT_WORDS: usize = 2048;
+
+/// How a [`Script`] hands its rows to the block context.
+#[derive(Debug, Clone, Copy)]
+enum Issue {
+    /// As the progression's descriptor.
+    Affine,
+    /// As the equal lane-assembled row, junk in the inactive lanes.
+    Lanes,
+    /// One per-lane call per active lane, ascending.
+    PerLane,
+}
+
+/// One warp memory instruction of a script: `op` 0..4 is global load,
+/// global store, shared load, shared store; lanes `lo..lo + lanes` of
+/// `warp` access `base + i * stride`.
+#[derive(Debug, Clone, Copy)]
+struct ScriptRow {
+    op: u8,
+    site: u32,
+    warp: u32,
+    lo: u32,
+    lanes: u32,
+    base: u64,
+    stride: u64,
+}
+
+/// A one-block kernel that plays a list of warp rows and logs every
+/// loaded word.
+struct Script {
+    rows: Vec<ScriptRow>,
+    block_dim: u32,
+    issue: Issue,
+    buf: gpu_sim::BufId,
+    loaded: Mutex<Vec<f32>>,
+}
+
+impl Kernel for Script {
+    fn name(&self) -> &str {
+        "script"
+    }
+
+    fn config(&self) -> LaunchConfig {
+        LaunchConfig::new(1, self.block_dim, SCRIPT_WORDS as u32)
+    }
+
+    fn run_block(&self, _block: u32, ctx: &mut BlockCtx<'_>) {
+        let ws = ctx.warp_size();
+        let mut loaded = self.loaded.lock().unwrap();
+        for (n, r) in self.rows.iter().enumerate() {
+            let active = r.lo as usize..(r.lo + r.lanes) as usize;
+            let addr = |l: usize| r.base + (l as u64 - r.lo as u64) * r.stride;
+            let mut addrs = [u64::MAX; MAX_LANES];
+            let mut vals = [f32::NAN; MAX_LANES];
+            for l in active.clone() {
+                addrs[l] = addr(l);
+                vals[l] = (n * 100 + l) as f32;
+            }
+            let row = match self.issue {
+                Issue::Affine => Row::Affine {
+                    lo: r.lo,
+                    lanes: r.lanes,
+                    base: r.base,
+                    stride: r.stride,
+                },
+                _ => Row::Lanes {
+                    mask: full_mask(r.lanes as usize) << r.lo,
+                    addrs: &addrs,
+                },
+            };
+            let tid = |l: usize| r.warp * ws + l as u32;
+            match (r.op, self.issue) {
+                (0, Issue::PerLane) => {
+                    for l in active.clone() {
+                        vals[l] = ctx.ld_global(r.site, tid(l), self.buf, addr(l) as usize);
+                    }
+                }
+                (1, Issue::PerLane) => {
+                    for l in active.clone() {
+                        ctx.st_global(r.site, tid(l), self.buf, addr(l) as usize, vals[l]);
+                    }
+                }
+                (2, Issue::PerLane) => {
+                    for l in active.clone() {
+                        vals[l] = ctx.ld_shared(r.site, tid(l), addr(l) as usize);
+                    }
+                }
+                (_, Issue::PerLane) => {
+                    for l in active.clone() {
+                        ctx.st_shared(r.site, tid(l), addr(l) as usize, vals[l]);
+                    }
+                }
+                (0, _) => ctx.ld_global_row(r.site, r.warp, self.buf, row, &mut vals),
+                (1, _) => ctx.st_global_row(r.site, r.warp, self.buf, row, &vals),
+                (2, _) => ctx.ld_shared_row(r.site, r.warp, row, &mut vals),
+                (_, _) => ctx.st_shared_row(r.site, r.warp, row, &vals),
+            }
+            if r.op % 2 == 0 {
+                loaded.extend_from_slice(&vals[active]);
+            }
+        }
+    }
+}
+
+proptest! {
+    /// A progression issued as `Row::Affine`, as the equal `Row::Lanes`
+    /// and lane by lane through the per-lane calls (the path the in-crate
+    /// HashMap oracle pins) is the same instruction: identical counters,
+    /// identical loaded words, identical memory afterwards. Rows are
+    /// full, ragged (a prefix) or an offset run; a few sites shared by
+    /// all rows leave a warp's lanes at different occurrences, so rows
+    /// also merge across them.
+    #[test]
+    fn affine_rows_equal_lane_rows_and_per_lane_calls(
+        block_dim in prop::sample::select(vec![32u32, 48, 64, 96]),
+        raw in proptest::collection::vec(
+            ((0u8..4, 0usize..3, any::<u32>()), (0u8..3, any::<u32>(), any::<u32>()), (0u64..512, 0usize..6)),
+            1..40,
+        ),
+        gt200 in any::<bool>(),
+    ) {
+        // 16 banks on the GT200, 32 on Fermi; 32-word transactions on both.
+        let device = if gt200 { DeviceSpec::gtx285() } else { DeviceSpec::tesla_c2050() };
+        let ws = device.warp_size;
+        let rows: Vec<ScriptRow> = raw
+            .iter()
+            .map(|&((op, site, warp), (shape, a, b), (base, stride))| {
+                let warp = warp % block_dim.div_ceil(ws);
+                let resident = (block_dim - warp * ws).min(ws);
+                let (lo, lanes) = match shape {
+                    0 => (0, resident),
+                    1 => (0, 1 + a % resident),
+                    _ => {
+                        let lo = a % resident;
+                        (lo, 1 + b % (resident - lo))
+                    }
+                };
+                let stride = [0, 1, 2, 33, 32, 40][stride];
+                ScriptRow { op, site: [0, 5, 9][site], warp, lo, lanes, base, stride }
+            })
+            .collect();
+        let run = |issue| {
+            let mut mem = GlobalMem::new();
+            let buf = mem.alloc_from((0..SCRIPT_WORDS).map(|i| i as f32 * 0.5).collect::<Vec<_>>());
+            let k = Script { rows: rows.clone(), block_dim, issue, buf, loaded: Mutex::default() };
+            let stats = launch(&device, &mut mem, &k, ExecMode::Full);
+            (stats, k.loaded.into_inner().unwrap(), mem.into_host(buf))
+        };
+        let (affine, lanes, per_lane) = (run(Issue::Affine), run(Issue::Lanes), run(Issue::PerLane));
+        prop_assert_eq!(&affine, &lanes);
+        prop_assert_eq!(&affine, &per_lane);
     }
 }
