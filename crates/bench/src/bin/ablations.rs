@@ -158,7 +158,6 @@ fn main() {
                 in_buf: in1,
                 in_layout: Layout::RowMajor,
                 out_buf: out1,
-                apply_post: true,
                 out_stride: 1,
                 out_offset: 0,
             };
@@ -203,7 +202,6 @@ fn main() {
             in_buf,
             in_layout: Layout::RowMajor,
             out_buf,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };

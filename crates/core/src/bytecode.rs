@@ -20,12 +20,10 @@
 //!   every opcode gets the operand type it runs at, so the warp evaluator
 //!   works on untagged `f32`/`i64`/mask rows.
 //!
-//! Two evaluators run a [`Program`]. Kernels run it warp-wide through
-//! [`crate::warp::eval`]. The scalar [`eval`] here runs the firings that
-//! have no lanes to batch — opaque (stateful) actors executed sequentially
-//! on the host and the once-per-output reduction `post` expression — with
-//! stream and state access redirected through the [`IrIo`] trait; it is
-//! also the in-crate differential reference for the warp evaluator.
+//! One evaluator runs a [`Program`]: [`crate::warp::eval`]. Kernels run it
+//! warp-wide; the firings with no lanes to batch — opaque (stateful)
+//! actors executed sequentially on the host and the once-per-output
+//! reduction `post` expression — run it on a one-lane frame.
 //!
 //! Evaluation is infallible on the hot path: lowering rejects everything
 //! the reference interpreter ([`streamir::interp::Interpreter`], the
@@ -41,58 +39,6 @@ use streamir::interp::{eval_binop, eval_intrinsic};
 use streamir::ir::{BinOp, Expr, Intrinsic, Stmt, UnOp};
 use streamir::rates::Bindings;
 use streamir::value::Value;
-
-/// Stream/state I/O hooks for one scalar execution of a work body.
-pub trait IrIo {
-    /// Destructive read of the next input item of this firing's window.
-    fn pop(&mut self) -> f32;
-    /// Non-destructive read at `offset` from the window start.
-    fn peek(&mut self, offset: i64) -> f32;
-    /// Append one output item.
-    fn push(&mut self, v: f32);
-    /// Load from a bound state array.
-    fn state_load(&mut self, array: &str, idx: i64) -> f32;
-    /// Store to a bound state array.
-    fn state_store(&mut self, array: &str, idx: i64, v: f32);
-}
-
-/// An [`IrIo`] over plain host vectors — the host-side (opaque-actor)
-/// execution path, and unit tests.
-#[derive(Debug, Default)]
-pub struct VecIo {
-    /// Input window.
-    pub input: Vec<f32>,
-    /// Read cursor for pops.
-    pub cursor: usize,
-    /// Collected pushes.
-    pub output: Vec<f32>,
-    /// Named state arrays.
-    pub state: HashMap<String, Vec<f32>>,
-}
-
-impl IrIo for VecIo {
-    fn pop(&mut self) -> f32 {
-        let v = self.input[self.cursor];
-        self.cursor += 1;
-        v
-    }
-
-    fn peek(&mut self, offset: i64) -> f32 {
-        self.input[offset as usize]
-    }
-
-    fn push(&mut self, v: f32) {
-        self.output.push(v);
-    }
-
-    fn state_load(&mut self, array: &str, idx: i64) -> f32 {
-        self.state[array][idx as usize]
-    }
-
-    fn state_store(&mut self, array: &str, idx: i64, v: f32) {
-        self.state.get_mut(array).expect("bound array")[idx as usize] = v;
-    }
-}
 
 /// Static type of a value, fixed at plan time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,13 +130,15 @@ pub(crate) const NO_ROW: u16 = u16::MAX;
 /// # Typing rule
 ///
 /// Parameters are `i64`, presets have the type their kernel declares, a
-/// local has the type of the value last stored to it. Arithmetic and
-/// comparisons on two `i64` stay integral, any other pair of numbers is
-/// promoted to `f32`; `&&`/`||`/`!`/conditions take any value (numbers
-/// are true when non-zero); stream items, intrinsic arguments and state
-/// values are `f32`, offsets, indices and loop bounds `i64`. A slot
-/// stored with more than one type holds one value per type and each
-/// `Load` reads the one inferred at its pc. There is no dynamic
+/// local has the type of the value last stored to it. A store to an `f32`
+/// preset — a body stores only to an opaque actor's scalar state —
+/// converts to `f32`, as the interpreter's assignment to it does.
+/// Arithmetic and comparisons on two `i64` stay integral, any other pair
+/// of numbers is promoted to `f32`; `&&`/`||`/`!`/conditions take any
+/// value (numbers are true when non-zero); stream items, intrinsic
+/// arguments and state values are `f32`, offsets, indices and loop bounds
+/// `i64`. A slot stored with more than one type holds one value per type
+/// and each `Load` reads the one inferred at its pc. There is no dynamic
 /// fallback: a `Load` whose slot's type depends on the path taken, a
 /// `select` whose arms differ in type, and a boolean used as a number
 /// are compile errors.
@@ -220,11 +168,6 @@ impl Program {
     /// The opcode sequence (read-only; used by tests and the printer).
     pub fn ops(&self) -> &[Op] {
         &self.ops
-    }
-
-    /// Number of slots a frame needs.
-    pub fn n_slots(&self) -> usize {
-        self.kinds.len()
     }
 
     /// Worst-case operand-stack depth.
@@ -423,6 +366,8 @@ struct OpenLoop {
 /// for every program it accepts.
 struct Typer {
     insert: bool,
+    /// Slots that are `f32` presets (scalar state): every store casts.
+    f32_presets: Vec<bool>,
     out: Vec<Op>,
     tys: Vec<Ty>,
     stack: Vec<Ty>,
@@ -447,6 +392,10 @@ impl Typer {
         };
         let mut t = Typer {
             insert,
+            f32_presets: kinds
+                .iter()
+                .map(|k| *k == SlotKind::Preset(Ty::F32))
+                .collect(),
             out: Vec::with_capacity(ops.len()),
             tys: Vec::with_capacity(ops.len()),
             stack: Vec::new(),
@@ -659,6 +608,9 @@ impl Typer {
                 self.push(ann);
             }
             Op::Store(s) => {
+                if self.f32_presets[s as usize] {
+                    self.need(0, Ty::F32)?;
+                }
                 ann = self.pop()?;
                 self.store(s, ann);
             }
@@ -829,8 +781,8 @@ pub fn compile_body(body: &[Stmt], params: &Bindings, presets: &[(&str, Ty)]) ->
     c.finish()
 }
 
-/// Compile a single expression; evaluation via [`eval_value`] yields its
-/// value, converted to `f32`.
+/// Compile a single expression; evaluation via [`crate::warp::eval_row`]
+/// yields its value, converted to `f32`.
 ///
 /// # Errors
 ///
@@ -1118,254 +1070,10 @@ impl<'a> Compiler<'a> {
     }
 }
 
-/// A reusable evaluation frame: slot vector + operand stack, reset per
-/// firing by copying the launch's bound slot prototype.
-#[derive(Debug, Default)]
-pub struct Frame {
-    slots: Vec<Value>,
-    stack: Vec<Value>,
-}
-
-impl Frame {
-    /// Prepare the frame for one firing: slots become a copy of `proto`,
-    /// the operand stack empties. Reuses existing capacity.
-    pub fn reset(&mut self, proto: &[Value]) {
-        self.slots.clear();
-        self.slots.extend_from_slice(proto);
-        self.stack.clear();
-    }
-
-    /// Reserve capacity for a program up front so evaluation never
-    /// reallocates.
-    pub fn fit(&mut self, prog: &Program) {
-        if self.slots.capacity() < prog.n_slots() {
-            self.slots.reserve(prog.n_slots() - self.slots.len());
-        }
-        if self.stack.capacity() < prog.max_stack() {
-            self.stack.reserve(prog.max_stack() - self.stack.len());
-        }
-    }
-
-    /// Write a preset slot (loop variable, accumulator, scalar state).
-    #[inline]
-    pub fn set(&mut self, slot: u16, v: Value) {
-        self.slots[slot as usize] = v;
-    }
-
-    /// Read a slot back (scalar-state persistence, tests).
-    #[inline]
-    pub fn get(&self, slot: u16) -> Value {
-        self.slots[slot as usize]
-    }
-}
-
-#[inline]
-fn as_f32(v: Value) -> f32 {
-    v.as_f32().expect("validated body: numeric value")
-}
-
-#[inline]
-fn as_i64(v: Value) -> i64 {
-    v.as_i64().expect("validated body: integral value")
-}
-
-/// Infallible binop mirroring [`streamir::interp::eval_binop`] (including
-/// wrapping integer arithmetic); data-dependent faults panic.
-#[inline]
-fn bin(op: BinOp, a: Value, b: Value) -> Value {
-    use BinOp::*;
-    if let (Value::I64(x), Value::I64(y)) = (a, b) {
-        return match op {
-            Add => Value::I64(x.wrapping_add(y)),
-            Sub => Value::I64(x.wrapping_sub(y)),
-            Mul => Value::I64(x.wrapping_mul(y)),
-            Div => {
-                assert!(y != 0, "validated body: integer division by zero");
-                Value::I64(x.wrapping_div(y))
-            }
-            Rem => {
-                assert!(y != 0, "validated body: integer remainder by zero");
-                Value::I64(x.wrapping_rem(y))
-            }
-            Lt => Value::Bool(x < y),
-            Le => Value::Bool(x <= y),
-            Gt => Value::Bool(x > y),
-            Ge => Value::Bool(x >= y),
-            Eq => Value::Bool(x == y),
-            Ne => Value::Bool(x != y),
-            And => Value::Bool(x != 0 && y != 0),
-            Or => Value::Bool(x != 0 || y != 0),
-        };
-    }
-    if matches!(op, And | Or) {
-        let (x, y) = (a.as_bool(), b.as_bool());
-        return Value::Bool(match op {
-            And => x && y,
-            Or => x || y,
-            _ => unreachable!(),
-        });
-    }
-    let x = as_f32(a);
-    let y = as_f32(b);
-    match op {
-        Add => Value::F32(x + y),
-        Sub => Value::F32(x - y),
-        Mul => Value::F32(x * y),
-        Div => Value::F32(x / y),
-        Rem => Value::F32(x % y),
-        Lt => Value::Bool(x < y),
-        Le => Value::Bool(x <= y),
-        Gt => Value::Bool(x > y),
-        Ge => Value::Bool(x >= y),
-        Eq => Value::Bool(x == y),
-        Ne => Value::Bool(x != y),
-        And | Or => unreachable!("handled above"),
-    }
-}
-
-#[inline]
-fn call(intr: Intrinsic, args: &[Value]) -> Value {
-    let f = |i: usize| as_f32(args[i]);
-    match intr {
-        Intrinsic::Sqrt => Value::F32(f(0).sqrt()),
-        Intrinsic::Exp => Value::F32(f(0).exp()),
-        Intrinsic::Log => Value::F32(f(0).ln()),
-        Intrinsic::Abs => Value::F32(f(0).abs()),
-        Intrinsic::Sin => Value::F32(f(0).sin()),
-        Intrinsic::Cos => Value::F32(f(0).cos()),
-        Intrinsic::Floor => Value::F32(f(0).floor()),
-        Intrinsic::Max => Value::F32(f(0).max(f(1))),
-        Intrinsic::Min => Value::F32(f(0).min(f(1))),
-        Intrinsic::Pow => Value::F32(f(0).powf(f(1))),
-        // `select` preserves the chosen argument's variant, like the interpreter.
-        Intrinsic::Select => {
-            if args[0].as_bool() {
-                args[1]
-            } else {
-                args[2]
-            }
-        }
-    }
-}
-
-/// Execute a compiled body against a prepared frame. The frame must have
-/// been [`Frame::reset`] with the program's bound prototype (and any
-/// preset slots seeded). Infallible: see the module docs. Values stay
-/// tagged here (one firing has no rows to untag), so the inferred types
-/// are not consulted; the casts in the stream are applied.
-pub fn eval(prog: &Program, frame: &mut Frame, io: &mut dyn IrIo) {
-    let ops = &prog.ops;
-    let slots = &mut frame.slots;
-    let stack = &mut frame.stack;
-    let mut pc = 0usize;
-    while pc < ops.len() {
-        match ops[pc] {
-            Op::ConstF(x) => stack.push(Value::F32(x)),
-            Op::ConstI(i) => stack.push(Value::I64(i)),
-            Op::ConstB(b) => stack.push(Value::Bool(b)),
-            Op::Load(s) => stack.push(slots[s as usize]),
-            Op::Store(s) => slots[s as usize] = stack.pop().expect("operand"),
-            Op::Pop => stack.push(Value::F32(io.pop())),
-            Op::Peek => {
-                let off = as_i64(stack.pop().expect("operand"));
-                stack.push(Value::F32(io.peek(off)));
-            }
-            Op::StateLoad(id) => {
-                let idx = as_i64(stack.pop().expect("operand"));
-                let v = io.state_load(&prog.state_names[id as usize], idx);
-                stack.push(Value::F32(v));
-            }
-            Op::StateStore(id) => {
-                let v = as_f32(stack.pop().expect("operand"));
-                let idx = as_i64(stack.pop().expect("operand"));
-                io.state_store(&prog.state_names[id as usize], idx, v);
-            }
-            Op::PushOut => {
-                let v = as_f32(stack.pop().expect("operand"));
-                io.push(v);
-            }
-            Op::Bin(op) => {
-                let b = stack.pop().expect("operand");
-                let a = stack.pop().expect("operand");
-                stack.push(bin(op, a, b));
-            }
-            Op::Neg => {
-                let v = stack.pop().expect("operand");
-                stack.push(match v {
-                    Value::I64(i) => Value::I64(i.wrapping_neg()),
-                    other => Value::F32(-as_f32(other)),
-                });
-            }
-            Op::Not => {
-                let v = stack.pop().expect("operand");
-                stack.push(Value::Bool(!v.as_bool()));
-            }
-            Op::Call(intr) => {
-                let n = intr.arity();
-                let mut args = [Value::F32(0.0); 3];
-                for i in (0..n).rev() {
-                    args[i] = stack.pop().expect("operand");
-                }
-                stack.push(call(intr, &args[..n]));
-            }
-            Op::Cast(to, depth) => {
-                let i = stack.len() - 1 - depth as usize;
-                stack[i] = match to {
-                    Ty::F32 => Value::F32(as_f32(stack[i])),
-                    Ty::I64 => Value::I64(as_i64(stack[i])),
-                    Ty::Bool => Value::Bool(stack[i].as_bool()),
-                };
-            }
-            Op::Jump(t) => {
-                pc = t as usize;
-                continue;
-            }
-            Op::JumpIfFalse(t) => {
-                if !stack.pop().expect("operand").as_bool() {
-                    pc = t as usize;
-                    continue;
-                }
-            }
-            Op::ForInit { counter, end } => {
-                let hi = as_i64(stack.pop().expect("operand"));
-                let lo = as_i64(stack.pop().expect("operand"));
-                slots[counter as usize] = Value::I64(lo);
-                slots[end as usize] = Value::I64(hi);
-            }
-            Op::ForTest {
-                counter,
-                end,
-                var,
-                exit,
-            } => {
-                let c = as_i64(slots[counter as usize]);
-                if c < as_i64(slots[end as usize]) {
-                    slots[var as usize] = Value::I64(c);
-                } else {
-                    pc = exit as usize;
-                    continue;
-                }
-            }
-            Op::ForStep { counter, head } => {
-                let c = as_i64(slots[counter as usize]);
-                slots[counter as usize] = Value::I64(c.wrapping_add(1));
-                pc = head as usize;
-                continue;
-            }
-        }
-        pc += 1;
-    }
-}
-
-/// Execute a compiled *expression* and return its value.
-pub fn eval_value(prog: &Program, frame: &mut Frame, io: &mut dyn IrIo) -> Value {
-    eval(prog, frame, io);
-    frame.stack.pop().expect("expression leaves one value")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::warp::{self, HostIo, WarpFrame};
     use streamir::graph::bindings;
     use streamir::interp::Interpreter;
     use streamir::parse::parse_program;
@@ -1374,28 +1082,34 @@ mod tests {
         parse_program(src).unwrap().actors[0].work.body.clone()
     }
 
+    /// One firing of `prog` on a one-lane frame reset to `proto`, after
+    /// `seed` writes its presets.
+    fn fire(prog: &Program, proto: &[Value], io: &mut HostIo, seed: impl FnOnce(&mut WarpFrame)) {
+        let mut wf = WarpFrame::default();
+        wf.fit(prog, 1);
+        wf.reset(proto);
+        seed(&mut wf);
+        warp::eval(prog, &mut wf, 1, io);
+    }
+
     /// One firing of the one-actor program `src` under the reference
-    /// interpreter and under the compiled bytecode; returns the
-    /// interpreter's output and the bytecode run's I/O.
-    fn run_both(src: &str, params: &[(&str, i64)], input: Vec<f32>) -> (Vec<f32>, VecIo) {
+    /// interpreter and compiled, on a one-lane frame; returns the
+    /// interpreter's output and the compiled run's I/O.
+    fn run_both<'a>(src: &str, params: &[(&str, i64)], input: &'a [f32]) -> (Vec<f32>, HostIo<'a>) {
         let program = parse_program(src).unwrap();
         let mut it = Interpreter::new(&program);
         for (name, v) in params {
             it.bind_param(name, *v);
         }
-        let want = it.run(&input).unwrap();
+        let want = it.run(input).unwrap();
 
         let binds = bindings(params);
         let prog = compile_body(&program.actors[0].work.body, &binds, &[]).unwrap();
-        let proto = prog.bind(&binds).unwrap();
-        let mut frame = Frame::default();
-        frame.fit(&prog);
-        frame.reset(&proto);
-        let mut io = VecIo {
-            input,
-            ..Default::default()
+        let mut io = HostIo {
+            window: input,
+            ..HostIo::default()
         };
-        eval(&prog, &mut frame, &mut io);
+        fire(&prog, &prog.bind(&binds).unwrap(), &mut io, |_| {});
         (want, io)
     }
 
@@ -1410,10 +1124,10 @@ mod tests {
                 }
             }"#,
             &[("N", 4)],
-            vec![1.0, 2.5, -3.0, 8.0],
+            &[1.0, 2.5, -3.0, 8.0],
         );
         assert_eq!(want, got.output);
-        assert_eq!(got.cursor, 4);
+        assert_eq!(got.popped, 4);
     }
 
     #[test]
@@ -1427,7 +1141,7 @@ mod tests {
             }
         }"#;
         for input in [vec![1.0, 5.0], vec![5.0, 1.0]] {
-            let (want, got) = run_both(src, &[], input);
+            let (want, got) = run_both(src, &[], &input);
             assert_eq!(want, got.output);
         }
     }
@@ -1445,7 +1159,7 @@ mod tests {
                 }
             }"#,
             &[],
-            vec![0.0],
+            &[0.0],
         );
         assert_eq!(want, vec![4.0]);
         assert_eq!(want, got.output);
@@ -1470,7 +1184,7 @@ mod tests {
             .ops()
             .iter()
             .any(|o| matches!(o, Op::ConstF(x) if *x == 14.0)));
-        let (want, got) = run_both(src, &[], vec![2.0]);
+        let (want, got) = run_both(src, &[], &[2.0]);
         assert_eq!(want, got.output);
     }
 
@@ -1483,11 +1197,11 @@ mod tests {
                 }
             }"#,
             &[],
-            vec![5.0, 7.0],
+            &[5.0, 7.0],
         );
         assert_eq!(want, vec![75.0]);
         assert_eq!(want, got.output);
-        assert_eq!(got.cursor, 0);
+        assert_eq!(got.popped, 0);
     }
 
     #[test]
@@ -1508,18 +1222,14 @@ mod tests {
         assert_eq!(prog.state_index("w"), Some(0));
         assert_eq!(prog.state_index("v"), Some(1));
 
-        let mut io = VecIo {
-            input: vec![3.0],
-            ..Default::default()
+        let mut io = HostIo {
+            window: &[3.0],
+            state: vec![vec![0.0; 4], vec![7.0; 4]],
+            ..HostIo::default()
         };
-        io.state.insert("w".into(), vec![0.0; 4]);
-        io.state.insert("v".into(), vec![7.0; 4]);
-        let proto = prog.bind(&binds).unwrap();
-        let mut frame = Frame::default();
-        frame.reset(&proto);
-        eval(&prog, &mut frame, &mut io);
+        fire(&prog, &prog.bind(&binds).unwrap(), &mut io, |_| {});
         assert_eq!(io.output, vec![10.0]);
-        assert_eq!(io.state["w"][1], 3.0);
+        assert_eq!(io.state[0][1], 3.0);
     }
 
     #[test]
@@ -1534,13 +1244,11 @@ mod tests {
         let binds = bindings(&[("N", 5)]);
         let prog = compile_body(&body, &binds, &[]).unwrap();
         let proto = prog.bind(&bindings(&[("N", 7)])).unwrap();
-        let mut frame = Frame::default();
-        frame.reset(&proto);
-        let mut io = VecIo {
-            input: vec![1.0],
-            ..Default::default()
+        let mut io = HostIo {
+            window: &[1.0],
+            ..HostIo::default()
         };
-        eval(&prog, &mut frame, &mut io);
+        fire(&prog, &proto, &mut io, |_| {});
         assert_eq!(io.output, vec![8.0]);
         assert!(prog.bind(&bindings(&[])).is_err());
     }
@@ -1557,15 +1265,13 @@ mod tests {
         let binds = bindings(&[]);
         let prog = compile_body(&body, &binds, &[("i", Ty::I64)]).unwrap();
         let slot = prog.slot_of("i").unwrap();
-        let proto = prog.bind(&binds).unwrap();
-        let mut frame = Frame::default();
-        frame.reset(&proto);
-        frame.set(slot, Value::I64(41));
-        let mut io = VecIo {
-            input: vec![1.0],
-            ..Default::default()
+        let mut io = HostIo {
+            window: &[1.0],
+            ..HostIo::default()
         };
-        eval(&prog, &mut frame, &mut io);
+        fire(&prog, &prog.bind(&binds).unwrap(), &mut io, |wf| {
+            wf.i64_row_mut(slot)[0] = 41;
+        });
         assert_eq!(io.output, vec![42.0]);
     }
 
@@ -1587,7 +1293,7 @@ mod tests {
                 }
             }"#,
             &[],
-            vec![3.0],
+            &[3.0],
         );
         assert_eq!(want, vec![3.0]);
         assert_eq!(want, got.output);
@@ -1617,7 +1323,7 @@ mod tests {
         assert_eq!(ty_of(Op::Bin(BinOp::Div)), Ty::I64);
         assert_eq!(ty_of(Op::Cast(Ty::F32, 0)), Ty::I64);
         assert_eq!(ty_of(Op::Bin(BinOp::Mul)), Ty::F32);
-        let (want, got) = run_both(&src, &[("N", 5)], vec![1.5]);
+        let (want, got) = run_both(&src, &[("N", 5)], &[1.5]);
         assert_eq!(want, vec![3.0]);
         assert_eq!(want, got.output);
     }
@@ -1627,7 +1333,7 @@ mod tests {
         let (want, got) = run_both(
             &actor("x = pop(); push(select(x < 0.0, 1.0, x));"),
             &[("N", 5)],
-            vec![-4.0],
+            &[-4.0],
         );
         assert_eq!(want, got.output);
         assert!(type_error("x = pop(); push(select(x < 0.0, 1, x));").contains("select"));
@@ -1645,7 +1351,7 @@ mod tests {
             .map(|pc| prog.ty_at(pc))
             .collect();
         assert_eq!(loads, [Ty::I64, Ty::F32]);
-        let (want, got) = run_both(&src, &[("N", 5)], vec![0.5]);
+        let (want, got) = run_both(&src, &[("N", 5)], &[0.5]);
         assert_eq!(want, vec![6.5]);
         assert_eq!(want, got.output);
     }
@@ -1699,12 +1405,11 @@ mod tests {
         let binds = bindings(&[]);
         let prog = compile_expr(&e, &binds, &[("acc", Ty::F32)]).unwrap();
         let slot = prog.slot_of("acc").unwrap();
-        let proto = prog.bind(&binds).unwrap();
-        let mut frame = Frame::default();
-        frame.reset(&proto);
-        frame.set(slot, Value::F32(8.0));
-        let mut io = VecIo::default();
-        let v = eval_value(&prog, &mut frame, &mut io);
-        assert_eq!(v.as_f32().unwrap(), 4.0);
+        let mut wf = WarpFrame::default();
+        wf.fit(&prog, 1);
+        wf.reset(&prog.bind(&binds).unwrap());
+        wf.f32_row_mut(slot)[0] = 8.0;
+        let v = warp::eval_row(&prog, &mut wf, 1, &mut HostIo::default())[0];
+        assert_eq!(v, 4.0);
     }
 }

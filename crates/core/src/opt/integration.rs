@@ -319,7 +319,8 @@ mod tests {
 
     use crate::analysis::recurrence::parallelize;
     use crate::analysis::reduction::detect_reduction;
-    use crate::bytecode::{self, compile_body, Frame, Ty, VecIo};
+    use crate::bytecode::{compile_body, Ty};
+    use crate::warp::{self, HostIo, WarpFrame};
 
     fn loop_of(src: &str, binds: &Bindings) -> ParallelLoop {
         let p = parse_program(src).unwrap();
@@ -330,21 +331,19 @@ mod tests {
         let n = eval_bound(&pl.bound, binds).unwrap() as usize;
         let prog = compile_body(&pl.body, binds, &[(&pl.loop_var, Ty::I64)]).unwrap();
         let proto = prog.bind(binds).unwrap();
-        let mut frame = Frame::default();
-        let mut out = Vec::new();
+        let mut wf = WarpFrame::default();
+        wf.fit(&prog, 1);
+        let mut io = HostIo::default();
         for i in 0..n {
-            let mut io = VecIo {
-                input: input[i * pl.pops_per_iter..(i + 1) * pl.pops_per_iter].to_vec(),
-                ..Default::default()
-            };
-            frame.reset(&proto);
+            io.window = &input[i * pl.pops_per_iter..(i + 1) * pl.pops_per_iter];
+            io.popped = 0;
+            wf.reset(&proto);
             if let Some(slot) = prog.slot_of(&pl.loop_var) {
-                frame.set(slot, streamir::value::Value::I64(i as i64));
+                wf.i64_row_mut(slot)[0] = i as i64;
             }
-            bytecode::eval(&prog, &mut frame, &mut io);
-            out.extend(io.output);
+            warp::eval(&prog, &mut wf, 1, &mut io);
         }
-        out
+        io.output
     }
 
     #[test]

@@ -277,7 +277,7 @@ pub(crate) enum SegPrograms {
     /// `(elem, post)` per sibling reduction.
     HFused(Vec<(Arc<bytecode::Program>, Option<Arc<bytecode::Program>>)>),
     MapSiblings(Vec<Arc<bytecode::Program>>),
-    /// Opaque host body, run as scalar bytecode.
+    /// Opaque host body, run on a one-lane warp.
     Opaque(Arc<bytecode::Program>),
 }
 

@@ -26,13 +26,14 @@ use streamir::value::Value;
 
 use crate::analysis::opcount::eval_bound;
 use crate::analysis::reduction::ReductionPattern;
-use crate::bytecode::{self, VecIo};
+use crate::bytecode;
 use crate::layout::{restructure, unrestructure, Layout};
 use crate::opt::segmentation::ReduceChoice;
 use crate::plan::{CompiledProgram, SegChoice, SegKind, SegPrograms, UnitsPerFiring};
 use crate::templates::{
     two_kernel_reduce, FusedReduce, MapKernel, ReduceSpec, SingleKernelReduce, StencilKernel,
 };
+use crate::warp::{self, HostIo, WarpFrame};
 
 /// Host data bound to one actor's state array before execution.
 #[derive(Debug, Clone)]
@@ -514,7 +515,6 @@ impl CompiledProgram {
                                 in_buf,
                                 in_layout: cur_layout,
                                 out_buf,
-                                apply_post: true,
                                 out_stride: 1,
                                 out_offset: 0,
                             };
@@ -679,7 +679,6 @@ impl CompiledProgram {
                                 in_buf,
                                 in_layout: cur_layout,
                                 out_buf,
-                                apply_post: true,
                                 out_stride: k_out,
                                 out_offset: s_idx,
                             };
@@ -982,12 +981,14 @@ pub(crate) fn pattern_to_serial_body(p: &ReductionPattern) -> Vec<Stmt> {
     ]
 }
 
-/// Execute an opaque actor on the host for `firings` sequential firings —
-/// scalar bytecode on a single reused [`bytecode::Frame`], there being no
-/// lanes to batch. Scalar state lives in its `f32` preset slot and is
-/// copied back into the prototype (as `f32`, the type the program was
-/// lowered for and the interpreter stores) after each firing so it
-/// persists.
+/// Execute an opaque actor on the host for `firings` sequential firings:
+/// [`warp::eval`] on one one-lane frame, reset per firing, there being no
+/// lanes to batch. I/O goes through a `HostIo` over each firing's window
+/// (`max(peek, pop)` items, cut short at the end of the input) and copies
+/// of the bound state arrays. Scalar state lives in its `f32`
+/// preset slot (lowering converts every store to it to `f32`, as the
+/// interpreter does) and is copied back into the prototype after each
+/// firing so it persists.
 fn run_opaque(
     actor: &ActorDef,
     firings: usize,
@@ -997,6 +998,7 @@ fn run_opaque(
     prog: &bytecode::Program,
 ) -> Result<(Vec<f32>, f64)> {
     let pop = actor.work.pop.eval(binds)?.max(0) as usize;
+    let width = actor.work.peek.eval(binds)?.max(0) as usize;
     let needed = firings * pop;
     if input.len() < needed {
         return Err(Error::InsufficientInput {
@@ -1004,21 +1006,26 @@ fn run_opaque(
             got: input.len(),
         });
     }
-    let mut io = VecIo::default();
+    let bound = |name: &str| {
+        state
+            .iter()
+            .find(|s| s.actor == actor.name && s.array == name)
+            .ok_or_else(|| Error::Runtime(format!("state array {}::{name} not bound", actor.name)))
+    };
     for sv in &actor.state {
         if let StateVar::Array { name, .. } = sv {
-            let data = state
-                .iter()
-                .find(|s| s.actor == actor.name && s.array == *name)
-                .map(|s| s.data.clone())
-                .ok_or_else(|| {
-                    Error::Runtime(format!("state array {}::{name} not bound", actor.name))
-                })?;
-            io.state.insert(name.clone(), data);
+            bound(name)?;
         }
     }
+    let mut io = HostIo {
+        state: prog
+            .state_names()
+            .iter()
+            .map(|name| Ok(bound(name)?.data.clone()))
+            .collect::<Result<_>>()?,
+        ..HostIo::default()
+    };
     let counts = crate::analysis::opcount::body_counts(&actor.work.body, binds);
-    let mut output = Vec::new();
 
     let mut proto = prog.bind(binds)?;
     let mut scalar_slots = Vec::new();
@@ -1031,21 +1038,19 @@ fn run_opaque(
             scalar_slots.push(slot);
         }
     }
-    let mut frame = bytecode::Frame::default();
-    frame.fit(prog);
+    let mut wf = WarpFrame::default();
+    wf.fit(prog, 1);
     for f in 0..firings {
-        io.input = input[f * pop..(f + 1) * pop].to_vec();
-        io.cursor = 0;
-        io.output.clear();
-        frame.reset(&proto);
-        bytecode::eval(prog, &mut frame, &mut io);
+        io.window = &input[f * pop..(f * pop + width.max(pop)).min(input.len())];
+        io.popped = 0;
+        wf.reset(&proto);
+        warp::eval(prog, &mut wf, 1, &mut io);
         for &slot in &scalar_slots {
-            proto[slot as usize] = Value::F32(frame.get(slot).as_f32()?);
+            proto[slot as usize] = Value::F32(wf.f32_row_mut(slot)[0]);
         }
-        output.extend(io.output.iter().copied());
     }
     let host_us = crate::cost::host_cost_us(firings, counts.compute);
-    Ok((output, host_us))
+    Ok((io.output, host_us))
 }
 
 #[cfg(test)]
@@ -1341,6 +1346,96 @@ mod tests {
     }
 
     #[test]
+    fn opaque_firings_peek_their_window_and_keep_state() {
+        // Several host firings carrying a state scalar and a bound state
+        // array; the peeks come after the pops and still read from the
+        // start of the firing's window, as `peek(i)` does in the language.
+        let src = r#"pipeline P(N) {
+            actor Acc(pop 2, push 2, peek 2) {
+                state c = 0.5;
+                state w[3];
+                x = pop();
+                y = pop();
+                c = c * 0.5 + x;
+                w[1] = w[1] + y;
+                push(peek(0) * 10.0 + c);
+                push(peek(1) - w[1] + w[2]);
+            }
+        }"#;
+        let p = parse_program(src).unwrap();
+        let axis = InputAxis::total_size("N", 16, 4096);
+        let compiled = compile(&p, &device(), &axis).unwrap();
+        let n = 64usize;
+        let input: Vec<f32> = (0..n).map(|i| (i % 9) as f32 * 0.75 - 2.0).collect();
+        let w = vec![0.25, -1.0, 3.5];
+        let mut it = Interpreter::new(&p);
+        it.bind_param("N", n as i64)
+            .bind_state("Acc", "w", w.clone());
+        let want = it.run(&input).unwrap();
+        let state = [StateBinding::new("Acc", "w", w)];
+        let opts = RunOptions::serial(ExecMode::Full);
+        let report = compiled
+            .run_opts(n as i64, &input, &state, opts, None)
+            .unwrap();
+        assert!(
+            report.kernels.is_empty(),
+            "the stateful actor runs on the host"
+        );
+        assert_eq!(want.len(), n);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&report.output), bits(&want));
+    }
+
+    #[test]
+    fn opaque_firings_peek_past_their_pops() {
+        // `peek 3` over `pop 2`: each firing reads one item of the next
+        // firing's window, and the last firing reads the trailing item.
+        let src = r#"pipeline P(N) {
+            actor Win(pop 2, push 1, peek 3) {
+                state c = 0.0;
+                c = c + pop();
+                push(c + peek(2) * 10.0);
+            }
+        }"#;
+        let p = parse_program(src).unwrap();
+        let axis = InputAxis::total_size("N", 16, 4096);
+        let compiled = compile(&p, &device(), &axis).unwrap();
+        let input: Vec<f32> = (0..33).map(|i| i as f32 * 0.5).collect();
+        let mut it = Interpreter::new(&p);
+        it.bind_param("N", 32);
+        let want = it.run(&input).unwrap();
+        assert_eq!(want.len(), 16);
+        let report = compiled.run(32, &input).unwrap();
+        assert!(
+            report.kernels.is_empty(),
+            "the stateful actor runs on the host"
+        );
+        assert_eq!(report.output, want);
+    }
+
+    #[test]
+    fn integer_stored_to_scalar_state_becomes_a_float() {
+        // The interpreter converts a value assigned to a state scalar to
+        // `f32` at once, so `c / 2` divides floats: 3.0 / 2 = 1.5, not 1.
+        let src = r#"pipeline P(N) {
+            actor A(pop 1, push 1) {
+                state c = 0.0;
+                c = 3;
+                push(pop() + c / 2);
+            }
+        }"#;
+        let p = parse_program(src).unwrap();
+        let axis = InputAxis::total_size("N", 16, 4096);
+        let compiled = compile(&p, &device(), &axis).unwrap();
+        let input: Vec<f32> = (0..16).map(|i| i as f32).collect();
+        let mut it = Interpreter::new(&p);
+        it.bind_param("N", 16);
+        let want = it.run(&input).unwrap();
+        assert_eq!(want[0], 1.5);
+        assert_eq!(compiled.run(16, &input).unwrap().output, want);
+    }
+
+    #[test]
     fn opaque_body_that_does_not_lower_is_a_compile_error() {
         // `ghost` is never assigned: the host body has no bytecode form,
         // and there is no slower evaluator to fall back to.
@@ -1434,33 +1529,38 @@ mod tests {
 
     #[test]
     fn warp_frame_pool_reuses_frames_across_runs() {
-        let src = r#"pipeline P(N) {
-            actor Scale(pop 1, push 1) { push(pop() * 2.0); }
-            actor Sum(pop N, push 1) {
-                acc = 0.0;
-                for i in 0..N { acc = acc + pop(); }
-                push(acc);
+        // The second program's `post` evaluates on the pooled frames too.
+        for post in ["acc", "sqrt(acc)"] {
+            let src = format!(
+                "pipeline P(N) {{
+                    actor Scale(pop 1, push 1) {{ push(pop() * 2.0); }}
+                    actor Sum(pop N, push 1) {{
+                        acc = 0.0;
+                        for i in 0..N {{ acc = acc + pop(); }}
+                        push({post});
+                    }}
+                }}"
+            );
+            let p = parse_program(&src).unwrap();
+            let axis = InputAxis::total_size("N", 64, 1 << 16);
+            let compiled = compile(&p, &device(), &axis).unwrap();
+            let n = 4096usize;
+            let input: Vec<f32> = (0..n).map(|i| (i % 7) as f32).collect();
+            let first = compiled.run(n as i64, &input).unwrap();
+            let warp_created = compiled.warp_frames.created();
+            assert!(warp_created > 0, "first run must populate the warp pool");
+            assert!(
+                compiled.warp_frames.idle() > 0,
+                "warp frames return to the pool"
+            );
+            for _ in 0..3 {
+                let again = compiled.run(n as i64, &input).unwrap();
+                assert_eq!(again.output, first.output);
             }
-        }"#;
-        let p = parse_program(src).unwrap();
-        let axis = InputAxis::total_size("N", 64, 1 << 16);
-        let compiled = compile(&p, &device(), &axis).unwrap();
-        let n = 4096usize;
-        let input: Vec<f32> = (0..n).map(|i| (i % 7) as f32).collect();
-        let first = compiled.run(n as i64, &input).unwrap();
-        let warp_created = compiled.warp_frames.created();
-        assert!(warp_created > 0, "first run must populate the warp pool");
-        assert!(
-            compiled.warp_frames.idle() > 0,
-            "warp frames return to the pool"
-        );
-        for _ in 0..3 {
-            let again = compiled.run(n as i64, &input).unwrap();
-            assert_eq!(again.output, first.output);
+            // Steady state: later runs allocate no new frames, only reuse.
+            assert_eq!(compiled.warp_frames.created(), warp_created, "{post}");
+            assert!(compiled.warp_frames.reused() > 0);
         }
-        // Steady state: later runs allocate no new frames, only reuse.
-        assert_eq!(compiled.warp_frames.created(), warp_created);
-        assert!(compiled.warp_frames.reused() > 0);
     }
 
     #[test]

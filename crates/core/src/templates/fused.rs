@@ -11,10 +11,9 @@
 use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig};
 
 use super::{affine, compute_row, index_row, mask_run, state_ref, SITE_STATE};
-use crate::bytecode::Frame;
 use crate::layout::Layout;
 use crate::templates::reduction::{
-    store_accs, tree_level, ReduceSpec, SITE_ELEM, SITE_OUT, SITE_SHARED_LD,
+    store_accs, tree_reduce, ReduceSpec, SITE_ELEM, SITE_OUT, SITE_SHARED_LD,
 };
 use crate::warp::{self, for_lanes, WarpIo, MAX_LANES};
 
@@ -198,38 +197,22 @@ impl Kernel for FusedReduce {
         if let Some(wf) = wfs.first_mut() {
             wf.aux = windows;
         }
-        for (spec, wf) in self.specs.iter().zip(wfs) {
-            spec.exec.warp_frames.give(wf);
-        }
         ctx.sync();
 
         // Phase 2: one tree reduction per sibling segment.
         for (s, spec) in self.specs.iter().enumerate() {
-            tree_reduce_segment(ctx, spec, s * bdim, bdim);
+            tree_reduce(ctx, spec.op, 0, s * bdim, bdim);
         }
         ctx.sync();
 
         // Phase 3: lane 0 applies init/post and writes each output.
-        let mut post_frame = Frame::default();
-        for (s, spec) in self.specs.iter().enumerate() {
+        for (s, (spec, mut wf)) in self.specs.iter().zip(wfs).enumerate() {
             let combined = ctx.ld_shared(SITE_SHARED_LD, 0, s * bdim);
             let v = spec.op.apply(combined, spec.init);
-            let v = spec.apply_post(v, &mut post_frame);
+            let v = spec.apply_post(v, &mut wf);
             ctx.st_global(SITE_OUT, 0, self.out_buf, array * k + s, v);
+            spec.exec.warp_frames.give(wf);
         }
-    }
-}
-
-fn tree_reduce_segment(ctx: &mut BlockCtx<'_>, spec: &ReduceSpec, base: usize, size: usize) {
-    debug_assert!(size.is_power_of_two());
-    let warp = ctx.warp_size() as usize;
-    let mut active = size / 2;
-    while active >= 1 {
-        tree_level(ctx, spec.op, 0, base, active);
-        if active >= warp {
-            ctx.sync();
-        }
-        active /= 2;
     }
 }
 
@@ -291,7 +274,6 @@ mod tests {
             in_buf: in2,
             in_layout: Layout::RowMajor,
             out_buf: o2,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };

@@ -28,9 +28,9 @@ use streamir::value::Value;
 use super::{affine, compute_row, cursor_row, for_warp_rows, state_ref, state_slots, StateCache};
 use crate::analysis::opcount::body_counts;
 use crate::analysis::reduction::{CombineOp, ReductionPattern};
-use crate::bytecode::{self, Frame, IrIo, Ty};
+use crate::bytecode::{self, Ty};
 use crate::layout::Layout;
-use crate::warp::{self, for_lanes, WarpFramePool, WarpIo, MAX_LANES};
+use crate::warp::{self, for_lanes, HostIo, WarpFrame, WarpFramePool, WarpIo, MAX_LANES};
 
 // Shared with the fused template, which reuses the row helpers below.
 pub(super) const SITE_ELEM: u32 = 0;
@@ -178,42 +178,20 @@ impl ReduceSpec {
         })
     }
 
-    /// Apply the final transform to a combined value, evaluating on the
-    /// calling block's scratch `frame` (once per output: a scalar firing
-    /// with no lanes to batch).
-    pub(crate) fn apply_post(&self, acc: f32, frame: &mut Frame) -> f32 {
+    /// Apply the final transform to a combined value (once per output: a
+    /// firing with no lanes to batch) on the block's pooled frame, refitted
+    /// to one lane of the post program. Post expressions are pure; any I/O
+    /// one attempted would panic on the empty `HostIo`.
+    pub(crate) fn apply_post(&self, acc: f32, wf: &mut WarpFrame) -> f32 {
         let Some((prog, proto, acc_slot)) = &self.compiled().post else {
             return acc;
         };
-        frame.fit(prog);
-        frame.reset(proto);
+        wf.fit(prog, 1);
+        wf.reset(proto);
         if let Some(s) = acc_slot {
-            frame.set(*s, Value::F32(acc));
+            wf.f32_row_mut(*s)[0] = acc;
         }
-        bytecode::eval_value(prog, frame, &mut NoIo)
-            .as_f32()
-            .expect("post is numeric")
-    }
-}
-
-/// I/O that must never be exercised (post expressions are pure).
-struct NoIo;
-
-impl IrIo for NoIo {
-    fn pop(&mut self) -> f32 {
-        panic!("pop in pure expression")
-    }
-    fn peek(&mut self, _: i64) -> f32 {
-        panic!("peek in pure expression")
-    }
-    fn push(&mut self, _: f32) {
-        panic!("push in pure expression")
-    }
-    fn state_load(&mut self, _: &str, _: i64) -> f32 {
-        panic!("state load in pure expression")
-    }
-    fn state_store(&mut self, _: &str, _: i64, _: f32) {
-        panic!("state store in pure expression")
+        warp::eval_row(prog, wf, 1, &mut HostIo::default())[0]
     }
 }
 
@@ -285,7 +263,7 @@ fn warp_accumulate(
     ctx: &mut BlockCtx<'_>,
     spec: &ReduceSpec,
     comp: &CompiledReduce,
-    wf: &mut warp::WarpFrame,
+    wf: &mut WarpFrame,
     state_cache: &mut StateCache,
     warp_idx: u32,
     tid0: u32,
@@ -367,13 +345,7 @@ pub(super) fn store_accs(
 /// thread `t0 + lane` combines `shared[base + lane]` with
 /// `shared[base + lane + active]` for `lane < active`. No lane reads a
 /// word another lane of the level writes, so the row order is free.
-pub(super) fn tree_level(
-    ctx: &mut BlockCtx<'_>,
-    op: CombineOp,
-    t0: usize,
-    base: usize,
-    active: usize,
-) {
+fn tree_level(ctx: &mut BlockCtx<'_>, op: CombineOp, t0: usize, base: usize, active: usize) {
     let ws = ctx.warp_size() as usize;
     let (mut a, mut b) = ([0.0f32; MAX_LANES], [0.0f32; MAX_LANES]);
     for_warp_rows(ws, t0, active, |warp, lo, lanes| {
@@ -393,28 +365,31 @@ pub(super) fn tree_level(
     });
 }
 
-/// Block-level tree reduction over shared memory (Figure 8's loops L1/L2).
-///
-/// `group_base`/`group_size` allow several reduction groups per block
-/// (horizontal thread integration). Returns the combined value, valid on
-/// the group's first lane.
-fn shared_tree_reduce(ctx: &mut BlockCtx<'_>, op: CombineOp, group_base: usize, group_size: usize) {
+/// Block-level tree reduction over shared memory (Figure 8's loops L1/L2):
+/// threads `t0..` fold the `size` words from `shared[base]` in halving
+/// levels, leaving the combined value in `shared[base]`. While more than
+/// one warp participates (L1) every level ends at a barrier; the last warp
+/// finishes without one (L2: Figure 8 keeps warp lanes active rather than
+/// diverging further). Several groups per block (horizontal thread
+/// integration, fused siblings) each call this on their own words.
+pub(super) fn tree_reduce(
+    ctx: &mut BlockCtx<'_>,
+    op: CombineOp,
+    t0: usize,
+    base: usize,
+    size: usize,
+) {
     debug_assert!(
-        group_size.is_power_of_two(),
-        "reduction groups are power-of-two sized (got {group_size})"
+        size.is_power_of_two(),
+        "reduction groups are power-of-two sized (got {size})"
     );
     let warp = ctx.warp_size() as usize;
-    // L1: halve with barriers while more than one warp participates.
-    let mut active = group_size / 2;
-    while active >= warp {
-        tree_level(ctx, op, group_base, group_base, active);
-        ctx.sync();
-        active /= 2;
-    }
-    // L2: finish within one warp; no barriers needed (Figure 8 keeps warp
-    // lanes active rather than diverging further).
+    let mut active = size / 2;
     while active >= 1 {
-        tree_level(ctx, op, group_base, group_base, active);
+        tree_level(ctx, op, t0, base, active);
+        if active >= warp {
+            ctx.sync();
+        }
         active /= 2;
     }
 }
@@ -433,9 +408,6 @@ pub struct SingleKernelReduce {
     pub in_buf: BufId,
     pub in_layout: Layout,
     pub out_buf: BufId,
-    /// Whether to apply the final transform (`false` for intermediate
-    /// stages of a two-kernel reduction).
-    pub apply_post: bool,
     /// Output written at `array * out_stride + out_offset` — lets unfused
     /// split-join siblings interleave into a shared round-robin buffer.
     pub out_stride: usize,
@@ -511,15 +483,14 @@ impl Kernel for SingleKernelReduce {
             store_accs(ctx, warp_idx, lane0, live, &acc);
             lane0 += ws;
         }
-        self.spec.exec.warp_frames.give(wf);
         ctx.sync();
         // Phase 2: tree reduction per array group.
         for local_array in 0..self.arrays_per_block {
-            shared_tree_reduce(ctx, self.spec.op, local_array * tpa, tpa);
+            let base = local_array * tpa;
+            tree_reduce(ctx, self.spec.op, base, base, tpa);
         }
         ctx.sync();
         // First lane of each group writes the result.
-        let mut post_frame = Frame::default();
         for local_array in 0..self.arrays_per_block {
             let array = block as usize * self.arrays_per_block + local_array;
             if array >= self.n_arrays {
@@ -528,11 +499,7 @@ impl Kernel for SingleKernelReduce {
             let tid = (local_array * tpa) as u32;
             let combined = ctx.ld_shared(SITE_SHARED_LD, tid, local_array * tpa);
             let v = self.spec.op.apply(combined, self.spec.init);
-            let v = if self.apply_post {
-                self.spec.apply_post(v, &mut post_frame)
-            } else {
-                v
-            };
+            let v = self.spec.apply_post(v, &mut wf);
             ctx.st_global(
                 SITE_OUT,
                 tid,
@@ -541,6 +508,7 @@ impl Kernel for SingleKernelReduce {
                 v,
             );
         }
+        self.spec.exec.warp_frames.give(wf);
     }
 }
 
@@ -632,7 +600,7 @@ impl Kernel for InitialReduce {
         }
         self.spec.exec.warp_frames.give(wf);
         ctx.sync();
-        shared_tree_reduce(ctx, self.spec.op, 0, self.block_dim as usize);
+        tree_reduce(ctx, self.spec.op, 0, 0, self.block_dim as usize);
         ctx.sync();
         let combined = ctx.ld_shared(SITE_SHARED_LD, 0, 0);
         ctx.st_global(
@@ -670,7 +638,6 @@ pub fn merge_kernel(
         in_buf: partials_buf,
         in_layout: Layout::RowMajor,
         out_buf,
-        apply_post: true,
         out_stride: 1,
         out_offset: 0,
     }
@@ -743,7 +710,6 @@ mod tests {
             in_buf,
             in_layout: Layout::RowMajor,
             out_buf,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };
@@ -771,7 +737,6 @@ mod tests {
             in_buf,
             in_layout: Layout::RowMajor,
             out_buf,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };
@@ -800,7 +765,6 @@ mod tests {
             in_buf,
             in_layout: Layout::RowMajor,
             out_buf,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };
@@ -872,7 +836,6 @@ mod tests {
             in_buf,
             in_layout: Layout::RowMajor,
             out_buf,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };
@@ -920,7 +883,6 @@ mod tests {
             in_buf,
             in_layout: Layout::RowMajor,
             out_buf,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };
@@ -941,7 +903,6 @@ mod tests {
             in_buf: in2,
             in_layout: Layout::Transposed,
             out_buf: out2,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };
@@ -996,7 +957,6 @@ mod tests {
             in_buf,
             in_layout: Layout::RowMajor,
             out_buf,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };
@@ -1021,7 +981,6 @@ mod tests {
             in_buf,
             in_layout: Layout::RowMajor,
             out_buf,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };

@@ -1,9 +1,11 @@
-//! Warp-batched SIMT execution of compiled bytecode.
+//! Warp-batched SIMT execution of compiled bytecode — the one evaluator
+//! of a [`Program`].
 //!
-//! The scalar evaluator in [`crate::bytecode`] dispatches every opcode
-//! once *per thread per firing*. Real GPU hardware does not pay that: a
-//! warp fetches one instruction and applies it to 32 lanes in lockstep.
-//! This module reproduces that shape in software:
+//! A warp fetches one instruction and applies it to 32 lanes in lockstep;
+//! [`eval`] reproduces that shape in software, so a dispatch is paid once
+//! per opcode per warp, not once per thread per firing. Host-sequential
+//! firings (opaque actors, a reduction's `post` expression) run the same
+//! evaluator on a one-lane frame.
 //!
 //! * **Typed, untagged SoA rows.** The typing pass of
 //!   [`crate::bytecode`] fixes the type of every slot and stack entry at
@@ -35,15 +37,14 @@
 //!   `/` and `%` (a zero divisor on a predicated-off lane must not
 //!   fault) and I/O (each lane's pop/push sequence is its own).
 //!
-//! Per-lane semantics equal the scalar evaluator's — wrapping `i64`
-//! arithmetic, truncating `f32 → i64`, non-short-circuit `&&`/`||`,
-//! numbers true when non-zero. Each lane executes its own control path
-//! in program order, so the per-thread access sequences observed by
-//! `gpu_sim::accounting` are unchanged; only cross-lane interleaving
-//! differs, which the streaming engine's counters are invariant to. The
-//! scalar evaluator is the in-crate differential reference (see the
-//! tests below); the oracle for both is
-//! [`streamir::interp::Interpreter`].
+//! Per-lane semantics equal the reference interpreter's
+//! ([`streamir::interp::Interpreter`], the oracle the tests below compare
+//! every lane against) — wrapping `i64` arithmetic, truncating
+//! `f32 → i64`, non-short-circuit `&&`/`||`, numbers true when non-zero.
+//! Each lane executes its own control path in program order, so the
+//! per-thread access sequences observed by `gpu_sim::accounting` are
+//! those of a one-thread run; only cross-lane interleaving differs, which
+//! the streaming engine's counters are invariant to.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -70,14 +71,13 @@ pub fn for_lanes(mask: u64, lanes: usize, mut f: impl FnMut(usize)) {
     }
 }
 
-/// Warp-wide I/O hooks: the row-granular counterpart of
-/// [`crate::bytecode::IrIo`]. Each method serves one opcode for every set
-/// lane of `mask` at once, letting implementations batch whole lane-rows
-/// into `gpu_sim` (one accounting call per warp instruction instead of
-/// one per lane). Rows are as wide as the frame; lane indices are
-/// warp-relative and implementations map them to threads/units
-/// themselves. Only the set lanes of an input row are meaningful and only
-/// the set lanes of `out` need writing.
+/// Warp-wide stream and state I/O hooks. Each method serves one opcode
+/// for every set lane of `mask` at once, letting implementations batch
+/// whole lane-rows into `gpu_sim` (one accounting call per warp
+/// instruction instead of one per lane). Rows are as wide as the frame;
+/// lane indices are warp-relative and implementations map them to
+/// threads/units themselves. Only the set lanes of an input row are
+/// meaningful and only the set lanes of `out` need writing.
 pub trait WarpIo {
     /// One `pop()` per set lane into `out[lane]`.
     fn pop_row(&mut self, mask: u64, out: &mut [f32]);
@@ -319,8 +319,8 @@ fn zip_rows<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T) {
 /// the NaN rule pinned: a NaN `x` answers itself (quieted). When both
 /// operands are NaN the hardware returns the first one's payload, and the
 /// compiler is free to swap the operands of `+` and `*` in a vectorised
-/// loop, which would let the second one's sign through; the scalar
-/// evaluators' `x op y` keeps the first.
+/// loop, which would let the second one's sign through; the interpreter's
+/// scalar `x op y` keeps the first.
 #[inline]
 fn first_nan(x: f32, r: f32) -> f32 {
     if x.is_nan() {
@@ -385,9 +385,9 @@ fn min_pc(pending: &[Frag]) -> u32 {
 /// [`WarpFrame::fit`] for `prog` and [`WarpFrame::reset`] with the bound
 /// prototype, preset rows seeded per lane.
 ///
-/// Infallible like the scalar evaluator; an integer division by zero
-/// panics on the faulting lane just as it would scalar (inactive lanes
-/// are never divided, so predicated-off garbage cannot fault).
+/// Infallible (see [`crate::bytecode`]); an integer division by zero
+/// panics on the faulting lane (inactive lanes are never divided, so
+/// predicated-off garbage cannot fault).
 pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn WarpIo) {
     let ops = prog.ops();
     let n_ops = ops.len() as u32;
@@ -726,12 +726,18 @@ pub fn eval_row<'f>(
     wf.take_value_row()
 }
 
-/// Host-side warp I/O over plain vectors: the row-granular counterpart of
-/// [`crate::bytecode::VecIo`], used by differential tests and benches.
-/// Each lane owns an independent cursor into the shared `input` and a
-/// preassigned output range, so lane results land exactly where a scalar
-/// per-lane run would put them. State arrays are shared; within a row,
-/// lanes are served in ascending lane order.
+/// Host-side warp I/O over plain vectors, for tests and benches that run
+/// many lanes over one shared input. Each lane owns an independent
+/// cursor into `input` and a preassigned output range, so lane results
+/// land exactly where a one-lane run per firing would put them. State
+/// arrays are shared; within a row, lanes are served in ascending lane
+/// order.
+///
+/// Peeks here are relative to the lane's *cursor*, which moves with every
+/// pop. That is not the language's rule — `peek(i)` reads item `i` of the
+/// firing's window however many items the firing has popped — so the two
+/// agree only on peeks before a firing's first pop. Host firings go
+/// through the window-relative `HostIo`.
 #[derive(Debug, Default)]
 pub struct VecWarpIo {
     /// Shared input words.
@@ -778,11 +784,50 @@ impl WarpIo for VecWarpIo {
     }
 }
 
+/// One-lane I/O for host-sequential firings on a one-lane frame: the
+/// firing's input `window`, the pushes of every firing so far, and state
+/// arrays by program state id. Peeks are window-relative, the language's
+/// rule: `peek(i)` reads `window[i]` however many items the firing has
+/// popped. A default `HostIo` has no window and no state, so any pop,
+/// peek or state access through it panics.
+#[derive(Debug, Default)]
+pub(crate) struct HostIo<'w> {
+    pub window: &'w [f32],
+    /// Items of `window` popped by this firing.
+    pub popped: usize,
+    pub output: Vec<f32>,
+    pub state: Vec<Vec<f32>>,
+}
+
+impl WarpIo for HostIo<'_> {
+    fn pop_row(&mut self, _: u64, out: &mut [f32]) {
+        out[0] = self.window[self.popped];
+        self.popped += 1;
+    }
+
+    fn peek_row(&mut self, _: u64, offsets: &[i64], out: &mut [f32]) {
+        out[0] = self.window[offsets[0] as usize];
+    }
+
+    fn push_row(&mut self, _: u64, vals: &[f32]) {
+        self.output.push(vals[0]);
+    }
+
+    fn state_load_row(&mut self, id: u16, _: &str, _: u64, idx: &[i64], out: &mut [f32]) {
+        out[0] = self.state[id as usize][idx[0] as usize];
+    }
+
+    fn state_store_row(&mut self, id: u16, _: &str, _: u64, idx: &[i64], vals: &[f32]) {
+        self.state[id as usize][idx[0] as usize] = vals[0];
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::bytecode::{compile_body, compile_expr, eval as scalar_eval, Frame, VecIo};
+    use crate::bytecode::{compile_body, compile_expr};
     use streamir::graph::bindings;
+    use streamir::interp::Interpreter;
     use streamir::ir::Stmt;
     use streamir::parse::parse_program;
 
@@ -790,33 +835,19 @@ mod tests {
         parse_program(src).unwrap().actors[0].work.body.clone()
     }
 
-    /// Run `body` scalar (per lane) and warp-wide over per-lane inputs;
-    /// assert bit-identical outputs and cursors.
-    fn run_both(body: &[Stmt], lane_inputs: &[Vec<f32>], pushes_per_lane: usize) {
+    /// Run the one-actor program `src` warp-wide over per-lane inputs,
+    /// with the preset `lane` holding each lane's index, and assert every
+    /// lane's pushes bit-identical to the reference interpreter's run of
+    /// that lane's input with `lane` bound as a parameter, and every
+    /// lane's pop count equal to a one-lane run of that lane alone.
+    fn run_both(src: &str, lane_inputs: &[Vec<f32>], pushes_per_lane: usize) {
+        let program = parse_program(src).unwrap();
         let binds = bindings(&[]);
+        let body = &program.actors[0].work.body;
         let prog = compile_body(body, &binds, &[("lane", Ty::I64)]).unwrap();
         let proto = prog.bind(&binds).unwrap();
         let lane_slot = prog.slot_of("lane");
         let lanes = lane_inputs.len();
-
-        // Scalar reference: lane-by-lane with private cursors.
-        let mut want = Vec::new();
-        let mut want_cursors = Vec::new();
-        for (l, input) in lane_inputs.iter().enumerate() {
-            let mut frame = Frame::default();
-            frame.fit(&prog);
-            frame.reset(&proto);
-            if let Some(s) = lane_slot {
-                frame.set(s, (l as i64).into());
-            }
-            let mut io = VecIo {
-                input: input.clone(),
-                ..Default::default()
-            };
-            scalar_eval(&prog, &mut frame, &mut io);
-            want.extend(io.output);
-            want_cursors.push(io.cursor);
-        }
 
         // Warp run: one shared input with per-lane segments.
         let seg = lane_inputs[0].len();
@@ -837,80 +868,91 @@ mod tests {
         }
         eval(&prog, &mut wf, full_mask(lanes), &mut wio);
 
-        assert_eq!(want.len(), wio.output.len());
-        for (i, (a, b)) in want.iter().zip(&wio.output).enumerate() {
-            assert_eq!(a.to_bits(), b.to_bits(), "output {i}: {a} vs {b}");
-        }
-        for (l, c) in wio.cursor.iter().enumerate() {
-            assert_eq!(c - l * seg, want_cursors[l], "lane {l} cursor");
+        for (l, input) in lane_inputs.iter().enumerate() {
+            let want = Interpreter::new(&program)
+                .bind_param("lane", l as i64)
+                .run(input)
+                .unwrap();
+            assert_eq!(want.len(), pushes_per_lane, "lane {l}");
+            let got = &wio.output[l * pushes_per_lane..][..pushes_per_lane];
+            for (i, (a, b)) in want.iter().zip(got).enumerate() {
+                assert_eq!(a.to_bits(), b.to_bits(), "lane {l} push {i}: {a} vs {b}");
+            }
+
+            // A masked-off lane must not pop: its warp cursor moves as far
+            // as the same lane run alone on a one-lane frame.
+            let mut one = WarpFrame::default();
+            one.fit(&prog, 1);
+            one.reset(&proto);
+            if let Some(s) = lane_slot {
+                one.i64_row_mut(s)[0] = l as i64;
+            }
+            let mut hio = HostIo {
+                window: input,
+                ..HostIo::default()
+            };
+            eval(&prog, &mut one, 1, &mut hio);
+            assert_eq!(wio.cursor[l] - l * seg, hio.popped, "lane {l} pops");
         }
     }
 
     #[test]
     fn uniform_body_matches_scalar() {
-        let body = body_of(
-            r#"pipeline P() {
+        let src = r#"pipeline P() {
                 actor H(pop 1, push 1) {
                     x = pop();
                     acc = 0.0;
                     for i in 0..16 { acc = acc * x + 1.0; }
                     push(acc);
                 }
-            }"#,
-        );
+            }"#;
         let inputs: Vec<Vec<f32>> = (0..32).map(|l| vec![l as f32 * 0.25 - 3.0]).collect();
-        run_both(&body, &inputs, 1);
+        run_both(src, &inputs, 1);
     }
 
     #[test]
     fn divergent_branches_match_scalar() {
-        let body = body_of(
-            r#"pipeline P() {
+        let src = r#"pipeline P() {
                 actor D(pop 1, push 1) {
                     x = pop();
                     if (x < 0.0) { x = 0.0 - x; if (x > 2.0) { x = x * 0.5; } }
                     else { x = x * 1.5; }
                     push(x);
                 }
-            }"#,
-        );
+            }"#;
         let inputs: Vec<Vec<f32>> = (0..32).map(|l| vec![l as f32 - 16.0]).collect();
-        run_both(&body, &inputs, 1);
+        run_both(src, &inputs, 1);
     }
 
     #[test]
     fn uneven_trip_counts_match_scalar() {
         // Trip count depends on the lane id: lanes exit the loop at
         // different iterations and must reconverge at the exit pc.
-        let body = body_of(
-            r#"pipeline P() {
+        let src = r#"pipeline P() {
                 actor U(pop 1, push 1) {
                     x = pop();
                     for i in 0..lane { x = x + i * 1.0; if (i % 2 == 0) { x = x * 1.0625; } }
                     push(x);
                 }
-            }"#,
-        );
+            }"#;
         let inputs: Vec<Vec<f32>> = (0..32).map(|l| vec![l as f32 * 0.5]).collect();
-        run_both(&body, &inputs, 1);
+        run_both(src, &inputs, 1);
     }
 
     #[test]
     fn pops_under_divergence_match_scalar() {
         // Divergent lanes consume different numbers of inputs.
-        let body = body_of(
-            r#"pipeline P() {
+        let src = r#"pipeline P() {
                 actor V(pop 4, push 1) {
                     x = pop();
                     if (x < 8.0) { x = x + pop(); } else { x = x * 2.0; }
                     push(x);
                 }
-            }"#,
-        );
+            }"#;
         let inputs: Vec<Vec<f32>> = (0..32)
             .map(|l| vec![l as f32, 100.0, 200.0, 300.0])
             .collect();
-        run_both(&body, &inputs, 1);
+        run_both(src, &inputs, 1);
     }
 
     #[test]
@@ -946,8 +988,7 @@ mod tests {
     fn inactive_lanes_never_fault_integer_division() {
         // Every third lane holds a zero divisor and is predicated off
         // around the `/` and `%`; its rows still carry the 0.
-        let body = body_of(
-            r#"pipeline P() {
+        let src = r#"pipeline P() {
                 actor D(pop 1, push 1) {
                     x = pop();
                     d = lane % 3;
@@ -955,10 +996,9 @@ mod tests {
                     if (d != 0) { q = 100 / d + 100 % d; }
                     push(x + q);
                 }
-            }"#,
-        );
+            }"#;
         let inputs: Vec<Vec<f32>> = (0..32).map(|l| vec![l as f32]).collect();
-        run_both(&body, &inputs, 1);
+        run_both(src, &inputs, 1);
 
         // A lane outside the initial mask (lane 0, whose `lane` is 0)
         // never divides either.
@@ -997,10 +1037,9 @@ mod tests {
     #[test]
     fn nan_operands_keep_their_order() {
         // An operator on two NaNs answers the first operand's payload, as
-        // the scalar evaluator does; an optimised build must not swap the
-        // operands of the commutative ones.
-        let body = body_of(
-            r#"pipeline P() {
+        // the interpreter's scalar arithmetic does; an optimised build must
+        // not swap the operands of the commutative ones.
+        let src = r#"pipeline P() {
                 actor N(pop 2, push 8) {
                     x = pop();
                     y = pop();
@@ -1013,8 +1052,7 @@ mod tests {
                     push(max(x, y));
                     push(min(y, x));
                 }
-            }"#,
-        );
+            }"#;
         let nans = [0x7fc0_0000u32, 0xffc0_0000, 0x7fc0_1234, 0xffc0_4321].map(f32::from_bits);
         let inputs: Vec<Vec<f32>> = (0..32)
             .map(|l| match l % 3 {
@@ -1023,23 +1061,21 @@ mod tests {
                 _ => vec![l as f32, nans[l % 4]],
             })
             .collect();
-        run_both(&body, &inputs, 8);
+        run_both(src, &inputs, 8);
     }
 
     #[test]
     fn wrapping_integer_semantics_preserved() {
-        let body = body_of(
-            r#"pipeline P() {
+        let src = r#"pipeline P() {
                 actor W(pop 1, push 1) {
                     k = 9223372036854775807;
                     k = k + 1;
                     x = pop();
                     push(select(k < 0, x, 0.0 - x));
                 }
-            }"#,
-        );
+            }"#;
         let inputs: Vec<Vec<f32>> = (0..8).map(|l| vec![l as f32]).collect();
-        run_both(&body, &inputs, 1);
+        run_both(src, &inputs, 1);
     }
 
     #[test]

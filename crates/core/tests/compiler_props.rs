@@ -47,7 +47,6 @@ proptest! {
                 in_buf,
                 in_layout: Layout::RowMajor,
                 out_buf: out,
-                apply_post: true,
                 out_stride: 1,
                 out_offset: 0,
             };
@@ -107,7 +106,6 @@ proptest! {
             in_buf,
             in_layout: Layout::RowMajor,
             out_buf: out,
-            apply_post: true,
             out_stride: 1,
             out_offset: 0,
         };

@@ -96,7 +96,6 @@ fn single_reduce_profile_tracks_measurement() {
         in_buf,
         in_layout: Layout::RowMajor,
         out_buf,
-        apply_post: true,
         out_stride: 1,
         out_offset: 0,
     };
@@ -185,7 +184,6 @@ fn predicted_ordering_matches_measured_ordering_for_reduction_schemes() {
                 in_buf,
                 in_layout: Layout::RowMajor,
                 out_buf: out,
-                apply_post: true,
                 out_stride: 1,
                 out_offset: 0,
             };

@@ -8,9 +8,11 @@ use proptest::prelude::*;
 
 use std::collections::HashMap;
 
-use adaptic_repro::adaptic::bytecode::{self, compile_body, Frame, VecIo};
+use adaptic_repro::adaptic::bytecode::compile_body;
 use adaptic_repro::adaptic::warp::{self, full_mask, VecWarpIo, WarpFrame};
-use adaptic_repro::adaptic::{compile, restructure, unrestructure, InputAxis, RunOptions};
+use adaptic_repro::adaptic::{
+    compile, restructure, unrestructure, InputAxis, RunOptions, StateBinding,
+};
 use adaptic_repro::gpu_sim::{DeviceSpec, ExecMode, ExecPolicy};
 use adaptic_repro::streamir::graph::Program;
 use adaptic_repro::streamir::interp::Interpreter;
@@ -21,8 +23,8 @@ use common::assert_matches_oracle;
 /// construction: it only reads variables that are definitely assigned
 /// (`x`, `k`, the 4-element state array `s`), keeps peeks in bounds, and
 /// keeps every integer divisor provably nonzero — so the reference
-/// interpreter never errors and the bytecode evaluator never diverges on
-/// an invalid program.
+/// interpreter never errors and the compiled body never diverges on an
+/// invalid program.
 fn body_block(sel: u8) -> &'static str {
     match sel % 8 {
         0 => "x = x + peek(0) * 0.5;",
@@ -41,7 +43,7 @@ fn body_block(sel: u8) -> &'static str {
 /// different control paths and reconverge. Stateless on purpose — warp
 /// lanes share one state array in lockstep, so sequential-firing state
 /// semantics only apply lane-privately (which the templates guarantee
-/// and `random_body_bytecode_matches_ast_oracle` covers scalar-side).
+/// and `random_body_bytecode_matches_ast_oracle` covers host-side).
 fn divergent_block(sel: u8) -> &'static str {
     match sel % 6 {
         0 => "if (x > 0.0) { t = 6; } else { t = 2; } for i in 0..t { x = x * 0.75 + 0.25; }",
@@ -221,12 +223,13 @@ proptest! {
         prop_assert_eq!(a.kernels.len(), b.kernels.len());
     }
 
-    /// Random work bodies (loops, branches, peeks, state loads/stores,
-    /// wrapping integer arithmetic mixed with floats) evaluate
-    /// bit-identically under the compiled scalar bytecode and the oracle,
-    /// the `streamir` AST interpreter, over consecutive firings: same
-    /// outputs, and — the body pushes `s[0..4]` last — same state after
-    /// every firing.
+    /// Random work bodies (loops, branches, peeks after pops, state
+    /// loads/stores, a state scalar, wrapping integer arithmetic mixed with
+    /// floats) evaluate bit-identically on the opaque-actor host path —
+    /// `compile` classifies the stateful actor opaque and `run_opts` fires
+    /// it sequentially — and under the oracle, the `streamir` AST
+    /// interpreter, over consecutive firings: same outputs, and — the body
+    /// pushes `c` and `s[0..4]` last — same state after every firing.
     #[test]
     fn random_body_bytecode_matches_ast_oracle(
         blocks in proptest::collection::vec(0u8..8, 0..8),
@@ -237,43 +240,38 @@ proptest! {
         let body_src = blocks.iter().map(|b| body_block(*b)).collect::<Vec<_>>().join("\n");
         let src = format!(
             "pipeline P(N) {{
-                actor T(pop 16, push 6, peek 16) {{
+                actor T(pop 16, push 7, peek 16) {{
                     state s[4];
+                    state c = 0.5;
                     x = pop();
                     k = {k0};
                     {body_src}
+                    c = c * 0.5 + x;
                     push(x);
                     push((k % 1000) * 1.0);
+                    push(c);
                     for j in 0..4 {{ push(s[j]); }}
                 }}
             }}"
         );
         let program = parse_program(&src).unwrap();
-        let actor = program.actor("T").unwrap();
-        let binds = adaptic_repro::streamir::graph::bindings(&[]);
         let firings = data.len() / 16;
 
         let mut it = Interpreter::new(&program);
         it.bind_state("T", "s", sdata.clone());
         let want = it.run(&data).unwrap();
 
-        let prog = compile_body(&actor.work.body, &binds, &[]).unwrap();
-        let proto = prog.bind(&binds).unwrap();
-        let mut frame = Frame::default();
-        frame.fit(&prog);
-        let mut io = VecIo::default();
-        io.state.insert("s".to_string(), sdata.clone());
-        for f in 0..firings {
-            io.input = data[f * 16..(f + 1) * 16].to_vec();
-            io.cursor = 0;
-            frame.reset(&proto);
-            bytecode::eval(&prog, &mut frame, &mut io);
-            prop_assert!(io.cursor <= 16, "firing {} popped {} of 16", f, io.cursor);
-        }
+        let device = DeviceSpec::tesla_c2050();
+        let axis = InputAxis::total_size("N", 16, 1 << 12);
+        let compiled = compile(&program, &device, &axis).unwrap();
+        let state = [StateBinding::new("T", "s", sdata.clone())];
+        let opts = RunOptions::serial(ExecMode::Full);
+        let rep = compiled.run_opts(data.len() as i64, &data, &state, opts, None).unwrap();
+        prop_assert!(rep.kernels.is_empty(), "the stateful actor runs on the host");
 
-        prop_assert_eq!(want.len(), firings * 6);
-        prop_assert_eq!(want.len(), io.output.len());
-        for (i, (a, b)) in want.iter().zip(&io.output).enumerate() {
+        prop_assert_eq!(want.len(), firings * 7);
+        prop_assert_eq!(want.len(), rep.output.len());
+        for (i, (a, b)) in want.iter().zip(&rep.output).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "output {} differs: {} vs {}", i, a, b);
         }
     }
@@ -373,8 +371,9 @@ proptest! {
     /// Branch-heavy bodies with uneven, data-dependent loop trip counts
     /// evaluate bit-identically on the warp-batched evaluator (lanes
     /// diverging and reconverging under predicate masks, including a
-    /// ragged final warp), the scalar bytecode evaluator, and the
-    /// `streamir` AST interpreter.
+    /// ragged final warp), on one-lane frames one firing at a time (the
+    /// shape of host-sequential firings), and under the `streamir` AST
+    /// interpreter.
     #[test]
     fn warp_eval_matches_scalar_and_ast_on_divergent_bodies(
         blocks in proptest::collection::vec(0u8..6, 1..6),
@@ -399,15 +398,21 @@ proptest! {
         // The AST interpreter: one firing per input item.
         let ast_out = Interpreter::new(&program).run(&data).unwrap();
 
-        // Scalar bytecode, one firing at a time.
+        // One lane, one firing at a time.
         let prog = compile_body(&actor.work.body, &binds, &[]).unwrap();
         let proto = prog.bind(&binds).unwrap();
-        let mut frame = Frame::default();
-        frame.fit(&prog);
-        let mut bc_io = VecIo { input: data.clone(), ..VecIo::default() };
+        let mut one = WarpFrame::default();
+        one.fit(&prog, 1);
+        let mut one_io = VecWarpIo {
+            input: data.clone(),
+            cursor: vec![0],
+            output: vec![0.0; firings],
+            out_pos: vec![0],
+            state: HashMap::new(),
+        };
         for _ in 0..firings {
-            frame.reset(&proto);
-            bytecode::eval(&prog, &mut frame, &mut bc_io);
+            one.reset(&proto);
+            warp::eval(&prog, &mut one, 1, &mut one_io);
         }
 
         // Warp-batched, `lanes` firings per eval; the final warp is
@@ -434,12 +439,12 @@ proptest! {
         }
 
         prop_assert_eq!(ast_out.len(), firings);
-        prop_assert_eq!(bc_io.output.len(), firings);
+        prop_assert_eq!(one_io.out_pos[0], firings);
         for (i, ast) in ast_out.iter().enumerate() {
             prop_assert_eq!(
                 ast.to_bits(),
-                bc_io.output[i].to_bits(),
-                "firing {}: ast {} vs scalar {}", i, ast, bc_io.output[i]
+                one_io.output[i].to_bits(),
+                "firing {}: ast {} vs one lane {}", i, ast, one_io.output[i]
             );
             prop_assert_eq!(
                 ast.to_bits(),
