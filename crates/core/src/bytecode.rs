@@ -20,6 +20,17 @@
 //!   every opcode gets the operand type it runs at, so the warp evaluator
 //!   works on untagged `f32`/`i64`/mask rows.
 //!
+//! The stack form is what lowering emits, what the artifact store
+//! persists and what the typing pass verifies. What runs is the
+//! *register form* derived from it, once, by [`Program`]'s one
+//! constructor: every value is classed *uniform* (the same on every
+//! lane of a warp) or *varying* (see [`Program`]'s uniformity rule), and
+//! every arithmetic, compare, cast or select op reads its operands in
+//! place — a slot row, a temp row (stack depth `d` is temp `d`) or a
+//! scalar — and writes a temp or, when a store follows, the slot itself.
+//! `Load` and `Const*` emit nothing; uniform values live in one scalar
+//! per warp instead of a row.
+//!
 //! One evaluator runs a [`Program`]: [`crate::warp::eval`]. Kernels run it
 //! warp-wide; the firings with no lanes to batch — opaque (stateful)
 //! actors executed sequentially on the host and the once-per-output
@@ -120,12 +131,190 @@ pub enum SlotKind {
     Preset(Ty),
 }
 
-/// "This slot never holds that type" in [`Program::rows`].
-pub(crate) const NO_ROW: u16 = u16::MAX;
+/// Where a register-form operand lives in a warp frame. An `f32` or
+/// `i64` `Row` holds one value per lane and an `Sc` one scalar shared by
+/// every lane. A boolean is always one lane-mask word; for it `Row` and
+/// `Sc` only record whether the value is varying or uniform.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Opnd {
+    Row(u16),
+    Sc(u16),
+}
+
+impl Opnd {
+    /// The row, scalar or word index.
+    #[inline]
+    pub(crate) fn index(self) -> usize {
+        match self {
+            Opnd::Row(i) | Opnd::Sc(i) => i as usize,
+        }
+    }
+
+    fn uniform(self) -> bool {
+        matches!(self, Opnd::Sc(_))
+    }
+}
+
+/// Where a register-form op writes an `f32` or `i64` result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Dst {
+    /// A temp row: every lane is written.
+    Temp(u16),
+    /// A slot row: only the active lanes are written.
+    Slot(u16),
+    /// A scalar: a uniform temp or slot.
+    Sc(u16),
+}
+
+impl Dst {
+    /// The destination writing a slot whose home is `home`.
+    #[inline]
+    pub(crate) fn slot(home: Opnd) -> Dst {
+        match home {
+            Opnd::Row(r) => Dst::Slot(r),
+            Opnd::Sc(s) => Dst::Sc(s),
+        }
+    }
+
+    /// The destination writing temp `t`.
+    fn temp(t: Opnd) -> Dst {
+        match t {
+            Opnd::Row(r) => Dst::Temp(r),
+            Opnd::Sc(s) => Dst::Sc(s),
+        }
+    }
+}
+
+/// One register-form instruction. `u16` operands are lane-mask words;
+/// jump targets index the register form.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) enum Reg {
+    /// `f32` `+ - * / %`.
+    BinF(BinOp, Opnd, Opnd, Dst),
+    /// `i64` `+ - * / %`, wrapping.
+    BinI(BinOp, Opnd, Opnd, Dst),
+    /// `f32` comparison into a word.
+    CmpF(BinOp, Opnd, Opnd, u16),
+    /// `i64` comparison into a word.
+    CmpI(BinOp, Opnd, Opnd, u16),
+    /// `&&` or `||` of two words.
+    Logic(BinOp, u16, u16, u16),
+    Not(u16, u16),
+    NegF(Opnd, Dst),
+    NegI(Opnd, Dst),
+    /// A copy: a store whose value no op of its own computed, or a load
+    /// kept alive across a store to its slot.
+    MovF(Opnd, Dst),
+    MovI(Opnd, Dst),
+    /// Copy a word on the active lanes.
+    MovB(u16, u16),
+    /// A one-argument `f32` intrinsic.
+    Call1(Intrinsic, Opnd, Dst),
+    /// `max`, `min` or `pow`.
+    Call2(Intrinsic, Opnd, Opnd, Dst),
+    /// `select(cond, a, b)`.
+    SelF(u16, Opnd, Opnd, Dst),
+    SelI(u16, Opnd, Opnd, Dst),
+    SelB(u16, u16, u16, u16),
+    /// `i as f32`.
+    IToF(Opnd, Dst),
+    /// Truncating `x as i64`.
+    FToI(Opnd, Dst),
+    /// Non-zero → `true`.
+    FToB(Opnd, u16),
+    IToB(Opnd, u16),
+    Pop(Dst),
+    Peek(Opnd, Dst),
+    StateLoad(u16, Opnd, Dst),
+    /// State id, index, value.
+    StateStore(u16, Opnd, Opnd),
+    Push(Opnd),
+    Jump(u32),
+    /// Branch when the word is false.
+    JumpIfFalse(u16, u32),
+    /// If `counter < end`, copy the counter into `var` and fall through;
+    /// else branch to `exit`.
+    ForTest {
+        counter: Opnd,
+        end: Opnd,
+        var: Dst,
+        exit: u32,
+    },
+    /// Increment the counter slot (wrapping) and run the `ForTest` at
+    /// `head` in place: the lanes that go on branch past it.
+    ForStep {
+        counter: Opnd,
+        head: u32,
+    },
+}
+
+impl Reg {
+    /// The branch target of a control op.
+    fn target_mut(&mut self) -> Option<&mut u32> {
+        match self {
+            Reg::Jump(t)
+            | Reg::JumpIfFalse(_, t)
+            | Reg::ForTest { exit: t, .. }
+            | Reg::ForStep { head: t, .. } => Some(t),
+            _ => None,
+        }
+    }
+
+    /// The destination of an op that computes an `f32` or `i64` value.
+    fn dst_mut(&mut self) -> Option<&mut Dst> {
+        match self {
+            Reg::BinF(.., d)
+            | Reg::BinI(.., d)
+            | Reg::NegF(_, d)
+            | Reg::NegI(_, d)
+            | Reg::MovF(_, d)
+            | Reg::MovI(_, d)
+            | Reg::Call1(_, _, d)
+            | Reg::Call2(.., d)
+            | Reg::SelF(.., d)
+            | Reg::SelI(.., d)
+            | Reg::IToF(_, d)
+            | Reg::FToI(_, d)
+            | Reg::Pop(d)
+            | Reg::Peek(_, d)
+            | Reg::StateLoad(_, _, d) => Some(d),
+            _ => None,
+        }
+    }
+}
+
+/// How much a warp frame holds for a register-form program.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub(crate) struct Shape {
+    /// Rows per number type (`[f32, i64]`): varying slots, one temp per
+    /// stack depth, then one scratch row (the last).
+    pub rows: [u16; 2],
+    /// Scalars per number type ahead of the constants: uniform slots,
+    /// then one temp per stack depth.
+    pub scalars: [u16; 2],
+    /// Lane-mask words: boolean slots, one temp per stack depth, then
+    /// `false` and `true`.
+    pub words: u16,
+}
+
+/// The register form of a [`Program`], which [`crate::warp::eval`] runs.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub(crate) struct RegForm {
+    pub code: Vec<Reg>,
+    /// Slot → home of each [`Ty`] it holds (`None` when it never holds
+    /// that type).
+    pub homes: Vec<[Option<Opnd>; 3]>,
+    pub shape: Shape,
+    /// Literals, stored after [`Shape::scalars`] in their type's scalars.
+    pub f_consts: Vec<f32>,
+    pub i_consts: Vec<i64>,
+    /// The `f32` row an expression program leaves its value in.
+    pub value_row: Option<u16>,
+}
 
 /// A compiled work body (or expression): flat opcodes plus the slot and
-/// state-id tables produced by lowering, and the static types inferred
-/// over them.
+/// state-id tables produced by lowering, the static types inferred over
+/// them, and the register form derived from both.
 ///
 /// # Typing rule
 ///
@@ -142,26 +331,32 @@ pub(crate) const NO_ROW: u16 = u16::MAX;
 /// fallback: a `Load` whose slot's type depends on the path taken, a
 /// `select` whose arms differ in type, and a boolean used as a number
 /// are compile errors.
+///
+/// # Uniformity rule
+///
+/// Literals, parameters and pure ops over uniform operands are uniform.
+/// Presets (a template's element index, an accumulator), `pop`, `peek`
+/// and state loads are varying. Control is varying between a branch on
+/// a varying condition and its join, and inside a loop whose counter or
+/// end is varying: some lanes may skip that code. A slot is uniform when
+/// every store to it stores a uniform value under uniform control;
+/// otherwise it is varying for the whole body, because the lanes that
+/// skipped a store keep their old value after the join. The classes are
+/// per slot and type and found by iterating to a fixed point (a loop's
+/// back edge can carry a varying store to a read above it). A uniform
+/// slot is one scalar per warp; a varying one a row.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Program {
     ops: Vec<Op>,
-    /// Per-op operand type, parallel to `ops`: the row a `Load`/`Store`
-    /// moves, the operand type of `Bin`/`Neg`/`select`, the source type
-    /// of a `Cast` (unused for the rest).
-    tys: Vec<Ty>,
     /// Per-slot init kind; parallel to `names`.
     kinds: Vec<SlotKind>,
     /// Slot names (hidden loop slots get `#for{n}`/`#end{n}` names).
     names: Vec<String>,
     /// Dense state id → array name, in first-use order.
     state_names: Vec<String>,
-    /// Worst-case operand-stack depth, for up-front reservation.
+    /// Worst-case operand-stack depth: the temps a frame holds.
     max_stack: usize,
-    /// Slot → dense row index per [`Ty`] (`NO_ROW` when the slot never
-    /// holds that type).
-    rows: Vec<[u16; 3]>,
-    /// Rows per [`Ty`].
-    n_rows: [u16; 3],
+    reg: RegForm,
 }
 
 impl Program {
@@ -190,20 +385,10 @@ impl Program {
         &self.names
     }
 
-    /// The operand type op `pc` runs at.
+    /// The register form [`crate::warp::eval`] runs.
     #[inline]
-    pub(crate) fn ty_at(&self, pc: usize) -> Ty {
-        self.tys[pc]
-    }
-
-    /// Slot → typed-row table, for [`crate::warp::WarpFrame::fit`].
-    pub(crate) fn rows(&self) -> &[[u16; 3]] {
-        &self.rows
-    }
-
-    /// Typed rows a warp frame needs, indexed by [`Ty`].
-    pub(crate) fn n_rows(&self) -> [u16; 3] {
-        self.n_rows
+    pub(crate) fn reg(&self) -> &RegForm {
+        &self.reg
     }
 
     /// Reassemble a program from its raw parts (the artifact decoder).
@@ -211,7 +396,8 @@ impl Program {
     /// state indices in range, jump targets within `0..=ops.len()`, and
     /// parallel slot tables — then re-infers the types, so a decoded
     /// artifact can neither index out of bounds nor apply an opcode to a
-    /// value of the wrong type at eval time.
+    /// value of the wrong type at eval time. The register form is derived
+    /// only from a stream that passed.
     pub(crate) fn from_raw(
         ops: Vec<Op>,
         kinds: Vec<SlotKind>,
@@ -226,7 +412,7 @@ impl Program {
                 names.len()
             ));
         }
-        if kinds.len() >= NO_ROW as usize {
+        if kinds.len() >= u16::MAX as usize {
             return Err(format!("{} slots exceed the slot space", kinds.len()));
         }
         let n_slots = kinds.len();
@@ -260,7 +446,7 @@ impl Program {
                 typed.max_stack
             ));
         }
-        Ok(typed.into_program(kinds, names, state_names))
+        typed.into_program(kinds, names, state_names)
     }
 
     /// Slot index of a named local/param/preset, if the body mentions it.
@@ -351,7 +537,7 @@ struct OpenLoop {
 
 /// The typing pass: one forward walk over an opcode stream that tracks
 /// the type of every stack entry and slot, annotates each op with the
-/// type it runs at, assigns typed rows to slots and — when `insert` is
+/// type it runs at, records the types each slot holds and — when `insert` is
 /// set (lowering) — materializes each implicit coercion as an
 /// [`Op::Cast`]. With `insert` unset (decoding) a missing cast is an
 /// error, which makes the same walk the verifier for untrusted streams.
@@ -378,8 +564,8 @@ struct Typer {
     /// Slot states waiting at forward jump targets.
     incoming: Vec<(u32, Vec<SlotState>)>,
     loops: Vec<OpenLoop>,
-    rows: Vec<[u16; 3]>,
-    n_rows: [u16; 3],
+    /// Slot → whether it ever holds each [`Ty`].
+    holds: Vec<[bool; 3]>,
 }
 
 type Typed<T> = std::result::Result<T, String>;
@@ -404,8 +590,7 @@ impl Typer {
             live: true,
             incoming: Vec::new(),
             loops: Vec::new(),
-            rows: vec![[NO_ROW; 3]; kinds.len()],
-            n_rows: [0; 3],
+            holds: vec![[false; 3]; kinds.len()],
         };
         for (s, kind) in kinds.iter().enumerate() {
             match kind {
@@ -451,22 +636,32 @@ impl Typer {
         Ok(t)
     }
 
+    /// Assemble the program, deriving its register form from the typed
+    /// stack form.
     fn into_program(
         self,
         kinds: Vec<SlotKind>,
         names: Vec<String>,
         state_names: Vec<String>,
-    ) -> Program {
-        Program {
+    ) -> Typed<Program> {
+        let yields = !self.stack.is_empty();
+        let varying = varying_slots(&self.out, &self.tys, &kinds);
+        let reg = RegBuilder::derive(
+            &self.out,
+            &self.tys,
+            &self.holds,
+            &varying,
+            self.max_stack,
+            yields,
+        )?;
+        Ok(Program {
             ops: self.out,
-            tys: self.tys,
             kinds,
             names,
             state_names,
             max_stack: self.max_stack,
-            rows: self.rows,
-            n_rows: self.n_rows,
-        }
+            reg,
+        })
     }
 
     /// Merge the states parked at jump target `pc` into the current one.
@@ -497,8 +692,8 @@ impl Typer {
         Ok(())
     }
 
-    /// Branches happen between statements: the warp evaluator shares one
-    /// operand stack among divergent fragments on that guarantee.
+    /// Branches happen between statements: no temp is live across one, so
+    /// divergent fragments of a warp share the temps on that guarantee.
     fn at_depth_0(&self) -> Typed<()> {
         if self.stack.is_empty() {
             Ok(())
@@ -554,22 +749,13 @@ impl Typer {
         Ok(())
     }
 
-    /// Give `slot` a row of type `ty` if it has none yet.
-    fn row(&mut self, slot: u16, ty: Ty) {
-        let row = &mut self.rows[slot as usize][ty as usize];
-        if *row == NO_ROW {
-            *row = self.n_rows[ty as usize];
-            self.n_rows[ty as usize] += 1;
-        }
-    }
-
     /// `slot` now holds a `ty`.
     fn store(&mut self, slot: u16, ty: Ty) {
         self.slots[slot as usize] = SlotState {
             ty: SlotTy::Is(ty),
             since: NO_LOOP,
         };
-        self.row(slot, ty);
+        self.holds[slot as usize][ty as usize] = true;
     }
 
     /// The type a read of `slot` sees here.
@@ -581,7 +767,7 @@ impl Typer {
         match ty {
             SlotTy::Is(ty) => Ok(ty),
             SlotTy::Unset => {
-                self.row(slot, Ty::F32);
+                self.holds[slot as usize][Ty::F32 as usize] = true;
                 Ok(Ty::F32)
             }
             SlotTy::Mixed => Err(format!("the type of slot {slot} depends on the path taken")),
@@ -761,6 +947,470 @@ impl Typer {
     }
 }
 
+/// Slot → whether each of its typed values is varying, under
+/// [`Program`]'s uniformity rule, for a typed stack program. Classes only
+/// ever turn varying, so the walk repeats until none does.
+fn varying_slots(ops: &[Op], tys: &[Ty], kinds: &[SlotKind]) -> Vec<[bool; 3]> {
+    let mut varying: Vec<[bool; 3]> = kinds
+        .iter()
+        .map(|k| [matches!(k, SlotKind::Preset(_)); 3])
+        .collect();
+    // A verified stream never underflows.
+    let pop = |stack: &mut Vec<bool>| stack.pop().unwrap_or(false);
+    loop {
+        // Uniform bit per stack entry.
+        let mut stack: Vec<bool> = Vec::new();
+        let mut diverge: Vec<(usize, u32)> = Vec::new();
+        let mut stores: Vec<(usize, u16, Ty, bool)> = Vec::new();
+        let uniform = |varying: &[[bool; 3]], s: u16, ty: Ty| !varying[s as usize][ty as usize];
+        for (pc, (&op, &ty)) in ops.iter().zip(tys).enumerate() {
+            match op {
+                Op::ConstF(_) | Op::ConstI(_) | Op::ConstB(_) => stack.push(true),
+                Op::Load(s) => stack.push(uniform(&varying, s, ty)),
+                Op::Store(s) => {
+                    let u = pop(&mut stack);
+                    stores.push((pc, s, ty, u));
+                }
+                Op::Pop => stack.push(false),
+                Op::Peek | Op::StateLoad(_) => {
+                    pop(&mut stack);
+                    stack.push(false);
+                }
+                Op::StateStore(_) => {
+                    pop(&mut stack);
+                    pop(&mut stack);
+                }
+                Op::PushOut => {
+                    pop(&mut stack);
+                }
+                Op::Bin(_) | Op::Call(_) => {
+                    let arity = match op {
+                        Op::Call(intr) => intr.arity(),
+                        _ => 2,
+                    };
+                    let u = (0..arity).fold(true, |u, _| pop(&mut stack) & u);
+                    stack.push(u);
+                }
+                Op::Neg | Op::Not | Op::Cast(..) | Op::Jump(_) => {}
+                Op::JumpIfFalse(t) => {
+                    if !pop(&mut stack) {
+                        diverge.push((pc + 1, t));
+                    }
+                }
+                Op::ForInit { counter, end } => {
+                    let e = pop(&mut stack);
+                    let s = pop(&mut stack);
+                    stores.push((pc, counter, Ty::I64, s));
+                    stores.push((pc, end, Ty::I64, e));
+                }
+                Op::ForTest {
+                    counter,
+                    end,
+                    var,
+                    exit,
+                } => {
+                    let c = uniform(&varying, counter, Ty::I64);
+                    if !(c && uniform(&varying, end, Ty::I64)) {
+                        diverge.push((pc, exit));
+                    }
+                    stores.push((pc, var, Ty::I64, c));
+                }
+                Op::ForStep { counter, .. } => {
+                    stores.push((pc, counter, Ty::I64, uniform(&varying, counter, Ty::I64)));
+                }
+            }
+        }
+        let control = varying_control(ops, &diverge);
+        let mut changed = false;
+        for (pc, s, ty, u) in stores {
+            if !u || control[pc] {
+                let v = &mut varying[s as usize][ty as usize];
+                changed |= !*v;
+                *v = true;
+            }
+        }
+        if !changed {
+            return varying;
+        }
+    }
+}
+
+/// Whether some resident lanes may skip op `pc`: it lies between a
+/// divergent branch and the join of its lanes. `diverge` lists each
+/// divergent branch as (first pc its lanes may split at, branch target).
+/// The join is the target, pushed past every forward branch out of the
+/// region (an `if`'s `Jump` over its `else`). Lowering emits nothing
+/// else; a region some back edge leaves is answered by making all
+/// control varying.
+fn varying_control(ops: &[Op], diverge: &[(usize, u32)]) -> Vec<bool> {
+    let mut open = vec![0i32; ops.len() + 1];
+    for &(start, target) in diverge {
+        let mut join = target as usize;
+        let mut pc = start;
+        while pc < join {
+            match ops[pc] {
+                Op::Jump(t) | Op::JumpIfFalse(t) | Op::ForTest { exit: t, .. } => {
+                    join = join.max(t as usize)
+                }
+                Op::ForStep { head, .. } if (head as usize) < start => {
+                    return vec![true; ops.len()];
+                }
+                _ => {}
+            }
+            pc += 1;
+        }
+        if start < join {
+            open[start] += 1;
+            open[join] -= 1;
+        }
+    }
+    let mut depth = 0;
+    open[..ops.len()]
+        .iter()
+        .map(|d| {
+            depth += d;
+            depth > 0
+        })
+        .collect()
+}
+
+/// Derives the register form from a typed stack program by running its
+/// operand stack symbolically: each entry is the place its value lives,
+/// so a `Load` or a literal pushes its slot's or constant's place and
+/// emits nothing, and every other op reads its operands where they are.
+struct RegBuilder<'a> {
+    homes: &'a [[Option<Opnd>; 3]],
+    /// First temp row and first temp scalar per number type.
+    temp_row: [u16; 2],
+    temp_sc: [u16; 2],
+    temp_word: u16,
+    /// Word holding `false`; `true` follows it.
+    false_word: u16,
+    shape: Shape,
+    /// `f32` literals by bit pattern, so a NaN dedups with itself.
+    f_consts: Vec<u32>,
+    i_consts: Vec<i64>,
+    code: Vec<Reg>,
+    stack: Vec<(Ty, Opnd)>,
+    /// `code` index of the op that computed the top of the stack, while
+    /// nothing has been emitted since: a store that follows retargets it.
+    fresh: Option<usize>,
+}
+
+impl<'a> RegBuilder<'a> {
+    fn derive(
+        ops: &[Op],
+        tys: &[Ty],
+        holds: &[[bool; 3]],
+        varying: &[[bool; 3]],
+        max_stack: usize,
+        yields: bool,
+    ) -> Typed<RegForm> {
+        // Homes: varying number slots get rows, uniform ones scalars,
+        // booleans words; each kind numbered densely per type.
+        let (mut rows, mut scalars, mut words) = ([0usize; 2], [0usize; 2], 0usize);
+        let homes: Vec<[Option<Opnd>; 3]> = (holds.iter().zip(varying))
+            .map(|(held, vary)| {
+                std::array::from_fn(|t| {
+                    held[t].then(|| {
+                        let next = match t {
+                            2 => &mut words,
+                            _ if vary[t] => &mut rows[t],
+                            _ => &mut scalars[t],
+                        };
+                        *next += 1;
+                        let i = (*next - 1) as u16;
+                        if vary[t] {
+                            Opnd::Row(i)
+                        } else {
+                            Opnd::Sc(i)
+                        }
+                    })
+                })
+            })
+            .collect();
+        // Every index below stays under this bound: literals are at most
+        // one per op.
+        let fits = |n: usize| n + max_stack + ops.len() + 2 < u16::MAX as usize;
+        if !(rows.iter().chain(&scalars).all(|&n| fits(n)) && fits(words)) {
+            return Err("program exceeds the frame's register space".into());
+        }
+        let n = max_stack as u16;
+        let mut b = RegBuilder {
+            homes: &homes,
+            temp_row: rows.map(|r| r as u16),
+            temp_sc: scalars.map(|s| s as u16),
+            temp_word: words as u16,
+            false_word: words as u16 + n,
+            shape: Shape {
+                rows: rows.map(|r| r as u16 + n + 1),
+                scalars: scalars.map(|s| s as u16 + n),
+                words: words as u16 + n + 2,
+            },
+            f_consts: Vec::new(),
+            i_consts: Vec::new(),
+            code: Vec::with_capacity(ops.len()),
+            stack: Vec::with_capacity(max_stack),
+            fresh: None,
+        };
+        // Stack pc → register pc, to retarget jumps.
+        let mut at = Vec::with_capacity(ops.len() + 1);
+        for (&op, &ty) in ops.iter().zip(tys) {
+            at.push(b.code.len() as u32);
+            b.step(op, ty);
+        }
+        at.push(b.code.len() as u32);
+        let value_row = yields.then(|| {
+            let (_, v) = b.pop();
+            let row = b.temp_row[Ty::F32 as usize];
+            if v != Opnd::Row(row) {
+                b.emit(Reg::MovF(v, Dst::Temp(row)));
+            }
+            row
+        });
+        let RegBuilder {
+            mut code,
+            shape,
+            f_consts,
+            i_consts,
+            ..
+        } = b;
+        for t in code.iter_mut().filter_map(Reg::target_mut) {
+            *t = at[*t as usize];
+        }
+        Ok(RegForm {
+            code,
+            homes,
+            shape,
+            f_consts: f_consts.into_iter().map(f32::from_bits).collect(),
+            i_consts,
+            value_row,
+        })
+    }
+
+    fn emit(&mut self, r: Reg) {
+        self.code.push(r);
+        self.fresh = None;
+    }
+
+    /// Emit `r`, which computes the value `place` of the new top of stack.
+    fn emit_top(&mut self, r: Reg, ty: Ty, place: Opnd) {
+        self.code.push(r);
+        self.stack.push((ty, place));
+        self.fresh = Some(self.code.len() - 1);
+    }
+
+    fn pop(&mut self) -> (Ty, Opnd) {
+        self.stack.pop().expect("a verified stack program")
+    }
+
+    fn home(&self, slot: u16, ty: Ty) -> Opnd {
+        self.homes[slot as usize][ty as usize].expect("typing records every type a slot holds")
+    }
+
+    /// Temp `i` of type `ty`: a row when varying, a scalar (a word for a
+    /// boolean) when uniform.
+    fn temp(&self, ty: Ty, i: usize, uniform: bool) -> Opnd {
+        let i = i as u16;
+        match (ty, uniform) {
+            (Ty::Bool, true) => Opnd::Sc(self.temp_word + i),
+            (Ty::Bool, false) => Opnd::Row(self.temp_word + i),
+            (_, true) => Opnd::Sc(self.temp_sc[ty as usize] + i),
+            (_, false) => Opnd::Row(self.temp_row[ty as usize] + i),
+        }
+    }
+
+    fn literal<T: PartialEq + Copy>(pool: &mut Vec<T>, base: u16, v: T) -> Opnd {
+        let i = pool.iter().position(|&c| c == v).unwrap_or_else(|| {
+            pool.push(v);
+            pool.len() - 1
+        });
+        Opnd::Sc(base + i as u16)
+    }
+
+    fn mov(ty: Ty, v: Opnd, dst: Dst) -> Reg {
+        match ty {
+            Ty::F32 => Reg::MovF(v, dst),
+            Ty::I64 => Reg::MovI(v, dst),
+            Ty::Bool => unreachable!("words move with MovB"),
+        }
+    }
+
+    /// Before `slot` is written: copy every stack entry that still reads
+    /// it in place — all but the top `keep` — to its temp. True when one
+    /// did (lowering never leaves one; a decoded stream may).
+    fn before_write(&mut self, slot: u16, keep: usize) -> bool {
+        let homes = self.homes[slot as usize];
+        let mut copied = false;
+        for i in 0..self.stack.len().saturating_sub(keep) {
+            let (ty, v) = self.stack[i];
+            if homes[ty as usize] == Some(v) {
+                let t = self.temp(ty, i, v.uniform());
+                self.emit(match ty {
+                    Ty::Bool => Reg::MovB(v.index() as u16, t.index() as u16),
+                    _ => Self::mov(ty, v, Dst::temp(t)),
+                });
+                self.stack[i] = (ty, t);
+                copied = true;
+            }
+        }
+        copied
+    }
+
+    /// Translate one typed stack op.
+    fn step(&mut self, op: Op, ty: Ty) {
+        let fresh = self.fresh.take();
+        let top = self.stack.len();
+        let w = |o: Opnd| o.index() as u16;
+        match op {
+            Op::ConstF(x) => {
+                let c = Self::literal(&mut self.f_consts, self.shape.scalars[0], x.to_bits());
+                self.stack.push((Ty::F32, c));
+            }
+            Op::ConstI(i) => {
+                let c = Self::literal(&mut self.i_consts, self.shape.scalars[1], i);
+                self.stack.push((Ty::I64, c));
+            }
+            Op::ConstB(v) => self
+                .stack
+                .push((Ty::Bool, Opnd::Sc(self.false_word + v as u16))),
+            Op::Load(s) => self.stack.push((ty, self.home(s, ty))),
+            Op::Store(s) => {
+                let home = self.home(s, ty);
+                let copied = self.before_write(s, 1);
+                let (_, v) = self.pop();
+                match (ty, fresh.filter(|_| !copied)) {
+                    (Ty::Bool, _) => self.emit(Reg::MovB(w(v), w(home))),
+                    (_, Some(at)) => {
+                        *self.code[at].dst_mut().expect("fresh ops write a Dst") = Dst::slot(home)
+                    }
+                    (_, None) => self.emit(Self::mov(ty, v, Dst::slot(home))),
+                }
+            }
+            Op::Pop => {
+                let t = self.temp(Ty::F32, top, false);
+                self.emit_top(Reg::Pop(Dst::temp(t)), Ty::F32, t);
+            }
+            Op::Peek | Op::StateLoad(_) => {
+                let (_, at) = self.pop();
+                let t = self.temp(Ty::F32, top - 1, false);
+                let r = match op {
+                    Op::StateLoad(id) => Reg::StateLoad(id, at, Dst::temp(t)),
+                    _ => Reg::Peek(at, Dst::temp(t)),
+                };
+                self.emit_top(r, Ty::F32, t);
+            }
+            Op::StateStore(id) => {
+                let (_, v) = self.pop();
+                let (_, at) = self.pop();
+                self.emit(Reg::StateStore(id, at, v));
+            }
+            Op::PushOut => {
+                let (_, v) = self.pop();
+                self.emit(Reg::Push(v));
+            }
+            Op::Bin(op) => {
+                let (_, y) = self.pop();
+                let (_, x) = self.pop();
+                let u = x.uniform() && y.uniform();
+                let word = self.temp(Ty::Bool, top - 2, u);
+                let t = self.temp(ty, top - 2, u);
+                match ty {
+                    Ty::Bool => self.emit_top(Reg::Logic(op, w(x), w(y), w(word)), Ty::Bool, word),
+                    _ if op.is_comparison() => {
+                        let r = match ty {
+                            Ty::F32 => Reg::CmpF(op, x, y, w(word)),
+                            _ => Reg::CmpI(op, x, y, w(word)),
+                        };
+                        self.emit_top(r, Ty::Bool, word);
+                    }
+                    Ty::F32 => self.emit_top(Reg::BinF(op, x, y, Dst::temp(t)), ty, t),
+                    Ty::I64 => self.emit_top(Reg::BinI(op, x, y, Dst::temp(t)), ty, t),
+                }
+            }
+            Op::Neg | Op::Not => {
+                // `Not` carries no operand type: it only takes a Bool.
+                let (ty, x) = self.pop();
+                let t = self.temp(ty, top - 1, x.uniform());
+                let r = match ty {
+                    Ty::F32 => Reg::NegF(x, Dst::temp(t)),
+                    Ty::I64 => Reg::NegI(x, Dst::temp(t)),
+                    Ty::Bool => Reg::Not(w(x), w(t)),
+                };
+                self.emit_top(r, ty, t);
+            }
+            Op::Call(Intrinsic::Select) => {
+                let (_, b) = self.pop();
+                let (_, a) = self.pop();
+                let (_, c) = self.pop();
+                let u = c.uniform() && a.uniform() && b.uniform();
+                let t = self.temp(ty, top - 3, u);
+                let r = match ty {
+                    Ty::F32 => Reg::SelF(w(c), a, b, Dst::temp(t)),
+                    Ty::I64 => Reg::SelI(w(c), a, b, Dst::temp(t)),
+                    Ty::Bool => Reg::SelB(w(c), w(a), w(b), w(t)),
+                };
+                self.emit_top(r, ty, t);
+            }
+            Op::Call(intr) => {
+                let r = if intr.arity() == 1 {
+                    let (_, x) = self.pop();
+                    let t = self.temp(Ty::F32, top - 1, x.uniform());
+                    (Reg::Call1(intr, x, Dst::temp(t)), t)
+                } else {
+                    let (_, y) = self.pop();
+                    let (_, x) = self.pop();
+                    let t = self.temp(Ty::F32, top - 2, x.uniform() && y.uniform());
+                    (Reg::Call2(intr, x, y, Dst::temp(t)), t)
+                };
+                self.emit_top(r.0, Ty::F32, r.1);
+            }
+            Op::Cast(to, depth) => {
+                let i = top - 1 - depth as usize;
+                let (_, v) = self.stack[i];
+                let t = self.temp(to, i, v.uniform());
+                let r = match (ty, to) {
+                    (Ty::I64, Ty::F32) => Reg::IToF(v, Dst::temp(t)),
+                    (Ty::F32, Ty::I64) => Reg::FToI(v, Dst::temp(t)),
+                    (Ty::F32, _) => Reg::FToB(v, w(t)),
+                    _ => Reg::IToB(v, w(t)),
+                };
+                self.stack[i] = (to, t);
+                self.code.push(r);
+                self.fresh = (depth == 0).then(|| self.code.len() - 1);
+            }
+            Op::Jump(t) => self.emit(Reg::Jump(t)),
+            Op::JumpIfFalse(t) => {
+                let (_, c) = self.pop();
+                self.emit(Reg::JumpIfFalse(w(c), t));
+            }
+            Op::ForInit { counter, end } => {
+                self.before_write(counter, 0);
+                self.before_write(end, 0);
+                let (_, e) = self.pop();
+                let (_, s) = self.pop();
+                self.emit(Reg::MovI(s, Dst::slot(self.home(counter, Ty::I64))));
+                self.emit(Reg::MovI(e, Dst::slot(self.home(end, Ty::I64))));
+            }
+            Op::ForTest {
+                counter,
+                end,
+                var,
+                exit,
+            } => self.emit(Reg::ForTest {
+                counter: self.home(counter, Ty::I64),
+                end: self.home(end, Ty::I64),
+                var: Dst::slot(self.home(var, Ty::I64)),
+                exit,
+            }),
+            Op::ForStep { counter, head } => self.emit(Reg::ForStep {
+                counter: self.home(counter, Ty::I64),
+                head,
+            }),
+        }
+    }
+}
+
 /// Compile a statement body.
 ///
 /// `params` supplies the names readable as runtime bindings (their values
@@ -823,12 +1473,12 @@ impl<'a> Compiler<'a> {
 
     /// Type the lowered ops (inserting the casts) and assemble the program.
     fn finish(self) -> Result<Program> {
-        if self.kinds.len() >= NO_ROW as usize {
+        if self.kinds.len() >= u16::MAX as usize {
             return Err(Error::Runtime("work body exceeds the slot space".into()));
         }
-        let typed = Typer::run(&self.ops, &self.kinds, true)
-            .map_err(|e| Error::Runtime(format!("work body does not type: {e}")))?;
-        Ok(typed.into_program(self.kinds, self.names, self.state_names))
+        Typer::run(&self.ops, &self.kinds, true)
+            .and_then(|typed| typed.into_program(self.kinds, self.names, self.state_names))
+            .map_err(|e| Error::Runtime(format!("work body does not type: {e}")))
     }
 
     fn alloc_slot(&mut self, name: &str, kind: SlotKind) -> u16 {
@@ -1315,14 +1965,12 @@ mod tests {
     fn int_float_pairs_promote_through_an_explicit_cast() {
         let src = actor("k = N / 2; push(pop() * k);");
         let prog = compile_body(&body_of(&src), &bindings(&[("N", 5)]), &[]).unwrap();
-        let ty_of = |want: Op| {
-            let pc = prog.ops().iter().position(|o| *o == want).unwrap();
-            prog.ty_at(pc)
-        };
         // `N / 2` stays integral; `pop() * k` runs as f32 on a cast `k`.
-        assert_eq!(ty_of(Op::Bin(BinOp::Div)), Ty::I64);
-        assert_eq!(ty_of(Op::Cast(Ty::F32, 0)), Ty::I64);
-        assert_eq!(ty_of(Op::Bin(BinOp::Mul)), Ty::F32);
+        assert!(prog.ops().contains(&Op::Cast(Ty::F32, 0)));
+        let runs = |want: fn(&Reg) -> bool| prog.reg().code.iter().any(want);
+        assert!(runs(|r| matches!(r, Reg::BinI(BinOp::Div, ..))));
+        assert!(runs(|r| matches!(r, Reg::IToF(..))));
+        assert!(runs(|r| matches!(r, Reg::BinF(BinOp::Mul, ..))));
         let (want, got) = run_both(&src, &[("N", 5)], &[1.5]);
         assert_eq!(want, vec![3.0]);
         assert_eq!(want, got.output);
@@ -1343,14 +1991,17 @@ mod tests {
     fn a_slot_stored_with_two_types_gets_a_row_per_type() {
         let src = actor("t = N; a = t + 1; t = pop(); push(t + a);");
         let prog = compile_body(&body_of(&src), &bindings(&[("N", 5)]), &[]).unwrap();
-        let [f, i, b] = prog.rows()[prog.slot_of("t").unwrap() as usize];
-        assert!(f != NO_ROW && i != NO_ROW && b == NO_ROW);
-        // Each load reads the row of the type stored last before it.
-        let loads: Vec<Ty> = (0..prog.ops().len())
-            .filter(|&pc| prog.ops()[pc] == Op::Load(prog.slot_of("t").unwrap()))
-            .map(|pc| prog.ty_at(pc))
-            .collect();
-        assert_eq!(loads, [Ty::I64, Ty::F32]);
+        let [f, i, b] = prog.reg().homes[prog.slot_of("t").unwrap() as usize];
+        assert!(f.is_some() && i.is_some() && b.is_none());
+        // Each load reads the home of the type stored last before it:
+        // `t + 1` adds the i64 one, `t + a` the f32 one.
+        let code = &prog.reg().code;
+        assert!(code
+            .iter()
+            .any(|r| matches!(*r, Reg::BinI(BinOp::Add, x, ..) if Some(x) == i)));
+        assert!(code
+            .iter()
+            .any(|r| matches!(*r, Reg::BinF(BinOp::Add, x, ..) if Some(x) == f)));
         let (want, got) = run_both(&src, &[("N", 5)], &[0.5]);
         assert_eq!(want, vec![6.5]);
         assert_eq!(want, got.output);
@@ -1411,5 +2062,88 @@ mod tests {
         wf.f32_row_mut(slot)[0] = 8.0;
         let v = warp::eval_row(&prog, &mut wf, 1, &mut HostIo::default())[0];
         assert_eq!(v, 4.0);
+    }
+
+    /// `stmts` compiled with parameter `N` and the given presets; returns
+    /// the program and a lookup of whether a named slot is uniform.
+    fn uniformity(stmts: &str, presets: &[(&str, Ty)]) -> (Program, impl Fn(&str) -> bool) {
+        let prog = compile_body(&body_of(&actor(stmts)), &bindings(&[("N", 5)]), presets).unwrap();
+        let p = prog.clone();
+        // Uniform when every type the slot holds is one scalar per warp.
+        (prog, move |name| {
+            let homes = p.reg().homes[p.slot_of(name).unwrap() as usize];
+            homes.iter().flatten().all(|h| h.uniform())
+        })
+    }
+
+    #[test]
+    fn a_slot_stored_under_a_varying_branch_is_varying() {
+        let (_, uniform) = uniformity("t = 1.0; if (pop() > 0.0) { t = 2.0; } push(t);", &[]);
+        assert!(!uniform("t"));
+        // The same literal stores under uniform control stay one scalar.
+        let (_, uniform) = uniformity("t = 1.0; if (N > 2) { t = 2.0; } push(t + pop());", &[]);
+        assert!(uniform("t"));
+    }
+
+    #[test]
+    fn loop_counters_follow_their_bounds() {
+        let (_, uniform) = uniformity(
+            "n = pop(); s = 0.0; for i in 0..n { s = s + 1.0; } push(s);",
+            &[],
+        );
+        assert!(!uniform("#for0") && !uniform("i") && !uniform("s"));
+        let (prog, uniform) = uniformity(
+            "s = 0.0; for i in 0..N { s = s + 1.0; } push(s + pop());",
+            &[],
+        );
+        assert!(uniform("#for0") && uniform("#end1") && uniform("i") && uniform("s"));
+        // The loop test is one scalar comparison.
+        assert!(prog.reg().code.iter().any(|r| matches!(
+            r,
+            Reg::ForTest {
+                counter: Opnd::Sc(_),
+                end: Opnd::Sc(_),
+                var: Dst::Sc(_),
+                ..
+            }
+        )));
+    }
+
+    #[test]
+    fn a_uniform_store_inside_a_varying_loop_is_varying() {
+        let (_, uniform) = uniformity(
+            "n = pop(); u = 0.0; for i in 0..n { u = 1.0; } push(u);",
+            &[],
+        );
+        assert!(!uniform("u"));
+    }
+
+    #[test]
+    fn every_preset_is_varying() {
+        let presets = [("k", Ty::I64), ("acc", Ty::F32)];
+        let (_, uniform) = uniformity("acc = 1.0; push(acc + k + pop());", &presets);
+        assert!(!uniform("k") && !uniform("acc"));
+    }
+
+    #[test]
+    fn register_form_reads_operands_in_place() {
+        // Loads and literals emit nothing and a store retargets the op
+        // computing its value: `x * 2.0 + x` is a product into a temp row
+        // and a sum writing `y`'s row, with the literal a scalar.
+        let src = "x = pop(); y = x * 2.0 + x; push(y);";
+        let (prog, uniform) = uniformity(src, &[]);
+        assert!(!uniform("x") && !uniform("y"));
+        let code = &prog.reg().code;
+        assert!(matches!(
+            code[..],
+            [
+                Reg::Pop(Dst::Slot(_)),
+                Reg::BinF(BinOp::Mul, Opnd::Row(_), Opnd::Sc(_), Dst::Temp(t)),
+                Reg::BinF(BinOp::Add, Opnd::Row(u), Opnd::Row(_), Dst::Slot(_)),
+                Reg::Push(Opnd::Row(_)),
+            ] if t == u
+        ));
+        let (want, got) = run_both(&actor(src), &[("N", 5)], &[1.5]);
+        assert_eq!(want, got.output);
     }
 }

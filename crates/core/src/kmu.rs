@@ -704,8 +704,8 @@ impl KernelManager {
 
         let measured = report.time_us + report.host_time_us;
         // Price the launch before taking the lock: predicted_time_us does
-        // a full program flatten + rate_match, far too slow to serialize
-        // concurrent callers behind.
+        // a rate_match and a model estimate per segment, far too slow to
+        // serialize concurrent callers behind.
         let base_pred = self.predicted(x, idx);
         let candidates = {
             let mut st = self.lock_state();

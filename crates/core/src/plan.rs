@@ -11,12 +11,12 @@
 //! actual input and launches it.
 
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use gpu_sim::DeviceSpec;
 use perfmodel::estimate;
 use streamir::error::{Error, Result};
-use streamir::graph::{FlatNode, Program, Splitter};
+use streamir::graph::{FlatGraph, FlatNode, Program, Splitter};
 use streamir::ir::{Expr, Stmt};
 use streamir::rates::Bindings;
 use streamir::schedule::{rate_match, Schedule};
@@ -406,6 +406,10 @@ pub struct CompiledProgram {
     /// key`](CompiledProgram::artifact_key).
     pub(crate) content_hash: u64,
     pub(crate) program: Program,
+    /// `program`'s flattened graph, built on the first launch or
+    /// prediction that needs it (not at compile time) and shared by
+    /// clones.
+    pub(crate) flat: Arc<OnceLock<FlatGraph>>,
     pub(crate) device: DeviceSpec,
     pub(crate) axis: InputAxis,
     pub(crate) options: CompileOptions,
@@ -458,6 +462,15 @@ impl CompiledProgram {
         Ok((idx, &self.variants[idx]))
     }
 
+    /// The program's flattened graph, flattened on first use.
+    pub(crate) fn flat(&self) -> Result<&FlatGraph> {
+        if let Some(fg) = self.flat.get() {
+            return Ok(fg);
+        }
+        let fg = self.program.flatten()?;
+        Ok(self.flat.get_or_init(|| fg))
+    }
+
     /// The declared input range `[lo, hi]` of the compiled axis.
     pub fn axis_range(&self) -> (i64, i64) {
         (self.axis.lo, self.axis.hi)
@@ -504,8 +517,7 @@ impl CompiledProgram {
     pub fn predicted_time_us(&self, x: i64, variant_index: usize) -> Option<f64> {
         let variant = self.variants.get(variant_index)?;
         let binds = self.axis.bind(x);
-        let fg = self.program.flatten().ok()?;
-        let sched = rate_match(&fg, &binds).ok()?;
+        let sched = rate_match(self.flat().ok()?, &binds).ok()?;
         let iterations = self.axis.expected_iterations(x, sched.steady_input);
         let layouts = &self.edge_layouts;
         let mut total = 0.0f64;
@@ -1645,6 +1657,7 @@ fn assemble(
     CompiledProgram {
         content_hash: content_hash(program, axis, &options),
         program: program.clone(),
+        flat: Arc::default(),
         device: device.clone(),
         axis: axis.clone(),
         options,

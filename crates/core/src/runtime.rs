@@ -326,8 +326,7 @@ impl CompiledProgram {
         };
         let choices = variant.choices.clone();
         let binds = self.axis.bind(x);
-        let fg = self.program.flatten()?;
-        let sched = rate_match(&fg, &binds)?;
+        let sched = rate_match(self.flat()?, &binds)?;
         if sched.steady_input == 0 {
             return Err(Error::RateMismatch("program consumes no input".into()));
         }

@@ -3,20 +3,24 @@
 //!
 //! A warp fetches one instruction and applies it to 32 lanes in lockstep;
 //! [`eval`] reproduces that shape in software, so a dispatch is paid once
-//! per opcode per warp, not once per thread per firing. Host-sequential
+//! per instruction per warp, not once per thread per firing. Host-sequential
 //! firings (opaque actors, a reduction's `post` expression) run the same
 //! evaluator on a one-lane frame.
 //!
-//! * **Typed, untagged SoA rows.** The typing pass of
-//!   [`crate::bytecode`] fixes the type of every slot and stack entry at
-//!   plan time, so a [`WarpFrame`] holds plain `f32` rows, plain `i64`
-//!   rows and — for booleans — one `u64` lane mask per row. Each opcode
-//!   executes once as a tight loop over its rows that the compiler can
-//!   vectorize; a comparison produces a mask, `&&`/`||`/`!` are single
-//!   word operations, and a branch condition splits the active mask with
-//!   `mask & !cond`. The operand stack is a preallocated slab per type
-//!   (`max_stack` rows each, one shared depth); pushes and pops are
-//!   pointer bumps.
+//! * **Register form, typed and untagged.** [`eval`] runs a program's
+//!   register form (see [`crate::bytecode`]): each instruction reads its
+//!   operands where they live — a slot row, a temp row or a scalar — and
+//!   writes a temp or its slot directly, so loads, literals and stores
+//!   cost no row copy. A [`WarpFrame`] holds plain `f32` rows, plain
+//!   `i64` rows, one scalar per uniform value and one `u64` lane-mask
+//!   word per boolean. A row is a run of 32-lane parts (one for a warp)
+//!   and a row op a loop over them whose body is one fixed-width
+//!   operation the compiler vectorises, with one loop per operand shape
+//!   (row or broadcast scalar on either side); a comparison packs each
+//!   part's 32 results into its mask in the same fixed-width way. An op
+//!   whose operands are all scalars runs once per warp. `&&`/`||`/`!` are single word
+//!   operations, and a branch condition splits the active mask with
+//!   `mask & !cond`.
 //!
 //! * **Predicate masks + a reconvergence worklist.** Divergence
 //!   (per-lane branches, uneven loop trip counts) is handled by
@@ -25,17 +29,22 @@
 //!   fragment with the smallest program counter and merges fragments
 //!   that meet at the same pc, which for the structured control flow the
 //!   compiler emits (forward `if`/`else` joins, backward loop edges) is
-//!   exactly immediate-post-dominator reconvergence. Every branch opcode
-//!   sits at operand-stack depth 0 (the typing pass checks it), so one
-//!   shared stack serves all fragments.
+//!   exactly immediate-post-dominator reconvergence. Every branch sits
+//!   between statements (the typing pass checks it), so no temp is live
+//!   across one and all fragments share the temps. A branch on a uniform
+//!   condition and a loop over a uniform counter and end never split:
+//!   their test is one scalar comparison.
 //!
-//! * **What stays masked.** Pure opcodes compute every lane of a row,
-//!   active or not: an inactive lane holds garbage whose result is never
+//! * **What stays masked.** Pure ops compute every lane of a row, active
+//!   or not: an inactive lane holds garbage whose result is never
 //!   observed, and a straight loop beats bit-scanning. Three things are
-//!   observable and therefore run on active lanes only: slot stores
-//!   (inactive lanes keep their values across divergent branches), `i64`
-//!   `/` and `%` (a zero divisor on a predicated-off lane must not
-//!   fault) and I/O (each lane's pop/push sequence is its own).
+//!   observable and therefore run on active lanes only: slot-row writes
+//!   while some resident lanes are parked (they must keep their values
+//!   across the divergent code), `i64` `/` and `%` (a zero divisor on a
+//!   predicated-off lane must not fault) and I/O (each lane's pop/push
+//!   sequence is its own). The libm intrinsics are masked for cost. A
+//!   uniform slot is only ever written under uniform control, so its
+//!   scalar needs no mask.
 //!
 //! Per-lane semantics equal the reference interpreter's
 //! ([`streamir::interp::Interpreter`], the oracle the tests below compare
@@ -53,7 +62,7 @@ use std::sync::{Mutex, MutexGuard, PoisonError};
 use streamir::ir::{BinOp, Intrinsic};
 use streamir::value::Value;
 
-use crate::bytecode::{Op, Program, Ty, NO_ROW};
+use crate::bytecode::{Dst, Opnd, Program, Reg, Ty};
 
 /// Maximum lanes per warp frame (mask width) and the all-resident mask
 /// of a `lanes`-wide warp: the row shape `gpu_sim` accounts.
@@ -91,28 +100,408 @@ pub trait WarpIo {
     fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], vals: &[f32]);
 }
 
-/// A reusable warp-wide evaluation frame: typed SoA slot rows plus a
-/// typed SoA operand-stack slab, `lanes` values (or one mask bit per
-/// lane) wide. Obtained from a [`WarpFramePool`]; reset per warp of
-/// firings by broadcasting the launch's bound slot prototype across every
-/// lane.
+/// Lanes per part. A row is a run of whole parts, and a row op is a loop
+/// over parts whose body is one fixed-width operation on a warp's worth
+/// of lanes; lanes past the frame width carry garbage nobody reads.
+const P: usize = 32;
+type Part<T> = [T; P];
+
+/// The running fragment, as every row op sees it.
+#[derive(Clone, Copy)]
+struct Cx {
+    /// Active lanes.
+    mask: u64,
+    /// `mask` is every resident lane: a slot row can be written whole.
+    whole: bool,
+}
+
+impl Cx {
+    /// The fragment's lanes of `mask`, of `init` resident ones.
+    #[inline]
+    fn new(mask: u64, init: u64) -> Cx {
+        Cx {
+            mask,
+            whole: mask == init,
+        }
+    }
+
+    /// The active lanes of part `p`.
+    #[inline]
+    fn bits(self, p: usize) -> u32 {
+        (self.mask >> (P * p)) as u32
+    }
+}
+
+/// An operand resolved for a row loop: the first part of its row, or
+/// its scalar.
+#[derive(Clone, Copy)]
+enum Operand<T> {
+    Row(usize),
+    Splat(T),
+}
+
+impl<T: Copy> Operand<T> {
+    #[inline(always)]
+    fn part(self, rows: &[Part<T>], p: usize) -> Part<T> {
+        match self {
+            Operand::Row(at) => rows[at + p],
+            Operand::Splat(v) => [v; P],
+        }
+    }
+}
+
+/// One number type's registers.
+#[derive(Debug, Default)]
+struct File<T> {
+    /// Rows of `parts` parts: varying slots, temps, then the scratch row.
+    rows: Vec<Part<T>>,
+    /// Uniform slots, uniform temps, then the program's literals.
+    sc: Vec<T>,
+    scratch: u16,
+    /// The frame's lanes, and parts per row.
+    lanes: usize,
+    parts: usize,
+}
+
+impl<T: Copy + Default> File<T> {
+    fn fit(&mut self, rows: u16, lanes: usize, scalars: u16, consts: &[T]) {
+        let parts = lanes.div_ceil(P);
+        (self.lanes, self.parts) = (lanes, parts);
+        self.rows.resize(rows as usize * parts, [T::default(); P]);
+        self.sc.clear();
+        self.sc.resize(scalars as usize, T::default());
+        self.sc.extend_from_slice(consts);
+        self.scratch = rows - 1;
+    }
+
+    /// Set a slot's home to `v` on every lane.
+    fn set(&mut self, home: Opnd, v: T) {
+        let parts = self.parts;
+        match home {
+            Opnd::Row(r) => self.rows[r as usize * parts..][..parts].fill([v; P]),
+            Opnd::Sc(s) => self.sc[s as usize] = v,
+        }
+    }
+
+    /// Row `r` as `lanes` values.
+    #[inline]
+    fn row(&self, r: u16) -> &[T] {
+        &self.rows[r as usize * self.parts..][..self.parts].as_flattened()[..self.lanes]
+    }
+
+    #[inline]
+    fn row_mut(&mut self, r: u16) -> &mut [T] {
+        let parts = self.parts;
+        &mut self.rows[r as usize * parts..][..parts].as_flattened_mut()[..self.lanes]
+    }
+
+    #[inline]
+    fn operand(&self, o: Opnd) -> Operand<T> {
+        match o {
+            Opnd::Row(r) => Operand::Row(r as usize * self.parts),
+            Opnd::Sc(s) => Operand::Splat(self.sc[s as usize]),
+        }
+    }
+
+    /// Write part `p` of `d`'s row: every lane, or only the active ones of
+    /// a slot row while some resident lanes are parked.
+    #[inline(always)]
+    fn put(&mut self, d: Dst, p: usize, v: Part<T>, cx: Cx) {
+        let (r, keep) = match d {
+            Dst::Temp(r) => (r, false),
+            Dst::Slot(r) => (r, !cx.whole),
+            Dst::Sc(_) => unreachable!("a varying value never lands in a scalar"),
+        };
+        let out = &mut self.rows[r as usize * self.parts + p];
+        if keep {
+            let m = cx.bits(p);
+            *out = std::array::from_fn(|l| if m >> l & 1 != 0 { v[l] } else { out[l] });
+        } else {
+            *out = v;
+        }
+    }
+
+    /// Write every part of `d`'s row as `part(rows, p)` computes it. Each
+    /// part is read whole before it is written, so `d` may be an operand.
+    #[inline(always)]
+    fn each(&mut self, d: Dst, cx: Cx, part: impl Fn(&[Part<T>], usize) -> Part<T>) {
+        for p in 0..self.parts {
+            let v = part(&self.rows, p);
+            self.put(d, p, v, cx);
+        }
+    }
+
+    /// The row an I/O op reads operand `o` from: its own, or the scratch
+    /// row holding its scalar.
+    #[inline]
+    fn in_row(&mut self, o: Opnd) -> u16 {
+        match o {
+            Opnd::Row(r) => r,
+            Opnd::Sc(s) => {
+                let v = self.sc[s as usize];
+                self.set(Opnd::Row(self.scratch), v);
+                self.scratch
+            }
+        }
+    }
+
+    /// The row an I/O op writes `d` through: a slot row that must keep
+    /// its inactive lanes goes through the scratch row, then
+    /// [`File::settle`].
+    #[inline]
+    fn out_row(&self, d: Dst, cx: Cx) -> u16 {
+        match d {
+            Dst::Temp(r) => r,
+            Dst::Slot(r) if cx.whole => r,
+            Dst::Slot(_) => self.scratch,
+            Dst::Sc(_) => unreachable!("I/O results are varying"),
+        }
+    }
+
+    #[inline]
+    fn settle(&mut self, d: Dst, via: u16, cx: Cx) {
+        if via == self.scratch {
+            let at = via as usize * self.parts;
+            self.each(d, cx, |rows, p| rows[at + p]);
+        }
+    }
+}
+
+// The row kernels below are `inline(never)`: each (kernel, operator)
+// pair compiles to one small function with the operator inlined and one
+// loop per operand shape, and the dispatch loop in `eval` stays small
+// enough to keep its state in registers. An op on scalars only runs
+// inline, once.
+
+/// `d = op(a, b)` on every lane, or once when all three are scalars.
+#[inline(always)]
+fn bin<T: Copy + Default>(
+    f: &mut File<T>,
+    a: Opnd,
+    b: Opnd,
+    d: Dst,
+    cx: Cx,
+    op: impl Fn(T, T) -> T,
+) {
+    match (a, b, d) {
+        (Opnd::Sc(x), Opnd::Sc(y), Dst::Sc(s)) => {
+            f.sc[s as usize] = op(f.sc[x as usize], f.sc[y as usize]);
+        }
+        _ => bin_rows(f, a, b, d, cx, op),
+    }
+}
+
+#[inline(never)]
+fn bin_rows<T: Copy + Default>(
+    f: &mut File<T>,
+    a: Opnd,
+    b: Opnd,
+    d: Dst,
+    cx: Cx,
+    op: impl Fn(T, T) -> T,
+) {
+    let n = f.parts;
+    match (a, b) {
+        (Opnd::Row(x), Opnd::Row(y)) => {
+            let (x, y) = (x as usize * n, y as usize * n);
+            f.each(d, cx, |rows, p| {
+                let (x, y) = (rows[x + p], rows[y + p]);
+                std::array::from_fn(|l| op(x[l], y[l]))
+            });
+        }
+        (Opnd::Row(x), Opnd::Sc(y)) => {
+            let (x, y) = (x as usize * n, f.sc[y as usize]);
+            f.each(d, cx, |rows, p| {
+                let x = rows[x + p];
+                std::array::from_fn(|l| op(x[l], y))
+            });
+        }
+        (Opnd::Sc(x), Opnd::Row(y)) => {
+            let (x, y) = (f.sc[x as usize], y as usize * n);
+            f.each(d, cx, |rows, p| {
+                let y = rows[y + p];
+                std::array::from_fn(|l| op(x, y[l]))
+            });
+        }
+        (Opnd::Sc(x), Opnd::Sc(y)) => {
+            let v = op(f.sc[x as usize], f.sc[y as usize]);
+            f.each(d, cx, |_, _| [v; P]);
+        }
+    }
+}
+
+/// [`bin`] on the active lanes only: for ops that may fault or call libm.
+#[inline(always)]
+fn bin_active<T: Copy + Default>(
+    f: &mut File<T>,
+    a: Opnd,
+    b: Opnd,
+    d: Dst,
+    cx: Cx,
+    op: impl Fn(T, T) -> T,
+) {
+    match (a, b, d) {
+        (Opnd::Sc(x), Opnd::Sc(y), Dst::Sc(s)) => {
+            f.sc[s as usize] = op(f.sc[x as usize], f.sc[y as usize]);
+        }
+        _ => bin_active_rows(f, a, b, d, cx, op),
+    }
+}
+
+#[inline(never)]
+fn bin_active_rows<T: Copy + Default>(
+    f: &mut File<T>,
+    a: Opnd,
+    b: Opnd,
+    d: Dst,
+    cx: Cx,
+    op: impl Fn(T, T) -> T,
+) {
+    let (x, y) = (f.operand(a), f.operand(b));
+    f.each(d, cx, |rows, p| {
+        let (x, y, m) = (x.part(rows, p), y.part(rows, p), cx.bits(p));
+        let mut out = [T::default(); P];
+        for l in 0..P {
+            if m >> l & 1 != 0 {
+                out[l] = op(x[l], y[l]);
+            }
+        }
+        out
+    });
+}
+
+/// Integer `/` as the interpreter runs it.
+#[inline]
+fn div(x: i64, y: i64) -> i64 {
+    assert!(y != 0, "validated body: integer division by zero");
+    x.wrapping_div(y)
+}
+
+/// Integer `%` as the interpreter runs it.
+#[inline]
+fn rem(x: i64, y: i64) -> i64 {
+    assert!(y != 0, "validated body: integer remainder by zero");
+    x.wrapping_rem(y)
+}
+
+#[inline(always)]
+fn un<T: Copy + Default>(f: &mut File<T>, a: Opnd, d: Dst, cx: Cx, op: impl Fn(T) -> T) {
+    bin(f, a, a, d, cx, |x, _| op(x));
+}
+
+#[inline(always)]
+fn un_active<T: Copy + Default>(f: &mut File<T>, a: Opnd, d: Dst, cx: Cx, op: impl Fn(T) -> T) {
+    bin_active(f, a, a, d, cx, |x, _| op(x));
+}
+
+/// `d = op(a)` from one number type to the other.
+#[inline(never)]
+fn conv<S: Copy + Default, T: Copy + Default>(
+    src: &File<S>,
+    dst: &mut File<T>,
+    a: Opnd,
+    d: Dst,
+    cx: Cx,
+    op: impl Fn(S) -> T,
+) {
+    match (a, d) {
+        (Opnd::Sc(x), Dst::Sc(s)) => dst.sc[s as usize] = op(src.sc[x as usize]),
+        _ => {
+            let x = src.operand(a);
+            dst.each(d, cx, |_, p| x.part(&src.rows, p).map(&op));
+        }
+    }
+}
+
+/// Lane mask of `op(a, b)`: all or nothing when both are scalars, else
+/// one fixed-width pack per part.
+#[inline(always)]
+fn mask_of<T: Copy + Default>(f: &File<T>, a: Opnd, b: Opnd, op: impl Fn(T, T) -> bool) -> u64 {
+    match (a, b) {
+        (Opnd::Sc(x), Opnd::Sc(y)) => {
+            if op(f.sc[x as usize], f.sc[y as usize]) {
+                u64::MAX
+            } else {
+                0
+            }
+        }
+        _ => mask_rows(f, a, b, op),
+    }
+}
+
+#[inline(never)]
+fn mask_rows<T: Copy + Default>(f: &File<T>, a: Opnd, b: Opnd, op: impl Fn(T, T) -> bool) -> u64 {
+    let (x, y) = (f.operand(a), f.operand(b));
+    let mut m = 0u64;
+    for p in 0..f.parts {
+        let (x, y) = (x.part(&f.rows, p), y.part(&f.rows, p));
+        let mut bits = 0u32;
+        for l in 0..P {
+            bits |= u32::from(op(x[l], y[l])) << l;
+        }
+        m |= u64::from(bits) << (P * p);
+    }
+    m
+}
+
+/// Lane mask of the comparison `a op b`.
+#[inline(always)]
+fn compare<T: Copy + Default + PartialOrd>(f: &File<T>, op: BinOp, a: Opnd, b: Opnd) -> u64 {
+    match op {
+        BinOp::Lt => mask_of(f, a, b, |x, y| x < y),
+        BinOp::Le => mask_of(f, a, b, |x, y| x <= y),
+        BinOp::Gt => mask_of(f, a, b, |x, y| x > y),
+        BinOp::Ge => mask_of(f, a, b, |x, y| x >= y),
+        BinOp::Eq => mask_of(f, a, b, |x, y| x == y),
+        _ => mask_of(f, a, b, |x, y| x != y),
+    }
+}
+
+/// `d = cond ? a : b` per lane, or once when all three are uniform.
+#[inline(never)]
+fn select<T: Copy + Default>(f: &mut File<T>, cond: u64, a: Opnd, b: Opnd, d: Dst, cx: Cx) {
+    if let Dst::Sc(s) = d {
+        let pick = if cond & cx.mask != 0 { a } else { b };
+        f.sc[s as usize] = f.sc[pick.index()];
+        return;
+    }
+    let (x, y) = (f.operand(a), f.operand(b));
+    f.each(d, cx, |rows, p| {
+        let (x, y, m) = (x.part(rows, p), y.part(rows, p), (cond >> (P * p)) as u32);
+        std::array::from_fn(|l| if m >> l & 1 != 0 { x[l] } else { y[l] })
+    });
+}
+
+/// Result `r` of a commutative `f32` operator applied to `(x, _)`, with
+/// the NaN rule pinned: a NaN `x` answers itself (quieted). When both
+/// operands are NaN the hardware returns the first one's payload, and the
+/// compiler is free to swap the operands of `+` and `*` in a vectorised
+/// loop, which would let the second one's sign through; the interpreter's
+/// scalar `x op y` keeps the first.
+#[inline]
+fn first_nan(x: f32, r: f32) -> f32 {
+    if x.is_nan() {
+        f32::from_bits(x.to_bits() | 0x0040_0000)
+    } else {
+        r
+    }
+}
+
+/// A reusable warp-wide evaluation frame: a program's registers, `lanes`
+/// values (or one mask bit per lane) wide. Obtained from a
+/// [`WarpFramePool`]; reset per warp of firings by broadcasting the
+/// launch's bound slot prototype across every lane.
 #[derive(Debug, Default)]
 pub struct WarpFrame {
     lanes: usize,
-    /// Slot → row index per [`Ty`], copied from the program by `fit`.
-    rows: Vec<[u16; 3]>,
-    /// Slot rows, row-major per type: `f_slots[row * lanes + lane]`.
-    f_slots: Vec<f32>,
-    i_slots: Vec<i64>,
-    /// One lane mask per boolean slot row.
-    b_slots: Vec<u64>,
-    /// Operand stack, depth-major per type; entry `d` lives in the slab
-    /// of its (statically known) type.
-    f_stack: Vec<f32>,
-    i_stack: Vec<i64>,
-    b_stack: Vec<u64>,
-    /// Operand-stack depth in rows.
-    sp: usize,
+    /// Slot → home per [`Ty`], copied from the program by `fit`.
+    homes: Vec<[Option<Opnd>; 3]>,
+    f: File<f32>,
+    i: File<i64>,
+    /// Lane-mask words: boolean slots, temps, `false`, `true`.
+    words: Vec<u64>,
+    /// [`eval`]'s parked fragments, kept to reuse the allocation.
+    pending: Vec<Frag>,
     /// Kernel-owned staging space that rides along with the pooled frame
     /// (the fused-reduction template keeps its shared pop windows here).
     pub aux: Vec<f32>,
@@ -123,43 +512,39 @@ impl WarpFrame {
     /// reallocates. Must precede [`WarpFrame::reset`].
     pub fn fit(&mut self, prog: &Program, lanes: usize) {
         assert!(0 < lanes && lanes <= MAX_LANES, "warp width {lanes}");
+        let reg = prog.reg();
         self.lanes = lanes;
-        self.rows.clear();
-        self.rows.extend_from_slice(prog.rows());
-        let [nf, ni, nb] = prog.n_rows().map(usize::from);
-        self.f_slots.resize(nf * lanes, 0.0);
-        self.i_slots.resize(ni * lanes, 0);
-        self.b_slots.resize(nb, 0);
-        let depth = prog.max_stack();
-        self.f_stack.resize(depth * lanes, 0.0);
-        self.i_stack.resize(depth * lanes, 0);
-        self.b_stack.resize(depth, 0);
-        self.sp = 0;
+        self.homes.clear();
+        self.homes.extend_from_slice(&reg.homes);
+        let s = reg.shape;
+        self.f.fit(s.rows[0], lanes, s.scalars[0], &reg.f_consts);
+        self.i.fit(s.rows[1], lanes, s.scalars[1], &reg.i_consts);
+        self.words.resize(s.words as usize, 0);
+        let n = self.words.len();
+        self.words[n - 2..].copy_from_slice(&[0, u64::MAX]);
     }
 
-    /// Prepare for one warp of firings: every lane of a slot's row of the
-    /// prototype value's type becomes that value, its other rows zero,
-    /// and the operand stack empties.
+    /// Prepare for one warp of firings: every lane of a slot's home of
+    /// the prototype value's type becomes that value, its other homes
+    /// zero.
     pub fn reset(&mut self, proto: &[Value]) {
-        debug_assert_eq!(proto.len(), self.rows.len(), "fit() before reset()");
-        let lanes = self.lanes;
-        for (v, &[rf, ri, rb]) in proto.iter().zip(&self.rows) {
+        debug_assert_eq!(proto.len(), self.homes.len(), "fit() before reset()");
+        for (v, &[hf, hi, hb]) in proto.iter().zip(&self.homes) {
             let (f, i, b) = match *v {
                 Value::F32(x) => (x, 0, false),
                 Value::I64(i) => (0.0, i, false),
                 Value::Bool(b) => (0.0, 0, b),
             };
-            if rf != NO_ROW {
-                self.f_slots[rf as usize * lanes..][..lanes].fill(f);
+            if let Some(h) = hf {
+                self.f.set(h, f);
             }
-            if ri != NO_ROW {
-                self.i_slots[ri as usize * lanes..][..lanes].fill(i);
+            if let Some(h) = hi {
+                self.i.set(h, i);
             }
-            if rb != NO_ROW {
-                self.b_slots[rb as usize] = if b { u64::MAX } else { 0 };
+            if let Some(h) = hb {
+                self.words[h.index()] = if b { u64::MAX } else { 0 };
             }
         }
-        self.sp = 0;
     }
 
     /// Lane count this frame was fitted for.
@@ -168,12 +553,12 @@ impl WarpFrame {
         self.lanes
     }
 
-    /// Start of `slot`'s row of type `ty` in that type's slot slab.
-    #[inline]
-    fn slot_base(&self, slot: u16, ty: Ty) -> usize {
-        let row = self.rows[slot as usize][ty as usize];
-        assert!(row != NO_ROW, "slot {slot} holds no {ty:?}");
-        row as usize * self.lanes
+    /// The row of `slot`'s `ty` value.
+    fn slot_row(&self, slot: u16, ty: Ty) -> u16 {
+        match self.homes[slot as usize][ty as usize] {
+            Some(Opnd::Row(r)) => r,
+            _ => panic!("slot {slot} holds no {ty:?} row"),
+        }
     }
 
     /// The `i64` row of a slot, for seeding an integer preset (loop
@@ -181,11 +566,12 @@ impl WarpFrame {
     ///
     /// # Panics
     ///
-    /// Panics if the program never holds an `i64` in `slot`.
+    /// Panics if the program never holds an `i64` row in `slot` (presets
+    /// are varying, so a preset has one).
     #[inline]
     pub fn i64_row_mut(&mut self, slot: u16) -> &mut [i64] {
-        let base = self.slot_base(slot, Ty::I64);
-        &mut self.i_slots[base..base + self.lanes]
+        let r = self.slot_row(slot, Ty::I64);
+        self.i.row_mut(r)
     }
 
     /// The `f32` row of a slot, for seeding a float preset (accumulator)
@@ -193,19 +579,11 @@ impl WarpFrame {
     ///
     /// # Panics
     ///
-    /// Panics if the program never holds an `f32` in `slot`.
+    /// Panics if the program never holds an `f32` row in `slot`.
     #[inline]
     pub fn f32_row_mut(&mut self, slot: u16) -> &mut [f32] {
-        let base = self.slot_base(slot, Ty::F32);
-        &mut self.f_slots[base..base + self.lanes]
-    }
-
-    /// Take the single `f32` result row of an expression program: asserts
-    /// the stack holds exactly one row and empties it.
-    pub fn take_value_row(&mut self) -> &[f32] {
-        assert_eq!(self.sp, 1, "expression leaves one value row");
-        self.sp = 0;
-        &self.f_stack[..self.lanes]
+        let r = self.slot_row(slot, Ty::F32);
+        self.f.row_mut(r)
     }
 }
 
@@ -268,78 +646,6 @@ impl WarpFramePool {
     }
 }
 
-/// Row `d` of a depth- or row-major slab.
-macro_rules! row {
-    ($slab:expr, $d:expr, $lanes:expr) => {
-        $slab[$d * $lanes..($d + 1) * $lanes]
-    };
-}
-
-/// The two top stack rows `(below, top)` of one slab, for binary
-/// operators: the result overwrites `below`.
-#[inline]
-fn top2<T>(slab: &mut [T], sp: usize, lanes: usize) -> (&mut [T], &[T]) {
-    let (below, top) = slab[(sp - 2) * lanes..sp * lanes].split_at_mut(lanes);
-    (below, top)
-}
-
-/// Lane mask of `f(a[l], b[l])`.
-#[inline]
-fn mask_of<T: Copy>(a: &[T], b: &[T], f: impl Fn(T, T) -> bool) -> u64 {
-    let mut m = 0u64;
-    for (l, (x, y)) in a.iter().zip(b).enumerate() {
-        m |= (f(*x, *y) as u64) << l;
-    }
-    m
-}
-
-/// Lane mask of the comparison `a[l] op b[l]`.
-#[inline]
-fn compare_rows<T: Copy + PartialOrd>(op: BinOp, a: &[T], b: &[T]) -> u64 {
-    match op {
-        BinOp::Lt => mask_of(a, b, |x, y| x < y),
-        BinOp::Le => mask_of(a, b, |x, y| x <= y),
-        BinOp::Gt => mask_of(a, b, |x, y| x > y),
-        BinOp::Ge => mask_of(a, b, |x, y| x >= y),
-        BinOp::Eq => mask_of(a, b, |x, y| x == y),
-        BinOp::Ne => mask_of(a, b, |x, y| x != y),
-        _ => unreachable!("typed as arithmetic or Bool"),
-    }
-}
-
-/// `a[l] = f(a[l], b[l])` on every lane.
-#[inline]
-fn zip_rows<T: Copy>(a: &mut [T], b: &[T], f: impl Fn(T, T) -> T) {
-    for (x, y) in a.iter_mut().zip(b) {
-        *x = f(*x, *y);
-    }
-}
-
-/// Result `r` of a commutative `f32` operator applied to `(x, _)`, with
-/// the NaN rule pinned: a NaN `x` answers itself (quieted). When both
-/// operands are NaN the hardware returns the first one's payload, and the
-/// compiler is free to swap the operands of `+` and `*` in a vectorised
-/// loop, which would let the second one's sign through; the interpreter's
-/// scalar `x op y` keeps the first.
-#[inline]
-fn first_nan(x: f32, r: f32) -> f32 {
-    if x.is_nan() {
-        f32::from_bits(x.to_bits() | 0x0040_0000)
-    } else {
-        r
-    }
-}
-
-/// `dst[l] = src[l]` on the lanes of `mask`.
-#[inline]
-fn store_masked<T: Copy>(mask: u64, dst: &mut [T], src: &[T]) {
-    if mask == full_mask(dst.len()) {
-        dst.copy_from_slice(src);
-    } else {
-        for_lanes(mask, dst.len(), |l| dst[l] = src[l]);
-    }
-}
-
 /// A suspended divergent fragment: lanes in `mask` are waiting to resume
 /// at `pc`.
 #[derive(Debug, Clone, Copy)]
@@ -379,32 +685,30 @@ fn min_pc(pending: &[Frag]) -> u32 {
     pending.iter().map(|f| f.pc).min().unwrap_or(u32::MAX)
 }
 
-/// Execute a compiled body warp-wide: one dispatch per opcode, one typed
-/// row loop per dispatch. `init_mask` selects the resident lanes (a
-/// ragged final warp simply passes fewer bits). The frame must have been
-/// [`WarpFrame::fit`] for `prog` and [`WarpFrame::reset`] with the bound
-/// prototype, preset rows seeded per lane.
+/// Execute a compiled body warp-wide: one dispatch per register-form
+/// instruction, one row loop (or one scalar op) per dispatch.
+/// `init_mask` selects the resident lanes (a ragged final warp simply
+/// passes fewer bits). The frame must have been [`WarpFrame::fit`] for
+/// `prog` and [`WarpFrame::reset`] with the bound prototype, preset rows
+/// seeded per lane.
 ///
 /// Infallible (see [`crate::bytecode`]); an integer division by zero
 /// panics on the faulting lane (inactive lanes are never divided, so
 /// predicated-off garbage cannot fault).
 pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn WarpIo) {
-    let ops = prog.ops();
-    let n_ops = ops.len() as u32;
-    let lanes = wf.lanes;
-    debug_assert!(lanes > 0, "fit() before eval()");
-    debug_assert_eq!(init_mask & !full_mask(lanes), 0, "mask exceeds lanes");
+    let code = &prog.reg().code;
+    let n_ops = code.len() as u32;
+    debug_assert!(wf.lanes > 0, "fit() before eval()");
+    debug_assert_eq!(init_mask & !full_mask(wf.lanes), 0, "mask exceeds lanes");
     if init_mask == 0 {
         return;
     }
-    let full = full_mask(lanes);
-    let slot_row = |rows: &[[u16; 3]], s: u16, ty: Ty| rows[s as usize][ty as usize] as usize;
-    let mut sp = wf.sp;
     let mut pc: u32 = 0;
     let mut mask = init_mask;
     // Suspended fragments, at most one per structured-control-flow
     // nesting level — a handful, so linear scans beat any heap.
-    let mut pending: Vec<Frag> = Vec::new();
+    let mut pending = std::mem::take(&mut wf.pending);
+    pending.clear();
     // min pc over `pending`: the next reconvergence point. One compare
     // per straight-line op.
     let mut next_wait: u32 = u32::MAX;
@@ -413,7 +717,6 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
         // minimum pc (else divergent partners could starve), and all
         // fragments meeting at one pc merge before executing it.
         while pc >= next_wait {
-            debug_assert_eq!(sp, 0, "operand stack empty at fragment switch");
             if pc == next_wait {
                 let mut i = 0;
                 while i < pending.len() {
@@ -438,241 +741,134 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
             if pending.is_empty() {
                 break;
             }
-            debug_assert_eq!(sp, 0, "operand stack empty at fragment retire");
             let f = take_min(&mut pending);
             pc = f.pc;
             mask = f.mask;
             next_wait = min_pc(&pending);
             continue;
         }
-        let ty = prog.ty_at(pc as usize);
-        match ops[pc as usize] {
-            Op::ConstF(x) => {
-                row!(wf.f_stack, sp, lanes).fill(x);
-                sp += 1;
-            }
-            Op::ConstI(i) => {
-                row!(wf.i_stack, sp, lanes).fill(i);
-                sp += 1;
-            }
-            Op::ConstB(b) => {
-                wf.b_stack[sp] = if b { u64::MAX } else { 0 };
-                sp += 1;
-            }
-            Op::Load(s) => {
-                let r = slot_row(&wf.rows, s, ty);
-                match ty {
-                    Ty::F32 => {
-                        row!(wf.f_stack, sp, lanes).copy_from_slice(&row!(wf.f_slots, r, lanes))
-                    }
-                    Ty::I64 => {
-                        row!(wf.i_stack, sp, lanes).copy_from_slice(&row!(wf.i_slots, r, lanes))
-                    }
-                    Ty::Bool => wf.b_stack[sp] = wf.b_slots[r],
-                }
-                sp += 1;
-            }
-            Op::Store(s) => {
-                // Masked: inactive lanes keep their slot values across
-                // divergent branches.
-                sp -= 1;
-                let r = slot_row(&wf.rows, s, ty);
-                match ty {
-                    Ty::F32 => store_masked(
-                        mask,
-                        &mut row!(wf.f_slots, r, lanes),
-                        &row!(wf.f_stack, sp, lanes),
-                    ),
-                    Ty::I64 => store_masked(
-                        mask,
-                        &mut row!(wf.i_slots, r, lanes),
-                        &row!(wf.i_stack, sp, lanes),
-                    ),
-                    Ty::Bool => {
-                        wf.b_slots[r] = (wf.b_slots[r] & !mask) | (wf.b_stack[sp] & mask);
-                    }
-                }
-            }
-            Op::Pop => {
-                io.pop_row(mask, &mut row!(wf.f_stack, sp, lanes));
-                sp += 1;
-            }
-            Op::Peek => io.peek_row(
-                mask,
-                &row!(wf.i_stack, sp - 1, lanes),
-                &mut row!(wf.f_stack, sp - 1, lanes),
-            ),
-            Op::StateLoad(id) => io.state_load_row(
-                id,
-                &prog.state_names()[id as usize],
-                mask,
-                &row!(wf.i_stack, sp - 1, lanes),
-                &mut row!(wf.f_stack, sp - 1, lanes),
-            ),
-            Op::StateStore(id) => {
-                sp -= 2;
-                io.state_store_row(
-                    id,
-                    &prog.state_names()[id as usize],
-                    mask,
-                    &row!(wf.i_stack, sp, lanes),
-                    &row!(wf.f_stack, sp + 1, lanes),
-                );
-            }
-            Op::PushOut => {
-                sp -= 1;
-                io.push_row(mask, &row!(wf.f_stack, sp, lanes));
-            }
-            Op::Bin(op) => {
-                match ty {
-                    Ty::F32 => {
-                        let (a, b) = top2(&mut wf.f_stack, sp, lanes);
-                        let cmp = &mut wf.b_stack[sp - 2];
-                        match op {
-                            BinOp::Add => zip_rows(a, b, |x, y| first_nan(x, x + y)),
-                            BinOp::Sub => zip_rows(a, b, |x, y| x - y),
-                            BinOp::Mul => zip_rows(a, b, |x, y| first_nan(x, x * y)),
-                            BinOp::Div => zip_rows(a, b, |x, y| x / y),
-                            BinOp::Rem => zip_rows(a, b, |x, y| x % y),
-                            _ => *cmp = compare_rows(op, a, b),
-                        }
-                    }
-                    Ty::I64 => {
-                        let (a, b) = top2(&mut wf.i_stack, sp, lanes);
-                        let cmp = &mut wf.b_stack[sp - 2];
-                        match op {
-                            BinOp::Add => zip_rows(a, b, i64::wrapping_add),
-                            BinOp::Sub => zip_rows(a, b, i64::wrapping_sub),
-                            BinOp::Mul => zip_rows(a, b, i64::wrapping_mul),
-                            // Masked: a zero divisor faults, and an
-                            // inactive lane may hold one.
-                            BinOp::Div => for_lanes(mask, lanes, |l| {
-                                assert!(b[l] != 0, "validated body: integer division by zero");
-                                a[l] = a[l].wrapping_div(b[l]);
-                            }),
-                            BinOp::Rem => for_lanes(mask, lanes, |l| {
-                                assert!(b[l] != 0, "validated body: integer remainder by zero");
-                                a[l] = a[l].wrapping_rem(b[l]);
-                            }),
-                            _ => *cmp = compare_rows(op, a, b),
-                        }
-                    }
-                    Ty::Bool => match op {
-                        BinOp::And => wf.b_stack[sp - 2] &= wf.b_stack[sp - 1],
-                        BinOp::Or => wf.b_stack[sp - 2] |= wf.b_stack[sp - 1],
-                        _ => unreachable!("typed as a number"),
-                    },
-                }
-                sp -= 1;
-            }
-            Op::Neg => match ty {
-                Ty::F32 => row!(wf.f_stack, sp - 1, lanes)
-                    .iter_mut()
-                    .for_each(|x| *x = -*x),
-                Ty::I64 => row!(wf.i_stack, sp - 1, lanes)
-                    .iter_mut()
-                    .for_each(|x| *x = x.wrapping_neg()),
-                Ty::Bool => unreachable!("typed as a number"),
+        let cx = Cx::new(mask, init_mask);
+        let (f, i, w) = (&mut wf.f, &mut wf.i, &mut wf.words);
+        match code[pc as usize] {
+            Reg::BinF(op, a, b, d) => match op {
+                BinOp::Add => bin(f, a, b, d, cx, |x, y| first_nan(x, x + y)),
+                BinOp::Sub => bin(f, a, b, d, cx, |x, y| x - y),
+                BinOp::Mul => bin(f, a, b, d, cx, |x, y| first_nan(x, x * y)),
+                BinOp::Div => bin(f, a, b, d, cx, |x, y| x / y),
+                _ => bin(f, a, b, d, cx, |x, y| x % y),
             },
-            Op::Not => wf.b_stack[sp - 1] = !wf.b_stack[sp - 1],
-            Op::Cast(to, depth) => {
-                let d = sp - 1 - depth as usize;
-                let f = &mut row!(wf.f_stack, d, lanes);
-                let i = &mut row!(wf.i_stack, d, lanes);
-                match (ty, to) {
-                    (Ty::I64, Ty::F32) => f.iter_mut().zip(&*i).for_each(|(x, n)| *x = *n as f32),
-                    (Ty::F32, Ty::I64) => i.iter_mut().zip(&*f).for_each(|(n, x)| *n = *x as i64),
-                    (Ty::F32, Ty::Bool) => wf.b_stack[d] = mask_of(f, f, |x, _| x != 0.0),
-                    (Ty::I64, Ty::Bool) => wf.b_stack[d] = mask_of(i, i, |n, _| n != 0),
-                    _ => unreachable!("typing pass emits number casts only"),
-                }
+            Reg::BinI(op, a, b, d) => match op {
+                BinOp::Add => bin(i, a, b, d, cx, i64::wrapping_add),
+                BinOp::Sub => bin(i, a, b, d, cx, i64::wrapping_sub),
+                BinOp::Mul => bin(i, a, b, d, cx, i64::wrapping_mul),
+                // Active lanes only: a zero divisor faults, and an
+                // inactive lane may hold one.
+                BinOp::Div => bin_active(i, a, b, d, cx, div),
+                _ => bin_active(i, a, b, d, cx, rem),
+            },
+            Reg::CmpF(op, a, b, t) => w[t as usize] = compare(f, op, a, b),
+            Reg::CmpI(op, a, b, t) => w[t as usize] = compare(i, op, a, b),
+            Reg::Logic(op, a, b, t) => {
+                let (a, b) = (w[a as usize], w[b as usize]);
+                w[t as usize] = if op == BinOp::And { a & b } else { a | b };
             }
-            Op::Call(Intrinsic::Select) => {
-                sp -= 2;
-                let cond = wf.b_stack[sp - 1];
-                match ty {
-                    Ty::F32 => select_rows(cond, &mut wf.f_stack[(sp - 1) * lanes..], lanes),
-                    Ty::I64 => select_rows(cond, &mut wf.i_stack[(sp - 1) * lanes..], lanes),
-                    Ty::Bool => {
-                        wf.b_stack[sp - 1] = (cond & wf.b_stack[sp]) | (!cond & wf.b_stack[sp + 1])
-                    }
-                }
+            Reg::Not(a, t) => w[t as usize] = !w[a as usize],
+            Reg::NegF(a, d) => un(f, a, d, cx, |x| -x),
+            Reg::NegI(a, d) => un(i, a, d, cx, i64::wrapping_neg),
+            Reg::MovF(a, d) => un(f, a, d, cx, |x| x),
+            Reg::MovI(a, d) => un(i, a, d, cx, |x| x),
+            Reg::MovB(a, t) => {
+                let t = t as usize;
+                w[t] = (w[t] & !mask) | (w[a as usize] & mask);
             }
-            Op::Call(intr) => {
-                if intr.arity() == 2 {
-                    let (a, b) = top2(&mut wf.f_stack, sp, lanes);
-                    match intr {
-                        Intrinsic::Max => zip_rows(a, b, f32::max),
-                        Intrinsic::Min => zip_rows(a, b, f32::min),
-                        // A libm call per lane: worth skipping inactive ones.
-                        _ => for_lanes(mask, lanes, |l| a[l] = a[l].powf(b[l])),
-                    }
-                    sp -= 1;
-                } else {
-                    let a = &mut row!(wf.f_stack, sp - 1, lanes);
-                    let libm = |a: &mut [f32], f: fn(f32) -> f32| {
-                        for_lanes(mask, lanes, |l| a[l] = f(a[l]));
-                    };
-                    match intr {
-                        Intrinsic::Sqrt => a.iter_mut().for_each(|x| *x = x.sqrt()),
-                        Intrinsic::Abs => a.iter_mut().for_each(|x| *x = x.abs()),
-                        Intrinsic::Floor => a.iter_mut().for_each(|x| *x = x.floor()),
-                        Intrinsic::Exp => libm(a, f32::exp),
-                        Intrinsic::Log => libm(a, f32::ln),
-                        Intrinsic::Sin => libm(a, f32::sin),
-                        _ => libm(a, f32::cos),
-                    }
-                }
+            Reg::Call1(intr, a, d) => match intr {
+                Intrinsic::Sqrt => un(f, a, d, cx, f32::sqrt),
+                Intrinsic::Abs => un(f, a, d, cx, f32::abs),
+                Intrinsic::Floor => un(f, a, d, cx, f32::floor),
+                // A libm call per lane: worth skipping inactive ones.
+                Intrinsic::Exp => un_active(f, a, d, cx, f32::exp),
+                Intrinsic::Log => un_active(f, a, d, cx, f32::ln),
+                Intrinsic::Sin => un_active(f, a, d, cx, f32::sin),
+                _ => un_active(f, a, d, cx, f32::cos),
+            },
+            Reg::Call2(intr, a, b, d) => match intr {
+                Intrinsic::Max => bin(f, a, b, d, cx, f32::max),
+                Intrinsic::Min => bin(f, a, b, d, cx, f32::min),
+                _ => bin_active(f, a, b, d, cx, f32::powf),
+            },
+            Reg::SelF(c, a, b, d) => select(f, w[c as usize], a, b, d, cx),
+            Reg::SelI(c, a, b, d) => select(i, w[c as usize], a, b, d, cx),
+            Reg::SelB(c, a, b, t) => {
+                let c = w[c as usize];
+                w[t as usize] = (c & w[a as usize]) | (!c & w[b as usize]);
             }
-            Op::Jump(t) => {
+            Reg::IToF(a, d) => conv(i, f, a, d, cx, |n| n as f32),
+            Reg::FToI(a, d) => conv(f, i, a, d, cx, |x| x as i64),
+            Reg::FToB(a, t) => w[t as usize] = mask_of(f, a, a, |x, _| x != 0.0),
+            Reg::IToB(a, t) => w[t as usize] = mask_of(i, a, a, |n, _| n != 0),
+            Reg::Pop(d) => {
+                let r = f.out_row(d, cx);
+                io.pop_row(mask, f.row_mut(r));
+                f.settle(d, r, cx);
+            }
+            Reg::Peek(at, d) => {
+                let (o, r) = (i.in_row(at), f.out_row(d, cx));
+                io.peek_row(mask, i.row(o), f.row_mut(r));
+                f.settle(d, r, cx);
+            }
+            Reg::StateLoad(id, at, d) => {
+                let (o, r) = (i.in_row(at), f.out_row(d, cx));
+                let name = &prog.state_names()[id as usize];
+                io.state_load_row(id, name, mask, i.row(o), f.row_mut(r));
+                f.settle(d, r, cx);
+            }
+            Reg::StateStore(id, at, v) => {
+                let (o, r) = (i.in_row(at), f.in_row(v));
+                let name = &prog.state_names()[id as usize];
+                io.state_store_row(id, name, mask, i.row(o), f.row(r));
+            }
+            Reg::Push(v) => {
+                let r = f.in_row(v);
+                io.push_row(mask, f.row(r));
+            }
+            Reg::Jump(t) => {
                 pc = t;
                 continue;
             }
-            Op::JumpIfFalse(t) => {
-                sp -= 1;
-                let false_mask = mask & !wf.b_stack[sp];
+            Reg::JumpIfFalse(c, t) => {
+                let false_mask = mask & !w[c as usize];
                 if false_mask == mask {
                     pc = t;
                     continue;
                 }
                 if false_mask != 0 {
-                    debug_assert_eq!(sp, 0, "branch at operand depth 0");
                     park(&mut pending, t, false_mask);
                     next_wait = next_wait.min(t);
                     mask &= !false_mask;
                 }
             }
-            Op::ForInit { counter, end } => {
-                sp -= 2;
-                let c = slot_row(&wf.rows, counter, Ty::I64);
-                let e = slot_row(&wf.rows, end, Ty::I64);
-                store_masked(
-                    mask,
-                    &mut row!(wf.i_slots, c, lanes),
-                    &row!(wf.i_stack, sp, lanes),
-                );
-                store_masked(
-                    mask,
-                    &mut row!(wf.i_slots, e, lanes),
-                    &row!(wf.i_stack, sp + 1, lanes),
-                );
-            }
-            Op::ForTest {
-                counter,
-                end,
-                var,
-                exit,
-            } => {
-                let cb = slot_row(&wf.rows, counter, Ty::I64) * lanes;
-                let eb = slot_row(&wf.rows, end, Ty::I64) * lanes;
-                let vb = slot_row(&wf.rows, var, Ty::I64) * lanes;
-                let slots = &mut wf.i_slots;
-                let go =
-                    mask & mask_of(&slots[cb..cb + lanes], &slots[eb..eb + lanes], |c, e| c < e);
-                if go == full {
-                    slots.copy_within(cb..cb + lanes, vb);
-                } else {
-                    for_lanes(go, lanes, |l| slots[vb + l] = slots[cb + l]);
+            Reg::ForTest { .. } | Reg::ForStep { .. } => {
+                // A step runs its loop's test in place and branches past it.
+                let (test, body) = match code[pc as usize] {
+                    Reg::ForStep { counter, head } => {
+                        un(i, counter, Dst::slot(counter), cx, |c| c.wrapping_add(1));
+                        (code[head as usize], head + 1)
+                    }
+                    test => (test, pc + 1),
+                };
+                let Reg::ForTest {
+                    counter,
+                    end,
+                    var,
+                    exit,
+                } = test
+                else {
+                    unreachable!("a back edge targets its loop's test");
+                };
+                // One scalar comparison when counter and end are uniform.
+                let go = mask & mask_of(i, counter, end, |c, e| c < e);
+                if go != 0 {
+                    un(i, counter, var, Cx::new(go, init_mask), |c| c);
                 }
                 let exit_mask = mask & !go;
                 if exit_mask == mask {
@@ -680,42 +876,25 @@ pub fn eval(prog: &Program, wf: &mut WarpFrame, init_mask: u64, io: &mut dyn War
                     continue;
                 }
                 if exit_mask != 0 {
-                    debug_assert_eq!(sp, 0, "branch at operand depth 0");
                     park(&mut pending, exit, exit_mask);
                     next_wait = next_wait.min(exit);
                     mask = go;
                 }
-            }
-            Op::ForStep { counter, head } => {
-                let c = slot_row(&wf.rows, counter, Ty::I64);
-                let c = &mut row!(wf.i_slots, c, lanes);
-                if mask == full {
-                    c.iter_mut().for_each(|c| *c = c.wrapping_add(1));
-                } else {
-                    for_lanes(mask, lanes, |l| c[l] = c[l].wrapping_add(1));
-                }
-                pc = head;
+                pc = body;
                 continue;
             }
         }
         pc += 1;
     }
-    wf.sp = sp;
-}
-
-/// `select` over the three rows starting at `rows`: row 0 becomes
-/// `cond ? row 1 : row 2` per lane.
-#[inline]
-fn select_rows<T: Copy>(cond: u64, rows: &mut [T], lanes: usize) {
-    let (out, arms) = rows[..3 * lanes].split_at_mut(lanes);
-    let (a, b) = arms.split_at(lanes);
-    for (l, x) in out.iter_mut().enumerate() {
-        *x = if cond >> l & 1 != 0 { a[l] } else { b[l] };
-    }
+    wf.pending = pending;
 }
 
 /// Execute a compiled *expression* warp-wide; the returned row holds each
 /// active lane's `f32` result.
+///
+/// # Panics
+///
+/// Panics if `prog` is a body, which leaves no value.
 pub fn eval_row<'f>(
     prog: &Program,
     wf: &'f mut WarpFrame,
@@ -723,7 +902,11 @@ pub fn eval_row<'f>(
     io: &mut dyn WarpIo,
 ) -> &'f [f32] {
     eval(prog, wf, mask, io);
-    wf.take_value_row()
+    let row = prog
+        .reg()
+        .value_row
+        .expect("an expression leaves one value");
+    wf.f.row(row)
 }
 
 /// Host-side warp I/O over plain vectors, for tests and benches that run
@@ -1062,6 +1245,42 @@ mod tests {
             })
             .collect();
         run_both(src, &inputs, 8);
+    }
+
+    #[test]
+    fn a_uniform_nan_keeps_its_operand_order() {
+        // `n` is a literal NaN folded at lowering, so one scalar per warp
+        // broadcast against each lane's row: on the left it is still the
+        // first operand, as in the interpreter's scalar arithmetic.
+        let src = r#"pipeline P() {
+                actor N(pop 1, push 12) {
+                    x = pop();
+                    n = 0.0 / 0.0;
+                    push(n + x);
+                    push(x + n);
+                    push(n * x);
+                    push(x * n);
+                    push(n - x);
+                    push(x - n);
+                    push(n / x);
+                    push(x / n);
+                    push(max(n, x));
+                    push(max(x, n));
+                    push(min(n, x));
+                    push(min(x, n));
+                }
+            }"#;
+        let nans = [0x7fc0_0000u32, 0xffc0_0000, 0x7fc0_1234, 0xffc0_4321].map(f32::from_bits);
+        let inputs: Vec<Vec<f32>> = (0..32)
+            .map(|l| {
+                vec![if l % 2 == 0 {
+                    nans[l / 2 % 4]
+                } else {
+                    l as f32 - 16.0
+                }]
+            })
+            .collect();
+        run_both(src, &inputs, 12);
     }
 
     #[test]

@@ -40,18 +40,22 @@ fn body_block(sel: u8) -> &'static str {
 
 /// One random *divergence-heavy* building block: data-dependent
 /// branches and loop trip counts, so neighbouring warp lanes take
-/// different control paths and reconverge. Stateless on purpose — warp
+/// different control paths and reconverge. The last two store a uniform
+/// value under a varying branch or loop and read it after the join,
+/// where only some lanes hold it. Stateless on purpose — warp
 /// lanes share one state array in lockstep, so sequential-firing state
 /// semantics only apply lane-privately (which the templates guarantee
 /// and `random_body_bytecode_matches_ast_oracle` covers host-side).
 fn divergent_block(sel: u8) -> &'static str {
-    match sel % 6 {
+    match sel % 8 {
         0 => "if (x > 0.0) { t = 6; } else { t = 2; } for i in 0..t { x = x * 0.75 + 0.25; }",
         1 => "if (x < 0.0) { x = 0.0 - x; } else { x = x * 1.125; }",
         2 => "if (x > 2.0) { x = x - 4.0; } else { if (x > 0.5) { x = x * 0.5; } else { x = x + 1.0; } }",
         3 => "t = 1; if (x > 1.0) { t = t + 3; } if (x > 3.0) { t = t + 4; } for i in 0..t { x = x * 0.875; }",
         4 => "for i in 0..3 { if (x > 1.0) { x = x * 0.5; } else { x = x + 0.375; } }",
-        _ => "x = x + 0.0625;",
+        5 => "x = x + 0.0625;",
+        6 => "u = 2.0; if (x > 0.5) { u = 3.0; } x = x * u;",
+        _ => "w = 1.0; m = 0; if (x > 0.0) { m = 2; } for j in 0..m { w = 0.25; } x = x + w;",
     }
 }
 
@@ -376,7 +380,7 @@ proptest! {
     /// interpreter.
     #[test]
     fn warp_eval_matches_scalar_and_ast_on_divergent_bodies(
-        blocks in proptest::collection::vec(0u8..6, 1..6),
+        blocks in proptest::collection::vec(0u8..8, 1..6),
         lanes in 2usize..33,
         data in proptest::collection::vec(-6.0f32..6.0, 33..97),
     ) {
