@@ -106,7 +106,8 @@ fn const_eval(expr: &Expr, binds: &Bindings) -> Option<f64> {
     }
 }
 
-fn expr_counts(expr: &Expr, binds: &Bindings) -> OpCounts {
+/// Operation counts of evaluating `expr` once under `binds`.
+pub(crate) fn expr_counts(expr: &Expr, binds: &Bindings) -> OpCounts {
     let mut c = OpCounts::default();
     match expr {
         Expr::Float(_) | Expr::Int(_) | Expr::Var(_) => {}

@@ -8,7 +8,7 @@
 //! simulator statistics.
 
 use gpu_sim::DeviceSpec;
-use perfmodel::{estimate, LaunchProfile, TimingEstimate};
+use perfmodel::LaunchProfile;
 
 use crate::layout::Layout;
 
@@ -181,11 +181,6 @@ pub fn host_cost_us(items: usize, compute_per_item: f64) -> f64 {
     items as f64 * (compute_per_item.max(2.0)) * 1e-3
 }
 
-/// Convenience: run the analytical model on a profile.
-pub fn profile_time(device: &DeviceSpec, p: &LaunchProfile) -> TimingEstimate {
-    estimate(device, p)
-}
-
 trait Finish {
     fn finish(self, device: &DeviceSpec) -> LaunchProfile;
 }
@@ -207,7 +202,7 @@ impl Finish for LaunchProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use perfmodel::KernelClass;
+    use perfmodel::{estimate, KernelClass};
 
     fn device() -> DeviceSpec {
         DeviceSpec::tesla_c2050()

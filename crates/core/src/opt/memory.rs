@@ -66,6 +66,38 @@ pub fn reuse_metric(
     (taps * area) as f64 / halo as f64
 }
 
+/// Predicted time (µs) of a stencil over a `rows x cols` grid with super
+/// tile `(w, h)`; `None` when the halo-extended tile overflows the
+/// shared-memory budget.
+pub(crate) fn tile_time(
+    device: &DeviceSpec,
+    rows: usize,
+    cols: usize,
+    (w, h): (usize, usize),
+    (halo_r, halo_c): (usize, usize),
+    taps: usize,
+) -> Option<f64> {
+    let ext = (w + 2 * halo_c) * (h + 2 * halo_r);
+    if ext > device.shared_words_per_block as usize {
+        return None;
+    }
+    let compute_per_elem = 2.0 * taps as f64 + 2.0;
+    let profile = crate::cost::stencil_profile(
+        device,
+        rows,
+        cols,
+        w,
+        h,
+        halo_r,
+        halo_c,
+        taps,
+        compute_per_elem,
+        taps as f64,
+        256,
+    );
+    Some(perfmodel::estimate(device, &profile).time_us)
+}
+
 /// Choose a super-tile geometry for a stencil.
 ///
 /// Enumerates warp-multiple widths and power-of-two heights, rejects
@@ -82,7 +114,6 @@ pub fn choose_tile(
     halo_c: usize,
     taps: usize,
 ) -> (usize, usize) {
-    let shared_cap = device.shared_words_per_block as usize;
     let widths = [32usize, 64, 128, 256, 512];
     let heights: Vec<usize> = if rows == 1 {
         vec![1]
@@ -99,25 +130,9 @@ pub fn choose_tile(
             if h > rows.next_power_of_two() {
                 continue;
             }
-            let ext = (w + 2 * halo_c) * (h + 2 * halo_r);
-            if ext > shared_cap {
+            let Some(time) = tile_time(device, rows, cols, (w, h), (halo_r, halo_c), taps) else {
                 continue;
-            }
-            let compute_per_elem = 2.0 * taps as f64 + 2.0;
-            let profile = crate::cost::stencil_profile(
-                device,
-                rows,
-                cols,
-                w,
-                h,
-                halo_r,
-                halo_c,
-                taps,
-                compute_per_elem,
-                taps as f64,
-                256,
-            );
-            let time = perfmodel::estimate(device, &profile).time_us;
+            };
             let m = reuse_metric(w, h, halo_r, halo_c, taps);
             let better = match best {
                 None => true,

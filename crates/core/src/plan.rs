@@ -10,6 +10,7 @@
 //! kernel-management unit (`runtime` module) selects the variant for the
 //! actual input and launches it.
 
+use std::cell::Cell;
 use std::fmt;
 use std::sync::{Arc, OnceLock};
 
@@ -21,17 +22,17 @@ use streamir::ir::{Expr, Stmt};
 use streamir::rates::Bindings;
 use streamir::schedule::{rate_match, Schedule};
 
-use crate::analysis::opcount::{body_counts, eval_bound};
+use crate::analysis::opcount::{body_counts, eval_bound, expr_counts, OpCounts};
 use crate::analysis::recurrence::ParallelLoop;
 use crate::analysis::reduction::ReductionPattern;
 use crate::analysis::stencil::StencilPattern;
 use crate::analysis::{classify, ActorClass};
 use crate::bytecode::{self, Ty};
-use crate::cost::map_profile;
+use crate::cost::{host_cost_us, map_profile};
 use crate::layout::Layout;
 use crate::opt::integration::{can_fuse_horizontal, fuse_into_reduction, fuse_parallel_loops};
-use crate::opt::memory::{choose_edge_layout, choose_tile};
-use crate::opt::segmentation::{best_reduce_choice, ReduceChoice};
+use crate::opt::memory::{choose_edge_layout, choose_tile, tile_time};
+use crate::opt::segmentation::{reduce_candidates, reduce_choice_time, ReduceChoice};
 
 /// The one-dimensional family of input shapes a program is compiled for.
 ///
@@ -121,6 +122,24 @@ impl InputAxis {
     pub fn probe_point(&self) -> i64 {
         let (lo, hi) = (self.lo.max(1) as f64, self.hi.max(1) as f64);
         (lo * hi).sqrt() as i64
+    }
+
+    /// `n` (at least 2) geometrically spaced points of the range plus its
+    /// two ends, sorted and deduplicated.
+    fn geometric_points(&self, n: usize) -> Vec<i64> {
+        let n = n.max(2);
+        let (lo, hi) = (self.lo, self.hi);
+        let mut points: Vec<i64> = (0..n)
+            .map(|k| {
+                let t = k as f64 / (n - 1) as f64;
+                let x = ((lo.max(1) as f64).ln() * (1.0 - t) + (hi.max(1) as f64).ln() * t).exp();
+                (x as i64).clamp(lo, hi)
+            })
+            .collect();
+        points.extend([lo, hi]);
+        points.sort_unstable();
+        points.dedup();
+        points
     }
 }
 
@@ -505,147 +524,27 @@ impl CompiledProgram {
 
     /// The analytical model's predicted execution time (µs) of running
     /// variant `variant_index`'s lowering decisions at axis value `x` —
-    /// the same per-segment cost readout the planner used to place the
-    /// table's boundaries, exposed so the runtime kernel-management unit
-    /// can compare prediction against measurement and recalibrate.
+    /// the sum over segments of the planner's own `price` of each
+    /// segment's `shape`, exposed so the runtime kernel-management unit can
+    /// compare prediction against measurement and recalibrate.
     ///
     /// `x` need not lie inside the variant's own sub-range: the KMU
     /// evaluates each variant's cost curve across a *neighboring* range
-    /// when re-locating a break-even point. Returns `None` when the
-    /// variant index is out of bounds or the axis value cannot be
-    /// scheduled.
+    /// when re-locating a break-even point. A choice that cannot run at
+    /// `x` (a stencil tile whose halo-extended tile overflows shared
+    /// memory) prices as ∞. Returns `None` when the variant index is out
+    /// of bounds or the axis value cannot be scheduled.
     pub fn predicted_time_us(&self, x: i64, variant_index: usize) -> Option<f64> {
         let variant = self.variants.get(variant_index)?;
         let binds = self.axis.bind(x);
         let sched = rate_match(self.flat().ok()?, &binds).ok()?;
         let iterations = self.axis.expected_iterations(x, sched.steady_input);
-        let layouts = &self.edge_layouts;
         let mut total = 0.0f64;
         for (i, (seg, choice)) in self.segments.iter().zip(&variant.choices).enumerate() {
-            let reps = sched.reps(seg.node).max(1) * iterations.max(1);
-            let t = match (&seg.kind, choice) {
-                (SegKind::Unit(u), SegChoice::Map { coarsen }) => {
-                    let units = (probe_units(u, seg.node, &sched, &binds).unwrap_or(1).max(1)
-                        * iterations.max(1) as i64) as usize;
-                    let counts = body_counts(&u.body, &binds);
-                    let p = map_profile(
-                        &self.device,
-                        units,
-                        u.pops_per_unit,
-                        u.pushes_per_unit,
-                        counts.state_loads + counts.state_stores + counts.peeks,
-                        counts.compute,
-                        counts.flops,
-                        layouts[i],
-                        layouts[i + 1],
-                        *coarsen,
-                        256,
-                    );
-                    estimate(&self.device, &p).time_us
-                }
-                (SegKind::Reduce(r), SegChoice::Reduce { choice }) => {
-                    let n_arrays = reps as usize;
-                    let n_elements =
-                        eval_bound(&r.pattern.bound, &binds).unwrap_or(1).max(1) as usize;
-                    let ec = body_counts(&[Stmt::Push(r.pattern.elem.clone())], &binds);
-                    crate::opt::segmentation::reduce_choice_time(
-                        &self.device,
-                        *choice,
-                        n_arrays,
-                        n_elements,
-                        r.pattern.pops_per_elem,
-                        ec.state_loads,
-                        ec.compute + 1.0,
-                        layouts[i],
-                    )
-                }
-                (SegKind::Stencil(s), SegChoice::Stencil { tile }) => {
-                    let total_pts = eval_bound(&s.pattern.bound, &binds).unwrap_or(1).max(1);
-                    let cols = match &s.pattern.width_param {
-                        Some(w) => binds.get(w).copied().unwrap_or(total_pts).max(1),
-                        None => total_pts,
-                    };
-                    let rows = (total_pts / cols).max(1);
-                    let (hr, hc) = s.pattern.halo();
-                    let taps = s.pattern.offsets.len();
-                    let ext = (tile.0 + 2 * hc as usize) * (tile.1 + 2 * hr as usize);
-                    if ext > self.device.shared_words_per_block as usize {
-                        return Some(f64::INFINITY);
-                    }
-                    let p = crate::cost::stencil_profile(
-                        &self.device,
-                        rows as usize,
-                        cols as usize,
-                        tile.0,
-                        tile.1,
-                        hr as usize,
-                        hc as usize,
-                        taps,
-                        2.0 * taps as f64 + 2.0,
-                        taps as f64,
-                        256,
-                    );
-                    estimate(&self.device, &p).time_us
-                }
-                (SegKind::HFused(h), SegChoice::HFused { fused }) => {
-                    let n_arrays = reps as usize;
-                    let first = h.patterns.first()?;
-                    let n_elements = eval_bound(&first.bound, &binds).unwrap_or(1).max(1) as usize;
-                    let per = h.patterns.iter().map(|pat| {
-                        let ec = body_counts(&[Stmt::Push(pat.elem.clone())], &binds);
-                        crate::opt::segmentation::reduce_choice_time(
-                            &self.device,
-                            ReduceChoice::OneKernel {
-                                arrays_per_block: 1,
-                                block_dim: 256,
-                            },
-                            n_arrays,
-                            n_elements,
-                            pat.pops_per_elem,
-                            ec.state_loads,
-                            ec.compute + 1.0,
-                            layouts[i],
-                        )
-                    });
-                    if *fused {
-                        // One kernel reads the shared window once; cost is
-                        // dominated by the most expensive sibling.
-                        per.fold(0.0, f64::max)
-                    } else {
-                        per.sum()
-                    }
-                }
-                (SegKind::MapSiblings(m), SegChoice::MapSiblings) => {
-                    let units = reps as usize;
-                    m.branches
-                        .iter()
-                        .map(|(body, pushes, _)| {
-                            let counts = body_counts(body, &binds);
-                            let p = map_profile(
-                                &self.device,
-                                units,
-                                m.pops_per_unit,
-                                *pushes,
-                                counts.state_loads + counts.state_stores + counts.peeks,
-                                counts.compute,
-                                counts.flops,
-                                layouts[i],
-                                Layout::RowMajor,
-                                1,
-                                256,
-                            );
-                            estimate(&self.device, &p).time_us
-                        })
-                        .sum()
-                }
-                (SegKind::Opaque(idx), SegChoice::Opaque) => {
-                    let actor = &self.program.actors[*idx];
-                    let counts = body_counts(&actor.work.body, &binds);
-                    crate::cost::host_cost_us(reps as usize, counts.compute)
-                }
-                _ => return None,
-            };
-            total += t;
+            let shape = shape(seg, &binds, &sched, iterations).ok()?;
+            let edges = &self.edge_layouts[i..];
+            total += price(&self.device, &self.program, seg, &shape, choice, edges)
+                .unwrap_or(f64::INFINITY);
         }
         Some(total)
     }
@@ -671,19 +570,7 @@ impl CompiledProgram {
         samples: usize,
         scale: impl Fn(usize) -> f64,
     ) -> (Vec<i64>, Vec<Vec<f64>>) {
-        let n = samples.max(2);
-        let (lo, hi) = (self.axis.lo, self.axis.hi);
-        let mut points: Vec<i64> = (0..n)
-            .map(|k| {
-                let t = k as f64 / (n - 1) as f64;
-                let x = ((lo.max(1) as f64).ln() * (1.0 - t) + (hi.max(1) as f64).ln() * t).exp();
-                (x as i64).clamp(lo, hi)
-            })
-            .collect();
-        points.push(lo);
-        points.push(hi);
-        points.sort_unstable();
-        points.dedup();
+        let points = self.axis.geometric_points(samples);
         let costs = (0..self.variants.len())
             .map(|v| {
                 let s = scale(v);
@@ -772,36 +659,17 @@ impl CompiledProgram {
     }
 }
 
-fn pl_from_map(body: &[Stmt], pop: usize, push: usize, probe_units: i64) -> ParallelLoop {
-    ParallelLoop {
-        loop_var: "__unit".into(),
-        bound: Expr::Int(probe_units),
-        pops_per_iter: pop,
-        pushes_per_iter: push,
-        body: body.to_vec(),
-        ivs_applied: false,
-        window_peeks: false,
-    }
-}
-
-fn seg_as_parloop(seg: &UnitSeg, probe_units: i64) -> ParallelLoop {
+/// A unit segment as a parallel loop over its `units` work units (a plain
+/// map's loop variable is `__unit`).
+fn seg_as_parloop(seg: &UnitSeg, units: usize) -> ParallelLoop {
     ParallelLoop {
         loop_var: seg.loop_var.clone().unwrap_or_else(|| "__unit".into()),
-        bound: Expr::Int(probe_units),
+        bound: Expr::Int(units as i64),
         pops_per_iter: seg.pops_per_unit,
         pushes_per_iter: seg.pushes_per_unit,
         body: seg.body.clone(),
         ivs_applied: false,
         window_peeks: seg.window_pop.is_some(),
-    }
-}
-
-/// Units per steady state of a unit segment at a schedule point.
-fn probe_units(seg: &UnitSeg, node: usize, sched: &Schedule, binds: &Bindings) -> Option<i64> {
-    let reps = sched.reps(node) as i64;
-    match &seg.units_per_firing {
-        UnitsPerFiring::One => Some(reps),
-        UnitsPerFiring::Loop(e) => Some(reps * eval_bound(e, binds)?),
     }
 }
 
@@ -1015,8 +883,10 @@ fn build_structure(
     }
 
     // Vertical integration (§4.3.1): fuse adjacent unit segments, then
-    // unit→reduction producers.
+    // unit→reduction producers. A segment whose units cannot be counted
+    // at the probe point is left unfused.
     if options.integration {
+        let units = |s: &Segment| shape(s, binds, &sched, 1).ok().map(|s| s.reps * s.upf);
         let mut fused_any = false;
         let mut i = 0;
         while i + 1 < segments.len() {
@@ -1027,22 +897,10 @@ fn build_structure(
                 (SegKind::Unit(a), SegKind::Unit(b))
                     if a.window_pop.is_none() && b.window_pop.is_none() =>
                 {
-                    let ua = probe_units(a, a_seg.node, &sched, binds);
-                    let ub = probe_units(b, b_seg.node, &sched, binds);
-                    match (ua, ub) {
+                    match (units(a_seg), units(b_seg)) {
                         (Some(ua), Some(ub)) if ua == ub => {
-                            let pa = match a.loop_var {
-                                Some(_) => seg_as_parloop(a, ua),
-                                None => {
-                                    pl_from_map(&a.body, a.pops_per_unit, a.pushes_per_unit, ua)
-                                }
-                            };
-                            let pb = match b.loop_var {
-                                Some(_) => seg_as_parloop(b, ub),
-                                None => {
-                                    pl_from_map(&b.body, b.pops_per_unit, b.pushes_per_unit, ub)
-                                }
-                            };
+                            let pa = seg_as_parloop(a, ua);
+                            let pb = seg_as_parloop(b, ub);
                             fuse_parallel_loops(&pa, &pb, binds).map(|f| {
                                 let mut state = a.state_actors.clone();
                                 state.extend(b.state_actors.clone());
@@ -1075,30 +933,19 @@ fn build_structure(
                         _ => None,
                     }
                 }
-                (SegKind::Unit(a), SegKind::Reduce(r)) => {
-                    let ua = probe_units(a, a_seg.node, &sched, binds);
-                    match ua {
-                        Some(ua) => {
-                            let pa = match a.loop_var {
-                                Some(_) => seg_as_parloop(a, ua),
-                                None => {
-                                    pl_from_map(&a.body, a.pops_per_unit, a.pushes_per_unit, ua)
-                                }
-                            };
-                            fuse_into_reduction(&pa, &r.pattern, binds).map(|p| Segment {
-                                kind: SegKind::Reduce(ReduceSeg {
-                                    serial_body: crate::runtime::pattern_to_serial_body(&p),
-                                    pattern: p,
-                                    actor: r.actor.clone(),
-                                    fused_producer: true,
-                                }),
-                                node: b_seg.node,
-                                label: format!("{}+{}", a_seg.label, b_seg.label),
-                            })
-                        }
-                        None => None,
-                    }
-                }
+                (SegKind::Unit(a), SegKind::Reduce(r)) => units(a_seg).and_then(|ua| {
+                    let pa = seg_as_parloop(a, ua);
+                    fuse_into_reduction(&pa, &r.pattern, binds).map(|p| Segment {
+                        kind: SegKind::Reduce(ReduceSeg {
+                            serial_body: crate::runtime::pattern_to_serial_body(&p),
+                            pattern: p,
+                            actor: r.actor.clone(),
+                            fused_producer: true,
+                        }),
+                        node: b_seg.node,
+                        label: format!("{}+{}", a_seg.label, b_seg.label),
+                    })
+                }),
                 _ => None,
             };
             match merged {
@@ -1197,6 +1044,22 @@ fn choose_layouts(segments: &[Segment], memory_enabled: bool) -> Vec<Layout> {
 /// cost-model noise from fragmenting the table into spurious variants.
 const SWITCH_MARGIN: f64 = 1.05;
 
+/// The first cheapest of `candidates` under `time`, skipping those `time`
+/// cannot price; `None` when it prices none.
+fn cheapest<T>(
+    candidates: impl IntoIterator<Item = T>,
+    time: impl Fn(&T) -> Option<f64>,
+) -> Option<T> {
+    let mut best: Option<(f64, T)> = None;
+    for c in candidates {
+        let Some(t) = time(&c) else { continue };
+        if best.as_ref().is_none_or(|&(bt, _)| t < bt) {
+            best = Some((t, c));
+        }
+    }
+    best.map(|(_, c)| c)
+}
+
 /// Keep `prev` unless `best` is at least [`SWITCH_MARGIN`] cheaper.
 fn sticky<T: Clone + PartialEq>(
     prev: Option<&T>,
@@ -1212,11 +1075,206 @@ fn sticky<T: Clone + PartialEq>(
     }
 }
 
-/// Decide the lowering of every segment at one axis point. `prev` is the
-/// incumbent signature (the decision at smaller inputs), used for
-/// hysteresis.
+/// The input-unaware reduction lowering, which also prices each sibling
+/// of a horizontally fused split-join.
+const ONE_ARRAY_PER_BLOCK: ReduceChoice = ReduceChoice::OneKernel {
+    arrays_per_block: 1,
+    block_dim: 256,
+};
+
+/// A segment's size at one axis point: what the planner, the
+/// kernel-management unit's predictions and the launch read off its
+/// bounds. [`shape`] is the only place those bounds are evaluated.
+#[derive(Debug)]
+pub(crate) struct Shape<'a> {
+    /// Firings over the whole input: the node's steady-state repetitions
+    /// (at least 1) times the steady states the input holds.
+    pub reps: usize,
+    /// Work units per firing (unit segments; 1 for every other kind).
+    pub upf: usize,
+    /// Elements per array (reductions) or grid points (stencils).
+    pub elements: usize,
+    /// The stencil's grid and (row, column) halo.
+    pub rows: usize,
+    pub cols: usize,
+    pub halo: (usize, usize),
+    /// The bindings the shape was taken at, which [`price`] counts bodies
+    /// under.
+    binds: &'a Bindings,
+    /// The segment's own body counted under `binds`, on its first
+    /// [`price`]: every choice priced at this shape shares one walk.
+    counts: Cell<Option<OpCounts>>,
+}
+
+impl Shape<'_> {
+    /// The memoized body counts, `count`ed on first use. (A `OnceCell`
+    /// would run `count` on its cold path, and every prediction takes it.)
+    fn counts(&self, count: impl FnOnce() -> OpCounts) -> OpCounts {
+        if let Some(c) = self.counts.get() {
+            return c;
+        }
+        let c = count();
+        self.counts.set(Some(c));
+        c
+    }
+}
+
+/// The [`Shape`] of `seg` at `binds` (scheduled as `sched`) over
+/// `iterations` steady states.
+///
+/// # Errors
+///
+/// [`Error::Runtime`] when a bound does not evaluate under `binds`: no
+/// launch could size the segment.
+pub(crate) fn shape<'a>(
+    seg: &Segment,
+    binds: &'a Bindings,
+    sched: &Schedule,
+    iterations: u64,
+) -> Result<Shape<'a>> {
+    let bound = |e: &Expr, what: &str| -> Result<i64> {
+        let n =
+            eval_bound(e, binds).ok_or_else(|| Error::Runtime(format!("unbound {what} bound")))?;
+        Ok(n.max(1))
+    };
+    let mut shape = Shape {
+        reps: (sched.reps(seg.node).max(1) * iterations) as usize,
+        upf: 1,
+        elements: 0,
+        rows: 0,
+        cols: 0,
+        halo: (0, 0),
+        binds,
+        counts: Cell::new(None),
+    };
+    match &seg.kind {
+        SegKind::Unit(u) => {
+            if let UnitsPerFiring::Loop(e) = &u.units_per_firing {
+                shape.upf = bound(e, "loop")? as usize;
+            }
+        }
+        SegKind::Reduce(r) => shape.elements = bound(&r.pattern.bound, "reduction")? as usize,
+        SegKind::HFused(h) => shape.elements = bound(&h.patterns[0].bound, "reduction")? as usize,
+        SegKind::Stencil(s) => {
+            let total = bound(&s.pattern.bound, "stencil")?;
+            let cols = match &s.pattern.width_param {
+                Some(w) => binds.get(w).copied().unwrap_or(total).max(1),
+                None => total,
+            };
+            let (hr, hc) = s.pattern.halo();
+            shape.elements = total as usize;
+            shape.rows = (total / cols).max(1) as usize;
+            shape.cols = cols as usize;
+            shape.halo = (hr as usize, hc as usize);
+        }
+        SegKind::MapSiblings(_) | SegKind::Opaque(_) => {}
+    }
+    Ok(shape)
+}
+
+/// The model's time (µs) of lowering `seg` as `choice` at `shape`, its
+/// input edge's layout `edges[0]` and output edge's `edges[1]`: the one
+/// place a (segment, choice) pair becomes a [`crate::cost`] profile and a
+/// time. `None` when `choice` cannot run there — a stencil tile whose
+/// halo-extended tile overflows shared memory — or is not a lowering of
+/// `seg`'s kind.
+pub(crate) fn price(
+    device: &DeviceSpec,
+    program: &Program,
+    seg: &Segment,
+    shape: &Shape<'_>,
+    choice: &SegChoice,
+    edges: &[Layout],
+) -> Option<f64> {
+    let binds = shape.binds;
+    let map_time = |units, pops, pushes, c: OpCounts, out, coarsen| {
+        let state = c.state_loads + c.state_stores + c.peeks;
+        let p = map_profile(
+            device, units, pops, pushes, state, c.compute, c.flops, edges[0], out, coarsen, 256,
+        );
+        estimate(device, &p).time_us
+    };
+    let reduce_time = |choice, pattern: &ReductionPattern, c: OpCounts| {
+        reduce_choice_time(
+            device,
+            choice,
+            shape.reps,
+            shape.elements,
+            pattern.pops_per_elem,
+            c.state_loads,
+            c.compute + 1.0,
+            edges[0],
+        )
+    };
+    Some(match (&seg.kind, choice) {
+        (SegKind::Unit(u), SegChoice::Map { coarsen }) => {
+            let counts = shape.counts(|| body_counts(&u.body, binds));
+            let units = shape.reps * shape.upf;
+            map_time(
+                units,
+                u.pops_per_unit,
+                u.pushes_per_unit,
+                counts,
+                edges[1],
+                *coarsen,
+            )
+        }
+        (SegKind::Reduce(r), SegChoice::Reduce { choice }) => {
+            let elem = &r.pattern.elem;
+            let counts = shape.counts(|| expr_counts(elem, binds));
+            reduce_time(*choice, &r.pattern, counts)
+        }
+        (SegKind::Stencil(s), SegChoice::Stencil { tile }) => {
+            let taps = s.pattern.offsets.len();
+            tile_time(device, shape.rows, shape.cols, *tile, shape.halo, taps)?
+        }
+        (SegKind::HFused(h), SegChoice::HFused { fused }) => {
+            let per = (h.patterns.iter())
+                .map(|p| reduce_time(ONE_ARRAY_PER_BLOCK, p, expr_counts(&p.elem, binds)));
+            if *fused {
+                // One kernel reads the shared window once; cost is
+                // dominated by the most expensive sibling.
+                per.fold(0.0, f64::max)
+            } else {
+                per.sum()
+            }
+        }
+        (SegKind::MapSiblings(m), SegChoice::MapSiblings) => m
+            .branches
+            .iter()
+            .map(|(body, pushes, _)| {
+                let counts = body_counts(body, binds);
+                map_time(
+                    shape.reps,
+                    m.pops_per_unit,
+                    *pushes,
+                    counts,
+                    Layout::RowMajor,
+                    1,
+                )
+            })
+            .sum(),
+        (SegKind::Opaque(idx), SegChoice::Opaque) => {
+            let body = &program.actors[*idx].work.body;
+            let counts = shape.counts(|| body_counts(body, binds));
+            host_cost_us(shape.reps, counts.compute)
+        }
+        _ => return None,
+    })
+}
+
+/// Decide the lowering of every segment at one axis point: take its
+/// [`shape`], [`price`] each candidate choice, keep the first cheapest,
+/// then let the incumbent `prev` (the decision at smaller inputs) stand
+/// unless that is [`SWITCH_MARGIN`] cheaper. A segment the options leave
+/// nothing to choose for gets its [`fixed_choice`], with no hysteresis.
+///
+/// # Errors
+///
+/// The segment's [`shape`] error.
 #[allow(clippy::too_many_arguments)]
 fn decide(
+    program: &Program,
     segments: &[Segment],
     device: &DeviceSpec,
     options: &CompileOptions,
@@ -1225,196 +1283,90 @@ fn decide(
     sched: &Schedule,
     iterations: u64,
     prev: Option<&[SegChoice]>,
-) -> Vec<SegChoice> {
+) -> Result<Vec<SegChoice>> {
     segments
         .iter()
         .enumerate()
-        .map(|(i, seg)| match &seg.kind {
-            SegKind::Unit(u) => {
-                let units = (probe_units(u, seg.node, sched, binds).unwrap_or(1).max(1)
-                    * iterations.max(1) as i64) as usize;
-                let counts = body_counts(&u.body, binds);
-                let coarsens: &[usize] = if options.integration {
-                    &[1, 2, 4, 8, 16]
-                } else {
-                    &[1]
-                };
-                let cost = |c: usize| -> f64 {
-                    let p = map_profile(
-                        device,
-                        units,
-                        u.pops_per_unit,
-                        u.pushes_per_unit,
-                        counts.state_loads + counts.state_stores + counts.peeks,
-                        counts.compute,
-                        counts.flops,
-                        layouts[i],
-                        layouts[i + 1],
-                        c,
-                        256,
-                    );
-                    estimate(device, &p).time_us
-                };
-                let best = coarsens
-                    .iter()
-                    .map(|&c| (c, cost(c)))
-                    .min_by(|a, b| a.1.total_cmp(&b.1))
-                    .map(|(c, _)| c)
-                    .unwrap_or(1);
-                let prev_c = prev.and_then(|p| match p.get(i) {
-                    Some(SegChoice::Map { coarsen }) => Some(*coarsen),
-                    _ => None,
-                });
-                let best = sticky(prev_c.as_ref(), best, |c| Some(cost(*c)));
-                SegChoice::Map { coarsen: best }
-            }
-            SegKind::Reduce(r) => {
-                let n_arrays = (sched.reps(seg.node).max(1) * iterations.max(1)) as usize;
-                let n_elements = eval_bound(&r.pattern.bound, binds).unwrap_or(1).max(1) as usize;
-                if !options.segmentation {
-                    return SegChoice::Reduce {
-                        choice: ReduceChoice::OneKernel {
-                            arrays_per_block: 1,
-                            block_dim: 256,
+        .map(|(i, seg)| {
+            let shape = shape(seg, binds, sched, iterations)?;
+            let time = |c: &SegChoice| price(device, program, seg, &shape, c, &layouts[i..]);
+            let best = match &seg.kind {
+                SegKind::Unit(_) if options.integration => {
+                    let coarsened = [1, 2, 4, 8, 16].map(|coarsen| SegChoice::Map { coarsen });
+                    cheapest(coarsened, time)
+                }
+                SegKind::Reduce(_) if options.segmentation => {
+                    let choices = reduce_candidates(device, shape.reps, shape.elements)
+                        .into_iter()
+                        // Thread-per-array needs the array-major
+                        // restructured layout, which only the host can
+                        // provide: the host-fed first segment, under the
+                        // memory optimization.
+                        .filter(|c| {
+                            (i == 0 && options.memory)
+                                || !matches!(c, ReduceChoice::ThreadPerArray { .. })
+                        })
+                        .map(|choice| SegChoice::Reduce { choice });
+                    cheapest(choices, time)
+                }
+                // `choose_tile` searches the tiles, breaking equal times by
+                // the reuse metric.
+                SegKind::Stencil(s) if options.memory => {
+                    let (hr, hc) = shape.halo;
+                    let taps = s.pattern.offsets.len();
+                    let tile = choose_tile(device, shape.rows, shape.cols, hr, hc, taps);
+                    Some(SegChoice::Stencil { tile })
+                }
+                _ => None,
+            };
+            let Some(best) = best else {
+                return Ok(fixed_choice(seg, &shape, options));
+            };
+            // An incumbent packing more arrays per block than there are
+            // arrays no longer stands.
+            let incumbent = prev.and_then(|p| p.get(i)).filter(|c| match c {
+                SegChoice::Reduce {
+                    choice:
+                        ReduceChoice::OneKernel {
+                            arrays_per_block, ..
                         },
-                    };
-                }
-                let elem_counts = body_counts(&[Stmt::Push(r.pattern.elem.clone())], binds);
-                let reduce_cost = |c: &ReduceChoice| -> Option<f64> {
-                    // Reject infeasible incumbents at this shape.
-                    if let ReduceChoice::OneKernel {
-                        arrays_per_block, ..
-                    } = c
-                    {
-                        if *arrays_per_block > n_arrays.max(1) {
-                            return None;
-                        }
-                    }
-                    Some(crate::opt::segmentation::reduce_choice_time(
-                        device,
-                        *c,
-                        n_arrays,
-                        n_elements,
-                        r.pattern.pops_per_elem,
-                        elem_counts.state_loads,
-                        elem_counts.compute + 1.0,
-                        layouts[i],
-                    ))
-                };
-                let (mut choice, _) = best_reduce_choice(
-                    device,
-                    n_arrays,
-                    n_elements,
-                    r.pattern.pops_per_elem,
-                    elem_counts.state_loads,
-                    elem_counts.compute + 1.0,
-                    layouts[i],
-                );
-                // Thread-per-array needs the array-major restructured
-                // layout, which only the host can provide — restrict it to
-                // the host-fed first segment (and to the memory opt).
-                if matches!(choice, ReduceChoice::ThreadPerArray { .. })
-                    && (i != 0 || !options.memory)
-                {
-                    choice =
-                        crate::opt::segmentation::reduce_candidates(device, n_arrays, n_elements)
-                            .into_iter()
-                            .filter(|c| !matches!(c, ReduceChoice::ThreadPerArray { .. }))
-                            .map(|c| {
-                                (
-                                    c,
-                                    crate::opt::segmentation::reduce_choice_time(
-                                        device,
-                                        c,
-                                        n_arrays,
-                                        n_elements,
-                                        r.pattern.pops_per_elem,
-                                        elem_counts.state_loads,
-                                        elem_counts.compute + 1.0,
-                                        layouts[i],
-                                    ),
-                                )
-                            })
-                            .min_by(|a, b| a.1.total_cmp(&b.1))
-                            .map(|(c, _)| c)
-                            .expect("non-TPA candidates exist");
-                }
-                let prev_c = prev.and_then(|p| match p.get(i) {
-                    Some(SegChoice::Reduce { choice }) => Some(*choice),
-                    _ => None,
-                });
-                let choice = sticky(prev_c.as_ref(), choice, |c| reduce_cost(c));
-                SegChoice::Reduce { choice }
-            }
-            SegKind::Stencil(s) => {
-                let total = eval_bound(&s.pattern.bound, binds).unwrap_or(1).max(1);
-                let cols = match &s.pattern.width_param {
-                    Some(w) => binds.get(w).copied().unwrap_or(total).max(1),
-                    None => total,
-                };
-                let rows = (total / cols).max(1);
-                let (hr, hc) = s.pattern.halo();
-                let taps = s.pattern.offsets.len();
-                let tile_cost = |t: &(usize, usize)| -> Option<f64> {
-                    let ext = (t.0 + 2 * hc as usize) * (t.1 + 2 * hr as usize);
-                    if ext > device.shared_words_per_block as usize {
-                        return None;
-                    }
-                    let p = crate::cost::stencil_profile(
-                        device,
-                        rows as usize,
-                        cols as usize,
-                        t.0,
-                        t.1,
-                        hr as usize,
-                        hc as usize,
-                        taps,
-                        2.0 * taps as f64 + 2.0,
-                        taps as f64,
-                        256,
-                    );
-                    Some(estimate(device, &p).time_us)
-                };
-                let tile = if options.memory {
-                    let best = choose_tile(
-                        device,
-                        rows as usize,
-                        cols as usize,
-                        hr as usize,
-                        hc as usize,
-                        taps,
-                    );
-                    let prev_t = prev.and_then(|p| match p.get(i) {
-                        Some(SegChoice::Stencil { tile }) => Some(*tile),
-                        _ => None,
-                    });
-                    sticky(prev_t.as_ref(), best, |t| tile_cost(t))
-                } else {
-                    // Fixed, input-unaware tile.
-                    (32, if rows == 1 { 1 } else { 4 })
-                };
-                SegChoice::Stencil { tile }
-            }
-            SegKind::HFused(_) => SegChoice::HFused {
-                fused: options.integration,
-            },
-            SegKind::MapSiblings(_) => SegChoice::MapSiblings,
-            SegKind::Opaque(_) => SegChoice::Opaque,
+                } => *arrays_per_block <= shape.reps,
+                _ => true,
+            });
+            Ok(sticky(incumbent, best, time))
         })
         .collect()
+}
+
+/// The input-unaware lowering of `seg`: what the planner runs when the
+/// options leave it nothing to choose.
+fn fixed_choice(seg: &Segment, shape: &Shape<'_>, options: &CompileOptions) -> SegChoice {
+    match &seg.kind {
+        SegKind::Unit(_) => SegChoice::Map { coarsen: 1 },
+        SegKind::Reduce(_) => SegChoice::Reduce {
+            choice: ONE_ARRAY_PER_BLOCK,
+        },
+        SegKind::Stencil(_) => SegChoice::Stencil {
+            tile: (32, if shape.rows == 1 { 1 } else { 4 }),
+        },
+        SegKind::HFused(_) => SegChoice::HFused {
+            fused: options.integration,
+        },
+        SegKind::MapSiblings(_) => SegChoice::MapSiblings,
+        SegKind::Opaque(_) => SegChoice::Opaque,
+    }
 }
 
 fn variant_tags(
     choices: &[SegChoice],
     layouts: &[Layout],
     structure_tags: &[OptTag],
-    segments: &[Segment],
 ) -> Vec<OptTag> {
     let mut tags: Vec<OptTag> = structure_tags.to_vec();
     if layouts.contains(&Layout::Transposed) {
         tags.push(OptTag::MemoryRestructuring);
     }
-    for (choice, seg) in choices.iter().zip(segments) {
+    for choice in choices {
         match choice {
             SegChoice::Reduce { choice } => {
                 tags.push(OptTag::StreamReduction);
@@ -1432,7 +1384,6 @@ fn variant_tags(
             SegChoice::HFused { fused: true } => tags.push(OptTag::HorizontalIntegration),
             _ => {}
         }
-        let _ = seg;
     }
     tags.sort_unstable();
     tags.dedup();
@@ -1571,25 +1522,15 @@ fn plan_tables(
         let binds = axis.bind(x);
         let sched = rate_match(&fg, &binds)?;
         let iterations = axis.expected_iterations(x, sched.steady_input);
-        Ok(decide(
-            segments, device, options, &layouts, &binds, &sched, iterations, prev,
-        ))
+        decide(
+            program, segments, device, options, &layouts, &binds, &sched, iterations, prev,
+        )
     };
 
     // Probe the axis geometrically and refine the boundaries where the
     // decision signature changes.
-    let mut probes: Vec<i64> = Vec::new();
-    let n = options.probes.max(2);
+    let probes = axis.geometric_points(options.probes);
     let (lo, hi) = (axis.lo, axis.hi);
-    for k in 0..n {
-        let t = k as f64 / (n - 1) as f64;
-        let x = ((lo.max(1) as f64).ln() * (1.0 - t) + (hi.max(1) as f64).ln() * t).exp();
-        probes.push((x as i64).clamp(lo, hi));
-    }
-    probes.push(lo);
-    probes.push(hi);
-    probes.sort_unstable();
-    probes.dedup();
 
     let mut variants: Vec<Variant> = Vec::new();
     let mut cur_lo = lo;
@@ -1619,7 +1560,7 @@ fn plan_tables(
             variants.push(Variant {
                 lo: cur_lo,
                 hi: b - 1,
-                tags: variant_tags(&cur_sig, &layouts, structure_tags, segments),
+                tags: variant_tags(&cur_sig, &layouts, structure_tags),
                 choices: cur_sig,
             });
             cur_lo = b;
@@ -1633,7 +1574,7 @@ fn plan_tables(
     variants.push(Variant {
         lo: cur_lo,
         hi,
-        tags: variant_tags(&cur_sig, &layouts, structure_tags, segments),
+        tags: variant_tags(&cur_sig, &layouts, structure_tags),
         choices: cur_sig,
     });
 
@@ -1717,6 +1658,42 @@ mod tests {
         assert_eq!(compiled.variants.last().unwrap().hi, 1 << 22);
         for w in compiled.variants.windows(2) {
             assert_eq!(w[0].hi + 1, w[1].lo);
+        }
+    }
+
+    #[test]
+    fn no_variant_packs_more_arrays_per_block_than_its_range_has() {
+        // 32-element rows that grow fewer along the axis: an incumbent
+        // packing several rows per block must give way once fewer rows
+        // remain, however close its price.
+        let src = r#"pipeline P(cols) {
+            actor RowSum(pop cols, push 1) {
+                acc = 0.0;
+                for i in 0..cols { acc = acc + pop(); }
+                push(acc);
+            }
+        }"#;
+        let p = parse_program(src).unwrap();
+        let rows = |x: i64| 4096 / x;
+        let axis = InputAxis::new("x", 1, 4096, |_| streamir::graph::bindings(&[("cols", 32)]))
+            .with_items(move |x| rows(x) * 32);
+        for device in DeviceSpec::presets() {
+            let compiled = compile(&p, &device, &axis).unwrap();
+            for v in &compiled.variants {
+                if let SegChoice::Reduce {
+                    choice:
+                        ReduceChoice::OneKernel {
+                            arrays_per_block, ..
+                        },
+                } = v.choices[0]
+                {
+                    assert!(
+                        arrays_per_block as i64 <= rows(v.hi),
+                        "{}: {v:?}",
+                        device.name
+                    );
+                }
+            }
         }
     }
 

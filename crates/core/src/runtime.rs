@@ -24,12 +24,11 @@ use streamir::rates::Bindings;
 use streamir::schedule::rate_match;
 use streamir::value::Value;
 
-use crate::analysis::opcount::eval_bound;
 use crate::analysis::reduction::ReductionPattern;
 use crate::bytecode;
 use crate::layout::{restructure, unrestructure, Layout};
 use crate::opt::segmentation::ReduceChoice;
-use crate::plan::{CompiledProgram, SegChoice, SegKind, SegPrograms, UnitsPerFiring};
+use crate::plan::{CompiledProgram, SegChoice, SegKind, SegPrograms};
 use crate::templates::{
     two_kernel_reduce, FusedReduce, MapKernel, ReduceSpec, SingleKernelReduce, StencilKernel,
 };
@@ -370,25 +369,21 @@ impl CompiledProgram {
         };
 
         for (i, seg) in self.segments.iter().enumerate() {
-            let reps = sched.reps(seg.node).max(1) * iterations;
+            let shape = crate::plan::shape(seg, &binds, &sched, iterations)?;
+            let reps = shape.reps;
             let want_in_layout = self.edge_layouts[i];
             let choice = &choices[i];
 
             match (&seg.kind, choice) {
                 (SegKind::Unit(u), SegChoice::Map { coarsen }) => {
-                    let upf = match &u.units_per_firing {
-                        UnitsPerFiring::One => 1i64,
-                        UnitsPerFiring::Loop(e) => eval_bound(e, &binds)
-                            .ok_or_else(|| Error::Runtime("unbound loop bound".into()))?,
-                    }
-                    .max(1) as usize;
-                    let units = reps as usize * upf;
+                    let upf = shape.upf;
+                    let units = reps * upf;
                     let window = match &u.window_pop {
                         Some(w) => Some(w.eval(&binds)?.max(0) as usize),
                         None => None,
                     };
                     let in_items = match window {
-                        Some(w) => reps as usize * w,
+                        Some(w) => reps * w,
                         None => units * u.pops_per_unit,
                     };
                     let out_items = units * u.pushes_per_unit;
@@ -438,10 +433,7 @@ impl CompiledProgram {
                     cur_layout = self.edge_layouts[i + 1];
                 }
                 (SegKind::Reduce(r), SegChoice::Reduce { choice }) => {
-                    let n_arrays = reps as usize;
-                    let n_elements = eval_bound(&r.pattern.bound, &binds)
-                        .ok_or_else(|| Error::Runtime("unbound reduction bound".into()))?
-                        .max(1) as usize;
+                    let (n_arrays, n_elements) = (reps, shape.elements);
                     let ppe = r.pattern.pops_per_elem.max(1);
                     let in_items = n_arrays * n_elements * ppe;
                     let out_buf_len = n_arrays;
@@ -566,15 +558,8 @@ impl CompiledProgram {
                             seg.label
                         )));
                     }
-                    let total = eval_bound(&s.pattern.bound, &binds)
-                        .ok_or_else(|| Error::Runtime("unbound stencil bound".into()))?
-                        .max(1);
-                    let cols = match &s.pattern.width_param {
-                        Some(w) => binds.get(w).copied().unwrap_or(total).max(1),
-                        None => total,
-                    };
-                    let rows = (total / cols).max(1);
-                    let (hr, hc) = s.pattern.halo();
+                    let total = shape.elements;
+                    let (hr, hc) = shape.halo;
                     let in_buf = ensure_device(
                         &mut mem,
                         &mut cur_host,
@@ -582,9 +567,9 @@ impl CompiledProgram {
                         &mut cur_layout,
                         Layout::RowMajor,
                         1,
-                        total as usize,
+                        total,
                     )?;
-                    let out_buf = mem.alloc(total as usize);
+                    let out_buf = mem.alloc(total);
                     let SegPrograms::Stencil(prog) = &self.programs[i] else {
                         return Err(Error::Runtime("segment/program mismatch".into()));
                     };
@@ -593,12 +578,12 @@ impl CompiledProgram {
                         &s.pattern.body,
                         &s.pattern.loop_var,
                         binds.clone(),
-                        rows as usize,
-                        cols as usize,
+                        shape.rows,
+                        shape.cols,
                         tile.0,
                         tile.1,
-                        hr as usize,
-                        hc as usize,
+                        hr,
+                        hc,
                         in_buf,
                         out_buf,
                         prog.clone(),
@@ -614,12 +599,8 @@ impl CompiledProgram {
                     cur_layout = Layout::RowMajor;
                 }
                 (SegKind::HFused(h), SegChoice::HFused { fused }) => {
-                    let n_arrays = reps as usize;
-                    let first = &h.patterns[0];
-                    let n_elements = eval_bound(&first.bound, &binds)
-                        .ok_or_else(|| Error::Runtime("unbound reduction bound".into()))?
-                        .max(1) as usize;
-                    let ppe = first.pops_per_elem.max(1);
+                    let (n_arrays, n_elements) = (reps, shape.elements);
+                    let ppe = h.patterns[0].pops_per_elem.max(1);
                     let k_out = h.patterns.len();
                     let in_items = n_arrays * n_elements * ppe;
                     let in_buf = ensure_device(
@@ -688,7 +669,7 @@ impl CompiledProgram {
                     cur_layout = Layout::RowMajor;
                 }
                 (SegKind::MapSiblings(m), SegChoice::MapSiblings) => {
-                    let units = reps as usize;
+                    let units = reps;
                     let in_items = units * m.pops_per_unit;
                     let out_items = units * m.total_push;
                     let in_buf = ensure_device(
@@ -743,7 +724,7 @@ impl CompiledProgram {
                     let SegPrograms::Opaque(prog) = &self.programs[i] else {
                         return Err(Error::Runtime("segment/program mismatch".into()));
                     };
-                    let (out, us) = run_opaque(actor, reps as usize, data, &binds, state, prog)?;
+                    let (out, us) = run_opaque(actor, reps, data, &binds, state, prog)?;
                     host_time_us += us;
                     cur_host = Some(Cow::Owned(out));
                     cur_buf = None;

@@ -108,6 +108,25 @@ fn mixed_splitjoin_branches_rejected() {
 }
 
 #[test]
+fn loop_bound_no_parameter_defines_is_refused_at_compile_time() {
+    // `M` is not a parameter, so no launch of this plan could size its
+    // loop: the plan is refused up front instead of failing every run.
+    let p = parse_program(
+        r#"pipeline P(N) {
+            actor R(pop N, push N) {
+                for i in 0..M { push(pop() * 2.0); }
+            }
+        }"#,
+    )
+    .unwrap();
+    let axis = InputAxis::total_size("N", 64, 4096);
+    match compile(&p, &device(), &axis).unwrap_err() {
+        Error::Runtime(msg) => assert!(msg.contains("unbound loop bound"), "{msg}"),
+        other => panic!("expected the unbound bound, got {other:?}"),
+    }
+}
+
+#[test]
 fn compile_single_runs_at_its_point() {
     let p = parse_program(
         r#"pipeline P(N) {

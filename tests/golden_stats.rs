@@ -23,7 +23,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use adaptic_repro::adaptic::{
-    compile, CompileOptions, ExecMode, ExecutionReport, InputAxis, RunOptions, StateBinding,
+    compile, compile_with_options, CompileOptions, ExecMode, ExecutionReport, InputAxis,
+    RunOptions, StateBinding,
 };
 use adaptic_repro::apps::bicgstab::{self, AdapticBicgstab};
 use adaptic_repro::apps::datasets::dataset;
@@ -31,6 +32,7 @@ use adaptic_repro::apps::programs;
 use adaptic_repro::apps::svm::AdapticSvm;
 use adaptic_repro::baselines::gpusvm::SvmConfig;
 use adaptic_repro::gpu_sim::DeviceSpec;
+use adaptic_repro::streamir::graph::Program;
 use adaptic_repro::streamir::parse::parse_program;
 
 fn golden_path(name: &str) -> PathBuf {
@@ -203,15 +205,19 @@ fn heat_stencil_reports_are_stable() {
     check_golden("heat_stencil", &snap);
 }
 
+/// TMV over a fixed element count, swept from 4 wide rows to 4-wide rows.
+fn tmv_axis(total: i64) -> InputAxis {
+    InputAxis::new("rows", 4, total / 4, move |rows| {
+        adaptic_repro::streamir::graph::bindings(&[("rows", rows), ("cols", total / rows)])
+    })
+    .with_items(move |_| total)
+}
+
 #[test]
 fn tmv_sweep_reports_are_stable() {
     let device = DeviceSpec::tesla_c2050();
     let total: usize = 1 << 14;
-    let t = total as i64;
-    let axis = InputAxis::new("rows", 4, t / 4, move |rows| {
-        adaptic_repro::streamir::graph::bindings(&[("rows", rows), ("cols", t / rows)])
-    })
-    .with_items(move |_| t);
+    let axis = tmv_axis(total as i64);
     let compiled = compile(&programs::tmv().program, &device, &axis).unwrap();
 
     let mut snap = String::new();
@@ -312,4 +318,59 @@ fn template_family_reports_are_stable() {
             check_golden(&format!("family_{}_{dev}", case.family), &snap);
         }
     }
+}
+
+/// Every plan table the compiler builds for the family programs and the
+/// TMV sweep, on every device preset under the default and the baseline
+/// options, and every variant's predicted time at every variant's range
+/// ends — including its neighbours', which is where the
+/// kernel-management unit's crossover search prices it.
+#[test]
+fn plan_tables_and_predictions_are_stable() {
+    let mut cases: Vec<(String, Program, InputAxis)> = common::cases()
+        .into_iter()
+        .map(|c| (c.family.to_string(), c.program, (c.axis)()))
+        .collect();
+    cases.push(("tmv".into(), programs::tmv().program, tmv_axis(1 << 14)));
+    let options = [
+        ("default", CompileOptions::default()),
+        ("baseline", CompileOptions::baseline()),
+    ];
+    let mut snap = String::new();
+    for (name, program, axis) in &cases {
+        for device in DeviceSpec::presets() {
+            for (opts_name, opts) in options {
+                writeln!(snap, "[{name} {} {opts_name}]", device.name).unwrap();
+                let compiled = match compile_with_options(program, &device, axis, opts) {
+                    Ok(c) => c,
+                    Err(e) => {
+                        writeln!(snap, "error: {e}").unwrap();
+                        continue;
+                    }
+                };
+                for (i, v) in compiled.variants.iter().enumerate() {
+                    writeln!(
+                        snap,
+                        "v{i}: [{}, {}] {:?} tags={:?}",
+                        v.lo, v.hi, v.choices, v.tags
+                    )
+                    .unwrap();
+                }
+                let mut points: Vec<i64> = compiled
+                    .variants
+                    .iter()
+                    .flat_map(|v| [v.lo, v.hi])
+                    .collect();
+                points.sort_unstable();
+                points.dedup();
+                for x in points {
+                    let predicted: Vec<Option<f64>> = (0..compiled.variant_count())
+                        .map(|v| compiled.predicted_time_us(x, v))
+                        .collect();
+                    writeln!(snap, "x={x}: {predicted:?}").unwrap();
+                }
+            }
+        }
+    }
+    check_golden("plan_tables", &snap);
 }
