@@ -131,13 +131,13 @@ fn main() {
         let cold = measure(&format!("warmstart/{}_cold_boot", w.name), samples, || {
             cold_boot(&w, &device, &input)
         });
-        let hits_before = store.counters().hits;
+        let hits_before = store.hits();
         let warm = measure(&format!("warmstart/{}_warm_boot", w.name), samples, || {
             warm_boot(&w, &device, &input, &store)
         })
         .vs(&cold);
         assert!(
-            store.counters().hits > hits_before,
+            store.hits() > hits_before,
             "warm boots must hit the artifact store"
         );
 

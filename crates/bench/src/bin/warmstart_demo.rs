@@ -81,12 +81,9 @@ fn main() -> ExitCode {
         );
     }
 
-    let c = store.counters();
-    println!(
-        "artifacts: {} hits, {} misses, {} rejects",
-        c.hits, c.misses, c.rejects
-    );
-    if expect_warm && (c.hits == 0 || c.misses != 0 || c.rejects != 0) {
+    let (hits, misses, rejects) = (store.hits(), store.misses(), store.rejects());
+    println!("artifacts: {hits} hits, {misses} misses, {rejects} rejects");
+    if expect_warm && (hits == 0 || misses != 0 || rejects != 0) {
         eprintln!("expected a fully warm boot (hits > 0, zero recompiles)");
         return ExitCode::FAILURE;
     }

@@ -1064,20 +1064,6 @@ fn decode_file(bytes: &[u8], kind: u8, key: ArtifactKey) -> Result<Vec<Vec<u8>>>
 // The store
 // ---------------------------------------------------------------------------
 
-/// Point-in-time copy of a store's telemetry counters.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ArtifactCounters {
-    /// Loads satisfied from disk (plan or learned state).
-    pub hits: u64,
-    /// Loads that found no artifact (cold boot — the caller compiles or
-    /// learns from scratch and writes back).
-    pub misses: u64,
-    /// Artifacts found but refused: corrupt, truncated, checksum or
-    /// version mismatch, or structurally incompatible with the program.
-    /// Always degrades to a miss, never a crash.
-    pub rejects: u64,
-}
-
 /// A content-addressed, versioned on-disk artifact store.
 ///
 /// One directory holds two file families, both named by
@@ -1137,15 +1123,6 @@ impl ArtifactStore {
     /// Artifacts found but refused (corrupt/version/incompatible).
     pub fn rejects(&self) -> u64 {
         self.rejects.load(Ordering::Relaxed)
-    }
-
-    /// All three counters at once.
-    pub fn counters(&self) -> ArtifactCounters {
-        ArtifactCounters {
-            hits: self.hits(),
-            misses: self.misses(),
-            rejects: self.rejects(),
-        }
     }
 
     fn plan_path(&self, key: ArtifactKey) -> PathBuf {
@@ -1394,16 +1371,16 @@ mod tests {
         let l = learned();
 
         assert!(store.load_learned(key(), 2, 1, 4096).is_none());
-        assert_eq!(store.counters().misses, 1);
+        assert_eq!(store.misses(), 1);
 
         store.store_learned(key(), &l).unwrap();
         let back = store.load_learned(key(), 2, 1, 4096).unwrap();
         assert_eq!(back, l);
-        assert_eq!(store.counters().hits, 1);
+        assert_eq!(store.hits(), 1);
 
         // Structurally incompatible with the requesting table: reject.
         assert!(store.load_learned(key(), 5, 1, 4096).is_none());
-        assert_eq!(store.counters().rejects, 1);
+        assert_eq!(store.rejects(), 1);
 
         // Corrupt the file on disk: counted reject, never a panic.
         let path = store.learned_path(key());
@@ -1412,7 +1389,7 @@ mod tests {
         bytes[last] ^= 0xff;
         std::fs::write(&path, &bytes).unwrap();
         assert!(store.load_learned(key(), 2, 1, 4096).is_none());
-        assert_eq!(store.counters().rejects, 2);
+        assert_eq!(store.rejects(), 2);
 
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -151,9 +151,10 @@ pub struct Fleet {
 
 impl Fleet {
     /// Assemble a fleet from prebuilt nodes. Set `shared_artifact_store`
-    /// when the nodes' managers share one [`crate::ArtifactStore`] — it
-    /// controls double-count avoidance in [`Fleet::telemetry`]
-    /// (store-wide artifact counters are taken once, not once per node).
+    /// when the nodes' managers share one [`crate::ArtifactStore`] and
+    /// one fault injector — it controls double-count avoidance in
+    /// [`Fleet::telemetry`] (their `Source` rows — the store's artifact
+    /// counters, the injector's total — are taken once, not once per node).
     pub fn new(nodes: Vec<FleetNode>, shared_artifact_store: bool) -> Fleet {
         Fleet {
             nodes,
@@ -300,7 +301,7 @@ impl Fleet {
     /// One fleet-wide telemetry view: the latest snapshot of every node's
     /// manager, rolled up with
     /// [`TelemetrySnapshot::fleet_rollup`] under this fleet's
-    /// artifact-store sharing mode. `None` for an empty fleet.
+    /// source-sharing mode. `None` for an empty fleet.
     pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
         let snaps: Vec<TelemetrySnapshot> =
             self.nodes.iter().map(|n| n.manager.telemetry()).collect();

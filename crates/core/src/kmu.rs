@@ -613,16 +613,12 @@ impl KernelManager {
                     return self.finish_run(x, v, opts, report);
                 }
                 Err(e) => {
-                    let Error::LaunchFailed { attempts, .. } = &e else {
+                    if !matches!(e, Error::LaunchFailed { .. }) {
                         // Not a launch failure (bad input, semantic error,
                         // ...): no other variant can do better — propagate.
                         return Err(e);
-                    };
-                    self.counters.record_resilience(
-                        u64::from(attempts.saturating_sub(1)),
-                        u64::from(*attempts),
-                        0,
-                    );
+                    }
+                    self.tally_failure(&e, opts);
                     let opened = self.lock_state().breakers[v].record_failure(
                         tick,
                         self.quarantine_threshold,
@@ -657,16 +653,7 @@ impl KernelManager {
                 self.finish_run(x, primary, opts, report)
             }
             Err(e) => {
-                if let Error::LaunchFailed { attempts, .. } = &e {
-                    self.counters.record_resilience(
-                        u64::from(attempts.saturating_sub(1)),
-                        u64::from(*attempts),
-                        0,
-                    );
-                }
-                if let Some(f) = opts.faults {
-                    self.counters.record_faults_injected(f.injected());
-                }
+                self.tally_failure(&e, opts);
                 Err(e)
             }
         }
@@ -677,8 +664,44 @@ impl KernelManager {
     pub(crate) fn tally_rate_exit(&self, x: i64) {
         if let Some((lo, hi)) = self.rate_window {
             if x < lo || x > hi {
-                self.counters.record_rate_exit();
+                self.counters.rate_exits.fetch_add(1, Ordering::Relaxed);
             }
+        }
+    }
+
+    /// Count a completed run's resilience tallies (its report's deltas)
+    /// and the injector's lifetime total. Clamped firings of a
+    /// [`crate::DynamicRegion`] count here too.
+    pub(crate) fn tally_report(&self, report: &ExecutionReport, opts: RunOptions<'_>) {
+        let c = &self.counters;
+        c.retries.fetch_add(report.retries, Ordering::Relaxed);
+        c.faults_observed
+            .fetch_add(report.faults_observed, Ordering::Relaxed);
+        c.deadline_overruns
+            .fetch_add(report.deadline_overruns, Ordering::Relaxed);
+        self.tally_injected(opts);
+    }
+
+    /// Count a failed launch — each of its attempts faulted, all but the
+    /// first were retries — and the injector's lifetime total.
+    pub(crate) fn tally_failure(&self, e: &Error, opts: RunOptions<'_>) {
+        if let Error::LaunchFailed { attempts, .. } = e {
+            let c = &self.counters;
+            c.retries
+                .fetch_add(u64::from(attempts.saturating_sub(1)), Ordering::Relaxed);
+            c.faults_observed
+                .fetch_add(u64::from(*attempts), Ordering::Relaxed);
+        }
+        self.tally_injected(opts);
+    }
+
+    /// Raise the injected-fault high-water mark to the injector's lifetime
+    /// total (injectors report a total, not a delta).
+    fn tally_injected(&self, opts: RunOptions<'_>) {
+        if let Some(f) = opts.faults {
+            self.counters
+                .faults_injected
+                .fetch_max(f.injected(), Ordering::Relaxed);
         }
     }
 
@@ -693,14 +716,7 @@ impl KernelManager {
         mut report: ExecutionReport,
     ) -> Result<ExecutionReport> {
         self.counters.record_selection(idx);
-        self.counters.record_resilience(
-            report.retries,
-            report.faults_observed,
-            report.deadline_overruns,
-        );
-        if let Some(f) = opts.faults {
-            self.counters.record_faults_injected(f.injected());
-        }
+        self.tally_report(&report, opts);
 
         let measured = report.time_us + report.host_time_us;
         // Price the launch before taking the lock: predicted_time_us does
@@ -800,7 +816,9 @@ impl KernelManager {
         st.ranges[right].0 = b;
         st.hist[c.left].since_move = 0;
         st.hist[right].since_move = 0;
-        self.counters.record_move();
+        self.counters
+            .recalibration_moves
+            .fetch_add(1, Ordering::Relaxed);
     }
 
     /// A point-in-time copy of all telemetry.
@@ -812,39 +830,20 @@ impl KernelManager {
     fn snapshot_locked(&self, st: &KmuState) -> TelemetrySnapshot {
         let samples: u64 = st.hist.iter().map(|h| h.samples).sum();
         let sum_err: f64 = st.hist.iter().map(|h| h.sum_rel_err).sum();
-        let artifacts = self
-            .store
-            .as_deref()
-            .map(ArtifactStore::counters)
-            .unwrap_or_default();
-        let c = &self.counters;
+        let store = self.store.as_deref();
         TelemetrySnapshot {
-            artifact_hits: artifacts.hits,
-            artifact_misses: artifacts.misses,
-            artifact_rejects: artifacts.rejects,
-            launches: c.launches.load(Ordering::Relaxed),
             cache_hits: self.cache.hits(),
             cache_misses: self.cache.misses(),
             cache_evictions: self.cache.evictions(),
-            selections: c.selection_counts(),
-            recalibration_moves: c.recalibration_moves.load(Ordering::Relaxed),
+            artifact_hits: store.map_or(0, ArtifactStore::hits),
+            artifact_misses: store.map_or(0, ArtifactStore::misses),
+            artifact_rejects: store.map_or(0, ArtifactStore::rejects),
             mean_model_error: if samples > 0 {
                 sum_err / samples as f64
             } else {
                 0.0
             },
             boundaries: st.ranges.clone(),
-            retries: c.retries.load(Ordering::Relaxed),
-            faults_observed: c.faults_observed.load(Ordering::Relaxed),
-            faults_injected: c.faults_injected.load(Ordering::Relaxed),
-            deadline_overruns: c.deadline_overruns.load(Ordering::Relaxed),
-            fallbacks: c.fallbacks.load(Ordering::Relaxed),
-            quarantines: c.quarantines.load(Ordering::Relaxed),
-            half_open_probes: c.half_open_probes.load(Ordering::Relaxed),
-            readmissions: c.readmissions.load(Ordering::Relaxed),
-            degraded_runs: c.degraded_runs.load(Ordering::Relaxed),
-            rate_exits: c.rate_exits.load(Ordering::Relaxed),
-            reschedules: c.reschedules.load(Ordering::Relaxed),
             quarantined_variants: st
                 .breakers
                 .iter()
@@ -852,9 +851,7 @@ impl KernelManager {
                 .filter(|(_, b)| b.is_open(st.clock))
                 .map(|(i, _)| i)
                 .collect(),
-            // Serving-plane counters live above the manager; a serving
-            // front-end fills them per tenant.
-            ..TelemetrySnapshot::default()
+            ..self.counters.snapshot()
         }
     }
 }

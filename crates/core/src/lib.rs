@@ -63,7 +63,7 @@ pub mod templates;
 pub mod warp;
 
 pub use analysis::{classify, ActorClass};
-pub use artifact::{ArtifactCounters, ArtifactError, ArtifactKey, ArtifactStore, LearnedState};
+pub use artifact::{ArtifactError, ArtifactKey, ArtifactStore, LearnedState};
 pub use fleet::{Fleet, FleetNode, Placement, PlacementPolicy, PruneOutcome};
 pub use kmu::{KernelManager, VariantHistogram};
 pub use layout::{restructure, unrestructure, Layout};

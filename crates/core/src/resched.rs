@@ -245,7 +245,9 @@ fn pow2_ceil(v: f64) -> i64 {
 ///
 /// Telemetry is cumulative across re-plans: snapshots of retired managers
 /// are folded into every [`DynamicRegion::telemetry`] result, with
-/// `reschedules` counted by the region itself.
+/// `reschedules` read from the region itself. The managers replace one
+/// another and read one store and the caller's one injector, so the fold
+/// treats them as sharing their sources: each fault is counted once.
 #[derive(Debug)]
 pub struct DynamicRegion {
     program: Program,
@@ -257,7 +259,7 @@ pub struct DynamicRegion {
     governor: RateGovernor,
     kmu: KernelManager,
     /// Folded telemetry of managers retired by re-plans.
-    retired: Option<TelemetrySnapshot>,
+    retired: TelemetrySnapshot,
     reschedules: u64,
     /// Firings served through clamped selection because their rate was
     /// outside the current plan's window.
@@ -331,7 +333,7 @@ impl DynamicRegion {
             param,
             governor,
             kmu,
-            retired: None,
+            retired: TelemetrySnapshot::default(),
             reschedules: 0,
             clamped_runs: 0,
             plan_wall_us,
@@ -374,16 +376,7 @@ impl DynamicRegion {
         let next = self.build_manager(window)?;
         self.plan_wall_us += t.elapsed().as_secs_f64() * 1e6;
         let _ = self.kmu.persist_learned();
-        let outgoing = self.kmu.telemetry();
-        match &mut self.retired {
-            Some(acc) => acc.merge(&outgoing, self.store.is_some()),
-            None => {
-                let mut acc = outgoing;
-                acc.boundaries.clear();
-                acc.quarantined_variants.clear();
-                self.retired = Some(acc);
-            }
-        }
+        self.retired.merge(&self.kmu.telemetry(), true);
         self.kmu = next;
         self.governor.commit(window);
         self.reschedules += 1;
@@ -398,7 +391,8 @@ impl DynamicRegion {
     /// ladder, quarantine). Out-of-window firings are served through the
     /// current plan's clamped variant selection — executed at the real
     /// `x`, so outputs are exact — and tallied in `clamped_runs`, with the
-    /// manager counting the `rate_exits` telemetry event.
+    /// manager counting the `rate_exits` telemetry event and the firing's
+    /// retries and faults.
     ///
     /// # Errors
     ///
@@ -422,18 +416,25 @@ impl DynamicRegion {
             // Outside the plan's axis: the manager cannot admit it, so
             // tally the rate exit and serve the firing through clamped
             // selection on the same compiled program.
-            self.kmu.tally_rate_exit(x);
             self.clamped_runs += 1;
-            let program = self.kmu.program();
-            match program.run_opts(x, input, state, opts, None) {
+            let kmu = &self.kmu;
+            kmu.tally_rate_exit(x);
+            let program = kmu.program();
+            let result = match program.run_opts(x, input, state, opts, None) {
                 // Same degraded-but-correct last resort as the manager's
                 // ladder. Variant fallback is unavailable here — a forced
                 // variant rejects out-of-axis `x` by contract.
-                Err(Error::LaunchFailed { .. }) => {
-                    program.run_opts(x, input, state, opts.degraded(), None)?
+                Err(e @ Error::LaunchFailed { .. }) => {
+                    kmu.tally_failure(&e, opts);
+                    program.run_opts(x, input, state, opts.degraded(), None)
                 }
-                other => other?,
+                other => other,
+            };
+            match &result {
+                Ok(report) => kmu.tally_report(report, opts),
+                Err(e) => kmu.tally_failure(e, opts),
             }
+            result?
         };
         if let Some(t) = &mut report.telemetry {
             self.fold_region_counters(t);
@@ -453,15 +454,12 @@ impl DynamicRegion {
     }
 
     fn fold_region_counters(&self, snap: &mut TelemetrySnapshot) {
-        if let Some(retired) = &self.retired {
-            let live_boundaries = snap.boundaries.clone();
-            let live_quarantined = snap.quarantined_variants.clone();
-            let mut acc = retired.clone();
-            acc.merge(snap, self.store.is_some());
-            acc.boundaries = live_boundaries;
-            acc.quarantined_variants = live_quarantined;
-            *snap = acc;
-        }
+        // The live table's state survives the merge, which drops it.
+        let boundaries = std::mem::take(&mut snap.boundaries);
+        let quarantined = std::mem::take(&mut snap.quarantined_variants);
+        snap.merge(&self.retired, true);
+        snap.boundaries = boundaries;
+        snap.quarantined_variants = quarantined;
         snap.reschedules = self.reschedules;
     }
 

@@ -10,78 +10,224 @@
 //! counters and attaches a [`TelemetrySnapshot`] to every
 //! [`crate::ExecutionReport`] it produces; the figure benches dump the
 //! final snapshot next to their timing tables.
+//!
+//! Every counter is one row of the `counters!` table below: its doc, its
+//! name, where its value comes from and how it merges. The live
+//! [`TelemetryCounters`], the [`TelemetrySnapshot`] fields,
+//! [`TelemetrySnapshot::merge`] and the `Display` exposition are all
+//! generated from it, so adding a counter means adding one row.
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Live counters shared by every launch through one [`crate::KernelManager`].
-///
-/// All counters are relaxed atomics: they are monotone tallies, never used
-/// to synchronize, so concurrent callers pay one uncontended RMW each.
-#[derive(Debug)]
-pub struct TelemetryCounters {
-    /// Completed launches through the manager.
-    pub launches: AtomicU64,
-    /// Boundary moves applied by measured-feedback recalibration.
-    pub recalibration_moves: AtomicU64,
-    /// Times each variant of the table was selected (indexed by variant).
-    pub selections: Vec<AtomicU64>,
-    /// Launch attempts re-issued after a failed attempt.
-    pub retries: AtomicU64,
-    /// Launch failures the resilient pipeline observed.
-    pub faults_observed: AtomicU64,
-    /// Faults handed out by the run's injector (high-water mark; 0 without
-    /// fault injection).
-    pub faults_injected: AtomicU64,
-    /// Launch attempts that overran their deadline budget.
-    pub deadline_overruns: AtomicU64,
-    /// Runs where selection fell back from the primary variant to another
-    /// variant because the primary was quarantined or kept failing.
-    pub fallbacks: AtomicU64,
-    /// Times a variant's circuit breaker opened (the variant was
-    /// quarantined).
-    pub quarantines: AtomicU64,
-    /// Quarantined variants probed after their window elapsed (half-open).
-    pub half_open_probes: AtomicU64,
-    /// Half-open probes that succeeded, re-admitting the variant.
-    pub readmissions: AtomicU64,
-    /// Runs that exhausted every variant and completed on the serial
-    /// degraded-but-correct last resort.
-    pub degraded_runs: AtomicU64,
-    /// Launches whose input left the manager's declared rate window
-    /// (0 when no window is declared).
-    pub rate_exits: AtomicU64,
-    /// Region re-schedules: the rate governor replaced the plan (and its
-    /// manager) after a sustained rate exit.
-    pub reschedules: AtomicU64,
+/// How a counter combines when two snapshots merge.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Merge {
+    /// A tally of the snapshot owner's own work: summed.
+    Sum,
+    /// A reading of an outside source's lifetime total (an artifact
+    /// store's, a fault injector's): taken once — the max — when the
+    /// merged snapshots read the same source, summed when each has its own.
+    Source,
+}
+
+/// One row of the counter table, as `TelemetrySnapshot::COUNTERS` lists it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Counter {
+    /// The field name, on both [`TelemetryCounters`] and [`TelemetrySnapshot`].
+    name: &'static str,
+    /// How the row merges.
+    merge: Merge,
+}
+
+/// The counter table. `owned` rows are relaxed atomics in
+/// [`TelemetryCounters`], bumped by whoever owns the counters; `read` rows
+/// exist only on the snapshot and are filled at snapshot time from another
+/// owner.
+macro_rules! counters {
+    (
+        owned { $( $(#[doc = $odoc:literal])* $owned:ident: $omerge:ident, )* }
+        read { $( $(#[doc = $rdoc:literal])* $read:ident: $rmerge:ident, )* }
+    ) => {
+        /// Live counters shared by every launch through one
+        /// [`crate::KernelManager`] (or one serving-plane tenant).
+        ///
+        /// All counters are relaxed atomics: they are monotone tallies,
+        /// never used to synchronize, so concurrent callers pay one
+        /// uncontended RMW each.
+        #[derive(Debug)]
+        pub struct TelemetryCounters {
+            $( $(#[doc = $odoc])* pub $owned: AtomicU64, )*
+            /// Times each variant of the table was selected (indexed by
+            /// variant).
+            pub selections: Vec<AtomicU64>,
+        }
+
+        impl TelemetryCounters {
+            /// Counters for a table of `variants` entries.
+            pub fn new(variants: usize) -> TelemetryCounters {
+                TelemetryCounters {
+                    $( $owned: AtomicU64::new(0), )*
+                    selections: (0..variants).map(|_| AtomicU64::new(0)).collect(),
+                }
+            }
+
+            $( $(#[doc = $odoc])* pub fn $owned(&self) -> u64 {
+                self.$owned.load(Ordering::Relaxed)
+            } )*
+
+            /// The owned counters and selections; the reading rows, the
+            /// model error and the per-table state are the owner's to fill.
+            pub fn snapshot(&self) -> TelemetrySnapshot {
+                TelemetrySnapshot {
+                    $( $owned: self.$owned(), )*
+                    $( $read: 0, )*
+                    selections: self
+                        .selections
+                        .iter()
+                        .map(|s| s.load(Ordering::Relaxed))
+                        .collect(),
+                    mean_model_error: 0.0,
+                    boundaries: Vec::new(),
+                    quarantined_variants: Vec::new(),
+                }
+            }
+        }
+
+        const ROWS: usize = [$( stringify!($owned), )* $( stringify!($read), )*].len();
+
+        /// A point-in-time copy of everything the kernel-management unit
+        /// knows about its own behaviour. Attached to
+        /// [`crate::ExecutionReport`]s produced through
+        /// [`crate::KernelManager::run`].
+        ///
+        /// The serving-plane rows (`admitted` through `deadline_met`) are
+        /// zero on a manager's snapshot; a serving front-end (the
+        /// `adaptic-serve` crate) merges its per-tenant counters in.
+        #[derive(Debug, Clone, Default, PartialEq)]
+        pub struct TelemetrySnapshot {
+            $( $(#[doc = $odoc])* pub $owned: u64, )*
+            $( $(#[doc = $rdoc])* pub $read: u64, )*
+            /// Times each variant was selected, indexed by variant.
+            pub selections: Vec<u64>,
+            /// Mean of `|measured - predicted| / predicted` over all
+            /// sampled launches — how wrong the analytical model has been
+            /// on this device.
+            pub mean_model_error: f64,
+            /// The table's current (possibly recalibrated) sub-ranges, in
+            /// variant order.
+            pub boundaries: Vec<(i64, i64)>,
+            /// Variants currently quarantined (circuit open), by index.
+            pub quarantined_variants: Vec<usize>,
+        }
+
+        impl TelemetrySnapshot {
+            /// Every counter row, in table order.
+            const COUNTERS: [Counter; ROWS] = [
+                $( Counter { name: stringify!($owned), merge: Merge::$omerge }, )*
+                $( Counter { name: stringify!($read), merge: Merge::$rmerge }, )*
+            ];
+
+            /// The counter values, in `COUNTERS` order.
+            fn counters(&self) -> [u64; ROWS] {
+                [$( self.$owned, )* $( self.$read, )*]
+            }
+
+            /// The counter fields, in `COUNTERS` order.
+            fn counters_mut(&mut self) -> [&mut u64; ROWS] {
+                [$( &mut self.$owned, )* $( &mut self.$read, )*]
+            }
+        }
+    };
+}
+
+counters! {
+    owned {
+        /// Completed launches through the manager.
+        launches: Sum,
+        /// Boundary moves applied by measured-feedback recalibration.
+        recalibration_moves: Sum,
+        /// Launch attempts re-issued after a failed attempt.
+        retries: Sum,
+        /// Launch failures the resilient pipeline observed.
+        faults_observed: Sum,
+        /// Faults handed out by the run's injector: the high-water mark of
+        /// its lifetime total (0 without fault injection).
+        faults_injected: Source,
+        /// Launch attempts that overran their deadline budget.
+        deadline_overruns: Sum,
+        /// Runs where selection fell back from the primary variant to
+        /// another variant because the primary was quarantined or kept
+        /// failing.
+        fallbacks: Sum,
+        /// Times a variant's circuit breaker opened (the variant was
+        /// quarantined).
+        quarantines: Sum,
+        /// Quarantined variants probed after their window elapsed
+        /// (half-open).
+        half_open_probes: Sum,
+        /// Half-open probes that succeeded, re-admitting the variant.
+        readmissions: Sum,
+        /// Runs that exhausted every variant and completed on the serial
+        /// degraded-but-correct last resort.
+        degraded_runs: Sum,
+        /// Launches whose input left the manager's declared rate window
+        /// (0 when no window is declared).
+        rate_exits: Sum,
+        /// Requests a serving front-end admitted past quota + queue checks
+        /// (0 outside a serving plane).
+        admitted: Sum,
+        /// Requests rejected at admission: token-bucket quota exhausted.
+        rejected_quota: Sum,
+        /// Requests rejected at admission: bounded queue full after
+        /// shedding.
+        rejected_queue_full: Sum,
+        /// Requests rejected at admission: predicted cost plus backlog
+        /// already exceeded the deadline budget.
+        rejected_deadline: Sum,
+        /// Admitted requests shed from the queue because their deadline
+        /// passed before dispatch (includes requests shed by a draining
+        /// shutdown).
+        shed_deadline: Sum,
+        /// Admitted requests served by coalescing onto another tenant's
+        /// identical in-flight launch instead of launching again. The
+        /// launch itself is counted once, in `launches`, by the leader's
+        /// manager.
+        coalesced: Sum,
+        /// Admitted requests that finished with a report (deadline met or
+        /// not).
+        completed: Sum,
+        /// Admitted requests that finished with an error out of the
+        /// degradation ladder.
+        failed: Sum,
+        /// Completions that beat their deadline (requests without one
+        /// count).
+        deadline_met: Sum,
+    }
+    read {
+        /// Launch-stats cache hits, read from the manager's
+        /// [`crate::ShardedLaunchCache`] (0 when no cache was engaged).
+        cache_hits: Sum,
+        /// Launch-stats cache misses.
+        cache_misses: Sum,
+        /// Entries the bounded cache evicted to stay within capacity.
+        cache_evictions: Sum,
+        /// Artifact-store loads satisfied from disk, read from the
+        /// attached [`crate::ArtifactStore`] (0 without a store).
+        artifact_hits: Source,
+        /// Artifact-store loads that found nothing (cold boots).
+        artifact_misses: Source,
+        /// Artifacts found but refused — corrupt, truncated, checksum or
+        /// version mismatch, or structurally incompatible; always degraded
+        /// to a miss, never a crash.
+        artifact_rejects: Source,
+        /// Region re-schedules: plans a [`crate::DynamicRegion`] committed
+        /// after a sustained rate exit (0 outside a region).
+        reschedules: Sum,
+    }
 }
 
 impl TelemetryCounters {
-    /// Counters for a table of `variants` entries.
-    pub fn new(variants: usize) -> TelemetryCounters {
-        TelemetryCounters {
-            launches: AtomicU64::new(0),
-            recalibration_moves: AtomicU64::new(0),
-            selections: (0..variants).map(|_| AtomicU64::new(0)).collect(),
-            retries: AtomicU64::new(0),
-            faults_observed: AtomicU64::new(0),
-            faults_injected: AtomicU64::new(0),
-            deadline_overruns: AtomicU64::new(0),
-            fallbacks: AtomicU64::new(0),
-            quarantines: AtomicU64::new(0),
-            half_open_probes: AtomicU64::new(0),
-            readmissions: AtomicU64::new(0),
-            degraded_runs: AtomicU64::new(0),
-            rate_exits: AtomicU64::new(0),
-            reschedules: AtomicU64::new(0),
-        }
-    }
-
-    /// Record one launch request outside the declared rate window.
-    pub fn record_rate_exit(&self) {
-        self.rate_exits.fetch_add(1, Ordering::Relaxed);
-    }
-
     /// Record one launch that selected `variant`.
     pub fn record_selection(&self, variant: usize) {
         self.launches.fetch_add(1, Ordering::Relaxed);
@@ -89,252 +235,83 @@ impl TelemetryCounters {
             s.fetch_add(1, Ordering::Relaxed);
         }
     }
-
-    /// Record one applied boundary move.
-    pub fn record_move(&self) {
-        self.recalibration_moves.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Fold one run's resilience tallies (from its `ExecutionReport`
-    /// deltas) into the manager-lifetime counters.
-    pub fn record_resilience(&self, retries: u64, faults_observed: u64, deadline_overruns: u64) {
-        self.retries.fetch_add(retries, Ordering::Relaxed);
-        self.faults_observed
-            .fetch_add(faults_observed, Ordering::Relaxed);
-        self.deadline_overruns
-            .fetch_add(deadline_overruns, Ordering::Relaxed);
-    }
-
-    /// Raise the injected-fault high-water mark to `total` (injectors
-    /// report a lifetime total, not a delta).
-    pub fn record_faults_injected(&self, total: u64) {
-        self.faults_injected.fetch_max(total, Ordering::Relaxed);
-    }
-
-    /// Current per-variant selection counts.
-    pub fn selection_counts(&self) -> Vec<u64> {
-        self.selections
-            .iter()
-            .map(|s| s.load(Ordering::Relaxed))
-            .collect()
-    }
-}
-
-/// A point-in-time copy of everything the kernel-management unit knows
-/// about its own behaviour. Attached to [`crate::ExecutionReport`]s
-/// produced through [`crate::KernelManager::run`].
-///
-/// The `admitted`/`rejected_*`/`shed_deadline`/`coalesced` counters are
-/// serving-plane tallies: a [`KernelManager`](crate::KernelManager) always
-/// reports them as zero, and a serving front-end (the `adaptic-serve`
-/// crate) fills them per tenant before rolling tenants up with
-/// [`TelemetrySnapshot::fleet_rollup`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct TelemetrySnapshot {
-    /// Completed launches through the manager so far.
-    pub launches: u64,
-    /// Launch-stats cache hits (0 when no cache was engaged).
-    pub cache_hits: u64,
-    /// Launch-stats cache misses.
-    pub cache_misses: u64,
-    /// Entries the bounded cache evicted to stay within capacity.
-    pub cache_evictions: u64,
-    /// Times each variant was selected, indexed by variant.
-    pub selections: Vec<u64>,
-    /// Boundary moves applied by measured-feedback recalibration.
-    pub recalibration_moves: u64,
-    /// Mean of `|measured - predicted| / predicted` over all sampled
-    /// launches — how wrong the analytical model has been on this device.
-    pub mean_model_error: f64,
-    /// The table's current (possibly recalibrated) sub-ranges, in variant
-    /// order.
-    pub boundaries: Vec<(i64, i64)>,
-    /// Launch attempts re-issued after a failed attempt.
-    pub retries: u64,
-    /// Launch failures the resilient pipeline observed.
-    pub faults_observed: u64,
-    /// Faults handed out by the fault injector (0 without injection).
-    pub faults_injected: u64,
-    /// Launch attempts that overran their deadline budget.
-    pub deadline_overruns: u64,
-    /// Runs that fell back from the primary variant.
-    pub fallbacks: u64,
-    /// Times a variant was quarantined by its circuit breaker.
-    pub quarantines: u64,
-    /// Half-open probes of quarantined variants.
-    pub half_open_probes: u64,
-    /// Probes that succeeded and re-admitted their variant.
-    pub readmissions: u64,
-    /// Runs completed on the serial degraded-but-correct last resort.
-    pub degraded_runs: u64,
-    /// Launches whose input left the declared rate window (0 when no
-    /// window is declared).
-    pub rate_exits: u64,
-    /// Region re-schedules triggered by sustained rate exits.
-    pub reschedules: u64,
-    /// Variants currently quarantined (circuit open), by index.
-    pub quarantined_variants: Vec<usize>,
-    /// Artifact-store loads satisfied from disk (0 without a store).
-    pub artifact_hits: u64,
-    /// Artifact-store loads that found nothing (cold boots).
-    pub artifact_misses: u64,
-    /// Artifacts found but refused — corrupt, truncated, checksum or
-    /// version mismatch, or structurally incompatible; always degraded to
-    /// a miss, never a crash.
-    pub artifact_rejects: u64,
-    /// Requests a serving front-end admitted past quota + queue checks
-    /// (0 outside a serving plane).
-    pub admitted: u64,
-    /// Requests rejected at admission: token-bucket quota exhausted.
-    pub rejected_quota: u64,
-    /// Requests rejected at admission: bounded queue full after shedding.
-    pub rejected_queue_full: u64,
-    /// Requests rejected at admission: predicted cost plus backlog already
-    /// exceeded the deadline budget.
-    pub rejected_deadline: u64,
-    /// Admitted requests shed from the queue because their deadline passed
-    /// before dispatch (includes requests shed by a draining shutdown).
-    pub shed_deadline: u64,
-    /// Admitted requests served by coalescing onto another tenant's
-    /// identical in-flight launch instead of launching again. The launch
-    /// itself is counted once, in `launches`, by the leader's manager.
-    pub coalesced: u64,
 }
 
 impl TelemetrySnapshot {
     /// Fold `other` into `self`, producing the view one manager would have
     /// reported had it done both managers' work.
     ///
-    /// Scalars are summed; `mean_model_error` becomes the launch-weighted
-    /// mean; `selections` are summed element-wise (padded to the longer
-    /// table). `boundaries` and `quarantined_variants` are per-table state
-    /// with no cross-device meaning, so the merged snapshot drops them —
-    /// read those off the individual snapshots.
-    ///
-    /// `shared_artifact_store` controls the artifact counters. The
-    /// [`crate::ArtifactStore`] tallies hits/misses *store-wide*, so when
-    /// several managers share one store each snapshot already carries the
-    /// whole store's counts: summing would multiply every hit by the fleet
-    /// size. Pass `true` to take the max (one store, counted once), `false`
-    /// when each manager has a private store and the counts are disjoint.
+    /// Each counter merges by its row's rule: `Sum` rows add;
+    /// `Source` rows take the max when `shared_sources` says the snapshots
+    /// read the same artifact store and fault injector (each snapshot then
+    /// already carries the whole source's total, and summing would count
+    /// it once per snapshot), and add otherwise. `mean_model_error`
+    /// becomes the launch-weighted mean; `selections` are summed
+    /// element-wise (padded to the longer table). `boundaries` and
+    /// `quarantined_variants` are per-table state with no cross-device
+    /// meaning, so the merged snapshot drops them — read those off the
+    /// individual snapshots.
     ///
     /// Feed this exactly one snapshot per manager — the *latest*. Snapshots
     /// are cumulative, so merging two reports from the same manager
     /// double-counts everything it did before the first.
-    pub fn merge(&mut self, other: &TelemetrySnapshot, shared_artifact_store: bool) {
-        let total = self.launches + other.launches;
-        if total > 0 {
-            self.mean_model_error = (self.mean_model_error * self.launches as f64
-                + other.mean_model_error * other.launches as f64)
-                / total as f64;
+    pub fn merge(&mut self, other: &TelemetrySnapshot, shared_sources: bool) {
+        if other.launches > 0 {
+            self.mean_model_error = if self.launches == 0 {
+                other.mean_model_error
+            } else {
+                (self.mean_model_error * self.launches as f64
+                    + other.mean_model_error * other.launches as f64)
+                    / (self.launches + other.launches) as f64
+            };
         }
-        self.launches = total;
-        self.cache_hits += other.cache_hits;
-        self.cache_misses += other.cache_misses;
-        self.cache_evictions += other.cache_evictions;
+        let rows = self.counters_mut().into_iter().zip(other.counters());
+        for ((mine, theirs), row) in rows.zip(TelemetrySnapshot::COUNTERS) {
+            *mine = match row.merge {
+                Merge::Source if shared_sources => (*mine).max(theirs),
+                Merge::Sum | Merge::Source => *mine + theirs,
+            };
+        }
         if self.selections.len() < other.selections.len() {
             self.selections.resize(other.selections.len(), 0);
         }
         for (s, o) in self.selections.iter_mut().zip(&other.selections) {
             *s += o;
         }
-        self.recalibration_moves += other.recalibration_moves;
-        self.retries += other.retries;
-        self.faults_observed += other.faults_observed;
-        self.faults_injected += other.faults_injected;
-        self.deadline_overruns += other.deadline_overruns;
-        self.fallbacks += other.fallbacks;
-        self.quarantines += other.quarantines;
-        self.half_open_probes += other.half_open_probes;
-        self.readmissions += other.readmissions;
-        self.degraded_runs += other.degraded_runs;
-        self.rate_exits += other.rate_exits;
-        self.reschedules += other.reschedules;
-        self.admitted += other.admitted;
-        self.rejected_quota += other.rejected_quota;
-        self.rejected_queue_full += other.rejected_queue_full;
-        self.rejected_deadline += other.rejected_deadline;
-        self.shed_deadline += other.shed_deadline;
-        self.coalesced += other.coalesced;
         self.boundaries.clear();
         self.quarantined_variants.clear();
-        if shared_artifact_store {
-            self.artifact_hits = self.artifact_hits.max(other.artifact_hits);
-            self.artifact_misses = self.artifact_misses.max(other.artifact_misses);
-            self.artifact_rejects = self.artifact_rejects.max(other.artifact_rejects);
-        } else {
-            self.artifact_hits += other.artifact_hits;
-            self.artifact_misses += other.artifact_misses;
-            self.artifact_rejects += other.artifact_rejects;
-        }
     }
 
     /// Roll one latest-snapshot-per-manager slice up into a single fleet
-    /// view. See [`merge`](Self::merge) for the `shared_artifact_store`
+    /// view. See [`merge`](Self::merge) for the `shared_sources`
     /// double-counting rule. Returns `None` for an empty slice.
     pub fn fleet_rollup(
         snaps: &[TelemetrySnapshot],
-        shared_artifact_store: bool,
+        shared_sources: bool,
     ) -> Option<TelemetrySnapshot> {
-        let (first, rest) = snaps.split_first()?;
-        let mut acc = first.clone();
-        // Per-table state is meaningless fleet-wide even with one device.
-        acc.boundaries.clear();
-        acc.quarantined_variants.clear();
-        for s in rest {
-            acc.merge(s, shared_artifact_store);
-        }
-        Some(acc)
+        (!snaps.is_empty()).then(|| {
+            snaps
+                .iter()
+                .fold(TelemetrySnapshot::default(), |mut acc, s| {
+                    acc.merge(s, shared_sources);
+                    acc
+                })
+        })
     }
 }
 
 impl fmt::Display for TelemetrySnapshot {
+    /// One `name value` line per counter, then the model error and one
+    /// line per variant of the table.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        for (row, value) in TelemetrySnapshot::COUNTERS.iter().zip(self.counters()) {
+            writeln!(f, "  {:<20} {value}", row.name)?;
+        }
         writeln!(
             f,
-            "kmu: {} launches, cache {}h/{}m/{}e, {} recalibration moves, \
-             mean model error {:.1}%",
-            self.launches,
-            self.cache_hits,
-            self.cache_misses,
-            self.cache_evictions,
-            self.recalibration_moves,
+            "  {:<20} {:.1}%",
+            "mean_model_error",
             self.mean_model_error * 100.0
-        )?;
-        writeln!(
-            f,
-            "  resilience: {} faults injected, {} observed, {} retries, \
-             {} overruns, {} fallbacks, {} quarantines, {} probes, \
-             {} readmissions, {} degraded runs",
-            self.faults_injected,
-            self.faults_observed,
-            self.retries,
-            self.deadline_overruns,
-            self.fallbacks,
-            self.quarantines,
-            self.half_open_probes,
-            self.readmissions,
-            self.degraded_runs
-        )?;
-        writeln!(
-            f,
-            "  artifacts: {} hits, {} misses, {} rejects",
-            self.artifact_hits, self.artifact_misses, self.artifact_rejects
-        )?;
-        writeln!(
-            f,
-            "  rates: {} window exits, {} reschedules",
-            self.rate_exits, self.reschedules
-        )?;
-        writeln!(
-            f,
-            "  serving: {} admitted, rejected {}q/{}f/{}d, {} shed, {} coalesced",
-            self.admitted,
-            self.rejected_quota,
-            self.rejected_queue_full,
-            self.rejected_deadline,
-            self.shed_deadline,
-            self.coalesced
         )?;
         for (i, ((lo, hi), n)) in self.boundaries.iter().zip(&self.selections).enumerate() {
             let mark = if self.quarantined_variants.contains(&i) {
@@ -352,6 +329,15 @@ impl fmt::Display for TelemetrySnapshot {
 mod tests {
     use super::*;
 
+    /// A snapshot whose `i`-th counter row holds `value(i)`.
+    fn with_counters(value: impl Fn(usize) -> u64) -> TelemetrySnapshot {
+        let mut s = TelemetrySnapshot::default();
+        for (i, c) in s.counters_mut().into_iter().enumerate() {
+            *c = value(i);
+        }
+        s
+    }
+
     #[test]
     fn counters_tally_selections_and_moves() {
         let c = TelemetryCounters::new(3);
@@ -359,58 +345,69 @@ mod tests {
         c.record_selection(2);
         c.record_selection(2);
         c.record_selection(99); // out of range: launch counted, selection dropped
-        c.record_move();
-        assert_eq!(c.launches.load(Ordering::Relaxed), 4);
-        assert_eq!(c.selection_counts(), vec![1, 0, 2]);
-        assert_eq!(c.recalibration_moves.load(Ordering::Relaxed), 1);
+        c.recalibration_moves.fetch_add(1, Ordering::Relaxed);
+        assert_eq!(c.launches(), 4);
+        let snap = c.snapshot();
+        assert_eq!(snap.selections, vec![1, 0, 2]);
+        assert_eq!(snap.recalibration_moves, 1);
+        assert_eq!(snap.launches, 4);
+    }
+
+    #[test]
+    fn counter_names_are_the_snapshot_fields() {
+        // Every row lands in its own field: bumping one owned counter moves
+        // exactly the snapshot field its row names.
+        let c = TelemetryCounters::new(0);
+        c.failed.fetch_add(3, Ordering::Relaxed);
+        let snap = c.snapshot();
+        for (row, value) in TelemetrySnapshot::COUNTERS.iter().zip(snap.counters()) {
+            let want = 3 * u64::from(row.name == "failed");
+            assert_eq!(value, want, "{}", row.name);
+        }
+        assert_eq!(snap.failed, c.failed());
     }
 
     #[test]
     fn snapshot_display_is_complete() {
-        let snap = TelemetrySnapshot {
-            launches: 7,
-            cache_hits: 3,
-            cache_misses: 4,
-            cache_evictions: 1,
-            selections: vec![5, 2],
-            recalibration_moves: 1,
-            mean_model_error: 0.25,
-            boundaries: vec![(1, 99), (100, 4096)],
-            retries: 6,
-            faults_observed: 8,
-            faults_injected: 9,
-            deadline_overruns: 2,
-            fallbacks: 3,
-            quarantines: 1,
-            half_open_probes: 1,
-            readmissions: 1,
-            degraded_runs: 0,
-            rate_exits: 11,
-            reschedules: 4,
-            quarantined_variants: vec![1],
-            artifact_hits: 4,
-            artifact_misses: 2,
-            artifact_rejects: 1,
-            admitted: 14,
-            rejected_quota: 5,
-            rejected_queue_full: 6,
-            rejected_deadline: 7,
-            shed_deadline: 8,
-            coalesced: 2,
-        };
+        let mut snap = with_counters(|i| 100 + i as u64);
+        snap.selections = vec![5, 2];
+        snap.mean_model_error = 0.25;
+        snap.boundaries = vec![(1, 99), (100, 4096)];
+        snap.quarantined_variants = vec![1];
         let s = snap.to_string();
-        assert!(s.contains("7 launches"));
-        assert!(s.contains("3h/4m/1e"));
-        assert!(s.contains("variant 0: [1, 99] selected 5x"));
+        for (row, value) in TelemetrySnapshot::COUNTERS.iter().zip(snap.counters()) {
+            let line = format!("{} {value}", row.name);
+            assert!(
+                s.lines().any(|l| l.split_whitespace().eq(line.split(' '))),
+                "no `{} {value}` line in:\n{s}",
+                row.name
+            );
+        }
+        assert!(s.contains("mean_model_error"));
         assert!(s.contains("25.0%"));
-        assert!(s.contains("9 faults injected"));
-        assert!(s.contains("6 retries"));
-        assert!(s.contains("3 fallbacks"));
-        assert!(s.contains("1 quarantines"));
-        assert!(s.contains("4 hits, 2 misses, 1 rejects"));
-        assert!(s.contains("11 window exits, 4 reschedules"));
-        assert!(s.contains("14 admitted, rejected 5q/6f/7d, 8 shed, 2 coalesced"));
+        assert!(s.contains("variant 0: [1, 99] selected 5x"));
         assert!(s.contains("variant 1: [100, 4096] selected 2x [quarantined]"));
+    }
+
+    #[test]
+    fn every_counter_merges_by_its_row_rule() {
+        // Distinct values per row and per side, so a row merged under the
+        // wrong rule — or into the wrong field — cannot pass.
+        let a = with_counters(|i| 1000 + 7 * i as u64);
+        let b = with_counters(|i| 10 + 3 * i as u64);
+        for shared in [false, true] {
+            let mut merged = a.clone();
+            merged.merge(&b, shared);
+            let rows = TelemetrySnapshot::COUNTERS.iter().zip(merged.counters());
+            for (i, (row, got)) in rows.enumerate() {
+                let (x, y) = (a.counters()[i], b.counters()[i]);
+                let want = match row.merge {
+                    Merge::Source if shared => x.max(y),
+                    Merge::Sum | Merge::Source => x + y,
+                };
+                assert_eq!(got, want, "{} shared={shared}", row.name);
+            }
+        }
     }
 
     fn snap(launches: u64, hits: u64, selections: Vec<u64>) -> TelemetrySnapshot {
@@ -426,18 +423,11 @@ mod tests {
             retries: 1,
             faults_observed: 1,
             faults_injected: 1,
-            deadline_overruns: 0,
-            fallbacks: 0,
-            quarantines: 0,
-            half_open_probes: 0,
-            readmissions: 0,
-            degraded_runs: 0,
             rate_exits: 2,
             reschedules: 1,
             quarantined_variants: vec![0],
             artifact_hits: hits,
             artifact_misses: 1,
-            artifact_rejects: 0,
             admitted: launches,
             coalesced: 1,
             ..TelemetrySnapshot::default()
@@ -478,6 +468,7 @@ mod tests {
         let fleet = TelemetrySnapshot::fleet_rollup(&snaps, true).unwrap();
         assert_eq!(fleet.artifact_hits, 7);
         assert_eq!(fleet.artifact_misses, 1);
+        assert_eq!(fleet.faults_injected, 1, "one injector, counted once");
         assert_eq!(
             fleet.launches, 15,
             "launch counters are per-manager and sum"
@@ -498,29 +489,19 @@ mod tests {
         // launch-weighted mean_model_error must not be dragged toward zero
         // by a zero-launch peer, and shared-store max() must not drop hits.
         let base = snap(12, 9, vec![7, 5]);
-        // The weighted mean round-trips through (m*n + 0)/n — compare it
-        // with a tolerance and everything else exactly.
-        let normalize = |mut s: TelemetrySnapshot| {
-            assert!((s.mean_model_error - base.mean_model_error).abs() < 1e-12);
-            s.mean_model_error = base.mean_model_error;
-            s
-        };
+        let mut expect = base.clone();
+        // Per-table state is dropped by every merge, by design.
+        expect.boundaries.clear();
+        expect.quarantined_variants.clear();
         for shared in [false, true] {
             let mut merged = base.clone();
             merged.merge(&TelemetrySnapshot::default(), shared);
-            let mut expect = base.clone();
-            // Per-table state is dropped by every merge, by design.
-            expect.boundaries.clear();
-            expect.quarantined_variants.clear();
-            assert_eq!(normalize(merged), expect, "shared={shared}");
+            assert_eq!(merged, expect, "shared={shared}");
+            // The empty side absorbing a real snapshot is the same view.
+            let mut from_empty = TelemetrySnapshot::default();
+            from_empty.merge(&base, shared);
+            assert_eq!(from_empty, expect, "shared={shared}");
         }
-        // The empty side absorbing a real snapshot is the same view.
-        let mut from_empty = TelemetrySnapshot::default();
-        from_empty.merge(&base, false);
-        let mut expect = base.clone();
-        expect.boundaries.clear();
-        expect.quarantined_variants.clear();
-        assert_eq!(normalize(from_empty), expect);
         // Two defaults stay default (no NaN from the 0-launch mean).
         let mut both = TelemetrySnapshot::default();
         both.merge(&TelemetrySnapshot::default(), true);
@@ -583,13 +564,16 @@ mod tests {
     #[test]
     fn resilience_counters_accumulate() {
         let c = TelemetryCounters::new(2);
-        c.record_resilience(2, 3, 1);
-        c.record_resilience(1, 1, 0);
-        c.record_faults_injected(5);
-        c.record_faults_injected(4); // high-water mark: no decrease
-        assert_eq!(c.retries.load(Ordering::Relaxed), 3);
-        assert_eq!(c.faults_observed.load(Ordering::Relaxed), 4);
-        assert_eq!(c.deadline_overruns.load(Ordering::Relaxed), 1);
-        assert_eq!(c.faults_injected.load(Ordering::Relaxed), 5);
+        for (retries, observed, overruns) in [(2, 3, 1), (1, 1, 0)] {
+            c.retries.fetch_add(retries, Ordering::Relaxed);
+            c.faults_observed.fetch_add(observed, Ordering::Relaxed);
+            c.deadline_overruns.fetch_add(overruns, Ordering::Relaxed);
+        }
+        c.faults_injected.fetch_max(5, Ordering::Relaxed);
+        c.faults_injected.fetch_max(4, Ordering::Relaxed); // high-water mark: no decrease
+        assert_eq!(c.retries(), 3);
+        assert_eq!(c.faults_observed(), 4);
+        assert_eq!(c.deadline_overruns(), 1);
+        assert_eq!(c.faults_injected(), 5);
     }
 }

@@ -37,8 +37,9 @@
 //!    [`ShedReason::Draining`] and reported in the [`DrainReport`].
 //!
 //! Observability: [`Server::tenant_telemetry`] exports one
-//! [`TelemetrySnapshot`] per tenant (fleet counters + serving-plane
-//! counters) and [`Server::rollup`] folds them with
+//! [`TelemetrySnapshot`] per tenant (its fleet rollup merged with its own
+//! serving-plane counters, rows of the same counter table) and
+//! [`Server::rollup`] folds them with
 //! [`TelemetrySnapshot::fleet_rollup`] — a coalesced launch counts once
 //! in `launches`, every participant once in `admitted`.
 //!
@@ -53,4 +54,4 @@ pub use server::{
     Completion, DrainReport, Outcome, RejectReason, Request, Server, ServerConfig, ShedReason,
     Ticket,
 };
-pub use tenant::{ServeCounters, TenantPolicy, TokenBucket};
+pub use tenant::{TenantPolicy, TokenBucket};

@@ -17,13 +17,14 @@
 //! terminal [`Outcome`], even through a draining shutdown.
 
 use std::collections::{HashMap, VecDeque};
+use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, TryRecvError};
 use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use adaptic::fleet::{Fleet, FleetNode, PlacementPolicy};
-use adaptic::telemetry::TelemetrySnapshot;
+use adaptic::telemetry::{TelemetryCounters, TelemetrySnapshot};
 use adaptic::{
     compile, ExecMode, ExecPolicy, ExecutionReport, FaultInjector, InputAxis, KernelManager,
     RunOptions, StateBinding,
@@ -32,7 +33,7 @@ use gpu_sim::{DeviceQueue, DeviceSpec};
 use streamir::error::{Error, Result};
 use streamir::graph::Program;
 
-use crate::tenant::{ServeCounters, TenantPolicy, TokenBucket};
+use crate::tenant::{TenantPolicy, TokenBucket};
 
 /// Server-wide configuration. Worker count doubles as the global
 /// concurrency limit: at most `workers` requests are inside the fleet at
@@ -227,7 +228,8 @@ struct TenantState {
     program_hash: u64,
     fleet: Fleet,
     bucket: Mutex<TokenBucket>,
-    counters: ServeCounters,
+    /// The tenant's serving-plane counters (its managers keep their own).
+    counters: TelemetryCounters,
 }
 
 impl TenantState {
@@ -243,6 +245,14 @@ impl TenantState {
             })
             .min_by(f64::total_cmp)
     }
+}
+
+/// One tenant's telemetry: its fleet rollup merged with its own serving
+/// counters. The managers are private to the tenant, so nothing is shared.
+fn tenant_snapshot(t: &TenantState) -> TelemetrySnapshot {
+    let mut snap = t.fleet.telemetry().unwrap_or_default();
+    snap.merge(&t.counters.snapshot(), false);
+    snap
 }
 
 /// A single-flight ledger entry: the leader publishes its result here and
@@ -394,7 +404,10 @@ impl Inner {
                     .min_by(f64::total_cmp)
                     .is_some_and(|cost| cost * 1.5 >= remaining as f64);
             if hopeless {
-                ServeCounters::bump(&tenant.counters.shed_deadline);
+                tenant
+                    .counters
+                    .shed_deadline
+                    .fetch_add(1, Ordering::Relaxed);
                 let _ = job.reply.send(Outcome::Shed(ShedReason::DeadlinePassed));
                 return;
             }
@@ -441,7 +454,7 @@ impl Inner {
                 } else {
                     let result = flight.wait();
                     if result.is_ok() {
-                        ServeCounters::bump(&tenant.counters.coalesced);
+                        tenant.counters.coalesced.fetch_add(1, Ordering::Relaxed);
                     }
                     (result, true)
                 }
@@ -451,9 +464,9 @@ impl Inner {
         match result {
             Ok(report) => {
                 let deadline_met = job.req.deadline_us.is_none_or(|d| finished_at_us <= d);
-                ServeCounters::bump(&tenant.counters.completed);
+                tenant.counters.completed.fetch_add(1, Ordering::Relaxed);
                 if deadline_met {
-                    ServeCounters::bump(&tenant.counters.deadline_met);
+                    tenant.counters.deadline_met.fetch_add(1, Ordering::Relaxed);
                 }
                 let _ = job.reply.send(Outcome::Completed(Box::new(Completion {
                     report,
@@ -464,7 +477,7 @@ impl Inner {
                 })));
             }
             Err(e) => {
-                ServeCounters::bump(&tenant.counters.failed);
+                tenant.counters.failed.fetch_add(1, Ordering::Relaxed);
                 let _ = job.reply.send(Outcome::Failed(e));
             }
         }
@@ -507,7 +520,10 @@ impl Inner {
         let mut kept = VecDeque::with_capacity(before);
         for q in sched.queues[tid].drain(..) {
             if q.req.deadline_us.is_some_and(|d| now >= d) {
-                ServeCounters::bump(&tenant.counters.shed_deadline);
+                tenant
+                    .counters
+                    .shed_deadline
+                    .fetch_add(1, Ordering::Relaxed);
                 let _ = q.reply.send(Outcome::Shed(ShedReason::DeadlinePassed));
             } else {
                 kept.push_back(q);
@@ -624,7 +640,7 @@ impl Server {
             program_hash,
             fleet: Fleet::new(nodes, false),
             bucket: Mutex::new(TokenBucket::new(policy.burst, policy.refill_per_sec)),
-            counters: ServeCounters::default(),
+            counters: TelemetryCounters::new(0),
         });
         let mut tenants = self.inner.tenants.write().expect("tenant table");
         let mut names = self.inner.names.write().expect("name table");
@@ -653,14 +669,14 @@ impl Server {
         let t = self.inner.tenant(tid);
         let now = self.inner.now_us();
         if !t.bucket.lock().expect("bucket lock").try_take(now) {
-            ServeCounters::bump(&t.counters.rejected_quota);
+            t.counters.rejected_quota.fetch_add(1, Ordering::Relaxed);
             return Err(RejectReason::QuotaExhausted);
         }
         if let Some(d) = req.deadline_us {
             let remaining = d.saturating_sub(now);
             if let Some(cost) = t.best_total_cost_us(req.x) {
                 if cost > remaining as f64 {
-                    ServeCounters::bump(&t.counters.rejected_deadline);
+                    t.counters.rejected_deadline.fetch_add(1, Ordering::Relaxed);
                     return Err(RejectReason::DeadlineInfeasible);
                 }
             }
@@ -682,7 +698,9 @@ impl Server {
                 || sched.total_queued >= self.inner.cfg.global_queue_cap
             {
                 drop(sched);
-                ServeCounters::bump(&t.counters.rejected_queue_full);
+                t.counters
+                    .rejected_queue_full
+                    .fetch_add(1, Ordering::Relaxed);
                 return Err(RejectReason::QueueFull);
             }
             sched.queues[tid].push_back(Queued {
@@ -691,7 +709,7 @@ impl Server {
                 reply: tx,
             });
             sched.total_queued += 1;
-            ServeCounters::bump(&t.counters.admitted);
+            t.counters.admitted.fetch_add(1, Ordering::Relaxed);
         }
         self.inner.work.notify_one();
         Ok(Ticket { rx })
@@ -702,10 +720,7 @@ impl Server {
     /// counters.
     pub fn tenant_telemetry(&self, name: &str) -> Option<TelemetrySnapshot> {
         let tid = *self.inner.names.read().expect("name table").get(name)?;
-        let t = self.inner.tenant(tid);
-        let mut snap = t.fleet.telemetry().unwrap_or_default();
-        t.counters.fill(&mut snap);
-        Some(snap)
+        Some(tenant_snapshot(&self.inner.tenant(tid)))
     }
 
     /// Every tenant's telemetry, in registration order.
@@ -713,11 +728,7 @@ impl Server {
         let tenants = self.inner.tenants.read().expect("tenant table").clone();
         tenants
             .iter()
-            .map(|t| {
-                let mut snap = t.fleet.telemetry().unwrap_or_default();
-                t.counters.fill(&mut snap);
-                (t.name.clone(), snap)
-            })
+            .map(|t| (t.name.clone(), tenant_snapshot(t)))
             .collect()
     }
 
@@ -736,7 +747,7 @@ impl Server {
     }
 
     /// Direct access to one tenant's live serving counters (tests).
-    pub fn counters<R>(&self, name: &str, read: impl FnOnce(&ServeCounters) -> R) -> Option<R> {
+    pub fn counters<R>(&self, name: &str, read: impl FnOnce(&TelemetryCounters) -> R) -> Option<R> {
         let tid = *self.inner.names.read().expect("name table").get(name)?;
         Some(read(&self.inner.tenant(tid).counters))
     }
@@ -773,7 +784,10 @@ impl Server {
             for (tid, queue) in sched.queues.iter_mut().enumerate() {
                 let mut shed_here = 0u64;
                 for q in queue.drain(..) {
-                    ServeCounters::bump(&tenants[tid].counters.shed_deadline);
+                    tenants[tid]
+                        .counters
+                        .shed_deadline
+                        .fetch_add(1, Ordering::Relaxed);
                     let _ = q.reply.send(Outcome::Shed(ShedReason::Draining));
                     shed_here += 1;
                 }

@@ -7,9 +7,6 @@
 //! *its own* breakers on *its own* managers, and its neighbours never see
 //! a quarantined variant they did not earn.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-
-use adaptic::telemetry::TelemetrySnapshot;
 use adaptic::RetryPolicy;
 
 /// Token-bucket admission quota, refilled from the server's microsecond
@@ -145,68 +142,6 @@ impl TenantPolicy {
     pub fn without_coalescing(mut self) -> TenantPolicy {
         self.coalesce = false;
         self
-    }
-}
-
-/// Live serving-plane counters for one tenant. Every admission decision,
-/// shed, and completion lands in exactly one of these; the exported
-/// [`TelemetrySnapshot`] carries them next to the tenant's fleet counters.
-#[derive(Debug, Default)]
-pub struct ServeCounters {
-    pub(crate) admitted: AtomicU64,
-    pub(crate) rejected_quota: AtomicU64,
-    pub(crate) rejected_queue_full: AtomicU64,
-    pub(crate) rejected_deadline: AtomicU64,
-    pub(crate) shed_deadline: AtomicU64,
-    pub(crate) coalesced: AtomicU64,
-    pub(crate) completed: AtomicU64,
-    pub(crate) failed: AtomicU64,
-    pub(crate) deadline_met: AtomicU64,
-}
-
-impl ServeCounters {
-    pub(crate) fn bump(counter: &AtomicU64) -> u64 {
-        counter.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Requests admitted past quota + queue checks.
-    pub fn admitted(&self) -> u64 {
-        self.admitted.load(Ordering::Relaxed)
-    }
-
-    /// Requests that finished with a report (deadline met or not).
-    pub fn completed(&self) -> u64 {
-        self.completed.load(Ordering::Relaxed)
-    }
-
-    /// Requests that finished with an error out of the degradation ladder.
-    pub fn failed(&self) -> u64 {
-        self.failed.load(Ordering::Relaxed)
-    }
-
-    /// Completions that beat their deadline (no-deadline requests count).
-    pub fn deadline_met(&self) -> u64 {
-        self.deadline_met.load(Ordering::Relaxed)
-    }
-
-    /// Admitted requests shed before dispatch (deadline passed or drain).
-    pub fn shed(&self) -> u64 {
-        self.shed_deadline.load(Ordering::Relaxed)
-    }
-
-    /// Requests served by coalescing onto an in-flight identical launch.
-    pub fn coalesced(&self) -> u64 {
-        self.coalesced.load(Ordering::Relaxed)
-    }
-
-    /// Copy the serving counters into `snap`'s serving-plane fields.
-    pub(crate) fn fill(&self, snap: &mut TelemetrySnapshot) {
-        snap.admitted = self.admitted.load(Ordering::Relaxed);
-        snap.rejected_quota = self.rejected_quota.load(Ordering::Relaxed);
-        snap.rejected_queue_full = self.rejected_queue_full.load(Ordering::Relaxed);
-        snap.rejected_deadline = self.rejected_deadline.load(Ordering::Relaxed);
-        snap.shed_deadline = self.shed_deadline.load(Ordering::Relaxed);
-        snap.coalesced = self.coalesced.load(Ordering::Relaxed);
     }
 }
 

@@ -462,10 +462,15 @@ fn multi_tenant_burst_accounts_exactly_once() {
     for name in ["a", "b"] {
         let (admitted, completed, failed, shed) = s
             .counters(name, |c| {
-                (c.admitted(), c.completed(), c.failed(), c.shed())
+                (c.admitted(), c.completed(), c.failed(), c.shed_deadline())
             })
             .unwrap();
         assert_eq!(admitted, completed + failed + shed);
         assert_eq!(admitted, 6);
+        // The exported snapshot carries the same outcome rows.
+        let t = s.tenant_telemetry(name).unwrap();
+        assert_eq!(t.admitted, t.completed + t.failed + t.shed_deadline);
+        assert_eq!((t.admitted, t.completed), (admitted, completed));
     }
+    assert_eq!(rollup.completed, 12);
 }

@@ -66,7 +66,7 @@ fn plan_artifacts_roundtrip_byte_for_byte_across_families() {
             let reloaded = store_a
                 .load_plan(key, plan.segment_count(), lo, hi)
                 .unwrap_or_else(|| panic!("{ctx}: fresh artifact fails to load"));
-            assert_eq!(store_a.counters().hits, 1, "{ctx}");
+            assert_eq!(store_a.hits(), 1, "{ctx}");
 
             let (dir_b, store_b) = temp_store("rt_b");
             store_b.store_plan(key, &reloaded).unwrap();
@@ -92,12 +92,12 @@ fn warm_compile_is_bit_identical_to_cold() {
 
             let cold = compile_with_store(&case.program, &device, &axis, case.opts, &store)
                 .unwrap_or_else(|e| panic!("{ctx}: cold compile: {e}"));
-            assert_eq!(store.counters().misses, 1, "{ctx}: first compile must miss");
+            assert_eq!(store.misses(), 1, "{ctx}: first compile must miss");
 
             let warm = compile_with_store(&case.program, &device, &axis, case.opts, &store)
                 .unwrap_or_else(|e| panic!("{ctx}: warm compile: {e}"));
-            assert_eq!(store.counters().hits, 1, "{ctx}: second compile must hit");
-            assert_eq!(store.counters().rejects, 0, "{ctx}");
+            assert_eq!(store.hits(), 1, "{ctx}: second compile must hit");
+            assert_eq!(store.rejects(), 0, "{ctx}");
 
             assert_eq!(
                 cold.variants, warm.variants,
@@ -256,16 +256,12 @@ fn corrupt_plan_file_degrades_to_counted_reject() {
     std::fs::write(&path, &bytes).unwrap();
 
     let recompiled = compile_with_store(&case.program, device, &axis, case.opts, &store).unwrap();
-    assert_eq!(
-        store.counters().rejects,
-        1,
-        "corruption must count a reject"
-    );
+    assert_eq!(store.rejects(), 1, "corruption must count a reject");
     assert_eq!(recompiled.variants, cold.variants);
 
     // The recompile wrote a fresh artifact back: next boot hits again.
     let warm = compile_with_store(&case.program, device, &axis, case.opts, &store).unwrap();
-    assert_eq!(store.counters().hits, 1);
+    assert_eq!(store.hits(), 1);
     assert_eq!(warm.variants, cold.variants);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -352,7 +348,7 @@ proptest! {
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(dir.join(format!("{:016x}-{:016x}.plan", 1, 2)), &bytes).unwrap();
         prop_assert!(store.load_plan(key, 1, 1, 100).is_none());
-        prop_assert_eq!(store.counters().rejects, 1);
+        prop_assert_eq!(store.rejects(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

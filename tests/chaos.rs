@@ -361,7 +361,9 @@ fn quarantine_state_never_leaks_into_the_store() {
 ///   and variant that served each firing (clamped firings against the
 ///   clamped selection of the same plan);
 /// * accounting: `launches + clamped == firings` (nothing dropped or
-///   double-run), with faults observed and at least two re-plans.
+///   double-run), with faults observed and at least two re-plans; the
+///   region counts each injected fault once across its plan swaps and
+///   keeps every firing's retries and faults, clamped ones included.
 #[test]
 fn faults_during_a_reschedule_window_fall_down_the_ladder() {
     use adaptic_repro::adaptic::{CompileOptions, DynamicRegion, ReschedPolicy, RunOptions};
@@ -408,6 +410,7 @@ fn faults_during_a_reschedule_window_fall_down_the_ladder() {
         .expect("region plans")
         .with_kmu_hysteresis(frozen);
         let inj = KindTally::new(FaultPlan::new(seed).with_rate(0.35));
+        let (mut reported_faults, mut reported_retries) = (0, 0);
 
         for (t, &x) in trace.iter().enumerate() {
             let slice = &input[..x as usize];
@@ -420,6 +423,8 @@ fn faults_during_a_reschedule_window_fall_down_the_ladder() {
                     RunOptions::serial(ExecMode::Full).with_faults(&inj),
                 )
                 .unwrap_or_else(|e| panic!("{ctx}: ladder failed to complete: {e}"));
+            reported_faults += rep.faults_observed;
+            reported_retries += rep.retries;
 
             // Fault-free baseline against the plan that served the
             // firing. In-axis firings pin the variant that completed;
@@ -468,6 +473,18 @@ fn faults_during_a_reschedule_window_fall_down_the_ladder() {
             t.reschedules,
             region.reschedules(),
             "seed={seed}: telemetry"
+        );
+        assert_eq!(
+            t.faults_injected,
+            inj.injected(),
+            "seed={seed}: one injector, each fault counted once across plan swaps"
+        );
+        assert!(
+            t.faults_observed >= reported_faults && t.retries >= reported_retries,
+            "seed={seed}: firings' own tallies dropped: observed {} < {reported_faults} \
+             or retries {} < {reported_retries}",
+            t.faults_observed,
+            t.retries
         );
     }
 }
@@ -659,14 +676,14 @@ fn tenant_storm_cannot_bleed_across_the_serving_plane() {
 
     // Exactly-once accounting per admitted request, per tenant.
     let (well_done, well_failed, well_shed) = server
-        .counters("well", |c| (c.completed(), c.failed(), c.shed()))
+        .counters("well", |c| (c.completed(), c.failed(), c.shed_deadline()))
         .expect("well counters");
     let expected = 300 * well_phases;
     assert_eq!(well.admitted, expected, "closed-loop phases of 300 each");
     assert_eq!((well_done, well_failed, well_shed), (expected, 0, 0));
     let (storm_admitted, storm_done, storm_failed, storm_shed) = server
         .counters("storm", |c| {
-            (c.admitted(), c.completed(), c.failed(), c.shed())
+            (c.admitted(), c.completed(), c.failed(), c.shed_deadline())
         })
         .expect("storm counters");
     assert!(storm_admitted > 0, "the storm must land at least its burst");

@@ -198,14 +198,14 @@ fn shared_store_keeps_learned_state_per_device() {
         content: keys[0].content,
         device: third.artifact_key().device,
     };
-    let misses_before = store.counters().misses;
+    let misses_before = store.misses();
     assert!(
         store
             .load_learned(foreign, third.variant_count(), 256, 1 << 18)
             .is_none(),
         "unpersisted fingerprint must miss"
     );
-    assert_eq!(store.counters().misses, misses_before + 1);
+    assert_eq!(store.misses(), misses_before + 1);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -238,7 +238,7 @@ fn fleet_rollup_over_shared_store_counts_artifacts_once() {
         })
         .collect();
     let snaps: Vec<TelemetrySnapshot> = second.iter().map(|k| k.telemetry()).collect();
-    let store_hits = store.counters().hits;
+    let store_hits = store.hits();
     assert!(store_hits > 0, "warm boot must hit the store");
     for s in &snaps {
         assert_eq!(
