@@ -6,11 +6,12 @@
 //! every boot. This module persists the two halves of that warm-up to a
 //! content-addressed on-disk store:
 //!
-//! - **plan-time state** ([`PlanArtifact`]): the per-segment bytecode
-//!   programs, edge layouts and the planner's variant table — everything
-//!   `compile` derives from the program that does not depend on any
-//!   launch. A store hit skips bytecode lowering and the probe/binary-
-//!   search construction of the variant table entirely.
+//! - **plan-time state** ([`PlanArtifact`]): the planner's variant table —
+//!   which lowering runs on which sub-range of the input axis, the
+//!   measured decision the probe/binary-search construction pays for. A
+//!   store hit skips that construction; the work bodies and edge layouts
+//!   are pure functions of the program, cheaper to rebuild than to
+//!   decode, and are rebuilt on every load.
 //! - **run-time *learned* state** ([`LearnedState`]): the kernel-management
 //!   unit's recalibrated boundaries and per-variant [`VariantHistogram`]
 //!   EWMA summaries. A reloaded manager starts where the last process
@@ -38,20 +39,15 @@ use std::fmt;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
-use streamir::ir::{BinOp, Intrinsic};
-
-use crate::bytecode::{self, Op, SlotKind, Ty};
 use crate::kmu::VariantHistogram;
-use crate::layout::Layout;
 use crate::opt::segmentation::ReduceChoice;
-use crate::plan::{OptTag, SegChoice, SegPrograms, Variant};
+use crate::plan::{OptTag, SegChoice, Variant};
 
 /// Bump on any change to the on-disk layout *or* to the semantics of what
-/// is persisted (opcode set, variant-table meaning, histogram fields).
-/// Version-mismatched files are rejected as misses and overwritten.
-pub const FORMAT_VERSION: u32 = 3;
+/// is persisted (variant-table meaning, histogram fields). Version-
+/// mismatched files are rejected as misses and overwritten.
+pub const FORMAT_VERSION: u32 = 4;
 
 /// Magic bytes opening every artifact file.
 const MAGIC: [u8; 4] = *b"ADPT";
@@ -77,8 +73,8 @@ pub enum ArtifactError {
     Truncated,
     /// A record's checksum does not match its payload.
     Checksum,
-    /// A decoded value is structurally invalid (unknown tag, index out of
-    /// range, non-UTF-8 string, table that does not tile its axis, ...).
+    /// A decoded value is structurally invalid (unknown tag, non-finite
+    /// histogram ratio, trailing bytes, wrong record count, ...).
     Malformed(String),
 }
 
@@ -154,9 +150,6 @@ impl Enc {
     fn bool(&mut self, v: bool) {
         self.buf.push(u8::from(v));
     }
-    fn u16(&mut self, v: u16) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
     fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -166,18 +159,11 @@ impl Enc {
     fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
-    fn f32(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
     fn f64(&mut self, v: f64) {
         self.u64(v.to_bits());
     }
     fn usize(&mut self, v: usize) {
         self.u64(v as u64);
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len() as u32);
-        self.buf.extend_from_slice(s.as_bytes());
     }
     /// Element count prefix (shared by every variable-length sequence).
     fn count(&mut self, n: usize) {
@@ -220,9 +206,6 @@ impl<'a> Dec<'a> {
             b => Err(ArtifactError::Malformed(format!("bool byte {b}"))),
         }
     }
-    fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
     fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
     }
@@ -232,21 +215,12 @@ impl<'a> Dec<'a> {
     fn i64(&mut self) -> Result<i64> {
         Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
-    fn f32(&mut self) -> Result<f32> {
-        Ok(f32::from_bits(self.u32()?))
-    }
     fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_bits(self.u64()?))
     }
     fn usize(&mut self) -> Result<usize> {
         let v = self.u64()?;
         usize::try_from(v).map_err(|_| ArtifactError::Malformed(format!("usize {v}")))
-    }
-    fn str(&mut self) -> Result<String> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|_| ArtifactError::Malformed("non-UTF-8 string".into()))
     }
     /// Element count, sanity-bounded by the bytes remaining (every element
     /// encodes to at least one byte) so a corrupted count cannot trigger a
@@ -263,91 +237,6 @@ impl<'a> Dec<'a> {
 // ---------------------------------------------------------------------------
 // Enum tags
 // ---------------------------------------------------------------------------
-
-fn binop_tag(op: BinOp) -> u8 {
-    match op {
-        BinOp::Add => 0,
-        BinOp::Sub => 1,
-        BinOp::Mul => 2,
-        BinOp::Div => 3,
-        BinOp::Rem => 4,
-        BinOp::Lt => 5,
-        BinOp::Le => 6,
-        BinOp::Gt => 7,
-        BinOp::Ge => 8,
-        BinOp::Eq => 9,
-        BinOp::Ne => 10,
-        BinOp::And => 11,
-        BinOp::Or => 12,
-    }
-}
-
-fn binop_of(tag: u8) -> Result<BinOp> {
-    Ok(match tag {
-        0 => BinOp::Add,
-        1 => BinOp::Sub,
-        2 => BinOp::Mul,
-        3 => BinOp::Div,
-        4 => BinOp::Rem,
-        5 => BinOp::Lt,
-        6 => BinOp::Le,
-        7 => BinOp::Gt,
-        8 => BinOp::Ge,
-        9 => BinOp::Eq,
-        10 => BinOp::Ne,
-        11 => BinOp::And,
-        12 => BinOp::Or,
-        t => return Err(ArtifactError::Malformed(format!("binop tag {t}"))),
-    })
-}
-
-fn intrinsic_tag(i: Intrinsic) -> u8 {
-    match i {
-        Intrinsic::Sqrt => 0,
-        Intrinsic::Exp => 1,
-        Intrinsic::Log => 2,
-        Intrinsic::Abs => 3,
-        Intrinsic::Sin => 4,
-        Intrinsic::Cos => 5,
-        Intrinsic::Floor => 6,
-        Intrinsic::Max => 7,
-        Intrinsic::Min => 8,
-        Intrinsic::Pow => 9,
-        Intrinsic::Select => 10,
-    }
-}
-
-fn intrinsic_of(tag: u8) -> Result<Intrinsic> {
-    Ok(match tag {
-        0 => Intrinsic::Sqrt,
-        1 => Intrinsic::Exp,
-        2 => Intrinsic::Log,
-        3 => Intrinsic::Abs,
-        4 => Intrinsic::Sin,
-        5 => Intrinsic::Cos,
-        6 => Intrinsic::Floor,
-        7 => Intrinsic::Max,
-        8 => Intrinsic::Min,
-        9 => Intrinsic::Pow,
-        10 => Intrinsic::Select,
-        t => return Err(ArtifactError::Malformed(format!("intrinsic tag {t}"))),
-    })
-}
-
-fn layout_tag(l: Layout) -> u8 {
-    match l {
-        Layout::RowMajor => 0,
-        Layout::Transposed => 1,
-    }
-}
-
-fn layout_of(tag: u8) -> Result<Layout> {
-    Ok(match tag {
-        0 => Layout::RowMajor,
-        1 => Layout::Transposed,
-        t => return Err(ArtifactError::Malformed(format!("layout tag {t}"))),
-    })
-}
 
 fn opt_tag_tag(t: OptTag) -> u8 {
     match t {
@@ -371,281 +260,6 @@ fn opt_tag_of(tag: u8) -> Result<OptTag> {
         5 => OptTag::HorizontalIntegration,
         6 => OptTag::ThreadIntegration,
         t => return Err(ArtifactError::Malformed(format!("opt tag {t}"))),
-    })
-}
-
-// ---------------------------------------------------------------------------
-// Bytecode programs
-// ---------------------------------------------------------------------------
-
-fn enc_op(e: &mut Enc, op: Op) {
-    match op {
-        Op::ConstF(x) => {
-            e.u8(0);
-            e.f32(x);
-        }
-        Op::ConstI(i) => {
-            e.u8(1);
-            e.i64(i);
-        }
-        Op::ConstB(b) => {
-            e.u8(2);
-            e.bool(b);
-        }
-        Op::Load(s) => {
-            e.u8(3);
-            e.u16(s);
-        }
-        Op::Store(s) => {
-            e.u8(4);
-            e.u16(s);
-        }
-        Op::Pop => e.u8(5),
-        Op::Peek => e.u8(6),
-        Op::StateLoad(id) => {
-            e.u8(7);
-            e.u16(id);
-        }
-        Op::StateStore(id) => {
-            e.u8(8);
-            e.u16(id);
-        }
-        Op::PushOut => e.u8(9),
-        Op::Bin(op) => {
-            e.u8(10);
-            e.u8(binop_tag(op));
-        }
-        Op::Neg => e.u8(11),
-        Op::Not => e.u8(12),
-        Op::Call(i) => {
-            e.u8(13);
-            e.u8(intrinsic_tag(i));
-        }
-        Op::Jump(t) => {
-            e.u8(14);
-            e.u32(t);
-        }
-        Op::JumpIfFalse(t) => {
-            e.u8(15);
-            e.u32(t);
-        }
-        Op::ForInit { counter, end } => {
-            e.u8(16);
-            e.u16(counter);
-            e.u16(end);
-        }
-        Op::ForTest {
-            counter,
-            end,
-            var,
-            exit,
-        } => {
-            e.u8(17);
-            e.u16(counter);
-            e.u16(end);
-            e.u16(var);
-            e.u32(exit);
-        }
-        Op::ForStep { counter, head } => {
-            e.u8(18);
-            e.u16(counter);
-            e.u32(head);
-        }
-        Op::Cast(to, depth) => {
-            e.u8(19);
-            e.u8(to as u8);
-            e.u8(depth);
-        }
-    }
-}
-
-fn ty_of(tag: u8) -> Result<Ty> {
-    Ok(match tag {
-        0 => Ty::F32,
-        1 => Ty::I64,
-        2 => Ty::Bool,
-        t => return Err(ArtifactError::Malformed(format!("type tag {t}"))),
-    })
-}
-
-fn dec_op(d: &mut Dec<'_>) -> Result<Op> {
-    Ok(match d.u8()? {
-        0 => Op::ConstF(d.f32()?),
-        1 => Op::ConstI(d.i64()?),
-        2 => Op::ConstB(d.bool()?),
-        3 => Op::Load(d.u16()?),
-        4 => Op::Store(d.u16()?),
-        5 => Op::Pop,
-        6 => Op::Peek,
-        7 => Op::StateLoad(d.u16()?),
-        8 => Op::StateStore(d.u16()?),
-        9 => Op::PushOut,
-        10 => Op::Bin(binop_of(d.u8()?)?),
-        11 => Op::Neg,
-        12 => Op::Not,
-        13 => Op::Call(intrinsic_of(d.u8()?)?),
-        14 => Op::Jump(d.u32()?),
-        15 => Op::JumpIfFalse(d.u32()?),
-        16 => Op::ForInit {
-            counter: d.u16()?,
-            end: d.u16()?,
-        },
-        17 => Op::ForTest {
-            counter: d.u16()?,
-            end: d.u16()?,
-            var: d.u16()?,
-            exit: d.u32()?,
-        },
-        18 => Op::ForStep {
-            counter: d.u16()?,
-            head: d.u32()?,
-        },
-        19 => Op::Cast(ty_of(d.u8()?)?, d.u8()?),
-        t => return Err(ArtifactError::Malformed(format!("opcode tag {t}"))),
-    })
-}
-
-fn enc_program(e: &mut Enc, p: &bytecode::Program) {
-    e.count(p.ops().len());
-    for &op in p.ops() {
-        enc_op(e, op);
-    }
-    e.count(p.kinds().len());
-    for (kind, name) in p.kinds().iter().zip(p.names()) {
-        // Presets carry their type: 2 + the `Ty` tag.
-        e.u8(match kind {
-            SlotKind::Local => 0,
-            SlotKind::Param => 1,
-            SlotKind::Preset(ty) => 2 + *ty as u8,
-        });
-        e.str(name);
-    }
-    e.count(p.state_names().len());
-    for s in p.state_names() {
-        e.str(s);
-    }
-    e.usize(p.max_stack());
-}
-
-fn dec_program(d: &mut Dec<'_>) -> Result<bytecode::Program> {
-    let n_ops = d.count()?;
-    let mut ops = Vec::with_capacity(n_ops);
-    for _ in 0..n_ops {
-        ops.push(dec_op(d)?);
-    }
-    let n_slots = d.count()?;
-    let mut kinds = Vec::with_capacity(n_slots);
-    let mut names = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        kinds.push(match d.u8()? {
-            0 => SlotKind::Local,
-            1 => SlotKind::Param,
-            t @ 2..=4 => SlotKind::Preset(ty_of(t - 2)?),
-            t => return Err(ArtifactError::Malformed(format!("slot kind {t}"))),
-        });
-        names.push(d.str()?);
-    }
-    let n_state = d.count()?;
-    let mut state_names = Vec::with_capacity(n_state);
-    for _ in 0..n_state {
-        state_names.push(d.str()?);
-    }
-    let max_stack = d.usize()?;
-    bytecode::Program::from_raw(ops, kinds, names, state_names, max_stack)
-        .map_err(ArtifactError::Malformed)
-}
-
-fn enc_arc_program(e: &mut Enc, p: &Arc<bytecode::Program>) {
-    enc_program(e, p);
-}
-
-fn enc_opt_program(e: &mut Enc, p: &Option<Arc<bytecode::Program>>) {
-    match p {
-        Some(p) => {
-            e.bool(true);
-            enc_program(e, p);
-        }
-        None => e.bool(false),
-    }
-}
-
-fn dec_arc_program(d: &mut Dec<'_>) -> Result<Arc<bytecode::Program>> {
-    Ok(Arc::new(dec_program(d)?))
-}
-
-fn dec_opt_program(d: &mut Dec<'_>) -> Result<Option<Arc<bytecode::Program>>> {
-    Ok(if d.bool()? {
-        Some(dec_arc_program(d)?)
-    } else {
-        None
-    })
-}
-
-fn enc_seg_programs(e: &mut Enc, sp: &SegPrograms) {
-    match sp {
-        SegPrograms::Unit(p) => {
-            e.u8(0);
-            enc_arc_program(e, p);
-        }
-        SegPrograms::Reduce { elem, post, serial } => {
-            e.u8(1);
-            enc_arc_program(e, elem);
-            enc_opt_program(e, post);
-            enc_arc_program(e, serial);
-        }
-        SegPrograms::Stencil(p) => {
-            e.u8(2);
-            enc_arc_program(e, p);
-        }
-        SegPrograms::HFused(v) => {
-            e.u8(3);
-            e.count(v.len());
-            for (elem, post) in v {
-                enc_arc_program(e, elem);
-                enc_opt_program(e, post);
-            }
-        }
-        SegPrograms::MapSiblings(v) => {
-            e.u8(4);
-            e.count(v.len());
-            for p in v {
-                enc_arc_program(e, p);
-            }
-        }
-        SegPrograms::Opaque(p) => {
-            e.u8(5);
-            enc_arc_program(e, p);
-        }
-    }
-}
-
-fn dec_seg_programs(d: &mut Dec<'_>) -> Result<SegPrograms> {
-    Ok(match d.u8()? {
-        0 => SegPrograms::Unit(dec_arc_program(d)?),
-        1 => SegPrograms::Reduce {
-            elem: dec_arc_program(d)?,
-            post: dec_opt_program(d)?,
-            serial: dec_arc_program(d)?,
-        },
-        2 => SegPrograms::Stencil(dec_arc_program(d)?),
-        3 => {
-            let n = d.count()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push((dec_arc_program(d)?, dec_opt_program(d)?));
-            }
-            SegPrograms::HFused(v)
-        }
-        4 => {
-            let n = d.count()?;
-            let mut v = Vec::with_capacity(n);
-            for _ in 0..n {
-                v.push(dec_arc_program(d)?);
-            }
-            SegPrograms::MapSiblings(v)
-        }
-        5 => SegPrograms::Opaque(dec_arc_program(d)?),
-        t => return Err(ArtifactError::Malformed(format!("segment tag {t}"))),
     })
 }
 
@@ -728,37 +342,26 @@ fn dec_choice(d: &mut Dec<'_>) -> Result<SegChoice> {
 // Artifact payload types
 // ---------------------------------------------------------------------------
 
-/// The plan-time half of a compiled program: everything `compile` derives
-/// from (program, device, axis, options) that is independent of any
-/// launch. Paired at load time with a freshly rebuilt structure (the
-/// segment list) to reconstitute a
-/// [`CompiledProgram`](crate::CompiledProgram) without re-lowering.
+/// The plan-time half of a compiled program: the planner's variant table
+/// for (program, device, axis, options), independent of any launch.
+/// Paired at load time with a freshly rebuilt structure — the segment
+/// list, the lowered work bodies and the edge layouts — to reconstitute a
+/// [`CompiledProgram`](crate::CompiledProgram) without re-planning.
 #[derive(Debug, Clone)]
 pub struct PlanArtifact {
-    /// Per-segment bytecode, parallel to the rebuilt segment list.
-    pub(crate) programs: Vec<SegPrograms>,
-    /// Chosen layout per pipeline edge (`segments + 1` entries).
-    pub(crate) edge_layouts: Vec<Layout>,
     /// The planner's variant table, ordered by `lo`.
     pub(crate) variants: Vec<Variant>,
 }
 
 impl PlanArtifact {
-    pub(crate) fn new(
-        programs: Vec<SegPrograms>,
-        edge_layouts: Vec<Layout>,
-        variants: Vec<Variant>,
-    ) -> PlanArtifact {
-        PlanArtifact {
-            programs,
-            edge_layouts,
-            variants,
-        }
+    pub(crate) fn new(variants: Vec<Variant>) -> PlanArtifact {
+        PlanArtifact { variants }
     }
 
-    /// Number of segments this plan was lowered for.
+    /// Number of segments this plan was made for: one choice per segment
+    /// in every variant.
     pub fn segment_count(&self) -> usize {
-        self.programs.len()
+        self.variants.first().map_or(0, |v| v.choices.len())
     }
 
     /// Number of variants in the persisted table.
@@ -766,40 +369,19 @@ impl PlanArtifact {
         self.variants.len()
     }
 
-    /// Exact on-disk size of this plan's artifact file in bytes (framing
-    /// included) — the per-device store footprint the fleet's variant-set
-    /// pruning bounds. Computed by encoding, never by touching the
-    /// filesystem.
+    /// Exact on-disk size of this plan's artifact file in bytes — the
+    /// variant table plus the file's framing, the per-device store
+    /// footprint the fleet's variant-set pruning bounds. Computed by
+    /// encoding, never by touching the filesystem.
     pub fn byte_size(&self) -> usize {
-        let (code, table) = self.encode_records();
         let key = ArtifactKey {
             content: 0,
             device: 0,
         };
-        encode_file(KIND_PLAN, key, &[code, table]).len()
+        encode_file(KIND_PLAN, key, &[self.encode_record()]).len()
     }
 
-    /// Size of the variant-table record alone in bytes — the "plan table"
-    /// share of [`byte_size`](Self::byte_size), which is what shrinks
-    /// under pruning while the shared bytecode record stays put.
-    pub fn table_bytes(&self) -> usize {
-        self.encode_records().1.len()
-    }
-
-    fn encode_records(&self) -> (Vec<u8>, Vec<u8>) {
-        // Record 1: bytecode programs + edge layouts.
-        let mut e = Enc::default();
-        e.count(self.programs.len());
-        for sp in &self.programs {
-            enc_seg_programs(&mut e, sp);
-        }
-        e.count(self.edge_layouts.len());
-        for &l in &self.edge_layouts {
-            e.u8(layout_tag(l));
-        }
-        let code = e.buf;
-
-        // Record 2: the variant table.
+    fn encode_record(&self) -> Vec<u8> {
         let mut e = Enc::default();
         e.count(self.variants.len());
         for v in &self.variants {
@@ -814,27 +396,10 @@ impl PlanArtifact {
                 e.u8(opt_tag_tag(t));
             }
         }
-        (code, e.buf)
+        e.buf
     }
 
-    fn decode_records(code: &[u8], table: &[u8]) -> Result<PlanArtifact> {
-        let mut d = Dec::new(code);
-        let n_segs = d.count()?;
-        let mut programs = Vec::with_capacity(n_segs);
-        for _ in 0..n_segs {
-            programs.push(dec_seg_programs(&mut d)?);
-        }
-        let n_edges = d.count()?;
-        let mut edge_layouts = Vec::with_capacity(n_edges);
-        for _ in 0..n_edges {
-            edge_layouts.push(layout_of(d.u8()?)?);
-        }
-        if !d.done() {
-            return Err(ArtifactError::Malformed(
-                "trailing bytes in code record".into(),
-            ));
-        }
-
+    fn decode_record(table: &[u8]) -> Result<PlanArtifact> {
         let mut d = Dec::new(table);
         let n_variants = d.count()?;
         let mut variants = Vec::with_capacity(n_variants);
@@ -863,21 +428,14 @@ impl PlanArtifact {
                 "trailing bytes in table record".into(),
             ));
         }
-        Ok(PlanArtifact {
-            programs,
-            edge_layouts,
-            variants,
-        })
+        Ok(PlanArtifact { variants })
     }
 
-    /// Structural fit against a freshly rebuilt program structure: the
-    /// persisted plan must have one bytecode program per segment, one
-    /// layout per edge, and a variant table whose rows cover every
-    /// segment and exactly tile `[lo, hi]`.
+    /// Structural fit against a freshly rebuilt program structure: a
+    /// variant table whose rows cover every segment and exactly tile
+    /// `[lo, hi]`.
     pub(crate) fn fits(&self, segments: usize, lo: i64, hi: i64) -> bool {
-        self.programs.len() == segments
-            && self.edge_layouts.len() == segments + 1
-            && !self.variants.is_empty()
+        !self.variants.is_empty()
             && self.variants.iter().all(|v| v.choices.len() == segments)
             && self.variants.first().map(|v| v.lo) == Some(lo)
             && self.variants.last().map(|v| v.hi) == Some(hi)
@@ -1069,7 +627,7 @@ fn decode_file(bytes: &[u8], kind: u8, key: ArtifactKey) -> Result<Vec<Vec<u8>>>
 /// One directory holds two file families, both named by
 /// `(content hash, device fingerprint)`:
 ///
-/// - `<key>.plan` — [`PlanArtifact`]: bytecode + variant tables;
+/// - `<key>.plan` — [`PlanArtifact`]: the variant table;
 /// - `<key>.kmu` — [`LearnedState`]: recalibrated boundaries + histograms.
 ///
 /// All methods are infallible in the "never crash the runtime" sense:
@@ -1179,13 +737,13 @@ impl ArtifactStore {
             &self.plan_path(key),
             |bytes| {
                 let records = decode_file(bytes, KIND_PLAN, key)?;
-                let [code, table] = records.as_slice() else {
+                let [table] = records.as_slice() else {
                     return Err(ArtifactError::Malformed(format!(
-                        "expected 2 records, found {}",
+                        "expected 1 record, found {}",
                         records.len()
                     )));
                 };
-                PlanArtifact::decode_records(code, table)
+                PlanArtifact::decode_record(table)
             },
             |p| p.fits(segments, lo, hi),
         )
@@ -1198,10 +756,9 @@ impl ArtifactStore {
     /// Propagates filesystem errors; the store's counters are untouched by
     /// writes.
     pub fn store_plan(&self, key: ArtifactKey, plan: &PlanArtifact) -> Result<()> {
-        let (code, table) = plan.encode_records();
         self.write_atomic(
             &self.plan_path(key),
-            &encode_file(KIND_PLAN, key, &[code, table]),
+            &encode_file(KIND_PLAN, key, &[plan.encode_record()]),
         )
     }
 
@@ -1265,7 +822,6 @@ impl ArtifactStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use streamir::ir::Stmt;
 
     fn key() -> ArtifactKey {
         ArtifactKey {
@@ -1401,41 +957,5 @@ mod tests {
         assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
         assert_eq!(fnv1a64(b"a"), 0xaf63dc4c8601ec8c);
         assert_eq!(fnv1a64(b"adaptic"), 0x9be5001f999a6eb3);
-    }
-
-    #[test]
-    fn bytecode_program_roundtrips() {
-        use streamir::graph::bindings;
-        let body = vec![
-            Stmt::Assign {
-                name: "acc".into(),
-                expr: streamir::ir::Expr::Float(0.0),
-            },
-            Stmt::For {
-                var: "i".into(),
-                start: streamir::ir::Expr::Int(0),
-                end: streamir::ir::Expr::var("N"),
-                body: vec![Stmt::Assign {
-                    name: "acc".into(),
-                    expr: streamir::ir::Expr::bin(
-                        BinOp::Add,
-                        streamir::ir::Expr::var("acc"),
-                        streamir::ir::Expr::Pop,
-                    ),
-                }],
-            },
-            Stmt::Push(streamir::ir::Expr::var("acc")),
-        ];
-        let prog = bytecode::compile_body(&body, &bindings(&[("N", 8)]), &[]).unwrap();
-        let mut e = Enc::default();
-        enc_program(&mut e, &prog);
-        let bytes = e.buf;
-        let mut d = Dec::new(&bytes);
-        let back = dec_program(&mut d).unwrap();
-        assert!(d.done());
-        assert_eq!(back, prog);
-        let mut e2 = Enc::default();
-        enc_program(&mut e2, &back);
-        assert_eq!(e2.buf, bytes, "re-serialization must be byte-identical");
     }
 }

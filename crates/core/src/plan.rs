@@ -515,11 +515,7 @@ impl CompiledProgram {
     /// [`ArtifactStore::store_plan`](crate::artifact::ArtifactStore::store_plan)
     /// calls and roundtrip tests.
     pub fn export_plan(&self) -> crate::artifact::PlanArtifact {
-        crate::artifact::PlanArtifact::new(
-            self.programs.clone(),
-            self.edge_layouts.clone(),
-            self.variants.clone(),
-        )
+        crate::artifact::PlanArtifact::new(self.variants.clone())
     }
 
     /// The analytical model's predicted execution time (µs) of running
@@ -1413,32 +1409,24 @@ pub fn compile_with_options(
     axis: &InputAxis,
     options: CompileOptions,
 ) -> Result<CompiledProgram> {
-    let probe_binds = axis.bind(axis.probe_point());
-    let (segments, structure_tags) = build_structure(program, &options, &probe_binds)?;
-    let plan = plan_tables(
-        program,
-        device,
-        axis,
-        &options,
-        &segments,
-        &structure_tags,
-        &probe_binds,
-    )?;
-    Ok(assemble(program, device, axis, options, segments, plan))
+    let content = content_hash(program, axis, &options);
+    let (mut compiled, structure_tags) = assemble(program, device, axis, options, content)?;
+    compiled.variants = plan_tables(&compiled, &structure_tags)?;
+    Ok(compiled)
 }
 
 /// Load-or-compile through a persistent [`ArtifactStore`](crate::artifact::ArtifactStore).
 ///
-/// The cheap structure pass (one probe-point flatten + classify) always
-/// runs — it rebuilds the segment list the persisted tables are validated
-/// against. On a store hit the expensive plan-time work — bytecode
-/// lowering of every segment body plus the probe/binary-search
-/// construction of the variant table — is skipped entirely and the
-/// persisted [`PlanArtifact`](crate::artifact::PlanArtifact) is spliced
-/// in. On a miss (including corrupt or version-mismatched files, which the
-/// store counts as rejects) the program is compiled normally and the fresh
-/// plan is written back atomically; write failures are swallowed — a
-/// read-only store degrades to cold compiles, never an error.
+/// The cheap plan-time work always runs: the structure pass (one
+/// probe-point flatten + classify) rebuilds the segment list the persisted
+/// table is validated against, every segment body is lowered and the edge
+/// layouts are chosen. On a store hit the expensive part — the
+/// probe/binary-search construction of the variant table — is skipped and
+/// the persisted [`PlanArtifact`](crate::artifact::PlanArtifact) is
+/// spliced in. On a miss (including corrupt or version-mismatched files,
+/// which the store counts as rejects) the table is built normally and
+/// written back atomically; write failures are swallowed — a read-only
+/// store degrades to cold compiles, never an error.
 ///
 /// # Errors
 ///
@@ -1451,26 +1439,17 @@ pub fn compile_with_store(
     options: CompileOptions,
     store: &crate::artifact::ArtifactStore,
 ) -> Result<CompiledProgram> {
-    let probe_binds = axis.bind(axis.probe_point());
-    let (segments, structure_tags) = build_structure(program, &options, &probe_binds)?;
-    let key = crate::artifact::ArtifactKey {
-        content: content_hash(program, axis, &options),
-        device: device.fingerprint(),
-    };
-    if let Some(plan) = store.load_plan(key, segments.len(), axis.lo, axis.hi) {
-        return Ok(assemble(program, device, axis, options, segments, plan));
+    let content = content_hash(program, axis, &options);
+    let (mut compiled, structure_tags) = assemble(program, device, axis, options, content)?;
+    let key = compiled.artifact_key();
+    match store.load_plan(key, compiled.segments.len(), axis.lo, axis.hi) {
+        Some(plan) => compiled.variants = plan.variants,
+        None => {
+            compiled.variants = plan_tables(&compiled, &structure_tags)?;
+            let _ = store.store_plan(key, &compiled.export_plan());
+        }
     }
-    let plan = plan_tables(
-        program,
-        device,
-        axis,
-        &options,
-        &segments,
-        &structure_tags,
-        &probe_binds,
-    )?;
-    let _ = store.store_plan(key, &plan);
-    Ok(assemble(program, device, axis, options, segments, plan))
+    Ok(compiled)
 }
 
 /// Content address of a compilation request: a stable structural hash of
@@ -1502,28 +1481,25 @@ pub fn content_hash(program: &Program, axis: &InputAxis, options: &CompileOption
     crate::artifact::fnv1a64(s.as_bytes())
 }
 
-/// The expensive plan-time pass: lower every segment body to bytecode,
-/// choose edge layouts, and build the variant table by probing the axis.
-/// This is exactly what a warm boot skips.
-fn plan_tables(
-    program: &Program,
-    device: &DeviceSpec,
-    axis: &InputAxis,
-    options: &CompileOptions,
-    segments: &[Segment],
-    structure_tags: &[OptTag],
-    probe_binds: &Bindings,
-) -> Result<crate::artifact::PlanArtifact> {
-    let seg_programs = compile_programs(program, segments, probe_binds)?;
-    let layouts = choose_layouts(segments, options.memory);
-
+/// The expensive plan-time pass: build the variant table of `compiled`'s
+/// segments by probing the axis. This is exactly what a warm boot skips.
+fn plan_tables(compiled: &CompiledProgram, structure_tags: &[OptTag]) -> Result<Vec<Variant>> {
+    let CompiledProgram {
+        program,
+        device,
+        axis,
+        options,
+        segments,
+        edge_layouts: layouts,
+        ..
+    } = compiled;
     let fg = program.flatten()?;
     let decide_at = |x: i64, prev: Option<&[SegChoice]>| -> Result<Vec<SegChoice>> {
         let binds = axis.bind(x);
         let sched = rate_match(&fg, &binds)?;
         let iterations = axis.expected_iterations(x, sched.steady_input);
         decide(
-            program, segments, device, options, &layouts, &binds, &sched, iterations, prev,
+            program, segments, device, options, layouts, &binds, &sched, iterations, prev,
         )
     };
 
@@ -1560,7 +1536,7 @@ fn plan_tables(
             variants.push(Variant {
                 lo: cur_lo,
                 hi: b - 1,
-                tags: variant_tags(&cur_sig, &layouts, structure_tags),
+                tags: variant_tags(&cur_sig, layouts, structure_tags),
                 choices: cur_sig,
             });
             cur_lo = b;
@@ -1574,40 +1550,42 @@ fn plan_tables(
     variants.push(Variant {
         lo: cur_lo,
         hi,
-        tags: variant_tags(&cur_sig, &layouts, structure_tags),
+        tags: variant_tags(&cur_sig, layouts, structure_tags),
         choices: cur_sig,
     });
 
-    Ok(crate::artifact::PlanArtifact::new(
-        seg_programs,
-        layouts,
-        variants,
-    ))
+    Ok(variants)
 }
 
-/// Splice plan-time tables (freshly computed or loaded from the artifact
-/// store) into the run-time [`CompiledProgram`] shell.
+/// The run-time [`CompiledProgram`] shell, with an empty variant table,
+/// and the structure's optimization tags: the segment list, every segment
+/// body lowered and the edge layouts chosen — the cheap plan-time work
+/// every compile redoes, warm or cold.
 fn assemble(
     program: &Program,
     device: &DeviceSpec,
     axis: &InputAxis,
     options: CompileOptions,
-    segments: Vec<Segment>,
-    plan: crate::artifact::PlanArtifact,
-) -> CompiledProgram {
-    CompiledProgram {
-        content_hash: content_hash(program, axis, &options),
+    content_hash: u64,
+) -> Result<(CompiledProgram, Vec<OptTag>)> {
+    let probe_binds = axis.bind(axis.probe_point());
+    let (segments, structure_tags) = build_structure(program, &options, &probe_binds)?;
+    let programs = compile_programs(program, &segments, &probe_binds)?;
+    let edge_layouts = choose_layouts(&segments, options.memory);
+    let compiled = CompiledProgram {
+        content_hash,
         program: program.clone(),
         flat: Arc::default(),
         device: device.clone(),
         axis: axis.clone(),
         options,
         segments,
-        programs: plan.programs,
+        programs,
         warp_frames: Arc::new(crate::warp::WarpFramePool::new()),
-        edge_layouts: plan.edge_layouts,
-        variants: plan.variants,
-    }
+        edge_layouts,
+        variants: Vec::new(),
+    };
+    Ok((compiled, structure_tags))
 }
 
 /// Compile for a single concrete binding (one-shot execution).

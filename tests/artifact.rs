@@ -8,28 +8,14 @@
 mod common;
 
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use adaptic_repro::adaptic::{
-    compile_with_store, ArtifactKey, ArtifactStore, ExecMode, KernelManager, LearnedState,
-    RunOptions, VariantHistogram,
+    compile_with_store, ArtifactKey, ExecMode, KernelManager, LearnedState, RunOptions,
+    VariantHistogram,
 };
-use common::{cases, compiled_for, data, devices};
+use common::{cases, compiled_for, data, devices, temp_store};
 use proptest::prelude::*;
-
-/// A unique empty store directory (test binaries run concurrently).
-fn temp_store(tag: &str) -> (PathBuf, ArtifactStore) {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "adaptic_artifact_{tag}_{}_{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ArtifactStore::new(&dir);
-    (dir, store)
-}
 
 /// The bytes of the single artifact file with `ext` in `dir`.
 fn only_file(dir: &std::path::Path, ext: &str) -> Vec<u8> {

@@ -8,8 +8,11 @@
 // uses a subset of it.
 #![allow(dead_code)]
 
+use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
+
 use adaptic_repro::adaptic::{
-    compile_with_options, CompileOptions, CompiledProgram, InputAxis, StateBinding,
+    compile_with_options, ArtifactStore, CompileOptions, CompiledProgram, InputAxis, StateBinding,
 };
 use adaptic_repro::apps::programs;
 use adaptic_repro::gpu_sim::DeviceSpec;
@@ -227,4 +230,18 @@ pub fn devices() -> Vec<DeviceSpec> {
 pub fn compiled_for(case: &Case, device: &DeviceSpec) -> CompiledProgram {
     compile_with_options(&case.program, device, &(case.axis)(), case.opts)
         .unwrap_or_else(|e| panic!("{} fails to compile for {}: {e}", case.family, device.name))
+}
+
+/// A unique empty artifact-store directory (test binaries and their
+/// tests run concurrently).
+pub fn temp_store(tag: &str) -> (PathBuf, ArtifactStore) {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = std::env::temp_dir().join(format!(
+        "adaptic_store_{tag}_{}_{}",
+        std::process::id(),
+        SEQ.fetch_add(1, Ordering::Relaxed)
+    ));
+    let _ = std::fs::remove_dir_all(&dir);
+    let store = ArtifactStore::new(&dir);
+    (dir, store)
 }

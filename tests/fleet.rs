@@ -7,17 +7,15 @@
 
 mod common;
 
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use adaptic_repro::adaptic::{
-    compile, ArtifactKey, ArtifactStore, ExecMode, Fleet, InputAxis, KernelManager, LearnedState,
-    PlacementPolicy, RunOptions, TelemetrySnapshot,
+    compile, ArtifactKey, ExecMode, Fleet, InputAxis, KernelManager, LearnedState, PlacementPolicy,
+    RunOptions, TelemetrySnapshot,
 };
 use adaptic_repro::apps::programs;
 use adaptic_repro::gpu_sim::DeviceSpec;
-use common::data;
+use common::{data, temp_store};
 
 fn axis() -> InputAxis {
     InputAxis::total_size("N", 256, 1 << 18)
@@ -28,19 +26,6 @@ fn opts() -> RunOptions<'static> {
         mode: ExecMode::SampledExec(32),
         ..RunOptions::default()
     }
-}
-
-/// A unique empty store directory (test binaries run concurrently).
-fn temp_store(tag: &str) -> (PathBuf, ArtifactStore) {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join(format!(
-        "adaptic_fleet_{tag}_{}_{}",
-        std::process::id(),
-        SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    let _ = std::fs::remove_dir_all(&dir);
-    let store = ArtifactStore::new(&dir);
-    (dir, store)
 }
 
 /// The demo's skewed mix in miniature: mostly tiny, a tail of huge.

@@ -11,13 +11,14 @@ use std::collections::HashMap;
 use adaptic_repro::adaptic::bytecode::compile_body;
 use adaptic_repro::adaptic::warp::{self, full_mask, VecWarpIo, WarpFrame};
 use adaptic_repro::adaptic::{
-    compile, restructure, unrestructure, InputAxis, RunOptions, StateBinding,
+    compile, compile_with_store, restructure, unrestructure, CompileOptions, CompiledProgram,
+    InputAxis, RunOptions, StateBinding,
 };
 use adaptic_repro::gpu_sim::{DeviceSpec, ExecMode, ExecPolicy};
 use adaptic_repro::streamir::graph::Program;
 use adaptic_repro::streamir::interp::Interpreter;
 use adaptic_repro::streamir::parse::parse_program;
-use common::assert_matches_oracle;
+use common::{assert_matches_oracle, temp_store};
 
 /// One random building block for a work body. Every block is valid by
 /// construction: it only reads variables that are definitely assigned
@@ -233,7 +234,10 @@ proptest! {
     /// `compile` classifies the stateful actor opaque and `run_opts` fires
     /// it sequentially — and under the oracle, the `streamir` AST
     /// interpreter, over consecutive firings: same outputs, and — the body
-    /// pushes `c` and `s[0..4]` last — same state after every firing.
+    /// pushes `c` and `s[0..4]` last — same state after every firing. The
+    /// plan is compiled twice through one artifact store, and the warm
+    /// plan, whose bodies are lowered again beside the loaded table, must
+    /// give the cold plan's output bit for bit.
     #[test]
     fn random_body_bytecode_matches_ast_oracle(
         blocks in proptest::collection::vec(0u8..8, 0..8),
@@ -267,10 +271,15 @@ proptest! {
 
         let device = DeviceSpec::tesla_c2050();
         let axis = InputAxis::total_size("N", 16, 1 << 12);
-        let compiled = compile(&program, &device, &axis).unwrap();
+        let (dir, store) = temp_store("random_body");
+        let build = || compile_with_store(&program, &device, &axis, CompileOptions::default(), &store);
+        let (cold, warm) = (build().unwrap(), build().unwrap());
+        let _ = std::fs::remove_dir_all(&dir);
+        prop_assert_eq!((store.misses(), store.hits()), (1, 1));
         let state = [StateBinding::new("T", "s", sdata.clone())];
         let opts = RunOptions::serial(ExecMode::Full);
-        let rep = compiled.run_opts(data.len() as i64, &data, &state, opts, None).unwrap();
+        let run = |plan: &CompiledProgram| plan.run_opts(data.len() as i64, &data, &state, opts, None);
+        let (rep, warm_rep) = (run(&cold).unwrap(), run(&warm).unwrap());
         prop_assert!(rep.kernels.is_empty(), "the stateful actor runs on the host");
 
         prop_assert_eq!(want.len(), firings * 7);
@@ -278,6 +287,8 @@ proptest! {
         for (i, (a, b)) in want.iter().zip(&rep.output).enumerate() {
             prop_assert_eq!(a.to_bits(), b.to_bits(), "output {} differs: {} vs {}", i, a, b);
         }
+        let bits = |out: &[f32]| out.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&rep.output), bits(&warm_rep.output), "warm plan diverged");
     }
 
     /// Every template family (map, reduction, stencil, fused split-join)
