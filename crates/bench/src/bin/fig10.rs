@@ -138,7 +138,9 @@ fn main() {
     }
     let new_hits = cache.hits() - hit_before;
     let new_misses = cache.misses() - miss_before;
-    println!(
+    // Wall-clock time differs on every run, so the line goes to stderr
+    // and stdout stays reproducible.
+    eprintln!(
         "Launch-stats cache: {} memoized launches across {} shards; first sweep \
          {} misses / {} hits; re-sweep {} hits / {} misses / {} evictions in {:.1} ms",
         cache.len(),
