@@ -396,7 +396,7 @@ pub fn emit_variant(compiled: &CompiledProgram, variant: &Variant) -> String {
                     );
                 }
             }
-            (SegKind::Opaque(idx), SegChoice::Opaque) => {
+            (SegKind::Opaque(idx, _), SegChoice::Opaque) => {
                 let _ = writeln!(
                     out,
                     "/* actor {} executes on the host */\n",

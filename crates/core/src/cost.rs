@@ -60,8 +60,9 @@ pub fn map_profile(
     }
 }
 
-/// Closed-form profile of a [`crate::templates::SingleKernelReduce`]
-/// launch (also used for the merge stage of the two-kernel scheme).
+/// Closed-form profile of a one-chunk [`crate::templates::BlockReduce`]
+/// launch: a single-kernel reduction, or the merge stage of the
+/// two-kernel scheme.
 #[allow(clippy::too_many_arguments)]
 pub fn single_reduce_profile(
     device: &DeviceSpec,
@@ -100,7 +101,8 @@ pub fn single_reduce_profile(
     .finish(device)
 }
 
-/// Closed-form profile of an [`crate::templates::InitialReduce`] launch.
+/// Closed-form profile of the initial (chunking)
+/// [`crate::templates::BlockReduce`] launch of the two-kernel scheme.
 #[allow(clippy::too_many_arguments)]
 pub fn initial_reduce_profile(
     device: &DeviceSpec,

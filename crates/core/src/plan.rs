@@ -209,6 +209,8 @@ pub(crate) enum UnitsPerFiring {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct UnitSeg {
     pub body: Vec<Stmt>,
+    /// `body` lowered, with `loop_var` as its `i64` preset.
+    pub program: Arc<bytecode::Program>,
     pub loop_var: Option<String>,
     pub units_per_firing: UnitsPerFiring,
     pub pops_per_unit: usize,
@@ -226,17 +228,48 @@ pub(crate) struct UnitSeg {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ReduceSeg {
     pub pattern: ReductionPattern,
+    /// `pattern`'s element and post expressions lowered.
+    pub bodies: ReduceBodies,
     /// The serial (thread-per-array) form of `pattern`, built once here for
     /// lowering, per-launch instruction counts and the CUDA printer.
     pub serial_body: Vec<Stmt>,
+    /// `serial_body` lowered.
+    pub serial: Arc<bytecode::Program>,
     pub actor: String,
     pub fused_producer: bool,
+}
+
+/// A reduction pattern's element expression (the loop variable its
+/// `i64` preset) and, unless the identity, its post expression (the
+/// accumulator its `f32` preset), lowered.
+pub(crate) type ReduceBodies = (Arc<bytecode::Program>, Option<Arc<bytecode::Program>>);
+
+impl ReduceSeg {
+    fn new(
+        pattern: ReductionPattern,
+        actor: String,
+        fused_producer: bool,
+        binds: &Bindings,
+    ) -> Result<ReduceSeg> {
+        let serial_body = crate::runtime::pattern_to_serial_body(&pattern);
+        Ok(ReduceSeg {
+            bodies: lower_reduction(&pattern, binds)?,
+            serial: lower(&serial_body, binds, &[])?,
+            serial_body,
+            pattern,
+            actor,
+            fused_producer,
+        })
+    }
 }
 
 /// A stencil segment.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct StencilSeg {
     pub pattern: StencilPattern,
+    /// The pattern's per-element body lowered, with its loop variable as
+    /// the `i64` preset.
+    pub program: Arc<bytecode::Program>,
     pub actor: String,
 }
 
@@ -244,6 +277,8 @@ pub(crate) struct StencilSeg {
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct HFusedSeg {
     pub patterns: Vec<ReductionPattern>,
+    /// Each pattern's expressions lowered (parallel to `patterns`).
+    pub bodies: Vec<ReduceBodies>,
     pub actors: Vec<String>,
 }
 
@@ -252,9 +287,9 @@ pub(crate) struct HFusedSeg {
 /// kernel per sibling with interleaved output groups.
 #[derive(Debug, Clone, PartialEq)]
 pub(crate) struct MapSiblingsSeg {
-    /// (body, pushes, actor name) per sibling; all share the same pop
-    /// window.
-    pub branches: Vec<(Vec<Stmt>, usize, String)>,
+    /// (body, pushes, actor name, lowered body) per sibling; all share
+    /// the same pop window.
+    pub branches: Vec<(Vec<Stmt>, usize, String, Arc<bytecode::Program>)>,
     pub pops_per_unit: usize,
     pub total_push: usize,
 }
@@ -267,8 +302,9 @@ pub(crate) enum SegKind {
     Stencil(StencilSeg),
     HFused(HFusedSeg),
     MapSiblings(MapSiblingsSeg),
-    /// Host-interpreted actor (index into `Program::actors`).
-    Opaque(usize),
+    /// Host-interpreted actor (index into `Program::actors`) and its work
+    /// body lowered, run on a one-lane warp.
+    Opaque(usize, Arc<bytecode::Program>),
 }
 
 #[derive(Debug, Clone, PartialEq)]
@@ -279,105 +315,28 @@ pub(crate) struct Segment {
     pub label: String,
 }
 
-/// Plan-time bytecode for one segment (parallel to
-/// [`CompiledProgram::segments`]): every work body is lowered exactly once
-/// at compile time; launches only re-bind parameter slots against the
-/// concrete axis value.
-#[derive(Debug, Clone)]
-pub(crate) enum SegPrograms {
-    Unit(Arc<bytecode::Program>),
-    Reduce {
-        elem: Arc<bytecode::Program>,
-        post: Option<Arc<bytecode::Program>>,
-        /// The serial (thread-per-array) lowering of the same pattern.
-        serial: Arc<bytecode::Program>,
-    },
-    Stencil(Arc<bytecode::Program>),
-    /// `(elem, post)` per sibling reduction.
-    HFused(Vec<(Arc<bytecode::Program>, Option<Arc<bytecode::Program>>)>),
-    MapSiblings(Vec<Arc<bytecode::Program>>),
-    /// Opaque host body, run on a one-lane warp.
-    Opaque(Arc<bytecode::Program>),
+/// Lower a segment body once at plan time. Parameter *names* are what
+/// matter here — [`InputAxis::bind`] produces the same keys at every axis
+/// value, so a body lowered at the probe point binds at any `x`.
+fn lower(
+    body: &[Stmt],
+    binds: &Bindings,
+    presets: &[(&str, Ty)],
+) -> Result<Arc<bytecode::Program>> {
+    Ok(Arc::new(bytecode::compile_body(body, binds, presets)?))
 }
 
-/// Lower every segment body to bytecode once. Parameter *names* are what
-/// matter here — [`InputAxis::bind`] produces the same keys at every axis
-/// value, so programs compiled at the probe point re-bind at any `x`.
-fn compile_programs(
-    program: &Program,
-    segments: &[Segment],
-    binds: &Bindings,
-) -> Result<Vec<SegPrograms>> {
-    let reduce_programs = |p: &ReductionPattern| -> Result<_> {
-        let elem = Arc::new(bytecode::compile_expr(
-            &p.elem,
+fn lower_reduction(p: &ReductionPattern, binds: &Bindings) -> Result<ReduceBodies> {
+    let elem = bytecode::compile_expr(&p.elem, binds, &[(&p.loop_var, Ty::I64)])?;
+    let post = match p.post_is_identity() {
+        true => None,
+        false => Some(Arc::new(bytecode::compile_expr(
+            &p.post,
             binds,
-            &[(&p.loop_var, Ty::I64)],
-        )?);
-        let post = if p.post_is_identity() {
-            None
-        } else {
-            Some(Arc::new(bytecode::compile_expr(
-                &p.post,
-                binds,
-                &[(&p.acc, Ty::F32)],
-            )?))
-        };
-        Ok((elem, post))
+            &[(&p.acc, Ty::F32)],
+        )?)),
     };
-    segments
-        .iter()
-        .map(|seg| {
-            Ok(match &seg.kind {
-                SegKind::Unit(u) => {
-                    let presets: Vec<_> =
-                        u.loop_var.iter().map(|v| (v.as_str(), Ty::I64)).collect();
-                    SegPrograms::Unit(Arc::new(bytecode::compile_body(&u.body, binds, &presets)?))
-                }
-                SegKind::Reduce(r) => {
-                    let (elem, post) = reduce_programs(&r.pattern)?;
-                    let serial = Arc::new(bytecode::compile_body(&r.serial_body, binds, &[])?);
-                    SegPrograms::Reduce { elem, post, serial }
-                }
-                SegKind::Stencil(s) => SegPrograms::Stencil(Arc::new(bytecode::compile_body(
-                    &s.pattern.body,
-                    binds,
-                    &[(&s.pattern.loop_var, Ty::I64)],
-                )?)),
-                SegKind::HFused(h) => SegPrograms::HFused(
-                    h.patterns
-                        .iter()
-                        .map(reduce_programs)
-                        .collect::<Result<_>>()?,
-                ),
-                SegKind::MapSiblings(m) => SegPrograms::MapSiblings(
-                    m.branches
-                        .iter()
-                        .map(|(body, _, _)| Ok(Arc::new(bytecode::compile_body(body, binds, &[])?)))
-                        .collect::<Result<_>>()?,
-                ),
-                SegKind::Opaque(idx) => {
-                    let actor = &program.actors[*idx];
-                    // Scalar state is `f32`, as in the interpreter.
-                    let presets: Vec<_> = actor
-                        .state
-                        .iter()
-                        .filter_map(|sv| match sv {
-                            streamir::actor::StateVar::Scalar { name, .. } => {
-                                Some((name.as_str(), Ty::F32))
-                            }
-                            _ => None,
-                        })
-                        .collect();
-                    SegPrograms::Opaque(Arc::new(bytecode::compile_body(
-                        &actor.work.body,
-                        binds,
-                        &presets,
-                    )?))
-                }
-            })
-        })
-        .collect()
+    Ok((Arc::new(elem), post))
 }
 
 /// Lowering decision for one segment in one variant.
@@ -433,9 +392,6 @@ pub struct CompiledProgram {
     pub(crate) axis: InputAxis,
     pub(crate) options: CompileOptions,
     pub(crate) segments: Vec<Segment>,
-    /// Per-segment bytecode, lowered once at compile time (parallel to
-    /// `segments`).
-    pub(crate) programs: Vec<SegPrograms>,
     /// Warp-frame pool shared by every launch of this program: kernel
     /// workers recycle SoA lane-row frames across blocks and runs.
     pub(crate) warp_frames: Arc<crate::warp::WarpFramePool>,
@@ -696,18 +652,17 @@ fn build_structure(
                 let def = &program.actors[*actor];
                 let class = classify(def, binds);
                 let kind = match class {
-                    ActorClass::Reduction(pattern) => SegKind::Reduce(ReduceSeg {
-                        serial_body: crate::runtime::pattern_to_serial_body(&pattern),
-                        pattern,
-                        actor: def.name.clone(),
-                        fused_producer: false,
-                    }),
+                    ActorClass::Reduction(pattern) => {
+                        SegKind::Reduce(ReduceSeg::new(pattern, def.name.clone(), false, binds)?)
+                    }
                     ActorClass::Stencil(pattern) => SegKind::Stencil(StencilSeg {
+                        program: lower(&pattern.body, binds, &[(&pattern.loop_var, Ty::I64)])?,
                         pattern,
                         actor: def.name.clone(),
                     }),
                     ActorClass::ParallelLoop(pl) => SegKind::Unit(UnitSeg {
                         window_pop: pl.window_peeks.then(|| def.work.pop.clone()),
+                        program: lower(&pl.body, binds, &[(&pl.loop_var, Ty::I64)])?,
                         body: pl.body,
                         loop_var: Some(pl.loop_var),
                         units_per_firing: UnitsPerFiring::Loop(pl.bound),
@@ -722,6 +677,7 @@ fn build_structure(
                         let push = def.work.push.as_constant().unwrap_or(1) as usize;
                         SegKind::Unit(UnitSeg {
                             body: def.work.body.clone(),
+                            program: lower(&def.work.body, binds, &[])?,
                             loop_var: None,
                             units_per_firing: UnitsPerFiring::One,
                             pops_per_unit: pop.max(1),
@@ -732,7 +688,20 @@ fn build_structure(
                             has_parloop: false,
                         })
                     }
-                    ActorClass::Opaque => SegKind::Opaque(*actor),
+                    ActorClass::Opaque => {
+                        // Scalar state is `f32`, as in the interpreter.
+                        let presets: Vec<_> = def
+                            .state
+                            .iter()
+                            .filter_map(|sv| match sv {
+                                streamir::actor::StateVar::Scalar { name, .. } => {
+                                    Some((name.as_str(), Ty::F32))
+                                }
+                                _ => None,
+                            })
+                            .collect();
+                        SegKind::Opaque(*actor, lower(&def.work.body, binds, &presets)?)
+                    }
                 };
                 segments.push(Segment {
                     kind,
@@ -804,8 +773,16 @@ fn build_structure(
                                 .into(),
                         ));
                     }
+                    let bodies = patterns
+                        .iter()
+                        .map(|p| lower_reduction(p, binds))
+                        .collect::<Result<_>>()?;
                     segments.push(Segment {
-                        kind: SegKind::HFused(HFusedSeg { patterns, actors }),
+                        kind: SegKind::HFused(HFusedSeg {
+                            patterns,
+                            bodies,
+                            actors,
+                        }),
                         node: branch_entries[0],
                         label: "splitjoin".into(),
                     });
@@ -833,6 +810,7 @@ fn build_structure(
                             structure_tags.push(OptTag::HorizontalIntegration);
                             segments.push(Segment {
                                 kind: SegKind::Unit(UnitSeg {
+                                    program: lower(&body, binds, &[])?,
                                     body,
                                     loop_var: None,
                                     units_per_firing: UnitsPerFiring::One,
@@ -852,8 +830,11 @@ fn build_structure(
                                 kind: SegKind::MapSiblings(MapSiblingsSeg {
                                     branches: maps
                                         .into_iter()
-                                        .map(|(b, _, q, n)| (b, q, n))
-                                        .collect(),
+                                        .map(|(b, _, q, n)| {
+                                            let program = lower(&b, binds, &[])?;
+                                            Ok((b, q, n, program))
+                                        })
+                                        .collect::<Result<_>>()?,
                                     pops_per_unit: pop,
                                     total_push,
                                 }),
@@ -909,8 +890,9 @@ fn build_structure(
                                 } else {
                                     (a.units_per_firing.clone(), a_seg.node)
                                 };
-                                Segment {
+                                Ok(Segment {
                                     kind: SegKind::Unit(UnitSeg {
+                                        program: lower(&f.body, binds, &[(&f.loop_var, Ty::I64)])?,
                                         body: f.body,
                                         loop_var: Some(f.loop_var),
                                         units_per_firing: upf,
@@ -923,7 +905,7 @@ fn build_structure(
                                     }),
                                     node,
                                     label: format!("{}+{}", a_seg.label, b_seg.label),
-                                }
+                                })
                             })
                         }
                         _ => None,
@@ -931,20 +913,17 @@ fn build_structure(
                 }
                 (SegKind::Unit(a), SegKind::Reduce(r)) => units(a_seg).and_then(|ua| {
                     let pa = seg_as_parloop(a, ua);
-                    fuse_into_reduction(&pa, &r.pattern, binds).map(|p| Segment {
-                        kind: SegKind::Reduce(ReduceSeg {
-                            serial_body: crate::runtime::pattern_to_serial_body(&p),
-                            pattern: p,
-                            actor: r.actor.clone(),
-                            fused_producer: true,
-                        }),
-                        node: b_seg.node,
-                        label: format!("{}+{}", a_seg.label, b_seg.label),
+                    fuse_into_reduction(&pa, &r.pattern, binds).map(|p| {
+                        Ok(Segment {
+                            kind: SegKind::Reduce(ReduceSeg::new(p, r.actor.clone(), true, binds)?),
+                            node: b_seg.node,
+                            label: format!("{}+{}", a_seg.label, b_seg.label),
+                        })
                     })
                 }),
                 _ => None,
             };
-            match merged {
+            match merged.transpose()? {
                 Some(seg) => {
                     segments[i] = seg;
                     segments.remove(i + 1);
@@ -992,7 +971,7 @@ fn choose_layouts(segments: &[Segment], memory_enabled: bool) -> Vec<Layout> {
             SegKind::HFused(h) => h.patterns.first().map(|p| p.pops_per_elem),
             SegKind::MapSiblings(m) => Some(m.pops_per_unit),
             // Stencils address the raw grid; opaque runs on the host.
-            SegKind::Stencil(_) | SegKind::Opaque(_) => None,
+            SegKind::Stencil(_) | SegKind::Opaque(..) => None,
         }
     };
     let window_out = |s: &Segment| -> Option<usize> {
@@ -1002,7 +981,7 @@ fn choose_layouts(segments: &[Segment], memory_enabled: bool) -> Vec<Layout> {
             SegKind::Reduce(_) | SegKind::HFused(_) => Some(1),
             // Sibling kernels interleave output groups: row-major only.
             SegKind::MapSiblings(_) => None,
-            SegKind::Stencil(_) | SegKind::Opaque(_) => None,
+            SegKind::Stencil(_) | SegKind::Opaque(..) => None,
         }
     };
     for (i, layout) in layouts.iter_mut().enumerate() {
@@ -1163,7 +1142,7 @@ pub(crate) fn shape<'a>(
             shape.cols = cols as usize;
             shape.halo = (hr as usize, hc as usize);
         }
-        SegKind::MapSiblings(_) | SegKind::Opaque(_) => {}
+        SegKind::MapSiblings(_) | SegKind::Opaque(..) => {}
     }
     Ok(shape)
 }
@@ -1238,7 +1217,7 @@ pub(crate) fn price(
         (SegKind::MapSiblings(m), SegChoice::MapSiblings) => m
             .branches
             .iter()
-            .map(|(body, pushes, _)| {
+            .map(|(body, pushes, _, _)| {
                 let counts = body_counts(body, binds);
                 map_time(
                     shape.reps,
@@ -1250,7 +1229,7 @@ pub(crate) fn price(
                 )
             })
             .sum(),
-        (SegKind::Opaque(idx), SegChoice::Opaque) => {
+        (SegKind::Opaque(idx, _), SegChoice::Opaque) => {
             let body = &program.actors[*idx].work.body;
             let counts = shape.counts(|| body_counts(body, binds));
             host_cost_us(shape.reps, counts.compute)
@@ -1349,7 +1328,7 @@ fn fixed_choice(seg: &Segment, shape: &Shape<'_>, options: &CompileOptions) -> S
             fused: options.integration,
         },
         SegKind::MapSiblings(_) => SegChoice::MapSiblings,
-        SegKind::Opaque(_) => SegChoice::Opaque,
+        SegKind::Opaque(..) => SegChoice::Opaque,
     }
 }
 
@@ -1570,7 +1549,6 @@ fn assemble(
 ) -> Result<(CompiledProgram, Vec<OptTag>)> {
     let probe_binds = axis.bind(axis.probe_point());
     let (segments, structure_tags) = build_structure(program, &options, &probe_binds)?;
-    let programs = compile_programs(program, &segments, &probe_binds)?;
     let edge_layouts = choose_layouts(&segments, options.memory);
     let compiled = CompiledProgram {
         content_hash,
@@ -1580,7 +1558,6 @@ fn assemble(
         axis: axis.clone(),
         options,
         segments,
-        programs,
         warp_frames: Arc::new(crate::warp::WarpFramePool::new()),
         edge_layouts,
         variants: Vec::new(),

@@ -10,12 +10,12 @@
 
 use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig};
 
-use super::{affine, compute_row, index_row, mask_run, state_ref, SITE_STATE};
+use super::{affine, compute_row, index_row, mask_run, Body, SITE_STATE};
 use crate::layout::Layout;
 use crate::templates::reduction::{
     store_accs, tree_reduce, ReduceSpec, SITE_ELEM, SITE_OUT, SITE_SHARED_LD,
 };
-use crate::warp::{self, for_lanes, WarpIo, MAX_LANES};
+use crate::warp::{for_lanes, WarpIo, MAX_LANES};
 
 /// One kernel computing several reductions over the same input.
 #[derive(Debug, Clone)]
@@ -47,12 +47,11 @@ impl FusedReduce {
 /// cache).
 struct WindowWarpIo<'c, 'd, 's> {
     ctx: &'c mut BlockCtx<'d>,
-    spec: &'s ReduceSpec,
+    body: &'s Body,
     warp: u32,
     windows: &'s [f32],
     ws: usize,
     cursor: [usize; MAX_LANES],
-    state_slots: &'s [Option<u32>],
 }
 
 impl WarpIo for WindowWarpIo<'_, '_, '_> {
@@ -71,8 +70,8 @@ impl WarpIo for WindowWarpIo<'_, '_, '_> {
         panic!("push inside reduction element")
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
-        let (slot, buf) = state_ref(&self.spec.state, self.state_slots, id, array);
+    fn state_load_row(&mut self, id: u16, _: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
+        let (slot, buf) = self.body.array(id);
         let mut addrs = [0u64; MAX_LANES];
         let row = index_row(mask, idx, &mut addrs);
         self.ctx
@@ -101,25 +100,19 @@ impl Kernel for FusedReduce {
         let array = block as usize;
         let k = self.specs.len();
         let bdim = self.block_dim as usize;
-        let comps: Vec<_> = self.specs.iter().map(|s| s.compiled().clone()).collect();
 
         // Phase 1: whole warps march the grid-stride loop in lockstep.
         // Each popped word becomes one batched load row shared by every
         // sibling, each sibling's (branch-free) element program runs once
-        // per warp via `warp::eval_row`, and the final accumulators land
-        // in shared memory as one row per sibling.
+        // per warp, and the final accumulators land in shared memory as
+        // one row per sibling.
         let ppe = self.pops_per_elem();
         let total_elems = self.n_arrays * self.n_elements;
         let ws = ctx.warp_size() as usize;
         let mut wfs: Vec<_> = self
             .specs
             .iter()
-            .zip(&comps)
-            .map(|(s, c)| {
-                let mut wf = s.exec.warp_frames.take();
-                wf.fit(&c.elem, ws.min(bdim));
-                wf
-            })
+            .map(|s| s.elem.frame(ws.min(bdim)))
             .collect();
         let per_elem = self.in_layout.strides(ppe, total_elems).0;
         // The shared pop windows live in the first sibling's pooled frame.
@@ -157,25 +150,21 @@ impl Kernel for FusedReduce {
                     ctx.ld_global_row(SITE_ELEM, warp, self.in_buf, row, w);
                 }
                 for (s, spec) in self.specs.iter().enumerate() {
-                    let comp = &comps[s];
                     let wf = &mut wfs[s];
-                    wf.reset(&comp.elem_proto);
-                    if let Some(slot) = comp.loop_slot {
-                        let var = wf.i64_row_mut(slot);
-                        for_lanes(mask, live, |l| var[l] = elems[l] as i64);
-                    }
+                    spec.elem.start(wf, mask, live, |l| elems[l] as i64);
                     let mut io = WindowWarpIo {
                         ctx,
-                        spec,
+                        body: &spec.elem,
                         warp,
                         windows: &windows,
                         ws,
                         cursor: [0; MAX_LANES],
-                        state_slots: &comp.state_slots,
                     };
-                    let row = warp::eval_row(&comp.elem, wf, mask, &mut io);
+                    let row = spec.elem.eval_row(wf, mask, &mut io);
+                    // This template counts one flop (the combine) per
+                    // element, not the element body's own count.
                     ctx.count_flops(mask.count_ones() as u64);
-                    compute_row(ctx, warp, mask, comp.compute_per_elem);
+                    compute_row(ctx, warp, mask, spec.elem.compute);
                     for_lanes(mask, live, |l| {
                         accs[s][l] = spec.op.apply(accs[s][l], row[l]);
                     });
@@ -208,10 +197,9 @@ impl Kernel for FusedReduce {
         // Phase 3: lane 0 applies init/post and writes each output.
         for (s, (spec, mut wf)) in self.specs.iter().zip(wfs).enumerate() {
             let combined = ctx.ld_shared(SITE_SHARED_LD, 0, s * bdim);
-            let v = spec.op.apply(combined, spec.init);
-            let v = spec.apply_post(v, &mut wf);
+            let v = spec.finish(combined, &mut wf);
             ctx.st_global(SITE_OUT, 0, self.out_buf, array * k + s, v);
-            spec.exec.warp_frames.give(wf);
+            spec.elem.give(wf);
         }
     }
 }
@@ -220,7 +208,7 @@ impl Kernel for FusedReduce {
 mod tests {
     use super::*;
     use crate::analysis::reduction::CombineOp;
-    use crate::templates::reduction::ReduceExec;
+    use crate::templates::tests::{raw, spec};
     use gpu_sim::{launch, DeviceSpec, ExecMode, GlobalMem};
     use streamir::graph::bindings;
     use streamir::ir::Expr;
@@ -242,10 +230,7 @@ mod tests {
         let in_buf = mem.alloc_from(&data);
         let out_buf = mem.alloc(2);
         let k = FusedReduce {
-            specs: vec![
-                ReduceSpec::raw(CombineOp::Max, bindings(&[])),
-                ReduceSpec::raw(CombineOp::Add, bindings(&[])),
-            ],
+            specs: vec![raw(CombineOp::Max), raw(CombineOp::Add)],
             name: "max_sum".into(),
             n_arrays: 1,
             n_elements: n,
@@ -260,22 +245,24 @@ mod tests {
 
         // The fusion claim: one fused kernel loads the input once, two
         // separate kernels load it twice.
-        use crate::templates::reduction::SingleKernelReduce;
+        use crate::templates::reduction::BlockReduce;
         let mut mem2 = GlobalMem::new();
         let in2 = mem2.alloc_from(&data);
         let o2 = mem2.alloc(1);
-        let single = SingleKernelReduce {
-            spec: ReduceSpec::raw(CombineOp::Add, bindings(&[])),
+        let single = BlockReduce {
+            spec: raw(CombineOp::Add),
             name: "sum".into(),
             n_arrays: 1,
             n_elements: n,
             arrays_per_block: 1,
+            chunks: 1,
             block_dim: 256,
             in_buf: in2,
             in_layout: Layout::RowMajor,
             out_buf: o2,
             out_stride: 1,
             out_offset: 0,
+            partials: false,
         };
         let single_stats = launch(&device, &mut mem2, &single, ExecMode::Full);
         assert!(
@@ -297,10 +284,7 @@ mod tests {
         let in_buf = mem.alloc_from(&data);
         let out_buf = mem.alloc(n_arrays * 2);
         let k = FusedReduce {
-            specs: vec![
-                ReduceSpec::raw(CombineOp::Min, bindings(&[])),
-                ReduceSpec::raw(CombineOp::Add, bindings(&[])),
-            ],
+            specs: vec![raw(CombineOp::Min), raw(CombineOp::Add)],
             name: "min_sum".into(),
             n_arrays,
             n_elements,
@@ -330,41 +314,23 @@ mod tests {
         let mut mem = GlobalMem::new();
         let in_buf = mem.alloc_from(&data);
         let out_buf = mem.alloc(2);
-        let nrm2 = ReduceSpec {
-            op: CombineOp::Add,
-            init: 0.0,
-            // One pop per element: square via pow so the shared window
-            // (sized by pops_per_elem) is read exactly once.
-            elem: Expr::Call {
-                intrinsic: streamir::ir::Intrinsic::Pow,
-                args: vec![Expr::Pop, Expr::Float(2.0)],
-            },
-            loop_var: "i".into(),
-            pops_per_elem: 1,
-            acc_name: "acc".into(),
-            post: Some(Expr::Call {
-                intrinsic: streamir::ir::Intrinsic::Sqrt,
-                args: vec![Expr::var("acc")],
-            }),
-            binds: bindings(&[]),
-            state: Vec::new(),
-            exec: ReduceExec::default(),
+        let binds = bindings(&[]);
+        // One pop per element: square via pow so the shared window
+        // (sized by pops_per_elem) is read exactly once.
+        let square = Expr::Call {
+            intrinsic: streamir::ir::Intrinsic::Pow,
+            args: vec![Expr::Pop, Expr::Float(2.0)],
         };
-        let asum = ReduceSpec {
-            op: CombineOp::Add,
-            init: 0.0,
-            elem: Expr::Call {
-                intrinsic: streamir::ir::Intrinsic::Abs,
-                args: vec![Expr::Pop],
-            },
-            loop_var: "i".into(),
-            pops_per_elem: 1,
-            acc_name: "acc".into(),
-            post: None,
-            binds: bindings(&[]),
-            state: Vec::new(),
-            exec: ReduceExec::default(),
+        let sqrt = Expr::Call {
+            intrinsic: streamir::ir::Intrinsic::Sqrt,
+            args: vec![Expr::var("acc")],
         };
+        let nrm2 = spec(CombineOp::Add, square, 1, Some(("acc", sqrt)), &binds, &[]);
+        let abs = Expr::Call {
+            intrinsic: streamir::ir::Intrinsic::Abs,
+            args: vec![Expr::Pop],
+        };
+        let asum = spec(CombineOp::Add, abs, 1, None, &binds, &[]);
         let k = FusedReduce {
             specs: vec![nrm2, asum],
             name: "nrm2_asum".into(),

@@ -12,21 +12,14 @@
 //! thread processes several units, reducing the number of blocks when
 //! block counts are excessive.
 
-use std::sync::Arc;
-
 use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig, Row};
-use streamir::ir::Stmt;
-use streamir::rates::Bindings;
-use streamir::value::Value;
 
 use super::{
-    affine, compute_row, cursor_row, for_warp_rows, index_row, lane_run, state_ref, state_slots,
-    StateCache, SITE_STATE,
+    affine, compute_row, cursor_row, for_warp_rows, index_row, lane_run, Body, StateCache,
+    SITE_STATE,
 };
-use crate::analysis::opcount::body_counts;
-use crate::bytecode::{self, Ty};
 use crate::layout::Layout;
-use crate::warp::{self, for_lanes, full_mask, WarpFramePool, WarpIo, MAX_LANES};
+use crate::warp::{for_lanes, full_mask, WarpIo, MAX_LANES};
 
 /// Access-site ids used by this template.
 const SITE_POP: u32 = 0;
@@ -41,11 +34,9 @@ const SITE_STAGE_RD: u32 = 5;
 pub struct MapKernel {
     /// Kernel name for reports.
     pub name: String,
-    /// Parameter bindings the body is evaluated under.
-    pub binds: Bindings,
-    /// When lowering a parallelized loop, the loop variable bound to the
-    /// unit's iteration index.
-    pub loop_var: Option<String>,
+    /// The per-unit work body; its preset, when any, is the loop variable
+    /// bound to the unit's iteration index.
+    pub body: Body,
     /// Total work units in the launch.
     pub units: usize,
     /// Units per actor firing: the loop variable is the unit index *within
@@ -65,8 +56,6 @@ pub struct MapKernel {
     /// Output buffer and layout.
     pub out_buf: BufId,
     pub out_layout: Layout,
-    /// Bound state arrays (name → global buffer).
-    pub state: Vec<(String, BufId)>,
     /// Units per thread (1 = no thread integration).
     pub coarsen: usize,
     /// Interleaved output groups for unfused sibling kernels: pushes land
@@ -82,160 +71,9 @@ pub struct MapKernel {
     pub stage_window: bool,
     /// Threads per block.
     pub block_dim: u32,
-    /// Precomputed per-unit instruction count (for the performance model).
-    pub compute_per_unit: u32,
-    /// Precomputed per-unit floating-point operations.
-    pub flops_per_unit: u64,
-    /// Compiled bytecode of the per-unit work body (plan-shared via
-    /// [`MapKernel::precompiled`]).
-    pub program: Arc<bytecode::Program>,
-    /// `program` bound against `binds`: the slot prototype copied into the
-    /// frame at every firing.
-    pub(crate) proto: Vec<Value>,
-    /// Preset slot of the loop variable, when any.
-    pub(crate) loop_slot: Option<u16>,
-    /// Program state id → index into `state` (rebuilt by
-    /// [`MapKernel::with_state`]).
-    pub(crate) state_slots: Vec<Option<u32>>,
-    /// Warp-frame pool shared with the engine (injected by the runtime).
-    pub(crate) warp_frames: Arc<WarpFramePool>,
 }
 
 impl MapKernel {
-    /// Build a map kernel from its per-unit work `body`, lowering it to
-    /// bytecode.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        name: &str,
-        body: &[Stmt],
-        binds: Bindings,
-        loop_var: Option<String>,
-        units: usize,
-        pops_per_unit: usize,
-        pushes_per_unit: usize,
-        in_buf: BufId,
-        out_buf: BufId,
-    ) -> MapKernel {
-        let presets: Vec<_> = loop_var.iter().map(|v| (v.as_str(), Ty::I64)).collect();
-        let program = Arc::new(
-            bytecode::compile_body(body, &binds, &presets).expect("work body lowers to bytecode"),
-        );
-        Self::precompiled(
-            name,
-            body,
-            binds,
-            loop_var,
-            units,
-            pops_per_unit,
-            pushes_per_unit,
-            in_buf,
-            out_buf,
-            program,
-        )
-    }
-
-    /// Like [`MapKernel::new`] but adopting a plan-precompiled program, so
-    /// launches only re-bind parameter slots instead of re-lowering;
-    /// `body` is read for the per-unit instruction mix only.
-    #[allow(clippy::too_many_arguments)]
-    pub fn precompiled(
-        name: &str,
-        body: &[Stmt],
-        binds: Bindings,
-        loop_var: Option<String>,
-        units: usize,
-        pops_per_unit: usize,
-        pushes_per_unit: usize,
-        in_buf: BufId,
-        out_buf: BufId,
-        program: Arc<bytecode::Program>,
-    ) -> MapKernel {
-        let counts = body_counts(body, &binds);
-        let mut k = MapKernel {
-            name: name.to_string(),
-            binds,
-            loop_var,
-            units,
-            units_per_firing: units,
-            window_pop: None,
-            pops_per_unit,
-            pushes_per_unit,
-            in_buf,
-            in_layout: Layout::RowMajor,
-            out_buf,
-            out_layout: Layout::RowMajor,
-            state: Vec::new(),
-            coarsen: 1,
-            out_group: None,
-            stage_window: false,
-            block_dim: 256,
-            compute_per_unit: counts.compute as u32,
-            flops_per_unit: counts.flops as u64,
-            program,
-            proto: Vec::new(),
-            loop_slot: None,
-            state_slots: Vec::new(),
-            warp_frames: Arc::new(WarpFramePool::new()),
-        };
-        k.rebind_program();
-        k
-    }
-
-    /// Share the engine's warp-frame pool (injected by the runtime so
-    /// frames recycle across launches).
-    pub fn with_warp_frames(mut self, frames: Arc<WarpFramePool>) -> MapKernel {
-        self.warp_frames = frames;
-        self
-    }
-
-    fn rebind_program(&mut self) {
-        self.proto = self
-            .program
-            .bind(&self.binds)
-            .expect("kernel bindings cover program parameters");
-        self.loop_slot = self
-            .loop_var
-            .as_deref()
-            .and_then(|lv| self.program.slot_of(lv));
-        self.rebind_state_slots();
-    }
-
-    fn rebind_state_slots(&mut self) {
-        self.state_slots = state_slots(&self.program, &self.state);
-    }
-
-    /// Set input/output layouts (builder style).
-    pub fn with_layouts(mut self, input: Layout, output: Layout) -> MapKernel {
-        self.in_layout = input;
-        self.out_layout = output;
-        self
-    }
-
-    /// Set the thread-coarsening factor.
-    pub fn with_coarsen(mut self, coarsen: usize) -> MapKernel {
-        self.coarsen = coarsen.max(1);
-        self
-    }
-
-    /// Set threads per block.
-    pub fn with_block_dim(mut self, block_dim: u32) -> MapKernel {
-        self.block_dim = block_dim;
-        self
-    }
-
-    /// Enable shared-memory window staging (see [`MapKernel::stage_window`]).
-    pub fn with_staging(mut self, stage: bool) -> MapKernel {
-        self.stage_window = stage;
-        self
-    }
-
-    /// Bind a state array to a global buffer.
-    pub fn with_state(mut self, name: &str, buf: BufId) -> MapKernel {
-        self.state.push((name.to_string(), buf));
-        self.rebind_state_slots();
-        self
-    }
-
     /// Units handled per block.
     pub fn units_per_block(&self) -> usize {
         self.block_dim as usize * self.coarsen
@@ -370,16 +208,14 @@ impl WarpIo for MapWarpIo<'_, '_, '_> {
             .st_global_row(SITE_PUSH, self.warp, k.out_buf, row, vals);
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
-        let k = self.kernel;
-        let target = state_ref(&k.state, &k.state_slots, id, array);
+    fn state_load_row(&mut self, id: u16, _: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
+        let target = self.kernel.body.array(id);
         self.state_cache
             .load_row(self.ctx, self.tid0, target, mask, idx, out);
     }
 
-    fn state_store_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], vals: &[f32]) {
-        let k = self.kernel;
-        let (slot, buf) = state_ref(&k.state, &k.state_slots, id, array);
+    fn state_store_row(&mut self, id: u16, _: &str, mask: u64, idx: &[i64], vals: &[f32]) {
+        let (slot, buf) = self.kernel.body.array(id);
         let row = index_row(mask, idx, &mut self.addrs);
         self.ctx
             .st_global_row(SITE_STATE + slot, self.warp, buf, row, vals);
@@ -438,8 +274,7 @@ impl Kernel for MapKernel {
         let bdim = self.block_dim as usize;
         let upf = self.units_per_firing.max(1);
         let mut state_cache = StateCache::default();
-        let mut wf = self.warp_frames.take();
-        wf.fit(&self.program, ws.min(bdim));
+        let mut wf = self.body.frame(ws.min(bdim));
         for c in 0..self.coarsen {
             // Thread-strided within the block's contiguous range so each
             // sweep touches consecutive units.
@@ -453,12 +288,9 @@ impl Kernel for MapKernel {
                 // Lanes past the unit count are simply not resident
                 // (the ragged final warp).
                 let live = (self.units - unit0).min((bdim - lane0).min(ws));
-                wf.reset(&self.proto);
-                if let Some(slot) = self.loop_slot {
-                    for (l, var) in wf.i64_row_mut(slot)[..live].iter_mut().enumerate() {
-                        *var = ((unit0 + l) % upf) as i64;
-                    }
-                }
+                let mask = full_mask(live);
+                self.body
+                    .start(&mut wf, mask, live, |l| ((unit0 + l) % upf) as i64);
                 let warp = (lane0 / ws) as u32;
                 let mut io = MapWarpIo {
                     ctx,
@@ -472,13 +304,12 @@ impl Kernel for MapKernel {
                     addrs: [0; MAX_LANES],
                     state_cache: &mut state_cache,
                 };
-                warp::eval(&self.program, &mut wf, full_mask(live), &mut io);
-                ctx.count_flops(live as u64 * self.flops_per_unit);
-                compute_row(ctx, warp, full_mask(live), self.compute_per_unit);
+                self.body.eval(&mut wf, mask, &mut io);
+                self.body.charge(ctx, warp, mask);
                 lane0 += ws;
             }
         }
-        self.warp_frames.give(wf);
+        self.body.give(wf);
     }
 }
 
@@ -488,9 +319,40 @@ mod tests {
     use gpu_sim::{launch, DeviceSpec, ExecMode, GlobalMem};
     use streamir::graph::bindings;
     use streamir::interp::Interpreter;
+    use streamir::ir::Stmt;
     use streamir::parse::parse_program;
 
     use crate::layout::restructure;
+    use crate::templates::tests::body;
+
+    /// A row-major map kernel of 256-thread blocks over `units` units.
+    fn kernel(
+        name: &str,
+        body: Body,
+        units: usize,
+        pops_per_unit: usize,
+        pushes_per_unit: usize,
+        in_buf: BufId,
+        out_buf: BufId,
+    ) -> MapKernel {
+        MapKernel {
+            name: name.into(),
+            body,
+            units,
+            units_per_firing: units,
+            window_pop: None,
+            pops_per_unit,
+            pushes_per_unit,
+            in_buf,
+            in_layout: Layout::RowMajor,
+            out_buf,
+            out_layout: Layout::RowMajor,
+            coarsen: 1,
+            out_group: None,
+            stage_window: false,
+            block_dim: 256,
+        }
+    }
 
     #[test]
     fn map_matches_interpreter() {
@@ -503,11 +365,9 @@ mod tests {
         let mut mem = GlobalMem::new();
         let in_buf = mem.alloc_from(&input);
         let out_buf = mem.alloc(input.len());
-        let k = MapKernel::new(
+        let k = kernel(
             "m",
-            &program.actors[0].work.body,
-            bindings(&[]),
-            None,
+            body(&program.actors[0].work.body, &bindings(&[]), None, &[]),
             input.len(),
             1,
             1,
@@ -537,11 +397,9 @@ mod tests {
         let mut mem = GlobalMem::new();
         let in_buf = mem.alloc_from(&input);
         let out_buf = mem.alloc(input.len() / 2);
-        let base = MapKernel::new(
+        let base = kernel(
             "m",
-            &program.actors[0].work.body,
-            bindings(&[]),
-            None,
+            body(&program.actors[0].work.body, &bindings(&[]), None, &[]),
             input.len() / 4,
             4,
             2,
@@ -555,13 +413,12 @@ mod tests {
         let mut mem2 = GlobalMem::new();
         let in2 = mem2.alloc_from(restructure(&input, 4));
         let out2 = mem2.alloc(input.len() / 2);
-        let opt = base
-            .clone()
-            .with_layouts(Layout::Transposed, Layout::Transposed);
         let opt = MapKernel {
             in_buf: in2,
+            in_layout: Layout::Transposed,
             out_buf: out2,
-            ..opt
+            out_layout: Layout::Transposed,
+            ..base.clone()
         };
         let t_stats = launch(&device, &mut mem2, &opt, ExecMode::Full);
         let out_rm = crate::layout::unrestructure(mem2.read(out2), 2);
@@ -587,11 +444,9 @@ mod tests {
         let mut mem = GlobalMem::new();
         let in_buf = mem.alloc_from(&input);
         let out_buf = mem.alloc(input.len());
-        let k = MapKernel::new(
+        let k = kernel(
             "m",
-            &program.actors[0].work.body,
-            bindings(&[]),
-            None,
+            body(&program.actors[0].work.body, &bindings(&[]), None, &[]),
             input.len(),
             1,
             1,
@@ -599,7 +454,7 @@ mod tests {
             out_buf,
         );
         let plain = k.config().grid_dim;
-        let k4 = k.with_coarsen(4);
+        let k4 = MapKernel { coarsen: 4, ..k };
         assert_eq!(k4.config().grid_dim * 4, plain);
         launch(&device, &mut mem, &k4, ExecMode::Full);
         for (i, v) in mem.read(out_buf).iter().enumerate() {
@@ -623,18 +478,20 @@ mod tests {
         let expected = it.run(&input).unwrap();
 
         // Per-iteration body: strip the For, keep its body with loop_var.
-        let Stmt::For { var, body, .. } = &program.actors[0].work.body[0] else {
+        let Stmt::For {
+            var, body: stmts, ..
+        } = &program.actors[0].work.body[0]
+        else {
             panic!("expected for");
         };
         let device = DeviceSpec::tesla_c2050();
         let mut mem = GlobalMem::new();
         let in_buf = mem.alloc_from(&input);
         let out_buf = mem.alloc(n);
-        let k = MapKernel::new(
+        let binds = bindings(&[("N", n as i64)]);
+        let k = kernel(
             "pl",
-            body,
-            bindings(&[("N", n as i64)]),
-            Some(var.clone()),
+            body(stmts, &binds, Some(var), &[]),
             n,
             1,
             1,
@@ -665,11 +522,9 @@ mod tests {
         let mut direct_mem = GlobalMem::new();
         let in1 = direct_mem.alloc_from(&input);
         let out1 = direct_mem.alloc(input.len() / 2);
-        let direct = MapKernel::new(
+        let direct = kernel(
             "direct",
-            &program.actors[0].work.body,
-            bindings(&[]),
-            None,
+            body(&program.actors[0].work.body, &bindings(&[]), None, &[]),
             input.len() / 4,
             4,
             2,
@@ -682,19 +537,19 @@ mod tests {
         let mut staged_mem = GlobalMem::new();
         let in2 = staged_mem.alloc_from(&input);
         let out2 = staged_mem.alloc(input.len() / 2);
-        let staged = MapKernel::new(
-            "staged",
-            &program.actors[0].work.body,
-            bindings(&[]),
-            None,
-            input.len() / 4,
-            4,
-            2,
-            in2,
-            out2,
-        )
-        .with_staging(true)
-        .with_block_dim(128);
+        let staged = MapKernel {
+            stage_window: true,
+            block_dim: 128,
+            ..kernel(
+                "staged",
+                body(&program.actors[0].work.body, &bindings(&[]), None, &[]),
+                input.len() / 4,
+                4,
+                2,
+                in2,
+                out2,
+            )
+        };
         let staged_stats = launch(&device, &mut staged_mem, &staged, ExecMode::Full);
         assert_eq!(staged_mem.read(out2), expected.as_slice());
 
@@ -740,20 +595,20 @@ mod tests {
                 Layout::Transposed => mem.alloc_from(restructure(&input, 4)),
             };
             let out_buf = mem.alloc(input.len() / 4);
-            let k = MapKernel::new(
-                "peeks",
-                &program.actors[0].work.body,
-                bindings(&[]),
-                None,
-                input.len() / 4,
-                4,
-                1,
-                in_buf,
-                out_buf,
-            )
-            .with_layouts(layout, Layout::RowMajor)
-            .with_staging(stage)
-            .with_block_dim(128);
+            let k = MapKernel {
+                in_layout: layout,
+                stage_window: stage,
+                block_dim: 128,
+                ..kernel(
+                    "peeks",
+                    body(&program.actors[0].work.body, &bindings(&[]), None, &[]),
+                    input.len() / 4,
+                    4,
+                    1,
+                    in_buf,
+                    out_buf,
+                )
+            };
             launch(&device, &mut mem, &k, ExecMode::Full);
             assert_eq!(mem.read(out_buf), expected, "{layout:?}, staged {stage}");
         }
@@ -768,28 +623,30 @@ mod tests {
             }
         }"#;
         let program = parse_program(src).unwrap();
-        let Stmt::For { var, body, .. } = &program.actors[0].work.body[0] else {
+        let Stmt::For {
+            var, body: stmts, ..
+        } = &program.actors[0].work.body[0]
+        else {
             panic!("expected for");
         };
         let n = 64usize;
         let in_buf = mem.alloc(n);
         let out_buf = mem.alloc(n);
-        let mut k = MapKernel::new(
+        let binds = bindings(&[("N", n as i64)]);
+        let k = kernel(
             "neg",
-            body,
-            bindings(&[("N", n as i64)]),
-            Some(var.clone()),
+            body(stmts, &binds, Some(var), &[]),
             n,
             1,
             1,
             in_buf,
             out_buf,
-        )
-        .with_staging(stage);
-        if !stage {
-            k.window_pop = Some(n);
+        );
+        MapKernel {
+            stage_window: stage,
+            window_pop: (!stage).then_some(n),
+            ..k
         }
-        k
     }
 
     #[test]
@@ -822,18 +679,17 @@ mod tests {
         let in_buf = mem.alloc_from(&[1.0, 2.0, 3.0]);
         let out_buf = mem.alloc(3);
         let scale = mem.alloc_from(&[10.0]);
-        let k = MapKernel::new(
+        let state = [("scale".to_string(), scale)];
+        let binds = bindings(&[("N", 3)]);
+        let k = kernel(
             "s",
-            &program.actors[0].work.body,
-            bindings(&[("N", 3)]),
-            None,
+            body(&program.actors[0].work.body, &binds, None, &state),
             3,
             1,
             1,
             in_buf,
             out_buf,
-        )
-        .with_state("scale", scale);
+        );
         launch(&device, &mut mem, &k, ExecMode::Full);
         assert_eq!(mem.read(out_buf), &[10.0, 20.0, 30.0]);
     }

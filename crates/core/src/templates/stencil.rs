@@ -11,20 +11,10 @@
 //! edge conditions and the combining function keep their exact semantics:
 //! `peek(idx + Δ)` is redirected to the shared tile.
 
-use std::sync::Arc;
-
 use gpu_sim::{BlockCtx, BufId, Kernel, LaunchConfig, Row};
-use streamir::ir::Stmt;
-use streamir::rates::Bindings;
-use streamir::value::Value;
 
-use super::{
-    affine, compute_row, for_warp_rows, index_row, lane_run, mask_run, state_ref, state_slots,
-    SITE_STATE,
-};
-use crate::analysis::opcount::body_counts;
-use crate::bytecode::{self, Ty};
-use crate::warp::{self, for_lanes, full_mask, WarpFramePool, WarpIo, MAX_LANES};
+use super::{affine, for_warp_rows, index_row, lane_run, mask_run, Body, SITE_STATE};
+use crate::warp::{for_lanes, full_mask, WarpIo, MAX_LANES};
 
 const SITE_LOAD: u32 = 0;
 const SITE_TILE_ST: u32 = 1;
@@ -35,9 +25,9 @@ const SITE_PUSH: u32 = 3;
 #[derive(Debug, Clone)]
 pub struct StencilKernel {
     pub name: String,
-    /// Loop variable bound to the global element index.
-    pub loop_var: String,
-    pub binds: Bindings,
+    /// The per-element loop body (from the detected pattern); its preset
+    /// is the loop variable, bound to the global element index.
+    pub body: Body,
     /// Grid extent: `rows == 1` for 1-D stencils.
     pub rows: usize,
     pub cols: usize,
@@ -50,115 +40,9 @@ pub struct StencilKernel {
     pub block_dim: u32,
     pub in_buf: BufId,
     pub out_buf: BufId,
-    pub state: Vec<(String, BufId)>,
-    /// Precomputed per-element instruction estimate.
-    pub compute_per_elem: u32,
-    pub flops_per_elem: u64,
-    /// The per-element loop body (from the detected pattern) lowered to
-    /// bytecode (see [`crate::bytecode`]).
-    pub program: Arc<bytecode::Program>,
-    /// Slot prototype with parameters bound.
-    pub(crate) proto: Vec<Value>,
-    pub(crate) loop_slot: Option<u16>,
-    /// Program state id → index into `state`.
-    pub(crate) state_slots: Vec<Option<u32>>,
-    /// Warp-frame pool shared with the engine.
-    pub(crate) warp_frames: Arc<WarpFramePool>,
 }
 
 impl StencilKernel {
-    /// Construct from the per-element loop `body`, lowering it to
-    /// bytecode.
-    #[allow(clippy::too_many_arguments)]
-    pub fn new(
-        name: &str,
-        body: &[Stmt],
-        loop_var: &str,
-        binds: Bindings,
-        rows: usize,
-        cols: usize,
-        tile_w: usize,
-        tile_h: usize,
-        halo_r: usize,
-        halo_c: usize,
-        in_buf: BufId,
-        out_buf: BufId,
-    ) -> StencilKernel {
-        let program = Arc::new(
-            bytecode::compile_body(body, &binds, &[(loop_var, Ty::I64)])
-                .expect("stencil body lowers to bytecode"),
-        );
-        Self::precompiled(
-            name, body, loop_var, binds, rows, cols, tile_w, tile_h, halo_r, halo_c, in_buf,
-            out_buf, program,
-        )
-    }
-
-    /// Like [`StencilKernel::new`] but adopting a plan-precompiled
-    /// program, so launches only re-bind parameter slots; `body` is read
-    /// for the per-element instruction estimates only.
-    #[allow(clippy::too_many_arguments)]
-    pub fn precompiled(
-        name: &str,
-        body: &[Stmt],
-        loop_var: &str,
-        binds: Bindings,
-        rows: usize,
-        cols: usize,
-        tile_w: usize,
-        tile_h: usize,
-        halo_r: usize,
-        halo_c: usize,
-        in_buf: BufId,
-        out_buf: BufId,
-        program: Arc<bytecode::Program>,
-    ) -> StencilKernel {
-        let counts = body_counts(body, &binds);
-        let mut k = StencilKernel {
-            name: name.to_string(),
-            loop_var: loop_var.to_string(),
-            binds,
-            rows,
-            cols,
-            tile_w,
-            tile_h,
-            halo_r,
-            halo_c,
-            in_buf,
-            out_buf,
-            state: Vec::new(),
-            block_dim: 256,
-            compute_per_elem: counts.compute as u32,
-            flops_per_elem: counts.flops as u64,
-            program,
-            proto: Vec::new(),
-            loop_slot: None,
-            state_slots: Vec::new(),
-            warp_frames: Arc::new(WarpFramePool::new()),
-        };
-        k.rebind_program();
-        k
-    }
-
-    /// Share the engine's warp-frame pool.
-    pub fn with_warp_frames(mut self, frames: Arc<WarpFramePool>) -> StencilKernel {
-        self.warp_frames = frames;
-        self
-    }
-
-    fn rebind_program(&mut self) {
-        self.proto = self
-            .program
-            .bind(&self.binds)
-            .expect("bindings cover stencil body");
-        self.loop_slot = self.program.slot_of(&self.loop_var);
-        self.rebind_state_slots();
-    }
-
-    fn rebind_state_slots(&mut self) {
-        self.state_slots = state_slots(&self.program, &self.state);
-    }
-
     /// Extended (shared) tile width including halos.
     pub fn ext_w(&self) -> usize {
         self.tile_w + 2 * self.halo_c
@@ -175,13 +59,6 @@ impl StencilKernel {
 
     fn tiles_y(&self) -> usize {
         self.rows.div_ceil(self.tile_h)
-    }
-
-    /// Bind a state array.
-    pub fn with_state(mut self, name: &str, buf: BufId) -> StencilKernel {
-        self.state.push((name.to_string(), buf));
-        self.rebind_state_slots();
-        self
     }
 }
 
@@ -281,9 +158,8 @@ impl WarpIo for StencilWarpIo<'_, '_, '_> {
             .st_global_row(SITE_PUSH, self.warp, self.kernel.out_buf, row, vals);
     }
 
-    fn state_load_row(&mut self, id: u16, array: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
-        let k = self.kernel;
-        let (slot, buf) = state_ref(&k.state, &k.state_slots, id, array);
+    fn state_load_row(&mut self, id: u16, _: &str, mask: u64, idx: &[i64], out: &mut [f32]) {
+        let (slot, buf) = self.kernel.body.array(id);
         let mut addrs = [0u64; MAX_LANES];
         let row = index_row(mask, idx, &mut addrs);
         self.ctx
@@ -354,8 +230,7 @@ impl Kernel for StencilKernel {
         // shared tile and pushing output as whole lane-rows. Elements
         // past the grid edge leave holes in an edge tile's lane mask.
         let elems = self.tile_w * self.tile_h;
-        let mut wf = self.warp_frames.take();
-        wf.fit(&self.program, ws.min(bdim));
+        let mut wf = self.body.frame(ws.min(bdim));
         let mut e = 0usize;
         while e < elems {
             let mut lane0 = 0usize;
@@ -392,11 +267,7 @@ impl Kernel for StencilKernel {
                     }
                 }
                 if mask != 0 {
-                    wf.reset(&self.proto);
-                    if let Some(slot) = self.loop_slot {
-                        let var = wf.i64_row_mut(slot);
-                        for_lanes(mask, live, |l| var[l] = globals[l] as i64);
-                    }
+                    self.body.start(&mut wf, mask, live, |l| globals[l] as i64);
                     let warp = (lane0 / ws) as u32;
                     let mut io = StencilWarpIo {
                         ctx,
@@ -408,15 +279,14 @@ impl Kernel for StencilKernel {
                         one_row,
                         pushed: 0,
                     };
-                    warp::eval(&self.program, &mut wf, mask, &mut io);
-                    ctx.count_flops(mask.count_ones() as u64 * self.flops_per_elem);
-                    compute_row(ctx, warp, mask, self.compute_per_elem);
+                    self.body.eval(&mut wf, mask, &mut io);
+                    self.body.charge(ctx, warp, mask);
                 }
                 lane0 += ws;
             }
             e += bdim;
         }
-        self.warp_frames.give(wf);
+        self.body.give(wf);
     }
 }
 
@@ -426,6 +296,8 @@ mod tests {
     use gpu_sim::{launch, DeviceSpec, ExecMode, GlobalMem};
     use streamir::interp::Interpreter;
     use streamir::parse::parse_program;
+
+    use crate::templates::tests::body;
 
     const FIVE_POINT: &str = r#"
         pipeline P(rows, cols) {
@@ -464,20 +336,19 @@ mod tests {
         let pat = crate::analysis::detect_stencil(&p.actors[0]).expect("stencil");
         let (hr, hc) = pat.halo();
         let binds = streamir::graph::bindings(&[("rows", rows as i64), ("cols", cols as i64)]);
-        StencilKernel::new(
-            "five_point",
-            &pat.body,
-            &pat.loop_var,
-            binds,
+        StencilKernel {
+            name: "five_point".into(),
+            body: body(&pat.body, &binds, Some(&pat.loop_var), &[]),
             rows,
             cols,
             tile_w,
             tile_h,
-            hr as usize,
-            hc as usize,
+            halo_r: hr as usize,
+            halo_c: hc as usize,
+            block_dim: 256,
             in_buf,
             out_buf,
-        )
+        }
     }
 
     /// The stencil template's access sequence issued thread by thread
@@ -535,8 +406,8 @@ mod tests {
                     sum += ctx.ld_shared(SITE_TILE_LD, tid, er * k.ext_w() + ec);
                 }
                 ctx.st_global(SITE_PUSH, tid, k.out_buf, g, sum);
-                ctx.compute(tid, k.compute_per_elem);
-                ctx.count_flops(k.flops_per_elem);
+                ctx.compute(tid, k.body.compute);
+                ctx.count_flops(k.body.flops);
             }
         }
     }
@@ -690,20 +561,20 @@ mod tests {
         let pat = crate::analysis::detect_stencil(&p.actors[0]).unwrap();
         let (hr, hc) = pat.halo();
         assert_eq!((hr, hc), (0, 1));
-        StencilKernel::new(
-            "blur",
-            &pat.body,
-            &pat.loop_var,
-            streamir::graph::bindings(&[("n", n as i64)]),
-            1,
-            n,
-            128,
-            1,
-            hr as usize,
-            hc as usize,
+        let binds = streamir::graph::bindings(&[("n", n as i64)]);
+        StencilKernel {
+            name: "blur".into(),
+            body: body(&pat.body, &binds, Some(&pat.loop_var), &[]),
+            rows: 1,
+            cols: n,
+            tile_w: 128,
+            tile_h: 1,
+            halo_r: hr as usize,
+            halo_c: hc as usize,
+            block_dim: 256,
             in_buf,
             out_buf,
-        )
+        }
     }
 
     #[test]

@@ -1,8 +1,12 @@
 //! Error-path coverage: the compiler and runtime must fail loudly and
 //! precisely, never silently mis-execute.
 
+use std::sync::Arc;
+
 use adaptic::analysis::detect_stencil;
-use adaptic::templates::StencilKernel;
+use adaptic::analysis::opcount::{body_counts, OpCounts};
+use adaptic::bytecode::{compile_body, Ty};
+use adaptic::templates::{Body, StencilKernel};
 use adaptic::{compile, compile_single, InputAxis, RunOptions, StateBinding};
 use gpu_sim::{
     try_launch_pooled, BlockCtx, BufId, DeviceSpec, ExecMode, ExecPolicy, GlobalMem, Kernel,
@@ -36,6 +40,46 @@ fn missing_state_binding_is_reported_with_names() {
             assert!(msg.contains('a'), "{msg}");
         }
         other => panic!("expected runtime error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_binder_omitting_a_body_parameter_is_a_typed_error() {
+    // `S` is read only in the work body, and bound only up to x = 64: the
+    // probe point binds it, so the plan compiles, and a launch past 64
+    // must refuse to bind the body rather than panic.
+    let p =
+        parse_program("pipeline P(N, S) { actor A(pop 1, push 1) { push(pop() * S); } }").unwrap();
+    let axis = InputAxis::new("N", 16, 128, |x| match x <= 64 {
+        true => bindings(&[("N", x), ("S", 2)]),
+        false => bindings(&[("N", x)]),
+    });
+    let compiled = compile(&p, &device(), &axis).unwrap();
+    assert_eq!(compiled.run(32, &[1.0; 32]).unwrap().output, vec![2.0; 32]);
+    match compiled.run(128, &[1.0; 128]) {
+        Err(Error::UnboundParam(name)) => assert_eq!(name, "S"),
+        other => panic!("expected an unbound-parameter error, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_body_reading_an_unbound_state_array_fails_at_construction() {
+    let p = parse_program(
+        "pipeline P() { actor A(pop 1, push 1) { state scale[1]; push(pop() * scale[0]); } }",
+    )
+    .unwrap();
+    let binds = bindings(&[]);
+    let program = Arc::new(compile_body(&p.actors[0].work.body, &binds, &[]).unwrap());
+    match Body::new(
+        program,
+        &binds,
+        None,
+        &[],
+        OpCounts::default(),
+        Arc::default(),
+    ) {
+        Err(Error::Runtime(msg)) => assert!(msg.contains("scale"), "{msg}"),
+        other => panic!("expected an unbound-state error, got {other:?}"),
     }
 }
 
@@ -203,20 +247,23 @@ fn stencil_kernel(
     let (hr, hc) = pat.halo();
     let in_buf = mem.alloc(rows * cols);
     let out_buf = mem.alloc(rows * cols);
-    StencilKernel::new(
-        "stencil",
-        &pat.body,
-        &pat.loop_var,
-        bindings(binds),
+    let binds = bindings(binds);
+    let lv = pat.loop_var.as_str();
+    let program = Arc::new(compile_body(&pat.body, &binds, &[(lv, Ty::I64)]).unwrap());
+    let counts = body_counts(&pat.body, &binds);
+    StencilKernel {
+        name: "stencil".into(),
+        body: Body::new(program, &binds, Some(lv), &[], counts, Arc::default()).unwrap(),
         rows,
         cols,
-        32,
-        if rows == 1 { 1 } else { 4 },
-        hr as usize,
-        hc as usize - halo_cut,
+        tile_w: 32,
+        tile_h: if rows == 1 { 1 } else { 4 },
+        halo_r: hr as usize,
+        halo_c: hc as usize - halo_cut,
+        block_dim: 256,
         in_buf,
         out_buf,
-    )
+    }
 }
 
 // The three tests below pin the checks on the warp-row fast paths: a
