@@ -16,4 +16,6 @@ pub mod segmentation;
 
 pub use integration::{can_fuse_horizontal, fuse_into_reduction, fuse_parallel_loops};
 pub use memory::{choose_edge_layout, choose_tile, reuse_metric};
-pub use segmentation::{best_reduce_choice, pick_initial_blocks, ReduceChoice};
+pub use segmentation::{
+    best_reduce_choice, pick_initial_blocks, two_kernel_geometry, ReduceChoice,
+};

@@ -11,10 +11,9 @@ use crate::layout::Layout;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReduceChoice {
     /// Two-kernel scheme (§4.2.1, Figure 7c): a chunking kernel then a
-    /// merge kernel. The number of chunking blocks per array is a *launch
-    /// parameter* computed from the actual input by the runtime
-    /// kernel-management unit ([`pick_initial_blocks`]), not part of the
-    /// compiled variant.
+    /// merge kernel. The number of chunking blocks per array and the
+    /// merge block size are *launch parameters* computed from the actual
+    /// input ([`two_kernel_geometry`]), not part of the compiled variant.
     TwoKernel { block_dim: u32 },
     /// Single-kernel scheme (Figure 7b): `arrays_per_block` arrays per
     /// block (>1 = horizontal thread integration).
@@ -54,6 +53,21 @@ pub fn pick_initial_blocks(
     let per_array = target_blocks.div_ceil(n_arrays.max(1));
     let max_useful = n_elements.div_ceil(block_dim as usize).max(1);
     per_array.clamp(1, max_useful).min(256)
+}
+
+/// The two-kernel scheme's launch geometry for a shape: chunking blocks
+/// per array — [`pick_initial_blocks`], but at least 2, since one chunk
+/// per array would leave the merge pass nothing to merge — and the merge
+/// kernel's block size. The price and the launch both read it.
+pub fn two_kernel_geometry(
+    device: &DeviceSpec,
+    n_arrays: usize,
+    n_elements: usize,
+    block_dim: u32,
+) -> (usize, u32) {
+    let initial_blocks = pick_initial_blocks(device, n_arrays, n_elements, block_dim).max(2);
+    let merge_block = (initial_blocks.next_power_of_two().max(32) as u32).min(256);
+    (initial_blocks, merge_block)
 }
 
 /// Estimated time (µs) of a reduction under a given choice.
@@ -103,7 +117,8 @@ pub fn reduce_choice_time(
             estimate(device, &p).time_us
         }
         ReduceChoice::TwoKernel { block_dim } => {
-            let initial_blocks = pick_initial_blocks(device, n_arrays, n_elements, block_dim);
+            let (initial_blocks, merge_block) =
+                two_kernel_geometry(device, n_arrays, n_elements, block_dim);
             let init = initial_reduce_profile(
                 device,
                 n_arrays,
@@ -115,7 +130,6 @@ pub fn reduce_choice_time(
                 block_dim,
                 layout,
             );
-            let merge_block = (initial_blocks.next_power_of_two().max(32) as u32).min(256);
             let merge = single_reduce_profile(
                 device,
                 n_arrays,
