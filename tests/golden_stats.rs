@@ -23,8 +23,8 @@ use std::fmt::Write as _;
 use std::path::PathBuf;
 
 use adaptic_repro::adaptic::{
-    compile, compile_with_options, CompileOptions, ExecMode, ExecutionReport, InputAxis,
-    RunOptions, StateBinding,
+    compile, compile_with_options, CompileOptions, CompiledProgram, ExecMode, ExecutionReport,
+    InputAxis, RunOptions, StateBinding,
 };
 use adaptic_repro::apps::bicgstab::{self, AdapticBicgstab};
 use adaptic_repro::apps::datasets::dataset;
@@ -320,6 +320,29 @@ fn template_family_reports_are_stable() {
     }
 }
 
+/// The family programs and the TMV sweep, with their axes: the programs
+/// the plan-table snapshots compile.
+fn plan_cases() -> Vec<(String, Program, InputAxis)> {
+    let mut cases: Vec<(String, Program, InputAxis)> = common::cases()
+        .into_iter()
+        .map(|c| (c.family.to_string(), c.program, (c.axis)()))
+        .collect();
+    cases.push(("tmv".into(), programs::tmv().program, tmv_axis(1 << 14)));
+    cases
+}
+
+/// One line per variant of `compiled`'s table: range, choices and tags.
+fn write_variants(snap: &mut String, compiled: &CompiledProgram) {
+    for (i, v) in compiled.variants.iter().enumerate() {
+        writeln!(
+            snap,
+            "v{i}: [{}, {}] {:?} tags={:?}",
+            v.lo, v.hi, v.choices, v.tags
+        )
+        .unwrap();
+    }
+}
+
 /// Every plan table the compiler builds for the family programs and the
 /// TMV sweep, on every device preset under the default and the baseline
 /// options, and every variant's predicted time at every variant's range
@@ -327,11 +350,7 @@ fn template_family_reports_are_stable() {
 /// kernel-management unit's crossover search prices it.
 #[test]
 fn plan_tables_and_predictions_are_stable() {
-    let mut cases: Vec<(String, Program, InputAxis)> = common::cases()
-        .into_iter()
-        .map(|c| (c.family.to_string(), c.program, (c.axis)()))
-        .collect();
-    cases.push(("tmv".into(), programs::tmv().program, tmv_axis(1 << 14)));
+    let cases = plan_cases();
     let options = [
         ("default", CompileOptions::default()),
         ("baseline", CompileOptions::baseline()),
@@ -348,14 +367,7 @@ fn plan_tables_and_predictions_are_stable() {
                         continue;
                     }
                 };
-                for (i, v) in compiled.variants.iter().enumerate() {
-                    writeln!(
-                        snap,
-                        "v{i}: [{}, {}] {:?} tags={:?}",
-                        v.lo, v.hi, v.choices, v.tags
-                    )
-                    .unwrap();
-                }
+                write_variants(&mut snap, &compiled);
                 let mut points: Vec<i64> = compiled
                     .variants
                     .iter()
@@ -373,4 +385,27 @@ fn plan_tables_and_predictions_are_stable() {
         }
     }
     check_golden("plan_tables", &snap);
+}
+
+/// The same programs' tables on every device preset at default options
+/// but 769 probes: a dense probe grid lands inside narrow variants and
+/// bisects many more boundaries than the default 33, so a change in how
+/// the probe scan decides or reuses its decisions shows here first.
+#[test]
+fn dense_plan_tables_are_stable() {
+    let opts = CompileOptions {
+        probes: 769,
+        ..CompileOptions::default()
+    };
+    let mut snap = String::new();
+    for (name, program, axis) in &plan_cases() {
+        for device in DeviceSpec::presets() {
+            writeln!(snap, "[{name} {} probes=769]", device.name).unwrap();
+            match compile_with_options(program, &device, axis, opts) {
+                Ok(compiled) => write_variants(&mut snap, &compiled),
+                Err(e) => writeln!(snap, "error: {e}").unwrap(),
+            }
+        }
+    }
+    check_golden("plan_tables_dense", &snap);
 }
