@@ -105,7 +105,7 @@ pub(crate) fn tile_time(
 /// the shape the performance model predicts fastest (§4.1.2: increasing a
 /// super tile trades halo traffic against occupancy, possibly flipping
 /// the kernel latency-bound — exactly what the model arbitrates). The
-/// reuse metric breaks ties.
+/// reuse metric breaks ties. (32, 1) when no shape fits.
 pub fn choose_tile(
     device: &DeviceSpec,
     rows: usize,
@@ -114,11 +114,26 @@ pub fn choose_tile(
     halo_c: usize,
     taps: usize,
 ) -> (usize, usize) {
+    let time = |tile| tile_time(device, rows, cols, tile, (halo_r, halo_c), taps);
+    search_tiles(rows, cols, halo_r, halo_c, taps, time).map_or((32, 1), |(tile, _)| tile)
+}
+
+/// [`choose_tile`]'s search under the tile times `time` gives, pricing
+/// each tile once: the chosen tile and its time, `None` when `time`
+/// prices none.
+pub(crate) fn search_tiles(
+    rows: usize,
+    cols: usize,
+    halo_r: usize,
+    halo_c: usize,
+    taps: usize,
+    time: impl Fn((usize, usize)) -> Option<f64>,
+) -> Option<((usize, usize), f64)> {
     let widths = [32usize, 64, 128, 256, 512];
-    let heights: Vec<usize> = if rows == 1 {
-        vec![1]
+    let heights: &[usize] = if rows == 1 {
+        &[1]
     } else {
-        vec![1, 2, 4, 8, 16, 32]
+        &[1, 2, 4, 8, 16, 32]
     };
 
     let mut best: Option<(f64, f64, (usize, usize))> = None;
@@ -126,11 +141,11 @@ pub fn choose_tile(
         if w > cols.next_power_of_two().max(32) {
             continue;
         }
-        for &h in &heights {
+        for &h in heights {
             if h > rows.next_power_of_two() {
                 continue;
             }
-            let Some(time) = tile_time(device, rows, cols, (w, h), (halo_r, halo_c), taps) else {
+            let Some(time) = time((w, h)) else {
                 continue;
             };
             let m = reuse_metric(w, h, halo_r, halo_c, taps);
@@ -143,7 +158,7 @@ pub fn choose_tile(
             }
         }
     }
-    best.map(|(_, _, wh)| wh).unwrap_or((32, 1))
+    best.map(|(time, _, wh)| (wh, time))
 }
 
 #[cfg(test)]

@@ -12,7 +12,7 @@
 
 use std::cell::Cell;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use gpu_sim::DeviceSpec;
 use perfmodel::estimate;
@@ -20,7 +20,7 @@ use streamir::error::{Error, Result};
 use streamir::graph::{FlatGraph, FlatNode, Program, Splitter};
 use streamir::ir::{Expr, Stmt};
 use streamir::rates::Bindings;
-use streamir::schedule::{rate_match, Schedule};
+use streamir::schedule::Balance;
 
 use crate::analysis::opcount::{body_counts, eval_bound, expr_counts, OpCounts};
 use crate::analysis::recurrence::ParallelLoop;
@@ -31,7 +31,7 @@ use crate::bytecode::{self, Ty};
 use crate::cost::{host_cost_us, map_profile};
 use crate::layout::Layout;
 use crate::opt::integration::{can_fuse_horizontal, fuse_into_reduction, fuse_parallel_loops};
-use crate::opt::memory::{choose_edge_layout, choose_tile, tile_time};
+use crate::opt::memory::{choose_edge_layout, search_tiles, tile_time};
 use crate::opt::segmentation::{reduce_candidates, reduce_choice_time, ReduceChoice};
 
 /// The one-dimensional family of input shapes a program is compiled for.
@@ -384,10 +384,9 @@ pub struct CompiledProgram {
     /// key`](CompiledProgram::artifact_key).
     pub(crate) content_hash: u64,
     pub(crate) program: Program,
-    /// `program`'s flattened graph, built on the first launch or
-    /// prediction that needs it (not at compile time) and shared by
-    /// clones.
-    pub(crate) flat: Arc<OnceLock<FlatGraph>>,
+    /// `program`'s flattened graph, built once at compile time and shared
+    /// by clones.
+    pub(crate) flat: Arc<FlatGraph>,
     pub(crate) device: DeviceSpec,
     pub(crate) axis: InputAxis,
     pub(crate) options: CompileOptions,
@@ -437,15 +436,6 @@ impl CompiledProgram {
         Ok((idx, &self.variants[idx]))
     }
 
-    /// The program's flattened graph, flattened on first use.
-    pub(crate) fn flat(&self) -> Result<&FlatGraph> {
-        if let Some(fg) = self.flat.get() {
-            return Ok(fg);
-        }
-        let fg = self.program.flatten()?;
-        Ok(self.flat.get_or_init(|| fg))
-    }
-
     /// The declared input range `[lo, hi]` of the compiled axis.
     pub fn axis_range(&self) -> (i64, i64) {
         (self.axis.lo, self.axis.hi)
@@ -489,11 +479,12 @@ impl CompiledProgram {
     pub fn predicted_time_us(&self, x: i64, variant_index: usize) -> Option<f64> {
         let variant = self.variants.get(variant_index)?;
         let binds = self.axis.bind(x);
-        let sched = rate_match(self.flat().ok()?, &binds).ok()?;
-        let iterations = self.axis.expected_iterations(x, sched.steady_input);
+        let mut bal = Balance::default();
+        let steady_input = self.flat.repetitions(&binds, &mut bal).ok()?;
+        let iterations = self.axis.expected_iterations(x, steady_input);
         let mut total = 0.0f64;
         for (i, (seg, choice)) in self.segments.iter().zip(&variant.choices).enumerate() {
-            let shape = shape(seg, &binds, &sched, iterations).ok()?;
+            let shape = shape(seg, &binds, bal.reps(), iterations).ok()?;
             let edges = &self.edge_layouts[i..];
             total += price(&self.device, &self.program, seg, &shape, choice, edges)
                 .unwrap_or(f64::INFINITY);
@@ -625,15 +616,17 @@ fn seg_as_parloop(seg: &UnitSeg, units: usize) -> ParallelLoop {
     }
 }
 
-/// Build the lowered structure of the program at a probe binding.
+/// Build the lowered structure of the program (flattened as `fg`) at a
+/// probe binding.
 fn build_structure(
     program: &Program,
+    fg: &FlatGraph,
     options: &CompileOptions,
     binds: &Bindings,
 ) -> Result<(Vec<Segment>, Vec<OptTag>)> {
-    let fg = program.flatten()?;
     let topo = fg.topo_order()?;
-    let sched = rate_match(&fg, binds)?;
+    let mut bal = Balance::default();
+    fg.repetitions(binds, &mut bal)?;
 
     let mut segments: Vec<Segment> = Vec::new();
     let mut structure_tags: Vec<OptTag> = Vec::new();
@@ -863,7 +856,7 @@ fn build_structure(
     // unit→reduction producers. A segment whose units cannot be counted
     // at the probe point is left unfused.
     if options.integration {
-        let units = |s: &Segment| shape(s, binds, &sched, 1).ok().map(|s| s.reps * s.upf);
+        let units = |s: &Segment| shape(s, binds, bal.reps(), 1).ok().map(|s| s.reps * s.upf);
         let mut fused_any = false;
         let mut i = 0;
         while i + 1 < segments.len() {
@@ -1019,35 +1012,52 @@ fn choose_layouts(segments: &[Segment], memory_enabled: bool) -> Vec<Layout> {
 /// cost-model noise from fragmenting the table into spurious variants.
 const SWITCH_MARGIN: f64 = 1.05;
 
-/// The first cheapest of `candidates` under `time`, skipping those `time`
-/// cannot price; `None` when it prices none.
+/// The first cheapest of `candidates` under `time`, with its time,
+/// skipping those `time` cannot price; `None` when it prices none.
 fn cheapest<T>(
     candidates: impl IntoIterator<Item = T>,
     time: impl Fn(&T) -> Option<f64>,
-) -> Option<T> {
-    let mut best: Option<(f64, T)> = None;
+) -> Option<(T, f64)> {
+    let mut best: Option<(T, f64)> = None;
     for c in candidates {
         let Some(t) = time(&c) else { continue };
-        if best.as_ref().is_none_or(|&(bt, _)| t < bt) {
-            best = Some((t, c));
+        if best.as_ref().is_none_or(|&(_, bt)| t < bt) {
+            best = Some((c, t));
         }
     }
-    best.map(|(_, c)| c)
+    best
 }
 
-/// Keep `prev` unless `best` is at least [`SWITCH_MARGIN`] cheaper.
-fn sticky<T: Clone + PartialEq>(
+/// One segment's decision at one point. `search` prices the candidates
+/// through the `time` it is handed and returns its winner with the
+/// winner's time (`None` when `time` cannot price it). The incumbent
+/// `prev` (the decision at smaller inputs) then stands unless the winner
+/// is at least [`SWITCH_MARGIN`] cheaper or `prev` has no finite price.
+/// Every candidate is priced once; `prev` is priced only when `search`
+/// did not price it. `None` when `search` finds no winner.
+fn pick<T: Clone + PartialEq>(
     prev: Option<&T>,
-    best: T,
-    cost_of: impl Fn(&T) -> Option<f64>,
-) -> T {
-    match prev {
-        Some(p) if *p != best => match (cost_of(p), cost_of(&best)) {
-            (Some(cp), Some(cb)) if cp.is_finite() && cb * SWITCH_MARGIN >= cp => p.clone(),
-            _ => best,
-        },
+    time: impl Fn(&T) -> Option<f64>,
+    search: impl FnOnce(&dyn Fn(&T) -> Option<f64>) -> Option<(T, Option<f64>)>,
+) -> Option<T> {
+    let prev_time = Cell::new(None);
+    let (best, best_time) = search(&|c: &T| {
+        let t = time(c);
+        if prev == Some(c) {
+            prev_time.set(Some(t));
+        }
+        t
+    })?;
+    Some(match prev {
+        Some(p) if *p != best => {
+            let cp = prev_time.get().unwrap_or_else(|| time(p));
+            match (cp, best_time) {
+                (Some(cp), Some(cb)) if cp.is_finite() && cb * SWITCH_MARGIN >= cp => p.clone(),
+                _ => best,
+            }
+        }
         _ => best,
-    }
+    })
 }
 
 /// The input-unaware reduction lowering, which also prices each sibling
@@ -1094,8 +1104,9 @@ impl Shape<'_> {
     }
 }
 
-/// The [`Shape`] of `seg` at `binds` (scheduled as `sched`) over
-/// `iterations` steady states.
+/// The [`Shape`] of `seg` at `binds` over `iterations` steady states,
+/// with `reps` the flat nodes' repetitions per steady state
+/// ([`Balance::reps`]).
 ///
 /// # Errors
 ///
@@ -1104,7 +1115,7 @@ impl Shape<'_> {
 pub(crate) fn shape<'a>(
     seg: &Segment,
     binds: &'a Bindings,
-    sched: &Schedule,
+    reps: &[u64],
     iterations: u64,
 ) -> Result<Shape<'a>> {
     let bound = |e: &Expr, what: &str| -> Result<i64> {
@@ -1113,7 +1124,7 @@ pub(crate) fn shape<'a>(
         Ok(n.max(1))
     };
     let mut shape = Shape {
-        reps: (sched.reps(seg.node).max(1) * iterations) as usize,
+        reps: (reps[seg.node].max(1) * iterations) as usize,
         upf: 1,
         elements: 0,
         rows: 0,
@@ -1239,10 +1250,11 @@ pub(crate) fn price(
 }
 
 /// Decide the lowering of every segment at one axis point: take its
-/// [`shape`], [`price`] each candidate choice, keep the first cheapest,
-/// then let the incumbent `prev` (the decision at smaller inputs) stand
-/// unless that is [`SWITCH_MARGIN`] cheaper. A segment the options leave
-/// nothing to choose for gets its [`fixed_choice`], with no hysteresis.
+/// [`shape`], [`price`] each candidate choice once, keep the first
+/// cheapest, then let the incumbent `prev` (the decision at smaller
+/// inputs) stand unless that is [`SWITCH_MARGIN`] cheaper ([`pick`]). A
+/// segment the options leave nothing to choose for gets its
+/// [`fixed_choice`], with no hysteresis.
 ///
 /// # Errors
 ///
@@ -1255,7 +1267,7 @@ fn decide(
     options: &CompileOptions,
     layouts: &[Layout],
     binds: &Bindings,
-    sched: &Schedule,
+    reps: &[u64],
     iterations: u64,
     prev: Option<&[SegChoice]>,
 ) -> Result<Vec<SegChoice>> {
@@ -1263,40 +1275,8 @@ fn decide(
         .iter()
         .enumerate()
         .map(|(i, seg)| {
-            let shape = shape(seg, binds, sched, iterations)?;
+            let shape = shape(seg, binds, reps, iterations)?;
             let time = |c: &SegChoice| price(device, program, seg, &shape, c, &layouts[i..]);
-            let best = match &seg.kind {
-                SegKind::Unit(_) if options.integration => {
-                    let coarsened = [1, 2, 4, 8, 16].map(|coarsen| SegChoice::Map { coarsen });
-                    cheapest(coarsened, time)
-                }
-                SegKind::Reduce(_) if options.segmentation => {
-                    let choices = reduce_candidates(device, shape.reps, shape.elements)
-                        .into_iter()
-                        // Thread-per-array needs the array-major
-                        // restructured layout, which only the host can
-                        // provide: the host-fed first segment, under the
-                        // memory optimization.
-                        .filter(|c| {
-                            (i == 0 && options.memory)
-                                || !matches!(c, ReduceChoice::ThreadPerArray { .. })
-                        })
-                        .map(|choice| SegChoice::Reduce { choice });
-                    cheapest(choices, time)
-                }
-                // `choose_tile` searches the tiles, breaking equal times by
-                // the reuse metric.
-                SegKind::Stencil(s) if options.memory => {
-                    let (hr, hc) = shape.halo;
-                    let taps = s.pattern.offsets.len();
-                    let tile = choose_tile(device, shape.rows, shape.cols, hr, hc, taps);
-                    Some(SegChoice::Stencil { tile })
-                }
-                _ => None,
-            };
-            let Some(best) = best else {
-                return Ok(fixed_choice(seg, &shape, options));
-            };
             // An incumbent packing more arrays per block than there are
             // arrays no longer stands.
             let incumbent = prev.and_then(|p| p.get(i)).filter(|c| match c {
@@ -1308,7 +1288,45 @@ fn decide(
                 } => *arrays_per_block <= shape.reps,
                 _ => true,
             });
-            Ok(sticky(incumbent, best, time))
+            let priced = |best: Option<(SegChoice, f64)>| best.map(|(c, t)| (c, Some(t)));
+            let picked = match &seg.kind {
+                SegKind::Unit(_) if options.integration => pick(incumbent, time, |time| {
+                    let coarsened = [1, 2, 4, 8, 16].map(|coarsen| SegChoice::Map { coarsen });
+                    priced(cheapest(coarsened, time))
+                }),
+                SegKind::Reduce(_) if options.segmentation => pick(incumbent, time, |time| {
+                    let choices = reduce_candidates(device, shape.reps, shape.elements)
+                        .into_iter()
+                        // Thread-per-array needs the array-major
+                        // restructured layout, which only the host can
+                        // provide: the host-fed first segment, under the
+                        // memory optimization.
+                        .filter(|c| {
+                            (i == 0 && options.memory)
+                                || !matches!(c, ReduceChoice::ThreadPerArray { .. })
+                        })
+                        .map(|choice| SegChoice::Reduce { choice });
+                    priced(cheapest(choices, time))
+                }),
+                // `search_tiles` searches the tiles, breaking equal times
+                // by the reuse metric.
+                SegKind::Stencil(s) if options.memory => pick(incumbent, time, |time| {
+                    let (hr, hc) = shape.halo;
+                    let taps = s.pattern.offsets.len();
+                    let stencil = |tile| SegChoice::Stencil { tile };
+                    let tile_time = |tile| time(&stencil(tile));
+                    Some(
+                        match search_tiles(shape.rows, shape.cols, hr, hc, taps, tile_time) {
+                            Some((tile, t)) => (stencil(tile), Some(t)),
+                            // No tile fits, (32, 1) included: `choose_tile`'s
+                            // fallback.
+                            None => (stencil((32, 1)), None),
+                        },
+                    )
+                }),
+                _ => None,
+            };
+            Ok(picked.unwrap_or_else(|| fixed_choice(seg, &shape, options)))
         })
         .collect()
 }
@@ -1470,15 +1488,24 @@ fn plan_tables(compiled: &CompiledProgram, structure_tags: &[OptTag]) -> Result<
         options,
         segments,
         edge_layouts: layouts,
+        flat,
         ..
     } = compiled;
-    let fg = program.flatten()?;
-    let decide_at = |x: i64, prev: Option<&[SegChoice]>| -> Result<Vec<SegChoice>> {
+    let mut bal = Balance::default();
+    let mut decide_at = |x: i64, prev: Option<&[SegChoice]>| -> Result<Vec<SegChoice>> {
         let binds = axis.bind(x);
-        let sched = rate_match(&fg, &binds)?;
-        let iterations = axis.expected_iterations(x, sched.steady_input);
+        let steady_input = flat.repetitions(&binds, &mut bal)?;
+        let iterations = axis.expected_iterations(x, steady_input);
         decide(
-            program, segments, device, options, layouts, &binds, &sched, iterations, prev,
+            program,
+            segments,
+            device,
+            options,
+            layouts,
+            &binds,
+            bal.reps(),
+            iterations,
+            prev,
         )
     };
 
@@ -1501,17 +1528,18 @@ fn plan_tables(compiled: &CompiledProgram, structure_tags: &[OptTag]) -> Result<
                 cursor = x;
                 break;
             }
-            // Binary search the first change in (cursor, x].
-            let (mut a, mut b) = (cursor, x);
+            // Binary search the first change in (cursor, x]; `next_sig`
+            // is the decision at `b`, taken with the same incumbent.
+            let (mut a, mut b, mut next_sig) = (cursor, x, sig);
             while b - a > 1 {
                 let mid = a + (b - a) / 2;
-                if decide_at(mid, Some(&cur_sig))? == cur_sig {
+                let mid_sig = decide_at(mid, Some(&cur_sig))?;
+                if mid_sig == cur_sig {
                     a = mid;
                 } else {
-                    b = mid;
+                    (b, next_sig) = (mid, mid_sig);
                 }
             }
-            let next_sig = decide_at(b, Some(&cur_sig))?;
             variants.push(Variant {
                 lo: cur_lo,
                 hi: b - 1,
@@ -1548,12 +1576,13 @@ fn assemble(
     content_hash: u64,
 ) -> Result<(CompiledProgram, Vec<OptTag>)> {
     let probe_binds = axis.bind(axis.probe_point());
-    let (segments, structure_tags) = build_structure(program, &options, &probe_binds)?;
+    let flat = program.flatten()?;
+    let (segments, structure_tags) = build_structure(program, &flat, &options, &probe_binds)?;
     let edge_layouts = choose_layouts(&segments, options.memory);
     let compiled = CompiledProgram {
         content_hash,
         program: program.clone(),
-        flat: Arc::default(),
+        flat: Arc::new(flat),
         device: device.clone(),
         axis: axis.clone(),
         options,
@@ -1650,6 +1679,66 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// [`pick`] over `candidates` with incumbent `prev` and [`cheapest`]
+    /// as the search, pricing through a counter: the decision and how
+    /// often each choice was priced.
+    fn counted_pick(candidates: &[u32], prev: Option<u32>) -> (Option<u32>, Vec<(u32, usize)>) {
+        let priced = std::cell::RefCell::new(std::collections::BTreeMap::new());
+        let time = |c: &u32| {
+            *priced.borrow_mut().entry(*c).or_insert(0) += 1;
+            match c {
+                0 | 4 => Some(10.0),
+                1 => Some(9.9),
+                2 | 3 => Some(8.0),
+                7 => Some(f64::INFINITY),
+                _ => None,
+            }
+        };
+        let picked = pick(prev.as_ref(), time, |time| {
+            cheapest(candidates.iter().copied(), time).map(|(c, t)| (c, Some(t)))
+        });
+        (picked, priced.into_inner().into_iter().collect())
+    }
+
+    #[test]
+    fn pick_prices_each_choice_once() {
+        // No incumbent: the cheapest, each candidate priced once.
+        assert_eq!(
+            counted_pick(&[0, 1, 2], None),
+            (Some(2), vec![(0, 1), (1, 1), (2, 1)])
+        );
+        // Kept within the margin (9.9 * 1.05 >= 10), the incumbent being a
+        // candidate and priced once.
+        assert_eq!(
+            counted_pick(&[0, 1], Some(0)),
+            (Some(0), vec![(0, 1), (1, 1)])
+        );
+        // Kept within the margin, the absent incumbent priced once.
+        assert_eq!(counted_pick(&[1], Some(4)), (Some(4), vec![(1, 1), (4, 1)]));
+        // Switched beyond the margin (8 * 1.05 < 10).
+        assert_eq!(
+            counted_pick(&[0, 2], Some(0)),
+            (Some(2), vec![(0, 1), (2, 1)])
+        );
+        assert_eq!(counted_pick(&[2], Some(4)), (Some(2), vec![(2, 1), (4, 1)]));
+        // Switched when the incumbent's price is infinite or missing.
+        assert_eq!(counted_pick(&[0], Some(7)), (Some(0), vec![(0, 1), (7, 1)]));
+        assert_eq!(
+            counted_pick(&[0, 9], Some(9)),
+            (Some(0), vec![(0, 1), (9, 1)])
+        );
+        // On a tie the first minimum wins.
+        assert_eq!(counted_pick(&[2, 3], None).0, Some(2));
+        assert_eq!(counted_pick(&[3, 2], None).0, Some(3));
+        // The incumbent is the winner: nothing priced twice.
+        assert_eq!(
+            counted_pick(&[0, 2], Some(2)),
+            (Some(2), vec![(0, 1), (2, 1)])
+        );
+        // Nothing priceable: no decision.
+        assert_eq!(counted_pick(&[9], Some(0)), (None, vec![(9, 1)]));
     }
 
     #[test]

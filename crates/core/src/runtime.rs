@@ -21,7 +21,7 @@ use streamir::actor::{ActorDef, StateVar};
 use streamir::error::{Error, Result};
 use streamir::ir::{Expr, Stmt};
 use streamir::rates::Bindings;
-use streamir::schedule::rate_match;
+use streamir::schedule::Balance;
 use streamir::value::Value;
 
 use crate::analysis::opcount::{body_counts, OpCounts};
@@ -327,14 +327,15 @@ impl CompiledProgram {
         };
         let choices = variant.choices.clone();
         let binds = self.axis.bind(x);
-        let sched = rate_match(self.flat()?, &binds)?;
-        if sched.steady_input == 0 {
+        let mut bal = Balance::default();
+        let steady_input = self.flat.repetitions(&binds, &mut bal)?;
+        if steady_input == 0 {
             return Err(Error::RateMismatch("program consumes no input".into()));
         }
-        let iterations = input.len() as u64 / sched.steady_input;
+        let iterations = input.len() as u64 / steady_input;
         if iterations == 0 {
             return Err(Error::InsufficientInput {
-                needed: sched.steady_input as usize,
+                needed: steady_input as usize,
                 got: input.len(),
             });
         }
@@ -403,7 +404,7 @@ impl CompiledProgram {
         };
 
         for (i, seg) in self.segments.iter().enumerate() {
-            let shape = crate::plan::shape(seg, &binds, &sched, iterations)?;
+            let shape = crate::plan::shape(seg, &binds, bal.reps(), iterations)?;
             let reps = shape.reps;
             let want_in_layout = self.edge_layouts[i];
             let choice = &choices[i];

@@ -11,6 +11,7 @@ use std::collections::BTreeMap;
 use crate::actor::ActorDef;
 use crate::error::{Error, Result};
 use crate::rates::RateExpr;
+use crate::schedule::Walk;
 
 /// How a split-join distributes input to its branches.
 #[derive(Debug, Clone, PartialEq)]
@@ -78,12 +79,14 @@ impl Program {
             exit: 0,
             entry_pop_peek: None,
             exit_push: None,
+            walk: Walk::default(),
         };
         let (entry, exit) = self.flatten_node(&self.graph, &mut fg)?;
         fg.entry = entry;
         fg.exit = exit;
         fg.entry_pop_peek = Some(fg.in_rates(self, entry)?);
         fg.exit_push = Some(fg.out_rate(self, exit)?);
+        fg.walk = Walk::record(&fg);
         Ok(fg)
     }
 
@@ -237,6 +240,9 @@ pub struct FlatGraph {
     pub entry_pop_peek: Option<(RateExpr, RateExpr)>,
     /// Push rate of the program output, recorded at flatten time.
     pub exit_push: Option<RateExpr>,
+    /// The balance walk and the topological order, recorded at flatten
+    /// time: both depend only on the structure.
+    pub(crate) walk: Walk,
 }
 
 impl FlatGraph {
@@ -291,7 +297,7 @@ impl FlatGraph {
         v
     }
 
-    /// Topological order of the flat nodes.
+    /// Topological order of the flat nodes, recorded at flatten time.
     ///
     /// # Errors
     ///
@@ -299,6 +305,11 @@ impl FlatGraph {
     /// loops are not supported by this reproduction; none of the paper's
     /// benchmarks use them).
     pub fn topo_order(&self) -> Result<Vec<usize>> {
+        self.walk.topo.clone().ok_or_else(cycle_error)
+    }
+
+    /// Kahn's topological order of the flat nodes; `None` on a cycle.
+    pub(crate) fn kahn_order(&self) -> Option<Vec<usize>> {
         let n = self.nodes.len();
         let mut indeg = vec![0usize; n];
         for c in &self.channels {
@@ -317,10 +328,7 @@ impl FlatGraph {
                 }
             }
         }
-        if order.len() != n {
-            return Err(Error::Semantic("stream graph contains a cycle".into()));
-        }
-        Ok(order)
+        (order.len() == n).then_some(order)
     }
 
     /// Pretty, deterministic description used in tests and debug output.
@@ -352,6 +360,11 @@ impl FlatGraph {
         }
         s
     }
+}
+
+/// The error of a cyclic flat graph.
+pub(crate) fn cycle_error() -> Error {
+    Error::Semantic("stream graph contains a cycle".into())
 }
 
 /// Helper: collect bindings from name/value pairs (test convenience).

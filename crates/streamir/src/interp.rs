@@ -660,6 +660,18 @@ mod tests {
     }
 
     #[test]
+    fn unbound_entry_rate_is_reported() {
+        let p = crate::parse::parse_program(
+            "pipeline P(N) { actor A(pop N, push 1) { push(pop()); } }",
+        )
+        .unwrap();
+        let mut it = Interpreter::new(&p);
+        assert_eq!(it.run(&[1.0; 4]), Err(Error::UnboundParam("N".into())));
+        it.bind_param("N", 2);
+        assert_eq!(it.run(&[1.0, 2.0, 3.0, 4.0]).unwrap(), vec![1.0, 3.0]);
+    }
+
+    #[test]
     fn peeks_do_not_consume() {
         // push(peek(1)); push(pop()) -> duplicates forward-looking value
         let a = ActorDef::new(
