@@ -4,8 +4,8 @@
 //! Each generator returns a sequence of per-firing input sizes (rates).
 //! Everything is driven by a splitmix-style LCG seeded by the caller, so a
 //! trace is reproducible from `(shape parameters, seed)` alone — the drift
-//! stress suite replays the same trace against adaptive, static and
-//! always-replan systems and compares outputs bit for bit.
+//! stress suite replays the same trace through a dynamic-rate region and a
+//! manager-free oracle and compares outputs bit for bit.
 //!
 //! Three phase-change shapes:
 //!
@@ -14,7 +14,7 @@
 //! * [`bursty`] — a steady base regime interrupted by deterministic
 //!   bursts of heavy sizes;
 //! * [`regime_flip`] — abrupt switches between size regimes every `dwell`
-//!   firings, the adversarial case for a rate-conditioned plan.
+//!   firings, the adversarial case for a plan tuned to one window of rates.
 
 /// The repo-wide 64-bit LCG (same constants as `data`), exposed as a
 /// stateful generator for workload shaping.
@@ -110,8 +110,8 @@ pub fn bursty(
 /// A regime-flip mix: traffic dwells in one size regime for `dwell`
 /// firings, then abruptly flips to the next (round-robin over `regimes`).
 /// Sizes are log-uniform within the active regime; deterministic in
-/// `seed`. This is the adversarial trace for a rate-conditioned plan —
-/// every flip leaves the planned window at once.
+/// `seed`. This is the adversarial trace for a plan tuned to one window
+/// of rates — every flip leaves the window at once.
 pub fn regime_flip(firings: usize, regimes: &[(i64, i64)], dwell: usize, seed: u64) -> Vec<i64> {
     assert!(!regimes.is_empty(), "regime_flip needs at least one regime");
     let dwell = dwell.max(1);

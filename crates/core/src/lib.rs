@@ -71,9 +71,7 @@ pub use plan::{
     compile, compile_single, compile_with_options, compile_with_store, content_hash,
     CompileOptions, CompiledProgram, InputAxis, OptTag, SegChoice, Variant,
 };
-pub use resched::{
-    DynamicPipeline, DynamicRegion, PipelineReport, RateEvent, RateGovernor, ReschedPolicy,
-};
+pub use resched::{DynamicRegion, ReschedPolicy};
 pub use runtime::{ExecutionReport, KernelReport, RetryPolicy, RunOptions, StateBinding};
 pub use telemetry::{TelemetryCounters, TelemetrySnapshot};
 // Execution-engine knobs surface through the runtime API, so re-export

@@ -171,8 +171,8 @@ counters! {
         /// Runs that exhausted every variant and completed on the serial
         /// degraded-but-correct last resort.
         degraded_runs: Sum,
-        /// Launches whose input left the manager's declared rate window
-        /// (0 when no window is declared).
+        /// Firings of a [`crate::DynamicRegion`] whose rate lay outside
+        /// the declared interval, each clamp-served (0 outside a region).
         rate_exits: Sum,
         /// Requests a serving front-end admitted past quota + queue checks
         /// (0 outside a serving plane).
@@ -221,8 +221,8 @@ counters! {
         /// version mismatch, or structurally incompatible; always degraded
         /// to a miss, never a crash.
         artifact_rejects: Source,
-        /// Region re-schedules: plans a [`crate::DynamicRegion`] committed
-        /// after a sustained rate exit (0 outside a region).
+        /// Region re-plans. Always 0: a [`crate::DynamicRegion`] plans its
+        /// declared interval once. Kept for the repo benchmark's row.
         reschedules: Sum,
     }
 }

@@ -65,8 +65,5 @@ pub use error::{Error, Result};
 pub use graph::{FlatGraph, Joiner, Program, Splitter, StreamNode};
 pub use interp::Interpreter;
 pub use rates::{RateExpr, RateInterval};
-pub use schedule::{
-    merged_rate_intervals, partition_rate_regions, RateRegion, RegionPartition, Schedule,
-    ScheduleEntry,
-};
+pub use schedule::{merged_rate_intervals, Schedule, ScheduleEntry};
 pub use value::Value;

@@ -56,11 +56,10 @@ pub type Bindings = BTreeMap<String, i64>;
 ///
 /// Static SDF fixes every rate at plan time; a dynamic-rate actor instead
 /// declares that a rate parameter ranges over `[lo, hi]` at runtime
-/// (Boutellier & Hautala-style dynamic data rates). The scheduler uses the
-/// declaration to carve the graph into rate-conditioned regions
-/// ([`crate::schedule::partition_rate_regions`]), and the runtime plans
-/// each region against a *window* inside this interval, re-planning when
-/// observed rates leave it.
+/// (Boutellier & Hautala-style dynamic data rates). Declarations merge
+/// program-wide by intersection ([`crate::schedule::merged_rate_intervals`]),
+/// and the runtime plans the program once over the merged interval — the
+/// range of input sizes the variant table covers.
 ///
 /// Bounds are inclusive and must satisfy `1 <= lo <= hi`: a rate of zero
 /// has no steady state ([`crate::schedule::rate_match`] rejects it), so

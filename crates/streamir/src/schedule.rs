@@ -12,10 +12,10 @@
 //! *for a concrete parameter binding* — this is exactly the point where
 //! input size enters the compilation flow.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use crate::error::{Error, Result};
-use crate::graph::{FlatGraph, FlatNode, Program, Splitter};
+use crate::graph::{FlatGraph, Program};
 use crate::rates::{Bindings, RateInterval};
 
 /// Repetition count for one flat node.
@@ -326,120 +326,6 @@ impl FlatGraph {
     }
 }
 
-/// A rate-conditioned scheduling region: a connected set of flat nodes
-/// whose rates depend on the same set of dynamic parameters.
-///
-/// A region with an empty `params` set is *static* — its rates are fixed
-/// once the static parameters are bound, so it is planned exactly once. A
-/// dynamic region is planned against a window inside its declared
-/// intervals and re-planned at runtime when observed rates leave that
-/// window.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RateRegion {
-    /// Flat-node indices in topological order.
-    pub nodes: Vec<usize>,
-    /// Sorted dynamic parameter names governing this region's rates
-    /// (empty for a static region).
-    pub params: Vec<String>,
-    /// Declared interval per governing parameter: the intersection of
-    /// every declaring actor's interval.
-    pub intervals: BTreeMap<String, RateInterval>,
-}
-
-impl RateRegion {
-    /// True when no dynamic parameter governs this region.
-    pub fn is_static(&self) -> bool {
-        self.params.is_empty()
-    }
-}
-
-/// The partition of a flat graph into rate-conditioned regions.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RegionPartition {
-    /// Regions ordered by the topological position of their first node.
-    pub regions: Vec<RateRegion>,
-    /// Merged declared interval per dynamic parameter, program-wide.
-    pub dynamic: BTreeMap<String, RateInterval>,
-    /// `assignment[node]` is the index into `regions` owning that node.
-    assignment: Vec<usize>,
-}
-
-impl RegionPartition {
-    /// Index of the region owning flat node `node`.
-    pub fn region_of(&self, node: usize) -> usize {
-        self.assignment[node]
-    }
-
-    /// The regions governed by at least one dynamic parameter.
-    pub fn dynamic_regions(&self) -> impl Iterator<Item = &RateRegion> {
-        self.regions.iter().filter(|r| !r.is_static())
-    }
-
-    /// True when every flat node belongs to exactly one region — the
-    /// partition is a cover of the graph (checked by the proptests).
-    pub fn is_cover(&self, graph: &FlatGraph) -> bool {
-        if self.assignment.len() != graph.nodes.len() {
-            return false;
-        }
-        let mut seen = vec![false; graph.nodes.len()];
-        for r in &self.regions {
-            for &n in &r.nodes {
-                if n >= seen.len() || seen[n] {
-                    return false;
-                }
-                seen[n] = true;
-            }
-        }
-        seen.iter().all(|&s| s)
-            && (0..graph.nodes.len()).all(|n| self.regions[self.assignment[n]].nodes.contains(&n))
-    }
-
-    /// True when every channel's dynamic rate dependence is explained by
-    /// its endpoint regions: each dynamic parameter mentioned by the
-    /// channel's rates appears in the source or destination region's
-    /// parameter set (checked by the proptests).
-    pub fn channels_consistent(&self, graph: &FlatGraph) -> bool {
-        graph.channels.iter().all(|c| {
-            let mut mentioned = BTreeSet::new();
-            for rate in [&c.src_rate, &c.dst_rate, &c.dst_peek] {
-                for p in rate.params() {
-                    if self.dynamic.contains_key(p) {
-                        mentioned.insert(p.to_string());
-                    }
-                }
-            }
-            mentioned.iter().all(|p| {
-                self.regions[self.region_of(c.src)].params.contains(p)
-                    || self.regions[self.region_of(c.dst)].params.contains(p)
-            })
-        })
-    }
-}
-
-/// The set of dynamic parameters governing one flat node's rates.
-fn node_dyn_params(
-    program: &Program,
-    node: &FlatNode,
-    dynamic: &BTreeMap<String, RateInterval>,
-) -> BTreeSet<String> {
-    let mut rates = Vec::new();
-    match node {
-        FlatNode::Actor { actor } => {
-            let w = &program.actors[*actor].work;
-            rates.extend([&w.pop, &w.push, &w.peek]);
-        }
-        FlatNode::Split(Splitter::Duplicate) => {}
-        FlatNode::Split(Splitter::RoundRobin(ws)) => rates.extend(ws.iter()),
-        FlatNode::Join(crate::graph::Joiner::RoundRobin(ws)) => rates.extend(ws.iter()),
-    }
-    rates
-        .iter()
-        .flat_map(|r| r.params())
-        .filter(|p| dynamic.contains_key(*p))
-        .map(str::to_string)
-        .collect()
-}
-
 /// Merge every actor's dynamic-rate declarations into one program-wide
 /// interval per parameter (the intersection across declaring actors).
 ///
@@ -471,82 +357,6 @@ pub fn merged_rate_intervals(program: &Program) -> Result<BTreeMap<String, RateI
         }
     }
     Ok(merged)
-}
-
-/// Partition the flat graph into rate-conditioned scheduling regions.
-///
-/// Two adjacent nodes share a region exactly when their rates depend on
-/// the same set of dynamic parameters; regions are therefore the connected
-/// components of same-dependence adjacency, each either static (no
-/// dynamic parameters) or governed by one dynamic parameter set. A
-/// program with no dynamic-rate declarations yields one static region per
-/// connected component.
-///
-/// # Errors
-///
-/// * [`Error::RateMismatch`] when actors declare disjoint intervals for
-///   the same parameter ([`merged_rate_intervals`]).
-/// * [`Error::Semantic`] when the graph is cyclic ([`FlatGraph::topo_order`]).
-pub fn partition_rate_regions(program: &Program, graph: &FlatGraph) -> Result<RegionPartition> {
-    let dynamic = merged_rate_intervals(program)?;
-    let order = graph.topo_order()?;
-    let n = graph.nodes.len();
-    let dyn_sets: Vec<BTreeSet<String>> = graph
-        .nodes
-        .iter()
-        .map(|node| node_dyn_params(program, node, &dynamic))
-        .collect();
-
-    // Union nodes across channels whose endpoints share a dependence set.
-    let mut parent: Vec<usize> = (0..n).collect();
-    fn find(parent: &mut Vec<usize>, x: usize) -> usize {
-        if parent[x] != x {
-            let root = find(parent, parent[x]);
-            parent[x] = root;
-        }
-        parent[x]
-    }
-    for c in &graph.channels {
-        if dyn_sets[c.src] == dyn_sets[c.dst] {
-            let (a, b) = (find(&mut parent, c.src), find(&mut parent, c.dst));
-            if a != b {
-                parent[a] = b;
-            }
-        }
-    }
-
-    // Emit regions in topological order of their first member.
-    let mut topo_pos = vec![0usize; n];
-    for (pos, &node) in order.iter().enumerate() {
-        topo_pos[node] = pos;
-    }
-    let mut region_of_root: BTreeMap<usize, usize> = BTreeMap::new();
-    let mut regions: Vec<RateRegion> = Vec::new();
-    let mut assignment = vec![usize::MAX; n];
-    for &node in &order {
-        let root = find(&mut parent, node);
-        let idx = *region_of_root.entry(root).or_insert_with(|| {
-            let params: Vec<String> = dyn_sets[node].iter().cloned().collect();
-            let intervals = params.iter().map(|p| (p.clone(), dynamic[p])).collect();
-            regions.push(RateRegion {
-                nodes: Vec::new(),
-                params,
-                intervals,
-            });
-            regions.len() - 1
-        });
-        regions[idx].nodes.push(node);
-        assignment[node] = idx;
-    }
-    for r in &mut regions {
-        r.nodes.sort_by_key(|&n| topo_pos[n]);
-    }
-
-    Ok(RegionPartition {
-        regions,
-        dynamic,
-        assignment,
-    })
 }
 
 #[cfg(test)]
@@ -969,7 +779,7 @@ mod tests {
 
     #[test]
     fn random_cases_cover_schedules_and_every_error() {
-        let mut seen = BTreeSet::new();
+        let mut seen = std::collections::BTreeSet::new();
         for seed in 0..512 {
             let (program, binds) = random_case(seed);
             let fg = program.flatten().unwrap();
@@ -996,69 +806,6 @@ mod tests {
     }
 
     #[test]
-    fn static_program_is_one_static_region() {
-        let p = pipeline(vec![
-            actor("A", RateExpr::constant(1), RateExpr::constant(2)),
-            actor("B", RateExpr::constant(3), RateExpr::constant(1)),
-        ]);
-        let fg = p.flatten().unwrap();
-        let part = partition_rate_regions(&p, &fg).unwrap();
-        assert_eq!(part.regions.len(), 1);
-        assert!(part.regions[0].is_static());
-        assert!(part.dynamic.is_empty());
-        assert!(part.is_cover(&fg));
-        assert!(part.channels_consistent(&fg));
-    }
-
-    #[test]
-    fn dynamic_actor_splits_off_its_own_region() {
-        // A (static) -> B (rates in dynamic N) -> C (static): three
-        // regions, because A and C are not adjacent to each other.
-        let mut b = actor("B", RateExpr::param("N"), RateExpr::constant(1));
-        b = b.with_rate_interval("N", RateInterval::new(4, 64).unwrap());
-        let p = Program {
-            name: "P".into(),
-            params: vec!["N".into()],
-            actors: vec![
-                actor("A", RateExpr::constant(1), RateExpr::constant(1)),
-                b,
-                actor("C", RateExpr::constant(1), RateExpr::constant(1)),
-            ],
-            graph: StreamNode::Pipeline(vec![
-                StreamNode::Actor("A".into()),
-                StreamNode::Actor("B".into()),
-                StreamNode::Actor("C".into()),
-            ]),
-        };
-        let fg = p.flatten().unwrap();
-        let part = partition_rate_regions(&p, &fg).unwrap();
-        assert_eq!(part.regions.len(), 3);
-        assert!(part.is_cover(&fg));
-        assert!(part.channels_consistent(&fg));
-        let dynamic: Vec<_> = part.dynamic_regions().collect();
-        assert_eq!(dynamic.len(), 1);
-        assert_eq!(dynamic[0].params, vec!["N".to_string()]);
-        assert_eq!(dynamic[0].intervals["N"], RateInterval { lo: 4, hi: 64 });
-        assert_eq!(part.region_of(1), 1);
-        assert_ne!(part.region_of(0), part.region_of(2));
-    }
-
-    #[test]
-    fn adjacent_same_dependence_nodes_share_a_region() {
-        let iv = RateInterval::new(2, 32).unwrap();
-        let a = actor("A", RateExpr::param("N"), RateExpr::param("N")).with_rate_interval("N", iv);
-        let b = actor("B", RateExpr::param("N"), RateExpr::constant(1));
-        let p = pipeline(vec![a, b]);
-        let fg = p.flatten().unwrap();
-        let part = partition_rate_regions(&p, &fg).unwrap();
-        // B never declares N itself, but its rates depend on it, and the
-        // declaration is program-global — both actors land in one region.
-        assert_eq!(part.regions.len(), 1);
-        assert_eq!(part.regions[0].params, vec!["N".to_string()]);
-        assert!(part.is_cover(&fg));
-    }
-
-    #[test]
     fn overlapping_declarations_intersect() {
         let a = actor("A", RateExpr::param("N"), RateExpr::param("N"))
             .with_rate_interval("N", RateInterval::new(2, 64).unwrap());
@@ -1080,8 +827,6 @@ mod tests {
             merged_rate_intervals(&p),
             Err(Error::RateMismatch(_))
         ));
-        let fg = p.flatten().unwrap();
-        assert!(partition_rate_regions(&p, &fg).is_err());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 #!/bin/sh
 # Regenerate (or check) the committed outputs of the deterministic figure
 # binaries: each binary's stdout is `results/<bin>.txt`, run at the default
-# scale (`ADAPTIC_SCALE` unset).
+# scale and seed (`ADAPTIC_SCALE` and `ADAPTIC_DRIFT_SEED` unset).
 #
 #   scripts/figures.sh                  # rewrite the default list's files
 #   scripts/figures.sh --check          # diff against the committed files
@@ -18,10 +18,11 @@ if [ "${1:-}" = "--check" ]; then
     check=true
     shift
 fi
-[ "$#" -gt 0 ] || set -- fig1 fig9 fig10 fig11 insensitive portability ablations codesize
+[ "$#" -gt 0 ] || set -- fig1 fig9 fig10 fig11 insensitive portability ablations codesize \
+    drift_adaptivity
 
 cargo build --release --quiet -p adaptic-bench --bins
-unset ADAPTIC_SCALE ADAPTIC_WORKERS
+unset ADAPTIC_SCALE ADAPTIC_WORKERS ADAPTIC_DRIFT_SEED
 
 status=0
 for bin in "$@"; do
