@@ -160,10 +160,9 @@ fn main() -> ExitCode {
         let t = fleet.telemetry().expect("non-empty fleet");
         let _ = writeln!(
             out,
-            "{:>18}  fleet telemetry: {} launches, {} recalibration moves, model error {:.1}%",
+            "{:>18}  fleet telemetry: {} launches, model error {:.1}%",
             "",
             t.launches,
-            t.recalibration_moves,
             t.mean_model_error * 100.0
         );
         records.push(BenchRecord {

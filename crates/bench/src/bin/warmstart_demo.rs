@@ -7,7 +7,7 @@
 //! `artifacts/` under the current directory). Each boot compiles three
 //! programs through [`compile_with_store`], attaches the store to every
 //! [`KernelManager`], runs one launch per program, and persists the
-//! learned boundary state on the way out.
+//! learned cost ratios on the way out.
 //!
 //! ```sh
 //! ADAPTIC_ARTIFACT_DIR=/tmp/adaptic-store cargo run --release --bin warmstart_demo

@@ -104,18 +104,10 @@ impl DynamicRegion {
         })
     }
 
-    /// Pin the manager's recalibration hysteresis. Tests freeze it
-    /// (`min_rel_shift: INFINITY`) so wall-clock measurement noise cannot
-    /// move variant boundaries between replays.
-    pub fn with_kmu_hysteresis(mut self, hysteresis: perfmodel::Hysteresis) -> DynamicRegion {
-        self.kmu = self.kmu.with_hysteresis(hysteresis);
-        self
-    }
-
     /// Run one firing at rate `x`.
     ///
     /// Firings inside the declared interval go through the
-    /// [`KernelManager`] (recalibration, degradation ladder, quarantine).
+    /// [`KernelManager`] (table selection, degradation ladder, quarantine).
     /// A firing outside it is served through the plan's clamped variant
     /// selection — executed at the real `x`, so outputs are exact — and
     /// counted in `clamped_runs` and `rate_exits`, with the manager

@@ -124,9 +124,9 @@ pub struct RunOptions<'f> {
     /// Serial or deterministic-parallel block execution.
     pub policy: ExecPolicy,
     /// Run this variant of the table instead of the one selected for the
-    /// input. The kernel-management unit uses it to launch the variant its
-    /// *recalibrated* boundaries picked; tests use it to measure a variant
-    /// outside its model-assigned sub-range.
+    /// input. The kernel-management unit uses it to launch each rung of
+    /// its fallback ladder; tests use it to measure a variant outside its
+    /// model-assigned sub-range.
     pub force_variant: Option<usize>,
     /// Fault injector consulted once per launch attempt (chaos testing);
     /// `None` in production runs.

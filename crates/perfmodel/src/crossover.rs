@@ -4,40 +4,7 @@
 //! applying each optimization as a function of input dimensions; the
 //! performance break-even points determine the dimensions at which the
 //! optimization is enabled or disabled (§3 of the paper). This module
-//! finds those points for arbitrary monotone-crossing cost functions and
-//! partitions an input range into per-variant subranges.
-
-/// Find the smallest `x` in `[lo, hi]` where `f(x) <= g(x)` flips to
-/// `f(x) > g(x)` (or vice versa), i.e. the break-even point of two cost
-/// functions.
-///
-/// The functions need not be monotone individually — only their *ordering*
-/// must flip at most once over the interval, which holds for the cost
-/// models compared here. Returns `None` when one variant dominates the
-/// whole range.
-pub fn find_crossover(
-    lo: i64,
-    hi: i64,
-    mut f: impl FnMut(i64) -> f64,
-    mut g: impl FnMut(i64) -> f64,
-) -> Option<i64> {
-    assert!(lo <= hi, "empty range");
-    let first = f(lo) <= g(lo);
-    let last = f(hi) <= g(hi);
-    if first == last {
-        return None;
-    }
-    let (mut a, mut b) = (lo, hi);
-    while b - a > 1 {
-        let mid = a + (b - a) / 2;
-        if (f(mid) <= g(mid)) == first {
-            a = mid;
-        } else {
-            b = mid;
-        }
-    }
-    Some(b)
-}
+//! partitions an input range into per-variant subranges at those points.
 
 /// A subrange `[lo, hi]` of the input space assigned to variant `variant`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -133,98 +100,6 @@ pub fn partition_range(
     out
 }
 
-/// Hysteresis thresholds for [`recalibrated_boundary`]: a proposed move is
-/// applied only when it clears *both* the absolute and the relative bar,
-/// so measurement noise near a break-even point cannot flap the boundary
-/// back and forth between launches.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Hysteresis {
-    /// Minimum shift as a fraction of the current boundary position.
-    pub min_rel_shift: f64,
-    /// Minimum absolute shift in input units (at least 1 is enforced).
-    pub min_abs_shift: i64,
-}
-
-impl Default for Hysteresis {
-    fn default() -> Hysteresis {
-        Hysteresis {
-            min_rel_shift: 0.05,
-            min_abs_shift: 1,
-        }
-    }
-}
-
-/// Re-locate the break-even point between two adjacent variants from
-/// measurement-corrected cost curves.
-///
-/// `current` is the boundary in effect: the left variant owns
-/// `[lo, current - 1]`, the right owns `[current, hi]` (so
-/// `lo < current <= hi`). `left` and `right` are the corrected cost
-/// curves — typically the analytical estimate scaled by each variant's
-/// measured/predicted ratio. Returns `Some(new_boundary)` when the
-/// corrected curves place the break-even point far enough from `current`
-/// to clear `hysteresis`, `None` to keep the boundary where it is.
-///
-/// The result is always inside `(lo, hi]`, so applying it never empties
-/// either variant's range and never leaves the declared input range:
-/// when one corrected curve dominates the whole interval the losing
-/// variant is shrunk to a single endpoint, not dropped. When the curves
-/// cross in the *opposite* direction from the table's layout (the right
-/// variant measures cheaper at the low end and dearer at the high end),
-/// no boundary between the two can express that ordering and the function
-/// keeps `current`.
-pub fn recalibrated_boundary(
-    lo: i64,
-    hi: i64,
-    current: i64,
-    mut left: impl FnMut(i64) -> f64,
-    mut right: impl FnMut(i64) -> f64,
-    hysteresis: Hysteresis,
-) -> Option<i64> {
-    assert!(
-        lo < current && current <= hi,
-        "boundary {current} outside ({lo}, {hi}]"
-    );
-    let left_wins_lo = left(lo) <= right(lo);
-    let left_wins_hi = left(hi) <= right(hi);
-    let candidate = match (left_wins_lo, left_wins_hi) {
-        // Normal orientation: the first x the right variant wins is the
-        // new boundary.
-        (true, false) => find_crossover(lo, hi, &mut left, &mut right)
-            .expect("ordering flips, so a crossover exists"),
-        // Left dominates everywhere: shrink the right variant to {hi}.
-        (true, true) => hi,
-        // Right dominates everywhere: shrink the left variant to {lo}.
-        (false, false) => lo + 1,
-        // Inverted crossing — not expressible as a single boundary.
-        (false, true) => return None,
-    };
-    let candidate = candidate.clamp(lo + 1, hi);
-    let shift = (candidate - current).abs();
-    let rel = shift as f64 / current.max(1) as f64;
-    if shift >= hysteresis.min_abs_shift.max(1) && rel >= hysteresis.min_rel_shift {
-        Some(candidate)
-    } else {
-        None
-    }
-}
-
-/// Move the boundary between `ranges[left]` and `ranges[left + 1]` to
-/// `boundary` (the first point owned by the right range). Returns `false`
-/// without touching anything when the move would empty either range or
-/// `left + 1` is out of bounds; on success the slice still tiles exactly.
-pub fn apply_boundary(ranges: &mut [RangeAssignment], left: usize, boundary: i64) -> bool {
-    if left + 1 >= ranges.len() {
-        return false;
-    }
-    if boundary <= ranges[left].lo || boundary > ranges[left + 1].hi {
-        return false;
-    }
-    ranges[left].hi = boundary - 1;
-    ranges[left + 1].lo = boundary;
-    true
-}
-
 /// Check that assignments exactly tile `[lo, hi]` without gaps or overlap
 /// (used by tests and by the compiler's internal assertions).
 pub fn tiles_exactly(lo: i64, hi: i64, ranges: &[RangeAssignment]) -> bool {
@@ -240,21 +115,6 @@ pub fn tiles_exactly(lo: i64, hi: i64, ranges: &[RangeAssignment]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn crossover_found_for_linear_functions() {
-        // f = 100 + x, g = 2x: g cheaper below 100; f <= g first holds at 100.
-        let c = find_crossover(1, 1_000_000, |x| 100.0 + x as f64, |x| 2.0 * x as f64);
-        assert_eq!(c, Some(100));
-    }
-
-    #[test]
-    fn no_crossover_when_dominated() {
-        assert_eq!(
-            find_crossover(1, 1000, |x| x as f64, |x| x as f64 + 1.0),
-            None
-        );
-    }
 
     #[test]
     fn partition_two_variants() {
@@ -348,96 +208,5 @@ mod tests {
         ];
         assert!(!tiles_exactly(1, 9, &overlap));
         assert!(!tiles_exactly(1, 9, &[]));
-    }
-
-    #[test]
-    fn recalibration_moves_toward_measured_crossover() {
-        // Model placed the boundary at 100 (f = 100 + x vs g = 2x), but
-        // measurements say the left variant is 4x slower than predicted:
-        // corrected curves cross at 400/3 ≈ 134 for g = 2x vs 25 + x/4...
-        // here: left corrected = 4*(2x) = 8x, right = 100 + x, crossover
-        // where 8x > 100 + x → x > 100/7 → 15.
-        let moved = recalibrated_boundary(
-            1,
-            1_000_000,
-            100,
-            |x| 8.0 * x as f64,
-            |x| 100.0 + x as f64,
-            Hysteresis::default(),
-        );
-        assert_eq!(moved, Some(15));
-    }
-
-    #[test]
-    fn recalibration_respects_hysteresis() {
-        // Corrected crossover at 102 — a 2% shift from 100 stays put under
-        // the default 5% relative bar.
-        let kept = recalibrated_boundary(
-            1,
-            1_000_000,
-            100,
-            |x| 2.0 * x as f64,
-            |x| 102.0 + x as f64,
-            Hysteresis::default(),
-        );
-        assert_eq!(kept, None);
-        // The same curves move once the caller relaxes the bar.
-        let moved = recalibrated_boundary(
-            1,
-            1_000_000,
-            100,
-            |x| 2.0 * x as f64,
-            |x| 102.0 + x as f64,
-            Hysteresis {
-                min_rel_shift: 0.0,
-                min_abs_shift: 1,
-            },
-        );
-        assert_eq!(moved, Some(103));
-    }
-
-    #[test]
-    fn recalibration_clamps_domination_to_range_edges() {
-        let h = Hysteresis::default();
-        // Left always cheaper: right keeps only the top point.
-        assert_eq!(
-            recalibrated_boundary(1, 1000, 500, |_| 1.0, |_| 2.0, h),
-            Some(1000)
-        );
-        // Right always cheaper: left keeps only the bottom point.
-        assert_eq!(
-            recalibrated_boundary(1, 1000, 500, |_| 2.0, |_| 1.0, h),
-            Some(2)
-        );
-        // Inverted crossing is not expressible — boundary stays.
-        assert_eq!(
-            recalibrated_boundary(1, 1000, 500, |x| 1000.0 - x as f64, |x| x as f64, h),
-            None
-        );
-    }
-
-    #[test]
-    fn apply_boundary_keeps_tiling() {
-        let mut ranges = vec![
-            RangeAssignment {
-                lo: 1,
-                hi: 99,
-                variant: 0,
-            },
-            RangeAssignment {
-                lo: 100,
-                hi: 1000,
-                variant: 1,
-            },
-        ];
-        assert!(apply_boundary(&mut ranges, 0, 15));
-        assert!(tiles_exactly(1, 1000, &ranges));
-        assert_eq!(ranges[0].hi, 14);
-        assert_eq!(ranges[1].lo, 15);
-        // Moves that would empty a range are rejected untouched.
-        assert!(!apply_boundary(&mut ranges, 0, 1));
-        assert!(!apply_boundary(&mut ranges, 0, 1001));
-        assert!(!apply_boundary(&mut ranges, 1, 500));
-        assert!(tiles_exactly(1, 1000, &ranges));
     }
 }

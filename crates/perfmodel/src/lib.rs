@@ -11,8 +11,8 @@
 //!
 //! * [`estimate`] / [`estimate_stats`] — timing for one launch, from a
 //!   closed-form [`LaunchProfile`] or measured simulator statistics;
-//! * [`find_crossover`] / [`partition_range`] — the break-even machinery
-//!   that decides *where* in the input space each kernel variant wins.
+//! * [`partition_range`] — the break-even machinery that decides *where*
+//!   in the input space each kernel variant wins.
 //!
 //! # Example
 //!
@@ -40,9 +40,6 @@ pub mod crossover;
 pub mod model;
 pub mod pruning;
 
-pub use crossover::{
-    apply_boundary, find_crossover, partition_range, recalibrated_boundary, tiles_exactly,
-    Hysteresis, RangeAssignment,
-};
+pub use crossover::{partition_range, tiles_exactly, RangeAssignment};
 pub use model::{estimate, estimate_stats, KernelClass, LaunchProfile, TimingEstimate};
 pub use pruning::{coverage_curve, prune_variant_set, BudgetPoint, PruneSelection};

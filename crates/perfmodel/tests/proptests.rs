@@ -4,10 +4,7 @@
 use proptest::prelude::*;
 
 use gpu_sim::DeviceSpec;
-use perfmodel::{
-    apply_boundary, estimate, find_crossover, partition_range, recalibrated_boundary,
-    tiles_exactly, Hysteresis, LaunchProfile, RangeAssignment,
-};
+use perfmodel::{estimate, partition_range, tiles_exactly, LaunchProfile};
 
 fn profile(grid: u32, block: u32, mem: f64, trans: f64, compute: f64) -> LaunchProfile {
     LaunchProfile {
@@ -75,26 +72,6 @@ proptest! {
             grid, a.total_cycles, grid + extra, b.total_cycles);
     }
 
-    /// `find_crossover` returns a point that actually separates the two
-    /// orderings, when it returns at all.
-    #[test]
-    fn crossover_point_separates(
-        a0 in 1.0f64..1000.0,
-        a1 in 0.001f64..1.0,
-        b1 in 1.001f64..3.0,
-    ) {
-        // f = a0 + a1*x vs g = b1*x; orderings flip at most once.
-        let f = |x: i64| a0 + a1 * x as f64;
-        let g = |x: i64| b1 * x as f64;
-        if let Some(c) = find_crossover(1, 1 << 30, f, g) {
-            let before = f(c - 1) <= g(c - 1);
-            let after = f(c) <= g(c);
-            prop_assert_ne!(before, after);
-        } else {
-            prop_assert_eq!(f(1) <= g(1), f(1 << 30) <= g(1 << 30));
-        }
-    }
-
     /// Range partitioning tiles exactly and assigns each probe point to a
     /// cost-minimal variant.
     #[test]
@@ -137,58 +114,6 @@ proptest! {
         prop_assert!(tiles_exactly(lo, hi, &ranges));
         for r in &ranges {
             prop_assert!(r.variant < curves.len());
-        }
-    }
-
-    /// The break-even point moves monotonically when one cost curve is
-    /// perturbed: uniformly inflating the variant that wins at large
-    /// inputs (`f`, the flatter curve) can only delay its break-even —
-    /// the crossover never moves toward smaller inputs.
-    #[test]
-    fn crossover_monotone_under_perturbation(
-        a0 in 10.0f64..1000.0,
-        b1 in 1.1f64..4.0,
-        scale in 1.0f64..8.0,
-    ) {
-        // g = b1*x wins small x (no offset); f = a0 + x wins large x
-        // (smaller slope). The crossover is the first x where f <= g.
-        let f = move |x: i64| a0 + x as f64;
-        let g = move |x: i64| b1 * x as f64;
-        let base = find_crossover(1, 1 << 30, f, g);
-        let scaled = find_crossover(1, 1 << 30, move |x| scale * f(x), g);
-        if let (Some(c0), Some(c1)) = (base, scaled) {
-            prop_assert!(
-                c1 >= c0,
-                "inflating f by {scale} moved its break-even down: {c0} -> {c1}"
-            );
-        }
-    }
-
-    /// Recalibrated boundaries always land inside the declared range and
-    /// keep the assignment table tiling exactly when applied.
-    #[test]
-    fn recalibrated_boundary_stays_in_declared_range(
-        lo in 1i64..100,
-        span in 2i64..100_000,
-        cut in 0.001f64..0.999,
-        a0 in 1.0f64..1000.0,
-        b1 in 1.01f64..8.0,
-        left_scale in 0.05f64..20.0,
-        right_scale in 0.05f64..20.0,
-    ) {
-        let hi = lo + span;
-        // Any interior starting boundary.
-        let current = lo + 1 + ((span - 1) as f64 * cut) as i64;
-        let left = move |x: i64| left_scale * (a0 + x as f64);
-        let right = move |x: i64| right_scale * b1 * x as f64;
-        if let Some(b) = recalibrated_boundary(lo, hi, current, left, right, Hysteresis::default()) {
-            prop_assert!(b > lo && b <= hi, "boundary {b} escaped ({lo}, {hi}]");
-            let mut ranges = vec![
-                RangeAssignment { lo, hi: current - 1, variant: 0 },
-                RangeAssignment { lo: current, hi, variant: 1 },
-            ];
-            prop_assert!(apply_boundary(&mut ranges, 0, b));
-            prop_assert!(tiles_exactly(lo, hi, &ranges));
         }
     }
 }

@@ -1,7 +1,7 @@
 //! Persistence suite for the artifact store: byte-for-byte roundtrips of
 //! plan artifacts and learned KMU state across every template family,
 //! warm-vs-cold equivalence (a store hit must change *time only*, never
-//! results), boundary restoration across a simulated process restart, and
+//! results), learned-ratio restoration across a simulated process restart, and
 //! decoder fuzzing — random, truncated and bit-flipped bytes must produce
 //! a clean `ArtifactError`, never a panic and never silent garbage.
 
@@ -111,45 +111,57 @@ fn warm_compile_is_bit_identical_to_cold() {
     }
 }
 
-/// Learned KMU state survives a simulated restart exactly: a manager whose
-/// boundaries were recalibrated persists them, and a fresh manager over
-/// the same store starts from the persisted table (well within hysteresis
-/// — identical), with histogram summaries intact.
+/// Learned KMU state survives a simulated restart and a peer import
+/// exactly: a manager whose launches have moved its measured/predicted
+/// ratios away from 1.0 persists them, and a fresh manager over the same
+/// store — or a peer fed the exported bytes — quotes the same corrected
+/// costs and reports the same model error.
 #[test]
-fn learned_boundaries_survive_restart() {
+fn learned_ratios_survive_restart_and_peer_import() {
     let case = &cases()[1]; // reduce: guaranteed multi-variant table
     let device = &devices()[0];
     let compiled = compiled_for(case, device);
-    assert!(
-        compiled.variants.len() >= 2,
-        "case must have a boundary to move"
-    );
+    assert!(compiled.variants.len() >= 2, "case must have two variants");
     let (dir, store) = temp_store("restart");
     let store = Arc::new(store);
 
-    // Simulate a recalibrated process: shift the first boundary by a few
-    // points, then persist at "shutdown".
-    let mut ranges: Vec<(i64, i64)> = compiled.variants.iter().map(|v| (v.lo, v.hi)).collect();
-    let shift = 3;
-    assert!(ranges[0].1 - ranges[0].0 > shift, "room to shift");
-    ranges[0].1 -= shift;
-    ranges[1].0 -= shift;
-    let first = KernelManager::new(compiled.clone())
-        .with_boundaries(ranges.clone())
-        .with_artifacts(Arc::clone(&store));
-    first.persist_learned().unwrap();
+    // A process that has measured, then persists at "shutdown".
+    let first = KernelManager::new(compiled.clone()).with_artifacts(Arc::clone(&store));
+    for &x in case.sizes {
+        let input = data((case.items)(x), 3);
+        let state = (case.state)();
+        first
+            .run(x, &input, &state, RunOptions::serial(ExecMode::Full))
+            .unwrap();
+    }
     let exported = first.export_learned();
-    assert_eq!(exported.boundaries, ranges);
+    assert!(
+        exported
+            .histograms
+            .iter()
+            .any(|h| h.samples > 0 && h.ratio != 1.0 && h.sum_rel_err() > 0.0),
+        "launches must have moved a ratio: {:?}",
+        exported.histograms
+    );
+    let quotes = |kmu: &KernelManager| -> Vec<u64> {
+        case.sizes
+            .iter()
+            .map(|&x| kmu.corrected_cost(x).unwrap().to_bits())
+            .collect()
+    };
+    let first_quotes = quotes(&first);
+    let first_error = first.telemetry().mean_model_error;
+    first.persist_learned().unwrap();
     drop(first);
 
     // "Reboot": a fresh manager warm-starts from the store.
     let second = KernelManager::new(compiled.clone()).with_artifacts(Arc::clone(&store));
+    assert_eq!(second.export_learned(), exported, "reloaded histograms");
+    assert_eq!(quotes(&second), first_quotes, "reloaded cost quotes");
     assert_eq!(
-        second.export_learned().boundaries,
-        ranges,
-        "reloaded boundaries must match the pre-shutdown table"
+        second.telemetry().mean_model_error.to_bits(),
+        first_error.to_bits()
     );
-    assert_eq!(second.telemetry().boundaries, ranges);
     assert_eq!(second.telemetry().artifact_hits, 1);
 
     // Peer shipping: export → bytes → import on a third node.
@@ -160,16 +172,19 @@ fn learned_boundaries_survive_restart() {
     assert_eq!(shipped.to_bytes(key), wire, "re-serialization diverged");
     let third = KernelManager::new(compiled.clone());
     third.import_learned(&shipped).unwrap();
-    assert_eq!(third.export_learned().boundaries, ranges);
+    assert_eq!(third.export_learned(), exported);
+    assert_eq!(quotes(&third), first_quotes, "imported cost quotes");
 
-    // Import validation: a state that does not tile this axis is refused
-    // and leaves the manager untouched.
-    let bogus = LearnedState {
-        boundaries: vec![(0, 5)],
+    // Import validation: a state with the wrong variant count, or a
+    // non-finite ratio, is refused and leaves the manager untouched.
+    let short = LearnedState {
         histograms: vec![VariantHistogram::default()],
     };
-    assert!(third.import_learned(&bogus).is_err());
-    assert_eq!(third.export_learned().boundaries, ranges);
+    assert!(third.import_learned(&short).is_err());
+    let mut poisoned = exported.clone();
+    poisoned.histograms[0].ratio = f64::NAN;
+    assert!(third.import_learned(&poisoned).is_err());
+    assert_eq!(third.export_learned(), exported);
 
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -203,11 +218,9 @@ fn learned_histograms_roundtrip_exactly() {
 
     let reloaded = KernelManager::new(compiled).with_artifacts(Arc::clone(&store));
     let after = reloaded.export_learned();
-    assert_eq!(after.boundaries, before.boundaries);
     assert_eq!(after.histograms.len(), n);
     for (i, (a, b)) in after.histograms.iter().zip(&before.histograms).enumerate() {
         assert_eq!(a.samples, b.samples, "variant {i}");
-        assert_eq!(a.since_move, b.since_move, "variant {i}");
         assert_eq!(a.ratio.to_bits(), b.ratio.to_bits(), "variant {i} ratio");
         assert_eq!(
             a.sum_rel_err().to_bits(),
@@ -283,11 +296,10 @@ fn fuzz_image() -> (Vec<u8>, ArtifactKey) {
         device: 0x0123456789abcdef,
     };
     let state = LearnedState {
-        boundaries: vec![(16, 511), (512, 8191), (8192, 65536)],
         histograms: vec![
-            VariantHistogram::from_raw(12, 4, 1.31, 2.5),
-            VariantHistogram::from_raw(7, 7, 0.92, 0.25),
-            VariantHistogram::from_raw(0, 0, 1.0, 0.0),
+            VariantHistogram::from_raw(12, 1.31, 2.5),
+            VariantHistogram::from_raw(7, 0.92, 0.25),
+            VariantHistogram::from_raw(0, 1.0, 0.0),
         ],
     };
     (state.to_bytes(key), key)

@@ -29,7 +29,6 @@ use adaptic_repro::adaptic::{
     KernelManager, RetryPolicy, RunOptions, StateBinding,
 };
 use adaptic_repro::gpu_sim::DeviceSpec;
-use adaptic_repro::perfmodel::Hysteresis;
 use adaptic_repro::streamir::error::Error;
 use common::{cases, compiled_for, corpus_seeds, data, Case};
 use proptest::prelude::*;
@@ -194,15 +193,8 @@ fn chaos_replays_identically_for_a_fixed_seed() {
     let x = case.sizes[0];
     let input = data((case.items)(x), 42);
 
-    // Boundaries frozen: recalibration feeds on wall-clock measurements,
-    // which must not be allowed to change variant selection between the
-    // two passes — everything else is schedule-driven and deterministic.
-    let frozen = Hysteresis {
-        min_rel_shift: f64::INFINITY,
-        min_abs_shift: i64::MAX,
-    };
     let run_pass = || {
-        let kmu = KernelManager::new(compiled.clone()).with_hysteresis(frozen);
+        let kmu = KernelManager::new(compiled.clone());
         let plan = FaultPlan::new(0xDEADBEEF).with_rate(0.5);
         let mut trace: Vec<u64> = Vec::new();
         for _ in 0..4 {
@@ -277,9 +269,9 @@ fn hard_fault_window_quarantines_then_readmits() {
 
 /// Persistence under fire: a fault-injected process that persists its
 /// learned state while a variant sits quarantined must NOT leak the
-/// quarantine into the store — the artifact carries boundaries and
-/// histograms only, and a reloaded process starts with every breaker
-/// closed while inheriting the learned boundaries.
+/// quarantine into the store — the artifact carries histograms only, and
+/// a reloaded process starts with every breaker closed while inheriting
+/// the learned histograms.
 #[test]
 fn quarantine_state_never_leaks_into_the_store() {
     let device = DeviceSpec::tesla_c2050();
@@ -320,7 +312,7 @@ fn quarantine_state_never_leaks_into_the_store() {
 
     // Persist mid-quarantine, then "reboot".
     kmu.persist_learned().expect("persist");
-    let boundaries = snap.boundaries.clone();
+    let learned = kmu.export_learned();
     drop(kmu);
 
     let reloaded = KernelManager::new(compiled).with_artifacts(std::sync::Arc::clone(&store));
@@ -332,8 +324,9 @@ fn quarantine_state_never_leaks_into_the_store() {
     );
     assert_eq!(fresh.quarantines, 0, "no quarantine history inherited");
     assert_eq!(
-        fresh.boundaries, boundaries,
-        "learned boundaries must survive the restart"
+        reloaded.export_learned(),
+        learned,
+        "learned histograms must survive the restart"
     );
     assert_eq!(fresh.artifact_hits, 1, "the reload must be a store hit");
 
@@ -379,10 +372,6 @@ fn faults_across_a_dynamic_region_fall_down_the_ladder() {
         .unwrap()
         .dyn_rates
         .insert("N".into(), RateInterval::new(64, 8192).unwrap());
-    let frozen = Hysteresis {
-        min_rel_shift: f64::INFINITY,
-        min_abs_shift: i64::MAX,
-    };
     // Tiny regime, flip to huge, flip back, with 32 below and 16384 above
     // the declared [64, 8192]: the injector gets shots at the manager
     // path and at the clamped path.
@@ -405,8 +394,7 @@ fn faults_across_a_dynamic_region_fall_down_the_ladder() {
             trace[0],
             None,
         )
-        .expect("region plans")
-        .with_kmu_hysteresis(frozen);
+        .expect("region plans");
         let inj = KindTally::new(FaultPlan::new(seed).with_rate(0.35));
         let (mut reported_faults, mut reported_retries) = (0, 0);
 
@@ -427,7 +415,7 @@ fn faults_across_a_dynamic_region_fall_down_the_ladder() {
             // Fault-free baseline against the plan that served the
             // firing. In-axis firings pin the variant that completed;
             // out-of-axis firings repeat the clamped (unforced)
-            // selection, which frozen hysteresis keeps deterministic.
+            // selection of the same planned table.
             let plan = region.manager().program();
             let (lo, hi) = plan.axis_range();
             if x >= lo && x <= hi {

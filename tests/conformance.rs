@@ -129,15 +129,7 @@ fn engines_are_bit_identical_across_families_devices_and_seeds() {
 fn dynamic_regions_and_their_clamps_are_bit_identical_across_engines() {
     use adaptic_repro::adaptic::{CompileOptions, DynamicRegion, ReschedPolicy};
     use adaptic_repro::apps::programs;
-    use adaptic_repro::perfmodel::Hysteresis;
     use adaptic_repro::streamir::RateInterval;
-
-    // Recalibration feeds on wall-clock measurements; frozen boundaries
-    // keep variant selection identical across the engine passes.
-    let frozen = Hysteresis {
-        min_rel_shift: f64::INFINITY,
-        min_abs_shift: i64::MAX,
-    };
 
     let mut program = programs::sasum().program;
     let declared = RateInterval::new(64, 8192).unwrap();
@@ -188,8 +180,7 @@ fn dynamic_regions_and_their_clamps_are_bit_identical_across_engines() {
                 trace[0],
                 None,
             )
-            .unwrap_or_else(|e| panic!("device={} engine={engine}: {e}", device.name))
-            .with_kmu_hysteresis(frozen);
+            .unwrap_or_else(|e| panic!("device={} engine={engine}: {e}", device.name));
             let mut outs = Vec::new();
             let mut variants = Vec::new();
             let mut stats = Vec::new();
