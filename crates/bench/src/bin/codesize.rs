@@ -3,10 +3,6 @@
 //! 2.5x) size over the input-unaware binaries. We approximate binary size
 //! by the emitted CUDA text of every variant, deduplicated per distinct
 //! kernel-choice signature.
-//!
-//! The second table measures the "few fit most" counterweight: per-device
-//! plan-artifact bytes before and after variant-set pruning at a 10%
-//! overhead tolerance (see `adaptic::fleet`), across the fleet presets.
 
 use std::collections::BTreeSet;
 
@@ -14,7 +10,6 @@ use adaptic::{compile, compile_with_options, CompileOptions, InputAxis};
 use adaptic_apps::programs;
 use adaptic_bench::{header, row};
 use gpu_sim::DeviceSpec;
-use perfmodel::prune_variant_set;
 
 fn main() {
     header("Section 5.1: generated code size, Adaptic vs input-unaware");
@@ -34,7 +29,6 @@ fn main() {
         )
     );
 
-    let axis = InputAxis::total_size("N", 256, 4 << 20);
     let mut ratios = Vec::new();
     for bench in programs::figure9_benches()
         .into_iter()
@@ -97,53 +91,4 @@ fn main() {
     let avg = ratios.iter().sum::<f64>() / ratios.len().max(1) as f64;
     let max = ratios.iter().cloned().fold(0.0f64, f64::max);
     println!("\naverage code-size ratio {avg:.2} (paper: 1.4x), max {max:.2} (paper: up to 2.5x)");
-
-    // Variant-set pruning: per-device artifact bytes, full vs pruned at a
-    // 10% predicted-overhead tolerance, over the fleet presets.
-    println!("\n--- \"few fit most\": plan-artifact bytes, full vs pruned (10% tolerance) ---\n");
-    let pw = [18usize, 10, 10, 10, 10, 8];
-    println!(
-        "{}",
-        row(
-            &[
-                "device".into(),
-                "variants".into(),
-                "kept".into(),
-                "full(B)".into(),
-                "pruned(B)".into(),
-                "ratio".into(),
-            ],
-            &pw
-        )
-    );
-    let bench = programs::sasum();
-    let (mut full_total, mut pruned_total) = (0usize, 0usize);
-    for device in DeviceSpec::presets() {
-        let compiled = compile(&bench.program, &device, &axis).expect("sasum compiles everywhere");
-        let (_, costs) = compiled.sample_cost_matrix(64, |_| 1.0);
-        let sel = prune_variant_set(&costs, 0.10);
-        let pruned = compiled.prune_to(&sel.kept).expect("valid selection");
-        let full_b = compiled.export_plan().byte_size();
-        let pruned_b = pruned.export_plan().byte_size();
-        full_total += full_b;
-        pruned_total += pruned_b;
-        println!(
-            "{}",
-            row(
-                &[
-                    device.name.clone(),
-                    format!("{}", compiled.variant_count()),
-                    format!("{}", pruned.variant_count()),
-                    format!("{full_b}"),
-                    format!("{pruned_b}"),
-                    format!("{:.2}", pruned_b as f64 / full_b.max(1) as f64),
-                ],
-                &pw
-            )
-        );
-    }
-    println!(
-        "\nfleet artifact footprint: {full_total} -> {pruned_total} bytes ({:.1}% of full)",
-        pruned_total as f64 / full_total.max(1) as f64 * 100.0
-    );
 }

@@ -370,8 +370,7 @@ impl PlanArtifact {
 
     /// Exact on-disk size of this plan's artifact file in bytes — the
     /// variant table plus the file's framing, the per-device store
-    /// footprint the fleet's variant-set pruning bounds. Computed by
-    /// encoding, never by touching the filesystem.
+    /// footprint. Computed by encoding, never by touching the filesystem.
     pub fn byte_size(&self) -> usize {
         let key = ArtifactKey {
             content: 0,

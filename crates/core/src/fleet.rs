@@ -18,28 +18,22 @@
 //! — the single-device KMU's cost quote, the model corrected by each
 //! variant's measurements, reused as a placement oracle.
 //! Round-robin (ignores everything) is the in-library baseline; the
-//! `fleet_demo` bench adds a static-affinity one (best *offline* model
-//! cost, ignoring both measured corrections and backlog) on top of the
-//! public [`Placement`] fields.
+//! `fleet_throughput` figure adds a static-affinity one (best *offline*
+//! model cost, ignoring both measured corrections and backlog) on top of
+//! the public [`Placement`] fields.
 //!
 //! What is and is not shared across the fleet: nothing learned crosses
 //! devices. Each node's histograms and breakers are keyed to its own
 //! device (a learned state's [`crate::ArtifactKey`] embeds the
 //! device fingerprint, so cross-device imports fail closed); only the
 //! telemetry *rollup* ([`TelemetrySnapshot::fleet_rollup`]) aggregates.
-//!
-//! The fleet is also where "few fit most" variant-set pruning
-//! ([`perfmodel::prune_variant_set`]) pays off: per-device variant tables
-//! multiply with fleet size, and [`Fleet::prune`] shrinks each node's
-//! table to the smallest subset within a stated overhead bound of the full
-//! table — bounding plan bytes, artifact footprint, and breaker surface
-//! fleet-wide.
+//! Each node runs the variant table planned for its device; nothing
+//! re-tiles it at run time.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use gpu_sim::{DeviceQueue, DeviceSpec};
-use perfmodel::{prune_variant_set, PruneSelection};
 use streamir::error::{Error, Result};
 use streamir::graph::Program;
 
@@ -126,40 +120,19 @@ pub struct Placement {
     pub predicted_us: f64,
 }
 
-/// One node's outcome from a [`Fleet::prune`] pass.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PruneOutcome {
-    /// The node's name.
-    pub node: String,
-    /// Which variants survived and the overhead bound they achieve.
-    pub selection: PruneSelection,
-    /// Variant count before pruning.
-    pub full_variants: usize,
-    /// Full-table plan artifact size in bytes (encoded, framing included).
-    pub full_bytes: usize,
-    /// Pruned-table plan artifact size in bytes.
-    pub pruned_bytes: usize,
-}
-
 /// A set of heterogeneous devices fronted by one placement scheduler.
 #[derive(Debug)]
 pub struct Fleet {
     nodes: Vec<FleetNode>,
     rr_cursor: AtomicUsize,
-    shared_artifact_store: bool,
 }
 
 impl Fleet {
-    /// Assemble a fleet from prebuilt nodes. Set `shared_artifact_store`
-    /// when the nodes' managers share one [`crate::ArtifactStore`] and
-    /// one fault injector — it controls double-count avoidance in
-    /// [`Fleet::telemetry`] (their `Source` rows — the store's artifact
-    /// counters, the injector's total — are taken once, not once per node).
-    pub fn new(nodes: Vec<FleetNode>, shared_artifact_store: bool) -> Fleet {
+    /// Assemble a fleet from prebuilt nodes.
+    pub fn new(nodes: Vec<FleetNode>) -> Fleet {
         Fleet {
             nodes,
             rr_cursor: AtomicUsize::new(0),
-            shared_artifact_store,
         }
     }
 
@@ -179,7 +152,7 @@ impl Fleet {
                 Ok(FleetNode::new(d.name.clone(), KernelManager::new(compiled)))
             })
             .collect::<Result<Vec<_>>>()?;
-        Ok(Fleet::new(nodes, false))
+        Ok(Fleet::new(nodes))
     }
 
     /// The fleet's nodes, in placement-index order.
@@ -299,63 +272,15 @@ impl Fleet {
     }
 
     /// One fleet-wide telemetry view: the latest snapshot of every node's
-    /// manager, rolled up with
-    /// [`TelemetrySnapshot::fleet_rollup`] under this fleet's
-    /// source-sharing mode. `None` for an empty fleet.
+    /// manager, rolled up with [`TelemetrySnapshot::fleet_rollup`].
+    /// Counters sum across nodes, so nodes whose managers share one
+    /// [`crate::ArtifactStore`] report its artifact counters once per
+    /// node; roll their snapshots up with `fleet_rollup(.., true)` to
+    /// count them once. `None` for an empty fleet.
     pub fn telemetry(&self) -> Option<TelemetrySnapshot> {
         let snaps: Vec<TelemetrySnapshot> =
             self.nodes.iter().map(|n| n.manager.telemetry()).collect();
-        TelemetrySnapshot::fleet_rollup(&snaps, self.shared_artifact_store)
-    }
-
-    /// "Few fit most" pass: shrink every node's variant table to the
-    /// smallest subset whose predicted cost stays within `tolerance`
-    /// (fractional) of the full table at every one of `samples` axis
-    /// points. Cost curves are scaled by each variant's measured/predicted
-    /// EWMA ratio first, so a device whose measurements contradict the
-    /// model prunes against *corrected* curves.
-    ///
-    /// Nodes are rebuilt on their pruned programs with fresh managers:
-    /// learned histograms are indexed by full-table variant numbers and do
-    /// not transfer (the ratios re-learn on the smaller table). No
-    /// artifact store is re-attached — a pruned table keeps its parent's
-    /// content hash, and persisting it would clobber the full plan's
-    /// entry.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`crate::CompiledProgram::prune_to`] failures; the fleet
-    /// is unchanged on error.
-    pub fn prune(&mut self, samples: usize, tolerance: f64) -> Result<Vec<PruneOutcome>> {
-        let mut rebuilt = Vec::with_capacity(self.nodes.len());
-        let mut outcomes = Vec::with_capacity(self.nodes.len());
-        for node in &self.nodes {
-            let program = node.manager.program();
-            let ratios: Vec<f64> = node
-                .manager
-                .export_learned()
-                .histograms
-                .iter()
-                .map(|h| h.ratio)
-                .collect();
-            let (_, costs) =
-                program.sample_cost_matrix(samples, |v| ratios.get(v).copied().unwrap_or(1.0));
-            let selection = prune_variant_set(&costs, tolerance);
-            let pruned = program.prune_to(&selection.kept)?;
-            outcomes.push(PruneOutcome {
-                node: node.name.clone(),
-                selection,
-                full_variants: program.variant_count(),
-                full_bytes: program.export_plan().byte_size(),
-                pruned_bytes: pruned.export_plan().byte_size(),
-            });
-            rebuilt.push(FleetNode::new(
-                node.name.clone(),
-                KernelManager::new(pruned),
-            ));
-        }
-        self.nodes = rebuilt;
-        Ok(outcomes)
+        TelemetrySnapshot::fleet_rollup(&snaps, false)
     }
 }
 
@@ -495,30 +420,6 @@ mod tests {
     }
 
     #[test]
-    fn prune_shrinks_tables_within_bound() {
-        let mut f = fleet();
-        let before: Vec<usize> = f
-            .nodes()
-            .iter()
-            .map(|n| n.manager().program().variant_count())
-            .collect();
-        let outcomes = f.prune(32, 0.10).unwrap();
-        for (o, b) in outcomes.iter().zip(&before) {
-            assert_eq!(o.full_variants, *b);
-            assert!(o.selection.max_overhead <= 0.10 + 1e-9);
-            assert!(!o.selection.kept.is_empty());
-            assert!(o.pruned_bytes <= o.full_bytes);
-            if o.selection.kept.len() < o.full_variants {
-                assert!(o.pruned_bytes < o.full_bytes, "fewer variants, fewer bytes");
-            }
-        }
-        // The fleet still schedules and runs after the swap.
-        let input = vec![1.0f32; 1 << 10];
-        let p = f.admit(1 << 10, PlacementPolicy::CostPredicted).unwrap();
-        f.settle(p, 1 << 10, &input, &[], opts()).unwrap();
-    }
-
-    #[test]
     fn burst_admission_settles_every_job_across_nodes() {
         let f = fleet();
         let input = vec![1.0f32; 1 << 14];
@@ -569,7 +470,7 @@ mod tests {
                 FleetNode::with_queue(&d.name, KernelManager::new(compiled), an.queue_handle())
             })
             .collect();
-        let b = Fleet::new(nodes, false);
+        let b = Fleet::new(nodes);
         let preferred = b.place(1 << 18, PlacementPolicy::CostPredicted).unwrap();
         // Fleet A buries the preferred device in admitted work…
         a.nodes()[preferred.node].queue().enqueue(1e9);
@@ -580,7 +481,7 @@ mod tests {
 
     #[test]
     fn empty_fleet_and_unpriceable_inputs_error() {
-        let f = Fleet::new(Vec::new(), false);
+        let f = Fleet::new(Vec::new());
         assert!(f.place(10, PlacementPolicy::CostPredicted).is_err());
         let f = fleet();
         assert!(f.place(i64::MAX, PlacementPolicy::CostPredicted).is_err());

@@ -64,7 +64,7 @@ pub mod warp;
 
 pub use analysis::{classify, ActorClass};
 pub use artifact::{ArtifactError, ArtifactKey, ArtifactStore, LearnedState};
-pub use fleet::{Fleet, FleetNode, Placement, PlacementPolicy, PruneOutcome};
+pub use fleet::{Fleet, FleetNode, Placement, PlacementPolicy};
 pub use kmu::{KernelManager, VariantHistogram};
 pub use layout::{restructure, unrestructure, Layout};
 pub use plan::{

@@ -471,9 +471,9 @@ impl CompiledProgram {
     /// compare prediction against measurement.
     ///
     /// `x` need not lie inside the variant's own sub-range: a fallback
-    /// launch and the fleet's pruning pass price variants outside their
-    /// own ranges. A choice that cannot run at `x` (a stencil tile whose
-    /// halo-extended tile overflows shared memory) prices as ∞. Returns
+    /// launch prices variants outside their own ranges. A choice that
+    /// cannot run at `x` (a stencil tile whose halo-extended tile
+    /// overflows shared memory) prices as ∞. Returns
     /// `None` when the variant index is out of bounds or the axis value
     /// cannot be scheduled.
     pub fn predicted_time_us(&self, x: i64, variant_index: usize) -> Option<f64> {
@@ -496,94 +496,6 @@ impl CompiledProgram {
     /// size discussion in §5.1).
     pub fn variant_count(&self) -> usize {
         self.variants.len()
-    }
-
-    /// Sample every variant's predicted cost curve at `samples`
-    /// geometrically-spaced points of the axis. Returns the sample points
-    /// and the cost matrix `costs[variant][point]` (∞ where a variant
-    /// cannot be priced) — the input shape
-    /// [`perfmodel::prune_variant_set`] and
-    /// [`perfmodel::coverage_curve`] consume.
-    ///
-    /// `scale` multiplies every prediction (1.0 = the raw model); the
-    /// kernel-management unit passes its per-variant measured/predicted
-    /// ratios here so pruning sees *corrected* curves.
-    pub fn sample_cost_matrix(
-        &self,
-        samples: usize,
-        scale: impl Fn(usize) -> f64,
-    ) -> (Vec<i64>, Vec<Vec<f64>>) {
-        let points = self.axis.geometric_points(samples);
-        let costs = (0..self.variants.len())
-            .map(|v| {
-                let s = scale(v);
-                points
-                    .iter()
-                    .map(|&x| {
-                        self.predicted_time_us(x, v)
-                            .map(|t| s * t)
-                            .unwrap_or(f64::INFINITY)
-                    })
-                    .collect()
-            })
-            .collect();
-        (points, costs)
-    }
-
-    /// Restrict the variant table to `kept` (ascending original variant
-    /// indices), re-tiling the axis among the survivors by cheapest
-    /// predicted cost — "few fit most" variant-set pruning. The program
-    /// structure, bytecode and edge layouts are shared (`Arc`s cloned);
-    /// only the table shrinks, which is exactly what bounds plan-table
-    /// bytes, artifact-store footprint and the runtime's per-variant
-    /// breaker surface.
-    ///
-    /// A [`KernelManager`](crate::KernelManager) built on the pruned
-    /// program sees only the surviving variants. The pruned table keeps
-    /// its parent's content hash — storing its plan would *replace* the
-    /// full table's artifact entry under the same key, so persist one or
-    /// the other deliberately.
-    ///
-    /// # Errors
-    ///
-    /// [`Error::EmptyVariantTable`] when `kept` is empty;
-    /// [`Error::Semantic`] when `kept` is not strictly ascending or indexes
-    /// past the table.
-    pub fn prune_to(&self, kept: &[usize]) -> Result<CompiledProgram> {
-        if kept.is_empty() {
-            return Err(Error::EmptyVariantTable);
-        }
-        if kept.windows(2).any(|w| w[0] >= w[1]) || *kept.last().unwrap() >= self.variants.len() {
-            return Err(Error::Semantic(format!(
-                "prune_to: kept {kept:?} must be strictly ascending indices into {} variants",
-                self.variants.len()
-            )));
-        }
-        let mut curves: Vec<Box<dyn FnMut(i64) -> f64 + '_>> = kept
-            .iter()
-            .map(|&v| {
-                let f: Box<dyn FnMut(i64) -> f64> =
-                    Box::new(move |x| self.predicted_time_us(x, v).unwrap_or(f64::INFINITY));
-                f
-            })
-            .collect();
-        let assignments = perfmodel::partition_range(self.axis.lo, self.axis.hi, &mut curves);
-        let variants = assignments
-            .iter()
-            .map(|a| {
-                let src = &self.variants[kept[a.variant]];
-                Variant {
-                    lo: a.lo,
-                    hi: a.hi,
-                    choices: src.choices.clone(),
-                    tags: src.tags.clone(),
-                }
-            })
-            .collect();
-        Ok(CompiledProgram {
-            variants,
-            ..self.clone()
-        })
     }
 
     /// The target device.

@@ -20,6 +20,10 @@ pub struct RangeAssignment {
 /// probing plus binary-search refinement, so the cost functions are
 /// evaluated O(V² log hi) times rather than at every point.
 ///
+/// The planner does not call this: it places variant boundaries with its
+/// own search in `adaptic::plan`. The repository benchmark's
+/// `perfmodel.partition_us` probe is the only caller outside tests.
+///
 /// # Panics
 ///
 /// Panics when `variants` is empty or the range is empty.

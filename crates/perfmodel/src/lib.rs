@@ -7,12 +7,14 @@
 //! counts — quantities that are functions of the program input size and
 //! dimensions.
 //!
-//! Two front doors:
+//! The front door is [`estimate`] / [`estimate_stats`]: timing for one
+//! launch, from a closed-form [`LaunchProfile`] or measured simulator
+//! statistics. The planner finds each variant's sub-range at compile
+//! time with its own probe-and-bisect search over these estimates.
 //!
-//! * [`estimate`] / [`estimate_stats`] — timing for one launch, from a
-//!   closed-form [`LaunchProfile`] or measured simulator statistics;
-//! * [`partition_range`] — the break-even machinery that decides *where*
-//!   in the input space each kernel variant wins.
+//! [`partition_range`] is a standalone break-even search over arbitrary
+//! cost curves. No production path calls it; only the repository
+//! benchmark's `perfmodel.partition_us` probe does.
 //!
 //! # Example
 //!
@@ -38,8 +40,6 @@
 
 pub mod crossover;
 pub mod model;
-pub mod pruning;
 
 pub use crossover::{partition_range, tiles_exactly, RangeAssignment};
 pub use model::{estimate, estimate_stats, KernelClass, LaunchProfile, TimingEstimate};
-pub use pruning::{coverage_curve, prune_variant_set, BudgetPoint, PruneSelection};

@@ -638,7 +638,7 @@ impl Server {
             retry: policy.retry,
             coalesce: policy.coalesce,
             program_hash,
-            fleet: Fleet::new(nodes, false),
+            fleet: Fleet::new(nodes),
             bucket: Mutex::new(TokenBucket::new(policy.burst, policy.refill_per_sec)),
             counters: TelemetryCounters::new(0),
         });

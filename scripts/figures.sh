@@ -19,7 +19,7 @@ if [ "${1:-}" = "--check" ]; then
     shift
 fi
 [ "$#" -gt 0 ] || set -- fig1 fig9 fig10 fig11 insensitive portability ablations codesize \
-    drift_adaptivity
+    drift_adaptivity fleet_throughput
 
 cargo build --release --quiet -p adaptic-bench --bins
 unset ADAPTIC_SCALE ADAPTIC_WORKERS ADAPTIC_DRIFT_SEED
